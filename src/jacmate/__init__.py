@@ -62,7 +62,6 @@ from .falsifier import (
     TrialReport,
     ZeroWitness,
     find_jacobian_zero,
-    image_probe,
     random_trials,
 )
 from .certificate import (
@@ -114,7 +113,6 @@ __all__ = [
     "face_polynomial",
     "find_jacobian_zero",
     "fitted_exponent",
-    "image_probe",
     "jacobian",
     "lattice_point_count",
     "lowest_positive_branch",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .falsifier import TrialReport
 from .poly import BivariatePolynomial, Transform
-from .polygon import CriterionCertificate, OuterEdge, corollary_certificate
+from .polygon import CriterionCertificate, OuterEdge
 from .tongue import FAILED, TongueCertificate
 
 __all__ = [
@@ -38,6 +38,8 @@ NO_REAL_JACOBIAN_MATE = "NO_REAL_JACOBIAN_MATE"
 INCONCLUSIVE = "INCONCLUSIVE"
 NOT_COVERED = "NOT_COVERED"
 CONCLUSIONS = (NO_REAL_JACOBIAN_MATE, INCONCLUSIVE, NOT_COVERED)
+
+UNCERTIFIED_WARNING = "input is not certified; a mate may exist and misses mean nothing"
 
 
 def _expected_conclusion(
@@ -92,11 +94,11 @@ class CertificateDocument:
 
 def build_certificate(
     p: BivariatePolynomial,
-    allow_swap: bool = True,
+    criterion: CriterionCertificate,
     tongue: TongueCertificate | None = None,
     trials: TrialReport | None = None,
 ) -> CertificateDocument:
-    criterion = corollary_certificate(p, allow_swap=allow_swap)
+    """Document for p around its already decided edge criterion."""
     return CertificateDocument(
         tool_version=TOOL_VERSION,
         input=str(p),
@@ -225,8 +227,8 @@ def document_to_dict(doc: CertificateDocument) -> dict:
         out["falsifier_summary"] = {
             "trials": len(doc.falsifier_trials.outcomes),
             "witness_rate": doc.falsifier_trials.witness_rate,
-            "certified_input": doc.falsifier_trials.certified_input,
-            "warning": doc.falsifier_trials.warning,
+            "certified_input": doc.criterion.satisfied,
+            "warning": None if doc.criterion.satisfied else UNCERTIFIED_WARNING,
         }
     return out
 

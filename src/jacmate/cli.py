@@ -23,6 +23,7 @@ from .branches import (
 )
 from .certificate import (
     NO_REAL_JACOBIAN_MATE,
+    _edge_dict,
     build_certificate,
     emit_certificate_json,
     tongue_to_dict,
@@ -49,16 +50,6 @@ def _read_input(text: str) -> str:
     return text
 
 
-def _edge_json(edge) -> dict:
-    return {
-        "from": list(edge.start),
-        "to": list(edge.end),
-        "normal": list(edge.normal),
-        "slope": str(edge.slope),
-        "is_right": edge.is_right,
-    }
-
-
 def _emit(args, text: str) -> None:
     print(text)
     path = getattr(args, "json", None) or getattr(args, "out", None)
@@ -78,8 +69,8 @@ def _cmd_analyze(args) -> int:
         "input": str(p),
         "support": [list(pt) for pt in sorted(p.support())],
         "vertices": [list(v) for v in polygon.vertices],
-        "outer_edges": [_edge_json(e) for e in edges],
-        "right_outer_edges": [_edge_json(e) for e in edges if e.is_right],
+        "outer_edges": [_edge_dict(e) for e in edges],
+        "right_outer_edges": [_edge_dict(e) for e in edges if e.is_right],
     }
     _emit(args, json.dumps(doc, indent=2))
     return 0
@@ -99,7 +90,7 @@ def _cmd_certify(args) -> int:
         cfg = SearchConfig(rng_seed=args.seed)
         trials = random_trials(p, args.falsify, cfg=cfg)
 
-    doc = build_certificate(p, allow_swap=allow_swap, tongue=tongue, trials=trials)
+    doc = build_certificate(p, criterion, tongue=tongue, trials=trials)
     text = emit_certificate_json(doc)
     print(text)
     if args.json:

@@ -20,9 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import BivariatePolynomial, apply_transform, evaluate_on_grid, jacobian
-from .polygon import corollary_certificate
-from .tongue import TongueRegion, boundary_interpolator, halton_points
+from .poly import BivariatePolynomial, evaluate_on_grid, jacobian
 
 __all__ = [
     "SearchConfig",
@@ -30,11 +28,9 @@ __all__ = [
     "MinRecord",
     "TrialOutcome",
     "TrialReport",
-    "ImageProbeReport",
     "DegenerateSampler",
     "find_jacobian_zero",
     "random_trials",
-    "image_probe",
     "EXACT_GRID_HIT",
     "SIGN_CHANGE_BISECTION",
     "LOCAL_MINIMIZATION",
@@ -93,15 +89,6 @@ class TrialOutcome:
 class TrialReport:
     outcomes: tuple[TrialOutcome, ...]
     witness_rate: float
-    certified_input: bool
-    warning: str | None = None
-
-
-@dataclass(frozen=True)
-class ImageProbeReport:
-    sup_norm_estimate: float
-    halfline_variation: float
-    samples: int
 
 
 def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
@@ -271,10 +258,6 @@ def random_trials(
     rng_seed + 1000003*k.
     """
     cfg = cfg or SearchConfig()
-    certified = corollary_certificate(p).satisfied
-    warning = None
-    if not certified:
-        warning = "input is not certified; a mate may exist and misses mean nothing"
     outcomes = []
     hits = 0
     for k in range(n):
@@ -294,55 +277,5 @@ def random_trials(
             )
         )
     rate = hits / n if n else 0.0
-    return TrialReport(
-        outcomes=tuple(outcomes),
-        witness_rate=rate,
-        certified_input=certified,
-        warning=warning,
-    )
+    return TrialReport(outcomes=tuple(outcomes), witness_rate=rate)
 
-
-# ---------------------------------------------------------------------------
-# Image boundedness probe
-# ---------------------------------------------------------------------------
-
-
-def image_probe(
-    p: BivariatePolynomial,
-    q: BivariatePolynomial,
-    region: TongueRegion,
-    samples: int = 4096,
-) -> ImageProbeReport:
-    """Estimate sup ||(p, q)|| over the region and the drift along its half-line.
-
-    The map is evaluated in the region's transformed coordinates, so the
-    estimates refer to the original p and q on the original set.  A mate
-    would have to keep the image bounded and stay exactly constant on the
-    half-line border; a large drift is evidence against q.
-    """
-    pt = apply_transform(p, region.transform)
-    qt = apply_transform(q, region.transform)
-    f = boundary_interpolator(region.boundary_trace)
-    x0 = float(region.x0)
-    x_hi = max(2.0**10, 2.0 * x0)
-
-    u, v = halton_points(max(samples, 1))
-    xs = x0 * (x_hi / x0) ** u
-    ys = np.asarray(f(xs)) * (1e-9 + (1 - 2e-9) * v)
-    sup = 0.0
-    for x, y in zip(xs, ys):
-        a = pt.evaluate_approx(float(x), float(y))
-        b = qt.evaluate_approx(float(x), float(y))
-        sup = max(sup, float(np.hypot(a, b)))
-
-    base_p = pt.evaluate_approx(x0, 0.0)
-    base_q = qt.evaluate_approx(x0, 0.0)
-    drift = 0.0
-    for x in np.geomspace(x0, x_hi, 512):
-        a = pt.evaluate_approx(float(x), 0.0) - base_p
-        b = qt.evaluate_approx(float(x), 0.0) - base_q
-        drift = max(drift, float(np.hypot(a, b)))
-
-    return ImageProbeReport(
-        sup_norm_estimate=sup, halfline_variation=drift, samples=int(max(samples, 1))
-    )

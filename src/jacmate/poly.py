@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "jacobian",
     "apply_transform",
     "compose_transforms",
-    "invert_transform",
     "evaluate_on_grid",
 ]
 
@@ -109,13 +108,6 @@ def compose_transforms(first: Transform, second: Transform) -> Transform:
         for r in range(2)
     )
     return _BY_MATRIX[prod]
-
-
-def invert_transform(t: Transform) -> Transform:
-    for u in ALL_TRANSFORMS:
-        if compose_transforms(t, u) == IDENTITY:
-            return u
-    raise AssertionError("unreachable: every axis symmetry has an inverse")
 
 
 class BivariatePolynomial:
@@ -277,16 +269,6 @@ class BivariatePolynomial:
         out = [Fraction(0)] * (self.degree_y() + 1)
         for (i, j), c in self.terms.items():
             out[j] += c * x0**i
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def restricted_to_y(self, y0: Fraction | int) -> list[Fraction]:
-        """Coefficients of p(x, y0) as a univariate polynomial in x, ascending."""
-        y0 = Fraction(y0)
-        out = [Fraction(0)] * (self.degree_x() + 1)
-        for (i, j), c in self.terms.items():
-            out[i] += c * y0**j
         while out and out[-1] == 0:
             out.pop()
         return out

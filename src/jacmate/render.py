@@ -5,8 +5,6 @@ Pure string assembly, deterministic byte-for-byte for fixed inputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
@@ -30,10 +28,6 @@ _MARGIN = 36
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
-
-
-def _slope_text(slope: Fraction) -> str:
-    return str(slope)
 
 
 def render_polygon_svg(
@@ -91,7 +85,7 @@ def render_polygon_svg(
         mx, my = 0.5 * (x1 + x2) + 8, 0.5 * (y1 + y2)
         parts.append(
             f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="12" '
-            f'font-family="monospace" fill="#dc143c">slope {_slope_text(witness.slope)}</text>'
+            f'font-family="monospace" fill="#dc143c">slope {witness.slope}</text>'
         )
 
     for i, j in sorted(support):

@@ -20,7 +20,7 @@ grid resolution and report their findings as data, never as proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +78,10 @@ FAILED = "Failed"
 
 X0_BUDGET = Fraction(2**20)
 
+# Exact vertical slices spread evenly over the strip by the critical-point
+# sweep, on top of its dense run near x0.
+CRITICAL_SLICES = 192
+
 # Points closer to the traced branch than this are boundary at grid
 # resolution: the interpolant is only trusted to ~1e-4 relative between
 # trace samples, while the barrier keeps every scheduled arc at least
@@ -111,15 +115,14 @@ class GridSpec:
     """Raster resolution for the two-dimensional sweeps.
 
     ``x_max`` of None asks for an automatic horizon: wide enough that the
-    smallest scheduled level no longer reaches it, never below 50.
-    ``critical_slices`` is the number of exact vertical slices used by the
-    critical-point sweep.
+    smallest scheduled level no longer reaches it, never below 50.  The
+    critical-point sweep caps its float screen at 400 x 400 and uses
+    ``CRITICAL_SLICES`` exact slices whatever the raster.
     """
 
     nx: int = 1000
     ny: int = 1000
     x_max: float | None = None
-    critical_slices: int = 192
 
     def __post_init__(self):
         if self.nx < 16 or self.ny < 16:
@@ -153,6 +156,14 @@ class RestrictionProfile:
 
 
 @dataclass(frozen=True)
+class CriticalPointReport:
+    passed: bool
+    witnesses: tuple[tuple[float, float], ...]
+    slices_checked: int
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
 class TongueRegion:
     transform: Transform
     flipped: bool
@@ -161,6 +172,8 @@ class TongueRegion:
     boundary_trace: BranchTrace
     profile: RestrictionProfile
     halfline: HalfLine
+    # the sweep that accepted the region; None until it has run
+    critical_point_check: CriticalPointReport | None
 
 
 @dataclass(frozen=True)
@@ -180,14 +193,6 @@ class LevelSetReport:
     passed: bool
     failures: tuple[str, ...]
     pocket_bbox: tuple[float, float, float, float] | None
-
-
-@dataclass(frozen=True)
-class CriticalPointReport:
-    passed: bool
-    witnesses: tuple[tuple[float, float], ...]
-    slices_checked: int
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -395,11 +400,10 @@ def build_tongue(
 
     The starting abscissa doubles until the interior critical-point sweep
     comes back clean (and until the branch can actually be traced from
-    there), within a fixed budget.
+    there), within a fixed budget.  The returned region carries that clean
+    sweep as ``critical_point_check``.  Raises ValueError, through
+    ``lowest_positive_branch``, when p fails the edge criterion.
     """
-    cert = corollary_certificate(p, allow_swap=True)
-    if not cert.satisfied:
-        raise ValueError("tongue construction requires the edge criterion")
     grid = grid or GridSpec()
     x0 = Fraction(x0)
     last_reason = "no attempt made"
@@ -419,7 +423,7 @@ def build_tongue(
             continue
         report = check_no_critical_points(region.poly, region, grid)
         if report.passed:
-            return region
+            return replace(region, critical_point_check=report)
         last_reason = f"x0={x0}: critical point near {report.witnesses[:1]}"
         x0 *= 2
     raise CriticalPointsPersist(
@@ -457,6 +461,7 @@ def _assemble_region(
         boundary_trace=trace,
         profile=profile,
         halfline=HalfLine(y=0.0, x_from=float(x0)),
+        critical_point_check=None,
     )
 
 
@@ -510,7 +515,7 @@ def check_no_critical_points(
                 witnesses.append((wx, wy))
 
     # exact slices: linear spread plus a denser run near x0
-    nsl = grid.critical_slices
+    nsl = CRITICAL_SLICES
     x0_frac = region.x0
     span = Fraction(x_max).limit_denominator(10**6) - x0_frac
     slices = [x0_frac + span * Fraction(k, nsl) for k in range(1, nsl + 1)]
@@ -928,40 +933,34 @@ def default_schedule(t0: Fraction) -> list[Fraction]:
 
 
 def tongue_certificate(
-    p: BivariatePolynomial,
-    grid: GridSpec | None = None,
-    schedule=None,
-    x0: Fraction | int = 1,
+    p: BivariatePolynomial, grid: GridSpec | None = None
 ) -> TongueCertificate:
     """Run the full region pipeline and aggregate the checks.
 
-    Verified means every check passed at the configured resolution; it is
-    a numeric status, not a proof object.  Construction failures that
-    merely exhaust the numeric budget report Inconclusive; violated
-    expectations report Failed.
+    The region starts at x0 = 1 and is accepted by ``build_tongue`` only
+    with a clean critical-point sweep, whose report is passed along; the
+    levels follow ``default_schedule``.  Verified means every check passed
+    at the configured resolution; it is a numeric status, not a proof
+    object.  A saddle cell the raster cannot decide reports Inconclusive;
+    violated expectations report Failed.
     """
     grid = grid or GridSpec()
     cert = corollary_certificate(p, allow_swap=True)
     if not cert.satisfied:
         return TongueCertificate(FAILED, ("criterion not satisfied",), None, None, None)
     try:
-        region = build_tongue(p, x0=x0, grid=grid)
+        region = build_tongue(p, grid=grid)
     except CriticalPointsPersist as exc:
         return TongueCertificate(FAILED, (str(exc),), None, None, None)
-    except (NoConfirmedBranch, ResolutionTooCoarse) as exc:
-        return TongueCertificate(INCONCLUSIVE, (str(exc),), None, None, None)
 
-    crit = check_no_critical_points(region.poly, region, grid)
-    levels = schedule if schedule is not None else default_schedule(region.profile.t0)
+    crit = region.critical_point_check
+    levels = default_schedule(region.profile.t0)
     try:
         level_report = check_level_sets(region.poly, region, levels, grid)
     except ResolutionTooCoarse as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), region, crit, None)
 
-    reasons: list[str] = []
-    if not crit.passed:
-        reasons.append(f"critical points found: {crit.witnesses[:3]}")
-    if not level_report.passed:
-        reasons.extend(level_report.failures[:5])
-    status = VERIFIED if not reasons else FAILED
-    return TongueCertificate(status, tuple(reasons), region, crit, level_report)
+    status = VERIFIED if level_report.passed else FAILED
+    return TongueCertificate(
+        status, tuple(level_report.failures[:5]), region, crit, level_report
+    )

@@ -28,7 +28,6 @@ __all__ = [
     "count_roots",
     "root_bound",
     "isolate_roots",
-    "refine_interval",
     "float_root",
 ]
 
@@ -96,7 +95,6 @@ def poly_divmod(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
         for k, a in enumerate(den):
             rem[shift + k] -= factor * a
         rem = normalize(rem)
-        rem += [Fraction(0)] * 0
     return normalize(quot), normalize(rem)
 
 
@@ -309,19 +307,6 @@ def _refine_squarefree(
         else:
             hi, fhi = mid, fm
     return (lo, hi)
-
-
-def refine_interval(
-    f: Coeffs, iv: RootInterval, width: Fraction
-) -> RootInterval:
-    """Shrink an isolating interval of f further (same root, same multiplicity)."""
-    if iv.lo == iv.hi or iv.hi - iv.lo <= width:
-        return iv
-    for factor, mult in squarefree_decomposition(f):
-        if mult == iv.multiplicity and count_roots(factor, iv.lo, iv.hi) == 1:
-            lo, hi = _refine_squarefree(factor, iv.lo, iv.hi, width)
-            return RootInterval(lo, hi, iv.multiplicity)
-    return iv
 
 
 def float_root(f: Coeffs, iv: RootInterval) -> float:

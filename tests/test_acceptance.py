@@ -187,7 +187,7 @@ def test_acceptance_falsifier_witnesses(capsys):
         first_signature = None
         for text, _ in NO_MATE_FAMILY:
             report = random_trials(parse_polynomial(text), 20)
-            assert report.certified_input and report.warning is None
+            assert corollary_certificate(parse_polynomial(text)).satisfied
             assert report.witness_rate >= 0.9, text
             for outcome in report.outcomes:
                 if outcome.found:

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 from jacmate.poly import parse_polynomial
+from jacmate.polygon import corollary_certificate
 from jacmate.tongue import GridSpec, tongue_certificate
 from jacmate.falsifier import random_trials
 from jacmate.certificate import (
@@ -18,6 +19,10 @@ from jacmate.certificate import (
 )
 
 
+def certify(p, **parts):
+    return build_certificate(p, corollary_certificate(p), **parts)
+
+
 def validate(doc):
     data = json.loads(emit_certificate_json(doc))
     jsonschema.validate(data, CERTIFICATE_SCHEMA)
@@ -25,7 +30,7 @@ def validate(doc):
 
 
 def test_positive_certificate(p1):
-    doc = build_certificate(p1)
+    doc = certify(p1)
     assert doc.conclusion == NO_REAL_JACOBIAN_MATE
     data = validate(doc)
     assert data["conclusion"] == NO_REAL_JACOBIAN_MATE
@@ -37,7 +42,7 @@ def test_positive_certificate(p1):
 
 
 def test_not_covered_certificate():
-    doc = build_certificate(parse_polynomial("x^2 + y^2"))
+    doc = certify(parse_polynomial("x^2 + y^2"))
     assert doc.conclusion == NOT_COVERED
     data = validate(doc)
     assert data["criterion"]["satisfied"] is False
@@ -47,23 +52,25 @@ def test_not_covered_certificate():
 
 
 def test_summary_wording(p3, swap_case):
-    plain = build_certificate(p3).summary
+    plain = certify(p3).summary
     assert "does not have a real Jacobian mate" in plain
     assert "(0, 1)" in plain and "(2, 2)" in plain
     assert "transform" not in plain
-    swapped = build_certificate(swap_case).summary
+    swapped = certify(swap_case).summary
     assert "after a coordinate transform" in swapped
 
 
 def test_full_document_with_tongue_and_trials(p3):
     tc = tongue_certificate(p3, grid=GridSpec(x_max=50.0))
     trials = random_trials(p3, 4)
-    doc = build_certificate(p3, tongue=tc, trials=trials)
+    doc = certify(p3, tongue=tc, trials=trials)
     assert doc.conclusion == NO_REAL_JACOBIAN_MATE
     data = validate(doc)
     assert data["tongue"]["status"] == "Verified"
     assert len(data["falsifier_trials"]) == 4
     assert data["falsifier_summary"]["witness_rate"] == 1.0
+    assert data["falsifier_summary"]["certified_input"] is True
+    assert data["falsifier_summary"]["warning"] is None
     assert data["tongue"]["region"]["t0"] == "1/8"
     records = data["tongue"]["levels"]["records"]
     assert len(records) == 30
@@ -79,14 +86,14 @@ def test_failed_tongue_downgrades_conclusion(p3):
         critical_point_check=tc.critical_point_check,
         level_report=tc.level_report,
     )
-    doc = build_certificate(p3, tongue=failed)
+    doc = certify(p3, tongue=failed)
     assert doc.conclusion == INCONCLUSIVE
     data = validate(doc)
     assert "did not pass" in data["summary"]
 
 
 def test_inconsistent_document_cannot_exist(p3):
-    crit = build_certificate(p3).criterion
+    crit = certify(p3).criterion
     with pytest.raises(ValueError):
         CertificateDocument(
             tool_version="0.1.0",
@@ -108,9 +115,9 @@ def test_inconsistent_document_cannot_exist(p3):
 
 
 def test_key_order_and_determinism(p3):
-    doc = build_certificate(p3)
+    doc = certify(p3)
     text1 = emit_certificate_json(doc)
-    text2 = emit_certificate_json(build_certificate(p3))
+    text2 = emit_certificate_json(certify(p3))
     assert text1 == text2
     data = json.loads(text1)
     assert list(data) == ["tool_version", "input", "conclusion", "summary", "criterion"]
@@ -118,26 +125,33 @@ def test_key_order_and_determinism(p3):
 
 def test_json_has_no_nan(p1):
     tc = tongue_certificate(p1, grid=GridSpec(x_max=50.0))
-    doc = build_certificate(p1, tongue=tc, trials=random_trials(p1, 2))
+    doc = certify(p1, tongue=tc, trials=random_trials(p1, 2))
     text = emit_certificate_json(doc)
     assert "NaN" not in text and "Infinity" not in text
     json.loads(text)  # strict parse
 
 
+def test_uncertified_input_warns():
+    p = parse_polynomial("x^2 + y^2")
+    summary = validate(certify(p, trials=random_trials(p, 2)))["falsifier_summary"]
+    assert summary["certified_input"] is False
+    assert summary["warning"] is not None
+
+
 def test_schema_rejects_extra_top_level_keys(p3):
-    data = document_to_dict(build_certificate(p3))
+    data = document_to_dict(certify(p3))
     data["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, CERTIFICATE_SCHEMA)
 
 
 def test_schema_rejects_bad_conclusion(p3):
-    data = document_to_dict(build_certificate(p3))
+    data = document_to_dict(certify(p3))
     data["conclusion"] = "PROVED"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, CERTIFICATE_SCHEMA)
 
 
 def test_input_round_trips_through_parser(p3):
-    data = document_to_dict(build_certificate(p3))
+    data = document_to_dict(certify(p3))
     assert parse_polynomial(data["input"]) == p3

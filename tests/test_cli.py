@@ -1,4 +1,5 @@
 import json
+import pathlib
 import xml.dom.minidom
 
 import jsonschema
@@ -6,6 +7,8 @@ import pytest
 
 from jacmate.certificate import CERTIFICATE_SCHEMA
 from jacmate.cli import run_command
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -49,6 +52,33 @@ def test_certify_rejects_swap_when_disabled(capsys):
     assert json.loads(out)["conclusion"] == "NOT_COVERED"
     code, out, _ = run(capsys, "certify", "x + x^2*y")
     assert code == 0
+
+
+def test_certify_no_swap_trials_warn(capsys):
+    # the trials summary follows the document's criterion, decided once
+    code, out, _ = run(capsys, "certify", "x + x^2*y", "--no-swap", "--falsify", "2")
+    assert code == 1
+    data = json.loads(out)
+    assert data["conclusion"] == "NOT_COVERED"
+    assert data["falsifier_summary"]["certified_input"] is False
+    assert data["falsifier_summary"]["warning"] is not None
+
+
+@pytest.mark.parametrize(
+    "poly, golden",
+    [
+        ("x + x^2*y", "swap_tongue_falsify3_seed7.json"),
+        ("y - (x^2 - 4*x + 6)*y^2", "planted_tongue_falsify3_seed7.json"),
+    ],
+    ids=["swap", "planted"],
+)
+def test_certify_matches_golden(capsys, poly, golden):
+    # a fixed seed gives byte-identical certificates across refactors
+    code, out, _ = run(
+        capsys, "certify", poly, "--tongue", "--falsify", "3", "--seed", "7"
+    )
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_certify_with_tongue_and_falsifier(tmp_path, capsys):

@@ -1,10 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from jacmate.poly import BivariatePolynomial, jacobian, parse_polynomial
-from jacmate.tongue import GridSpec, build_tongue
 from jacmate.falsifier import (
     EXACT_GRID_HIT,
     LOCAL_MINIMIZATION,
@@ -13,7 +11,6 @@ from jacmate.falsifier import (
     SearchConfig,
     ZeroWitness,
     find_jacobian_zero,
-    image_probe,
     random_trials,
 )
 
@@ -134,20 +131,12 @@ def test_trial_seeds_are_spread_out(p3):
 def test_trial_report_on_certified_family(certified_family):
     for p, _ in certified_family:
         rep = random_trials(p, 10)
-        assert rep.certified_input
-        assert rep.warning is None
         assert rep.witness_rate >= 0.9
         for o in rep.outcomes:
             if o.found:
                 assert o.witness.jac_exact <= 1e-5
             else:
                 assert o.min_record is not None
-
-
-def test_uncertified_input_warns():
-    rep = random_trials(parse_polynomial("x^2 + y^2"), 2)
-    assert not rep.certified_input
-    assert rep.warning is not None
 
 
 def test_empty_run():
@@ -169,27 +158,3 @@ def test_sampled_mates_are_bounded_and_nontrivial(p3):
         assert all(abs(c) <= 2 for c in q.terms.values())
         assert any(j >= 1 for _, j in q.support())
         assert not jacobian(p3, q).is_zero
-
-
-@pytest.fixture(scope="module")
-def region3(p3):
-    return build_tongue(p3, grid=GridSpec(x_max=50.0))
-
-
-def test_image_probe_axis_aligned_mate_has_no_drift(p3, region3):
-    probe = image_probe(p3, Y, region3)
-    assert probe.samples == 4096
-    assert probe.halfline_variation == 0.0
-    # p stays inside (0, 1/4]; the transformed q = -y inside (-1, 0)
-    assert probe.sup_norm_estimate <= math.hypot(0.25, 1.0) + 1e-9
-
-
-def test_image_probe_detects_unbounded_image(p3, region3):
-    probe = image_probe(p3, X, region3)
-    assert probe.halfline_variation > 100.0
-    assert probe.sup_norm_estimate > 100.0
-
-
-def test_image_probe_sample_count(p3, region3):
-    probe = image_probe(p3, X, region3, samples=128)
-    assert probe.samples == 128

@@ -28,6 +28,7 @@ from jacmate.tongue import (
     restriction_profile,
     tongue_certificate,
 )
+from jacmate import tongue
 from jacmate import univariate as uni
 
 
@@ -159,6 +160,7 @@ def fake_region(poly, f_height, x0=1.0):
         boundary_trace=trace,
         profile=profile,
         halfline=HalfLine(y=0.0, x_from=x0),
+        critical_point_check=None,
     )
 
 
@@ -334,6 +336,24 @@ def test_build_tongue_doubles_past_planted_critical_point():
     cert = tongue_certificate(p)
     assert cert.status == VERIFIED
     assert cert.region.x0 == 4
+
+
+def test_tongue_certificate_sweeps_once_per_attempt(monkeypatch):
+    # x0 = 1 and 2 hold the planted critical point, x0 = 4 is accepted;
+    # the accepted sweep is carried along, not run again
+    calls = []
+    sweep = tongue.check_no_critical_points
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(tongue, "check_no_critical_points", counted)
+    cert = tongue_certificate(parse_polynomial("y - (x^2 - 4*x + 6)*y^2"))
+    assert [float(region.x0) for _, region, _ in calls] == [1.0, 2.0, 4.0]
+    region = cert.region
+    assert cert.critical_point_check is region.critical_point_check
+    assert region.critical_point_check == sweep(region.poly, region, GridSpec())
 
 
 def test_image_values_trapped_below_quarter(swap_case):

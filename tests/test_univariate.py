@@ -11,7 +11,6 @@ from jacmate.univariate import (
     normalize,
     poly_divmod,
     poly_gcd,
-    refine_interval,
     root_bound,
     squarefree_decomposition,
     sturm_chain,
@@ -152,15 +151,6 @@ def test_isolate_roots_respects_window():
     ivs = isolate_roots(f, Fraction(0), Fraction(1))
     assert len(ivs) == 1
     assert ivs[0].lo <= Fraction(1, 2) <= ivs[0].hi
-
-
-def test_refine_interval_narrows():
-    f = [Fraction(-2), Fraction(0), Fraction(1)]  # y^2 - 2
-    (iv,) = isolate_roots(f, Fraction(0), Fraction(2))
-    tight = refine_interval(f, iv, Fraction(1, 10**15))
-    assert tight.hi - tight.lo <= Fraction(1, 10**15)
-    mid = float(tight.midpoint)
-    assert abs(mid - 2**0.5) < 1e-12
 
 
 def test_float_root_polish():
