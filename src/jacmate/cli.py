@@ -28,7 +28,13 @@ from .certificate import (
     emit_certificate_json,
     tongue_to_dict,
 )
-from .falsifier import SearchConfig, ZeroWitness, find_jacobian_zero, random_trials
+from .falsifier import (
+    DegenerateSampler,
+    SearchConfig,
+    ZeroWitness,
+    find_jacobian_zero,
+    random_trials,
+)
 from .poly import ParseError, apply_transform, parse_polynomial
 from .polygon import (
     PointPolygon,
@@ -280,7 +286,7 @@ def run_command(argv) -> int:
     except (NoConfirmedBranch,) as exc:
         print(f"not available: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, DegenerateSampler) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

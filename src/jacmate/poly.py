@@ -113,7 +113,8 @@ def compose_transforms(first: Transform, second: Transform) -> Transform:
 class BivariatePolynomial:
     """Immutable sparse polynomial in x and y with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    # ``_plan`` is the float Horner plan, built on first use by evaluate_approx
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms: Mapping[LatticePoint, Fraction | int] | None = None):
         clean: dict[LatticePoint, Fraction] = {}
@@ -124,6 +125,7 @@ class BivariatePolynomial:
             if c != 0:
                 clean[(int(i), int(j))] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
@@ -243,22 +245,29 @@ class BivariatePolynomial:
     def evaluate_approx(self, x: float, y: float) -> float:
         """Double-precision value, Horner in y over Horner-in-x rows.
 
+        The rows are planned once per polynomial (see :func:`_horner_plan`).
         Overflow is reported by returning a non-finite float; callers that
         care should check ``math.isfinite``.
         """
-        rows: dict[int, list[tuple[int, float]]] = {}
-        for (i, j), c in self.terms.items():
-            rows.setdefault(j, []).append((i, float(c)))
+        plan = self._plan
+        if plan is None:
+            plan = _horner_plan(self.terms)
+            object.__setattr__(self, "_plan", plan)
+        rows, last_j = plan
         try:
             acc = 0.0
-            prev_j = None
-            for j in sorted(rows, reverse=True):
-                if prev_j is not None:
-                    acc *= y ** (prev_j - j)
-                acc += _horner_sparse(rows[j], x)
-                prev_j = j
-            if prev_j is not None:
-                acc *= y**prev_j
+            for dj, first, rest, last_i in rows:
+                if dj:
+                    acc *= y**dj
+                h = first
+                for di, c in rest:
+                    h *= x**di
+                    h += c
+                if last_i:
+                    h *= x**last_i
+                acc += h
+            if last_j:
+                acc *= y**last_j
             return acc
         except OverflowError:
             return math.inf
@@ -325,17 +334,28 @@ def _coerce(value) -> "BivariatePolynomial":
     return NotImplemented
 
 
-def _horner_sparse(row: list[tuple[int, float]], x: float) -> float:
-    acc = 0.0
-    prev_i = None
-    for i, c in sorted(row, reverse=True):
-        if prev_i is not None:
-            acc *= x ** (prev_i - i)
-        acc += c
-        prev_i = i
-    if prev_i is not None:
-        acc *= x**prev_i
-    return acc
+def _horner_plan(terms: Mapping[LatticePoint, Fraction]) -> tuple[tuple, int]:
+    """Float Horner plan: rows by descending y power, terms by descending x.
+
+    Each row is ``(dj, first, rest, last_i)``: the y gap from the previous
+    row, the leading coefficient, ``(x gap, coefficient)`` for the others and
+    the lowest x power.  ``first`` is stored as ``0.0 + c``, the first step of
+    the accumulation it replaces.  Gaps of 0 are skipped at evaluation:
+    ``x**0`` is 1.0, and multiplying by 1.0 changes no float, so every value
+    equals the per-call row loop bit for bit.
+    """
+    by_j: dict[int, list[tuple[int, float]]] = {}
+    for (i, j), c in terms.items():
+        by_j.setdefault(j, []).append((i, float(c)))
+    rows = []
+    prev_j = None
+    for j in sorted(by_j, reverse=True):
+        row = sorted(by_j[j], reverse=True)
+        rest = tuple((i0 - i1, c) for (i0, _), (i1, c) in zip(row, row[1:]))
+        dj = 0 if prev_j is None else prev_j - j
+        rows.append((dj, 0.0 + row[0][1], rest, row[-1][0]))
+        prev_j = j
+    return tuple(rows), prev_j or 0
 
 
 def _power(var: str, e: int) -> str:

@@ -489,6 +489,7 @@ def check_no_critical_points(
     f = boundary_interpolator(region.boundary_trace)
     px = p.partial_derivative("x")
     py = p.partial_derivative("y")
+    hessian = [d.partial_derivative(v) for d in (px, py) for v in ("x", "y")]
     witnesses: list[tuple[float, float]] = []
 
     # float raster screen with local refinement of the flattest spots
@@ -503,7 +504,7 @@ def check_no_critical_points(
         i, j = divmod(int(k), len(ys))
         if not np.isfinite(mag[i, j]):
             continue
-        pt = _descend_gradient(px, py, float(xs[i]), float(ys[j]))
+        pt = _descend_gradient(px, py, hessian, float(xs[i]), float(ys[j]))
         if pt is None:
             continue
         wx, wy = pt
@@ -547,10 +548,14 @@ def check_no_critical_points(
     return CriticalPointReport(passed=not unique, witnesses=unique, slices_checked=count)
 
 
-def _descend_gradient(px, py, x: float, y: float) -> tuple[float, float] | None:
-    """Damped Newton on (dp/dx, dp/dy) = (0, 0); None if it stalls."""
-    pxx, pxy = px.partial_derivative("x"), px.partial_derivative("y")
-    pyx, pyy = py.partial_derivative("x"), py.partial_derivative("y")
+def _descend_gradient(
+    px, py, hessian, x: float, y: float
+) -> tuple[float, float] | None:
+    """Damped Newton on (dp/dx, dp/dy) = (0, 0); None if it stalls.
+
+    ``hessian`` is (pxx, pxy, pyx, pyy), built once per sweep by the caller.
+    """
+    pxx, pxy, pyx, pyy = hessian
     for _ in range(60):
         gx, gy = px.evaluate_approx(x, y), py.evaluate_approx(x, y)
         if max(abs(gx), abs(gy)) < 1e-12:

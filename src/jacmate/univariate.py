@@ -9,6 +9,7 @@ appear only in the final refinement step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -159,18 +160,48 @@ def sturm_chain(f: Coeffs) -> list[Coeffs]:
     return [c for c in chain if c]
 
 
-def _variations(chain: list[Coeffs], x: Fraction) -> int:
-    signs = []
+def _integer_multiple(c: Coeffs) -> list[int]:
+    """c times the positive lcm of its denominators: same roots, same signs."""
+    den = math.lcm(*(a.denominator for a in c))
+    return [a.numerator * (den // a.denominator) for a in c]
+
+
+def _sign_at(c: list[int], n: int, d: int) -> int:
+    """Sign of the integer polynomial c at n/d for d > 0.
+
+    Evaluates the homogenized sum of c_k * n^k * d^(D-k), which is
+    d^D * c(n/d), by Horner in plain integers: no gcd per operation.
+    """
+    acc = 0
+    dk = 1
+    for a in reversed(c):
+        acc = acc * n + a * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _integer_chain(f: Coeffs) -> list[list[int]]:
+    """The Sturm chain of f, each member scaled to an integer multiple."""
+    return [_integer_multiple(c) for c in sturm_chain(f)]
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    count = last = 0
     for c in chain:
-        v = ueval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        s = _sign_at(c, x.numerator, x.denominator)
+        if s:
+            count += last == -s
+            last = s
+    return count
+
+
+def _is_root(c: list[int], x: Fraction) -> bool:
+    return _sign_at(c, x.numerator, x.denominator) == 0
 
 
 def _deflate_root(f: Coeffs, r: Fraction) -> Coeffs:
     # divide out (x - r) as often as it vanishes
-    while f and ueval(f, r) == 0:
+    while f and _is_root(_integer_multiple(f), r):
         f, rem = poly_divmod(f, [-r, Fraction(1)])
         assert not rem
     return f
@@ -182,13 +213,10 @@ def count_roots(f: Coeffs, lo: Fraction, hi: Fraction) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if not f or lo >= hi:
         return 0
-    if ueval(f, lo) == 0:
-        f = _deflate_root(f, lo)
-    if ueval(f, hi) == 0:
-        f = _deflate_root(f, hi)
+    f = _deflate_root(_deflate_root(f, lo), hi)
     if degree(f) < 1:
         return 0
-    chain = sturm_chain(f)
+    chain = _integer_chain(f)
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -218,6 +246,7 @@ def isolate_roots(
     bound = root_bound(f)
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
+    width = Fraction(width)
     found: list[RootInterval] = []
     for factor, mult in squarefree_decomposition(f):
         for iv in _isolate_squarefree(factor, lo, hi, width):
@@ -226,11 +255,11 @@ def isolate_roots(
     return found
 
 
-def _nonroot_point(g: Coeffs, lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_point(g: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     mid = (lo + hi) / 2
     step = (hi - lo) / 64
     probe = mid
-    while ueval(g, probe) == 0:
+    while _is_root(g, probe):
         probe += step
         if probe >= hi:
             probe = lo + step / 7  # last resort, still deterministic
@@ -243,34 +272,31 @@ def _isolate_squarefree(
     g = normalize(g)
     if degree(g) < 1 or lo >= hi:
         return []
-    chain = sturm_chain(g)
-
-    def nroots(a: Fraction, b: Fraction) -> int:
-        n = _variations(chain, a) - _variations(chain, b)
-        # endpoints are handled by the caller (never roots here)
-        return n
-
+    chain = _integer_chain(g)
+    gi = chain[0]
     out: list[tuple[Fraction, Fraction]] = []
     # exact roots at the requested endpoints are outside the open interval
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
-        if ueval(g, a) == 0 or ueval(g, b) == 0:
+        a_root, b_root = _is_root(gi, a), _is_root(gi, b)
+        if a_root or b_root:
             # nudge the endpoint off the root; interval arithmetic stays exact
             shift = (b - a) / 2**20
-            if ueval(g, a) == 0:
+            if a_root:
                 a += shift
-            if ueval(g, b) == 0:
+            if b_root:
                 b -= shift
             if a >= b:
                 continue
-        n = nroots(a, b)
+        # endpoints are never roots here
+        n = _variations(chain, a) - _variations(chain, b)
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine_squarefree(g, a, b, width))
+            out.append(_refine_squarefree(gi, a, b, width))
             continue
-        mid = _nonroot_point(g, a, b)
+        mid = _nonroot_point(gi, a, b)
         work.append((a, mid))
         work.append((mid, b))
     out.sort()
@@ -278,35 +304,34 @@ def _isolate_squarefree(
 
 
 def _refine_squarefree(
-    g: Coeffs, lo: Fraction, hi: Fraction, width: Fraction
+    g: list[int], lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    flo = ueval(g, lo)
-    fhi = ueval(g, hi)
-    assert flo != 0 and fhi != 0
-    if (flo > 0) == (fhi > 0):
-        # single root of even local crossing cannot happen for squarefree g
-        # with exactly one root inside; shrink by Sturm bisection instead
-        chain = sturm_chain(g)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if ueval(g, mid) == 0:
-                return (mid, mid)
-            left = _variations(chain, lo) - _variations(chain, mid)
-            if left == 1:
-                hi = mid
-            else:
-                lo = mid
-        return (lo, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = ueval(g, mid)
-        if fm == 0:
+    """Bisect (lo, hi), holding one root of the squarefree g, to ``width``.
+
+    The root is simple, so g has opposite signs at the two endpoints.  They
+    are integer numerators a, b over a shared denominator that doubles with
+    each halving, so every midpoint is exact and the returned Fractions are
+    the ones plain Fraction bisection would give.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    slo = _sign_at(g, a, den)
+    assert slo != 0 and _sign_at(g, b, den) == -slo
+    # hi - lo > width  <=>  (b - a) * wd > wn * den
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * den:
+        m = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        sm = _sign_at(g, m, den)
+        if sm == 0:
+            mid = Fraction(m, den)
             return (mid, mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if sm == slo:
+            a = m
         else:
-            hi, fhi = mid, fm
-    return (lo, hi)
+            b = m
+    return (Fraction(a, den), Fraction(b, den))
 
 
 def float_root(f: Coeffs, iv: RootInterval) -> float:

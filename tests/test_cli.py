@@ -69,8 +69,17 @@ def test_certify_no_swap_trials_warn(capsys):
     [
         ("x + x^2*y", "swap_tongue_falsify3_seed7.json"),
         ("y - (x^2 - 4*x + 6)*y^2", "planted_tongue_falsify3_seed7.json"),
+        ("y + x*y^2 + y^4", "family_y_xy2_y4_tongue_falsify3_seed7.json"),
+        ("y + x*y^3", "family_y_xy3_tongue_falsify3_seed7.json"),
+        ("y + y^2 + x*y^3", "family_y_y2_xy3_tongue_falsify3_seed7.json"),
+        ("y + x^2*y^2", "family_y_x2y2_tongue_falsify3_seed7.json"),
+        ("y + y^3 + x^2*y^2", "family_y_y3_x2y2_tongue_falsify3_seed7.json"),
+        ("y + y^2 + y^3 + x^2*y^2", "family_y_y2_y3_x2y2_tongue_falsify3_seed7.json"),
     ],
-    ids=["swap", "planted"],
+    ids=[
+        "swap", "planted",
+        "y_xy2_y4", "y_xy3", "y_y2_xy3", "y_x2y2", "y_y3_x2y2", "y_y2_y3_x2y2",
+    ],
 )
 def test_certify_matches_golden(capsys, poly, golden):
     # a fixed seed gives byte-identical certificates across refactors
@@ -79,6 +88,22 @@ def test_certify_matches_golden(capsys, poly, golden):
     )
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_falsify_miss_matches_golden(capsys):
+    # a miss over all 11 boxes: its min_record floats pin the float evaluator
+    code, out, _ = run(capsys, "falsify", "x", "--q", "y + y^3 + x^2*y")
+    assert code == 1
+    assert out == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
+
+
+def test_certify_degenerate_sampler_is_an_input_error(capsys):
+    # every candidate mate of a constant has an identically zero Jacobian
+    code, out, err = run(capsys, "certify", "1", "--falsify", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_certify_with_tongue_and_falsifier(tmp_path, capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacmate.poly import (
     ALL_TRANSFORMS,
@@ -136,6 +138,63 @@ def test_evaluate_exact_vs_float():
 def test_evaluate_approx_overflow_is_inf():
     p = parse_polynomial("x^9")
     assert p.evaluate_approx(1e300, 0.0) == math.inf
+
+
+def rowwise_horner(p, x, y):
+    """The per-call row loop evaluate_approx replaced, kept as its reference."""
+    rows = {}
+    for (i, j), c in p.terms.items():
+        rows.setdefault(j, []).append((i, float(c)))
+
+    def horner_row(row):
+        acc = 0.0
+        prev_i = None
+        for i, c in sorted(row, reverse=True):
+            if prev_i is not None:
+                acc *= x ** (prev_i - i)
+            acc += c
+            prev_i = i
+        if prev_i is not None:
+            acc *= x**prev_i
+        return acc
+
+    try:
+        acc = 0.0
+        prev_j = None
+        for j in sorted(rows, reverse=True):
+            if prev_j is not None:
+                acc *= y ** (prev_j - j)
+            acc += horner_row(rows[j])
+            prev_j = j
+        if prev_j is not None:
+            acc *= y**prev_j
+        return acc
+    except OverflowError:
+        return math.inf
+
+
+sparse_polys = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    max_size=10,
+).map(BivariatePolynomial)
+points = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-4, 4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sparse_polys, st.lists(st.tuples(points, points), min_size=1, max_size=8))
+def test_evaluate_approx_is_bit_identical_to_row_loop(p, xys):
+    for x, y in xys:
+        # hex() tells -0.0 from 0.0 and matches nan with nan
+        assert p.evaluate_approx(x, y).hex() == rowwise_horner(p, x, y).hex()
+
+
+def test_evaluate_approx_zero_and_overflow():
+    assert BivariatePolynomial.zero().evaluate_approx(3.0, -2.0).hex() == (0.0).hex()
+    p = parse_polynomial("x^3*y - 2*x + 1")
+    for x in (1e200, -1e200):
+        assert p.evaluate_approx(x, 1.0) == math.inf
+        assert rowwise_horner(p, x, 1.0) == math.inf
 
 
 def test_degrees_and_support():

@@ -1,8 +1,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from jacmate.univariate import (
     DEFAULT_WIDTH,
+    RootInterval,
+    _integer_multiple,
+    _sign_at,
     count_roots,
     degree,
     derivative,
@@ -16,6 +22,11 @@ from jacmate.univariate import (
     sturm_chain,
     ueval,
 )
+
+# deterministic examples, no example database in the tree
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 def from_roots(roots):
@@ -179,3 +190,114 @@ def test_isolated_intervals_are_disjoint_random():
             distinct += count_roots(g, -bound, bound)
         assert len(ivs) == distinct
         assert total >= distinct
+
+
+def times(f, g):
+    prod = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return prod
+
+
+@st.composite
+def polys_with_roots(draw):
+    """Random rational polynomial times (y - r) for drawn rational roots r."""
+    roots = draw(st.lists(rationals, max_size=3))
+    other = draw(st.lists(rationals, min_size=1, max_size=5))
+    f = normalize(times(from_roots(roots), other))
+    return f or [Fraction(1)], roots
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+@PROPERTY
+@given(polys_with_roots(), st.lists(rationals, min_size=1, max_size=4))
+def test_sign_kernel_matches_exact_value(case, points):
+    f, roots = case
+    scaled = _integer_multiple(f)
+    for x in points + roots:
+        assert _sign_at(scaled, x.numerator, x.denominator) == sign(ueval(f, x))
+
+
+# -- Fraction-bisection reference for isolate_roots ----------------------
+
+
+def reference_variations(chain, x):
+    signs = [v > 0 for v in (ueval(c, x) for c in chain) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def reference_refine(g, lo, hi, width):
+    flo = ueval(g, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = ueval(g, mid)
+        if fm == 0:
+            return (mid, mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def reference_isolate_squarefree(g, lo, hi, width):
+    chain = sturm_chain(g)
+    out = []
+    work = [(lo, hi)]
+    while work:
+        a, b = work.pop()
+        if ueval(g, a) == 0 or ueval(g, b) == 0:
+            shift = (b - a) / 2**20
+            if ueval(g, a) == 0:
+                a += shift
+            if ueval(g, b) == 0:
+                b -= shift
+            if a >= b:
+                continue
+        n = reference_variations(chain, a) - reference_variations(chain, b)
+        if n == 0:
+            continue
+        if n == 1:
+            out.append(reference_refine(g, a, b, width))
+            continue
+        mid = (a + b) / 2
+        step = (b - a) / 64
+        while ueval(g, mid) == 0:
+            mid += step
+            if mid >= b:
+                mid = a + step / 7
+        work.append((a, mid))
+        work.append((mid, b))
+    return sorted(out)
+
+
+def reference_isolate_roots(f, lo, hi, width):
+    bound = root_bound(f)
+    lo = -bound if lo is None else lo
+    hi = bound if hi is None else hi
+    found = []
+    if lo < hi:
+        for g, mult in squarefree_decomposition(f):
+            for a, b in reference_isolate_squarefree(g, lo, hi, Fraction(width)):
+                found.append(RootInterval(a, b, mult))
+    return sorted(found, key=lambda r: (r.lo, r.hi))
+
+
+@PROPERTY
+@given(
+    polys_with_roots(),
+    st.one_of(st.none(), rationals),
+    st.one_of(st.none(), rationals),
+)
+def test_isolate_roots_matches_fraction_bisection(case, lo, hi):
+    f, roots = case
+    if degree(f) < 1:
+        return
+    # repeated roots exercise the multiplicities
+    f = normalize(times(f, from_roots(roots[:1])))
+    got = isolate_roots(f, lo, hi, width=1e-14)
+    assert got == reference_isolate_roots(f, lo, hi, 1e-14)
