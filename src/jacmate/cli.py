@@ -97,11 +97,7 @@ def _cmd_certify(args) -> int:
         trials = random_trials(p, args.falsify, cfg=cfg)
 
     doc = build_certificate(p, criterion, tongue=tongue, trials=trials)
-    text = emit_certificate_json(doc)
-    print(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _emit(args, emit_certificate_json(doc))
     if args.svg:
         shown = apply_transform(p, criterion.transform_used)
         svg = render_polygon_svg(newton_polygon(shown), criterion)

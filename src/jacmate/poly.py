@@ -246,8 +246,8 @@ class BivariatePolynomial:
         """Double-precision value, Horner in y over Horner-in-x rows.
 
         The rows are planned once per polynomial (see :func:`_horner_plan`).
-        Overflow is reported by returning a non-finite float; callers that
-        care should check ``math.isfinite``.
+        When a power overflows, the value is taken exactly at the same point
+        instead: its float if representable, else infinity of its sign.
         """
         plan = self._plan
         if plan is None:
@@ -270,7 +270,11 @@ class BivariatePolynomial:
                 acc *= y**last_j
             return acc
         except OverflowError:
-            return math.inf
+            exact = self.evaluate(x, y)
+            try:
+                return float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
 
     def restricted_to_x(self, x0: Fraction | int) -> list[Fraction]:
         """Coefficients of p(x0, y) as a univariate polynomial in y, ascending."""

@@ -13,8 +13,10 @@ above t0 stays inside a bounded pocket B.
 
 Everything decision-critical on the segment side (critical points of the
 restriction, barrier placement, endpoint parity) is done in exact rational
-arithmetic; the two-dimensional sweeps are floating point at a configured
-grid resolution and report their findings as data, never as proof.
+arithmetic.  The interior critical-point check places its vertical slices
+exactly, at the real roots of a resultant, and tests each slice to a float
+tolerance; the level sweeps are floating point on a configured raster.
+Both report their findings as data, never as proof.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ FAILED = "Failed"
 X0_BUDGET = Fraction(2**20)
 
 # Exact vertical slices spread evenly over the strip by the critical-point
-# sweep, on top of its dense run near x0.
+# check, on top of its dense run near x0, when the partials share a factor.
 CRITICAL_SLICES = 192
 
 # Points closer to the traced branch than this are boundary at grid
@@ -112,12 +114,12 @@ class ResolutionTooCoarse(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Raster resolution for the two-dimensional sweeps.
+    """Raster resolution for the level-set sweeps.
 
     ``x_max`` of None asks for an automatic horizon: wide enough that the
     smallest scheduled level no longer reaches it, never below 50.  The
-    critical-point sweep caps its float screen at 400 x 400 and uses
-    ``CRITICAL_SLICES`` exact slices whatever the raster.
+    critical-point check reads only ``x_max``: its slices come from a
+    resultant, not from the raster.
     """
 
     nx: int = 1000
@@ -172,7 +174,7 @@ class TongueRegion:
     boundary_trace: BranchTrace
     profile: RestrictionProfile
     halfline: HalfLine
-    # the sweep that accepted the region; None until it has run
+    # the critical-point check that accepted the region; None until it has run
     critical_point_check: CriticalPointReport | None
 
 
@@ -398,10 +400,10 @@ def build_tongue(
 ) -> TongueRegion:
     """Assemble the region below the lowest positive branch, from x0 outward.
 
-    The starting abscissa doubles until the interior critical-point sweep
+    The starting abscissa doubles until the interior critical-point check
     comes back clean (and until the branch can actually be traced from
     there), within a fixed budget.  The returned region carries that clean
-    sweep as ``critical_point_check``.  Raises ValueError, through
+    check as ``critical_point_check``.  Raises ValueError, through
     ``lowest_positive_branch``, when p fails the edge criterion.
     """
     grid = grid or GridSpec()
@@ -466,122 +468,92 @@ def _assemble_region(
 
 
 # ---------------------------------------------------------------------------
-# Critical point sweep
+# Critical point check
 # ---------------------------------------------------------------------------
 
 
 def check_no_critical_points(
     p: BivariatePolynomial, region: TongueRegion, grid: GridSpec | None = None
 ) -> CriticalPointReport:
-    """Sweep the strip for simultaneous zeros of both partials.
+    """Look for simultaneous zeros of both partials in the strip.
 
-    Float raster screening plus, on exact rational vertical slices, exact
-    isolation of the roots of dp/dy followed by evaluation of dp/dx there.
-    A point where both magnitudes fall below 1e-9 after refinement is a
-    witness; any witness fails the check.  Failure is data, not an
-    exception.
+    Exact: which vertical slices to examine.  Every isolated critical point
+    lies over a real root of R(x) = Res_y(p_x, p_y); the slices are R's real
+    roots in [x0, x_max], rational ones exactly, others to width 1e-14.  If
+    R = 0 the partials share a factor, a critical curve, and the slices are
+    the fixed ``CRITICAL_SLICES`` schedule.  Numeric: each slice runs up to
+    the traced strip top, and a root of p_y or of p_yy there at which |p_x|
+    and |p_y| are both below 1e-9 is a witness.  Any witness fails the check,
+    as data, not an exception.  ``slices_checked`` counts the slices examined.
     """
     grid = grid or GridSpec()
-    x0 = float(region.x0)
+    x0 = region.x0
     x_max = grid.x_max or region.boundary_trace.samples[-1][0]
     if x_max <= x0:
         return CriticalPointReport(True, (), 0, degenerate=True)
     f = boundary_interpolator(region.boundary_trace)
-    px = p.partial_derivative("x")
-    py = p.partial_derivative("y")
-    hessian = [d.partial_derivative(v) for d in (px, py) for v in ("x", "y")]
+    px, py = p.partial_derivative("x"), p.partial_derivative("y")
+    pyy = py.partial_derivative("y")
     witnesses: list[tuple[float, float]] = []
 
-    # float raster screen with local refinement of the flattest spots
-    xs = np.linspace(x0, x_max, min(grid.nx, 400))
-    ys = np.linspace(0.0, region.profile.f_x0, min(grid.ny, 400))[1:]
-    GX = evaluate_on_grid(px, xs, ys)
-    GY = evaluate_on_grid(py, xs, ys)
-    inside = ys[None, :] < np.asarray(f(xs))[:, None]
-    mag = np.maximum(np.abs(GX), np.abs(GY))
-    mag[~inside] = np.inf
-    for k in np.argsort(mag, axis=None)[:32]:
-        i, j = divmod(int(k), len(ys))
-        if not np.isfinite(mag[i, j]):
-            continue
-        pt = _descend_gradient(px, py, hessian, float(xs[i]), float(ys[j]))
-        if pt is None:
-            continue
-        wx, wy = pt
-        if x0 <= wx <= x_max and 0 < wy < float(f(wx)):
-            if (
-                abs(px.evaluate_approx(wx, wy)) < 1e-9
-                and abs(py.evaluate_approx(wx, wy)) < 1e-9
-            ):
-                witnesses.append((wx, wy))
-
-    # exact slices: linear spread plus a denser run near x0
-    nsl = CRITICAL_SLICES
-    x0_frac = region.x0
-    span = Fraction(x_max).limit_denominator(10**6) - x0_frac
-    slices = [x0_frac + span * Fraction(k, nsl) for k in range(1, nsl + 1)]
-    slices += [x0_frac * (1 + Fraction(m, 64)) for m in range(0, 65)]
-    seen = set()
-    count = 0
+    res = _critical_resultant(px, py)
+    if res:
+        slices = _resultant_roots(res, x0, Fraction(x_max))
+    else:
+        nsl = CRITICAL_SLICES
+        span = Fraction(x_max).limit_denominator(10**6) - x0
+        slices = [x0 + span * Fraction(k, nsl) for k in range(1, nsl + 1)]
+        slices += [x0 * (1 + Fraction(m, 64)) for m in range(0, 65)]
+        slices = [x for x in dict.fromkeys(slices) if x0 <= x and float(x) <= x_max]
     for xq in slices:
-        if xq in seen or xq < x0_frac or float(xq) > x_max:
-            continue
-        seen.add(xq)
-        count += 1
         ub = Fraction(float(f(float(xq)))).limit_denominator(10**12)
         ub = ub * (1 - Fraction(1, 10**9))
         if ub <= 0:
             continue
         gy = py.restricted_to_x(xq)
-        if not uni.normalize(gy):
-            # dp/dy vanishes on the whole slice; every y is a candidate
-            mid = ub / 2
-            if abs(px.evaluate_approx(float(xq), float(mid))) < 1e-9:
-                witnesses.append((float(xq), float(mid)))
-            continue
-        for iv in uni.isolate_roots(gy, Fraction(0), ub, width=Fraction(1, 10**14)):
-            yq = iv.midpoint
-            if abs(px.evaluate_approx(float(xq), float(yq))) < 1e-9:
-                witnesses.append((float(xq), float(yq)))
+        if not gy:
+            candidates = [ub / 2]  # dp/dy vanishes on the whole slice
+        else:
+            candidates = [
+                iv.midpoint
+                for g in (gy, pyy.restricted_to_x(xq))
+                for iv in uni.isolate_roots(g, Fraction(0), ub, Fraction(1, 10**14))
+            ]
+        for yq in candidates:
+            wx, wy = float(xq), float(yq)
+            if all(abs(d.evaluate_approx(wx, wy)) < 1e-9 for d in (px, py)):
+                witnesses.append((wx, wy))
 
     unique = tuple(dict.fromkeys(witnesses))
-    return CriticalPointReport(passed=not unique, witnesses=unique, slices_checked=count)
+    return CriticalPointReport(not unique, unique, len(slices))
 
 
-def _descend_gradient(
-    px, py, hessian, x: float, y: float
-) -> tuple[float, float] | None:
-    """Damped Newton on (dp/dx, dp/dy) = (0, 0); None if it stalls.
+def _critical_resultant(px, py) -> list[Fraction]:
+    """Res_y(p_x, p_y) at formal degrees, interpolated in x; [] on a shared factor."""
+    if px.is_zero or py.is_zero:
+        return []
+    m, n = px.degree_y(), py.degree_y()
+    return uni.interpolate([
+        uni.resultant(px.restricted_to_x(k), py.restricted_to_x(k), m, n)
+        for k in range(n * px.degree_x() + m * py.degree_x() + 1)
+    ])
 
-    ``hessian`` is (pxx, pxy, pyx, pyy), built once per sweep by the caller.
-    """
-    pxx, pxy, pyx, pyy = hessian
-    for _ in range(60):
-        gx, gy = px.evaluate_approx(x, y), py.evaluate_approx(x, y)
-        if max(abs(gx), abs(gy)) < 1e-12:
-            return (x, y)
-        a, b = pxx.evaluate_approx(x, y), pxy.evaluate_approx(x, y)
-        c, d = pyx.evaluate_approx(x, y), pyy.evaluate_approx(x, y)
-        det = a * d - b * c
-        if det == 0 or not math.isfinite(det):
-            return None
-        dx = (-gx * d + gy * b) / det
-        dy = (-a * gy + c * gx) / det
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            return None
-        step = 1.0
-        norm0 = gx * gx + gy * gy
-        for _ in range(20):
-            nx_, ny_ = x + step * dx, y + step * dy
-            g1x, g1y = px.evaluate_approx(nx_, ny_), py.evaluate_approx(nx_, ny_)
-            if g1x * g1x + g1y * g1y < norm0:
-                x, y = nx_, ny_
-                break
-            step /= 2
-        else:
-            return (x, y) if max(abs(gx), abs(gy)) < 1e-9 else None
-    gx, gy = px.evaluate_approx(x, y), py.evaluate_approx(x, y)
-    return (x, y) if max(abs(gx), abs(gy)) < 1e-9 else None
+
+def _resultant_roots(res, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Real roots of res in the closed [lo, hi], rational ones exactly."""
+    # Descartes: with no sign change in res(lo + t), res has no root past lo,
+    # and Sturm isolation, slow on a resultant of high degree, is skipped
+    shifted = list(res)
+    for i in range(len(res)):
+        for k in range(len(res) - 2, i - 1, -1):
+            shifted[k] += lo * shifted[k + 1]
+    roots = [x for x in (lo, hi) if uni.ueval(res, x) == 0]
+    if len({c > 0 for c in shifted if c}) > 1:
+        for iv in uni.isolate_roots(res, lo, hi, width=Fraction(1, 10**14)):
+            guess = iv.midpoint.limit_denominator(10**6)
+            exact = iv.lo <= guess <= iv.hi and uni.ueval(res, guess) == 0
+            roots.append(guess if exact else iv.midpoint)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +579,7 @@ _CASE_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
 
 
 class _Field:
-    """Scalar field p on the raster over [x0, x_max] x [0, y_top].
+    """Scalar field p on the raster over [x0, x_max] x [0, f(x0)].
 
     Extraction runs over the full rectangle; clipping to the region
     happens afterwards, per connected component.  A positive level never
@@ -616,10 +588,21 @@ class _Field:
     interpolation error of the traced branch itself.
     """
 
-    def __init__(self, p, xs: np.ndarray, ys: np.ndarray):
-        self.xs, self.ys = xs, ys
-        self.values = evaluate_on_grid(p, xs, ys)
+    def __init__(self, p, region: TongueRegion, grid: GridSpec):
+        self.x0 = float(region.x0)
+        self.x_max = grid.x_max or region.boundary_trace.samples[-1][0]
+        self.f = boundary_interpolator(region.boundary_trace)
+        self.xs = np.linspace(self.x0, self.x_max, grid.nx)
+        self.ys = np.linspace(0.0, region.profile.f_x0, grid.ny)
+        self.dx = self.xs[1] - self.xs[0]
+        self.dy = self.ys[1] - self.ys[0]
+        self.values = evaluate_on_grid(p, self.xs, self.ys)
         self.p = p
+
+    def components(self, t: float):
+        """Polylines of the level p = t kept inside the strip."""
+        comps = _walk_components(*_extract_level(self, t))
+        return _components_in_region(comps, self.f, self.dy)
 
 
 def _edge_key(i: int, j: int, edge: int):
@@ -769,28 +752,18 @@ def check_level_sets(
     pocket-bound arc for t > t0.  Closed loops and curves reaching the
     truncation boundary are always anomalies.
     """
-    grid = grid or GridSpec()
     profile = region.profile
-    x0 = float(region.x0)
-    x_max = grid.x_max or region.boundary_trace.samples[-1][0]
-    f = boundary_interpolator(region.boundary_trace)
-    xs = np.linspace(x0, x_max, grid.nx)
-    ys = np.linspace(0.0, profile.f_x0, grid.ny)
-    dx = xs[1] - xs[0]
-    dy = ys[1] - ys[0]
-    field = _Field(p, xs, ys)
+    field = _Field(p, region, grid or GridSpec())
     t0 = float(profile.t0)
 
-    pocket = _pocket_bbox(field, t0, x0, f)
+    pocket = _pocket_bbox(field, t0)
     failures: list[str] = []
     if pocket is None:
         failures.append("barrier level did not produce a single pinned arc")
 
     records = []
     for t in sorted(t_values, key=float):
-        rec = _classify_level(
-            field, float(t), t0, profile, x0, x_max, dx, dy, f, pocket
-        )
+        rec = _classify_level(field, float(t), t0, profile, pocket)
         records.append(rec)
         if not rec.ok:
             failures.append(
@@ -807,28 +780,24 @@ def check_level_sets(
     )
 
 
-def _pocket_bbox(field: _Field, t0: float, x0: float, f):
+def _pocket_bbox(field: _Field, t0: float):
     """Bounding box of the barrier-level arc plus its chord on the segment."""
-    dy = float(field.ys[1] - field.ys[0])
-    segments, points = _extract_level(field, t0)
-    comps = _components_in_region(_walk_components(segments, points), f, dy)
+    comps = field.components(t0)
     if len(comps) != 1 or comps[0][2]:
         return None
-    pts = comps[0][1]
-    return (x0, max(q[0] for q in pts), min(q[1] for q in pts), max(q[1] for q in pts))
+    xs, ys = zip(*comps[0][1])
+    return (field.x0, max(xs), min(ys), max(ys))
 
 
-def _classify_level(
-    field, t: float, t0: float, profile, x0: float, x_max: float, dx, dy, f, pocket
-) -> LevelRecord:
-    segments, points = _extract_level(field, t)
-    comps = _components_in_region(_walk_components(segments, points), f, dy)
+def _classify_level(field: _Field, t: float, t0: float, profile, pocket) -> LevelRecord:
+    comps = field.components(t)
+    x0, x_max, dy = field.x0, field.x_max, field.dy
     n = len(comps)
     anomalies: list[str] = []
     loops = any(closed for _, _, closed in comps)
     boundary_endpoints = 0
     eps_x = (x_max - x0) * 1e-9 + 1e-12
-    f_right = float(f(x_max))
+    f_right = float(field.f(x_max))
 
     for chain, pts, closed in comps:
         if closed:
@@ -866,7 +835,7 @@ def _classify_level(
         ok = (
             not loops
             and not anomalies
-            and _contained_in_pocket(comps, pocket, profile, dx, dy)
+            and _contained_in_pocket(comps, pocket, profile, field.dx, dy)
         )
         if not ok and not anomalies:
             anomalies.append("arc above the barrier leaves the pocket")
@@ -907,20 +876,11 @@ def extract_polylines(
     Rendering support; the classification checks recompute their own
     extraction at full resolution.
     """
-    grid = grid or GridSpec()
-    x0 = float(region.x0)
-    x_max = grid.x_max or region.boundary_trace.samples[-1][0]
-    f = boundary_interpolator(region.boundary_trace)
-    xs = np.linspace(x0, x_max, grid.nx)
-    ys = np.linspace(0.0, region.profile.f_x0, grid.ny)
-    field = _Field(p, xs, ys)
-    dy = float(ys[1] - ys[0])
-    out = []
-    for t in sorted(t_values, key=float):
-        segments, points = _extract_level(field, float(t))
-        comps = _components_in_region(_walk_components(segments, points), f, dy)
-        out.append((float(t), [pts for _, pts, _ in comps]))
-    return out
+    field = _Field(p, region, grid or GridSpec())
+    return [
+        (float(t), [pts for _, pts, _ in field.components(float(t))])
+        for t in sorted(t_values, key=float)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +903,7 @@ def tongue_certificate(
     """Run the full region pipeline and aggregate the checks.
 
     The region starts at x0 = 1 and is accepted by ``build_tongue`` only
-    with a clean critical-point sweep, whose report is passed along; the
+    with a clean critical-point check, whose report is passed along; the
     levels follow ``default_schedule``.  Verified means every check passed
     at the configured resolution; it is a numeric status, not a proof
     object.  A saddle cell the raster cannot decide reports Inconclusive;

@@ -30,6 +30,8 @@ __all__ = [
     "root_bound",
     "isolate_roots",
     "float_root",
+    "resultant",
+    "interpolate",
 ]
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
@@ -350,6 +352,43 @@ def float_root(f: Coeffs, iv: RootInterval) -> float:
     if iv.lo != iv.hi and not (lo <= x <= hi):
         x = float(iv.midpoint)
     return x
+
+
+def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:
+    """Sylvester determinant of f and g at formal degrees m >= deg f, n >= deg g."""
+    # integer Bareiss: cf*f and cg*g have cf^n * cg^m times the determinant
+    cf, cg = (math.lcm(*(a.denominator for a in c)) for c in (f, g))
+    f = [0] * (m + 1 - len(f)) + [int(a * cf) for a in reversed(f)]
+    g = [0] * (n + 1 - len(g)) + [int(a * cg) for a in reversed(g)]
+    rows = [[0] * k + f + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + g + [0] * (m - 1 - k) for k in range(m)]
+    sign, prev = 1, 1
+    for c in range(m + n):
+        pivot = next((r for r in range(c, m + n) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        top = rows[c]
+        for r in range(c + 1, m + n):
+            lead = rows[r][c]
+            rows[r] = [(top[c] * a - lead * b) // prev for a, b in zip(rows[r], top)]
+        prev = top[c]
+    return Fraction(sign * prev, cf**n * cg**m)
+
+
+def interpolate(values: list[Fraction]) -> Coeffs:
+    """The polynomial of degree < len(values) that takes values[k] at k."""
+    # Newton divided differences, then Horner multiplying only by (x - k)
+    coef = [Fraction(v) for v in values]
+    for level in range(1, len(coef)):
+        for k in range(len(coef) - 1, level - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) / level
+    out: Coeffs = []
+    for k in reversed(range(len(coef))):
+        out = [a - k * b for a, b in zip([coef[k]] + out, out + [0])]
+    return normalize(out)
 
 
 def _finite(v: float) -> bool:

@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import xml.dom.minidom
 
 import jsonschema
 import pytest
 
+import jacmate
 from jacmate.certificate import CERTIFICATE_SCHEMA
 from jacmate.cli import run_command
 
@@ -104,6 +108,25 @@ def test_certify_degenerate_sampler_is_an_input_error(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_certify_does_not_import_sympy():
+    # sympy is a test-only oracle: a fresh interpreter certifies without it
+    script = (
+        "import sys; from jacmate.cli import run_command; "
+        "code = run_command(['certify', 'y + x^2*y^2', '--tongue', '--falsify', '2']); "
+        "assert 'sympy' not in sys.modules, 'sympy imported'; sys.exit(code)"
+    )
+    src = str(pathlib.Path(jacmate.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["tongue"]["status"] == "Verified"
 
 
 def test_certify_with_tongue_and_falsifier(tmp_path, capsys):

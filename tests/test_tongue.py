@@ -124,10 +124,11 @@ def test_halton_points_are_deterministic_and_fill():
 
 
 def test_critical_point_sweep_clean_p3(p3, region3):
+    # R = Res_y(p_x, p_y) = -2x has no root in [1, 50]: no slice to examine
     report = check_no_critical_points(region3.poly, region3, GridSpec(x_max=50.0))
     assert report.passed
     assert not report.witnesses
-    assert report.slices_checked >= 192
+    assert report.slices_checked == 0
     assert not report.degenerate
 
 
@@ -183,6 +184,58 @@ def test_critical_point_sweep_finds_isolated_point():
     report = check_no_critical_points(p, region, GridSpec(x_max=10.0))
     assert not report.passed
     assert any(abs(wx - 2.0) < 1e-6 and abs(wy - 0.5) < 1e-6 for wx, wy in report.witnesses)
+
+
+def has_witness_near(report, x, y):
+    return any(abs(wx - x) < 1e-6 and abs(wy - y) < 1e-6 for wx, wy in report.witnesses)
+
+
+def test_critical_point_on_double_root_slice():
+    # p_y(2, y) = 12(y - 1)^2: a double root of p_y over a rational root of R
+    p = parse_polynomial("-x^2*y^2 + x^2*y^3 + 3*x^2*y - x^3*y^2")
+    report = check_no_critical_points(p, fake_region(p, 2.0), GridSpec(x_max=10.0))
+    assert not report.passed
+    assert has_witness_near(report, 2.0, 1.0)
+
+
+def test_critical_point_on_double_root_at_irrational_x():
+    # the same point moved to x = sqrt(5): on the slice refined to 1e-14 the
+    # double root of p_y splits off the real line, and only the root of p_yy
+    # next to it is a candidate
+    p = parse_polynomial(
+        "-(x^2 - 3)^2*y^2 + (x^2 - 3)^2*y^3 + 3*(x^2 - 3)^2*y - (x^2 - 3)^3*y^2"
+    )
+    report = check_no_critical_points(p, fake_region(p, 2.0, x0=2), GridSpec(x_max=10.0))
+    assert not report.passed
+    assert has_witness_near(report, math.sqrt(5), 1.0)
+
+
+def test_critical_point_at_irrational_x():
+    # p_x and p_y vanish together at (1 + sqrt(2), 1/2)
+    p = parse_polynomial("y - y^2 - (x^2 - 2*x - 1)^2*y^2")
+    report = check_no_critical_points(p, fake_region(p, 2.0, x0=2), GridSpec(x_max=10.0))
+    assert not report.passed
+    assert has_witness_near(report, 1 + SQ2, 0.5)
+
+
+def test_shared_factor_partials_use_the_slice_schedule():
+    # p = u + u^2 with u = y + x*y^2: both partials carry 1 + 2u, so the
+    # resultant is identically zero and the fixed slices are examined
+    cert = tongue_certificate(parse_polynomial("y + x*y^2 + (y + x*y^2)^2"))
+    assert cert.status == VERIFIED
+    assert cert.critical_point_check.slices_checked > 0
+
+
+def test_resultant_roots_on_the_closed_window():
+    # roots 1 and 4 sit on the window's ends, 7/3 is rational, sqrt(5) is not
+    res = parse_polynomial("(y - 1)*(3*y - 7)*(y^2 - 5)*(y - 4)").restricted_to_x(0)
+    roots = tongue._resultant_roots(res, Fraction(1), Fraction(4))
+    assert roots[0] == 1 and roots[2] == Fraction(7, 3) and roots[3] == 4
+    assert abs(roots[1] - Fraction(math.sqrt(5))) < Fraction(1, 10**14)
+    # -2x keeps its sign past 1; x - 60 has its root outside [1, 50]
+    for text in ("-2*y", "y - 60"):
+        res = parse_polynomial(text).restricted_to_x(0)
+        assert tongue._resultant_roots(res, Fraction(1), Fraction(50)) == []
 
 
 def test_level_sets_p3(p3, region3):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jacmate.poly import BivariatePolynomial, parse_polynomial
+from jacmate.tongue import _critical_resultant
 from jacmate.univariate import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -13,10 +16,12 @@ from jacmate.univariate import (
     degree,
     derivative,
     float_root,
+    interpolate,
     isolate_roots,
     normalize,
     poly_divmod,
     poly_gcd,
+    resultant,
     root_bound,
     squarefree_decomposition,
     sturm_chain,
@@ -301,3 +306,57 @@ def test_isolate_roots_matches_fraction_bisection(case, lo, hi):
     f = normalize(times(f, from_roots(roots[:1])))
     got = isolate_roots(f, lo, hi, width=1e-14)
     assert got == reference_isolate_roots(f, lo, hi, 1e-14)
+
+
+# -- resultant by interpolation -----------------------------------------------
+
+bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 3)), st.integers(-4, 4), max_size=5
+).map(BivariatePolynomial)
+
+
+@PROPERTY
+@given(
+    bivariate,
+    bivariate,
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=9), max_size=4),
+)
+def test_interpolated_resultant_matches_sylvester_off_the_nodes(f, g, points):
+    assume(not f.is_zero and not g.is_zero)
+    res = _critical_resultant(f, g)
+    m, n = f.degree_y(), g.degree_y()
+    # the interpolation nodes are 0, 1, 2, ...; a non-integer is never one
+    for x in [r for r in points if r.denominator > 1] + [Fraction(-1, 2)]:
+        want = resultant(f.restricted_to_x(x), g.restricted_to_x(x), m, n)
+        assert ueval(res, x) == want
+
+
+def test_interpolate_recovers_a_polynomial():
+    f = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2)]
+    assert interpolate([ueval(f, k) for k in range(6)]) == f
+    assert interpolate([Fraction(0)] * 3) == []
+
+
+RESULTANT_CASES = [
+    "y + x*y^2 + y^4",
+    "y + x*y^3",
+    "y + y^2 + x*y^3",
+    "y + x^2*y^2",
+    "y + y^3 + x^2*y^2",
+    "y + y^2 + y^3 + x^2*y^2",
+    "x + x^2*y",
+    "y - (x^2 - 4*x + 6)*y^2",
+    "y + x*y^2 + (y + x*y^2)^2",  # partials share the factor 1 + 2u
+]
+
+
+@pytest.mark.parametrize("text", RESULTANT_CASES)
+def test_critical_resultant_matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    p = parse_polynomial(text)
+    px, py = p.partial_derivative("x"), p.partial_derivative("y")
+    as_sympy = [sympy.sympify(str(d).replace("^", "**")) for d in (px, py)]
+    want = sympy.Poly(sympy.resultant(*as_sympy, y), x).all_coeffs()[::-1]
+    want = normalize([Fraction(int(c.p), int(c.q)) for c in want])
+    assert _critical_resultant(px, py) == want
