@@ -58,6 +58,11 @@ __all__ = [
 
 PROBE_XS = (1e2, 1e4, 1e6)
 
+# A traced sample is accepted when |p(x, y)| <= NEWTON_TOL times the largest
+# evaluated term; the safeguarded Newton solve gives up after MAX_NEWTON_ITERS.
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 80
+
 CONFIRMED = "Confirmed"
 INCONCLUSIVE = "Inconclusive"
 
@@ -112,8 +117,6 @@ class TraceConfig:
     x_start: float = 10.0
     x_end: float = 1000.0
     growth_factor: float = 1.05
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 80
 
     def __post_init__(self):
         if not (self.x_start >= 1.0):
@@ -122,8 +125,6 @@ class TraceConfig:
             raise ValueError("x_end must not precede x_start")
         if not (self.growth_factor > 1.0):
             raise ValueError("growth_factor must exceed 1")
-        if not (self.newton_tol > 0.0):
-            raise ValueError("newton_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,7 @@ def _bracket(p, x: float, y_pred: float) -> tuple[float, float] | None:
     return None
 
 
-def _solve_at(
-    p, dp_dy, x: float, y_pred: float, cfg: TraceConfig
-) -> float | None:
+def _solve_at(p, dp_dy, x: float, y_pred: float) -> float | None:
     """Safeguarded Newton/bisection solve of p(x, y) = 0 near the predictor."""
     bracket = _bracket(p, x, y_pred)
     if bracket is None:
@@ -257,9 +256,9 @@ def _solve_at(
         return lo
     flo = p.evaluate_approx(x, lo)
     y = 0.5 * (lo + hi)
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         g = p.evaluate_approx(x, y)
-        if abs(g) <= cfg.newton_tol * _term_scale(p, x, y):
+        if abs(g) <= NEWTON_TOL * _term_scale(p, x, y):
             return y
         if math.copysign(1.0, g) == math.copysign(1.0, flo):
             lo = y
@@ -274,7 +273,7 @@ def _solve_at(
         if hi - lo <= abs(y) * 1e-17:
             break
     g = p.evaluate_approx(x, y)
-    if abs(g) <= cfg.newton_tol * _term_scale(p, x, y):
+    if abs(g) <= NEWTON_TOL * _term_scale(p, x, y):
         return y
     raise NoConvergence(
         f"residual stayed above tolerance at x={x!r}", last_sample=(x, y)
@@ -286,7 +285,7 @@ def trace_branch(
 ) -> BranchTrace:
     """Follow the zero branch with asymptote c* x^theta from x_start to x_end.
 
-    Each accepted sample satisfies |p(x, y)| <= newton_tol * scale where
+    Each accepted sample satisfies |p(x, y)| <= NEWTON_TOL * scale where
     scale is the largest magnitude among the evaluated terms, so the
     residual criterion is relative to the size of the cancellation.
     """
@@ -304,7 +303,7 @@ def trace_branch(
     for i in range(len(xs) - 1, -1, -1):
         x = xs[i]
         try:
-            y = _solve_at(p, dp_dy, x, y_pred, cfg)
+            y = _solve_at(p, dp_dy, x, y_pred)
         except NoConvergence as exc:
             raise NoConvergence(str(exc), solved[-1] if solved else None) from exc
         if y is None:

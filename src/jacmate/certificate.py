@@ -154,16 +154,16 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
             "a": r.profile.a,
             "b": r.profile.b,
             "trace_samples": len(r.boundary_trace.samples),
-            "halfline": {"y": r.halfline.y, "x_from": r.halfline.x_from},
+            "halfline": {"y": 0.0, "x_from": float(r.x0)},
         }
-    if tc.critical_point_check is not None:
-        c = tc.critical_point_check
-        out["critical_point_check"] = {
-            "passed": c.passed,
-            "witnesses": [list(w) for w in c.witnesses[:8]],
-            "slices_checked": c.slices_checked,
-            "degenerate": c.degenerate,
-        }
+        c = r.critical_point_check
+        if c is not None:
+            out["critical_point_check"] = {
+                "passed": c.passed,
+                "witnesses": [list(w) for w in c.witnesses[:8]],
+                "slices_checked": c.slices_checked,
+                "degenerate": c.degenerate,
+            }
     if tc.level_report is not None:
         lv = tc.level_report
         out["levels"] = {

@@ -30,7 +30,6 @@ from .certificate import (
 )
 from .falsifier import (
     DegenerateSampler,
-    SearchConfig,
     ZeroWitness,
     find_jacobian_zero,
     random_trials,
@@ -93,8 +92,7 @@ def _cmd_certify(args) -> int:
 
     trials = None
     if args.falsify:
-        cfg = SearchConfig(rng_seed=args.seed)
-        trials = random_trials(p, args.falsify, cfg=cfg)
+        trials = random_trials(p, args.falsify, seed=args.seed)
 
     doc = build_certificate(p, criterion, tongue=tongue, trials=trials)
     _emit(args, emit_certificate_json(doc))
@@ -161,8 +159,7 @@ def _cmd_tongue(args) -> int:
 def _cmd_falsify(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
     q = parse_polynomial(args.q)
-    cfg = SearchConfig(rng_seed=args.seed)
-    result = find_jacobian_zero(p, q, cfg)
+    result = find_jacobian_zero(p, q)
     if isinstance(result, ZeroWitness):
         doc = {
             "outcome": "witness",
@@ -251,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("falsify", help="search for a Jacobian zero against a given q")
     add_poly(sp)
     sp.add_argument("--q", required=True, help="candidate mate polynomial")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="ignored: the search is deterministic and the seed does not change it")
     sp.add_argument("--json", help="also write the result to this path")
     sp.set_defaults(func=_cmd_falsify)
 

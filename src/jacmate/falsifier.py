@@ -23,7 +23,6 @@ import numpy as np
 from .poly import BivariatePolynomial, evaluate_on_grid, jacobian
 
 __all__ = [
-    "SearchConfig",
     "ZeroWitness",
     "MinRecord",
     "TrialOutcome",
@@ -40,24 +39,20 @@ EXACT_GRID_HIT = "ExactGridHit"
 SIGN_CHANGE_BISECTION = "SignChangeBisection"
 LOCAL_MINIMIZATION = "LocalMinimization"
 
+# The search scans boxes [-w, w]^2 from w = 4, doubled 10 times, on 256 grid
+# nodes per axis; a witness needs |Jac| <= 1e-6 in floats.
+INITIAL_HALF_WIDTH = 4.0
+MAX_DOUBLINGS = 10
+GRID_PER_AXIS = 256
+ZERO_TOL = 1e-6
+
+# Sampled candidate mates: total degree at most 3, integer coefficients in [-3, 3].
+MATE_DEGREE = 3
+MATE_COEFF_BOUND = 3
+
 
 class DegenerateSampler(RuntimeError):
     """Every resampled candidate produced an identically zero Jacobian."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    initial_half_width: float = 4.0
-    max_doublings: int = 10
-    grid_per_axis: int = 256
-    zero_tol: float = 1e-6
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.zero_tol <= 0:
-            raise ValueError("zero_tol must be positive")
-        if self.grid_per_axis < 16:
-            raise ValueError("need at least 16 grid nodes per axis")
 
 
 @dataclass(frozen=True)
@@ -96,39 +91,39 @@ def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
     return abs(float(val))
 
 
-def _accept(J, x: float, y: float, method: str, cfg: SearchConfig):
+def _accept(J, x: float, y: float, method: str):
     """Candidate point -> witness, or None if exact revalidation disagrees."""
     approx = J.evaluate_approx(x, y)
-    if not abs(approx) <= cfg.zero_tol:
+    if not abs(approx) <= ZERO_TOL:
         return None
     exact = _exact_abs(J, x, y)
-    if exact > 10 * cfg.zero_tol:
+    if exact > 10 * ZERO_TOL:
         return None
     return ZeroWitness(point=(x, y), jac_value=approx, method=method, jac_exact=exact)
 
 
-def _bisect_segment(J, x0, y0, x1, y1, cfg: SearchConfig):
+def _bisect_segment(J, x0, y0, x1, y1):
     """Bisection along the segment between two opposite-sign grid nodes."""
     f0 = J.evaluate_approx(x0, y0)
     for _ in range(200):
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         fm = J.evaluate_approx(xm, ym)
         if fm == 0.0 or (abs(x1 - x0) < 1e-15 * (1 + abs(x0)) and abs(y1 - y0) < 1e-15 * (1 + abs(y0))):
-            return _accept(J, xm, ym, SIGN_CHANGE_BISECTION, cfg)
+            return _accept(J, xm, ym, SIGN_CHANGE_BISECTION)
         if (fm > 0) == (f0 > 0):
             x0, y0, f0 = xm, ym, fm
         else:
             x1, y1 = xm, ym
     xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return _accept(J, xm, ym, SIGN_CHANGE_BISECTION, cfg)
+    return _accept(J, xm, ym, SIGN_CHANGE_BISECTION)
 
 
-def _descend(J, Jx, Jy, x: float, y: float, cfg: SearchConfig):
+def _descend(J, Jx, Jy, x: float, y: float):
     """Damped Gauss-Newton descent on Jac^2 from the flattest grid point."""
     for _ in range(300):
         g = J.evaluate_approx(x, y)
-        if abs(g) <= cfg.zero_tol:
-            return _accept(J, x, y, LOCAL_MINIMIZATION, cfg)
+        if abs(g) <= ZERO_TOL:
+            return _accept(J, x, y, LOCAL_MINIMIZATION)
         gx, gy = Jx.evaluate_approx(x, y), Jy.evaluate_approx(x, y)
         denom = gx * gx + gy * gy
         if denom == 0.0 or not np.isfinite(denom):
@@ -147,15 +142,14 @@ def _descend(J, Jx, Jy, x: float, y: float, cfg: SearchConfig):
 
 
 def find_jacobian_zero(
-    p: BivariatePolynomial, q: BivariatePolynomial, cfg: SearchConfig | None = None
+    p: BivariatePolynomial, q: BivariatePolynomial
 ) -> ZeroWitness | MinRecord:
     """Locate a point where Jac(p, q) vanishes, or report the best minimum.
 
     Expanding boxes [-w, w]^2 with w doubling; within each box, exact grid
     hits first, then sign-change bisection (rows before columns, row-major
-    order), then descent.  Deterministic for fixed inputs and config.
+    order), then descent.  Deterministic: the result depends on p and q only.
     """
-    cfg = cfg or SearchConfig()
     J = jacobian(p, q)
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
@@ -165,47 +159,41 @@ def find_jacobian_zero(
     best_abs = np.inf
     best_point = (0.0, 0.0)
     boxes = 0
-    w = cfg.initial_half_width
-    for _ in range(cfg.max_doublings + 1):
+    w = INITIAL_HALF_WIDTH
+    for _ in range(MAX_DOUBLINGS + 1):
         boxes += 1
-        xs = np.linspace(-w, w, cfg.grid_per_axis)
-        ys = np.linspace(-w, w, cfg.grid_per_axis)
+        xs = np.linspace(-w, w, GRID_PER_AXIS)
+        ys = np.linspace(-w, w, GRID_PER_AXIS)
         vals = evaluate_on_grid(J, xs, ys)
         finite = np.isfinite(vals)
         absvals = np.where(finite, np.abs(vals), np.inf)
 
-        k = int(np.argmin(absvals))
-        i, j = divmod(k, len(ys))
-        if absvals[i, j] < best_abs:
-            best_abs = float(absvals[i, j])
-            best_point = (float(xs[i]), float(ys[j]))
+        i_min, j_min = divmod(int(np.argmin(absvals)), len(ys))
+        flattest = (float(xs[i_min]), float(ys[j_min]))
+        if absvals[i_min, j_min] < best_abs:
+            best_abs = float(absvals[i_min, j_min])
+            best_point = flattest
 
         for i, j in np.argwhere(finite & (vals == 0.0)):
             x, y = float(xs[i]), float(ys[j])
             if J.evaluate(Fraction(x), Fraction(y)) == 0:
                 return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
-            hit = _accept(J, x, y, LOCAL_MINIMIZATION, cfg)
+            hit = _accept(J, x, y, LOCAL_MINIMIZATION)
             if hit:
                 return hit
 
         sgn = np.sign(vals)
         for i, j in np.argwhere(finite[:-1, :] & finite[1:, :] & (sgn[:-1, :] * sgn[1:, :] < 0)):
-            hit = _bisect_segment(
-                J, float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j]), cfg
-            )
+            hit = _bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j]))
             if hit:
                 return hit
         for i, j in np.argwhere(finite[:, :-1] & finite[:, 1:] & (sgn[:, :-1] * sgn[:, 1:] < 0)):
-            hit = _bisect_segment(
-                J, float(xs[i]), float(ys[j]), float(xs[i]), float(ys[j + 1]), cfg
-            )
+            hit = _bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i]), float(ys[j + 1]))
             if hit:
                 return hit
 
-        k = int(np.argmin(absvals))
-        i, j = divmod(k, len(ys))
-        if np.isfinite(absvals[i, j]):
-            hit = _descend(J, Jx, Jy, float(xs[i]), float(ys[j]), cfg)
+        if np.isfinite(absvals[i_min, j_min]):
+            hit = _descend(J, Jx, Jy, *flattest)
             if hit:
                 return hit
         w *= 2
@@ -218,24 +206,18 @@ def find_jacobian_zero(
 # ---------------------------------------------------------------------------
 
 
-def _sample_mate(
-    p: BivariatePolynomial, rng: random.Random, max_degree: int, coeff_bound: int
-) -> BivariatePolynomial:
-    if max_degree < 1 or coeff_bound < 1:
-        raise DegenerateSampler(
-            "the sample space holds no candidate with a y-dependent term"
-        )
+def _sample_mate(p: BivariatePolynomial, rng: random.Random) -> BivariatePolynomial:
     for _ in range(10):
         coeffs = {}
-        for i in range(max_degree + 1):
-            for j in range(max_degree + 1 - i):
-                c = rng.randint(-coeff_bound, coeff_bound)
+        for i in range(MATE_DEGREE + 1):
+            for j in range(MATE_DEGREE + 1 - i):
+                c = rng.randint(-MATE_COEFF_BOUND, MATE_COEFF_BOUND)
                 if c:
                     coeffs[(i, j)] = Fraction(c)
         if not any(j >= 1 for _, j in coeffs):
-            i = rng.randint(0, max_degree - 1)
-            j = rng.randint(1, max_degree - i)
-            coeffs[(i, j)] = Fraction(rng.randint(1, coeff_bound) * rng.choice((-1, 1)))
+            i = rng.randint(0, MATE_DEGREE - 1)
+            j = rng.randint(1, MATE_DEGREE - i)
+            coeffs[(i, j)] = Fraction(rng.randint(1, MATE_COEFF_BOUND) * rng.choice((-1, 1)))
         q = BivariatePolynomial(coeffs)
         if not jacobian(p, q).is_zero:
             return q
@@ -244,32 +226,25 @@ def _sample_mate(
     )
 
 
-def random_trials(
-    p: BivariatePolynomial,
-    n: int,
-    max_degree: int = 3,
-    coeff_bound: int = 3,
-    cfg: SearchConfig | None = None,
-) -> TrialReport:
+def random_trials(p: BivariatePolynomial, n: int, seed: int = 0) -> TrialReport:
     """Run the zero search against n randomly sampled candidate mates.
 
     Candidates always carry a y-dependent term (a pure-x mate of a pure-x
-    polynomial is degenerate).  Reproducible: trial k uses seed
-    rng_seed + 1000003*k.
+    polynomial is degenerate).  Reproducible: trial k samples its mate with
+    seed + 1000003*k.
     """
-    cfg = cfg or SearchConfig()
     outcomes = []
     hits = 0
     for k in range(n):
-        seed = cfg.rng_seed + 1000003 * k
-        q = _sample_mate(p, random.Random(seed), max_degree, coeff_bound)
-        result = find_jacobian_zero(p, q, cfg)
+        trial_seed = seed + 1000003 * k
+        q = _sample_mate(p, random.Random(trial_seed))
+        result = find_jacobian_zero(p, q)
         found = isinstance(result, ZeroWitness)
         hits += found
         outcomes.append(
             TrialOutcome(
                 index=k,
-                seed=seed,
+                seed=trial_seed,
                 q_text=str(q),
                 found=found,
                 witness=result if found else None,

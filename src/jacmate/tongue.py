@@ -46,7 +46,6 @@ __all__ = [
     "CriticalPointsPersist",
     "ResolutionTooCoarse",
     "GridSpec",
-    "HalfLine",
     "RestrictionProfile",
     "TongueRegion",
     "LevelRecord",
@@ -132,12 +131,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class HalfLine:
-    y: float
-    x_from: float
-
-
-@dataclass(frozen=True)
 class RestrictionProfile:
     """Exact shape of h(y) = p(x0, y) on the segment side of the region.
 
@@ -173,7 +166,6 @@ class TongueRegion:
     x0: Fraction
     boundary_trace: BranchTrace
     profile: RestrictionProfile
-    halfline: HalfLine
     # the critical-point check that accepted the region; None until it has run
     critical_point_check: CriticalPointReport | None
 
@@ -202,7 +194,6 @@ class TongueCertificate:
     status: str  # Verified | Inconclusive | Failed
     reasons: tuple[str, ...]
     region: TongueRegion | None
-    critical_point_check: CriticalPointReport | None
     level_report: LevelSetReport | None
 
 
@@ -328,8 +319,11 @@ class boundary_interpolator:
         return np.exp(ly)
 
 
-def halton_points(n: int, skip: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic low-discrepancy pairs in the unit square (bases 2, 3)."""
+def halton_points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic low-discrepancy pairs in the unit square (bases 2, 3).
+
+    The sequence starts at index 1: index 0 is the corner (0, 0).
+    """
 
     def radical_inverse(base: int, k: int) -> float:
         inv, f = 0.0, 1.0 / base
@@ -339,7 +333,7 @@ def halton_points(n: int, skip: int = 1) -> tuple[np.ndarray, np.ndarray]:
             f /= base
         return inv
 
-    idx = range(skip, skip + n)
+    idx = range(1, n + 1)
     u = np.array([radical_inverse(2, k) for k in idx])
     v = np.array([radical_inverse(3, k) for k in idx])
     return u, v
@@ -462,7 +456,6 @@ def _assemble_region(
         x0=x0,
         boundary_trace=trace,
         profile=profile,
-        halfline=HalfLine(y=0.0, x_from=float(x0)),
         critical_point_check=None,
     )
 
@@ -756,14 +749,16 @@ def check_level_sets(
     field = _Field(p, region, grid or GridSpec())
     t0 = float(profile.t0)
 
-    pocket = _pocket_bbox(field, t0)
+    barrier = field.components(t0)
+    pocket = _pocket_bbox(field, barrier)
     failures: list[str] = []
     if pocket is None:
         failures.append("barrier level did not produce a single pinned arc")
 
     records = []
-    for t in sorted(t_values, key=float):
-        rec = _classify_level(field, float(t), t0, profile, pocket)
+    for t in sorted(map(float, t_values)):
+        comps = barrier if t == t0 else field.components(t)
+        rec = _classify_level(field, comps, t, t0, profile, pocket)
         records.append(rec)
         if not rec.ok:
             failures.append(
@@ -780,17 +775,15 @@ def check_level_sets(
     )
 
 
-def _pocket_bbox(field: _Field, t0: float):
+def _pocket_bbox(field: _Field, comps):
     """Bounding box of the barrier-level arc plus its chord on the segment."""
-    comps = field.components(t0)
     if len(comps) != 1 or comps[0][2]:
         return None
     xs, ys = zip(*comps[0][1])
     return (field.x0, max(xs), min(ys), max(ys))
 
 
-def _classify_level(field: _Field, t: float, t0: float, profile, pocket) -> LevelRecord:
-    comps = field.components(t)
+def _classify_level(field: _Field, comps, t: float, t0: float, profile, pocket) -> LevelRecord:
     x0, x_max, dy = field.x0, field.x_max, field.dy
     n = len(comps)
     anomalies: list[str] = []
@@ -912,20 +905,17 @@ def tongue_certificate(
     grid = grid or GridSpec()
     cert = corollary_certificate(p, allow_swap=True)
     if not cert.satisfied:
-        return TongueCertificate(FAILED, ("criterion not satisfied",), None, None, None)
+        return TongueCertificate(FAILED, ("criterion not satisfied",), None, None)
     try:
         region = build_tongue(p, grid=grid)
     except CriticalPointsPersist as exc:
-        return TongueCertificate(FAILED, (str(exc),), None, None, None)
+        return TongueCertificate(FAILED, (str(exc),), None, None)
 
-    crit = region.critical_point_check
     levels = default_schedule(region.profile.t0)
     try:
         level_report = check_level_sets(region.poly, region, levels, grid)
     except ResolutionTooCoarse as exc:
-        return TongueCertificate(INCONCLUSIVE, (str(exc),), region, crit, None)
+        return TongueCertificate(INCONCLUSIVE, (str(exc),), region, None)
 
     status = VERIFIED if level_report.passed else FAILED
-    return TongueCertificate(
-        status, tuple(level_report.failures[:5]), region, crit, level_report
-    )
+    return TongueCertificate(status, tuple(level_report.failures[:5]), region, level_report)

@@ -83,7 +83,6 @@ def test_failed_tongue_downgrades_conclusion(p3):
         status="Failed",
         reasons=("synthetic",),
         region=tc.region,
-        critical_point_check=tc.critical_point_check,
         level_report=tc.level_report,
     )
     doc = certify(p3, tongue=failed)

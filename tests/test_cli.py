@@ -240,6 +240,20 @@ def test_falsify_miss_exit_one(capsys):
     assert data["boxes_searched"] == 11
 
 
+@pytest.mark.parametrize(
+    "poly, q, want",
+    [("y + x*y^2 + y^4", "x", 0), ("x", "y + y^3 + x^2*y", 1)],
+    ids=["hit", "miss"],
+)
+def test_falsify_seed_does_not_change_the_search(capsys, poly, q, want):
+    outs = []
+    for seed in ("0", "123"):
+        code, out, _ = run(capsys, "falsify", poly, "--q", q, "--seed", seed)
+        assert code == want
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_render_polygon_stdout(capsys):
     code, out, _ = run(capsys, "render", "y + x*y^2 + y^4")
     assert code == 0

@@ -14,7 +14,6 @@ from jacmate.tongue import (
     SEGMENT_ARC,
     VERIFIED,
     GridSpec,
-    HalfLine,
     NotSingleSignedOnInterval,
     RestrictionProfile,
     TongueRegion,
@@ -52,7 +51,6 @@ def test_region_shape_p3(region3):
     assert region3.flipped
     assert str(region3.poly) == "-x^2*y^2 + y"
     assert region3.x0 == 1
-    assert region3.halfline == HalfLine(y=0.0, x_from=1.0)
 
 
 def test_profile_closed_form_p3(region3):
@@ -160,7 +158,6 @@ def fake_region(poly, f_height, x0=1.0):
         x0=Fraction(int(x0)),
         boundary_trace=trace,
         profile=profile,
-        halfline=HalfLine(y=0.0, x_from=x0),
         critical_point_check=None,
     )
 
@@ -223,7 +220,7 @@ def test_shared_factor_partials_use_the_slice_schedule():
     # resultant is identically zero and the fixed slices are examined
     cert = tongue_certificate(parse_polynomial("y + x*y^2 + (y + x*y^2)^2"))
     assert cert.status == VERIFIED
-    assert cert.critical_point_check.slices_checked > 0
+    assert cert.region.critical_point_check.slices_checked > 0
 
 
 def test_resultant_roots_on_the_closed_window():
@@ -256,6 +253,22 @@ def test_level_sets_p3(p3, region3):
         assert rec.boundary_endpoint_count == 2
     assert all(r.t <= 0 or r.t > float(region3.profile.t0) for r in by_class[EMPTY])
     assert all(r.t > float(region3.profile.t0) for r in by_class.get(CONTAINED_IN_B, []))
+
+
+def test_level_sets_extract_each_level_once(region3, monkeypatch):
+    # the barrier t0 is also the 20th scheduled level: 30 levels, 30 extractions
+    calls = []
+    extract = tongue._extract_level
+
+    def counted(field, t):
+        calls.append(t)
+        return extract(field, t)
+
+    monkeypatch.setattr(tongue, "_extract_level", counted)
+    schedule = default_schedule(region3.profile.t0)
+    check_level_sets(region3.poly, region3, schedule, GridSpec(200, 200, 50.0))
+    assert len(set(schedule)) == 30
+    assert sorted(calls) == sorted(map(float, schedule))
 
 
 def test_level_endpoints_match_exact_root_count(region3):
@@ -347,7 +360,7 @@ def test_tongue_certificate_p3(p3):
     assert cert.status == VERIFIED
     assert not cert.reasons
     assert cert.region is not None
-    assert cert.critical_point_check.passed
+    assert cert.region.critical_point_check.passed
     assert cert.level_report.passed
 
 
@@ -405,7 +418,6 @@ def test_tongue_certificate_sweeps_once_per_attempt(monkeypatch):
     cert = tongue_certificate(parse_polynomial("y - (x^2 - 4*x + 6)*y^2"))
     assert [float(region.x0) for _, region, _ in calls] == [1.0, 2.0, 4.0]
     region = cert.region
-    assert cert.critical_point_check is region.critical_point_check
     assert region.critical_point_check == sweep(region.poly, region, GridSpec())
 
 
