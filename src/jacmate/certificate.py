@@ -179,9 +179,12 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
                     "closed_loop_detected": rec.closed_loop_detected,
                     "ok": rec.ok,
                     "anomalies": list(rec.anomalies),
+                    "bottom_endpoint_count": rec.bottom_endpoint_count,
+                    "ends_at_infinity": rec.ends_at_infinity,
                 }
                 for rec in lv.records
             ],
+            "exact_facts": list(lv.exact_facts),
         }
     return out
 
@@ -321,9 +324,12 @@ CERTIFICATE_SCHEMA = {
                                         "type": "array",
                                         "items": {"type": "string"},
                                     },
+                                    "bottom_endpoint_count": {"type": "integer"},
+                                    "ends_at_infinity": {"type": "integer"},
                                 },
                             },
                         },
+                        "exact_facts": {"type": "array", "items": {"type": "string"}},
                     },
                 },
             },

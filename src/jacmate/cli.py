@@ -141,16 +141,13 @@ def _cmd_branch(args) -> int:
     return 0
 
 
-def _grid_from_args(args) -> GridSpec:
-    return GridSpec(nx=args.nx, ny=args.ny, x_max=args.x_max)
-
-
 def _cmd_tongue(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    tc = tongue_certificate(p, grid=_grid_from_args(args))
+    grid = GridSpec(nx=args.nx, ny=args.ny, x_max=args.x_max)
+    tc = tongue_certificate(p, grid=grid)
     _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
     if args.svg and tc.region is not None:
-        svg = render_tongue_svg(tc.region, tc.level_report)
+        svg = render_tongue_svg(tc.region, tc.level_report, grid)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
     return 0 if tc.status == VERIFIED else 1
@@ -187,7 +184,7 @@ def _cmd_render(args) -> int:
         shown = apply_transform(p, cert.transform_used)
         svg = render_polygon_svg(newton_polygon(shown), cert)
     else:
-        tc = tongue_certificate(p, grid=GridSpec(nx=400, ny=400, x_max=args.x_max))
+        tc = tongue_certificate(p, grid=GridSpec(x_max=args.x_max))
         if tc.region is None:
             print(f"no tongue region: {'; '.join(tc.reasons)}", file=sys.stderr)
             return 1
@@ -238,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tongue", help="build and check the tongue region")
     add_poly(sp)
-    sp.add_argument("--nx", type=int, default=1000)
-    sp.add_argument("--ny", type=int, default=1000)
+    sp.add_argument("--nx", type=int, default=1000, help="drawing resolution of --svg")
+    sp.add_argument("--ny", type=int, default=1000, help="drawing resolution of --svg")
     sp.add_argument("--x-max", type=float, default=None)
     sp.add_argument("--json", help="also write the report to this path")
     sp.add_argument("--svg", help="write the region figure to this path")

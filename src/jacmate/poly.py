@@ -37,6 +37,10 @@ __all__ = [
     "ParseError",
     "EmptyInput",
     "NonNaturalExponent",
+    "InputTooLarge",
+    "MAX_DEGREE",
+    "MAX_TERMS",
+    "MAX_COEFF_BITS",
     "parse_polynomial",
     "jacobian",
     "apply_transform",
@@ -59,6 +63,19 @@ class EmptyInput(ParseError):
 
 class NonNaturalExponent(ParseError):
     """Exponent that is not a nonnegative integer."""
+
+
+class InputTooLarge(ValueError):
+    """Polynomial text whose value, or a power or product in it, exceeds a cap."""
+
+
+# Input budget of the parser, checked on every power and every product of
+# several terms as it is built, and on the whole value, so that no text
+# makes parsing, or exact evaluation later, run unbounded.  The largest inputs in use are x^200 (a float overflow test)
+# and Pinchuk's Q: degrees 15 and 10, 55 terms, 17-bit numerators.
+MAX_DEGREE = 256  # in each variable
+MAX_TERMS = 1024
+MAX_COEFF_BITS = 256  # numerator and denominator each
 
 
 @dataclass(frozen=True)
@@ -362,6 +379,18 @@ def _horner_plan(terms: Mapping[LatticePoint, Fraction]) -> tuple[tuple, int]:
     return tuple(rows), prev_j or 0
 
 
+def _within_budget(p: BivariatePolynomial) -> BivariatePolynomial:
+    degree = max(p.degree_x(), p.degree_y())
+    if degree > MAX_DEGREE:
+        raise InputTooLarge(f"degree {degree} in one variable exceeds the cap of {MAX_DEGREE}")
+    if len(p.terms) > MAX_TERMS:
+        raise InputTooLarge(f"{len(p.terms)} terms exceed the cap of {MAX_TERMS}")
+    for c in p.terms.values():
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
+            raise InputTooLarge(f"a coefficient exceeds the cap of {MAX_COEFF_BITS} bits")
+    return p
+
+
 def _power(var: str, e: int) -> str:
     if e == 0:
         return ""
@@ -435,7 +464,9 @@ class _Parser:
         value = self.expr()
         if self.peek()[0] != "end":
             self.fail("'+', '-', '*' or end of input")
-        return value
+        # sums and one-term products grow only as fast as the text: other
+        # products and all powers are checked as they are built, the total here
+        return _within_budget(value)
 
     def expr(self) -> BivariatePolynomial:
         negate = False
@@ -455,6 +486,8 @@ class _Parser:
         while self.peek()[0] == "*":
             self.advance()
             value = value * self.factor()
+            if len(value.terms) > 1:  # a product of one-term factors grows like a sum
+                _within_budget(value)
         return value
 
     def factor(self) -> BivariatePolynomial:
@@ -472,7 +505,7 @@ class _Parser:
             raise NonNaturalExponent(
                 "fractional exponents are not polynomials", self.peek()[2]
             )
-        return base ** int(val)
+        return _bounded_power(base, int(val))
 
     def base(self) -> BivariatePolynomial:
         kind, val, where = self.peek()
@@ -502,8 +535,31 @@ class _Parser:
         self.fail("'x', 'y', a number or '('")
 
 
+def _bounded_power(base: BivariatePolynomial, n: int) -> BivariatePolynomial:
+    """base^n, refused before any step would leave the input budget."""
+    degree = max(base.degree_x(), base.degree_y())
+    if degree * n > MAX_DEGREE:
+        raise InputTooLarge(
+            f"degree {degree * n} in one variable exceeds the cap of {MAX_DEGREE}"
+        )
+    if len(base.terms) <= 1:
+        # one term stays one term; n > MAX_DEGREE only for a constant
+        c = next(iter(base.terms.values()), Fraction(0))
+        if n > MAX_COEFF_BITS and max(abs(c.numerator), c.denominator) > 1:
+            raise InputTooLarge(f"a coefficient exceeds the cap of {MAX_COEFF_BITS} bits")
+        return _within_budget(base**n)
+    value = BivariatePolynomial.constant(1)
+    for _ in range(n):  # n <= MAX_DEGREE here
+        value = _within_budget(value * base)
+    return value
+
+
 def parse_polynomial(text: str) -> BivariatePolynomial:
-    """Parse polynomial text with explicit '*', '^' and rational constants."""
+    """Parse polynomial text with explicit '*', '^' and rational constants.
+
+    Raises InputTooLarge when the value, a power or a product of several
+    terms exceeds ``MAX_DEGREE``, ``MAX_TERMS`` or ``MAX_COEFF_BITS``.
+    """
     return _Parser(text).parse()
 
 

@@ -1,10 +1,15 @@
 """SVG figures: Newton polygons with highlighted edges, and tongue regions.
 
-Pure string assembly, deterministic byte-for-byte for fixed inputs.
+Pure string assembly, deterministic byte-for-byte for fixed inputs.  The
+tongue figure draws level curves from a marching-squares raster; the
+certificate never reads it.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .poly import evaluate_on_grid
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
@@ -12,15 +17,15 @@ from .polygon import (
     outer_edges,
 )
 from .tongue import (
+    EMPTY,
+    SEGMENT_ARC,
     GridSpec,
     LevelSetReport,
     TongueRegion,
-    EMPTY,
-    SEGMENT_ARC,
-    extract_polylines,
+    boundary_interpolator,
 )
 
-__all__ = ["render_polygon_svg", "render_tongue_svg"]
+__all__ = ["LevelRaster", "ResolutionTooCoarse", "render_polygon_svg", "render_tongue_svg"]
 
 LATTICE_UNIT = 24
 _MARGIN = 36
@@ -102,13 +107,17 @@ _LEVEL_COLORS = {
 
 
 def render_tongue_svg(
-    region: TongueRegion, levels: LevelSetReport | None = None
+    region: TongueRegion,
+    levels: LevelSetReport | None = None,
+    grid: GridSpec | None = None,
 ) -> str:
     """Region plot: boundary branch, borders, pocket box, and level curves.
 
-    The x axis switches to a log scale when the truncation is more than
-    two decades past x0 (the geometry worth seeing is squeezed against
-    both ends otherwise).
+    The level curves come from a ``grid.nx`` x ``grid.ny`` raster (400 x 400
+    by default); a level the raster cannot resolve is left out, with an
+    SVG comment saying so.  The x axis switches to a log scale when the
+    truncation is more than two decades past x0 (the geometry worth seeing
+    is squeezed against both ends otherwise).
     """
     trace = region.boundary_trace
     x0 = float(region.x0)
@@ -138,10 +147,14 @@ def render_tongue_svg(
 
     # level curves under everything else
     if levels is not None and levels.records:
-        grid = GridSpec(nx=400, ny=400, x_max=x_max)
-        by_t = {rec.t: rec for rec in levels.records}
-        for t, polylines in extract_polylines(region.poly, region, list(by_t), grid):
-            rec = by_t[t]
+        grid = grid or GridSpec(nx=400, ny=400)
+        raster = LevelRaster(region.poly, region, GridSpec(grid.nx, grid.ny, x_max))
+        for rec in sorted(levels.records, key=lambda r: r.t):
+            try:
+                polylines = [pts for pts, _ in raster.components(rec.t)]
+            except ResolutionTooCoarse as exc:
+                parts.append(f"<!-- level t={rec.t!r} not drawn: {exc} -->")
+                continue
             if rec.classification == EMPTY and not polylines:
                 continue
             color = "#d03030" if not rec.ok else _LEVEL_COLORS.get(
@@ -184,3 +197,199 @@ def render_tongue_svg(
     )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Level curves for drawing (marching squares)
+# ---------------------------------------------------------------------------
+
+# Points closer to the traced branch than this are boundary at grid
+# resolution: the interpolant is only trusted to ~1e-4 relative between
+# trace samples, while the barrier keeps every scheduled arc at least
+# t0/20 away, which is ~1/160 of the strip height near the segment side
+# and a few grid rows everywhere else.
+BOUNDARY_COLLAR = 1e-3
+
+
+class ResolutionTooCoarse(RuntimeError):
+    """A saddle cell whose centre lies on the level: its pairing is undecided."""
+
+
+# corner bits: 1 = bottom-left, 2 = bottom-right, 4 = top-right, 8 = top-left
+# edges: 0 = bottom, 1 = right, 2 = top, 3 = left
+_CASE_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
+    1: ((3, 0),),
+    2: ((0, 1),),
+    3: ((3, 1),),
+    4: ((1, 2),),
+    6: ((0, 2),),
+    7: ((3, 2),),
+    8: ((3, 2),),
+    9: ((0, 2),),
+    11: ((1, 2),),
+    12: ((3, 1),),
+    13: ((0, 1),),
+    14: ((3, 0),),
+}
+
+
+class LevelRaster:
+    """Scalar field p on the raster over [x0, x_max] x [0, f(x0)].
+
+    Drawing only: the level sets are decided exactly in ``tongue``.
+    Extraction runs over the full rectangle; clipping to the region
+    happens afterwards, per connected component.  A positive level never
+    meets the boundary branch (p vanishes there), so whole components can
+    be kept or dropped; the drop test carries a collar absorbing the
+    interpolation error of the traced branch itself.
+    """
+
+    def __init__(self, p, region: TongueRegion, grid: GridSpec):
+        self.x0 = float(region.x0)
+        self.x_max = grid.x_max or region.boundary_trace.samples[-1][0]
+        self.f = boundary_interpolator(region.boundary_trace)
+        self.xs = np.linspace(self.x0, self.x_max, grid.nx)
+        self.ys = np.linspace(0.0, region.profile.f_x0, grid.ny)
+        self.dx = self.xs[1] - self.xs[0]
+        self.dy = self.ys[1] - self.ys[0]
+        self.values = evaluate_on_grid(p, self.xs, self.ys)
+        self.p = p
+
+    def components(self, t: float):
+        """(polyline, closed) for each piece of the level p = t in the strip."""
+        comps = _walk_components(*_extract_level(self, t))
+        return [(pts, closed) for _, pts, closed in _components_in_region(comps, self.f, self.dy)]
+
+
+def _edge_key(i: int, j: int, edge: int):
+    if edge == 0:
+        return ("h", i, j)
+    if edge == 2:
+        return ("h", i, j + 1)
+    if edge == 3:
+        return ("v", i, j)
+    return ("v", i + 1, j)
+
+
+def _extract_level(field: LevelRaster, t: float):
+    """Marching squares at one level; returns (segments, crossing points).
+
+    Cells with a diagonal sign pattern get one refinement: the sign of the
+    field at the cell center decides the pairing.  A center that evaluates
+    to exactly zero leaves the topology undecidable at this resolution.
+    """
+    F = field.values - t
+    pos = F > 0
+    A = pos[:-1, :-1]
+    B = pos[1:, :-1]
+    C = pos[1:, 1:]
+    D = pos[:-1, 1:]
+    case = (
+        A.astype(np.int8)
+        + 2 * B.astype(np.int8)
+        + 4 * C.astype(np.int8)
+        + 8 * D.astype(np.int8)
+    )
+    interesting = (case > 0) & (case < 15)
+    xs, ys = field.xs, field.ys
+    points: dict[tuple, tuple[float, float]] = {}
+    segments: list[tuple[tuple, tuple]] = []
+
+    def crossing(i0, j0, i1, j1):
+        v0, v1 = F[i0, j0], F[i1, j1]
+        frac = v0 / (v0 - v1)
+        return (
+            xs[i0] + frac * (xs[i1] - xs[i0]),
+            ys[j0] + frac * (ys[j1] - ys[j0]),
+        )
+
+    def edge_point(i, j, edge):
+        key = _edge_key(i, j, edge)
+        if key not in points:
+            if edge == 0:
+                points[key] = crossing(i, j, i + 1, j)
+            elif edge == 1:
+                points[key] = crossing(i + 1, j, i + 1, j + 1)
+            elif edge == 2:
+                points[key] = crossing(i, j + 1, i + 1, j + 1)
+            else:
+                points[key] = crossing(i, j, i, j + 1)
+        return key
+
+    for i, j in np.argwhere(interesting):
+        c = int(case[i, j])
+        if c in (5, 10):
+            cx = 0.5 * (xs[i] + xs[i + 1])
+            cy = 0.5 * (ys[j] + ys[j + 1])
+            center = field.p.evaluate_approx(float(cx), float(cy)) - t
+            if center == 0.0:
+                raise ResolutionTooCoarse(
+                    f"saddle cell at ({cx}, {cy}) undecidable at this resolution"
+                )
+            if c == 5:
+                pairs = ((0, 1), (2, 3)) if center > 0 else ((3, 0), (1, 2))
+            else:
+                pairs = ((3, 0), (1, 2)) if center > 0 else ((0, 1), (2, 3))
+        else:
+            pairs = _CASE_SEGMENTS[c]
+        for e1, e2 in pairs:
+            segments.append(
+                (edge_point(int(i), int(j), e1), edge_point(int(i), int(j), e2))
+            )
+    return segments, points
+
+
+def _walk_components(segments, points):
+    """Stitch crossing segments into polylines keyed by shared grid edges."""
+    adj: dict[tuple, list[tuple]] = {}
+    for a, b in segments:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    visited: set[tuple] = set()
+    components = []
+    # open chains first: start at degree-1 keys for stable endpoints
+    for start in sorted(k for k, nbrs in adj.items() if len(nbrs) == 1):
+        if start in visited:
+            continue
+        components.append((_walk_from(start, adj, visited), False))
+    for key in sorted(adj):
+        if key in visited:
+            continue
+        components.append((_walk_from(key, adj, visited), True))
+    return [(chain, [points[k] for k in chain], closed) for chain, closed in components]
+
+
+def _walk_from(start, adj, visited):
+    chain = [start]
+    visited.add(start)
+    cur, prev = start, None
+    while True:
+        nxt = None
+        for cand in adj[cur]:
+            if cand != prev and (
+                cand not in visited or (cand == chain[0] and len(chain) > 2)
+            ):
+                nxt = cand
+                break
+        if nxt is None or nxt == chain[0]:
+            break
+        chain.append(nxt)
+        visited.add(nxt)
+        prev, cur = cur, nxt
+    return chain
+
+
+def _components_in_region(comps, f, dy):
+    """Keep components inside the strip: above y=0 and below the branch."""
+    kept = []
+    for chain, pts, closed in comps:
+        qx = np.array([q[0] for q in pts])
+        qy = np.array([q[1] for q in pts])
+        if float(qy.max()) <= 0.0:
+            continue  # degenerate contact with the half-line border
+        fq = np.asarray(f(qx))
+        collar = np.maximum(BOUNDARY_COLLAR * fq, 2.0 * dy)
+        if float(np.max(qy - (fq - collar))) >= 0.0:
+            continue  # hugs or crosses the boundary branch
+        kept.append((chain, pts, closed))
+    return kept

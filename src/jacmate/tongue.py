@@ -1,22 +1,66 @@
 """Tongue regions under the lowest positive branch, and their level checks.
 
-After moving the certified branch into the first quadrant, the strip
+After moving the certified branch into the first quadrant, let f(x) be the
+smallest positive root of p(x, .).  The strip
 
-    V = { (x, y) : x > x0, 0 < y < f(x) }
+    V = { (x, y) : x > x0, 0 < y < f(x) },
 
-below the traced boundary f, together with the segment {x0} x (0, f(x0)),
-forms a region A whose border contains the half-line y = 0, x >= x0.  The
-checks here verify, at a chosen resolution, that A behaves like a tongue:
-p has no interior critical point, every positive level at or below a
-barrier t0 cuts A in a single arc pinned to the segment, and every level
-above t0 stays inside a bounded pocket B.
+together with the segment S = {x0} x (0, f(x0)), forms a region A whose
+border contains the half-line y = 0, x >= x0.  The checks here show that A
+behaves like a tongue: p has no critical point in it, every positive level
+at or below a barrier t0 cuts it in a single arc pinned to S, and every
+level above t0 stays inside the bounded pocket B that the t0 arc cuts off.
 
-Everything decision-critical on the segment side (critical points of the
-restriction, barrier placement, endpoint parity) is done in exact rational
-arithmetic.  The interior critical-point check places its vertical slices
-exactly, at the real roots of a resultant, and tests each slice to a float
-tolerance; the level sweeps are floating point on a configured raster.
-Both report their findings as data, never as proof.
+Exact: the barrier and the restriction h(y) = p(x0, y) (Sturm chains), the
+placement of the critical-point slices (roots of a resultant), and every
+level-set count.  Numeric: the traced branch, which sets x_max and the
+drawing, and the 1e-9 slice test of the critical-point check.
+
+The level sets follow from regular-level Morse theory (Milnor, *Morse
+Theory*) with the projection resultants of Collins' cylindrical
+decomposition (1975).  Resultants are taken at formal degrees, so they
+also vanish where both leading coefficients do.
+
+1. Hypotheses at x0, decided exactly (any failure reports Inconclusive):
+   (H1) R = Res_y(p_x, p_y) is not 0 and has no real root on [x0, oo).  A
+        critical point over x makes R(x) = 0, so there is none at x >= x0.
+   (H2) D = Res_y(p, p_y) has no real root on [x0, oo).  So for x >= x0 the
+        y-leading coefficient of p is nonzero and p(x, .) has simple roots:
+        its real roots are continuous in x and never meet or escape.
+   (H3) c(x) = p(x, 0) is 0 or has no root on (x0, oo), and p(x0 + 1, .)
+        has as many positive roots as p(x0, .).  Then no root of p(x, .)
+        crosses y = 0 past x0, nor leaves it upwards at x0: f is continuous
+        on [x0, oo), and V is a topological half-strip, simply connected.
+   p has no zero in V, so its sign there is its sign at one point of S.
+2. No closed loops.  A level loop in V bounds a disc in V, on which p has
+   an interior extremum, a critical point, against (H1).
+3. Ends.  For t > 0 the level L_t = {p = t} in V is regular with no loop,
+   so each component is an arc whose two ends tend to a point of the
+   border or to infinity.  p = 0 on the top and at both corners, so:
+   - segment ends: (x0, y) with h(y) = t, 0 < y < f(x0).  A simple root is
+     one end (p_y != 0: the level crosses S as a graph over x).  At a
+     double root y_m, if h - t and p_x(x0, y_m) have the same sign beside
+     y_m, then p - t = (h - t) + (p - p(x0, .)) keeps that sign for x > x0
+     near the point: no end.  Any other multiple root is undecided.
+   - bottom ends: (x, 0) with x > x0 a simple root of c - t, one end each
+     (p_x != 0 there); a multiple root is undecided.
+   - ends at infinity: past every real root of E_t = Res_y(p - t, p_y) and
+     of c - t, the roots of p(x, .) - t in (0, f(x)) stay simple and never
+     reach y = 0 or the top, so there L_t is that many graphs, one end
+     each, and V is bounded before it.  One rational line x = X past those
+     roots counts them.
+   The level has ends / 2 components.
+4. The pocket.  If L_t0 is one arc with its ends at a and b, it splits V
+   into B, next to the chord (a, b) where h > t0, and the rest U, where
+   h < t0 near S; p - t0 has no zero on either, so p > t0 exactly on B and
+   every level above t0 lies in B.  The arc's largest x is a vertical
+   tangency (a root of E_t0) and its y extent beyond [a, b] a horizontal
+   one (a root of Res_x(p - t0, p_x)); which tangency bounds it is decided
+   by counting the arc's points on one rational line between consecutive
+   roots.
+
+The counts hold for every t, not only the scheduled levels.  The pocket
+bounds are reported as floats of exactly isolated roots.
 """
 
 from __future__ import annotations
@@ -36,15 +80,14 @@ from .branches import (
     TraceConfig,
     lowest_positive_branch,
 )
-from .poly import BivariatePolynomial, Transform, apply_transform, evaluate_on_grid
+from .poly import SWAP, BivariatePolynomial, Transform, apply_transform, evaluate_on_grid
 from .polygon import corollary_certificate
 
 __all__ = [
     "NotSingleSignedOnInterval",
     "NoInteriorCriticalPoint",
-    "MixedSignOnRegion",
     "CriticalPointsPersist",
-    "ResolutionTooCoarse",
+    "LevelSetUndecided",
     "GridSpec",
     "RestrictionProfile",
     "TongueRegion",
@@ -65,8 +108,6 @@ __all__ = [
     "check_level_sets",
     "default_schedule",
     "tongue_certificate",
-    "extract_polylines",
-    "halton_points",
 ]
 
 EMPTY = "Empty"
@@ -83,12 +124,8 @@ X0_BUDGET = Fraction(2**20)
 # check, on top of its dense run near x0, when the partials share a factor.
 CRITICAL_SLICES = 192
 
-# Points closer to the traced branch than this are boundary at grid
-# resolution: the interpolant is only trusted to ~1e-4 relative between
-# trace samples, while the barrier keeps every scheduled arc at least
-# t0/20 away, which is ~1/160 of the strip height near the segment side
-# and a few grid rows everywhere else.
-BOUNDARY_COLLAR = 1e-3
+# Width of the isolating intervals behind the reported pocket floats.
+ISOLATION_WIDTH = Fraction(1, 10**14)
 
 
 class NotSingleSignedOnInterval(ValueError):
@@ -99,26 +136,23 @@ class NoInteriorCriticalPoint(ValueError):
     pass
 
 
-class MixedSignOnRegion(RuntimeError):
-    """The polynomial changed sign on a sample of the strip below the branch."""
-
-
 class CriticalPointsPersist(RuntimeError):
     pass
 
 
-class ResolutionTooCoarse(RuntimeError):
-    pass
+class LevelSetUndecided(RuntimeError):
+    """A fact the exact level-set argument needs failed or stayed undecided."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Raster resolution for the level-set sweeps.
+    """Truncation of the traced region, and the raster that draws it.
 
     ``x_max`` of None asks for an automatic horizon: wide enough that the
-    smallest scheduled level no longer reaches it, never below 50.  The
-    critical-point check reads only ``x_max``: its slices come from a
-    resultant, not from the raster.
+    smallest scheduled level no longer reaches it, never below 50.  It
+    bounds the trace and the critical-point window.  ``nx`` and ``ny`` are
+    only the drawing resolution of ``render``: the level sets are decided
+    exactly, with no raster.
     """
 
     nx: int = 1000
@@ -172,6 +206,12 @@ class TongueRegion:
 
 @dataclass(frozen=True)
 class LevelRecord:
+    """Exact shape of one level in V: its ends, and components = ends / 2.
+
+    ``boundary_endpoint_count`` counts the ends on the segment side;
+    ``closed_loop_detected`` is False by (H1).
+    """
+
     t: float
     classification: str
     component_count: int
@@ -179,6 +219,8 @@ class LevelRecord:
     closed_loop_detected: bool
     ok: bool
     anomalies: tuple[str, ...] = ()
+    bottom_endpoint_count: int = 0
+    ends_at_infinity: int = 0
 
 
 @dataclass(frozen=True)
@@ -187,6 +229,7 @@ class LevelSetReport:
     passed: bool
     failures: tuple[str, ...]
     pocket_bbox: tuple[float, float, float, float] | None
+    exact_facts: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -288,7 +331,7 @@ def _barrier_is_valid(
 
 
 # ---------------------------------------------------------------------------
-# Boundary interpolation and sampling
+# Boundary interpolation
 # ---------------------------------------------------------------------------
 
 
@@ -319,44 +362,9 @@ class boundary_interpolator:
         return np.exp(ly)
 
 
-def halton_points(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic low-discrepancy pairs in the unit square (bases 2, 3).
-
-    The sequence starts at index 1: index 0 is the corner (0, 0).
-    """
-
-    def radical_inverse(base: int, k: int) -> float:
-        inv, f = 0.0, 1.0 / base
-        while k:
-            inv += (k % base) * f
-            k //= base
-            f /= base
-        return inv
-
-    idx = range(1, n + 1)
-    u = np.array([radical_inverse(2, k) for k in idx])
-    v = np.array([radical_inverse(3, k) for k in idx])
-    return u, v
-
-
 # ---------------------------------------------------------------------------
 # Region assembly
 # ---------------------------------------------------------------------------
-
-
-def _sample_sign(p: BivariatePolynomial, f, x0: float, x_hi: float) -> int:
-    """Strict sign of p over a low-discrepancy sample of the strip; 0 if mixed."""
-    u, v = halton_points(100)
-    xs = x0 * (x_hi / x0) ** u
-    # stay a collar away from the traced branch: interpolation error there
-    # can put a sample on the wrong side of the true curve
-    ys = np.asarray(f(xs)) * (1e-6 + (1 - 1e-6 - BOUNDARY_COLLAR) * v)
-    vals = [p.evaluate_approx(float(x), float(y)) for x, y in zip(xs, ys)]
-    if all(val > 0 for val in vals):
-        return 1
-    if all(val < 0 for val in vals):
-        return -1
-    return 0
 
 
 def _schedule_floor(profile: RestrictionProfile) -> float:
@@ -412,7 +420,6 @@ def build_tongue(
             NoConfirmedBranch,
             NotSingleSignedOnInterval,
             NoInteriorCriticalPoint,
-            MixedSignOnRegion,
         ) as exc:
             last_reason = f"x0={x0}: {exc}"
             x0 *= 2
@@ -434,13 +441,12 @@ def _assemble_region(
     transform, probe_trace = lowest_positive_branch(p, probe_cfg)
     f_probe = boundary_interpolator(probe_trace)
     p_t = apply_transform(p, transform)
-    sign = _sample_sign(p_t, f_probe, float(x0), float(x0) * 16)
-    if sign == 0:
-        raise MixedSignOnRegion("sign disagreement on the strip sample")
-    flipped = sign < 0
+    # restriction_profile proves p_star has no zero on the segment below
+    # f_x0, so the sign at one point of it is the sign there, and on V
+    f_x0 = probe_trace.samples[0][1]
+    flipped = p_t.evaluate(x0, Fraction(f_x0) / 2) < 0
     p_star = -p_t if flipped else p_t
 
-    f_x0 = probe_trace.samples[0][1]
     profile = restriction_profile(p_star, x0, f_x0)
 
     x_max = grid.x_max
@@ -489,7 +495,7 @@ def check_no_critical_points(
     pyy = py.partial_derivative("y")
     witnesses: list[tuple[float, float]] = []
 
-    res = _critical_resultant(px, py)
+    res = _resultant_y(px, py)
     if res:
         slices = _resultant_roots(res, x0, Fraction(x_max))
     else:
@@ -510,7 +516,7 @@ def check_no_critical_points(
             candidates = [
                 iv.midpoint
                 for g in (gy, pyy.restricted_to_x(xq))
-                for iv in uni.isolate_roots(g, Fraction(0), ub, Fraction(1, 10**14))
+                for iv in uni.isolate_roots(g, Fraction(0), ub, ISOLATION_WIDTH)
             ]
         for yq in candidates:
             wx, wy = float(xq), float(yq)
@@ -521,244 +527,315 @@ def check_no_critical_points(
     return CriticalPointReport(not unique, unique, len(slices))
 
 
-def _critical_resultant(px, py) -> list[Fraction]:
-    """Res_y(p_x, p_y) at formal degrees, interpolated in x; [] on a shared factor."""
-    if px.is_zero or py.is_zero:
+def _resultant_y(f, g) -> list[Fraction]:
+    """Res_y(f, g) at formal degrees, interpolated in x; [] on a shared factor."""
+    if f.is_zero or g.is_zero:
         return []
-    m, n = px.degree_y(), py.degree_y()
+    m, n = f.degree_y(), g.degree_y()
     return uni.interpolate([
-        uni.resultant(px.restricted_to_x(k), py.restricted_to_x(k), m, n)
-        for k in range(n * px.degree_x() + m * py.degree_x() + 1)
+        uni.resultant(f.restricted_to_x(k), g.restricted_to_x(k), m, n)
+        for k in range(n * f.degree_x() + m * g.degree_x() + 1)
     ])
 
 
-def _resultant_roots(res, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Real roots of res in the closed [lo, hi], rational ones exactly."""
-    # Descartes: with no sign change in res(lo + t), res has no root past lo,
-    # and Sturm isolation, slow on a resultant of high degree, is skipped
+def _may_have_root_past(res, lo: Fraction) -> bool:
+    """False when Descartes' rule rules out a root of res past lo.
+
+    With no coefficient sign change in res(lo + t) (a Taylor shift), res has
+    no root past lo, and Sturm isolation, slow on a resultant of high
+    degree, is skipped.
+    """
     shifted = list(res)
     for i in range(len(res)):
         for k in range(len(res) - 2, i - 1, -1):
             shifted[k] += lo * shifted[k + 1]
+    return len({c > 0 for c in shifted if c}) > 1
+
+
+def _resultant_roots(res, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Real roots of res in the closed [lo, hi], rational ones exactly."""
     roots = [x for x in (lo, hi) if uni.ueval(res, x) == 0]
-    if len({c > 0 for c in shifted if c}) > 1:
-        for iv in uni.isolate_roots(res, lo, hi, width=Fraction(1, 10**14)):
+    if _may_have_root_past(res, lo):
+        for iv in uni.isolate_roots(res, lo, hi, width=ISOLATION_WIDTH):
             guess = iv.midpoint.limit_denominator(10**6)
             exact = iv.lo <= guess <= iv.hi and uni.ueval(res, guess) == 0
             roots.append(guess if exact else iv.midpoint)
     return sorted(roots)
 
 
-# ---------------------------------------------------------------------------
-# Level set extraction (marching squares)
-# ---------------------------------------------------------------------------
-
-# corner bits: 1 = bottom-left, 2 = bottom-right, 4 = top-right, 8 = top-left
-# edges: 0 = bottom, 1 = right, 2 = top, 3 = left
-_CASE_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
-    1: ((3, 0),),
-    2: ((0, 1),),
-    3: ((3, 1),),
-    4: ((1, 2),),
-    6: ((0, 2),),
-    7: ((3, 2),),
-    8: ((3, 2),),
-    9: ((0, 2),),
-    11: ((1, 2),),
-    12: ((3, 1),),
-    13: ((0, 1),),
-    14: ((3, 0),),
-}
-
-
-class _Field:
-    """Scalar field p on the raster over [x0, x_max] x [0, f(x0)].
-
-    Extraction runs over the full rectangle; clipping to the region
-    happens afterwards, per connected component.  A positive level never
-    meets the boundary branch (p vanishes there), so whole components can
-    be kept or dropped; the drop test carries a collar absorbing the
-    interpolation error of the traced branch itself.
-    """
-
-    def __init__(self, p, region: TongueRegion, grid: GridSpec):
-        self.x0 = float(region.x0)
-        self.x_max = grid.x_max or region.boundary_trace.samples[-1][0]
-        self.f = boundary_interpolator(region.boundary_trace)
-        self.xs = np.linspace(self.x0, self.x_max, grid.nx)
-        self.ys = np.linspace(0.0, region.profile.f_x0, grid.ny)
-        self.dx = self.xs[1] - self.xs[0]
-        self.dy = self.ys[1] - self.ys[0]
-        self.values = evaluate_on_grid(p, self.xs, self.ys)
-        self.p = p
-
-    def components(self, t: float):
-        """Polylines of the level p = t kept inside the strip."""
-        comps = _walk_components(*_extract_level(self, t))
-        return _components_in_region(comps, self.f, self.dy)
-
-
-def _edge_key(i: int, j: int, edge: int):
-    if edge == 0:
-        return ("h", i, j)
-    if edge == 2:
-        return ("h", i, j + 1)
-    if edge == 3:
-        return ("v", i, j)
-    return ("v", i + 1, j)
-
-
-def _extract_level(field: _Field, t: float):
-    """Marching squares at one level; returns (segments, crossing points).
-
-    Cells with a diagonal sign pattern get one refinement: the sign of the
-    field at the cell center decides the pairing.  A center that evaluates
-    to exactly zero leaves the topology undecidable at this resolution.
-    """
-    F = field.values - t
-    pos = F > 0
-    A = pos[:-1, :-1]
-    B = pos[1:, :-1]
-    C = pos[1:, 1:]
-    D = pos[:-1, 1:]
-    case = (
-        A.astype(np.int8)
-        + 2 * B.astype(np.int8)
-        + 4 * C.astype(np.int8)
-        + 8 * D.astype(np.int8)
+def _root_free_from(res, lo: Fraction) -> bool:
+    """res has no real root on [lo, oo)."""
+    if uni.ueval(res, lo) == 0:
+        return False
+    return not _may_have_root_past(res, lo) or not uni.count_roots(
+        res, lo, uni.root_bound(res)
     )
-    interesting = (case > 0) & (case < 15)
-    xs, ys = field.xs, field.ys
-    points: dict[tuple, tuple[float, float]] = {}
-    segments: list[tuple[tuple, tuple]] = []
 
-    def crossing(i0, j0, i1, j1):
-        v0, v1 = F[i0, j0], F[i1, j1]
-        frac = v0 / (v0 - v1)
-        return (
-            xs[i0] + frac * (xs[i1] - xs[i0]),
-            ys[j0] + frac * (ys[j1] - ys[j0]),
-        )
 
-    def edge_point(i, j, edge):
-        key = _edge_key(i, j, edge)
-        if key not in points:
-            if edge == 0:
-                points[key] = crossing(i, j, i + 1, j)
-            elif edge == 1:
-                points[key] = crossing(i + 1, j, i + 1, j + 1)
-            elif edge == 2:
-                points[key] = crossing(i, j + 1, i + 1, j + 1)
-            else:
-                points[key] = crossing(i, j, i, j + 1)
-        return key
+# ---------------------------------------------------------------------------
+# Level sets, decided exactly
+# ---------------------------------------------------------------------------
 
-    for i, j in np.argwhere(interesting):
-        c = int(case[i, j])
-        if c in (5, 10):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            center = field.p.evaluate_approx(float(cx), float(cy)) - t
-            if center == 0.0:
-                raise ResolutionTooCoarse(
-                    f"saddle cell at ({cx}, {cy}) undecidable at this resolution"
-                )
-            if c == 5:
-                pairs = ((0, 1), (2, 3)) if center > 0 else ((3, 0), (1, 2))
-            else:
-                pairs = ((3, 0), (1, 2)) if center > 0 else ((0, 1), (2, 3))
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _shifted_by(c: list[Fraction], t: Fraction) -> list[Fraction]:
+    return uni.normalize(_shifted(c, t)) if c else [-t]
+
+
+def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _open_roots(c, lo: Fraction, hi: Fraction, width=uni.DEFAULT_WIDTH):
+    """Roots in (lo, hi), with any root at lo divided out first.
+
+    ``isolate_roots`` steps an interval end off a root by 2^-20 of the
+    interval, which can step over a root that close to it.
+    """
+    while c and uni.ueval(c, lo) == 0:
+        c, _ = uni.poly_divmod(c, [-lo, Fraction(1)])
+    return uni.isolate_roots(c, lo, hi, width)
+
+
+def _positive_roots(c: list[Fraction]) -> list[uni.RootInterval]:
+    return _open_roots(c, Fraction(0), uni.root_bound(c))
+
+
+def _shrink(g, lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
+    """Bisect (lo, hi) around its one root of the squarefree g while wide(lo, hi).
+
+    Returns (r, r) if a midpoint hits the root r exactly.
+    """
+    s_lo = _sign(uni.ueval(g, lo))
+    while lo != hi and wide(lo, hi):
+        mid = (lo + hi) / 2
+        s = _sign(uni.ueval(g, mid))
+        if s == 0:
+            lo = hi = mid
+        elif s == s_lo:
+            lo = mid
         else:
-            pairs = _CASE_SEGMENTS[c]
-        for e1, e2 in pairs:
-            segments.append(
-                (edge_point(int(i), int(j), e1), edge_point(int(i), int(j), e2))
+            hi = mid
+    return lo, hi
+
+
+def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
+    """Sign of q at the one root of the squarefree g that ``iv`` isolates."""
+    if uni.count_roots(uni.poly_gcd(q, g), iv.lo, iv.hi):
+        return 0
+    lo, _ = _shrink(
+        g, iv.lo, iv.hi, lambda lo, hi: uni.count_roots(q, lo, hi) or not uni.ueval(q, lo)
+    )
+    return _sign(uni.ueval(q, lo))
+
+
+class _ExactStrip:
+    """p on V, once the hypotheses at x0 hold; the constructor decides them.
+
+    Raises LevelSetUndecided naming the first fact that fails.  Keeps
+    h = p(x0, .) and ``top``, the isolating interval of f(x0); ``facts``
+    states what was proven.
+    """
+
+    def __init__(self, p: BivariatePolynomial, x0: Fraction):
+        self.p, self.x0 = p, x0
+        self.px, self.py = p.partial_derivative("x"), p.partial_derivative("y")
+        self.bottom = uni.normalize([p.coefficient((i, 0)) for i in range(p.degree_x() + 1)])
+        facts = []
+        for name, res, meaning in (
+            ("R = Res_y(p_x, p_y)", _resultant_y(self.px, self.py),
+             "no critical point and no closed level loop"),
+            ("D = Res_y(p, p_y)", _resultant_y(p, self.py),
+             "the roots of p(x, .) stay simple and finite"),
+        ):
+            if not res:
+                raise LevelSetUndecided(f"{name} vanishes identically: a shared factor")
+            if not _root_free_from(res, x0):
+                raise LevelSetUndecided(f"{name} has a real root on [x0, oo), x0 = {x0}")
+            facts.append(
+                f"{name}, degree {uni.degree(res)}, has no real root on [x0, oo): {meaning}"
             )
-    return segments, points
+        if self.bottom and uni.count_roots(self.bottom, x0, uni.root_bound(self.bottom)):
+            raise LevelSetUndecided("p(x, 0) has a real root past x0")
+        self.h = p.restricted_to_x(x0)
+        roots = _positive_roots(self.h)
+        later = p.restricted_to_x(x0 + 1)
+        if not roots or len(roots) != uni.count_roots(later, Fraction(0), uni.root_bound(later)):
+            raise LevelSetUndecided("a root of p(x, .) leaves y = 0 upwards at x0")
+        facts.append(
+            ("p(x, 0) = 0" if not self.bottom else "p(x, 0) has no real root past x0")
+            + ", and p(x0 + 1, .) has as many positive roots as p(x0, .): f is continuous"
+        )
+        ym = Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(roots[0].lo))))
+        if uni.ueval(self.h, ym) <= 0:
+            raise LevelSetUndecided("p is not positive on the segment side")
+        facts.append(f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}")
+        self.facts = tuple(facts)
+        self._swapped = apply_transform(p, SWAP)
+        self._tops = {x0: (self.h, roots[0].hi)}  # line x -> p(x, .), end of f(x)'s interval
+        self._far: dict[Fraction, tuple] = {}  # level -> _far_roots(level)
+        # E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T: keep
+        # its x-coefficients as polynomials in T, from that many + 1 levels
+        levels = [_resultant_y(p - k, self.py) for k in range(self.py.degree_y() + 1)]
+        width = max(map(len, levels))
+        self._e_in_t = [
+            uni.interpolate([e[i] if i < len(e) else 0 for e in levels]) for i in range(width)
+        ]
+
+    def _level_on_line(self, xq: Fraction, t: Fraction) -> int:
+        """Number of roots of p(xq, .) - t in (0, f(xq)), for xq >= x0, t > 0.
+
+        Past f(xq), up to the end of its isolating interval, p(xq, .) < 0 < t:
+        the count may run to that end.
+        """
+        if xq not in self._tops:
+            hq = self.p.restricted_to_x(xq)
+            self._tops[xq] = hq, _positive_roots(hq)[0].hi
+        hq, top = self._tops[xq]
+        return uni.count_roots(_shifted_by(hq, t), Fraction(0), top)
+
+    def ends(self, t: Fraction) -> tuple[int, int, int]:
+        """(segment, bottom, infinity) ends of the level t > 0."""
+        ends = self._segment_ends(t), self._bottom_ends(t), self._far_roots(t)[1]
+        if sum(ends) % 2:
+            raise LevelSetUndecided(f"the level t = {t} has an odd number of ends, {ends}")
+        return ends
+
+    def _segment_ends(self, t: Fraction) -> int:
+        g = _shifted_by(self.h, t)
+        top = self._tops[self.x0][1]  # as in _level_on_line
+        if uni.degree(uni.poly_gcd(g, uni.derivative(g))) < 1:
+            return uni.count_roots(g, Fraction(0), top)  # all roots simple
+        ends = 0
+        for factor, mult in uni.squarefree_decomposition(g):
+            for iv in uni.isolate_roots(factor, Fraction(0), top):
+                if mult == 1:
+                    ends += 1
+                    continue
+                rest = g
+                for _ in range(mult):
+                    rest, _ = uni.poly_divmod(rest, factor)
+                side = _sign_at_root(rest, factor, iv)
+                slope = _sign_at_root(self.px.restricted_to_x(self.x0), factor, iv)
+                if mult == 2 and side != 0 and side == slope:
+                    continue  # tangent from outside V: no end
+                raise LevelSetUndecided(
+                    f"h - t has a root of multiplicity {mult} near y = "
+                    f"{float(iv.midpoint)!r} for t = {t} that does not stay outside V"
+                )
+        return ends
+
+    def _bottom_ends(self, t: Fraction) -> int:
+        if not self.bottom:
+            return 0
+        g = _shifted_by(self.bottom, t)
+        roots = uni.isolate_roots(g, self.x0, uni.root_bound(g))
+        if any(iv.multiplicity > 1 for iv in roots):
+            raise LevelSetUndecided(f"p(x, 0) - t has a multiple root past x0 for t = {t}")
+        return len(roots)
+
+    def _far_roots(self, t: Fraction):
+        """E_t = Res_y(p - t, p_y), the level on a line X past its roots, and X."""
+        if t in self._far:
+            return self._far[t]
+        e = uni.normalize([uni.ueval(c, t) for c in self._e_in_t])
+        if not e:
+            raise LevelSetUndecided(f"Res_y(p - t, p_y) vanishes identically for t = {t}")
+        # a power of two past every real root of E_t and of p(x, 0) - t
+        bound = max(uni.root_bound(c) for c in (e, _shifted_by(self.bottom, t)))
+        far = max(Fraction(2 ** math.ceil(bound).bit_length()), 2 * self.x0)
+        self._far[t] = e, self._level_on_line(far, t), far
+        return self._far[t]
+
+    def pocket(self, t0: Fraction, profile: RestrictionProfile):
+        """Bounding box of the t0 arc and its chord [a, b] on the segment."""
+        e, _, far = self._far_roots(t0)
+        x_hi = _reach(
+            e,
+            _open_roots(e, self.x0, far, ISOLATION_WIDTH),
+            lambda xq: self._level_on_line(xq, t0) > 0,
+        )
+        # heights where the arc's points on a horizontal line can change:
+        # horizontal tangencies, and crossings of the segment side
+        g = _resultant_y(apply_transform(self.p - t0, SWAP), apply_transform(self.px, SWAP))
+        if not g:
+            raise LevelSetUndecided("Res_x(p - t0, p_x) vanishes identically")
+        heights = _umul(g, _shifted_by(self.h, t0))
+        ys = _open_roots(heights, Fraction(0), uni.root_bound(heights), ISOLATION_WIDTH)
+        mids = [float(iv.midpoint) for iv in ys]
+        ia = min(range(len(ys)), key=lambda k: abs(mids[k] - profile.a))
+        ib = min(range(len(ys)), key=lambda k: abs(mids[k] - profile.b))
+        meets = lambda yq: self._meets_arc(yq, t0)  # noqa: E731
+        y_lo = _reach(heights, ys[ia::-1], meets)
+        y_hi = _reach(heights, ys[ib:], meets)
+        return (float(self.x0), x_hi, y_lo, y_hi)
+
+    def _meets_arc(self, yq: Fraction, t0: Fraction) -> bool:
+        """Whether the level t0 has a point in V on the line y = yq."""
+        k = self._swapped.restricted_to_x(yq)  # p(., yq)
+        g = _shifted_by(k, t0)
+        for iv in uni.isolate_roots(g, self.x0, uni.root_bound(g)):
+            # no root of p(., yq) between the point and the probe: no root of
+            # p(x, .) crosses y = yq there, so both are in V or both are not
+            lo, hi = _shrink(g, iv.lo, iv.hi, lambda lo, hi: (
+                uni.count_roots(k, lo, hi) or not uni.ueval(k, lo) or not uni.ueval(k, hi)
+            ))
+            probe = (lo + hi) / 2
+            if not uni.count_roots(self.p.restricted_to_x(probe), Fraction(0), yq):
+                return True
+        return False
 
 
-def _walk_components(segments, points):
-    """Stitch crossing segments into polylines keyed by shared grid edges."""
-    adj: dict[tuple, list[tuple]] = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    visited: set[tuple] = set()
-    components = []
-    # open chains first: start at degree-1 keys for stable endpoints
-    for start in sorted(k for k, nbrs in adj.items() if len(nbrs) == 1):
-        if start in visited:
-            continue
-        components.append((_walk_from(start, adj, visited), False))
-    for key in sorted(adj):
-        if key in visited:
-            continue
-        components.append((_walk_from(key, adj, visited), True))
-    return [(chain, [points[k] for k in chain], closed) for chain, closed in components]
+def _reach(c, breaks: list[uni.RootInterval], meets) -> float:
+    """Where the barrier arc's extent ends along a run of isolated roots of c.
 
-
-def _walk_from(start, adj, visited):
-    chain = [start]
-    visited.add(start)
-    cur, prev = start, None
-    while True:
-        nxt = None
-        for cand in adj[cur]:
-            if cand != prev and (
-                cand not in visited or (cand == chain[0] and len(chain) > 2)
-            ):
-                nxt = cand
-                break
-        if nxt is None or nxt == chain[0]:
-            break
-        chain.append(nxt)
-        visited.add(nxt)
-        prev, cur = cur, nxt
-    return chain
-
-
-def _components_in_region(comps, f, dy):
-    """Keep components inside the strip: above y=0 and below the branch."""
-    kept = []
-    for chain, pts, closed in comps:
-        qx = np.array([q[0] for q in pts])
-        qy = np.array([q[1] for q in pts])
-        if float(qy.max()) <= 0.0:
-            continue  # degenerate contact with the half-line border
-        fq = np.asarray(f(qx))
-        collar = np.maximum(BOUNDARY_COLLAR * fq, 2.0 * dy)
-        if float(np.max(qy - (fq - collar))) >= 0.0:
-            continue  # hugs or crosses the boundary branch
-        kept.append((chain, pts, closed))
-    return kept
+    The arc is known to reach the first root.  Between consecutive roots
+    the number of its points on a line is constant, so one rational probe
+    line per gap decides whether it reaches the next root; the gap past the
+    last root is never reached, since the arc is bounded.
+    """
+    if not breaks:
+        raise LevelSetUndecided("no tangency bounds the barrier arc")
+    for prev, nxt in zip(breaks, breaks[1:]):
+        left, right = sorted((prev, nxt), key=lambda iv: iv.lo)
+        if left.hi >= right.lo:
+            raise LevelSetUndecided("two tangencies of the barrier arc are not separated")
+        if not meets((left.hi + right.lo) / 2):
+            return uni.float_root(c, prev)
+    return uni.float_root(c, breaks[-1])
 
 
 def check_level_sets(
-    p: BivariatePolynomial,
-    region: TongueRegion,
-    t_values,
-    grid: GridSpec | None = None,
+    p: BivariatePolynomial, region: TongueRegion, t_values
 ) -> LevelSetReport:
-    """Classify each level p = t inside the clipped region.
+    """Classify each level p = t in V from its exact end counts.
 
     Expected shape, checked per level: nothing for t <= 0; one arc whose
-    two endpoints lie on the segment side for 0 < t <= t0; nothing or a
-    pocket-bound arc for t > t0.  Closed loops and curves reaching the
-    truncation boundary are always anomalies.
+    two ends lie on the segment side for 0 < t <= t0; nothing or an arc in
+    the pocket for t > t0.  Raises LevelSetUndecided when a hypothesis of
+    the argument (module docstring) fails or a count stays undecided.
     """
     profile = region.profile
-    field = _Field(p, region, grid or GridSpec())
-    t0 = float(profile.t0)
-
-    barrier = field.components(t0)
-    pocket = _pocket_bbox(field, barrier)
+    strip = _ExactStrip(p, region.x0)
+    t0 = profile.t0
+    barrier = strip.ends(t0)
+    pinned = barrier == (2, 0, 0)
+    pocket = strip.pocket(t0, profile) if pinned else None
     failures: list[str] = []
-    if pocket is None:
-        failures.append("barrier level did not produce a single pinned arc")
+    if not pinned:
+        failures.append("barrier level is not a single arc pinned to the segment")
 
     records = []
-    for t in sorted(map(float, t_values)):
-        comps = barrier if t == t0 else field.components(t)
-        rec = _classify_level(field, comps, t, t0, profile, pocket)
+    for t in sorted(map(Fraction, t_values)):
+        ends = barrier if t == t0 else strip.ends(t) if t > 0 else (0, 0, 0)
+        rec = _level_record(float(t), t <= 0, t <= t0, ends, pinned)
         records.append(rec)
         if not rec.ok:
             failures.append(
@@ -772,108 +849,41 @@ def check_level_sets(
         passed=not failures,
         failures=tuple(failures),
         pocket_bbox=pocket,
+        exact_facts=strip.facts,
     )
 
 
-def _pocket_bbox(field: _Field, comps):
-    """Bounding box of the barrier-level arc plus its chord on the segment."""
-    if len(comps) != 1 or comps[0][2]:
-        return None
-    xs, ys = zip(*comps[0][1])
-    return (field.x0, max(xs), min(ys), max(ys))
-
-
-def _classify_level(field: _Field, comps, t: float, t0: float, profile, pocket) -> LevelRecord:
-    x0, x_max, dy = field.x0, field.x_max, field.dy
-    n = len(comps)
-    anomalies: list[str] = []
-    loops = any(closed for _, _, closed in comps)
-    boundary_endpoints = 0
-    eps_x = (x_max - x0) * 1e-9 + 1e-12
-    f_right = float(field.f(x_max))
-
-    for chain, pts, closed in comps:
-        if closed:
-            anomalies.append("closed loop inside the region")
-            continue
-        for end_pt in (pts[0], pts[-1]):
-            ex, ey = end_pt
-            if abs(ex - x0) <= eps_x:
-                boundary_endpoints += 1
-                if not (0 < ey < profile.f_x0):
-                    anomalies.append(f"segment endpoint at height {ey!r} out of range")
-            elif ex >= x_max - eps_x:
-                # tolerate only the corner sliver where the branch itself exits
-                if ey < f_right - 3 * dy:
-                    anomalies.append(
-                        f"curve reaches the truncation boundary at y={ey!r}"
-                    )
-            else:
-                anomalies.append(f"loose endpoint at ({ex!r}, {ey!r})")
-
-    if n == 0:
-        classification = EMPTY
-        ok = t <= 0 or t > t0
-        if not ok:
+def _level_record(t: float, nonpositive: bool, below: bool, ends, pinned: bool) -> LevelRecord:
+    segment, bottom, far = ends
+    count = (segment + bottom + far) // 2
+    anomalies = []
+    if bottom:
+        anomalies.append(f"{bottom} end(s) on the bottom side")
+    if far:
+        anomalies.append(f"{far} end(s) at infinity")
+    if nonpositive:
+        classification, ok = EMPTY, True  # p > 0 on V
+    elif below:
+        classification = SEGMENT_ARC if count else EMPTY
+        ok = count == 1 and segment == 2
+        if not count:
             anomalies.append("expected one arc strictly below the barrier")
-    elif t <= 0:
-        classification = SEGMENT_ARC if boundary_endpoints else CONTAINED_IN_B
-        ok = False
-        anomalies.append("nonempty level at t <= 0")
-    elif t <= t0:
-        classification = SEGMENT_ARC
-        ok = n == 1 and boundary_endpoints == 2 and not loops and not anomalies
     else:
-        classification = CONTAINED_IN_B
-        ok = (
-            not loops
-            and not anomalies
-            and _contained_in_pocket(comps, pocket, profile, field.dx, dy)
-        )
+        classification = CONTAINED_IN_B if count else EMPTY
+        ok = not count or (pinned and not anomalies)
         if not ok and not anomalies:
-            anomalies.append("arc above the barrier leaves the pocket")
+            anomalies.append("no pocket: the barrier level is not a pinned arc")
     return LevelRecord(
         t=t,
         classification=classification,
-        component_count=n,
-        boundary_endpoint_count=boundary_endpoints,
-        closed_loop_detected=loops,
+        component_count=count,
+        boundary_endpoint_count=segment,
+        closed_loop_detected=False,
         ok=ok,
         anomalies=tuple(anomalies),
+        bottom_endpoint_count=bottom,
+        ends_at_infinity=far,
     )
-
-
-def _contained_in_pocket(comps, pocket, profile, dx, dy) -> bool:
-    if pocket is None:
-        return False
-    x_lo, x_hi, y_lo, y_hi = pocket
-    tx, ty = 2 * dx, 2 * dy
-    for _, pts, _ in comps:
-        for qx, qy in pts:
-            if not (x_lo - tx <= qx <= x_hi + tx and y_lo - ty <= qy <= y_hi + ty):
-                return False
-        for end_pt in (pts[0], pts[-1]):
-            if not (profile.a - ty <= end_pt[1] <= profile.b + ty):
-                return False
-    return True
-
-
-def extract_polylines(
-    p: BivariatePolynomial,
-    region: TongueRegion,
-    t_values,
-    grid: GridSpec | None = None,
-):
-    """Level polylines clipped to the region, as [(t, [polyline, ...]), ...].
-
-    Rendering support; the classification checks recompute their own
-    extraction at full resolution.
-    """
-    field = _Field(p, region, grid or GridSpec())
-    return [
-        (float(t), [pts for _, pts, _ in field.components(float(t))])
-        for t in sorted(t_values, key=float)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -897,10 +907,10 @@ def tongue_certificate(
 
     The region starts at x0 = 1 and is accepted by ``build_tongue`` only
     with a clean critical-point check, whose report is passed along; the
-    levels follow ``default_schedule``.  Verified means every check passed
-    at the configured resolution; it is a numeric status, not a proof
-    object.  A saddle cell the raster cannot decide reports Inconclusive;
-    violated expectations report Failed.
+    levels follow ``default_schedule``.  Verified means every level count
+    came out as expected; the counts are exact (module docstring).  A
+    hypothesis that fails or a count left undecided reports Inconclusive,
+    naming the fact; violated expectations report Failed.
     """
     grid = grid or GridSpec()
     cert = corollary_certificate(p, allow_swap=True)
@@ -913,8 +923,8 @@ def tongue_certificate(
 
     levels = default_schedule(region.profile.t0)
     try:
-        level_report = check_level_sets(region.poly, region, levels, grid)
-    except ResolutionTooCoarse as exc:
+        level_report = check_level_sets(region.poly, region, levels)
+    except LevelSetUndecided as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), region, None)
 
     status = VERIFIED if level_report.passed else FAILED

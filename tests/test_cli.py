@@ -3,12 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import xml.dom.minidom
 
 import jsonschema
 import pytest
 
 import jacmate
+from jacmate import render
 from jacmate.certificate import CERTIFICATE_SCHEMA
 from jacmate.cli import run_command
 
@@ -108,6 +110,25 @@ def test_certify_degenerate_sampler_is_an_input_error(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_input_over_the_degree_cap_exits_2_fast():
+    # exact evaluation of x^1000000 in the falsifier's revalidation ran
+    # unbounded; the parser now refuses the power before building it
+    src = str(pathlib.Path(jacmate.__file__).parents[1])
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacmate.cli", "certify", "x^1000000*y", "--falsify", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert time.perf_counter() - started < 2.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_certify_does_not_import_sympy():
@@ -269,6 +290,20 @@ def test_render_tongue_to_file(tmp_path, capsys):
     )
     assert code == 0
     xml.dom.minidom.parse(str(out_svg))
+
+
+def test_render_tongue_leaves_out_an_undecidable_level(monkeypatch, capsys):
+    # a saddle cell centred on the level makes the drawing raster give up on
+    # that level; the figure is still drawn, without a traceback
+    def coarse(raster, t):
+        raise render.ResolutionTooCoarse(f"saddle cell undecidable at t={t!r}")
+
+    monkeypatch.setattr(render, "_extract_level", coarse)
+    code, out, err = run(capsys, "render", "y + x^2*y^2", "--what", "tongue", "--x-max", "50")
+    assert code == 0
+    assert err == ""
+    xml.dom.minidom.parseString(out)
+    assert out.count("not drawn: saddle cell undecidable") == 30
 
 
 def test_unknown_subcommand(capsys):

@@ -14,7 +14,11 @@ from jacmate.poly import (
     NEGATE_Y,
     SWAP,
     BivariatePolynomial,
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_TERMS,
     EmptyInput,
+    InputTooLarge,
     NonNaturalExponent,
     ParseError,
     apply_transform,
@@ -315,3 +319,26 @@ def test_evaluate_on_grid_matches_pointwise():
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             assert grid[i, j] == pytest.approx(p.evaluate_approx(x, y), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("x^1000000*y", "degree 1000000"),
+        ("(x^2 + y)^129", "degree 258"),
+        ("x^200*x^57", "degree 257"),
+        ("(1 + x + y)^60", "terms exceed"),
+        ("2^1000", "bits"),
+        ("(3/2)^200", "bits"),
+    ],
+)
+def test_parser_refuses_input_over_a_cap(text, what):
+    with pytest.raises(InputTooLarge, match=what):
+        parse_polynomial(text)
+
+
+def test_parser_admits_input_at_the_caps():
+    assert parse_polynomial(f"x^{MAX_DEGREE}*y^{MAX_DEGREE}").degree_x() == MAX_DEGREE
+    assert parse_polynomial(f"{2**MAX_COEFF_BITS - 1}/{2**MAX_COEFF_BITS - 1}*x") == parse_polynomial("x")
+    assert parse_polynomial("1^1000000000 + (-1)^1000000001") == parse_polynomial("0")
+    assert len(parse_polynomial("(1 + x + y)^43").terms) == 990 <= MAX_TERMS

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,16 @@ import pytest
 
 from jacmate.poly import NEGATE_Y, SWAP, compose_transforms, parse_polynomial
 from jacmate.branches import BranchTrace
+from jacmate.render import LevelRaster
 from jacmate.tongue import (
     CONTAINED_IN_B,
     EMPTY,
     FAILED,
+    INCONCLUSIVE,
     SEGMENT_ARC,
     VERIFIED,
     GridSpec,
+    LevelSetUndecided,
     NotSingleSignedOnInterval,
     RestrictionProfile,
     TongueRegion,
@@ -22,13 +26,12 @@ from jacmate.tongue import (
     check_level_sets,
     check_no_critical_points,
     default_schedule,
-    extract_polylines,
-    halton_points,
     restriction_profile,
     tongue_certificate,
 )
-from jacmate import tongue
+from jacmate import render, tongue
 from jacmate import univariate as uni
+from jacmate.cli import run_command
 
 
 SQ2 = 2**0.5
@@ -107,18 +110,6 @@ def test_boundary_interpolator_power_law(region3):
     want = 1.0 / xs**2
     got = np.asarray(f(xs))
     assert np.all(np.abs(got - want) <= 1e-6 * want)
-
-
-def test_halton_points_are_deterministic_and_fill():
-    u1, v1 = halton_points(256)
-    u2, v2 = halton_points(256)
-    assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
-    assert u1.shape == (256,)
-    assert np.all((u1 > 0) & (u1 < 1)) and np.all((v1 > 0) & (v1 < 1))
-    # low-discrepancy: every fifth of the unit square gets a visit
-    for lo in np.linspace(0, 0.8, 5):
-        assert np.any((u1 >= lo) & (u1 < lo + 0.2))
-        assert np.any((v1 >= lo) & (v1 < lo + 0.2))
 
 
 def test_critical_point_sweep_clean_p3(p3, region3):
@@ -217,10 +208,13 @@ def test_critical_point_at_irrational_x():
 
 def test_shared_factor_partials_use_the_slice_schedule():
     # p = u + u^2 with u = y + x*y^2: both partials carry 1 + 2u, so the
-    # resultant is identically zero and the fixed slices are examined
+    # resultant is identically zero and the fixed slices are examined; the
+    # exact level argument needs R != 0, so the levels stay undecided
     cert = tongue_certificate(parse_polynomial("y + x*y^2 + (y + x*y^2)^2"))
-    assert cert.status == VERIFIED
     assert cert.region.critical_point_check.slices_checked > 0
+    assert cert.status == INCONCLUSIVE
+    assert cert.level_report is None
+    assert cert.reasons == ("R = Res_y(p_x, p_y) vanishes identically: a shared factor",)
 
 
 def test_resultant_roots_on_the_closed_window():
@@ -236,9 +230,8 @@ def test_resultant_roots_on_the_closed_window():
 
 
 def test_level_sets_p3(p3, region3):
-    grid = GridSpec(x_max=50.0)
     schedule = default_schedule(region3.profile.t0)
-    report = check_level_sets(region3.poly, region3, schedule, grid)
+    report = check_level_sets(region3.poly, region3, schedule)
     assert report.passed
     assert not report.failures
     assert len(report.records) == 30
@@ -255,75 +248,68 @@ def test_level_sets_p3(p3, region3):
     assert all(r.t > float(region3.profile.t0) for r in by_class.get(CONTAINED_IN_B, []))
 
 
-def test_level_sets_extract_each_level_once(region3, monkeypatch):
-    # the barrier t0 is also the 20th scheduled level: 30 levels, 30 extractions
+def test_certify_path_extracts_no_raster_level(monkeypatch, capsys):
+    # the levels are decided exactly: the drawing raster is never consulted
     calls = []
-    extract = tongue._extract_level
+    extract = render._extract_level
 
-    def counted(field, t):
+    def counted(raster, t):
         calls.append(t)
-        return extract(field, t)
+        return extract(raster, t)
 
-    monkeypatch.setattr(tongue, "_extract_level", counted)
-    schedule = default_schedule(region3.profile.t0)
-    check_level_sets(region3.poly, region3, schedule, GridSpec(200, 200, 50.0))
-    assert len(set(schedule)) == 30
-    assert sorted(calls) == sorted(map(float, schedule))
+    monkeypatch.setattr(render, "_extract_level", counted)
+    code = run_command(["certify", "y + x^2*y^2", "--tongue", "--falsify", "2"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tongue"]["status"] == VERIFIED
+    assert calls == []
 
 
 def test_level_endpoints_match_exact_root_count(region3):
-    # grid says two boundary endpoints; sturm on h - t must agree
+    # the record's segment ends are the roots of h - t below f(x0) = 1
     prof = region3.profile
-    grid = GridSpec(x_max=50.0)
     for k in (1, 7, 20):
         t = prof.t0 * Fraction(k, 20)
         shifted = list(prof.h_coeffs)
         shifted[0] -= t
         exact = uni.count_roots(shifted, Fraction(0), Fraction(1))
-        report = check_level_sets(region3.poly, region3, [t], grid)
+        report = check_level_sets(region3.poly, region3, [t])
         (rec,) = report.records
         assert rec.boundary_endpoint_count == exact == 2
 
 
 def test_pocket_bbox_brackets_crossings(region3):
-    grid = GridSpec(x_max=50.0)
+    # the t0 = 1/8 arc of y - x^2*y^2 has its vertical tangency where
+    # 1 - 2x^2*y = 0, at x = sqrt(2); p_x = -2xy^2 has no zero in V, so no
+    # horizontal tangency widens [a, b]
     report = check_level_sets(
-        region3.poly, region3, default_schedule(region3.profile.t0), grid
+        region3.poly, region3, default_schedule(region3.profile.t0)
     )
     assert report.pocket_bbox is not None
     x_lo, x_hi, y_lo, y_hi = report.pocket_bbox
     prof = region3.profile
-    dy = prof.f_x0 / (grid.ny - 1)
-    assert x_lo <= 1.0 <= x_hi
-    assert abs(y_lo - prof.a) <= 2 * dy
-    assert abs(y_hi - prof.b) <= 2 * dy
-    assert x_hi < 5.0  # the pocket hugs the segment side
+    assert x_lo == 1.0
+    assert abs(x_hi - SQ2) <= 1e-13
+    assert abs(y_lo - prof.a) <= 1e-13
+    assert abs(y_hi - prof.b) <= 1e-13
 
 
 def test_levels_above_barrier_fit_in_pocket(region3):
-    grid = GridSpec(x_max=50.0)
     t0 = region3.profile.t0
-    report = check_level_sets(
-        region3.poly, region3, [t0 * Fraction(9, 8)], grid
-    )
+    report = check_level_sets(region3.poly, region3, [t0 * Fraction(9, 8)])
     (rec,) = report.records
     assert rec.ok
     assert rec.classification == CONTAINED_IN_B
 
 
 def test_far_levels_above_barrier_are_empty(region3):
-    grid = GridSpec(x_max=50.0)
-    report = check_level_sets(region3.poly, region3, [Fraction(4)], grid)
+    report = check_level_sets(region3.poly, region3, [Fraction(4)])
     (rec,) = report.records
     assert rec.classification == EMPTY
     assert rec.ok
 
 
 def test_nonpositive_levels_are_empty(region3):
-    grid = GridSpec(x_max=50.0)
-    report = check_level_sets(
-        region3.poly, region3, [Fraction(0), Fraction(-1)], grid
-    )
+    report = check_level_sets(region3.poly, region3, [Fraction(0), Fraction(-1)])
     for rec in report.records:
         assert rec.classification == EMPTY
         assert rec.ok
@@ -341,14 +327,12 @@ def test_default_schedule_shape():
 
 def test_extract_polylines_stay_inside(region3):
     t0 = region3.profile.t0
-    lines = extract_polylines(
-        region3.poly, region3, [t0 * Fraction(k, 4) for k in (1, 2, 3)], GridSpec(400, 400, 50.0)
-    )
+    raster = LevelRaster(region3.poly, region3, GridSpec(400, 400, 50.0))
     f = boundary_interpolator(region3.boundary_trace)
-    assert lines
-    for t, comps in lines:
+    for t in (t0 * Fraction(k, 4) for k in (1, 2, 3)):
+        comps = raster.components(float(t))
         assert comps
-        for comp in comps:
+        for comp, _ in comps:
             for x, y in comp:
                 assert 1.0 - 1e-9 <= x <= 50.0 + 1e-9
                 assert -1e-9 <= y
@@ -439,3 +423,108 @@ def test_image_values_trapped_below_quarter(swap_case):
         assert 0.0 < v <= 0.25 + 1e-12
         top = max(top, v)
     assert top > 0.24  # the bound is sharp near the segment side
+
+
+FIXTURES = (
+    "y + x*y^2 + y^4",
+    "y + x*y^3",
+    "y + y^2 + x*y^3",
+    "y + x^2*y^2",
+    "y + y^3 + x^2*y^2",
+    "y + y^2 + y^3 + x^2*y^2",
+    "x + x^2*y",
+    "y - (x^2 - 4*x + 6)*y^2",
+)
+
+
+@pytest.fixture(scope="module")
+def fixture_certs():
+    return {text: tongue_certificate(parse_polynomial(text)) for text in FIXTURES}
+
+
+def level_at(cert, t):
+    (rec,) = [r for r in cert.level_report.records if r.t == float(t)]
+    return rec
+
+
+def test_double_root_at_the_barrier_peak_gives_no_end(p3, region3):
+    # h = y - y^2 peaks at 1/4 = 2*t0 at y = 1/2, a double root of h - 2*t0;
+    # p_x = -2x*y^2 < 0 there and h - 2*t0 < 0 beside it, so the level only
+    # touches the segment from outside V
+    t = 2 * region3.profile.t0
+    shifted = uni.derivative(list(region3.profile.h_coeffs))
+    assert uni.ueval(shifted, Fraction(1, 2)) == 0
+    strip = tongue._ExactStrip(region3.poly, region3.x0)
+    assert strip.ends(t) == (0, 0, 0)
+    (rec,) = check_level_sets(region3.poly, region3, [t]).records
+    assert (rec.classification, rec.component_count, rec.boundary_endpoint_count) == (EMPTY, 0, 0)
+    assert rec.ok
+
+
+@pytest.mark.parametrize("text", ["y + x*y^2 + y^4", "y + x*y^3", "y + y^2 + y^3 + x^2*y^2"])
+def test_near_tangent_levels_at_twice_the_barrier(fixture_certs, text):
+    # t0 is a rational just below half the peak of h, so h - 2*t0 has two
+    # simple roots a hair apart: a small arc inside the pocket
+    cert = fixture_certs[text]
+    rec = level_at(cert, 2 * cert.region.profile.t0)
+    assert rec.classification == CONTAINED_IN_B
+    assert rec.component_count == 1
+    assert rec.boundary_endpoint_count == 2
+    assert rec.ok
+
+
+def test_raster_agrees_with_exact_counts(fixture_certs):
+    # the drawing raster at 1000^2 finds the one arc and its two segment ends
+    for text, cert in fixture_certs.items():
+        assert cert.status == VERIFIED, text
+        region = cert.region
+        x0 = float(region.x0)
+        raster = LevelRaster(region.poly, region, GridSpec())
+        for k in range(1, 21):
+            t = float(region.profile.t0 * Fraction(k, 20))
+            rec = level_at(cert, t)
+            assert (rec.component_count, rec.boundary_endpoint_count) == (1, 2), (text, k)
+            comps = raster.components(t)
+            assert len(comps) == 1, (text, k)
+            pts, closed = comps[0]
+            assert not closed
+            assert all(abs(x - x0) <= 1e-9 for x, _ in (pts[0], pts[-1])), (text, k)
+
+
+def test_tangency_entering_the_strip_is_undecided():
+    # p = u + x*u^2 with u = y(1 - y): h peaks at 5/16 at y = 1/2, where
+    # p_x = u^2 > 0, so that level bulges into V from one segment point
+    p = parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y))")
+    strip = tongue._ExactStrip(p, Fraction(1))
+    with pytest.raises(LevelSetUndecided, match="multiplicity 2"):
+        strip.ends(Fraction(5, 16))
+    # p grows with x on the strip, so lower levels run out to infinity
+    assert strip.ends(Fraction(1, 4)) == (2, 0, 2)
+
+
+def test_bottom_and_infinity_ends_are_counted():
+    # p(x, 0) = x - 1 meets every level t > 0 once past x0 = 1, and far out
+    # p(x, .) runs from x - 1 > t down to 0, crossing t once
+    strip = tongue._ExactStrip(parse_polynomial("x - 1 + y - x^2*y^2"), Fraction(1))
+    assert strip.ends(Fraction(1, 16)) == (2, 1, 1)
+    assert strip.ends(Fraction(1, 2)) == (0, 1, 1)
+    rec = tongue._level_record(1 / 16, False, True, (2, 1, 1), True)
+    assert rec.component_count == 2 and not rec.ok
+    assert rec.anomalies == ("1 end(s) on the bottom side", "1 end(s) at infinity")
+
+
+def test_reach_stops_at_the_first_gap_the_arc_misses():
+    # roots 1, 2, 3 and probes near 1.5 and 2.5; the arc meets the lines
+    # below 2 only, so going up it ends at 2, going down from 3 at 3 itself
+    c = parse_polynomial("(y - 1)*(y - 2)*(y - 3)").restricted_to_x(0)
+    roots = uni.isolate_roots(c)
+    assert tongue._reach(c, roots, lambda q: q < 2) == 2.0
+    assert tongue._reach(c, roots[::-1], lambda q: q < 2) == 3.0
+    assert tongue._reach(c, roots, lambda q: True) == 3.0
+
+
+def test_failed_hypothesis_names_the_fact():
+    # the planted critical point (2, 1/4) puts a root of R past x0 = 1
+    p = parse_polynomial("y - (x^2 - 4*x + 6)*y^2")
+    with pytest.raises(LevelSetUndecided, match=r"R = Res_y\(p_x, p_y\) has a real root"):
+        tongue._ExactStrip(p, Fraction(1))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacmate.poly import BivariatePolynomial, parse_polynomial
-from jacmate.tongue import _critical_resultant
+from jacmate.tongue import _resultant_y
 from jacmate.univariate import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -323,7 +323,7 @@ bivariate = st.dictionaries(
 )
 def test_interpolated_resultant_matches_sylvester_off_the_nodes(f, g, points):
     assume(not f.is_zero and not g.is_zero)
-    res = _critical_resultant(f, g)
+    res = _resultant_y(f, g)
     m, n = f.degree_y(), g.degree_y()
     # the interpolation nodes are 0, 1, 2, ...; a non-integer is never one
     for x in [r for r in points if r.denominator > 1] + [Fraction(-1, 2)]:
@@ -359,4 +359,4 @@ def test_critical_resultant_matches_sympy(text):
     as_sympy = [sympy.sympify(str(d).replace("^", "**")) for d in (px, py)]
     want = sympy.Poly(sympy.resultant(*as_sympy, y), x).all_coeffs()[::-1]
     want = normalize([Fraction(int(c.p), int(c.q)) for c in want])
-    assert _critical_resultant(px, py) == want
+    assert _resultant_y(px, py) == want
