@@ -8,6 +8,7 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -197,7 +198,13 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use, not at import.
+
+    ``parse_args`` fills a fresh namespace from the defaults on every call,
+    so no option carries over from one command to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="jacmate",
         description="Certify that a plane polynomial has no real Jacobian mate.",
@@ -261,9 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -153,8 +153,7 @@ def find_jacobian_zero(
     J = jacobian(p, q)
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
-    Jx = J.partial_derivative("x")
-    Jy = J.partial_derivative("y")
+    partials = None  # (J_x, J_y), built when a box first reaches the descent
 
     best_abs = np.inf
     best_point = (0.0, 0.0)
@@ -165,40 +164,72 @@ def find_jacobian_zero(
         xs = np.linspace(-w, w, GRID_PER_AXIS)
         ys = np.linspace(-w, w, GRID_PER_AXIS)
         vals = evaluate_on_grid(J, xs, ys)
-        finite = np.isfinite(vals)
-        absvals = np.where(finite, np.abs(vals), np.inf)
+        absvals = np.abs(vals)
+        # the largest |value| is finite only when every value is (NaN
+        # propagates); then finite stays None, no mask to build or apply
+        finite = None if np.isfinite(absvals.max()) else np.isfinite(vals)
+        if finite is not None:
+            absvals = np.where(finite, absvals, np.inf)
 
         i_min, j_min = divmod(int(np.argmin(absvals)), len(ys))
+        least = absvals[i_min, j_min]
         flattest = (float(xs[i_min]), float(ys[j_min]))
-        if absvals[i_min, j_min] < best_abs:
-            best_abs = float(absvals[i_min, j_min])
+        if least < best_abs:
+            best_abs = float(least)
             best_point = flattest
 
-        for i, j in np.argwhere(finite & (vals == 0.0)):
-            x, y = float(xs[i]), float(ys[j])
-            if J.evaluate(Fraction(x), Fraction(y)) == 0:
-                return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
-            hit = _accept(J, x, y, LOCAL_MINIMIZATION)
-            if hit:
-                return hit
+        if least == 0.0:  # some finite node is an exact float zero
+            for i, j in np.argwhere(vals == 0.0):
+                x, y = float(xs[i]), float(ys[j])
+                if J.evaluate(Fraction(x), Fraction(y)) == 0:
+                    return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
+                hit = _accept(J, x, y, LOCAL_MINIMIZATION)
+                if hit:
+                    return hit
 
-        sgn = np.sign(vals)
-        for i, j in np.argwhere(finite[:-1, :] & finite[1:, :] & (sgn[:-1, :] * sgn[1:, :] < 0)):
+        # a sign change joins two finite nonzero nodes whose sign bits differ;
+        # with no zero and no non-finite node there is no mask to apply
+        signed = None if finite is None and least > 0.0 else np.isfinite(vals) & (vals != 0.0)
+        neg = np.signbit(vals)
+        for i, j in _sign_changes(neg, signed, 0):
             hit = _bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j]))
             if hit:
                 return hit
-        for i, j in np.argwhere(finite[:, :-1] & finite[:, 1:] & (sgn[:, :-1] * sgn[:, 1:] < 0)):
+        for i, j in _sign_changes(neg, signed, 1):
             hit = _bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i]), float(ys[j + 1]))
             if hit:
                 return hit
 
-        if np.isfinite(absvals[i_min, j_min]):
-            hit = _descend(J, Jx, Jy, *flattest)
+        if np.isfinite(least):
+            if partials is None:
+                partials = (J.partial_derivative("x"), J.partial_derivative("y"))
+            hit = _descend(J, *partials, *flattest)
             if hit:
                 return hit
         w *= 2
 
     return MinRecord(best_point=best_point, best_abs_jac=best_abs, boxes_searched=boxes)
+
+
+def _sign_changes(neg: np.ndarray, signed: np.ndarray | None, axis: int):
+    """Yield grid nodes (i, j), row-major, whose sign bit ``neg`` differs from
+    that of the next neighbour along ``axis``, both nodes ``signed``.
+
+    ``signed`` marks the finite nonzero nodes, or is None when every node is.
+    """
+    head, tail = _neighbours(neg, axis)
+    change = head != tail
+    if signed is not None:
+        s_head, s_tail = _neighbours(signed, axis)
+        change &= s_head & s_tail
+    width = change.shape[1]
+    for k in np.flatnonzero(change).tolist():
+        yield divmod(k, width)
+
+
+def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each node and its next neighbour along ``axis``, as two views."""
+    return (a[:-1, :], a[1:, :]) if axis == 0 else (a[:, :-1], a[:, 1:])
 
 
 # ---------------------------------------------------------------------------

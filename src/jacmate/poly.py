@@ -138,7 +138,8 @@ class BivariatePolynomial:
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair {(i, j)}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c != 0:
                 clean[(int(i), int(j))] = c
         object.__setattr__(self, "terms", clean)
@@ -173,7 +174,7 @@ class BivariatePolynomial:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -202,7 +203,7 @@ class BivariatePolynomial:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                s = out.get(k, Fraction(0)) + c1 * c2
+                s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
@@ -544,10 +545,10 @@ def _bounded_power(base: BivariatePolynomial, n: int) -> BivariatePolynomial:
         )
     if len(base.terms) <= 1:
         # one term stays one term; n > MAX_DEGREE only for a constant
-        c = next(iter(base.terms.values()), Fraction(0))
+        (i, j), c = next(iter(base.terms.items()), ((0, 0), Fraction(0)))
         if n > MAX_COEFF_BITS and max(abs(c.numerator), c.denominator) > 1:
             raise InputTooLarge(f"a coefficient exceeds the cap of {MAX_COEFF_BITS} bits")
-        return _within_budget(base**n)
+        return _within_budget(BivariatePolynomial({(i * n, j * n): c**n}))
     value = BivariatePolynomial.constant(1)
     for _ in range(n):  # n <= MAX_DEGREE here
         value = _within_budget(value * base)

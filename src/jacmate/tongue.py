@@ -593,27 +593,18 @@ def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _open_roots(c, lo: Fraction, hi: Fraction, width=uni.DEFAULT_WIDTH):
-    """Roots in (lo, hi), with any root at lo divided out first.
-
-    ``isolate_roots`` steps an interval end off a root by 2^-20 of the
-    interval, which can step over a root that close to it.
-    """
-    while c and uni.ueval(c, lo) == 0:
-        c, _ = uni.poly_divmod(c, [-lo, Fraction(1)])
-    return uni.isolate_roots(c, lo, hi, width)
-
-
 def _positive_roots(c: list[Fraction]) -> list[uni.RootInterval]:
-    return _open_roots(c, Fraction(0), uni.root_bound(c))
+    return uni.isolate_roots(c, Fraction(0), uni.root_bound(c))
 
 
 def _shrink(g, lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
     """Bisect (lo, hi) around its one root of the squarefree g while wide(lo, hi).
 
-    Returns (r, r) if a midpoint hits the root r exactly.
+    Returns (r, r) if a midpoint hits the root r exactly.  lo may itself be
+    a root of g (``isolate_roots`` can start an interval on one); the sign
+    of g on (lo, r) is then that of g'(lo).
     """
-    s_lo = _sign(uni.ueval(g, lo))
+    s_lo = _sign(uni.ueval(g, lo)) or _sign(uni.ueval(uni.derivative(g), lo))
     while lo != hi and wide(lo, hi):
         mid = (lo + hi) / 2
         s = _sign(uni.ueval(g, mid))
@@ -759,7 +750,7 @@ class _ExactStrip:
         e, _, far = self._far_roots(t0)
         x_hi = _reach(
             e,
-            _open_roots(e, self.x0, far, ISOLATION_WIDTH),
+            uni.isolate_roots(e, self.x0, far, ISOLATION_WIDTH),
             lambda xq: self._level_on_line(xq, t0) > 0,
         )
         # heights where the arc's points on a horizontal line can change:
@@ -768,7 +759,7 @@ class _ExactStrip:
         if not g:
             raise LevelSetUndecided("Res_x(p - t0, p_x) vanishes identically")
         heights = _umul(g, _shifted_by(self.h, t0))
-        ys = _open_roots(heights, Fraction(0), uni.root_bound(heights), ISOLATION_WIDTH)
+        ys = uni.isolate_roots(heights, Fraction(0), uni.root_bound(heights), ISOLATION_WIDTH)
         mids = [float(iv.midpoint) for iv in ys]
         ia = min(range(len(ys)), key=lambda k: abs(mids[k] - profile.a))
         ib = min(range(len(ys)), key=lambda k: abs(mids[k] - profile.b))

@@ -41,8 +41,9 @@ DEFAULT_WIDTH = Fraction(1, 10**12)
 class RootInterval:
     """One real root: lo <= root <= hi, with its multiplicity.
 
-    lo == hi marks an exact rational root; otherwise the endpoints are not
-    roots and the open interval contains exactly one root.
+    lo == hi marks an exact rational root; otherwise the open interval
+    contains exactly one root, and an endpoint is no root of the same
+    square-free factor unless it is an end of the interval searched.
     """
 
     lo: Fraction
@@ -241,6 +242,10 @@ def isolate_roots(
 
     Intervals are refined to at most ``width`` and sorted by position.
     Multiplicities are exact (from the square-free decomposition of f).
+    No end of an interval is a root of the square-free factor whose root
+    the interval isolates, except ``lo`` or ``hi`` itself: a root there is
+    outside (lo, hi) and not reported, but the interval next to it may
+    start or end on it.
     """
     f = normalize(f)
     if degree(f) < 1:
@@ -271,27 +276,19 @@ def _nonroot_point(g: list[int], lo: Fraction, hi: Fraction) -> Fraction:
 def _isolate_squarefree(
     g: Coeffs, lo: Fraction, hi: Fraction, width: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    g = normalize(g)
-    if degree(g) < 1 or lo >= hi:
+    if lo >= hi:
+        return []
+    # roots at the requested ends lie outside the open interval: divide them
+    # out once, and no end of a subinterval is a root (midpoints avoid roots)
+    g = _deflate_root(_deflate_root(normalize(g), lo), hi)
+    if degree(g) < 1:
         return []
     chain = _integer_chain(g)
     gi = chain[0]
     out: list[tuple[Fraction, Fraction]] = []
-    # exact roots at the requested endpoints are outside the open interval
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
-        a_root, b_root = _is_root(gi, a), _is_root(gi, b)
-        if a_root or b_root:
-            # nudge the endpoint off the root; interval arithmetic stays exact
-            shift = (b - a) / 2**20
-            if a_root:
-                a += shift
-            if b_root:
-                b -= shift
-            if a >= b:
-                continue
-        # endpoints are never roots here
         n = _variations(chain, a) - _variations(chain, b)
         if n == 0:
             continue

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,9 +10,11 @@ import xml.dom.minidom
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacmate
-from jacmate import render
+from jacmate import cli, render
 from jacmate.certificate import CERTIFICATE_SCHEMA
 from jacmate.cli import run_command
 
@@ -312,3 +316,94 @@ def test_unknown_subcommand(capsys):
 
 def test_no_arguments(capsys):
     assert run_command([]) == 2
+
+
+def test_one_parser_per_process(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "analyze", "y + x^2*y^2")[0] == 0
+    assert run(capsys, "falsify", "x", "--q", "y")[0] == 1
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_parser_is_not_built_at_import():
+    script = "import jacmate.cli as c; assert c._build_parser.cache_info().currsize == 0"
+    src = str(pathlib.Path(jacmate.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_in_a_row_share_no_options(tmp_path, capsys):
+    # the reused parser fills a fresh namespace on every call
+    path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "certify", "y + x^2*y^2", "--tongue", "--json", str(path))
+    assert code == 0
+    assert "tongue" in json.loads(out)
+    assert json.loads(path.read_text()) == json.loads(out)
+    path.unlink()
+    code, out, _ = run(capsys, "certify", "y + x^2*y^2")
+    assert code == 0
+    assert "tongue" not in json.loads(out)
+    assert "falsifier_trials" not in json.loads(out)
+    assert not path.exists()
+    code, out, _ = run(capsys, "certify", "x + x^2*y", "--no-swap")
+    assert code == 1
+    code, out, _ = run(capsys, "certify", "x + x^2*y")
+    assert code == 0
+
+
+# -- fuzzing the command line with grammar-valid text ----------------------------
+#
+# Each generated text comes with a bound on its degree; texts of degree at
+# most FUZZ_DEGREE keep one falsifier miss, 11 boxes with descents, short.
+
+FUZZ_DEGREE = 6
+
+
+def _joined(parts):
+    (a, da), op, (b, db) = parts
+    return f"{a} {op} {b}", da + db if op == "*" else max(da, db)
+
+
+def _powered(parts):
+    (a, da), k = parts
+    return f"({a})^{k}", da * k
+
+
+_atoms = st.one_of(
+    st.sampled_from([("x", 1), ("y", 1), ("x", 1), ("y", 1), ("1", 0)]),
+    st.integers(0, 40).map(lambda n: (str(n), 0)),
+    st.tuples(st.integers(0, 40), st.integers(1, 9)).map(lambda t: (f"{t[0]}/{t[1]}", 0)),
+)
+_exprs = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(_joined),
+        st.tuples(inner, st.integers(0, 3)).map(_powered),
+    ),
+    max_leaves=8,
+)
+poly_texts = st.tuples(
+    st.sampled_from(["", "-", "+"]), _exprs.filter(lambda e: e[1] <= FUZZ_DEGREE)
+).map(lambda t: t[0] + t[1][0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(poly_texts, poly_texts)
+def test_fuzzed_commands_exit_0_1_or_2(p, q):
+    for argv in (
+        ["analyze", "--", p],
+        ["certify", "--falsify", "1", "--", p],
+        ["falsify", f"--q={q}", "--", p],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jacmate.poly import BivariatePolynomial, jacobian, parse_polynomial
+from jacmate import falsifier as fz
+from jacmate.poly import BivariatePolynomial, evaluate_on_grid, jacobian, parse_polynomial
 from jacmate.falsifier import (
     EXACT_GRID_HIT,
     LOCAL_MINIMIZATION,
@@ -123,6 +127,13 @@ def test_trial_report_on_certified_family(certified_family):
                 assert o.min_record is not None
 
 
+def test_trials_search_as_find_jacobian_zero_does(p3):
+    # a trial's recorded mate text reproduces its answer
+    for o in random_trials(p3, 8, seed=3).outcomes:
+        want = find_jacobian_zero(p3, parse_polynomial(o.q_text))
+        assert (o.witness if o.found else o.min_record) == want
+
+
 def test_empty_run():
     rep = random_trials(parse_polynomial("y + x^2*y^2"), 0)
     assert rep.outcomes == ()
@@ -143,3 +154,202 @@ def test_sampled_mates_are_bounded_and_nontrivial(p3):
         assert all(abs(c) <= 3 for c in q.terms.values())
         assert any(j >= 1 for _, j in q.support())
         assert not jacobian(p3, q).is_zero
+
+
+# -- the fused box scan against the scan it replaced ---------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def reference_find_jacobian_zero(p, q):
+    """The box scan as it was before the fused sign scan: every mask is
+    built on every box.  The grid is read through ``fz.evaluate_on_grid`` so
+    that a test can substitute it for both searches."""
+    J = jacobian(p, q)
+    if J.is_zero:
+        return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
+    Jx = J.partial_derivative("x")
+    Jy = J.partial_derivative("y")
+    best_abs = np.inf
+    best_point = (0.0, 0.0)
+    boxes = 0
+    w = fz.INITIAL_HALF_WIDTH
+    for _ in range(fz.MAX_DOUBLINGS + 1):
+        boxes += 1
+        xs = np.linspace(-w, w, fz.GRID_PER_AXIS)
+        ys = np.linspace(-w, w, fz.GRID_PER_AXIS)
+        vals = fz.evaluate_on_grid(J, xs, ys)
+        finite = np.isfinite(vals)
+        absvals = np.where(finite, np.abs(vals), np.inf)
+        i_min, j_min = divmod(int(np.argmin(absvals)), len(ys))
+        flattest = (float(xs[i_min]), float(ys[j_min]))
+        if absvals[i_min, j_min] < best_abs:
+            best_abs = float(absvals[i_min, j_min])
+            best_point = flattest
+        for i, j in np.argwhere(finite & (vals == 0.0)):
+            x, y = float(xs[i]), float(ys[j])
+            if J.evaluate(Fraction(x), Fraction(y)) == 0:
+                return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
+            hit = fz._accept(J, x, y, LOCAL_MINIMIZATION)
+            if hit:
+                return hit
+        sgn = np.sign(vals)
+        for i, j in np.argwhere(finite[:-1, :] & finite[1:, :] & (sgn[:-1, :] * sgn[1:, :] < 0)):
+            hit = fz._bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j]))
+            if hit:
+                return hit
+        for i, j in np.argwhere(finite[:, :-1] & finite[:, 1:] & (sgn[:, :-1] * sgn[:, 1:] < 0)):
+            hit = fz._bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i]), float(ys[j + 1]))
+            if hit:
+                return hit
+        if np.isfinite(absvals[i_min, j_min]):
+            hit = fz._descend(J, Jx, Jy, *flattest)
+            if hit:
+                return hit
+        w *= 2
+    return MinRecord(best_point=best_point, best_abs_jac=best_abs, boxes_searched=boxes)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), min_size=1, max_size=5
+).map(BivariatePolynomial)
+
+
+def assert_same_search(monkeypatch, p, q):
+    """Same answer, and the same bisection segments and descent starts in the
+    same order, so a scan that only wastes or skips work shows too."""
+    logs = []
+    for name in ("_bisect_segment", "_descend"):
+        step = getattr(fz, name)
+
+        def logged(J, *args, _name=name, _step=step):
+            logs[-1].append((_name, args[-4:] if _name == "_bisect_segment" else args[-2:]))
+            return _step(J, *args)
+
+        monkeypatch.setattr(fz, name, logged)
+    logs.append([])
+    got = find_jacobian_zero(p, q)
+    logs.append([])
+    want = reference_find_jacobian_zero(p, q)
+    assert got == want
+    assert logs[0] == logs[1]
+
+
+@PROPERTY
+@given(small_polys, small_polys)
+def test_search_matches_the_reference_scan(p, q):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_search(monkeypatch, p, q)
+
+
+@pytest.mark.parametrize(
+    "p_text, q_text",
+    [
+        # Jac = x - y: exact float zeros on the grid diagonal
+        ("1/2*x^2 - x*y", "y"),
+        # Jac = x^200 + 1: no zero; the wide boxes overflow to inf
+        ("1/201*x^201 + x", "y"),
+        # Jac = y^2: tangential zero, reached by the descent
+        ("y + x*y^2 + y^4", "y"),
+    ],
+)
+def test_built_grids_match_the_reference_scan(monkeypatch, p_text, q_text):
+    assert_same_search(monkeypatch, parse_polynomial(p_text), parse_polynomial(q_text))
+
+
+def test_non_finite_boxes_are_reached():
+    # the x^200 miss must really leave the all-finite path
+    J = parse_polynomial("x^200 + 1")
+    w = fz.INITIAL_HALF_WIDTH * 2**fz.MAX_DOUBLINGS
+    xs = np.linspace(-w, w, fz.GRID_PER_AXIS)
+    assert not np.isfinite(evaluate_on_grid(J, xs, xs)).all()
+
+
+def _with_non_finite_nodes(grid):
+    # NaN on the node nearest the least |Jac| and on a row, +inf next to -inf
+    def patched(J, xs, ys):
+        vals = grid(J, xs, ys)
+        i, j = divmod(int(np.argmin(np.abs(vals))), len(ys))
+        vals[i, j] = np.nan
+        vals[0, :3] = np.nan
+        vals[40, 9], vals[41, 9], vals[40, 10] = np.inf, -np.inf, -np.inf
+        return vals
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "p_text",
+    [
+        "x + 1/3*x^3",  # Jac = 1 + x^2: a miss; every box has the NaN nodes
+        "x^2",  # Jac = 2*x: a hit by bisection next to the NaN nodes
+    ],
+)
+def test_nan_and_inf_nodes_match_the_reference_scan(monkeypatch, p_text):
+    monkeypatch.setattr(fz, "evaluate_on_grid", _with_non_finite_nodes(evaluate_on_grid))
+    assert_same_search(monkeypatch, parse_polynomial(p_text), Y)
+
+
+def _with_negative_zeros(grid):
+    # exact zeros become -0.0, and so do two nodes where Jac is not zero
+    def patched(J, xs, ys):
+        vals = grid(J, xs, ys)
+        vals = np.where(vals == 0.0, -0.0, vals)
+        vals[3, 5] = -0.0
+        vals[129, 7] = -0.0
+        return vals
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "p_text",
+    [
+        # Jac = x - y: -0.0 on the diagonal, which is still an exact hit
+        "1/2*x^2 - x*y",
+        # Jac = (x - 1/40)*(x - 1/50) + 1/10^9: both roots sit between grid
+        # rows 127 and 128, where Jac has one sign; a -0.0 node is no sign change
+        "1/3*x^3 - 9/400*x^2 + 1/2000*x + 1/1000000000*x",
+        # Jac = 1 + x^2: no zero at all, only the injected -0.0 nodes
+        "x + 1/3*x^3",
+        # Jac = 2*x: the injected -0.0 nodes sit among negative values, and
+        # are no sign change before the one between rows 127 and 128
+        "x^2",
+    ],
+)
+def test_negative_zero_nodes_match_the_reference_scan(monkeypatch, p_text):
+    monkeypatch.setattr(fz, "evaluate_on_grid", _with_negative_zeros(evaluate_on_grid))
+    assert_same_search(monkeypatch, parse_polynomial(p_text), Y)
+
+
+grid_values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, -3e300, np.inf, -np.inf, np.nan])
+
+
+@PROPERTY
+@given(st.lists(grid_values, min_size=12, max_size=12), st.integers(0, 1))
+def test_sign_changes_match_the_sign_products(values, axis):
+    vals = np.array(values).reshape(3, 4)
+    finite = np.isfinite(vals)
+    sgn = np.sign(vals)
+    if axis == 0:
+        want = finite[:-1, :] & finite[1:, :] & (sgn[:-1, :] * sgn[1:, :] < 0)
+    else:
+        want = finite[:, :-1] & finite[:, 1:] & (sgn[:, :-1] * sgn[:, 1:] < 0)
+    want = [tuple(ij) for ij in np.argwhere(want)]
+    signed = finite & (vals != 0.0)
+    assert list(fz._sign_changes(np.signbit(vals), signed, axis)) == want
+    if signed.all():
+        # the search passes no mask when every node is finite and nonzero
+        assert list(fz._sign_changes(np.signbit(vals), None, axis)) == want
+
+
+@PROPERTY
+@given(small_polys)
+def test_grid_values_are_bit_identical_to_the_per_term_sum(p):
+    xs = np.linspace(-4.0, 4.0, 9)
+    ys = np.linspace(-8.0, 8.0, 7)
+    want = np.zeros((len(xs), len(ys)))
+    for (i, j), c in sorted(p.terms.items()):
+        want += float(c) * xs[:, None] ** i * ys[None, :] ** j
+    got = evaluate_on_grid(p, xs, ys)
+    assert got.tobytes() == want.tobytes()

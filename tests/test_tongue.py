@@ -528,3 +528,16 @@ def test_failed_hypothesis_names_the_fact():
     p = parse_polynomial("y - (x^2 - 4*x + 6)*y^2")
     with pytest.raises(LevelSetUndecided, match=r"R = Res_y\(p_x, p_y\) has a real root"):
         tongue._ExactStrip(p, Fraction(1))
+
+
+def test_sign_at_root_on_an_interval_that_starts_on_a_root():
+    # g = y^3 - 2y has roots 0 and sqrt(2) in [0, 2); isolate_roots from
+    # the end root 0 can return (0, 2) itself, and q = y - 1 is positive at
+    # sqrt(2) though negative at 0
+    g = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
+    q = [Fraction(-1), Fraction(1)]
+    iv = uni.RootInterval(Fraction(0), Fraction(2), 1)
+    assert tongue._sign_at_root(q, g, iv) == 1
+    assert tongue._sign_at_root([Fraction(1), Fraction(-1)], g, iv) == -1
+    (found,) = uni.isolate_roots(g, Fraction(0), Fraction(2), Fraction(2))
+    assert found.lo == 0 and tongue._sign_at_root(q, g, found) == 1

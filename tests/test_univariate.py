@@ -169,6 +169,19 @@ def test_isolate_roots_respects_window():
     assert ivs[0].lo <= Fraction(1, 2) <= ivs[0].hi
 
 
+def test_isolate_roots_finds_a_root_next_to_an_end_root():
+    # y - 4202502*y^2 has roots 0 and 1/4202502 < 2^-20: the root at the end
+    # 0 is divided out, not stepped over
+    ivs = isolate_roots([Fraction(0), Fraction(1), Fraction(-4202502)], Fraction(0), Fraction(1))
+    assert len(ivs) == 1
+    assert ivs[0].lo <= Fraction(1, 4202502) <= ivs[0].hi
+    # and at the upper end: roots 1 - 1/4202502 and 1
+    f = from_roots([Fraction(4202501, 4202502), Fraction(1)])
+    ivs = isolate_roots(f, Fraction(0), Fraction(1))
+    assert len(ivs) == 1
+    assert ivs[0].lo <= Fraction(4202501, 4202502) <= ivs[0].hi
+
+
 def test_float_root_polish():
     f = [Fraction(-3), Fraction(0), Fraction(0), Fraction(1)]  # y^3 - 3
     (iv,) = isolate_roots(f)
@@ -250,19 +263,15 @@ def reference_refine(g, lo, hi, width):
 
 
 def reference_isolate_squarefree(g, lo, hi, width):
+    # a root at a requested end is outside the open interval: divide it out
+    for end in (lo, hi):
+        if ueval(g, end) == 0:
+            g, _ = poly_divmod(g, [-end, Fraction(1)])
     chain = sturm_chain(g)
     out = []
     work = [(lo, hi)]
     while work:
         a, b = work.pop()
-        if ueval(g, a) == 0 or ueval(g, b) == 0:
-            shift = (b - a) / 2**20
-            if ueval(g, a) == 0:
-                a += shift
-            if ueval(g, b) == 0:
-                b -= shift
-            if a >= b:
-                continue
         n = reference_variations(chain, a) - reference_variations(chain, b)
         if n == 0:
             continue
