@@ -6,7 +6,8 @@ out there.  The search scans expanding boxes with an exact Jacobian
 polynomial evaluated on float grids, bisects along sign changes, and
 falls back to damped descent on the squared Jacobian for tangential zeros
 (such as Jac = y^2, which never changes sign).  Misses are reported as
-honest minimum records, never silently dropped.
+honest minimum records, never silently dropped: the point is the float
+grid's flattest node, and its |Jac| is evaluated there exactly.
 
 Every witness is revalidated by exact rational evaluation at the reported
 point before it is accepted.
@@ -164,10 +165,13 @@ def find_jacobian_zero(
         xs = np.linspace(-w, w, GRID_PER_AXIS)
         ys = np.linspace(-w, w, GRID_PER_AXIS)
         vals = evaluate_on_grid(J, xs, ys)
-        absvals = np.abs(vals)
+        # |Jac| overwrites the grid once its sign bits are kept: one 256²
+        # float array per box, not two
+        neg = np.signbit(vals)
+        absvals = np.abs(vals, out=vals)
         # the largest |value| is finite only when every value is (NaN
         # propagates); then finite stays None, no mask to build or apply
-        finite = None if np.isfinite(absvals.max()) else np.isfinite(vals)
+        finite = None if np.isfinite(absvals.max()) else np.isfinite(absvals)
         if finite is not None:
             absvals = np.where(finite, absvals, np.inf)
 
@@ -179,7 +183,7 @@ def find_jacobian_zero(
             best_point = flattest
 
         if least == 0.0:  # some finite node is an exact float zero
-            for i, j in np.argwhere(vals == 0.0):
+            for i, j in np.argwhere(absvals == 0.0):
                 x, y = float(xs[i]), float(ys[j])
                 if J.evaluate(Fraction(x), Fraction(y)) == 0:
                     return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
@@ -189,8 +193,9 @@ def find_jacobian_zero(
 
         # a sign change joins two finite nonzero nodes whose sign bits differ;
         # with no zero and no non-finite node there is no mask to apply
-        signed = None if finite is None and least > 0.0 else np.isfinite(vals) & (vals != 0.0)
-        neg = np.signbit(vals)
+        signed = None
+        if finite is not None or least == 0.0:
+            signed = np.isfinite(absvals) & (absvals != 0.0)
         for i, j in _sign_changes(neg, signed, 0):
             hit = _bisect_segment(J, float(xs[i]), float(ys[j]), float(xs[i + 1]), float(ys[j]))
             if hit:
@@ -208,7 +213,9 @@ def find_jacobian_zero(
                 return hit
         w *= 2
 
-    return MinRecord(best_point=best_point, best_abs_jac=best_abs, boxes_searched=boxes)
+    # the float argmin picks the point; its |Jac| is read exactly, so grid
+    # rounding (even a cancellation to 0.0 where Jac >= 1) cannot reach it
+    return MinRecord(best_point, _exact_abs(J, *best_point), boxes)
 
 
 def _sign_changes(neg: np.ndarray, signed: np.ndarray | None, axis: int):

@@ -598,11 +598,23 @@ def subtract_constant(p: BivariatePolynomial, t: Fraction | int) -> BivariatePol
 def evaluate_on_grid(
     p: BivariatePolynomial, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """Float values of p on the outer grid xs × ys, shape (len(xs), len(ys))."""
-    X = np.asarray(xs, dtype=float)[:, None]
-    Y = np.asarray(ys, dtype=float)[None, :]
-    total = np.zeros((X.shape[0], Y.shape[1]))
+    """Float values of p on the outer grid xs × ys, shape (len(xs), len(ys)).
+
+    One matrix product V @ P: row i of P is P_i(ys) = sum_j c_ij * ys^j, and
+    column i of V is xs^i, over the x-degrees that occur in p only.  An
+    absent degree must stay out: where xs^i overflows to inf, a zero row
+    P_i would turn inf * 0 into NaN across the whole grid.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    rows: dict[int, np.ndarray] = {}
+    y_powers: dict[int, np.ndarray] = {}  # powers cost most: each ys^j once
     with np.errstate(over="ignore", invalid="ignore"):
         for (i, j), c in sorted(p.terms.items()):
-            total += float(c) * X**i * Y**j
-    return total
+            if j not in y_powers:
+                y_powers[j] = ys**j
+            rows[i] = rows.get(i, 0.0) + float(c) * y_powers[j]
+        if not rows:
+            return np.zeros((len(xs), len(ys)))
+        V = np.stack([xs**i for i in rows], axis=1)
+        return V @ np.stack(list(rows.values()))

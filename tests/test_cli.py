@@ -101,10 +101,38 @@ def test_certify_matches_golden(capsys, poly, golden):
 
 
 def test_falsify_miss_matches_golden(capsys):
-    # a miss over all 11 boxes: its min_record floats pin the float evaluator
+    # a miss over all 11 boxes: its min_record pins the grid's argmin and
+    # the exact |Jac| there
     code, out, _ = run(capsys, "falsify", "x", "--q", "y + y^3 + x^2*y")
     assert code == 1
     assert out == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (
+            ("certify", "x + x^2*y", "--tongue", "--falsify", "3", "--seed", "7"),
+            0,
+            "swap_tongue_falsify3_seed7.json",
+        ),
+        (("falsify", "x", "--q", "y + y^3 + x^2*y"), 1, "falsify_miss_x_q_y_y3_x2y.json"),
+    ],
+    ids=["swap", "falsify_miss"],
+)
+def test_output_does_not_depend_on_the_blas_thread_count(threads, argv, code, golden):
+    # the float grid is one BLAS matrix product, which OpenBLAS may split
+    # over threads; a fresh interpreter reads OPENBLAS_NUM_THREADS at import
+    src = str(pathlib.Path(jacmate.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacmate.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 def test_certify_degenerate_sampler_is_an_input_error(capsys):

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacmate import falsifier as fz
-from jacmate.poly import BivariatePolynomial, evaluate_on_grid, jacobian, parse_polynomial
+from jacmate.poly import (
+    SWAP,
+    BivariatePolynomial,
+    apply_transform,
+    evaluate_on_grid,
+    jacobian,
+    parse_polynomial,
+)
 from jacmate.falsifier import (
     EXACT_GRID_HIT,
     LOCAL_MINIMIZATION,
@@ -207,7 +214,7 @@ def reference_find_jacobian_zero(p, q):
             if hit:
                 return hit
         w *= 2
-    return MinRecord(best_point=best_point, best_abs_jac=best_abs, boxes_searched=boxes)
+    return MinRecord(best_point, fz._exact_abs(J, *best_point), boxes)
 
 
 small_polys = st.dictionaries(
@@ -343,13 +350,66 @@ def test_sign_changes_match_the_sign_products(values, axis):
         assert list(fz._sign_changes(np.signbit(vals), None, axis)) == want
 
 
+# -- the grid kernel against exact evaluation ----------------------------------
+
+dyadic_axis = st.lists(st.integers(-64, 64), min_size=1, max_size=7).map(lambda ks: np.array(ks) / 8.0)
+
+
+def assert_grid_within_rounding(p, xs, ys, grid):
+    """Each node within 4*(deg_x + deg_y + 2)*2^-53 * sum |c_ij||x|^i|y|^j of
+    the exact value: a summation error bound (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3.1) with room for the rounded powers."""
+    assert grid.shape == (len(xs), len(ys))
+    unit = Fraction(4 * (p.degree_x() + p.degree_y() + 2), 2**53)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            fx, fy = Fraction(float(x)), Fraction(float(y))
+            exact = p.evaluate(fx, fy)
+            size = sum(abs(c) * abs(fx) ** i * abs(fy) ** j for (i, j), c in p.terms.items())
+            assert abs(Fraction(float(grid[a, b])) - exact) <= unit * size, (x, y)
+
+
 @PROPERTY
-@given(small_polys)
-def test_grid_values_are_bit_identical_to_the_per_term_sum(p):
-    xs = np.linspace(-4.0, 4.0, 9)
-    ys = np.linspace(-8.0, 8.0, 7)
-    want = np.zeros((len(xs), len(ys)))
-    for (i, j), c in sorted(p.terms.items()):
-        want += float(c) * xs[:, None] ** i * ys[None, :] ** j
-    got = evaluate_on_grid(p, xs, ys)
-    assert got.tobytes() == want.tobytes()
+@given(small_polys, dyadic_axis, dyadic_axis)
+def test_grid_values_are_within_rounding_of_exact(p, xs, ys):
+    assert_grid_within_rounding(p, xs, ys, evaluate_on_grid(p, xs, ys))
+
+
+def test_absent_x_degrees_leave_no_nan():
+    # on the widest box xs^200 overflows on the outer rows, and so does
+    # xs^150: a zero row for the absent x^150 would make them NaN, not +inf
+    J = parse_polynomial("x^200 + 1")
+    w = fz.INITIAL_HALF_WIDTH * 2**fz.MAX_DOUBLINGS
+    xs = np.linspace(-w, w, fz.GRID_PER_AXIS)
+    grid = evaluate_on_grid(J, xs, xs)
+    with np.errstate(over="ignore"):
+        overflows = xs**200 == np.inf
+        assert overflows.any() and (xs[overflows] ** 150 == np.inf).any()
+    assert (grid[overflows] == np.inf).all()
+    assert (np.isfinite(grid[~overflows]) & (grid[~overflows] >= 1.0)).all()
+
+
+def test_zero_polynomial_gives_a_zero_grid():
+    grid = evaluate_on_grid(parse_polynomial("0"), np.linspace(0, 1, 3), np.linspace(0, 1, 5))
+    assert grid.shape == (3, 5) and not grid.any()
+
+
+@PROPERTY
+@given(small_polys, st.integers(-64, 64), dyadic_axis)
+def test_one_row_grid_matches_the_one_column_transpose(p, k, ys):
+    # tongue._slice_max reads one row; the swapped polynomial gives it as a column
+    x = np.array([k / 8.0])
+    row = evaluate_on_grid(p, x, ys)
+    column = evaluate_on_grid(apply_transform(p, SWAP), ys, x)
+    assert row.shape == column.T.shape == (1, len(ys))
+    assert_grid_within_rounding(p, x, ys, row)
+    assert_grid_within_rounding(p, x, ys, column.T)
+
+
+def test_miss_record_reads_jac_exactly_where_the_grid_cancels():
+    # Jac = (x^10 - y^10)^2 + 1 >= 1, but the float grid cancels to 0.0
+    # on the diagonal of the wide boxes
+    p = parse_polynomial("1/21*x^21 - 2/11*x^11*y^10 + x*y^20 + x")
+    rec = find_jacobian_zero(p, Y)
+    assert isinstance(rec, MinRecord)
+    assert rec.best_abs_jac == 1.0

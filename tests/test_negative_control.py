@@ -6,6 +6,8 @@ certify P, under any axis symmetry, and the falsifier must never find a
 Jacobian zero against Q.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from jacmate.falsifier import MinRecord, find_jacobian_zero
@@ -50,4 +52,8 @@ def test_pinchuk_p_never_certifies(pinchuk):
 
 def test_pinchuk_pair_has_no_jacobian_zero(pinchuk):
     p, q = pinchuk[:2]
-    assert isinstance(find_jacobian_zero(p, q), MinRecord)
+    rec = find_jacobian_zero(p, q)
+    assert isinstance(rec, MinRecord)
+    # the record's |Jac| is exact at its point, not the float grid's value
+    x, y = map(Fraction, rec.best_point)
+    assert rec.best_abs_jac == abs(float(jacobian(p, q).evaluate(x, y)))
