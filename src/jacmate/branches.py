@@ -51,6 +51,7 @@ __all__ = [
     "sign_probe",
     "branch_candidates",
     "trace_branch",
+    "positive_asymptote",
     "lowest_positive_branch",
     "fitted_exponent",
     "trace_to_csv",
@@ -332,35 +333,36 @@ def trace_branch(
 _SIGN_ORDER = (IDENTITY, NEGATE_Y, NEGATE_X, NEGATE_XY)
 
 
-def lowest_positive_branch(
-    p: BivariatePolynomial, cfg: TraceConfig | None = None
-) -> tuple[Transform, BranchTrace]:
-    """Trace the smallest-slope branch, moved into the open first quadrant.
+def positive_asymptote(p: BivariatePolynomial) -> tuple[Transform, BranchAsymptote]:
+    """The smallest-slope branch that an axis sign change puts in the first quadrant.
 
     Requires a satisfied certificate.  Axis sign changes are tried in a
     fixed order (identity, negate y, negate x, both) until the witness
-    edge carries a confirmed asymptote with positive leading coefficient;
-    the returned transform is the full map from the input polynomial to
-    the traced coordinates.
+    edge carries a confirmed asymptote with positive leading coefficient.
+    Decided exactly, with no trace; the returned transform is the full map
+    from the input polynomial to the branch's coordinates.
     """
     cert = corollary_certificate(p, allow_swap=True)
     if not cert.satisfied:
         raise ValueError("polynomial does not satisfy the edge criterion")
-    cfg = cfg or TraceConfig()
     q = apply_transform(p, cert.transform_used)
     for sign_t in _SIGN_ORDER:
         qs = apply_transform(q, sign_t)
-        edges = right_outer_edges(newton_polygon(qs))
-        witness = edges[0]  # smallest slope; the certificate edge
+        witness = right_outer_edges(newton_polygon(qs))[0]  # the certificate edge
         for asym in branch_candidates(qs, witness):
             if asym.existence == CONFIRMED and asym.c_star > 0:
-                trace = trace_branch(qs, asym, cfg)
-                if any(y <= 0 for _, y in trace.samples):
-                    continue
-                return compose_transforms(cert.transform_used, sign_t), trace
+                return compose_transforms(cert.transform_used, sign_t), asym
     raise NoConfirmedBranch(
         "no axis sign change exposes a confirmed positive branch"
     )
+
+
+def lowest_positive_branch(
+    p: BivariatePolynomial, cfg: TraceConfig | None = None
+) -> tuple[Transform, BranchTrace]:
+    """Trace the branch of ``positive_asymptote`` in its first-quadrant coordinates."""
+    transform, asym = positive_asymptote(p)
+    return transform, trace_branch(apply_transform(p, transform), asym, cfg or TraceConfig())
 
 
 def fitted_exponent(trace: BranchTrace) -> float:

@@ -1,9 +1,9 @@
 """Certificate documents: the tool's machine-readable conclusions.
 
 A document couples the exact combinatorial certificate with the optional
-numeric region checks and falsifier trials.  The headline conclusion is
+tongue region checks and falsifier trials.  The headline conclusion is
 only NO_REAL_JACOBIAN_MATE when the edge criterion holds and no enabled
-numeric check contradicts it; that coupling is enforced at construction,
+check contradicts it; that coupling is enforced at construction,
 so an inconsistent document cannot exist.
 """
 
@@ -86,7 +86,7 @@ class CertificateDocument:
             )
         if self.conclusion == INCONCLUSIVE:
             return (
-                f"{self.input}: edge criterion satisfied but a numeric region "
+                f"{self.input}: edge criterion satisfied but the tongue region "
                 f"check did not pass; see the tongue section."
             )
         return f"{self.input}: not covered by the edge criterion; no conclusion."
@@ -148,22 +148,12 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
             "flipped": r.flipped,
             "poly": str(r.poly),
             "x0": str(r.x0),
-            "x_max": r.boundary_trace.samples[-1][0],
             "f_x0": r.profile.f_x0,
             "t0": str(r.profile.t0),
             "a": r.profile.a,
             "b": r.profile.b,
-            "trace_samples": len(r.boundary_trace.samples),
             "halfline": {"y": 0.0, "x_from": float(r.x0)},
         }
-        c = r.critical_point_check
-        if c is not None:
-            out["critical_point_check"] = {
-                "passed": c.passed,
-                "witnesses": [list(w) for w in c.witnesses[:8]],
-                "slices_checked": c.slices_checked,
-                "degenerate": c.degenerate,
-            }
     if tc.level_report is not None:
         lv = tc.level_report
         out["levels"] = {
@@ -296,7 +286,6 @@ CERTIFICATE_SCHEMA = {
                 "status": {"enum": ["Verified", "Inconclusive", "Failed"]},
                 "reasons": {"type": "array", "items": {"type": "string"}},
                 "region": {"type": "object"},
-                "critical_point_check": {"type": "object"},
                 "levels": {
                     "type": "object",
                     "required": ["passed", "records"],

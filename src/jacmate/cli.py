@@ -145,7 +145,7 @@ def _cmd_branch(args) -> int:
 def _cmd_tongue(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
     grid = GridSpec(nx=args.nx, ny=args.ny, x_max=args.x_max)
-    tc = tongue_certificate(p, grid=grid)
+    tc = tongue_certificate(p)
     _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
     if args.svg and tc.region is not None:
         svg = render_tongue_svg(tc.region, tc.level_report, grid)
@@ -185,11 +185,11 @@ def _cmd_render(args) -> int:
         shown = apply_transform(p, cert.transform_used)
         svg = render_polygon_svg(newton_polygon(shown), cert)
     else:
-        tc = tongue_certificate(p, grid=GridSpec(x_max=args.x_max))
+        tc = tongue_certificate(p)
         if tc.region is None:
             print(f"no tongue region: {'; '.join(tc.reasons)}", file=sys.stderr)
             return 1
-        svg = render_tongue_svg(tc.region, tc.level_report)
+        svg = render_tongue_svg(tc.region, tc.level_report, GridSpec(400, 400, args.x_max))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="run the edge criterion and emit a certificate")
     add_poly(sp)
     sp.add_argument("--no-swap", action="store_true", help="do not try swapping x and y")
-    sp.add_argument("--tongue", action="store_true", help="add the numeric region checks")
+    sp.add_argument("--tongue", action="store_true", help="add the tongue region checks")
     sp.add_argument("--falsify", type=int, default=0, metavar="N",
                     help="run N random candidate-mate trials")
     sp.add_argument("--seed", type=int, default=0)
@@ -244,7 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_poly(sp)
     sp.add_argument("--nx", type=int, default=1000, help="drawing resolution of --svg")
     sp.add_argument("--ny", type=int, default=1000, help="drawing resolution of --svg")
-    sp.add_argument("--x-max", type=float, default=None)
+    sp.add_argument("--x-max", type=float, default=None,
+                    help="right edge of the --svg drawing (default: automatic); "
+                         "the report does not depend on it")
     sp.add_argument("--json", help="also write the report to this path")
     sp.add_argument("--svg", help="write the region figure to this path")
     sp.set_defaults(func=_cmd_tongue)
@@ -280,7 +282,7 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (NoConfirmedBranch,) as exc:
+    except (NoConfirmedBranch, BranchLost, NoConvergence) as exc:
         print(f"not available: {exc}", file=sys.stderr)
         return 1
     except (ValueError, DegenerateSampler) as exc:

@@ -162,8 +162,7 @@ def find_jacobian_zero(
     w = INITIAL_HALF_WIDTH
     for _ in range(MAX_DOUBLINGS + 1):
         boxes += 1
-        xs = np.linspace(-w, w, GRID_PER_AXIS)
-        ys = np.linspace(-w, w, GRID_PER_AXIS)
+        xs = ys = np.linspace(-w, w, GRID_PER_AXIS)
         vals = evaluate_on_grid(J, xs, ys)
         # |Jac| overwrites the grid once its sign bits are kept: one 256²
         # float array per box, not two

@@ -603,7 +603,8 @@ def evaluate_on_grid(
     One matrix product V @ P: row i of P is P_i(ys) = sum_j c_ij * ys^j, and
     column i of V is xs^i, over the x-degrees that occur in p only.  An
     absent degree must stay out: where xs^i overflows to inf, a zero row
-    P_i would turn inf * 0 into NaN across the whole grid.
+    P_i would turn inf * 0 into NaN across the whole grid.  When xs is ys,
+    one axis for both, each power is taken once for V and P alike.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -616,5 +617,6 @@ def evaluate_on_grid(
             rows[i] = rows.get(i, 0.0) + float(c) * y_powers[j]
         if not rows:
             return np.zeros((len(xs), len(ys)))
-        V = np.stack([xs**i for i in rows], axis=1)
+        x_powers = y_powers if xs is ys else {}
+        V = np.stack([x_powers[i] if i in x_powers else xs**i for i in rows], axis=1)
         return V @ np.stack(list(rows.values()))

@@ -1,15 +1,18 @@
 """SVG figures: Newton polygons with highlighted edges, and tongue regions.
 
 Pure string assembly, deterministic byte-for-byte for fixed inputs.  The
-tongue figure draws level curves from a marching-squares raster; the
-certificate never reads it.
+tongue figure draws the traced top border and level curves from a
+marching-squares raster; the certificate never reads either.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .poly import evaluate_on_grid
+from .branches import BranchTrace, TraceConfig, lowest_positive_branch
+from .poly import BivariatePolynomial, evaluate_on_grid
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
@@ -21,11 +24,18 @@ from .tongue import (
     SEGMENT_ARC,
     GridSpec,
     LevelSetReport,
+    RestrictionProfile,
     TongueRegion,
-    boundary_interpolator,
 )
 
-__all__ = ["LevelRaster", "ResolutionTooCoarse", "render_polygon_svg", "render_tongue_svg"]
+__all__ = [
+    "LevelRaster",
+    "ResolutionTooCoarse",
+    "boundary_interpolator",
+    "boundary_trace",
+    "render_polygon_svg",
+    "render_tongue_svg",
+]
 
 LATTICE_UNIT = 24
 _MARGIN = 36
@@ -106,6 +116,82 @@ _LEVEL_COLORS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# The traced top border
+# ---------------------------------------------------------------------------
+
+
+class boundary_interpolator:
+    """Piecewise power-law interpolant of a positive traced branch."""
+
+    def __init__(self, trace: BranchTrace):
+        xs = np.array([x for x, _ in trace.samples])
+        ys = np.array([y for _, y in trace.samples])
+        if np.any(ys <= 0):
+            raise ValueError("boundary interpolation needs a positive branch")
+        self._logx = np.log(xs)
+        self._logy = np.log(ys)
+        self._theta = float(trace.theta)
+
+    def __call__(self, x):
+        lx = np.log(np.asarray(x, dtype=float))
+        ly = np.interp(lx, self._logx, self._logy)
+        # beyond the trace, continue with the asymptotic power law
+        right = lx > self._logx[-1]
+        if np.any(right):
+            ly = np.where(
+                right, self._logy[-1] + self._theta * (lx - self._logx[-1]), ly
+            )
+        left = lx < self._logx[0]
+        if np.any(left):
+            ly = np.where(left, self._logy[0] + self._theta * (lx - self._logx[0]), ly)
+        return np.exp(ly)
+
+
+def _schedule_floor(profile: RestrictionProfile) -> float:
+    return float(profile.t0) / 20.0
+
+
+def _slice_max(p: BivariatePolynomial, f, x: float) -> float:
+    top = float(f(x))
+    ys = np.linspace(0.0, top, 257)[1:]
+    vals = evaluate_on_grid(p, np.array([x]), ys)[0]
+    return float(np.max(vals))
+
+
+def _auto_horizon(p_star: BivariatePolynomial, f, x0: float, t_floor: float) -> float:
+    """Smallest comfortable truncation: past it, no scheduled level reaches."""
+    x_lo, x_hi = x0, max(2.0 * x0, 50.0)
+    while _slice_max(p_star, f, x_hi) >= t_floor:
+        x_lo = x_hi
+        x_hi *= 2
+        if x_hi > 1e5:
+            return max(1e5, 4.0 * x0)
+    for _ in range(8):
+        mid = math.sqrt(x_lo * x_hi)
+        if _slice_max(p_star, f, mid) >= t_floor:
+            x_lo = mid
+        else:
+            x_hi = mid
+    return max(50.0, 1.3 * x_hi, 4.0 * x0)
+
+
+def boundary_trace(region: TongueRegion, x_max: float | None = None) -> BranchTrace:
+    """The region's top border f, traced from x0 to x_max for drawing.
+
+    ``region.poly`` is already in first-quadrant coordinates, so its lowest
+    positive branch is f itself.  An x_max of None takes the automatic
+    horizon (``GridSpec``), found on a coarser probe trace to 16 x0.
+    """
+    x0 = float(region.x0)
+    if x_max is None:
+        _, probe = lowest_positive_branch(region.poly, TraceConfig(x0, 16 * x0, 1.1))
+        f = boundary_interpolator(probe)
+        x_max = _auto_horizon(region.poly, f, x0, _schedule_floor(region.profile))
+    _, trace = lowest_positive_branch(region.poly, TraceConfig(x0, float(x_max), 1.02))
+    return trace
+
+
 def render_tongue_svg(
     region: TongueRegion,
     levels: LevelSetReport | None = None,
@@ -113,21 +199,21 @@ def render_tongue_svg(
 ) -> str:
     """Region plot: boundary branch, borders, pocket box, and level curves.
 
-    The level curves come from a ``grid.nx`` x ``grid.ny`` raster (400 x 400
+    The top border is traced to ``grid.x_max`` (``boundary_trace``).  The
+    level curves come from a ``grid.nx`` x ``grid.ny`` raster (400 x 400
     by default); a level the raster cannot resolve is left out, with an
     SVG comment saying so.  The x axis switches to a log scale when the
     truncation is more than two decades past x0 (the geometry worth seeing
     is squeezed against both ends otherwise).
     """
-    trace = region.boundary_trace
+    grid = grid or GridSpec(nx=400, ny=400)
+    trace = boundary_trace(region, grid.x_max)
     x0 = float(region.x0)
     x_max = trace.samples[-1][0]
     y_top = region.profile.f_x0
     width, height = 640, 420
     m = 46
     log_x = x_max / max(x0, 1e-300) > 100
-
-    import math
 
     def sx(x: float) -> float:
         if log_x:
@@ -147,8 +233,7 @@ def render_tongue_svg(
 
     # level curves under everything else
     if levels is not None and levels.records:
-        grid = grid or GridSpec(nx=400, ny=400)
-        raster = LevelRaster(region.poly, region, GridSpec(grid.nx, grid.ny, x_max))
+        raster = LevelRaster(region.poly, region, trace, grid)
         for rec in sorted(levels.records, key=lambda r: r.t):
             try:
                 polylines = [pts for pts, _ in raster.components(rec.t)]
@@ -236,7 +321,9 @@ _CASE_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
 class LevelRaster:
     """Scalar field p on the raster over [x0, x_max] x [0, f(x0)].
 
-    Drawing only: the level sets are decided exactly in ``tongue``.
+    x_max is where the traced border ``trace`` ends; the raster is
+    ``grid.nx`` x ``grid.ny``.  Drawing only: the level sets are decided
+    exactly in ``tongue``.
     Extraction runs over the full rectangle; clipping to the region
     happens afterwards, per connected component.  A positive level never
     meets the boundary branch (p vanishes there), so whole components can
@@ -244,10 +331,10 @@ class LevelRaster:
     interpolation error of the traced branch itself.
     """
 
-    def __init__(self, p, region: TongueRegion, grid: GridSpec):
+    def __init__(self, p, region: TongueRegion, trace: BranchTrace, grid: GridSpec):
         self.x0 = float(region.x0)
-        self.x_max = grid.x_max or region.boundary_trace.samples[-1][0]
-        self.f = boundary_interpolator(region.boundary_trace)
+        self.x_max = trace.samples[-1][0]
+        self.f = boundary_interpolator(trace)
         self.xs = np.linspace(self.x0, self.x_max, grid.nx)
         self.ys = np.linspace(0.0, region.profile.f_x0, grid.ny)
         self.dx = self.xs[1] - self.xs[0]

@@ -11,17 +11,21 @@ behaves like a tongue: p has no critical point in it, every positive level
 at or below a barrier t0 cuts it in a single arc pinned to S, and every
 level above t0 stays inside the bounded pocket B that the t0 arc cuts off.
 
-Exact: the barrier and the restriction h(y) = p(x0, y) (Sturm chains), the
-placement of the critical-point slices (roots of a resultant), and every
-level-set count.  Numeric: the traced branch, which sets x_max and the
-drawing, and the 1e-9 slice test of the critical-point check.
+Exact: the transform (a confirmed asymptote, no trace), x0 (the least
+power of two at which the hypotheses below hold), f(x0) (an isolated root
+of p(x0, .)), the barrier and the restriction h(y) = p(x0, y), and every
+level-set count.  Numeric: only floats reporting exact values (f(x0), a,
+b, the pocket), and the traced branch that ``render`` draws.
 
 The level sets follow from regular-level Morse theory (Milnor, *Morse
 Theory*) with the projection resultants of Collins' cylindrical
 decomposition (1975).  Resultants are taken at formal degrees, so they
 also vanish where both leading coefficients do.
 
-1. Hypotheses at x0, decided exactly (any failure reports Inconclusive):
+1. Hypotheses at x0, decided exactly.  x0 is the least power of two at
+   which (H1), (H2) and the part of (H3) on c hold; one past the real roots
+   of R, D and c always does, unless R or D is 0.  That, and any other
+   failing hypothesis, reports Inconclusive:
    (H1) R = Res_y(p_x, p_y) is not 0 and has no real root on [x0, oo).  A
         critical point over x makes R(x) = 0, so there is none at x >= x0.
    (H2) D = Res_y(p, p_y) has no real root on [x0, oo).  So for x >= x0 the
@@ -66,34 +70,23 @@ bounds are reported as floats of exactly isolated roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import univariate as uni
-from .branches import (
-    BranchLost,
-    BranchTrace,
-    NoConfirmedBranch,
-    NoConvergence,
-    TraceConfig,
-    lowest_positive_branch,
-)
-from .poly import SWAP, BivariatePolynomial, Transform, apply_transform, evaluate_on_grid
+from .branches import NoConfirmedBranch, positive_asymptote
+from .poly import SWAP, BivariatePolynomial, Transform, apply_transform
 from .polygon import corollary_certificate
 
 __all__ = [
     "NotSingleSignedOnInterval",
     "NoInteriorCriticalPoint",
-    "CriticalPointsPersist",
     "LevelSetUndecided",
     "GridSpec",
     "RestrictionProfile",
     "TongueRegion",
     "LevelRecord",
     "LevelSetReport",
-    "CriticalPointReport",
     "TongueCertificate",
     "EMPTY",
     "SEGMENT_ARC",
@@ -103,7 +96,6 @@ __all__ = [
     "FAILED",
     "restriction_profile",
     "build_tongue",
-    "boundary_interpolator",
     "check_no_critical_points",
     "check_level_sets",
     "default_schedule",
@@ -118,12 +110,6 @@ VERIFIED = "Verified"
 INCONCLUSIVE = "Inconclusive"
 FAILED = "Failed"
 
-X0_BUDGET = Fraction(2**20)
-
-# Exact vertical slices spread evenly over the strip by the critical-point
-# check, on top of its dense run near x0, when the partials share a factor.
-CRITICAL_SLICES = 192
-
 # Width of the isolating intervals behind the reported pocket floats.
 ISOLATION_WIDTH = Fraction(1, 10**14)
 
@@ -136,23 +122,18 @@ class NoInteriorCriticalPoint(ValueError):
     pass
 
 
-class CriticalPointsPersist(RuntimeError):
-    pass
-
-
 class LevelSetUndecided(RuntimeError):
     """A fact the exact level-set argument needs failed or stayed undecided."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Truncation of the traced region, and the raster that draws it.
+    """The window and raster with which ``render`` draws a region.
 
     ``x_max`` of None asks for an automatic horizon: wide enough that the
-    smallest scheduled level no longer reaches it, never below 50.  It
-    bounds the trace and the critical-point window.  ``nx`` and ``ny`` are
-    only the drawing resolution of ``render``: the level sets are decided
-    exactly, with no raster.
+    smallest scheduled level no longer reaches it, never below 50.  ``nx``
+    and ``ny`` are the raster size.  Drawing only: the certificate is
+    decided exactly, with no trace and no raster.
     """
 
     nx: int = 1000
@@ -185,23 +166,14 @@ class RestrictionProfile:
 
 
 @dataclass(frozen=True)
-class CriticalPointReport:
-    passed: bool
-    witnesses: tuple[tuple[float, float], ...]
-    slices_checked: int
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
 class TongueRegion:
     transform: Transform
     flipped: bool
     poly: BivariatePolynomial  # normalized: positive on the strip
     x0: Fraction
-    boundary_trace: BranchTrace
     profile: RestrictionProfile
-    # the critical-point check that accepted the region; None until it has run
-    critical_point_check: CriticalPointReport | None
+    # R = Res_y(p_x, p_y) and D = Res_y(p, p_y) of poly, in x
+    resultants: tuple[list[Fraction], list[Fraction]]
 
 
 @dataclass(frozen=True)
@@ -250,8 +222,8 @@ def restriction_profile(
 ) -> RestrictionProfile:
     """Analyze h(y) = p(x0, y) on (0, f_x0) and place the barrier t0.
 
-    Requires h to vanish at 0, stay positive strictly inside, and come
-    back to (nearly) zero at the traced height f_x0.  The barrier is half
+    f_x0 is the float of f(x0), the smallest positive root of h.  Requires
+    h to vanish at 0 and stay positive below f_x0.  The barrier is half
     the smallest interior critical value, rounded to a small rational and
     then re-verified exactly: h - t0 must have exactly two simple roots
     a < b, h must exceed t0 between them, and h' must be root-free outside
@@ -264,9 +236,6 @@ def restriction_profile(
     ub = Fraction(f_x0) * (1 - Fraction(1, 10**9))
     if ub <= 0:
         raise NotSingleSignedOnInterval("empty restriction interval")
-    scale = max(abs(c) * ub**k for k, c in enumerate(h) if c != 0)
-    if abs(uni.ueval(h, Fraction(f_x0))) > scale * Fraction(1, 10**6):
-        raise NotSingleSignedOnInterval("restriction does not return to zero")
     if uni.count_roots(h, Fraction(0), ub) != 0 or uni.ueval(h, ub / 2) <= 0:
         raise NotSingleSignedOnInterval("restriction changes sign inside the interval")
 
@@ -331,200 +300,85 @@ def _barrier_is_valid(
 
 
 # ---------------------------------------------------------------------------
-# Boundary interpolation
+# Region assembly, with an exact x0
 # ---------------------------------------------------------------------------
 
 
-class boundary_interpolator:
-    """Piecewise power-law interpolant of a positive traced branch."""
+def build_tongue(p: BivariatePolynomial, x0: Fraction | int = 1) -> TongueRegion:
+    """Assemble the region below the lowest positive branch, at an exact x0.
 
-    def __init__(self, trace: BranchTrace):
-        xs = np.array([x for x, _ in trace.samples])
-        ys = np.array([y for _, y in trace.samples])
-        if np.any(ys <= 0):
-            raise ValueError("boundary interpolation needs a positive branch")
-        self._logx = np.log(xs)
-        self._logy = np.log(ys)
-        self._theta = float(trace.theta)
+    The transform is ``positive_asymptote``'s, decided without a trace.  x0
+    is the least x0 * 2^k at which (H1), (H2) and the bottom part of (H3)
+    hold (module docstring): R = Res_y(p_x, p_y) and D = Res_y(p, p_y) have
+    no real root on [x0, oo), and p(x, 0) is 0 or has no root past x0.  The
+    region's top at x0, f(x0), is the smallest positive root of p(x0, .),
+    isolated exactly, and p is flipped to be positive at a point below it.
+    R and D ride along on the region.
 
-    def __call__(self, x):
-        lx = np.log(np.asarray(x, dtype=float))
-        ly = np.interp(lx, self._logx, self._logy)
-        # beyond the trace, continue with the asymptotic power law
-        right = lx > self._logx[-1]
-        if np.any(right):
-            ly = np.where(
-                right, self._logy[-1] + self._theta * (lx - self._logx[-1]), ly
-            )
-        left = lx < self._logx[0]
-        if np.any(left):
-            ly = np.where(left, self._logy[0] + self._theta * (lx - self._logx[0]), ly)
-        return np.exp(ly)
-
-
-# ---------------------------------------------------------------------------
-# Region assembly
-# ---------------------------------------------------------------------------
-
-
-def _schedule_floor(profile: RestrictionProfile) -> float:
-    return float(profile.t0) / 20.0
-
-
-def _slice_max(p: BivariatePolynomial, f, x: float) -> float:
-    top = float(f(x))
-    ys = np.linspace(0.0, top, 257)[1:]
-    vals = evaluate_on_grid(p, np.array([x]), ys)[0]
-    return float(np.max(vals))
-
-
-def _auto_horizon(p_star: BivariatePolynomial, f, x0: float, t_floor: float) -> float:
-    """Smallest comfortable truncation: past it, no scheduled level reaches."""
-    x_lo, x_hi = x0, max(2.0 * x0, 50.0)
-    while _slice_max(p_star, f, x_hi) >= t_floor:
-        x_lo = x_hi
-        x_hi *= 2
-        if x_hi > 1e5:
-            return 1e5
-    for _ in range(8):
-        mid = math.sqrt(x_lo * x_hi)
-        if _slice_max(p_star, f, mid) >= t_floor:
-            x_lo = mid
-        else:
-            x_hi = mid
-    return max(50.0, 1.3 * x_hi, 4.0 * x0)
-
-
-def build_tongue(
-    p: BivariatePolynomial,
-    x0: Fraction | int = 1,
-    grid: GridSpec | None = None,
-) -> TongueRegion:
-    """Assemble the region below the lowest positive branch, from x0 outward.
-
-    The starting abscissa doubles until the interior critical-point check
-    comes back clean (and until the branch can actually be traced from
-    there), within a fixed budget.  The returned region carries that clean
-    check as ``critical_point_check``.  Raises ValueError, through
-    ``lowest_positive_branch``, when p fails the edge criterion.
+    Raises LevelSetUndecided when R or D vanishes identically; ValueError,
+    through ``positive_asymptote``, when p fails the edge criterion; and
+    NoConfirmedBranch, NotSingleSignedOnInterval or NoInteriorCriticalPoint
+    when the region cannot be assembled at x0.
     """
-    grid = grid or GridSpec()
-    x0 = Fraction(x0)
-    last_reason = "no attempt made"
-    while x0 <= X0_BUDGET:
-        try:
-            region = _assemble_region(p, x0, grid)
-        except (
-            BranchLost,
-            NoConvergence,
-            NoConfirmedBranch,
-            NotSingleSignedOnInterval,
-            NoInteriorCriticalPoint,
-        ) as exc:
-            last_reason = f"x0={x0}: {exc}"
-            x0 *= 2
-            continue
-        report = check_no_critical_points(region.poly, region, grid)
-        if report.passed:
-            return replace(region, critical_point_check=report)
-        last_reason = f"x0={x0}: critical point near {report.witnesses[:1]}"
-        x0 *= 2
-    raise CriticalPointsPersist(
-        f"no clean region up to the x0 budget; last failure: {last_reason}"
-    )
-
-
-def _assemble_region(
-    p: BivariatePolynomial, x0: Fraction, grid: GridSpec
-) -> TongueRegion:
-    probe_cfg = TraceConfig(x_start=float(x0), x_end=float(x0) * 16, growth_factor=1.1)
-    transform, probe_trace = lowest_positive_branch(p, probe_cfg)
-    f_probe = boundary_interpolator(probe_trace)
+    transform, _ = positive_asymptote(p)
     p_t = apply_transform(p, transform)
-    # restriction_profile proves p_star has no zero on the segment below
-    # f_x0, so the sign at one point of it is the sign there, and on V
-    f_x0 = probe_trace.samples[0][1]
-    flipped = p_t.evaluate(x0, Fraction(f_x0) / 2) < 0
-    p_star = -p_t if flipped else p_t
+    px, py = p_t.partial_derivative("x"), p_t.partial_derivative("y")
+    r, d = _resultant_y(px, py), _resultant_y(p_t, py)
+    x0 = check_no_critical_points(r, Fraction(x0))
+    if not d:
+        raise LevelSetUndecided("D = Res_y(p, p_y) vanishes identically: a shared factor")
+    x0 = _first_power_past(d, x0, closed=True)
+    bottom = _bottom(p_t)
+    if bottom:
+        x0 = _first_power_past(bottom, x0, closed=False)
 
-    profile = restriction_profile(p_star, x0, f_x0)
-
-    x_max = grid.x_max
-    if x_max is None:
-        x_max = _auto_horizon(p_star, f_probe, float(x0), _schedule_floor(profile))
-    full_cfg = TraceConfig(x_start=float(x0), x_end=float(x_max), growth_factor=1.02)
-    transform2, trace = lowest_positive_branch(p, full_cfg)
-    assert transform2 == transform
+    h = p_t.restricted_to_x(x0)
+    roots = _positive_roots(h)
+    if not roots or roots[0].lo <= 0:
+        raise NotSingleSignedOnInterval(f"p(x0, .) has no positive root above 1e-12, x0 = {x0}")
+    flipped = uni.ueval(h, _point_below(roots[0])) < 0
+    if flipped:
+        # Res_y(-f, -g) = (-1)^(m + n) Res_y(f, g) at formal y-degrees m, n;
+        # for D they are m and m - 1
+        p_t = -p_t
+        r = [(-1) ** (px.degree_y() + py.degree_y()) * c for c in r]
+        d = [-c for c in d]
+    try:
+        profile = restriction_profile(p_t, x0, uni.float_root(h, roots[0]))
+    except (NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
+        raise type(exc)(f"x0 = {x0}: {exc}") from exc
     return TongueRegion(
         transform=transform,
         flipped=flipped,
-        poly=p_star,
+        poly=p_t,
         x0=x0,
-        boundary_trace=trace,
         profile=profile,
-        critical_point_check=None,
+        resultants=(r, d),
     )
 
 
-# ---------------------------------------------------------------------------
-# Critical point check
-# ---------------------------------------------------------------------------
+def check_no_critical_points(r: list[Fraction], x0: Fraction) -> Fraction:
+    """(H1), decided exactly: the least x0 * 2^k past every real root of R.
 
-
-def check_no_critical_points(
-    p: BivariatePolynomial, region: TongueRegion, grid: GridSpec | None = None
-) -> CriticalPointReport:
-    """Look for simultaneous zeros of both partials in the strip.
-
-    Exact: which vertical slices to examine.  Every isolated critical point
-    lies over a real root of R(x) = Res_y(p_x, p_y); the slices are R's real
-    roots in [x0, x_max], rational ones exactly, others to width 1e-14.  If
-    R = 0 the partials share a factor, a critical curve, and the slices are
-    the fixed ``CRITICAL_SLICES`` schedule.  Numeric: each slice runs up to
-    the traced strip top, and a root of p_y or of p_yy there at which |p_x|
-    and |p_y| are both below 1e-9 is a witness.  Any witness fails the check,
-    as data, not an exception.  ``slices_checked`` counts the slices examined.
+    ``r`` is R = Res_y(p_x, p_y), taken at formal degrees.  Every critical
+    point of p lies over a real root of R, so p has none at x >= the
+    returned abscissa.  R = 0 means the partials share a factor, a curve of
+    critical points, which the level argument does not cover: that raises
+    LevelSetUndecided naming it.
     """
-    grid = grid or GridSpec()
-    x0 = region.x0
-    x_max = grid.x_max or region.boundary_trace.samples[-1][0]
-    if x_max <= x0:
-        return CriticalPointReport(True, (), 0, degenerate=True)
-    f = boundary_interpolator(region.boundary_trace)
-    px, py = p.partial_derivative("x"), p.partial_derivative("y")
-    pyy = py.partial_derivative("y")
-    witnesses: list[tuple[float, float]] = []
+    if not r:
+        raise LevelSetUndecided("R = Res_y(p_x, p_y) vanishes identically: a shared factor")
+    return _first_power_past(r, x0, closed=True)
 
-    res = _resultant_y(px, py)
-    if res:
-        slices = _resultant_roots(res, x0, Fraction(x_max))
-    else:
-        nsl = CRITICAL_SLICES
-        span = Fraction(x_max).limit_denominator(10**6) - x0
-        slices = [x0 + span * Fraction(k, nsl) for k in range(1, nsl + 1)]
-        slices += [x0 * (1 + Fraction(m, 64)) for m in range(0, 65)]
-        slices = [x for x in dict.fromkeys(slices) if x0 <= x and float(x) <= x_max]
-    for xq in slices:
-        ub = Fraction(float(f(float(xq)))).limit_denominator(10**12)
-        ub = ub * (1 - Fraction(1, 10**9))
-        if ub <= 0:
-            continue
-        gy = py.restricted_to_x(xq)
-        if not gy:
-            candidates = [ub / 2]  # dp/dy vanishes on the whole slice
-        else:
-            candidates = [
-                iv.midpoint
-                for g in (gy, pyy.restricted_to_x(xq))
-                for iv in uni.isolate_roots(g, Fraction(0), ub, ISOLATION_WIDTH)
-            ]
-        for yq in candidates:
-            wx, wy = float(xq), float(yq)
-            if all(abs(d.evaluate_approx(wx, wy)) < 1e-9 for d in (px, py)):
-                witnesses.append((wx, wy))
 
-    unique = tuple(dict.fromkeys(witnesses))
-    return CriticalPointReport(not unique, unique, len(slices))
+def _bottom(p: BivariatePolynomial) -> list[Fraction]:
+    """c(x) = p(x, 0)."""
+    return uni.normalize([p.coefficient((i, 0)) for i in range(p.degree_x() + 1)])
+
+
+def _point_below(iv: uni.RootInterval) -> Fraction:
+    """A power of two at most 1 in (0, iv.lo / 2]: below the root iv isolates."""
+    return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(iv.lo))))
 
 
 def _resultant_y(f, g) -> list[Fraction]:
@@ -538,38 +392,32 @@ def _resultant_y(f, g) -> list[Fraction]:
     ])
 
 
-def _may_have_root_past(res, lo: Fraction) -> bool:
-    """False when Descartes' rule rules out a root of res past lo.
+def _roots_past(c, lo: Fraction) -> int:
+    """Number of distinct real roots of c on the open (lo, oo).
 
-    With no coefficient sign change in res(lo + t) (a Taylor shift), res has
-    no root past lo, and Sturm isolation, slow on a resultant of high
-    degree, is skipped.
+    Descartes' rule on the Taylor shift c(lo + t) settles 0 and 1 sign
+    changes (no root, one simple root); Sturm, slow on a resultant of high
+    degree, counts the rest.
     """
-    shifted = list(res)
-    for i in range(len(res)):
-        for k in range(len(res) - 2, i - 1, -1):
+    shifted = list(c)
+    for i in range(len(c)):
+        for k in range(len(c) - 2, i - 1, -1):
             shifted[k] += lo * shifted[k + 1]
-    return len({c > 0 for c in shifted if c}) > 1
+    signs = [v > 0 for v in shifted if v]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes if changes < 2 else uni.count_roots(c, lo, uni.root_bound(c))
 
 
-def _resultant_roots(res, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Real roots of res in the closed [lo, hi], rational ones exactly."""
-    roots = [x for x in (lo, hi) if uni.ueval(res, x) == 0]
-    if _may_have_root_past(res, lo):
-        for iv in uni.isolate_roots(res, lo, hi, width=ISOLATION_WIDTH):
-            guess = iv.midpoint.limit_denominator(10**6)
-            exact = iv.lo <= guess <= iv.hi and uni.ueval(res, guess) == 0
-            roots.append(guess if exact else iv.midpoint)
-    return sorted(roots)
+def _root_free_from(c, lo: Fraction, closed: bool = True) -> bool:
+    """c has no real root on (lo, oo), nor at lo itself when ``closed``."""
+    return not (closed and uni.ueval(c, lo) == 0) and not _roots_past(c, lo)
 
 
-def _root_free_from(res, lo: Fraction) -> bool:
-    """res has no real root on [lo, oo)."""
-    if uni.ueval(res, lo) == 0:
-        return False
-    return not _may_have_root_past(res, lo) or not uni.count_roots(
-        res, lo, uni.root_bound(res)
-    )
+def _first_power_past(c, x0: Fraction, closed: bool) -> Fraction:
+    """The least x0 * 2^k from which c is root-free; past its root bound it is."""
+    while not _root_free_from(c, x0, closed):
+        x0 *= 2
+    return x0
 
 
 # ---------------------------------------------------------------------------
@@ -630,21 +478,20 @@ def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
 class _ExactStrip:
     """p on V, once the hypotheses at x0 hold; the constructor decides them.
 
-    Raises LevelSetUndecided naming the first fact that fails.  Keeps
-    h = p(x0, .) and ``top``, the isolating interval of f(x0); ``facts``
-    states what was proven.
+    ``r`` and ``d`` are R = Res_y(p_x, p_y) and D = Res_y(p, p_y), taken
+    once by the caller.  Raises LevelSetUndecided naming the first fact that
+    fails.  Keeps h = p(x0, .) and ``top``, the isolating interval of
+    f(x0); ``facts`` states what was proven.
     """
 
-    def __init__(self, p: BivariatePolynomial, x0: Fraction):
+    def __init__(self, p: BivariatePolynomial, x0: Fraction, r: list[Fraction], d: list[Fraction]):
         self.p, self.x0 = p, x0
         self.px, self.py = p.partial_derivative("x"), p.partial_derivative("y")
-        self.bottom = uni.normalize([p.coefficient((i, 0)) for i in range(p.degree_x() + 1)])
+        self.bottom = _bottom(p)
         facts = []
         for name, res, meaning in (
-            ("R = Res_y(p_x, p_y)", _resultant_y(self.px, self.py),
-             "no critical point and no closed level loop"),
-            ("D = Res_y(p, p_y)", _resultant_y(p, self.py),
-             "the roots of p(x, .) stay simple and finite"),
+            ("R = Res_y(p_x, p_y)", r, "no critical point and no closed level loop"),
+            ("D = Res_y(p, p_y)", d, "the roots of p(x, .) stay simple and finite"),
         ):
             if not res:
                 raise LevelSetUndecided(f"{name} vanishes identically: a shared factor")
@@ -653,7 +500,7 @@ class _ExactStrip:
             facts.append(
                 f"{name}, degree {uni.degree(res)}, has no real root on [x0, oo): {meaning}"
             )
-        if self.bottom and uni.count_roots(self.bottom, x0, uni.root_bound(self.bottom)):
+        if self.bottom and not _root_free_from(self.bottom, x0, closed=False):
             raise LevelSetUndecided("p(x, 0) has a real root past x0")
         self.h = p.restricted_to_x(x0)
         roots = _positive_roots(self.h)
@@ -664,7 +511,7 @@ class _ExactStrip:
             ("p(x, 0) = 0" if not self.bottom else "p(x, 0) has no real root past x0")
             + ", and p(x0 + 1, .) has as many positive roots as p(x0, .): f is continuous"
         )
-        ym = Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(roots[0].lo))))
+        ym = _point_below(roots[0])
         if uni.ueval(self.h, ym) <= 0:
             raise LevelSetUndecided("p is not positive on the segment side")
         facts.append(f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}")
@@ -673,8 +520,9 @@ class _ExactStrip:
         self._tops = {x0: (self.h, roots[0].hi)}  # line x -> p(x, .), end of f(x)'s interval
         self._far: dict[Fraction, tuple] = {}  # level -> _far_roots(level)
         # E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T: keep
-        # its x-coefficients as polynomials in T, from that many + 1 levels
-        levels = [_resultant_y(p - k, self.py) for k in range(self.py.degree_y() + 1)]
+        # its x-coefficients as polynomials in T, from that many + 1 levels,
+        # the first of them D
+        levels = [d] + [_resultant_y(p - k, self.py) for k in range(1, self.py.degree_y() + 1)]
         width = max(map(len, levels))
         self._e_in_t = [
             uni.interpolate([e[i] if i < len(e) else 0 for e in levels]) for i in range(width)
@@ -803,18 +651,17 @@ def _reach(c, breaks: list[uni.RootInterval], meets) -> float:
     return uni.float_root(c, breaks[-1])
 
 
-def check_level_sets(
-    p: BivariatePolynomial, region: TongueRegion, t_values
-) -> LevelSetReport:
+def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     """Classify each level p = t in V from its exact end counts.
 
-    Expected shape, checked per level: nothing for t <= 0; one arc whose
-    two ends lie on the segment side for 0 < t <= t0; nothing or an arc in
-    the pocket for t > t0.  Raises LevelSetUndecided when a hypothesis of
-    the argument (module docstring) fails or a count stays undecided.
+    p is ``region.poly``.  Expected shape, checked per level: nothing for
+    t <= 0; one arc whose two ends lie on the segment side for
+    0 < t <= t0; nothing or an arc in the pocket for t > t0.  Raises
+    LevelSetUndecided when a hypothesis of the argument (module docstring)
+    fails or a count stays undecided.
     """
     profile = region.profile
-    strip = _ExactStrip(p, region.x0)
+    strip = _ExactStrip(region.poly, region.x0, *region.resultants)
     t0 = profile.t0
     barrier = strip.ends(t0)
     pinned = barrier == (2, 0, 0)
@@ -896,25 +743,27 @@ def tongue_certificate(
 ) -> TongueCertificate:
     """Run the full region pipeline and aggregate the checks.
 
-    The region starts at x0 = 1 and is accepted by ``build_tongue`` only
-    with a clean critical-point check, whose report is passed along; the
-    levels follow ``default_schedule``.  Verified means every level count
-    came out as expected; the counts are exact (module docstring).  A
-    hypothesis that fails or a count left undecided reports Inconclusive,
-    naming the fact; violated expectations report Failed.
+    ``build_tongue`` places the region at its exact x0; the levels follow
+    ``default_schedule``.  Verified means every level count came out as
+    expected; the counts are exact (module docstring).  A hypothesis that
+    fails or a count left undecided reports Inconclusive, naming the fact;
+    a region that cannot be assembled at x0, or violated expectations,
+    report Failed.  ``grid`` sizes only the drawing of ``render`` and no
+    longer affects the certificate.
     """
-    grid = grid or GridSpec()
     cert = corollary_certificate(p, allow_swap=True)
     if not cert.satisfied:
         return TongueCertificate(FAILED, ("criterion not satisfied",), None, None)
     try:
-        region = build_tongue(p, grid=grid)
-    except CriticalPointsPersist as exc:
+        region = build_tongue(p)
+    except LevelSetUndecided as exc:
+        return TongueCertificate(INCONCLUSIVE, (str(exc),), None, None)
+    except (NoConfirmedBranch, NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
         return TongueCertificate(FAILED, (str(exc),), None, None)
 
     levels = default_schedule(region.profile.t0)
     try:
-        level_report = check_level_sets(region.poly, region, levels)
+        level_report = check_level_sets(region, levels)
     except LevelSetUndecided as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), region, None)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import jacmate
 from jacmate import cli, render
+from jacmate.branches import BranchLost
 from jacmate.certificate import CERTIFICATE_SCHEMA
 from jacmate.cli import run_command
 
@@ -270,6 +271,22 @@ def test_tongue_verified(tmp_path, capsys):
     xml.dom.minidom.parse(str(out_svg))
 
 
+@pytest.mark.parametrize("poly", ["y^2 - 2*y", "2*x + 3*x^2"])
+def test_shared_factor_tongue_is_inconclusive_not_an_error(capsys, poly):
+    # p_x = 0 or p_y = 0 identically, so R = Res_y(p_x, p_y) = 0: the edge
+    # criterion holds, and the tongue names the shared factor at once
+    started = time.perf_counter()
+    code, out, err = run(capsys, "certify", poly, "--tongue")
+    assert (code, err) == (0, "")
+    tongue = json.loads(out)["tongue"]
+    assert tongue["status"] == "Inconclusive"
+    assert tongue["reasons"] == ["R = Res_y(p_x, p_y) vanishes identically: a shared factor"]
+    code, out, err = run(capsys, "tongue", poly)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["status"] == "Inconclusive"
+    assert time.perf_counter() - started < 1.0
+
+
 def test_tongue_uncovered_input_fails(capsys):
     code, out, _ = run(capsys, "tongue", "x^2 + y^2")
     assert code == 1
@@ -338,6 +355,17 @@ def test_render_tongue_leaves_out_an_undecidable_level(monkeypatch, capsys):
     assert out.count("not drawn: saddle cell undecidable") == 30
 
 
+def test_render_tongue_whose_trace_fails_exits_1(monkeypatch, capsys):
+    # only the drawing traces the branch; a lost trace is no traceback
+    def lost(*args):
+        raise BranchLost("no sign change near the predictor at x=2.0")
+
+    monkeypatch.setattr(render, "lowest_positive_branch", lost)
+    code, out, err = run(capsys, "render", "y + x^2*y^2", "--what", "tongue")
+    assert (code, out) == (1, "")
+    assert err == "not available: no sign change near the predictor at x=2.0\n"
+
+
 def test_unknown_subcommand(capsys):
     assert run_command(["frobnicate", "x"]) == 2
 
@@ -390,8 +418,13 @@ def test_commands_in_a_row_share_no_options(tmp_path, capsys):
 #
 # Each generated text comes with a bound on its degree; texts of degree at
 # most FUZZ_DEGREE keep one falsifier miss, 11 boxes with descents, short.
+# The tongue's resultants grow faster with the degree, so ``--tongue`` runs
+# on texts of degree at most TONGUE_FUZZ_DEGREE only.  Few grammar texts pass
+# the edge criterion, so the tongue also gets sums y + c*x^i*y^j of up to
+# four terms, about one in six of which reaches the region check.
 
 FUZZ_DEGREE = 6
+TONGUE_FUZZ_DEGREE = 4
 
 
 def _joined(parts):
@@ -417,19 +450,29 @@ _exprs = st.recursive(
     ),
     max_leaves=8,
 )
-poly_texts = st.tuples(
+poly_texts_with_degree = st.tuples(
     st.sampled_from(["", "-", "+"]), _exprs.filter(lambda e: e[1] <= FUZZ_DEGREE)
-).map(lambda t: t[0] + t[1][0])
+).map(lambda t: (t[0] + t[1][0], t[1][1]))
+poly_texts = poly_texts_with_degree.map(lambda t: t[0])
+_monomials = st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 4), st.integers(0, 4))
+tongue_texts = st.lists(
+    _monomials.filter(lambda t: t[1] + t[2] <= TONGUE_FUZZ_DEGREE), min_size=1, max_size=4
+).map(lambda ts: "y" + "".join(f" {'+-'[c < 0]} {abs(c)}*x^{i}*y^{j}" for c, i, j in ts))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(poly_texts, poly_texts)
-def test_fuzzed_commands_exit_0_1_or_2(p, q):
-    for argv in (
+@given(poly_texts_with_degree, poly_texts, tongue_texts)
+def test_fuzzed_commands_exit_0_1_or_2(p_degree, q, t):
+    p, degree = p_degree
+    argvs = [
         ["analyze", "--", p],
         ["certify", "--falsify", "1", "--", p],
         ["falsify", f"--q={q}", "--", p],
-    ):
+        ["certify", "--tongue", "--", t],
+    ]
+    if degree <= TONGUE_FUZZ_DEGREE:
+        argvs.append(["certify", "--tongue", "--", p])
+    for argv in argvs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run_command(argv)

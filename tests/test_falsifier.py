@@ -375,6 +375,25 @@ def test_grid_values_are_within_rounding_of_exact(p, xs, ys):
     assert_grid_within_rounding(p, xs, ys, evaluate_on_grid(p, xs, ys))
 
 
+@PROPERTY
+@given(small_polys, dyadic_axis)
+def test_one_axis_for_both_gives_the_same_bits(p, axis):
+    # xs is ys shares the powers between V and P; the grid does not change
+    assert np.array_equal(evaluate_on_grid(p, axis, axis), evaluate_on_grid(p, axis, axis.copy()))
+
+
+def test_falsifier_passes_one_axis_for_both(monkeypatch):
+    same = []
+
+    def recorded(J, xs, ys):
+        same.append(xs is ys)
+        return evaluate_on_grid(J, xs, ys)
+
+    monkeypatch.setattr(fz, "evaluate_on_grid", recorded)
+    find_jacobian_zero(parse_polynomial("x"), parse_polynomial("y + y^3 + x^2*y"))
+    assert same and all(same)
+
+
 def test_absent_x_degrees_leave_no_nan():
     # on the widest box xs^200 overflows on the outer rows, and so does
     # xs^150: a zero row for the absent x^150 would make them NaN, not +inf
@@ -397,7 +416,7 @@ def test_zero_polynomial_gives_a_zero_grid():
 @PROPERTY
 @given(small_polys, st.integers(-64, 64), dyadic_axis)
 def test_one_row_grid_matches_the_one_column_transpose(p, k, ys):
-    # tongue._slice_max reads one row; the swapped polynomial gives it as a column
+    # render._slice_max reads one row; the swapped polynomial gives it as a column
     x = np.array([k / 8.0])
     row = evaluate_on_grid(p, x, ys)
     column = evaluate_on_grid(apply_transform(p, SWAP), ys, x)
