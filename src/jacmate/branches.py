@@ -183,16 +183,10 @@ def branch_candidates(
     low = next(k for k, c in enumerate(coeffs) if c != 0)
     reduced = coeffs[low:]
     out: list[BranchAsymptote] = []
+    # 0 is no root here and isolation splits (-B, B) there first: no interval straddles it
     for iv in uni.isolate_roots(reduced, width=uni.DEFAULT_WIDTH):
         lo, hi = iv.lo, iv.hi
-        if lo < 0 < hi:
-            # all roots of the reduced face are nonzero; re-isolate on the
-            # side of zero that actually holds this one
-            side = uni.isolate_roots(reduced, lo, Fraction(0)) or uni.isolate_roots(
-                reduced, Fraction(0), hi
-            )
-            lo, hi = side[0].lo, side[0].hi
-        c_star = uni.float_root(reduced, uni.RootInterval(lo, hi, iv.multiplicity))
+        c_star = uni.float_root(reduced, iv)
         probes = tuple(
             sign_probe(p, edge.slope, lo, hi, xp) for xp in PROBE_XS
         )

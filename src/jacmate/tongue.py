@@ -224,10 +224,10 @@ def restriction_profile(
 
     f_x0 is the float of f(x0), the smallest positive root of h.  Requires
     h to vanish at 0 and stay positive below f_x0.  The barrier is half
-    the smallest interior critical value, rounded to a small rational and
-    then re-verified exactly: h - t0 must have exactly two simple roots
-    a < b, h must exceed t0 between them, and h' must be root-free outside
-    [a, b].
+    the smallest interior critical value vmin, rounded to a rational of
+    denominator at most max(10^9, 4 / vmin), within vmin / 8, and then
+    re-verified exactly: h - t0 must have exactly two simple roots a < b, h
+    must exceed t0 between them, and h' must be root-free outside [a, b].
     """
     x0 = Fraction(x0)
     h = p.restricted_to_x(x0)
@@ -248,7 +248,7 @@ def restriction_profile(
     if vmin <= 0:
         raise NotSingleSignedOnInterval("a critical value is not positive")
 
-    t0 = (vmin / 2).limit_denominator(10**9)
+    t0 = (vmin / 2).limit_denominator(max(10**9, math.ceil(4 / vmin)))
     for _ in range(8):
         if t0 > 0 and _barrier_is_valid(h, dh, t0, ub):
             break
@@ -392,25 +392,9 @@ def _resultant_y(f, g) -> list[Fraction]:
     ])
 
 
-def _roots_past(c, lo: Fraction) -> int:
-    """Number of distinct real roots of c on the open (lo, oo).
-
-    Descartes' rule on the Taylor shift c(lo + t) settles 0 and 1 sign
-    changes (no root, one simple root); Sturm, slow on a resultant of high
-    degree, counts the rest.
-    """
-    shifted = list(c)
-    for i in range(len(c)):
-        for k in range(len(c) - 2, i - 1, -1):
-            shifted[k] += lo * shifted[k + 1]
-    signs = [v > 0 for v in shifted if v]
-    changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    return changes if changes < 2 else uni.count_roots(c, lo, uni.root_bound(c))
-
-
 def _root_free_from(c, lo: Fraction, closed: bool = True) -> bool:
     """c has no real root on (lo, oo), nor at lo itself when ``closed``."""
-    return not (closed and uni.ueval(c, lo) == 0) and not _roots_past(c, lo)
+    return not (closed and uni.ueval(c, lo) == 0) and not uni.count_roots(c, lo, uni.root_bound(c))
 
 
 def _first_power_past(c, x0: Fraction, closed: bool) -> Fraction:
@@ -467,7 +451,7 @@ def _shrink(g, lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
 
 def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
     """Sign of q at the one root of the squarefree g that ``iv`` isolates."""
-    if uni.count_roots(uni.poly_gcd(q, g), iv.lo, iv.hi):
+    if uni.count_roots(uni.subresultant_gcd(q, g), iv.lo, iv.hi):
         return 0
     lo, _ = _shrink(
         g, iv.lo, iv.hi, lambda lo, hi: uni.count_roots(q, lo, hi) or not uni.ueval(q, lo)
@@ -550,21 +534,19 @@ class _ExactStrip:
     def _segment_ends(self, t: Fraction) -> int:
         g = _shifted_by(self.h, t)
         top = self._tops[self.x0][1]  # as in _level_on_line
-        if uni.degree(uni.poly_gcd(g, uni.derivative(g))) < 1:
-            return uni.count_roots(g, Fraction(0), top)  # all roots simple
         ends = 0
         for factor, mult in uni.squarefree_decomposition(g):
+            if mult == 1:
+                ends += uni.count_roots(factor, Fraction(0), top)
+                continue
             for iv in uni.isolate_roots(factor, Fraction(0), top):
-                if mult == 1:
-                    ends += 1
+                # a double root where h - t and p_x(x0, .) have one sign
+                # beside it is tangent from outside V: no end
+                side = mult == 2 and _sign_at_root(
+                    uni.exact_quotient(uni.exact_quotient(g, factor), factor), factor, iv
+                )
+                if side and side == _sign_at_root(self.px.restricted_to_x(self.x0), factor, iv):
                     continue
-                rest = g
-                for _ in range(mult):
-                    rest, _ = uni.poly_divmod(rest, factor)
-                side = _sign_at_root(rest, factor, iv)
-                slope = _sign_at_root(self.px.restricted_to_x(self.x0), factor, iv)
-                if mult == 2 and side != 0 and side == slope:
-                    continue  # tangent from outside V: no end
                 raise LevelSetUndecided(
                     f"h - t has a root of multiplicity {mult} near y = "
                     f"{float(iv.midpoint)!r} for t = {t} that does not stay outside V"

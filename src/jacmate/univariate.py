@@ -1,10 +1,13 @@
 """Exact univariate polynomial utilities over the rationals.
 
-Polynomials are lists of ``Fraction`` coefficients in ascending order of
-power; the zero polynomial is the empty list.  Everything here is exact:
-root counting uses Sturm chains, multiplicities come from a square-free
-decomposition, and isolating intervals have rational endpoints.  Floats
-appear only in the final refinement step.
+Polynomials are lists of coefficients in ascending order of power, as
+``Fraction`` or ``int``; the zero polynomial is the empty list.  Everything
+here is exact and runs on integer multiples, which have the same roots and
+signs: multiplicities come from Yun's square-free decomposition over Z with
+a subresultant gcd (Brown & Traub, J. ACM 1971), roots are counted by
+Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC 1976),
+and isolating intervals have rational endpoints.  Floats appear only in the
+final refinement step.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 Coeffs = list[Fraction]
 
@@ -22,10 +26,9 @@ __all__ = [
     "ueval",
     "ueval_float",
     "derivative",
-    "poly_divmod",
-    "poly_gcd",
+    "subresultant_gcd",
+    "exact_quotient",
     "squarefree_decomposition",
-    "sturm_chain",
     "count_roots",
     "root_bound",
     "isolate_roots",
@@ -85,88 +88,92 @@ def derivative(c: Coeffs) -> Coeffs:
     return [a * k for k, a in enumerate(c)][1:]
 
 
-def poly_divmod(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
-    num, den = normalize(num), normalize(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    dlead = den[-1]
-    while len(rem) >= len(den) and normalize(rem):
-        shift = len(rem) - len(den)
-        factor = rem[-1] / dlead
-        quot[shift] = factor
-        for k, a in enumerate(den):
-            rem[shift + k] -= factor * a
-        rem = normalize(rem)
-    return normalize(quot), normalize(rem)
-
-
-def _monic(c: Coeffs) -> Coeffs:
-    c = normalize(c)
-    if not c:
-        return c
-    lead = c[-1]
-    return [a / lead for a in c]
-
-
-def poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    a, b = normalize(a), normalize(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return _monic(a)
-
-
-def squarefree_decomposition(f: Coeffs) -> list[tuple[Coeffs, int]]:
-    """Yun decomposition: pairwise coprime squarefree factors with multiplicity.
-
-    The constant leading factor is dropped, so the result describes the roots
-    of f, not f itself up to units.
-    """
-    f = _monic(f)
-    if degree(f) < 1:
-        return []
-    df = derivative(f)
-    a = poly_gcd(f, df)
-    b, _ = poly_divmod(f, a)
-    c, _ = poly_divmod(df, a)
-    d = _sub(c, derivative(b))
-    out: list[tuple[Coeffs, int]] = []
-    m = 1
-    while degree(b) >= 1:
-        g = poly_gcd(b, d)
-        if degree(g) >= 1:
-            out.append((g, m))
-        b, _ = poly_divmod(b, g)
-        c, _ = poly_divmod(d, g)
-        d = _sub(c, derivative(b))
-        m += 1
-    return out
-
-
-def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return normalize([x - y for x, y in zip(a, b)])
-
-
-def sturm_chain(f: Coeffs) -> list[Coeffs]:
-    f = normalize(f)
-    chain = [f, normalize(derivative(f))]
-    while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-a for a in r])
-    return [c for c in chain if c]
-
-
 def _integer_multiple(c: Coeffs) -> list[int]:
     """c times the positive lcm of its denominators: same roots, same signs."""
     den = math.lcm(*(a.denominator for a in c))
     return [a.numerator * (den // a.denominator) for a in c]
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """The nonzero c over its content, with a positive leading coefficient."""
+    g = math.gcd(*c) if c[-1] > 0 else -math.gcd(*c)
+    return [a // g for a in c]
+
+
+def _divide(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a over Z."""
+    r, n, q = list(a), len(b) - 1, []
+    for top in reversed(range(n, len(a))):
+        c, rem = divmod(r.pop(), b[-1])
+        assert rem == 0, "not an exact division"
+        q.append(c)
+        r = [v - c * w for v, w in zip(r, [0] * (top - n) + b)]
+    assert not any(r), "not an exact division"
+    return q[::-1]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
+    r, n, lead = list(a), len(b) - 1, b[-1]
+    for top in reversed(range(n, len(a))):
+        q = r.pop()
+        r = [lead * v - q * w for v, w in zip(r, [0] * (top - n) + b)]
+    return normalize(r)
+
+
+def subresultant_gcd(a: Coeffs, b: Coeffs) -> list[int]:
+    """gcd(a, b) as a primitive integer polynomial with positive leading coefficient.
+
+    Runs the subresultant remainder sequence (Brown & Traub): each division
+    is exact over Z and the coefficients grow only linearly with the
+    degree.  The gcd of two zero polynomials is [].
+    """
+    a, b = _integer_multiple(normalize(a)), _integer_multiple(normalize(b))
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a) if a else []
+    a, b = _primitive(a), _primitive(b)
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _prem(a, b)
+        if not r:
+            return _primitive(b)
+        den = g * h**delta
+        a, b = b, [v // den for v in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    return [1]  # a nonzero constant remainder
+
+
+def exact_quotient(a: Coeffs, b: list[int]) -> list[int]:
+    """A positive multiple of a / b, for a primitive integer b that divides a."""
+    return _divide(_integer_multiple(normalize(a)), b)
+
+
+def squarefree_decomposition(f: Coeffs) -> list[tuple[list[int], int]]:
+    """Yun decomposition over Z: pairwise coprime squarefree factors with multiplicity.
+
+    Each factor is a primitive integer polynomial with positive leading
+    coefficient.  The constant factor of f is dropped, so the result
+    describes the roots of f, not f itself up to units.
+    """
+    f = _integer_multiple(normalize(f))
+    if len(f) < 2:
+        return []
+    df = derivative(f)
+    a = subresultant_gcd(f, df)
+    b, c = _divide(f, a), _divide(df, a)
+    out, m = [], 1
+    while len(b) > 1:
+        d = normalize([u - v for u, v in zip_longest(c, derivative(b), fillvalue=0)])
+        g = subresultant_gcd(b, d)
+        if len(g) > 1:
+            out.append((g, m))
+        b, c = _divide(b, g), _divide(d, g)
+        m += 1
+    return out
 
 
 def _sign_at(c: list[int], n: int, d: int) -> int:
@@ -183,44 +190,52 @@ def _sign_at(c: list[int], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _integer_chain(f: Coeffs) -> list[list[int]]:
-    """The Sturm chain of f, each member scaled to an integer multiple."""
-    return [_integer_multiple(c) for c in sturm_chain(f)]
-
-
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    count = last = 0
-    for c in chain:
-        s = _sign_at(c, x.numerator, x.denominator)
-        if s:
-            count += last == -s
-            last = s
-    return count
-
-
 def _is_root(c: list[int], x: Fraction) -> bool:
     return _sign_at(c, x.numerator, x.denominator) == 0
 
 
-def _deflate_root(f: Coeffs, r: Fraction) -> Coeffs:
-    # divide out (x - r) as often as it vanishes
-    while f and _is_root(_integer_multiple(f), r):
-        f, rem = poly_divmod(f, [-r, Fraction(1)])
-        assert not rem
-    return f
+def _deflate_root(g: list[int], r: Fraction) -> list[int]:
+    # divide out (den * x - num) as often as r = num / den is a root
+    while g and _is_root(g, r):
+        g = _divide(g, [-r.numerator, r.denominator])
+    return g
+
+
+def _descartes_bound(c: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign changes in the coefficients of (1 + x)^n c((hi + lo x) / (1 + x)).
+
+    Its positive roots are the images of the roots of c in the open
+    (lo, hi), so by Descartes' rule of signs this bounds their number,
+    counted with multiplicity, and has its parity: 0 and 1 are exact.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    # q(x) = den^n c((a + w x) / den), by Horner in (a + w x): roots in (0, 1)
+    q, scale = [c[-1]], 1
+    for ck in reversed(c[:-1]):
+        scale *= den
+        q = [a * u + w * v for u, v in zip(q + [0], [0] + q)]
+        q[0] += ck * scale
+    # (1 + x)^n q(1 / (1 + x)), by Horner in (1 + x): roots in (0, oo)
+    t = [q[0]]
+    for qk in q[1:]:
+        t = [u + v for u, v in zip(t + [0], [0] + t)]
+        t[0] += qk
+    signs = [v > 0 for v in t if v]
+    return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
 def count_roots(f: Coeffs, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
-    f = normalize(f)
+    c = _integer_multiple(normalize(f))
     lo, hi = Fraction(lo), Fraction(hi)
-    if not f or lo >= hi:
+    if len(c) < 2 or lo >= hi:
         return 0
-    f = _deflate_root(_deflate_root(f, lo), hi)
-    if degree(f) < 1:
-        return 0
-    chain = _integer_chain(f)
-    return _variations(chain, lo) - _variations(chain, hi)
+    changes = _descartes_bound(c, lo, hi)
+    if changes < 2:
+        return changes  # exact with or without multiple roots
+    return len(_one_root_intervals(_divide(c, subresultant_gcd(c, derivative(c))), lo, hi))
 
 
 def root_bound(f: Coeffs) -> Fraction:
@@ -253,11 +268,20 @@ def isolate_roots(
     bound = root_bound(f)
     lo = Fraction(lo) if lo is not None else -bound
     hi = Fraction(hi) if hi is not None else bound
+    if lo >= hi:
+        return []
     width = Fraction(width)
+    c = _integer_multiple(f)
+    # Descartes' rule is exact for 0 and 1 sign changes, multiple roots or
+    # not: only two or more need the square-free factors
+    changes = _descartes_bound(c, lo, hi)
     found: list[RootInterval] = []
-    for factor, mult in squarefree_decomposition(f):
-        for iv in _isolate_squarefree(factor, lo, hi, width):
-            found.append(RootInterval(iv[0], iv[1], mult))
+    for factor, mult in [(c, 1)] * changes if changes < 2 else squarefree_decomposition(f):
+        # roots at the requested ends lie outside the open interval: divide
+        # them out, and no end of a part is a root (splits avoid roots)
+        g = _deflate_root(_deflate_root(factor, lo), hi)
+        for a, b in _one_root_intervals(g, lo, hi):
+            found.append(RootInterval(*_refine_squarefree(g, a, b, width), mult))
     found.sort(key=lambda r: (r.lo, r.hi))
     return found
 
@@ -273,33 +297,31 @@ def _nonroot_point(g: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     return probe
 
 
-def _isolate_squarefree(
-    g: Coeffs, lo: Fraction, hi: Fraction, width: Fraction
+def _one_root_intervals(
+    g: list[int], lo: Fraction, hi: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    if lo >= hi:
-        return []
-    # roots at the requested ends lie outside the open interval: divide them
-    # out once, and no end of a subinterval is a root (midpoints avoid roots)
-    g = _deflate_root(_deflate_root(normalize(g), lo), hi)
-    if degree(g) < 1:
-        return []
-    chain = _integer_chain(g)
-    gi = chain[0]
-    out: list[tuple[Fraction, Fraction]] = []
-    work = [(lo, hi)]
+    """The widest parts of a bisection of (lo, hi) that hold one root of g each.
+
+    Parts with two or more Descartes sign changes are split at
+    ``_nonroot_point``, so each root of g ends a path of parts.  An exact
+    root count stops on the first part of a path that no other path shares;
+    paths in order of position share the most with their neighbours.
+    """
+    paths, work = [], [[(lo, hi)]]
     while work:
-        a, b = work.pop()
-        n = _variations(chain, a) - _variations(chain, b)
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(_refine_squarefree(gi, a, b, width))
-            continue
-        mid = _nonroot_point(gi, a, b)
-        work.append((a, mid))
-        work.append((mid, b))
-    out.sort()
-    return out
+        path = work.pop()
+        a, b = path[-1]
+        changes = _descartes_bound(g, a, b)
+        if changes == 1:
+            paths.append(path)
+        elif changes:
+            mid = _nonroot_point(g, a, b)
+            work += [path + [(mid, b)], path + [(a, mid)]]
+    own = [0] * len(paths)
+    for i in range(1, len(paths)):
+        k = next(k for k, (u, v) in enumerate(zip(paths[i - 1], paths[i])) if u != v)
+        own[i - 1], own[i] = max(own[i - 1], k), k
+    return [path[k] for path, k in zip(paths, own)]
 
 
 def _refine_squarefree(

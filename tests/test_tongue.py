@@ -184,21 +184,36 @@ def test_shared_factor_partials_are_inconclusive_at_once(monkeypatch):
 
 
 def test_roots_past_counts_the_open_ray():
-    # roots 1, sqrt(5), 7/3 and 4: Sturm counts three past 1, Descartes
-    # settles one past 3 and none past 4; only the closed ray holds 4
+    # roots 1, sqrt(5), 7/3 and 4: bisection counts three past 1, Descartes'
+    # rule settles one past 3 and none past 4; only the closed ray holds 4
+    def roots_past(c, lo):
+        return uni.count_roots(c, lo, uni.root_bound(c))
+
     res = parse_polynomial("(y - 1)*(3*y - 7)*(y^2 - 5)*(y - 4)").restricted_to_x(0)
-    assert tongue._roots_past(res, Fraction(1)) == 3
-    assert tongue._roots_past(res, Fraction(3)) == 1
-    assert tongue._roots_past(res, Fraction(4)) == 0
+    assert roots_past(res, Fraction(1)) == 3
+    assert roots_past(res, Fraction(3)) == 1
+    assert roots_past(res, Fraction(4)) == 0
     assert not tongue._root_free_from(res, Fraction(4))
     assert tongue._root_free_from(res, Fraction(4), closed=False)
     assert tongue._first_power_past(res, Fraction(1), closed=True) == 8
     assert tongue._first_power_past(res, Fraction(1), closed=False) == 4
     # (y - 3)^2 + 1 has two sign changes past 1 and past 2 but no real root:
-    # Sturm decides, and x0 = 1 stands
+    # bisection decides, and x0 = 1 stands
     res = parse_polynomial("y^2 - 6*y + 10").restricted_to_x(0)
-    assert tongue._roots_past(res, Fraction(1)) == 0
+    assert roots_past(res, Fraction(1)) == 0
     assert tongue._first_power_past(res, Fraction(1), closed=True) == 1
+
+
+def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
+    # x0 = 262144, h = y - (2^34 + 2)*y^2 peaks at ~1.5e-11: a denominator
+    # bound of 10^9 alone rounds the barrier to 0
+    cert = tongue_certificate(parse_polynomial("y - ((x - 131072)^2 + 2)*y^2"))
+    assert cert.status == VERIFIED
+    prof = cert.region.profile
+    assert prof.x0 == 262144
+    assert 0 < prof.t0 < Fraction(1, 10**9)
+    peak = Fraction(1, 4 * (2**34 + 2))
+    assert abs(prof.t0 - peak / 2) <= peak / 8
 
 
 def test_level_sets_p3(p3, region3):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacmate.poly import BivariatePolynomial, parse_polynomial
-from jacmate.tongue import _resultant_y
+from jacmate.tongue import _resultant_y, build_tongue
 from jacmate.univariate import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -15,18 +15,24 @@ from jacmate.univariate import (
     count_roots,
     degree,
     derivative,
+    exact_quotient,
     float_root,
     interpolate,
     isolate_roots,
     normalize,
-    poly_divmod,
-    poly_gcd,
     resultant,
     root_bound,
     squarefree_decomposition,
-    sturm_chain,
+    subresultant_gcd,
     ueval,
 )
+
+try:
+    import sympy
+except ImportError:  # test-only oracle
+    sympy = None
+
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
 
 # deterministic examples, no example database in the tree
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -42,6 +48,14 @@ def from_roots(roots):
         for k in range(len(f) - 1):
             f[k] -= r * f[k + 1]
     return f
+
+
+def times(f, g):
+    prod = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return prod
 
 
 def test_from_roots_helper():
@@ -74,31 +88,50 @@ def test_derivative():
     assert derivative([Fraction(7)]) == []
 
 
-def test_divmod_identity():
+def test_exact_quotient_inverts_a_product():
     rng = random.Random(2001)
     for _ in range(100):
-        f = [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 7))]
-        g = normalize([Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))])
-        if not g:
+        q = normalize([Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 7))])
+        g = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        g = normalize(g)
+        if not q or not g:
             continue
-        q, r = poly_divmod(f, g)
-        lhs = normalize(f)
-        prod = [Fraction(0)] * (len(q) + len(g))
-        for i, a in enumerate(q):
-            for j, b in enumerate(g):
-                prod[i + j] += a * b
-        for i, c in enumerate(r):
-            prod[i] += c
-        assert normalize(prod) == lhs
-        assert degree(r) < degree(g)
+        got = exact_quotient(times(q, g), g)
+        # a positive multiple of q with integer coefficients
+        assert all(isinstance(v, int) for v in got)
+        ratio = Fraction(got[-1]) / q[-1]
+        assert ratio > 0 and [Fraction(v) for v in got] == [ratio * v for v in q]
 
 
-def test_gcd_recovers_common_factor():
+def test_subresultant_gcd_recovers_common_factor():
     a = from_roots([Fraction(1), Fraction(2)])
     b = from_roots([Fraction(1), Fraction(-3)])
-    g = poly_gcd(a, b)
-    # monic gcd is exactly (y - 1)
-    assert g == [Fraction(-1), Fraction(1)]
+    # primitive, positive leading coefficient: exactly (y - 1)
+    assert subresultant_gcd(a, b) == [-1, 1]
+    assert subresultant_gcd([Fraction(-3), Fraction(6)], [Fraction(1, 2), Fraction(-1)]) == [-1, 2]
+    assert subresultant_gcd(a, []) == [2, -3, 1]
+    assert subresultant_gcd([], []) == []
+    assert subresultant_gcd(a, [Fraction(5)]) == [1]
+
+
+@needs_sympy
+def test_subresultant_gcd_matches_sympy():
+    y = sympy.symbols("y")
+    rng = random.Random(2005)
+    def draw(size):
+        return [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, size))]
+
+    for _ in range(60):
+        # a common factor, and cofactors that may share more, of degree up to 9
+        common = draw(4)
+        a, b = normalize(times(common, draw(6))), normalize(times(common, draw(6)))
+        if not a or not b:
+            continue
+        _, want = sympy.gcd(*(sympy.Poly(c[::-1], y) for c in (a, b))).primitive()
+        want = [int(v) for v in want.all_coeffs()[::-1]]
+        if want[-1] < 0:
+            want = [-v for v in want]
+        assert subresultant_gcd(a, b) == want
 
 
 def test_squarefree_decomposition_multiplicities():
@@ -120,14 +153,19 @@ def test_squarefree_decomposition_multiplicities():
     assert ueval(by_mult[1], Fraction(5)) == 0
 
 
-def test_sturm_chain_signs_count_roots():
+def test_count_roots_on_open_intervals():
     f = from_roots([Fraction(-1), Fraction(0), Fraction(3, 2)])
-    chain = sturm_chain(f)
-    assert chain[0] == normalize(f)
     assert count_roots(f, Fraction(-10), Fraction(10)) == 3
     assert count_roots(f, Fraction(0), Fraction(2)) == 1  # open: root at 0 excluded
+    assert count_roots(f, Fraction(-1), Fraction(3, 2)) == 1  # both ends are roots
     assert count_roots(f, Fraction(1), Fraction(2)) == 1
     assert count_roots(f, Fraction(2), Fraction(10)) == 0
+    # (y^2 - 2)^2 has two sign changes on (0, 2) but one distinct root there
+    g = times([Fraction(-2), 0, Fraction(1)], [Fraction(-2), 0, Fraction(1)])
+    assert count_roots(g, Fraction(0), Fraction(2)) == 1
+    assert count_roots(g, Fraction(-2), Fraction(2)) == 2
+    # (y - 3)^2 + 1: two sign changes on (0, 5), no real root
+    assert count_roots([Fraction(10), Fraction(-6), Fraction(1)], Fraction(0), Fraction(5)) == 0
 
 
 def test_root_bound_dominates_roots():
@@ -210,14 +248,6 @@ def test_isolated_intervals_are_disjoint_random():
         assert total >= distinct
 
 
-def times(f, g):
-    prod = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            prod[i + j] += a * b
-    return prod
-
-
 @st.composite
 def polys_with_roots(draw):
     """Random rational polynomial times (y - r) for drawn rational roots r."""
@@ -241,6 +271,31 @@ def test_sign_kernel_matches_exact_value(case, points):
 
 
 # -- Fraction-bisection reference for isolate_roots ----------------------
+# A small Fraction Euclid and Sturm chain, kept here as the oracle for the
+# integer Descartes kernel.
+
+
+def reference_divmod(num, den):
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    rem = list(num)
+    while len(rem) >= len(den) and rem:
+        shift = len(rem) - len(den)
+        factor = rem[-1] / den[-1]
+        quot[shift] = factor
+        for k, a in enumerate(den):
+            rem[shift + k] -= factor * a
+        rem = normalize(rem)
+    return normalize(quot), rem
+
+
+def reference_sturm_chain(f):
+    chain = [normalize(f), normalize(derivative(f))]
+    while chain[-1]:
+        _, r = reference_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-a for a in r])
+    return [c for c in chain if c]
 
 
 def reference_variations(chain, x):
@@ -264,10 +319,11 @@ def reference_refine(g, lo, hi, width):
 
 def reference_isolate_squarefree(g, lo, hi, width):
     # a root at a requested end is outside the open interval: divide it out
+    g = [Fraction(a) for a in g]
     for end in (lo, hi):
         if ueval(g, end) == 0:
-            g, _ = poly_divmod(g, [-end, Fraction(1)])
-    chain = sturm_chain(g)
+            g, _ = reference_divmod(g, [-end, Fraction(1)])
+    chain = reference_sturm_chain(g)
     out = []
     work = [(lo, hi)]
     while work:
@@ -306,15 +362,85 @@ def reference_isolate_roots(f, lo, hi, width):
     polys_with_roots(),
     st.one_of(st.none(), rationals),
     st.one_of(st.none(), rationals),
+    st.sampled_from([Fraction(1, 10**14), Fraction(1, 2), Fraction(8)]),
 )
-def test_isolate_roots_matches_fraction_bisection(case, lo, hi):
+def test_isolate_roots_matches_fraction_bisection(case, lo, hi, width):
     f, roots = case
     if degree(f) < 1:
         return
-    # repeated roots exercise the multiplicities
+    # repeated roots exercise the multiplicities; a coarse width keeps the
+    # parts an exact count stops on, where Descartes' rule splits further
     f = normalize(times(f, from_roots(roots[:1])))
-    got = isolate_roots(f, lo, hi, width=1e-14)
-    assert got == reference_isolate_roots(f, lo, hi, 1e-14)
+    got = isolate_roots(f, lo, hi, width=width)
+    assert got == reference_isolate_roots(f, lo, hi, width)
+
+
+@st.composite
+def windows(draw):
+    """A polynomial with repeated roots and an open window that often ends on one."""
+    f, roots = draw(polys_with_roots())
+    for _ in range(draw(st.integers(0, 2))):
+        f = times(f, from_roots(roots[:2]))
+    ends = st.sampled_from(roots) | rationals if roots else rationals
+    lo, hi = sorted((draw(ends), draw(ends)))
+    return normalize(f), lo, hi
+
+
+def as_sympy(f):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f)]
+    return sympy.Poly(coeffs, sympy.Symbol("y"))
+
+
+@needs_sympy
+@PROPERTY
+@given(windows())
+def test_count_roots_matches_sympy(case):
+    f, lo, hi = case
+    want = 0
+    if lo < hi:
+        # sympy counts the distinct roots on the closed interval
+        p = as_sympy(f)
+        want = p.count_roots(lo, hi) - sum(p.eval(end) == 0 for end in (lo, hi))
+    assert count_roots(f, lo, hi) == want
+
+
+@needs_sympy
+@PROPERTY
+@given(windows())
+def test_squarefree_decomposition_matches_sympy(case):
+    f = case[0]
+    _, parts = as_sympy(f).clear_denoms(convert=True)[1].sqf_list()
+    want = [([int(c) for c in reversed(g.all_coeffs())], m) for g, m in parts]
+    assert squarefree_decomposition(f) == sorted(want, key=lambda part: part[1])
+
+
+@PROPERTY
+@given(polys_with_roots())
+def test_no_interval_straddles_zero_when_zero_is_no_root(case):
+    # isolation splits (-B, B) at 0 first, as ``branch_candidates`` relies on
+    f, _ = case
+    assume(degree(f) >= 1 and f[0] != 0)
+    assert not any(iv.lo < 0 < iv.hi for iv in isolate_roots(f, width=DEFAULT_WIDTH))
+
+
+@needs_sympy
+def test_high_degree_barrier_resultant_is_isolated_exactly():
+    # E_t0 = Res_y(p - t0, p_y) at the barrier of this tongue has degree 70,
+    # ~300-bit coefficients and one simple root past x0, which the pocket
+    # isolates
+    region = build_tongue(parse_polynomial("y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6"))
+    p, t0, x0 = region.poly, region.profile.t0, region.x0
+    e = _resultant_y(p - t0, p.partial_derivative("y"))
+    assert degree(e) == 70
+    assert [(degree(g), m) for g, m in squarefree_decomposition(e)] == [(70, 1)]
+    assert as_sympy(e).is_sqf
+    (iv,) = isolate_roots(e, x0, Fraction(2**18), Fraction(1, 10**14))
+    assert iv.multiplicity == 1 and 0 < iv.hi - iv.lo <= Fraction(1, 10**14)
+    assert ueval(e, iv.lo) * ueval(e, iv.hi) < 0
+    ends = [as_sympy(e).eval(end) for end in (iv.lo, iv.hi)]
+    assert ends[0] * ends[1] < 0
+    ((a, b), mult), = as_sympy(e).intervals(inf=x0, sup=2**18)
+    assert mult == 1 and a <= iv.lo and iv.hi <= b
 
 
 # -- resultant by interpolation -----------------------------------------------
