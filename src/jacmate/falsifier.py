@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -88,8 +87,7 @@ class TrialReport:
 
 
 def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
-    val = J.evaluate(Fraction(x), Fraction(y))
-    return abs(float(val))
+    return abs(float(J.evaluate(x, y)))
 
 
 def _accept(J, x: float, y: float, method: str):
@@ -151,7 +149,11 @@ def find_jacobian_zero(
     hits first, then sign-change bisection (rows before columns, row-major
     order), then descent.  Deterministic: the result depends on p and q only.
     """
-    J = jacobian(p, q)
+    return _search(jacobian(p, q))
+
+
+def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
+    """:func:`find_jacobian_zero` given the Jacobian ``J`` of the pair."""
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
     partials = None  # (J_x, J_y), built when a box first reaches the descent
@@ -184,7 +186,7 @@ def find_jacobian_zero(
         if least == 0.0:  # some finite node is an exact float zero
             for i, j in np.argwhere(absvals == 0.0):
                 x, y = float(xs[i]), float(ys[j])
-                if J.evaluate(Fraction(x), Fraction(y)) == 0:
+                if J.evaluate(x, y) == 0:
                     return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
                 hit = _accept(J, x, y, LOCAL_MINIMIZATION)
                 if hit:
@@ -243,21 +245,25 @@ def _neighbours(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _sample_mate(p: BivariatePolynomial, rng: random.Random) -> BivariatePolynomial:
+def _sample_mate(
+    p: BivariatePolynomial, rng: random.Random
+) -> tuple[BivariatePolynomial, BivariatePolynomial]:
+    """A candidate mate q and Jac(p, q), which is not identically zero."""
     for _ in range(10):
         coeffs = {}
         for i in range(MATE_DEGREE + 1):
             for j in range(MATE_DEGREE + 1 - i):
                 c = rng.randint(-MATE_COEFF_BOUND, MATE_COEFF_BOUND)
                 if c:
-                    coeffs[(i, j)] = Fraction(c)
+                    coeffs[(i, j)] = c
         if not any(j >= 1 for _, j in coeffs):
             i = rng.randint(0, MATE_DEGREE - 1)
             j = rng.randint(1, MATE_DEGREE - i)
-            coeffs[(i, j)] = Fraction(rng.randint(1, MATE_COEFF_BOUND) * rng.choice((-1, 1)))
+            coeffs[(i, j)] = rng.randint(1, MATE_COEFF_BOUND) * rng.choice((-1, 1))
         q = BivariatePolynomial(coeffs)
-        if not jacobian(p, q).is_zero:
-            return q
+        J = jacobian(p, q)
+        if not J.is_zero:
+            return q, J
     raise DegenerateSampler(
         "10 consecutive samples gave an identically zero Jacobian"
     )
@@ -274,8 +280,8 @@ def random_trials(p: BivariatePolynomial, n: int, seed: int = 0) -> TrialReport:
     hits = 0
     for k in range(n):
         trial_seed = seed + 1000003 * k
-        q = _sample_mate(p, random.Random(trial_seed))
-        result = find_jacobian_zero(p, q)
+        q, J = _sample_mate(p, random.Random(trial_seed))
+        result = _search(J)
         found = isinstance(result, ZeroWitness)
         hits += found
         outcomes.append(

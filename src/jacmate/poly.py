@@ -1,10 +1,15 @@
 """Exact sparse bivariate polynomials over the rationals.
 
-A polynomial is stored as a map from exponent pairs ``(i, j)`` to nonzero
-``Fraction`` coefficients, representing ``sum a_ij * x^i * y^j``.  The zero
-polynomial is the empty map.  All arithmetic on coefficients is exact;
-floating point enters only through :meth:`BivariatePolynomial.evaluate_approx`
-and the grid evaluator.
+A polynomial ``sum a_ij * x^i * y^j`` is stored on one common denominator:
+integer numerators n_ij, keyed by exponent pairs ``(i, j)``, over one
+positive integer den, with a_ij = n_ij / den in lowest terms (den = 1 for
+integer coefficients).  The zero polynomial has no numerators.  Sums,
+products, derivatives, the Jacobian, restriction to a vertical line, exact
+evaluation and the parser all work on these integers, scaling each operand
+once and building a ``Fraction`` only for a result that must be one; the
+``terms`` map of ``Fraction`` coefficients is built on first use.  Floating
+point enters only through :meth:`BivariatePolynomial.evaluate_approx` and the
+grid evaluator.
 
 The eight axis symmetries (swap the variables, negate either axis) are
 represented by :class:`Transform` values.  Applying a transform never changes
@@ -128,10 +133,17 @@ def compose_transforms(first: Transform, second: Transform) -> Transform:
 
 
 class BivariatePolynomial:
-    """Immutable sparse polynomial in x and y with Fraction coefficients."""
+    """Immutable sparse polynomial in x and y with rational coefficients.
 
-    # ``_plan`` is the float Horner plan, built on first use by evaluate_approx
-    __slots__ = ("terms", "_plan")
+    Stored as integer numerators over one positive common denominator, in
+    lowest terms: ``sum _num[i, j] * x^i * y^j / _den``.  The form is
+    canonical, so equal polynomials store equal numerators and denominators.
+    ``terms`` gives the same coefficients as a map to ``Fraction``.
+    """
+
+    # ``_terms`` is the Fraction view and ``_plan`` the float Horner plan,
+    # each built on first use
+    __slots__ = ("_num", "_den", "_terms", "_plan")
 
     def __init__(self, terms: Mapping[LatticePoint, Fraction | int] | None = None):
         clean: dict[LatticePoint, Fraction] = {}
@@ -142,11 +154,23 @@ class BivariatePolynomial:
                 c = Fraction(c)
             if c != 0:
                 clean[(int(i), int(j))] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_plan", None)
+        # the least common denominator leaves no factor common to all numerators
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        _init(self, {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den)
+        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
+
+    @property
+    def terms(self) -> dict[LatticePoint, Fraction]:
+        """Map from exponent pairs ``(i, j)`` to the nonzero coefficients."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = {k: Fraction(n, den) for k, n in self._num.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- construction helpers -------------------------------------------
 
@@ -172,25 +196,18 @@ class BivariatePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BivariatePolynomial(out)
+        return _poly(*_add(self._num, self._den, other._num, other._den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: -c for k, c in self.terms.items()})
+        return _poly({k: -n for k, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "BivariatePolynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _poly(*_add(self._num, self._den, other._num, other._den, -1))
 
     def __rsub__(self, other) -> "BivariatePolynomial":
         return _coerce(other) + (-self)
@@ -199,16 +216,7 @@ class BivariatePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[LatticePoint, Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return BivariatePolynomial(out)
+        return _poly(*_convolve(self._num, self._den, other._num, other._den))
 
     __rmul__ = __mul__
 
@@ -227,7 +235,7 @@ class BivariatePolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -236,16 +244,16 @@ class BivariatePolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def support(self) -> frozenset[LatticePoint]:
-        return frozenset(self.terms)
+        return frozenset(self._num)
 
     def degree_x(self) -> int:
-        return max((i for i, _ in self.terms), default=0)
+        return max((i for i, _ in self._num), default=0)
 
     def degree_y(self) -> int:
-        return max((j for _, j in self.terms), default=0)
+        return max((j for _, j in self._num), default=0)
 
     def coefficient(self, point: LatticePoint) -> Fraction:
         return self.terms.get(point, Fraction(0))
@@ -253,12 +261,18 @@ class BivariatePolynomial:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x, y) -> Fraction:
-        """Exact value at a rational point."""
-        x, y = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * x**i * y**j
-        return total
+        """Exact value at a rational point (ints, floats and Fractions alike).
+
+        With x = a/b and y = c/d, and X and Y the degrees in x and y, the
+        value is the integer sum of n_ij * a^i b^(X-i) * c^j d^(Y-j) over
+        den * b^X * d^Y, reduced once.
+        """
+        (a, b), (c, d) = _ratio(x), _ratio(y)
+        X, Y = self.degree_x(), self.degree_y()
+        xp = _scaled_powers(a, b, X, {i for i, _ in self._num})
+        yp = _scaled_powers(c, d, Y, {j for _, j in self._num})
+        total = sum(n * xp[i] * yp[j] for (i, j), n in self._num.items())
+        return Fraction(total, self._den * b**X * d**Y)
 
     def evaluate_approx(self, x: float, y: float) -> float:
         """Double-precision value, Horner in y over Horner-in-x rows.
@@ -296,31 +310,32 @@ class BivariatePolynomial:
 
     def restricted_to_x(self, x0: Fraction | int) -> list[Fraction]:
         """Coefficients of p(x0, y) as a univariate polynomial in y, ascending."""
-        x0 = Fraction(x0)
-        out = [Fraction(0)] * (self.degree_y() + 1)
-        for (i, j), c in self.terms.items():
-            out[j] += c * x0**i
+        a, b = _ratio(x0)
+        X = self.degree_x()
+        xp = _scaled_powers(a, b, X, {i for i, _ in self._num})
+        out = [0] * (self.degree_y() + 1)
+        for (i, j), n in self._num.items():
+            out[j] += n * xp[i]
         while out and out[-1] == 0:
             out.pop()
-        return out
+        den = self._den * b**X
+        return [Fraction(s, den) for s in out]
 
     # -- calculus -----------------------------------------------------------
 
     def partial_derivative(self, var: str) -> "BivariatePolynomial":
-        if var not in ("x", "y"):
+        if var == "x":
+            out = {(i - 1, j): n * i for (i, j), n in self._num.items() if i}
+        elif var == "y":
+            out = {(i, j - 1): n * j for (i, j), n in self._num.items() if j}
+        else:
             raise ValueError(f"unknown variable {var!r}")
-        out: dict[LatticePoint, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                out[(i - 1, j)] = c * i
-            elif var == "y" and j > 0:
-                out[(i, j - 1)] = c * j
-        return BivariatePolynomial(out)
+        return _poly(*_lowest(out, self._den))
 
     # -- serialization -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for (i, j) in sorted(self.terms, reverse=True):
@@ -346,6 +361,81 @@ class BivariatePolynomial:
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({str(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel.  A polynomial's coefficients are a pair: numerators
+# ``num`` (a dict from exponent pairs to nonzero ints) over one positive
+# denominator ``den``, in lowest terms.  Both helpers take and return such
+# pairs.  Integer coefficients give den = 1, where ``_lowest`` takes no gcd.
+# ---------------------------------------------------------------------------
+
+Numerators = dict[LatticePoint, int]
+
+
+def _init(p: BivariatePolynomial, num: Numerators, den: int) -> None:
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_terms", None)
+    object.__setattr__(p, "_plan", None)
+
+
+def _poly(num: Numerators, den: int) -> BivariatePolynomial:
+    """The polynomial of a pair already in lowest terms, without re-checking it."""
+    p = object.__new__(BivariatePolynomial)
+    _init(p, num, den)
+    return p
+
+
+def _lowest(num: Numerators, den: int) -> tuple[Numerators, int]:
+    """The pair divided by the gcd of ``den`` and every numerator."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return {k: n // g for k, n in num.items()}, den // g
+    return num, den
+
+
+def _add(a: Numerators, ad: int, b: Numerators, bd: int, sign: int = 1) -> tuple[Numerators, int]:
+    """a/ad + sign * b/bd over lcm(ad, bd); sums that cancel are dropped."""
+    if ad == bd:
+        den, out, scale = ad, dict(a), sign
+    else:
+        den = math.lcm(ad, bd)
+        out = {k: n * (den // ad) for k, n in a.items()}
+        scale = sign * (den // bd)
+    for k, n in b.items():
+        s = out.get(k, 0) + scale * n
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _lowest(out, den)
+
+
+def _convolve(a: Numerators, ad: int, b: Numerators, bd: int) -> tuple[Numerators, int]:
+    """The product (a/ad) * (b/bd)."""
+    out: Numerators = {}
+    get = out.get
+    b_items = list(b.items())
+    for (i1, j1), n1 in a.items():
+        for (i2, j2), n2 in b_items:
+            k = (i1 + i2, j1 + j2)
+            out[k] = get(k, 0) + n1 * n2
+    return _lowest({k: n for k, n in out.items() if n}, ad * bd)
+
+
+def _ratio(v) -> tuple[int, int]:
+    """A rational number as (numerator, positive denominator) in lowest terms."""
+    if type(v) is float:  # the falsifier's points: no Fraction to build
+        return v.as_integer_ratio()
+    v = Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _scaled_powers(a: int, b: int, top: int, exponents) -> dict[int, int]:
+    """a^e * b^(top - e) for each e in ``exponents``: a/b to the e, over b^top."""
+    return {e: a**e * b ** (top - e) for e in exponents}
 
 
 def _coerce(value) -> "BivariatePolynomial":
@@ -380,16 +470,24 @@ def _horner_plan(terms: Mapping[LatticePoint, Fraction]) -> tuple[tuple, int]:
     return tuple(rows), prev_j or 0
 
 
-def _within_budget(p: BivariatePolynomial) -> BivariatePolynomial:
-    degree = max(p.degree_x(), p.degree_y())
+def _within_budget(value: tuple[Numerators, int]) -> tuple[Numerators, int]:
+    num, den = value
+    degree = _degree(num)
     if degree > MAX_DEGREE:
         raise InputTooLarge(f"degree {degree} in one variable exceeds the cap of {MAX_DEGREE}")
-    if len(p.terms) > MAX_TERMS:
-        raise InputTooLarge(f"{len(p.terms)} terms exceed the cap of {MAX_TERMS}")
-    for c in p.terms.values():
-        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
+    if len(num) > MAX_TERMS:
+        raise InputTooLarge(f"{len(num)} terms exceed the cap of {MAX_TERMS}")
+    for n in num.values():
+        # each coefficient n/den in its own lowest terms
+        g = math.gcd(n, den)
+        if max((n // g).bit_length(), (den // g).bit_length()) > MAX_COEFF_BITS:
             raise InputTooLarge(f"a coefficient exceeds the cap of {MAX_COEFF_BITS} bits")
-    return p
+    return value
+
+
+def _degree(num: Numerators) -> int:
+    """The larger of the degrees in x and in y."""
+    return max((max(k) for k in num), default=0)
 
 
 def _power(var: str, e: int) -> str:
@@ -459,6 +557,9 @@ class _Parser:
         found = "end of input" if kind == "end" else f"{kind!r} token"
         raise ParseError(f"expected {expected}, found {found}", where)
 
+    # Values are (numerators, denominator) pairs of the integer kernel; the
+    # polynomial is built once, from the whole value.
+
     def parse(self) -> BivariatePolynomial:
         if self.peek()[0] == "end":
             raise EmptyInput("empty polynomial text", 0)
@@ -467,31 +568,30 @@ class _Parser:
             self.fail("'+', '-', '*' or end of input")
         # sums and one-term products grow only as fast as the text: other
         # products and all powers are checked as they are built, the total here
-        return _within_budget(value)
+        return _poly(*_within_budget(value))
 
-    def expr(self) -> BivariatePolynomial:
+    def expr(self) -> tuple[Numerators, int]:
         negate = False
         if self.peek()[0] in ("+", "-"):
             negate = self.advance()[0] == "-"
-        value = self.term()
+        num, den = self.term()
         if negate:
-            value = -value
+            num = {k: -n for k, n in num.items()}
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = value - rhs if op == "-" else value + rhs
-        return value
+            sign = -1 if self.advance()[0] == "-" else 1
+            num, den = _add(num, den, *self.term(), sign)
+        return num, den
 
-    def term(self) -> BivariatePolynomial:
+    def term(self) -> tuple[Numerators, int]:
         value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            value = value * self.factor()
-            if len(value.terms) > 1:  # a product of one-term factors grows like a sum
+            value = _convolve(*value, *self.factor())
+            if len(value[0]) > 1:  # a product of one-term factors grows like a sum
                 _within_budget(value)
         return value
 
-    def factor(self) -> BivariatePolynomial:
+    def factor(self) -> tuple[Numerators, int]:
         base = self.base()
         if self.peek()[0] != "^":
             return base
@@ -508,14 +608,14 @@ class _Parser:
             )
         return _bounded_power(base, int(val))
 
-    def base(self) -> BivariatePolynomial:
+    def base(self) -> tuple[Numerators, int]:
         kind, val, where = self.peek()
         if kind == "var":
             self.advance()
-            return BivariatePolynomial.variable(str(val))
+            return ({(1, 0): 1} if val == "x" else {(0, 1): 1}), 1
         if kind == "int":
             self.advance()
-            num = int(val)
+            num, den = int(val), 1
             if self.peek()[0] == "/":
                 self.advance()
                 dkind, dval, dwhere = self.peek()
@@ -524,8 +624,11 @@ class _Parser:
                 self.advance()
                 if dval == 0:
                     raise ParseError("zero denominator", dwhere)
-                return BivariatePolynomial.constant(Fraction(num, int(dval)))
-            return BivariatePolynomial.constant(num)
+                g = math.gcd(num, int(dval))
+                num, den = num // g, int(dval) // g
+            if not num:
+                return {}, 1
+            return {(0, 0): num}, den
         if kind == "(":
             self.advance()
             inner = self.expr()
@@ -536,22 +639,25 @@ class _Parser:
         self.fail("'x', 'y', a number or '('")
 
 
-def _bounded_power(base: BivariatePolynomial, n: int) -> BivariatePolynomial:
+def _bounded_power(base: tuple[Numerators, int], n: int) -> tuple[Numerators, int]:
     """base^n, refused before any step would leave the input budget."""
-    degree = max(base.degree_x(), base.degree_y())
+    num, den = base
+    degree = _degree(num)
     if degree * n > MAX_DEGREE:
         raise InputTooLarge(
             f"degree {degree * n} in one variable exceeds the cap of {MAX_DEGREE}"
         )
-    if len(base.terms) <= 1:
-        # one term stays one term; n > MAX_DEGREE only for a constant
-        (i, j), c = next(iter(base.terms.items()), ((0, 0), Fraction(0)))
-        if n > MAX_COEFF_BITS and max(abs(c.numerator), c.denominator) > 1:
+    if len(num) <= 1:
+        # one term stays one term; n > MAX_DEGREE only for a constant.  In
+        # lowest terms its one numerator c is coprime to den.
+        (i, j), c = next(iter(num.items()), ((0, 0), 0))
+        if n > MAX_COEFF_BITS and max(abs(c), den) > 1:
             raise InputTooLarge(f"a coefficient exceeds the cap of {MAX_COEFF_BITS} bits")
-        return _within_budget(BivariatePolynomial({(i * n, j * n): c**n}))
-    value = BivariatePolynomial.constant(1)
+        c **= n
+        return _within_budget(({(i * n, j * n): c} if c else {}, den**n))
+    value = ({(0, 0): 1}, 1)
     for _ in range(n):  # n <= MAX_DEGREE here
-        value = _within_budget(value * base)
+        value = _within_budget(_convolve(*value, num, den))
     return value
 
 
@@ -570,25 +676,36 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
 
 
 def jacobian(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
-    """Jacobian determinant p_x * q_y - p_y * q_x, exactly."""
-    return (
-        p.partial_derivative("x") * q.partial_derivative("y")
-        - p.partial_derivative("y") * q.partial_derivative("x")
-    )
+    """Jacobian determinant p_x * q_y - p_y * q_x, exactly, in one pass.
+
+    Numerators a*x^i1*y^j1 of p and b*x^i2*y^j2 of q contribute
+    a*b*(i1*j2 - j1*i2) * x^(i1+i2-1) * y^(j1+j2-1); a nonzero cross factor
+    makes both exponents nonnegative.
+    """
+    out: Numerators = {}
+    get = out.get
+    q_items = list(q._num.items())
+    for (i1, j1), a in p._num.items():
+        for (i2, j2), b in q_items:
+            cross = i1 * j2 - j1 * i2
+            if cross:
+                k = (i1 + i2 - 1, j1 + j2 - 1)
+                out[k] = get(k, 0) + a * b * cross
+    return _poly(*_lowest({k: n for k, n in out.items() if n}, p._den * q._den))
 
 
 def apply_transform(p: BivariatePolynomial, t: Transform) -> BivariatePolynomial:
     """Substitute the axis symmetry ``t`` into ``p`` (exact, invertible)."""
-    out: dict[LatticePoint, Fraction] = {}
-    for (i, j), c in p.terms.items():
+    out: Numerators = {}
+    for (i, j), n in p._num.items():
         if t.swap_xy:
             i, j = j, i
         if t.negate_x and i % 2:
-            c = -c
+            n = -n
         if t.negate_y and j % 2:
-            c = -c
-        out[(i, j)] = c
-    return BivariatePolynomial(out)
+            n = -n
+        out[(i, j)] = n
+    return _poly(out, p._den)
 
 
 def subtract_constant(p: BivariatePolynomial, t: Fraction | int) -> BivariatePolynomial:

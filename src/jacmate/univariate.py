@@ -243,8 +243,8 @@ def root_bound(f: Coeffs) -> Fraction:
     f = normalize(f)
     if degree(f) < 1:
         return Fraction(1)
-    lead = abs(f[-1])
-    return 1 + max(abs(a) for a in f[:-1]) / lead
+    # exact for int coefficients too, where / would give a float
+    return 1 + Fraction(max(abs(a) for a in f[:-1]), abs(f[-1]))
 
 
 def isolate_roots(

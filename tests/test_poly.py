@@ -342,3 +342,230 @@ def test_parser_admits_input_at_the_caps():
     assert parse_polynomial(f"{2**MAX_COEFF_BITS - 1}/{2**MAX_COEFF_BITS - 1}*x") == parse_polynomial("x")
     assert parse_polynomial("1^1000000000 + (-1)^1000000001") == parse_polynomial("0")
     assert len(parse_polynomial("(1 + x + y)^43").terms) == 990 <= MAX_TERMS
+    # the cap is per coefficient: their common denominator may exceed it
+    p = parse_polynomial(f"1/{3**150}*x + 1/{5**100}*y")
+    assert (3**150 * 5**100).bit_length() > MAX_COEFF_BITS
+    assert p.terms == {(1, 0): Fraction(1, 3**150), (0, 1): Fraction(1, 5**100)}
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction loops it replaced.  Each reference
+# works on a map from exponent pairs to Fractions, one Fraction per product.
+# ---------------------------------------------------------------------------
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + sign * c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            s = out.get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def ref_pow(a, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_partial(a, var):
+    out = {}
+    for (i, j), c in a.items():
+        if var == "x" and i > 0:
+            out[(i - 1, j)] = c * i
+        elif var == "y" and j > 0:
+            out[(i, j - 1)] = c * j
+    return out
+
+
+def ref_jacobian(p, q):
+    return ref_add(
+        ref_mul(ref_partial(p, "x"), ref_partial(q, "y")),
+        ref_mul(ref_partial(p, "y"), ref_partial(q, "x")),
+        -1,
+    )
+
+
+def ref_restrict(a, x0):
+    x0 = Fraction(x0)
+    out = [Fraction(0)] * (max((j for _, j in a), default=0) + 1)
+    for (i, j), c in a.items():
+        out[j] += c * x0**i
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_evaluate(a, x, y):
+    x, y = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    for (i, j), c in a.items():
+        total += c * x**i * y**j
+    return total
+
+
+def assert_is(got, want_terms):
+    """``got`` has exactly the coefficients ``want_terms`` (zeros dropped),
+    and equals, and hashes like, the polynomial built from them."""
+    want_terms = {k: Fraction(c) for k, c in want_terms.items() if c}
+    assert got.terms == want_terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+    want = BivariatePolynomial(want_terms)
+    assert got == want and hash(got) == hash(want)
+
+
+# coefficients with unlike denominators (1 among them), and the zero polynomial
+kernel_coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12) | st.integers(-9, 9)
+kernel_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), kernel_coeffs, max_size=7
+).map(BivariatePolynomial)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+dyadics = st.floats(-8, 8) | st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@KERNEL
+@given(kernel_polys, kernel_polys)
+def test_kernel_ring_operations_match_the_fraction_loops(p, q):
+    a, b = p.terms, q.terms
+    assert_is(p + q, ref_add(a, b))
+    assert_is(p - q, ref_add(a, b, -1))
+    assert_is(-p, {k: -c for k, c in a.items()})
+    assert_is(p * q, ref_mul(a, b))
+    assert_is(3 - p, ref_add({(0, 0): Fraction(3)}, a, -1))
+    assert_is(Fraction(2, 3) * p, ref_mul({(0, 0): Fraction(2, 3)}, a))
+    # sums that cancel, in part and in whole
+    assert_is(p + (q - p), b)
+    assert_is(p - p, {})
+    assert (p + (-p)).is_zero and p - p == BivariatePolynomial.zero()
+
+
+@KERNEL
+@given(kernel_polys, st.integers(0, 4))
+def test_kernel_power_matches_the_fraction_loops(p, n):
+    assert_is(p**n, ref_pow(p.terms, n))
+
+
+@KERNEL
+@given(kernel_polys, kernel_polys)
+def test_kernel_calculus_matches_the_fraction_loops(p, q):
+    for var in ("x", "y"):
+        assert_is(p.partial_derivative(var), ref_partial(p.terms, var))
+    assert_is(jacobian(p, q), ref_jacobian(p.terms, q.terms))
+
+
+@KERNEL
+@given(kernel_polys, st.one_of(rationals, dyadics, st.integers(-5, 5)))
+def test_kernel_restriction_matches_the_fraction_loop(p, x0):
+    got = p.restricted_to_x(x0)
+    assert got == ref_restrict(p.terms, x0)
+    assert all(type(c) is Fraction for c in got)
+
+
+@KERNEL
+@given(kernel_polys, st.one_of(rationals, dyadics), st.one_of(rationals, dyadics))
+def test_kernel_evaluate_matches_the_fraction_loop(p, x, y):
+    got = p.evaluate(x, y)
+    assert type(got) is Fraction
+    assert got == ref_evaluate(p.terms, x, y)
+
+
+def test_kernel_edge_cases():
+    zero = BivariatePolynomial.zero()
+    half_x = BivariatePolynomial({(1, 0): Fraction(1, 2)})
+    third_y = BivariatePolynomial({(0, 1): Fraction(1, 3)})
+    assert_is(half_x + third_y, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    # 1/2*x + 1/2*x is x: the common denominator falls back to 1
+    assert_is(half_x + half_x, {(1, 0): 1})
+    assert_is((half_x + third_y) - third_y, {(1, 0): Fraction(1, 2)})
+    assert_is(BivariatePolynomial({(2, 0): Fraction(1, 2)}).partial_derivative("x"), {(1, 0): 1})
+    assert_is(zero * half_x, {})
+    assert_is(jacobian(zero, half_x), {})
+    assert_is(zero**0, {(0, 0): 1})
+    assert zero.evaluate(1.5, Fraction(2, 7)) == 0
+    assert zero.restricted_to_x(Fraction(3, 2)) == []
+    assert str(half_x - half_x) == "0"
+    assert BivariatePolynomial({(1, 0): 0.5, (0, 0): 3}) == half_x + 3
+
+
+PARSE_LEAVES = (
+    ("x", {(1, 0): Fraction(1)}),
+    ("y", {(0, 1): Fraction(1)}),
+    ("7", {(0, 0): Fraction(7)}),
+    ("3/4", {(0, 0): Fraction(3, 4)}),
+    ("6/4", {(0, 0): Fraction(3, 2)}),
+    ("0", {}),
+    ("0/9", {}),
+)
+
+
+def random_expression(rng, depth):
+    """Polynomial text with parentheses, powers and rationals, with its
+    coefficients built by the reference loops."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(PARSE_LEAVES)
+    (ta, a), (tb, b) = random_expression(rng, depth - 1), random_expression(rng, depth - 1)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"({ta} + {tb})", ref_add(a, b)
+    if kind == 1:
+        return f"({ta} - {tb})", ref_add(a, b, -1)
+    if kind == 2:
+        return f"{ta}*{tb}", ref_mul(a, b)
+    if kind == 3:
+        n = rng.randrange(4)
+        return f"({ta})^{n}", ref_pow(a, n)
+    return f"(-{ta})", {k: -c for k, c in a.items()}
+
+
+def test_parse_matches_reference_built_polynomials():
+    rng = random.Random(1101)
+    for _ in range(400):
+        text, want = random_expression(rng, 4)
+        p = parse_polynomial(text)
+        assert_is(p, want)
+        assert parse_polynomial(str(p)) == p
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the degree cap, on a power, on a product and on a one-term power
+        ("(x^2 + y)^129", "degree 258 in one variable exceeds the cap of 256"),
+        ("x^200*x^57", "degree 257 in one variable exceeds the cap of 256"),
+        ("x^1000000*y", "degree 1000000 in one variable exceeds the cap of 256"),
+        # the term cap, on a power, on a product and on the whole sum
+        ("(1 + x + y)^60", "1035 terms exceed the cap of 1024"),
+        ("(1 + x + y)^44*(1 + x + y)", "1035 terms exceed the cap of 1024"),
+        (
+            " + ".join(f"x^{i}*y^{j}" for i in range(33) for j in range(33)),
+            "1089 terms exceed the cap of 1024",
+        ),
+        # the coefficient cap, on numerators and on denominators
+        ("2^1000", "a coefficient exceeds the cap of 256 bits"),
+        ("(3/2)^200", "a coefficient exceeds the cap of 256 bits"),
+        ("1/2^300", "a coefficient exceeds the cap of 256 bits"),
+        ("(x + 1/3)^170", "a coefficient exceeds the cap of 256 bits"),
+    ],
+)
+def test_parser_cap_messages_are_pinned(text, message):
+    with pytest.raises(InputTooLarge) as info:
+        parse_polynomial(text)
+    assert str(info.value) == message

@@ -177,6 +177,16 @@ def test_root_bound_dominates_roots():
         assert all(abs(r) < bound for r in roots)
 
 
+def test_root_bound_and_isolation_on_integer_coefficients():
+    # the kernel's own factors are int lists: the bound must stay a Fraction
+    assert root_bound([2, 0, 1]) == Fraction(3)
+    assert type(root_bound([2, 0, 1])) is Fraction
+    roots = isolate_roots([-2, 0, 1])
+    assert [iv.multiplicity for iv in roots] == [1, 1]
+    assert roots[0].hi < 0 < roots[1].lo
+    assert all(iv.lo**2 <= 2 <= iv.hi**2 for iv in roots[1:])
+
+
 def test_isolate_roots_recovers_rational_roots():
     rng = random.Random(2003)
     for _ in range(40):
