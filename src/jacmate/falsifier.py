@@ -10,16 +10,32 @@ honest minimum records, never silently dropped: the point is the float
 grid's flattest node, and its |Jac| is evaluated there exactly.
 
 Every witness is revalidated by exact rational evaluation at the reported
-point before it is accepted.
+point before it is accepted.  That rejects every point where the exact
+|Jac| exceeds C, the least float above the bound 10 * ZERO_TOL: float
+rounding is monotone, so such a value rounds to a float >= C.  Where the
+search would first descend, it therefore tries once to prove |Jac| > C on
+all of R^2; if that holds, no point can be accepted, and the search only
+finishes its grids for the miss record.  The proof is exact.  Let
+s = sign Jac(0, 0), where |Jac(0, 0)| > C, F = s*Jac - C and n = deg_y F.
+- n = 0: F is a polynomial in x alone with no real root.
+- n >= 1: lc_y(F), Res_y(F, F_y) and F(0, .) have no real root.  Then for
+  every real x the slice F(x, .) keeps its degree n and simple roots, so
+  its real roots move continuously and can never appear, meet or escape:
+  it has as many as at x = 0, none.
+Either way F keeps the sign it has at (0, 0), and F > 0 on R^2.  The proof
+is tried only when its predicted work is within a fixed budget.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from . import univariate as uni
 from .poly import BivariatePolynomial, evaluate_on_grid, jacobian
 
 __all__ = [
@@ -45,6 +61,15 @@ INITIAL_HALF_WIDTH = 4.0
 MAX_DOUBLINGS = 10
 GRID_PER_AXIS = 256
 ZERO_TOL = 1e-6
+
+# The miss proof: C, the least float above the acceptance bound 10 * ZERO_TOL,
+# as an exact rational, and the most work the proof may predict before it is
+# tried: nodes of Res_y(F, F_y) times its Sylvester size cubed, or the degree
+# of an F in x alone.  Within them a proof took at most ~0.1 s on a 2-core
+# VM (Python 3.11); Pinchuk's Jacobian predicts 415 * 23^3, some 11 s.
+_ABOVE_BOUND = Fraction(math.nextafter(10 * ZERO_TOL, math.inf))
+PROOF_WORK = 100_000
+PROOF_MAX_DEGREE = 48
 
 # Sampled candidate mates: total degree at most 3, integer coefficients in [-3, 3].
 MATE_DEGREE = 3
@@ -140,6 +165,42 @@ def _descend(J, Jx, Jy, x: float, y: float):
     return None
 
 
+def _stays_above_bound(J: BivariatePolynomial) -> bool:
+    """True only if |J| > C at every real point (the module docstring's proof).
+
+    False means unproved.  It is refused unproved, before any determinant,
+    when the predicted work exceeds PROOF_WORK: the nodes of Res_y(F, F_y)
+    times the cube of its Sylvester size, or for n = 0 a degree over
+    PROOF_MAX_DEGREE.
+    """
+    at_origin = J.evaluate(0, 0)
+    if abs(at_origin) <= _ABOVE_BOUND:
+        return False
+    F = (J if at_origin > 0 else -J) - _ABOVE_BOUND
+    n, deg_x = F.degree_y(), F.degree_x()
+    if n == 0:
+        return deg_x <= PROOF_MAX_DEGREE and not _has_real_root(_row(F, 0))
+    Fy = F.partial_derivative("y")
+    nodes = (n - 1) * deg_x + n * Fy.degree_x() + 1  # those of uni.resultant_y
+    if nodes * (2 * n - 1) ** 3 > PROOF_WORK:
+        return False
+    # a root of lc_y(F) is one of Res_y(F, F_y) too, found here more cheaply
+    if _has_real_root(_row(F, n)) or _has_real_root(F.restricted_to_x(0)):
+        return False
+    r = uni.resultant_y(F, Fy)
+    return bool(r) and not _has_real_root(r)
+
+
+def _row(F: BivariatePolynomial, j: int) -> list[Fraction]:
+    """The coefficient of y^j in F, a polynomial in x."""
+    return [F.coefficient((i, j)) for i in range(F.degree_x() + 1)]
+
+
+def _has_real_root(c: list[Fraction]) -> bool:
+    bound = uni.root_bound(c)
+    return uni.count_roots(c, -bound, bound) > 0
+
+
 def find_jacobian_zero(
     p: BivariatePolynomial, q: BivariatePolynomial
 ) -> ZeroWitness | MinRecord:
@@ -153,17 +214,26 @@ def find_jacobian_zero(
 
 
 def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
-    """:func:`find_jacobian_zero` given the Jacobian ``J`` of the pair."""
+    """:func:`find_jacobian_zero` given the Jacobian ``J`` of the pair.
+
+    Where a box first reaches the descent, :func:`_stays_above_bound` tries
+    once to prove s*J - C > 0 on R^2 (module docstring), so that no point
+    passes :func:`_accept`.  If it holds, no later bisection or descent can
+    return a witness, and they are skipped: the remaining boxes are scanned
+    only for the miss record, which is therefore the one the full search
+    would report.
+    """
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
-    partials = None  # (J_x, J_y), built when a box first reaches the descent
+    proven = None  # _stays_above_bound(J), tried where the first descent starts
+    partials = None  # (J_x, J_y), built when the proof fails
 
     best_abs = np.inf
     best_point = (0.0, 0.0)
     boxes = 0
-    w = INITIAL_HALF_WIDTH
-    for _ in range(MAX_DOUBLINGS + 1):
+    for k in range(MAX_DOUBLINGS + 1):
         boxes += 1
+        w = INITIAL_HALF_WIDTH * 2**k
         xs = ys = np.linspace(-w, w, GRID_PER_AXIS)
         vals = evaluate_on_grid(J, xs, ys)
         # |Jac| overwrites the grid once its sign bits are kept: one 256²
@@ -182,6 +252,8 @@ def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
         if least < best_abs:
             best_abs = float(least)
             best_point = flattest
+        if proven:
+            continue
 
         if least == 0.0:  # some finite node is an exact float zero
             for i, j in np.argwhere(absvals == 0.0):
@@ -207,12 +279,14 @@ def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
                 return hit
 
         if np.isfinite(least):
-            if partials is None:
+            if proven is None:
+                proven = _stays_above_bound(J)
+                if proven:
+                    continue
                 partials = (J.partial_derivative("x"), J.partial_derivative("y"))
             hit = _descend(J, *partials, *flattest)
             if hit:
                 return hit
-        w *= 2
 
     # the float argmin picks the point; its |Jac| is read exactly, so grid
     # rounding (even a cancellation to 0.0 where Jac >= 1) cannot reach it

@@ -283,7 +283,7 @@ class BivariatePolynomial:
         """
         plan = self._plan
         if plan is None:
-            plan = _horner_plan(self.terms)
+            plan = _horner_plan(self._num, self._den)
             object.__setattr__(self, "_plan", plan)
         rows, last_j = plan
         try:
@@ -446,7 +446,7 @@ def _coerce(value) -> "BivariatePolynomial":
     return NotImplemented
 
 
-def _horner_plan(terms: Mapping[LatticePoint, Fraction]) -> tuple[tuple, int]:
+def _horner_plan(num: Numerators, den: int) -> tuple[tuple, int]:
     """Float Horner plan: rows by descending y power, terms by descending x.
 
     Each row is ``(dj, first, rest, last_i)``: the y gap from the previous
@@ -454,11 +454,12 @@ def _horner_plan(terms: Mapping[LatticePoint, Fraction]) -> tuple[tuple, int]:
     the lowest x power.  ``first`` is stored as ``0.0 + c``, the first step of
     the accumulation it replaces.  Gaps of 0 are skipped at evaluation:
     ``x**0`` is 1.0, and multiplying by 1.0 changes no float, so every value
-    equals the per-call row loop bit for bit.
+    equals the per-call row loop bit for bit.  Each coefficient is n / den,
+    int true division, which rounds correctly just as ``float(Fraction)``.
     """
     by_j: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), c in terms.items():
-        by_j.setdefault(j, []).append((i, float(c)))
+    for (i, j), n in num.items():
+        by_j.setdefault(j, []).append((i, n / den))
     rows = []
     prev_j = None
     for j in sorted(by_j, reverse=True):
@@ -728,10 +729,10 @@ def evaluate_on_grid(
     rows: dict[int, np.ndarray] = {}
     y_powers: dict[int, np.ndarray] = {}  # powers cost most: each ys^j once
     with np.errstate(over="ignore", invalid="ignore"):
-        for (i, j), c in sorted(p.terms.items()):
+        for (i, j), n in sorted(p._num.items()):
             if j not in y_powers:
                 y_powers[j] = ys**j
-            rows[i] = rows.get(i, 0.0) + float(c) * y_powers[j]
+            rows[i] = rows.get(i, 0.0) + n / p._den * y_powers[j]
         if not rows:
             return np.zeros((len(xs), len(ys)))
         x_powers = y_powers if xs is ys else {}

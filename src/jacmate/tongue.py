@@ -323,7 +323,7 @@ def build_tongue(p: BivariatePolynomial, x0: Fraction | int = 1) -> TongueRegion
     transform, _ = positive_asymptote(p)
     p_t = apply_transform(p, transform)
     px, py = p_t.partial_derivative("x"), p_t.partial_derivative("y")
-    r, d = _resultant_y(px, py), _resultant_y(p_t, py)
+    r, d = uni.resultant_y(px, py), uni.resultant_y(p_t, py)
     x0 = check_no_critical_points(r, Fraction(x0))
     if not d:
         raise LevelSetUndecided("D = Res_y(p, p_y) vanishes identically: a shared factor")
@@ -379,17 +379,6 @@ def _bottom(p: BivariatePolynomial) -> list[Fraction]:
 def _point_below(iv: uni.RootInterval) -> Fraction:
     """A power of two at most 1 in (0, iv.lo / 2]: below the root iv isolates."""
     return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(iv.lo))))
-
-
-def _resultant_y(f, g) -> list[Fraction]:
-    """Res_y(f, g) at formal degrees, interpolated in x; [] on a shared factor."""
-    if f.is_zero or g.is_zero:
-        return []
-    m, n = f.degree_y(), g.degree_y()
-    return uni.interpolate([
-        uni.resultant(f.restricted_to_x(k), g.restricted_to_x(k), m, n)
-        for k in range(n * f.degree_x() + m * g.degree_x() + 1)
-    ])
 
 
 def _root_free_from(c, lo: Fraction, closed: bool = True) -> bool:
@@ -506,7 +495,9 @@ class _ExactStrip:
         # E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T: keep
         # its x-coefficients as polynomials in T, from that many + 1 levels,
         # the first of them D
-        levels = [d] + [_resultant_y(p - k, self.py) for k in range(1, self.py.degree_y() + 1)]
+        levels = [d] + [
+            uni.resultant_y(p - k, self.py) for k in range(1, self.py.degree_y() + 1)
+        ]
         width = max(map(len, levels))
         self._e_in_t = [
             uni.interpolate([e[i] if i < len(e) else 0 for e in levels]) for i in range(width)
@@ -585,7 +576,7 @@ class _ExactStrip:
         )
         # heights where the arc's points on a horizontal line can change:
         # horizontal tangencies, and crossings of the segment side
-        g = _resultant_y(apply_transform(self.p - t0, SWAP), apply_transform(self.px, SWAP))
+        g = uni.resultant_y(apply_transform(self.p - t0, SWAP), apply_transform(self.px, SWAP))
         if not g:
             raise LevelSetUndecided("Res_x(p - t0, p_x) vanishes identically")
         heights = _umul(g, _shifted_by(self.h, t0))

@@ -7,7 +7,8 @@ signs: multiplicities come from Yun's square-free decomposition over Z with
 a subresultant gcd (Brown & Traub, J. ACM 1971), roots are counted by
 Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC 1976),
 and isolating intervals have rational endpoints.  Floats appear only in the
-final refinement step.
+final refinement step.  :func:`resultant_y` eliminates y from two bivariate
+polynomials through these: one integer determinant per node, interpolated.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "isolate_roots",
     "float_root",
     "resultant",
+    "resultant_y",
     "interpolate",
 ]
 
@@ -395,6 +397,22 @@ def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:
             rows[r] = [(top[c] * a - lead * b) // prev for a, b in zip(rows[r], top)]
         prev = top[c]
     return Fraction(sign * prev, cf**n * cg**m)
+
+
+def resultant_y(f, g) -> Coeffs:
+    """Res_y(f, g) of two bivariate polynomials at formal degrees, in x.
+
+    One determinant at each x = 0, 1, ..., deg_y g * deg_x f + deg_y f *
+    deg_x g, one node more than its degree can be, then interpolated; []
+    when f or g is 0 or they share a factor.
+    """
+    if f.is_zero or g.is_zero:
+        return []
+    m, n = f.degree_y(), g.degree_y()
+    return interpolate([
+        resultant(f.restricted_to_x(k), g.restricted_to_x(k), m, n)
+        for k in range(n * f.degree_x() + m * g.degree_x() + 1)
+    ])
 
 
 def interpolate(values: list[Fraction]) -> Coeffs:

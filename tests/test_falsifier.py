@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacmate import falsifier as fz
+from jacmate import univariate as uni
 from jacmate.poly import (
     SWAP,
     BivariatePolynomial,
@@ -171,12 +174,15 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def reference_find_jacobian_zero(p, q):
     """The box scan as it was before the fused sign scan: every mask is
     built on every box.  The grid is read through ``fz.evaluate_on_grid`` so
-    that a test can substitute it for both searches."""
+    that a test can substitute it for both searches.  Like the search, it
+    tries the miss proof where it would first descend, and once that holds
+    it skips every later bisection and descent."""
     J = jacobian(p, q)
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
     Jx = J.partial_derivative("x")
     Jy = J.partial_derivative("y")
+    proven = None
     best_abs = np.inf
     best_point = (0.0, 0.0)
     boxes = 0
@@ -193,6 +199,9 @@ def reference_find_jacobian_zero(p, q):
         if absvals[i_min, j_min] < best_abs:
             best_abs = float(absvals[i_min, j_min])
             best_point = flattest
+        if proven:
+            w *= 2
+            continue
         for i, j in np.argwhere(finite & (vals == 0.0)):
             x, y = float(xs[i]), float(ys[j])
             if J.evaluate(Fraction(x), Fraction(y)) == 0:
@@ -210,9 +219,12 @@ def reference_find_jacobian_zero(p, q):
             if hit:
                 return hit
         if np.isfinite(absvals[i_min, j_min]):
-            hit = fz._descend(J, Jx, Jy, *flattest)
-            if hit:
-                return hit
+            if proven is None:
+                proven = fz._stays_above_bound(J)
+            if not proven:
+                hit = fz._descend(J, Jx, Jy, *flattest)
+                if hit:
+                    return hit
         w *= 2
     return MinRecord(best_point, fz._exact_abs(J, *best_point), boxes)
 
@@ -249,17 +261,20 @@ def test_search_matches_the_reference_scan(p, q):
         assert_same_search(monkeypatch, p, q)
 
 
-@pytest.mark.parametrize(
-    "p_text, q_text",
-    [
-        # Jac = x - y: exact float zeros on the grid diagonal
-        ("1/2*x^2 - x*y", "y"),
-        # Jac = x^200 + 1: no zero; the wide boxes overflow to inf
-        ("1/201*x^201 + x", "y"),
-        # Jac = y^2: tangential zero, reached by the descent
-        ("y + x*y^2 + y^4", "y"),
-    ],
-)
+BUILT_GRID_CASES = [
+    # Jac = x - y: exact float zeros on the grid diagonal
+    ("1/2*x^2 - x*y", "y"),
+    # Jac = x^200 + 1: no zero; the wide boxes overflow to inf
+    ("1/201*x^201 + x", "y"),
+    # Jac = y^2: tangential zero, reached by the descent
+    ("y + x*y^2 + y^4", "y"),
+    # Jac = (x^3 - y^3)^2 + 1: the miss proof holds in the first box; the
+    # wide boxes cancel to sign changes whose bisections it skips
+    ("1/7*x^7 - 1/2*x^4*y^3 + x*y^6 + x", "y"),
+]
+
+
+@pytest.mark.parametrize("p_text, q_text", BUILT_GRID_CASES)
 def test_built_grids_match_the_reference_scan(monkeypatch, p_text, q_text):
     assert_same_search(monkeypatch, parse_polynomial(p_text), parse_polynomial(q_text))
 
@@ -432,3 +447,105 @@ def test_miss_record_reads_jac_exactly_where_the_grid_cancels():
     rec = find_jacobian_zero(p, Y)
     assert isinstance(rec, MinRecord)
     assert rec.best_abs_jac == 1.0
+
+
+# -- the miss proof ------------------------------------------------------------
+
+# every determinant-1 integer matrix with entries in {-1, 0, 1}
+LINEAR_PARTS = [
+    m for m in itertools.product((-1, 0, 1), repeat=4) if m[0] * m[3] - m[1] * m[2] == 1
+]
+
+CERTIFIED = [
+    "y + x*y^2 + y^4",
+    "y + x*y^3",
+    "y + y^2 + x*y^3",
+    "y + x^2*y^2",
+    "y + y^3 + x^2*y^2",
+    "y + y^2 + y^3 + x^2*y^2",
+    "x + x^2*y",
+    "y - (x^2 - 4*x + 6)*y^2",
+]
+
+
+def affine_pair(a, b, c, d, e=2, g=-1):
+    """(x, y + y^3 + x^2*y) after (x, y) -> (ax + by + e, cx + dy + g).
+
+    With ad - bc = 1 the Jacobian is 1 + 3v^2 + u^2 >= 1 in the moved
+    coordinates u, v."""
+    u = a * X + b * Y + e
+    v = c * X + d * Y + g
+    return u, v + v**3 + u * u * v
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y^2",  # acceptance 6: a tangential zero on y = 0
+        "x^2 + y^2",  # zero at the origin only
+        "(x*y - 1)^2 + x^2",  # infimum 0, never attained: lc_y = x^2 has a root
+        "(x^2 + y^2 - 1)^2 + 1/1000000",  # positive, but below the bound on the circle
+        "1/100000",  # the bound itself: C is the float above it
+    ],
+)
+def test_proof_refuses_jacobians_near_zero(text):
+    assert not fz._stays_above_bound(parse_polynomial(text))
+
+
+@pytest.mark.parametrize("text", CERTIFIED)
+def test_proof_refuses_every_mate_of_a_certified_polynomial(text):
+    # by the paper's theorem, every Jacobian against a certified p has a
+    # real zero, so a proof here would be a soundness bug
+    p = parse_polynomial(text)
+    for seed in range(200):
+        _, J = fz._sample_mate(p, random.Random(seed))
+        assert not fz._stays_above_bound(J), (seed, str(J))
+
+
+@pytest.mark.parametrize("linear", LINEAR_PARTS)
+def test_proof_holds_on_every_affine_move(linear):
+    assert fz._stays_above_bound(jacobian(*affine_pair(*linear)))
+
+
+@pytest.mark.parametrize(
+    "J",
+    [
+        jacobian(parse_polynomial("x + y^3"), Y),  # the constant 1: deg_y = 0
+        parse_polynomial("1 + (x^2 + y^3 - 1)^2 + (x*y - 2)^2"),  # deg_y = 6
+    ],
+)
+def test_proof_holds_where_jac_stays_above_one(J):
+    assert fz._stays_above_bound(J)
+
+
+def test_proof_takes_its_determinants_only_within_the_budget(monkeypatch):
+    calls = []
+    resultant = uni.resultant
+
+    def counted(*args):
+        calls.append(args)
+        return resultant(*args)
+
+    monkeypatch.setattr(uni, "resultant", counted)
+    # x^2 + y^2 + 1 predicts 3 nodes of 3 x 3 determinants, and
+    # (x^10 - y^10)^2 + 1, which is >= 1 too, 581 nodes of 39 x 39: refused
+    assert fz._stays_above_bound(parse_polynomial("x^2 + y^2 + 1"))
+    assert len(calls) == 3
+    assert not fz._stays_above_bound(parse_polynomial("(x^10 - y^10)^2 + 1"))
+    assert len(calls) == 3
+    # in x alone, the degree cap refuses x^200 + 1
+    assert fz._stays_above_bound(parse_polynomial(f"x^{fz.PROOF_MAX_DEGREE} + 1"))
+    assert not fz._stays_above_bound(parse_polynomial("x^200 + 1"))
+
+
+def test_answers_do_not_depend_on_the_proof(monkeypatch):
+    # the proof only skips work: without it the search returns the same
+    # record on every affine move, and the same answer on the built grids,
+    # where it skips 824 bisections of (x^3 - y^3)^2 + 1
+    assert len(LINEAR_PARTS) == 20
+    pairs = [affine_pair(*m) for m in LINEAR_PARTS]
+    pairs += [tuple(map(parse_polynomial, case)) for case in BUILT_GRID_CASES]
+    proved = [find_jacobian_zero(p, q) for p, q in pairs]
+    assert all(isinstance(r, MinRecord) for r in proved[: len(LINEAR_PARTS)])
+    monkeypatch.setattr(fz, "_stays_above_bound", lambda J: False)
+    assert [find_jacobian_zero(p, q) for p, q in pairs] == proved

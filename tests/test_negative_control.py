@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from jacmate import falsifier as fz
+from jacmate import univariate as uni
 from jacmate.falsifier import MinRecord, find_jacobian_zero
 from jacmate.poly import ALL_TRANSFORMS, apply_transform, jacobian, parse_polynomial
 from jacmate.polygon import corollary_certificate
@@ -57,3 +59,20 @@ def test_pinchuk_pair_has_no_jacobian_zero(pinchuk):
     # the record's |Jac| is exact at its point, not the float grid's value
     x, y = map(Fraction, rec.best_point)
     assert rec.best_abs_jac == abs(float(jacobian(p, q).evaluate(x, y)))
+
+
+def test_pinchuk_jacobian_is_refused_before_any_determinant(pinchuk, monkeypatch):
+    # Jac > 0 everywhere, but Res_y(F, F_y) would take 415 determinants of
+    # 23 x 23 (about 11 s): the miss proof refuses it on its budget alone,
+    # before it counts a root or takes a determinant
+    calls = []
+    for name in ("resultant", "count_roots"):
+        step = getattr(uni, name)
+
+        def counted(*args, _step=step):
+            calls.append(args)
+            return _step(*args)
+
+        monkeypatch.setattr(uni, name, counted)
+    assert not fz._stays_above_bound(jacobian(*pinchuk[:2]))
+    assert calls == []

@@ -26,6 +26,7 @@ from jacmate.poly import (
     evaluate_on_grid,
     jacobian,
     parse_polynomial,
+    _horner_plan,
     subtract_constant,
 )
 
@@ -319,6 +320,45 @@ def test_evaluate_on_grid_matches_pointwise():
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             assert grid[i, j] == pytest.approx(p.evaluate_approx(x, y), rel=1e-12, abs=1e-12)
+
+
+def test_float_paths_leave_the_fraction_view_unbuilt():
+    # evaluate_approx and the grid read the numerators, not ``terms``
+    J = jacobian(parse_polynomial("1/3*x^3*y + 2/7*x*y^2"), parse_polynomial("y^2 - 2/5*x"))
+    assert J._den != 1
+    J.evaluate_approx(0.5, -1.25)
+    evaluate_on_grid(J, np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 3))
+    assert J._terms is None
+
+
+def plan_coefficients(plan):
+    """The coefficient floats of a Horner plan, keyed by exponent pair."""
+    rows, low = plan
+    out = {}
+    j = low + sum(dj for dj, *_ in rows)
+    for dj, first, rest, last_i in rows:
+        j -= dj
+        i = last_i + sum(di for di, _ in rest)
+        out[(i, j)] = first
+        for di, c in rest:
+            i -= di
+            out[(i, j)] = c
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.fractions(max_denominator=10**40)
+        | st.fractions(min_value=-1, max_value=1, max_denominator=10**9),
+        max_size=8,
+    ).map(BivariatePolynomial)
+)
+def test_horner_plan_floats_are_the_fraction_floats(p):
+    # n / den of the stored numerators rounds as float(Fraction) does
+    got = plan_coefficients(_horner_plan(p._num, p._den))
+    assert got == {k: float(c) for k, c in p.terms.items()}
 
 
 @pytest.mark.parametrize(

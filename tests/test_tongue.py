@@ -121,7 +121,7 @@ def test_critical_point_sweep_clean_p3(region3):
 def critical_abscissa_powers(text, start=Fraction(1)):
     """x0 from the exact (H1) decision, and the powers of two it rejected."""
     p = parse_polynomial(text)
-    r = tongue._resultant_y(p.partial_derivative("x"), p.partial_derivative("y"))
+    r = uni.resultant_y(p.partial_derivative("x"), p.partial_derivative("y"))
     x0 = check_no_critical_points(r, start)
     rejected = []
     x = start
@@ -137,7 +137,7 @@ def test_critical_point_sweep_finds_planted_line():
     # dp/dy = 1 - 3y^2 vanishes along y = 1/sqrt(3) and dp/dx is identically
     # 0: a curve of critical points, R = 0, which the decision names
     p = parse_polynomial("y - y^3")
-    r = tongue._resultant_y(p.partial_derivative("x"), p.partial_derivative("y"))
+    r = uni.resultant_y(p.partial_derivative("x"), p.partial_derivative("y"))
     assert r == []
     with pytest.raises(LevelSetUndecided, match="vanishes identically: a shared factor"):
         check_no_critical_points(r, Fraction(1))
@@ -408,13 +408,13 @@ def test_tongue_certificate_takes_each_resultant_once(monkeypatch, text):
     # R = Res_y(p_x, p_y) and D = Res_y(p, p_y) are taken once, for the
     # x0 decision, and handed to the level argument; y + x^2*y^2 is flipped
     calls = []
-    resultant = tongue._resultant_y
+    resultant = uni.resultant_y
 
     def counted(f, g):
         calls.append((f, g))
         return resultant(f, g)
 
-    monkeypatch.setattr(tongue, "_resultant_y", counted)
+    monkeypatch.setattr(uni, "resultant_y", counted)
     cert = tongue_certificate(parse_polynomial(text))
     assert cert.status == VERIFIED
     p = cert.region.poly
@@ -467,8 +467,8 @@ def lowest_positive_transform(region):
 
 def exact_strip(p, x0):
     py = p.partial_derivative("y")
-    r = tongue._resultant_y(p.partial_derivative("x"), py)
-    return tongue._ExactStrip(p, x0, r, tongue._resultant_y(p, py))
+    r = uni.resultant_y(p.partial_derivative("x"), py)
+    return tongue._ExactStrip(p, x0, r, uni.resultant_y(p, py))
 
 
 def level_at(cert, t):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacmate.poly import BivariatePolynomial, parse_polynomial
-from jacmate.tongue import _resultant_y, build_tongue
+from jacmate.tongue import build_tongue
 from jacmate.univariate import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -21,6 +21,7 @@ from jacmate.univariate import (
     isolate_roots,
     normalize,
     resultant,
+    resultant_y,
     root_bound,
     squarefree_decomposition,
     subresultant_gcd,
@@ -440,7 +441,7 @@ def test_high_degree_barrier_resultant_is_isolated_exactly():
     # isolates
     region = build_tongue(parse_polynomial("y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6"))
     p, t0, x0 = region.poly, region.profile.t0, region.x0
-    e = _resultant_y(p - t0, p.partial_derivative("y"))
+    e = resultant_y(p - t0, p.partial_derivative("y"))
     assert degree(e) == 70
     assert [(degree(g), m) for g, m in squarefree_decomposition(e)] == [(70, 1)]
     assert as_sympy(e).is_sqf
@@ -468,7 +469,7 @@ bivariate = st.dictionaries(
 )
 def test_interpolated_resultant_matches_sylvester_off_the_nodes(f, g, points):
     assume(not f.is_zero and not g.is_zero)
-    res = _resultant_y(f, g)
+    res = resultant_y(f, g)
     m, n = f.degree_y(), g.degree_y()
     # the interpolation nodes are 0, 1, 2, ...; a non-integer is never one
     for x in [r for r in points if r.denominator > 1] + [Fraction(-1, 2)]:
@@ -504,4 +505,4 @@ def test_critical_resultant_matches_sympy(text):
     as_sympy = [sympy.sympify(str(d).replace("^", "**")) for d in (px, py)]
     want = sympy.Poly(sympy.resultant(*as_sympy, y), x).all_coeffs()[::-1]
     want = normalize([Fraction(int(c.p), int(c.q)) for c in want])
-    assert _resultant_y(px, py) == want
+    assert resultant_y(px, py) == want
