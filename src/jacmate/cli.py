@@ -3,6 +3,11 @@
 Exit codes: 0 for a certified conclusion or plain success, 1 when the tool
 ran but could not certify (not covered, inconclusive, no witness), 2 for
 usage or input errors.
+
+Only the drawing paths import :mod:`jacmate.render`, and with it numpy; the
+falsifier imports numpy on its first search.  The exact commands (``analyze``,
+``branch``, ``tongue`` and ``certify`` without ``--svg`` or ``--falsify``)
+never load it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .polygon import (
     outer_edges,
     right_outer_edges,
 )
-from .render import render_polygon_svg, render_tongue_svg
 from .tongue import GridSpec, VERIFIED, tongue_certificate
 
 __all__ = ["run_command", "main"]
@@ -98,6 +102,8 @@ def _cmd_certify(args) -> int:
     doc = build_certificate(p, criterion, tongue=tongue, trials=trials)
     _emit(args, emit_certificate_json(doc))
     if args.svg:
+        from .render import render_polygon_svg
+
         shown = apply_transform(p, criterion.transform_used)
         svg = render_polygon_svg(newton_polygon(shown), criterion)
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -148,6 +154,8 @@ def _cmd_tongue(args) -> int:
     tc = tongue_certificate(p)
     _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
     if args.svg and tc.region is not None:
+        from .render import render_tongue_svg
+
         svg = render_tongue_svg(tc.region, tc.level_report, grid)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
@@ -179,6 +187,8 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_polygon_svg, render_tongue_svg
+
     p = parse_polynomial(_read_input(args.poly))
     if args.what == "polygon":
         cert = corollary_certificate(p)

@@ -32,11 +32,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import univariate as uni
 from .poly import BivariatePolynomial, evaluate_on_grid, jacobian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ZeroWitness",
@@ -115,9 +117,12 @@ def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
     return abs(float(J.evaluate(x, y)))
 
 
-def _accept(J, x: float, y: float, method: str):
-    """Candidate point -> witness, or None if exact revalidation disagrees."""
-    approx = J.evaluate_approx(x, y)
+def _accept(J, x: float, y: float, approx: float, method: str):
+    """Candidate point -> witness, or None if exact revalidation disagrees.
+
+    ``approx`` is ``J.evaluate_approx(x, y)``, passed in by the caller, which
+    has mostly just computed it.
+    """
     if not abs(approx) <= ZERO_TOL:
         return None
     exact = _exact_abs(J, x, y)
@@ -133,31 +138,35 @@ def _bisect_segment(J, x0, y0, x1, y1):
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         fm = J.evaluate_approx(xm, ym)
         if fm == 0.0 or (abs(x1 - x0) < 1e-15 * (1 + abs(x0)) and abs(y1 - y0) < 1e-15 * (1 + abs(y0))):
-            return _accept(J, xm, ym, SIGN_CHANGE_BISECTION)
+            return _accept(J, xm, ym, fm, SIGN_CHANGE_BISECTION)
         if (fm > 0) == (f0 > 0):
             x0, y0, f0 = xm, ym, fm
         else:
             x1, y1 = xm, ym
     xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return _accept(J, xm, ym, SIGN_CHANGE_BISECTION)
+    return _accept(J, xm, ym, J.evaluate_approx(xm, ym), SIGN_CHANGE_BISECTION)
 
 
 def _descend(J, Jx, Jy, x: float, y: float):
-    """Damped Gauss-Newton descent on Jac^2 from the flattest grid point."""
+    """Damped Gauss-Newton descent on Jac^2 from the flattest grid point.
+
+    g is Jac at the current point: the line search's value where it moves.
+    """
+    g = J.evaluate_approx(x, y)
     for _ in range(300):
-        g = J.evaluate_approx(x, y)
         if abs(g) <= ZERO_TOL:
-            return _accept(J, x, y, LOCAL_MINIMIZATION)
+            return _accept(J, x, y, g, LOCAL_MINIMIZATION)
         gx, gy = Jx.evaluate_approx(x, y), Jy.evaluate_approx(x, y)
         denom = gx * gx + gy * gy
-        if denom == 0.0 or not np.isfinite(denom):
+        if denom == 0.0 or not math.isfinite(denom):
             return None
         dx, dy = -g * gx / denom, -g * gy / denom
         step = 1.0
         for _ in range(40):
             xn, yn = x + step * dx, y + step * dy
-            if abs(J.evaluate_approx(xn, yn)) < abs(g):
-                x, y = xn, yn
+            gn = J.evaluate_approx(xn, yn)
+            if abs(gn) < abs(g):
+                x, y, g = xn, yn, gn
                 break
             step *= 0.5
         else:
@@ -221,8 +230,11 @@ def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
     passes :func:`_accept`.  If it holds, no later bisection or descent can
     return a witness, and they are skipped: the remaining boxes are scanned
     only for the miss record, which is therefore the one the full search
-    would report.
+    would report.  numpy is imported here, on the first search, so that the
+    exact commands never load it.
     """
+    import numpy as np
+
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
     proven = None  # _stays_above_bound(J), tried where the first descent starts
@@ -260,7 +272,7 @@ def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
                 x, y = float(xs[i]), float(ys[j])
                 if J.evaluate(x, y) == 0:
                     return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
-                hit = _accept(J, x, y, LOCAL_MINIMIZATION)
+                hit = _accept(J, x, y, J.evaluate_approx(x, y), LOCAL_MINIMIZATION)
                 if hit:
                     return hit
 
@@ -305,7 +317,7 @@ def _sign_changes(neg: np.ndarray, signed: np.ndarray | None, axis: int):
         s_head, s_tail = _neighbours(signed, axis)
         change &= s_head & s_tail
     width = change.shape[1]
-    for k in np.flatnonzero(change).tolist():
+    for k in change.ravel().nonzero()[0].tolist():
         yield divmod(k, width)
 
 

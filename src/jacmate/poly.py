@@ -9,7 +9,8 @@ evaluation and the parser all work on these integers, scaling each operand
 once and building a ``Fraction`` only for a result that must be one; the
 ``terms`` map of ``Fraction`` coefficients is built on first use.  Floating
 point enters only through :meth:`BivariatePolynomial.evaluate_approx` and the
-grid evaluator.
+grid evaluator, and numpy only through the grid evaluator, which imports it on
+first use: the exact commands run without loading it.
 
 The eight axis symmetries (swap the variables, negate either axis) are
 represented by :class:`Transform` values.  Applying a transform never changes
@@ -23,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LatticePoint = tuple[int, int]
 
@@ -724,6 +726,8 @@ def evaluate_on_grid(
     P_i would turn inf * 0 into NaN across the whole grid.  When xs is ys,
     one axis for both, each power is taken once for V and P alike.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     rows: dict[int, np.ndarray] = {}

@@ -183,6 +183,62 @@ def test_certify_does_not_import_sympy():
     assert json.loads(proc.stdout)["tongue"]["status"] == "Verified"
 
 
+def _fresh_interpreter(script, *argv):
+    src = str(pathlib.Path(jacmate.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+
+
+# runs one command, then reports on stderr whether numpy was loaded
+COLD_START = (
+    "import sys; from jacmate.cli import run_command; "
+    "code = run_command(sys.argv[1:]); "
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, numpy_loaded",
+    [
+        (("analyze", "y + x^2*y^2"), 0, False),
+        (("branch", "y + x^2*y^2"), 0, False),
+        (("tongue", "y + x^2*y^2"), 0, False),
+        (("certify", "y + x^2*y^2", "--tongue"), 0, False),
+        (("falsify", "x", "--q", "y"), 1, True),
+        (("certify", "y + x^2*y^2", "--falsify", "2"), 0, True),
+    ],
+    ids=["analyze", "branch", "tongue", "certify_tongue", "falsify", "certify_falsify"],
+)
+def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded):
+    # numpy serves only the falsifier's grids and the drawings: a fresh
+    # interpreter answers the exact commands without paying for its import,
+    # and loads it on demand for the float search, with the usual output
+    proc = _fresh_interpreter(COLD_START, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == f"numpy loaded: {numpy_loaded}\n"
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the benchmark's layer trace reads sys.modules["jacmate.<layer>"] for
+    # each layer it names, so importing the CLI must import all of them
+    perfbench = pathlib.Path(__file__).parents[1] / "perfbench"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from layers import LAYERS; "
+        "import jacmate.cli; "
+        "missing = [n for n in LAYERS if f'jacmate.{n}' not in sys.modules]; "
+        "assert len(LAYERS) == 8 and not missing, missing; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
+    proc = _fresh_interpreter(script, str(perfbench))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_certify_with_tongue_and_falsifier(tmp_path, capsys):
     out_json = tmp_path / "cert.json"
     out_svg = tmp_path / "poly.svg"

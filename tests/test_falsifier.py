@@ -206,7 +206,7 @@ def reference_find_jacobian_zero(p, q):
             x, y = float(xs[i]), float(ys[j])
             if J.evaluate(Fraction(x), Fraction(y)) == 0:
                 return ZeroWitness((x, y), 0.0, EXACT_GRID_HIT, 0.0)
-            hit = fz._accept(J, x, y, LOCAL_MINIMIZATION)
+            hit = fz._accept(J, x, y, J.evaluate_approx(x, y), LOCAL_MINIMIZATION)
             if hit:
                 return hit
         sgn = np.sign(vals)
