@@ -12,6 +12,17 @@ point enters only through :meth:`BivariatePolynomial.evaluate_approx` and the
 grid evaluator, and numpy only through the grid evaluator, which imports it on
 first use: the exact commands run without loading it.
 
+``evaluate_approx`` runs a Horner plan, planned once per polynomial, on one
+of two paths with the same float operations in the same order, so their
+values agree bit for bit.  The first ``COMPILE_AFTER - 1`` calls walk the
+plan in a loop.  On the ``COMPILE_AFTER``-th the plan becomes a straight-line
+Python function, which drops the loop's interpreter overhead and about
+halves the time per call on Pinchuk's 78-term Jacobian.  Compiling costs
+about 100 loop calls, so it pays back only some 200 calls later.  The
+falsifier's descent on a miss calls its three polynomials thousands of times
+and a branch trace its curve as often, while no polynomial of a falsifier hit
+reaches the threshold (at most 47 calls each on the benchmark's documents).
+
 The eight axis symmetries (swap the variables, negate either axis) are
 represented by :class:`Transform` values.  Applying a transform never changes
 which exponent pairs can appear, only where they sit and the coefficient
@@ -84,6 +95,10 @@ MAX_DEGREE = 256  # in each variable
 MAX_TERMS = 1024
 MAX_COEFF_BITS = 256  # numerator and denominator each
 
+# The float evaluation of a polynomial on which its Horner plan is compiled
+# to straight-line code; the earlier ones run the loop (see the docstring).
+COMPILE_AFTER = 256
+
 
 @dataclass(frozen=True)
 class Transform:
@@ -143,8 +158,9 @@ class BivariatePolynomial:
     ``terms`` gives the same coefficients as a map to ``Fraction``.
     """
 
-    # ``_terms`` is the Fraction view and ``_plan`` the float Horner plan,
-    # each built on first use
+    # ``_terms`` is the Fraction view, built on first use.  ``_plan`` is the
+    # float Horner plan with its call count, built on the first float
+    # evaluation and replaced by its compiled function once hot
     __slots__ = ("_num", "_den", "_terms", "_plan")
 
     def __init__(self, terms: Mapping[LatticePoint, Fraction | int] | None = None):
@@ -279,24 +295,33 @@ class BivariatePolynomial:
     def evaluate_approx(self, x: float, y: float) -> float:
         """Double-precision value, Horner in y over Horner-in-x rows.
 
-        The rows are planned once per polynomial (see :func:`_horner_plan`).
-        When a power overflows, the value is taken exactly at the same point
-        instead: its float if representable, else infinity of its sign.
+        The rows are planned once per polynomial (see :func:`_horner_plan`)
+        and run on the loop below; on the ``COMPILE_AFTER``-th call the plan
+        becomes straight-line code (see :func:`_compile_plan`), which takes
+        the same float steps in the same order.  When a power overflows, the
+        value is taken exactly at the same point instead: its float if
+        representable, else infinity of its sign.
         """
         plan = self._plan
         if plan is None:
-            plan = _horner_plan(self._num, self._den)
+            plan = [0, *_horner_plan(self._num, self._den)]  # calls, rows, last_j
             object.__setattr__(self, "_plan", plan)
-        rows, last_j = plan
         try:
+            if type(plan) is not list:
+                return plan(x, y)
+            plan[0] += 1
+            if plan[0] == COMPILE_AFTER:
+                compiled = _compile_plan(plan[1], plan[2])
+                object.__setattr__(self, "_plan", compiled)
+                return compiled(x, y)
+            _, rows, last_j = plan
             acc = 0.0
             for dj, first, rest, last_i in rows:
                 if dj:
-                    acc *= y**dj
+                    acc *= y if dj == 1 else y**dj
                 h = first
                 for di, c in rest:
-                    h *= x**di
-                    h += c
+                    h = (h * x if di == 1 else h * x**di) + c
                 if last_i:
                     h *= x**last_i
                 acc += h
@@ -471,6 +496,51 @@ def _horner_plan(num: Numerators, den: int) -> tuple[tuple, int]:
         rows.append((dj, 0.0 + row[0][1], rest, row[-1][0]))
         prev_j = j
     return tuple(rows), prev_j or 0
+
+
+def _compile_plan(rows: tuple, last_j: int):
+    """The Horner plan as a straight-line function of (x, y).
+
+    The source (see :func:`_plan_source`) runs with no builtins: it holds
+    only x, y, a, h, finite float constants and int exponents.
+    """
+    namespace: dict = {}
+    exec(_plan_source(rows, last_j), {"__builtins__": {}}, namespace)
+    return namespace["horner"]
+
+
+def _plan_source(rows: tuple, last_j: int) -> str:
+    """Python source taking the steps of the loop in ``evaluate_approx``.
+
+    One statement per step, in the loop's order: ``h = h * x**di + c`` per
+    term, ``a *= y**dj`` and ``a += h`` per row.  A gap of 1 is written
+    ``x`` (or ``y``), since ``x**1`` is exactly x, and every other gap as
+    the same float ``**`` the loop takes.  A coefficient is written as its
+    ``repr``, which reads back as the same float; ``n / den`` is finite or
+    raises, so it never reads ``inf`` or ``nan``.  Statements, not one
+    nested expression: CPython's parser refuses an expression nested as
+    deep as a row of degree 256.
+    """
+
+    def power(var: str, gap: int) -> str:
+        return var if gap == 1 else f"{var}**{gap}"
+
+    lines = ["def horner(x, y):", " a = 0.0"]
+    for dj, first, rest, last_i in rows:
+        if dj:
+            lines.append(f" a *= {power('y', dj)}")
+        if not rest and not last_i:
+            lines.append(f" a += {first!r}")
+            continue
+        lines.append(f" h = {first!r}")
+        lines.extend(f" h = h * {power('x', di)} + {c!r}" for di, c in rest)
+        if last_i:
+            lines.append(f" h *= {power('x', last_i)}")
+        lines.append(" a += h")
+    if last_j:
+        lines.append(f" a *= {power('y', last_j)}")
+    lines.append(" return a")
+    return "\n".join(lines)
 
 
 def _within_budget(value: tuple[Numerators, int]) -> tuple[Numerators, int]:

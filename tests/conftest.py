@@ -1,6 +1,21 @@
 import pytest
 
+from jacmate import poly
 from jacmate.poly import parse_polynomial
+
+
+@pytest.fixture
+def compiled_plans(monkeypatch):
+    """The (rows, last_j) of each Horner plan compiled while the test runs."""
+    compiled = []
+    compile_plan = poly._compile_plan
+
+    def counted(rows, last_j):
+        compiled.append((rows, last_j))
+        return compile_plan(rows, last_j)
+
+    monkeypatch.setattr(poly, "_compile_plan", counted)
+    return compiled
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,11 @@ Pinchuk (Math. Z., 1994) built P and Q with Jac(P, Q) > 0 everywhere, so
 P has a real Jacobian mate.  The edge criterion must therefore never
 certify P, under any axis symmetry, and the falsifier must never find a
 Jacobian zero against Q.
+
+The falsifier's half is a control, not a proof: it holds for the search
+boxes and the float search as they are.  Jac(P, Q) is not bounded away
+from 0: on the curve xy = 1 it is 170/x^2, which falls below the float
+acceptance bound 1e-6 past x ~ 13,038, outside the largest box (|x| <= 4096).
 """
 
 from fractions import Fraction
@@ -13,7 +18,13 @@ import pytest
 from jacmate import falsifier as fz
 from jacmate import univariate as uni
 from jacmate.falsifier import MinRecord, find_jacobian_zero
-from jacmate.poly import ALL_TRANSFORMS, apply_transform, jacobian, parse_polynomial
+from jacmate.poly import (
+    ALL_TRANSFORMS,
+    _horner_plan,
+    apply_transform,
+    jacobian,
+    parse_polynomial,
+)
 from jacmate.polygon import corollary_certificate
 
 
@@ -52,13 +63,32 @@ def test_pinchuk_p_never_certifies(pinchuk):
         assert not corollary_certificate(shown, allow_swap=False).satisfied, transform
 
 
-def test_pinchuk_pair_has_no_jacobian_zero(pinchuk):
+def test_pinchuk_pair_has_no_jacobian_zero(pinchuk, compiled_plans):
     p, q = pinchuk[:2]
     rec = find_jacobian_zero(p, q)
     assert isinstance(rec, MinRecord)
     # the record's |Jac| is exact at its point, not the float grid's value
     x, y = map(Fraction, rec.best_point)
-    assert rec.best_abs_jac == abs(float(jacobian(p, q).evaluate(x, y)))
+    J = jacobian(p, q)
+    assert rec.best_abs_jac == abs(float(J.evaluate(x, y)))
+    # the descents run J, J_x and J_y hot enough to compile each once
+    hot = (J, J.partial_derivative("x"), J.partial_derivative("y"))
+    plans = [_horner_plan(f._num, f._den) for f in hot]
+    assert sorted(map(plans.index, compiled_plans)) == [0, 1, 2]
+
+
+def test_pinchuk_valley_passes_the_acceptance_bound_past_the_boxes(pinchuk):
+    # on xy = 1, t = h = 0 and f = y, so Jac = t^2 + (t + 13f)^2 + f^2 = 170/x^2
+    J = jacobian(*pinchuk[:2])
+    edge = int(fz.INITIAL_HALF_WIDTH) * 2**fz.MAX_DOUBLINGS
+    assert J.evaluate(Fraction(edge), Fraction(1, edge)) == Fraction(170, edge**2)
+    # at the largest box's edge it still exceeds the revalidation bound ...
+    assert Fraction(170, edge**2) > 10 * fz.ZERO_TOL
+    # ... and past it the exact value passes the float acceptance bound
+    at = J.evaluate(Fraction(14000), Fraction(1, 14000))
+    assert at == Fraction(17, 19_600_000) < fz.ZERO_TOL
+    # where floats see only cancellation, orders of magnitude above it
+    assert abs(J.evaluate_approx(14000.0, 1 / 14000)) > 1e6
 
 
 def test_pinchuk_jacobian_is_refused_before_any_determinant(pinchuk, monkeypatch):

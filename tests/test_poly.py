@@ -1,14 +1,17 @@
+import ast
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jacmate.falsifier import ZeroWitness, find_jacobian_zero, random_trials
 from jacmate.poly import (
     ALL_TRANSFORMS,
+    COMPILE_AFTER,
     IDENTITY,
     NEGATE_X,
     NEGATE_Y,
@@ -27,6 +30,7 @@ from jacmate.poly import (
     jacobian,
     parse_polynomial,
     _horner_plan,
+    _plan_source,
     subtract_constant,
 )
 
@@ -186,17 +190,126 @@ sparse_polys = st.dictionaries(
 points = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-4, 4)
 
 
+def assert_matches_row_loop(p, x, y):
+    got, want = p.evaluate_approx(x, y), rowwise_horner(p, x, y)
+    if want == math.inf and got != math.inf:
+        # a power overflowed, so the row loop gave up; the value is exact
+        assert got == exact_as_float(p, x, y)
+        return
+    # hex() tells -0.0 from 0.0 and matches nan with nan
+    assert got.hex() == want.hex()
+
+
+def hot(p):
+    """p after COMPILE_AFTER float evaluations: its plan now runs compiled."""
+    for _ in range(COMPILE_AFTER):
+        p.evaluate_approx(0.5, 0.25)
+    assert callable(p._plan)
+    return p
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sparse_polys, st.lists(st.tuples(points, points), min_size=1, max_size=8))
 def test_evaluate_approx_is_bit_identical_to_row_loop(p, xys):
     for x, y in xys:
-        got, want = p.evaluate_approx(x, y), rowwise_horner(p, x, y)
-        if want == math.inf and got != math.inf:
-            # a power overflowed, so the row loop gave up; the value is exact
-            assert got == exact_as_float(p, x, y)
-            continue
-        # hex() tells -0.0 from 0.0 and matches nan with nan
-        assert got.hex() == want.hex()
+        assert_matches_row_loop(p, x, y)
+    assert isinstance(p._plan, list)  # still on the loop
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sparse_polys, st.lists(st.tuples(points, points), min_size=1, max_size=8))
+# -0.0 from y = -0.0, but 0.0 + -0.0 from x = -0.0; nan from inf - inf,
+# products overflowing with no power that does; the exact fallback when
+# x**2 overflows
+@example(parse_polynomial("y"), [(1.0, -0.0)])
+@example(parse_polynomial("x*y"), [(-0.0, 1.0)])
+@example(parse_polynomial("x^2*y + x*y - x^2 - x"), [(1e300, 1.0)])
+@example(parse_polynomial("x^2*y + 1"), [(1e200, -1e-300), (1e200, 1e-200)])
+def test_compiled_plan_is_bit_identical_to_row_loop(p, xys):
+    hot(p)
+    for x, y in xys:
+        assert_matches_row_loop(p, x, y)
+
+
+def test_compiled_plan_gives_signed_zero_and_nan():
+    assert hot(parse_polynomial("y")).evaluate_approx(1.0, -0.0).hex() == "-0x0.0p+0"
+    p = hot(parse_polynomial("x^2*y + x*y - x^2 - x"))
+    assert math.isnan(p.evaluate_approx(1e300, 1.0))
+
+
+def test_largest_plans_compile_and_match():
+    # one row of the largest degree, and the most terms, the parser allows;
+    # as one nested expression either would exceed CPython's parser limits
+    row = BivariatePolynomial(
+        {(i, 3): Fraction((-1) ** i * (i + 1), 7) for i in range(MAX_DEGREE + 1)}
+    )
+    grid = BivariatePolynomial(
+        {(i, j): Fraction(2 * (i - j) + 1, 3 + i) for i in range(32) for j in range(32)}
+    )
+    assert len(grid.support()) == MAX_TERMS
+    for p in (row, grid):
+        hot(p)
+        for x, y in ((0.99, -1.01), (-1.5, 0.5), (3.0, 2.0), (1e-3, 7.0), (-2.0, -0.0)):
+            assert_matches_row_loop(p, x, y)
+
+
+def test_compiled_overflow_falls_back_to_the_exact_sign():
+    p = hot(parse_polynomial("x^3*y - 2*x + 1"))
+    for x in (1e200, -1e200):
+        assert p.evaluate_approx(x, 1.0) == math.copysign(math.inf, x)
+
+
+def test_falsifier_hits_compile_nothing(compiled_plans, p1, p3):
+    # the descent to the tangential zero of Jac(p1, y) = y^2
+    assert isinstance(find_jacobian_zero(p1, Y), ZeroWitness)
+    # twenty sampled mates, as certify --falsify 20 draws them
+    assert random_trials(p3, 20, seed=1).witness_rate == 1.0
+    assert compiled_plans == []
+
+
+# The compiled source may hold nothing but these nodes
+PLAN_NODES = (
+    ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.AugAssign,
+    ast.Return, ast.BinOp, ast.Add, ast.Mult, ast.Pow, ast.UnaryOp, ast.USub,
+    ast.Name, ast.Load, ast.Store, ast.Constant,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        st.builds(Fraction, st.integers(-(2**1000), 2**1000), st.integers(1, 2**1100)),
+        max_size=12,
+    ).map(BivariatePolynomial)
+)
+def test_plan_source_holds_only_finite_floats(p):
+    # no input text reaches exec: only the four names, finite float
+    # constants and int exponents, with no call or attribute
+    tree = ast.parse(_plan_source(*_horner_plan(p._num, p._den)))
+    exponents = set()
+    for node in ast.walk(tree):
+        assert isinstance(node, PLAN_NODES), ast.dump(node)
+        if isinstance(node, ast.arguments):
+            assert [a.arg for a in node.args] == ["x", "y"]
+        elif isinstance(node, ast.Name):
+            assert node.id in {"x", "y", "a", "h"}
+        elif isinstance(node, ast.UnaryOp):
+            assert isinstance(node.operand, ast.Constant) and type(node.operand.value) is float
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            assert isinstance(node.left, ast.Name) and node.left.id in {"x", "y"}
+            exponents.add(id(node.right))
+        elif isinstance(node, ast.Constant):
+            if type(node.value) is int:
+                assert id(node) in exponents and node.value >= 2
+            else:
+                assert type(node.value) is float and math.isfinite(node.value)
+
+
+def test_overflowing_coefficient_never_reaches_the_source():
+    # n / den raises rather than round to inf, so the plan is never built
+    with pytest.raises(OverflowError):
+        _horner_plan({(1, 0): 2**1100}, 1)
 
 
 def exact_as_float(p, x, y):
