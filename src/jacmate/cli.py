@@ -4,10 +4,10 @@ Exit codes: 0 for a certified conclusion or plain success, 1 when the tool
 ran but could not certify (not covered, inconclusive, no witness), 2 for
 usage or input errors.
 
-Only the drawing paths import :mod:`jacmate.render`, and with it numpy; the
-falsifier imports numpy on its first search.  The exact commands (``analyze``,
-``branch``, ``tongue`` and ``certify`` without ``--svg`` or ``--falsify``)
-never load it.
+numpy loads only for the falsifier's search, on its first call
+(``falsify``, ``certify --falsify``).  Every other command, the drawings
+included, never loads it; only the drawing paths import
+:mod:`jacmate.render`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .polygon import (
     outer_edges,
     right_outer_edges,
 )
-from .tongue import GridSpec, VERIFIED, tongue_certificate
+from .tongue import VERIFIED, tongue_certificate
 
 __all__ = ["run_command", "main"]
 
@@ -150,13 +150,12 @@ def _cmd_branch(args) -> int:
 
 def _cmd_tongue(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    grid = GridSpec(nx=args.nx, ny=args.ny, x_max=args.x_max)
     tc = tongue_certificate(p)
     _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
     if args.svg and tc.region is not None:
         from .render import render_tongue_svg
 
-        svg = render_tongue_svg(tc.region, tc.level_report, grid)
+        svg = render_tongue_svg(tc.region, tc.level_report, args.x_max)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
     return 0 if tc.status == VERIFIED else 1
@@ -199,7 +198,7 @@ def _cmd_render(args) -> int:
         if tc.region is None:
             print(f"no tongue region: {'; '.join(tc.reasons)}", file=sys.stderr)
             return 1
-        svg = render_tongue_svg(tc.region, tc.level_report, GridSpec(400, 400, args.x_max))
+        svg = render_tongue_svg(tc.region, tc.level_report, args.x_max)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
@@ -252,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tongue", help="build and check the tongue region")
     add_poly(sp)
-    sp.add_argument("--nx", type=int, default=1000, help="drawing resolution of --svg")
-    sp.add_argument("--ny", type=int, default=1000, help="drawing resolution of --svg")
     sp.add_argument("--x-max", type=float, default=None,
                     help="right edge of the --svg drawing (default: automatic); "
                          "the report does not depend on it")

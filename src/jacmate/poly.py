@@ -298,9 +298,10 @@ class BivariatePolynomial:
         The rows are planned once per polynomial (see :func:`_horner_plan`)
         and run on the loop below; on the ``COMPILE_AFTER``-th call the plan
         becomes straight-line code (see :func:`_compile_plan`), which takes
-        the same float steps in the same order.  When a power overflows, the
-        value is taken exactly at the same point instead: its float if
-        representable, else infinity of its sign.
+        the same float steps in the same order.  When a power overflows at a
+        finite point, the value is taken exactly there instead: its float if
+        representable, else infinity of its sign.  At an infinite or NaN
+        coordinate there is no exact value, and the result is NaN.
         """
         plan = self._plan
         if plan is None:
@@ -329,6 +330,8 @@ class BivariatePolynomial:
                 acc *= y**last_j
             return acc
         except OverflowError:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return math.nan
             exact = self.evaluate(x, y)
             try:
                 return float(exact)

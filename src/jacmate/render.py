@@ -1,18 +1,18 @@
 """SVG figures: Newton polygons with highlighted edges, and tongue regions.
 
 Pure string assembly, deterministic byte-for-byte for fixed inputs.  The
-tongue figure draws the traced top border and level curves from a
-marching-squares raster; the certificate never reads either.
+tongue figure reads the region on ``SLICE_LINES`` rational vertical lines:
+its top border and its level curves are roots of p(x_k, .) isolated
+exactly, the slices the certificate counts (Collins' cylindrical
+decomposition, as in ``tongue``), and drawn as floats.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-import numpy as np
-
-from .branches import BranchTrace, TraceConfig, lowest_positive_branch
-from .poly import BivariatePolynomial, evaluate_on_grid
+from . import univariate as uni
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
@@ -20,22 +20,14 @@ from .polygon import (
     outer_edges,
 )
 from .tongue import (
-    EMPTY,
     SEGMENT_ARC,
-    GridSpec,
     LevelSetReport,
-    RestrictionProfile,
     TongueRegion,
+    _shifted_by,
+    default_schedule,
 )
 
-__all__ = [
-    "LevelRaster",
-    "ResolutionTooCoarse",
-    "boundary_interpolator",
-    "boundary_trace",
-    "render_polygon_svg",
-    "render_tongue_svg",
-]
+__all__ = ["render_polygon_svg", "render_tongue_svg"]
 
 LATTICE_UNIT = 24
 _MARGIN = 36
@@ -115,111 +107,179 @@ _LEVEL_COLORS = {
     "ContainedInB": "#e08020",
 }
 
-
-# ---------------------------------------------------------------------------
-# The traced top border
-# ---------------------------------------------------------------------------
+# Vertical lines the tongue figure reads, about 4 px apart across its plot.
+SLICE_LINES = 128
 
 
-class boundary_interpolator:
-    """Piecewise power-law interpolant of a positive traced branch."""
+class _Slices:
+    """The region's p on rational vertical lines, roots isolated to ``width``.
 
-    def __init__(self, trace: BranchTrace):
-        xs = np.array([x for x, _ in trace.samples])
-        ys = np.array([y for _, y in trace.samples])
-        if np.any(ys <= 0):
-            raise ValueError("boundary interpolation needs a positive branch")
-        self._logx = np.log(xs)
-        self._logy = np.log(ys)
-        self._theta = float(trace.theta)
-
-    def __call__(self, x):
-        lx = np.log(np.asarray(x, dtype=float))
-        ly = np.interp(lx, self._logx, self._logy)
-        # beyond the trace, continue with the asymptotic power law
-        right = lx > self._logx[-1]
-        if np.any(right):
-            ly = np.where(
-                right, self._logy[-1] + self._theta * (lx - self._logx[-1]), ly
-            )
-        left = lx < self._logx[0]
-        if np.any(left):
-            ly = np.where(left, self._logy[0] + self._theta * (lx - self._logx[0]), ly)
-        return np.exp(ly)
-
-
-def _schedule_floor(profile: RestrictionProfile) -> float:
-    return float(profile.t0) / 20.0
-
-
-def _slice_max(p: BivariatePolynomial, f, x: float) -> float:
-    top = float(f(x))
-    ys = np.linspace(0.0, top, 257)[1:]
-    vals = evaluate_on_grid(p, np.array([x]), ys)[0]
-    return float(np.max(vals))
-
-
-def _auto_horizon(p_star: BivariatePolynomial, f, x0: float, t_floor: float) -> float:
-    """Smallest comfortable truncation: past it, no scheduled level reaches."""
-    x_lo, x_hi = x0, max(2.0 * x0, 50.0)
-    while _slice_max(p_star, f, x_hi) >= t_floor:
-        x_lo = x_hi
-        x_hi *= 2
-        if x_hi > 1e5:
-            return max(1e5, 4.0 * x0)
-    for _ in range(8):
-        mid = math.sqrt(x_lo * x_hi)
-        if _slice_max(p_star, f, mid) >= t_floor:
-            x_lo = mid
-        else:
-            x_hi = mid
-    return max(50.0, 1.3 * x_hi, 4.0 * x0)
-
-
-def boundary_trace(region: TongueRegion, x_max: float | None = None) -> BranchTrace:
-    """The region's top border f, traced from x0 to x_max for drawing.
-
-    ``region.poly`` is already in first-quadrant coordinates, so its lowest
-    positive branch is f itself.  An x_max of None takes the automatic
-    horizon (``GridSpec``), found on a coarser probe trace to 16 x0.
+    On the line x = xq the top border f(xq) is the first positive root of
+    p(xq, .), and the level t meets the line at the roots of p(xq, .) - t in
+    (0, f(xq)).  Each is drawn at the float of its interval's midpoint; the
+    width is at most f(x0) / 2^16, far below a pixel.
     """
-    x0 = float(region.x0)
-    if x_max is None:
-        _, probe = lowest_positive_branch(region.poly, TraceConfig(x0, 16 * x0, 1.1))
-        f = boundary_interpolator(probe)
-        x_max = _auto_horizon(region.poly, f, x0, _schedule_floor(region.profile))
-    _, trace = lowest_positive_branch(region.poly, TraceConfig(x0, float(x_max), 1.02))
-    return trace
+
+    def __init__(self, region: TongueRegion):
+        self.p = region.poly
+        self.width = Fraction(2) ** (math.frexp(region.profile.f_x0)[1] - 17)
+        self._tops: dict[Fraction, tuple | None] = {}
+
+    def top(self, xq: Fraction):
+        """p(xq, .) and the interval of f(xq), or None: no positive root."""
+        if xq not in self._tops:
+            hq = self.p.restricted_to_x(xq)
+            roots = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq), self.width)
+            self._tops[xq] = (hq, roots[0]) if roots else None
+        return self._tops[xq]
+
+    def level(self, xq: Fraction, t: Fraction) -> list[float]:
+        """Heights of the level t on the line, bottom up.
+
+        As in ``tongue``, the roots are taken up to the end of f(xq)'s
+        interval, where p(xq, .) < 0 < t.  A root of even multiplicity is a
+        fold touching the line, listed twice: once per strand meeting there.
+        """
+        hq, top = self.top(xq)
+        ys: list[float] = []
+        for iv in uni.isolate_roots(_shifted_by(hq, t), Fraction(0), top.hi, self.width):
+            ys += [float(iv.midpoint)] * (2 - iv.multiplicity % 2)
+        return ys
+
+
+def _lines(x0: Fraction, x_max: Fraction, log_x: bool) -> list[Fraction]:
+    """SLICE_LINES abscissae, evenly spaced on the figure's x scale."""
+    lo, hi = float(x0), float(x_max)
+    steps = (k / (SLICE_LINES - 1) for k in range(1, SLICE_LINES - 1))
+    inner = {Fraction(lo * (hi / lo) ** u if log_x else lo + (hi - lo) * u) for u in steps}
+    return [x0, *sorted(x for x in inner if x0 < x < x_max), x_max]
+
+
+def _horizon(slices: _Slices, x0: Fraction, drawn) -> Fraction:
+    """The default right edge of the figure, never below 50.
+
+    If the smallest positive scheduled level is ok, the least x0 * 2^k,
+    k >= 1, whose line it misses: its arcs end on the segment side, so its
+    x-projection is an interval from x0.  Otherwise max(50, 4 x0).
+    """
+    if not drawn or not drawn[0][0].ok:
+        return max(Fraction(50), 4 * x0)
+    t = drawn[0][1]
+    x = 2 * x0
+    while x < 50 or (slices.top(x) is not None and slices.level(x, t)):
+        x *= 2
+    return x
+
+
+def _close_folds(ys: list[float], keep: int):
+    """Reduce the points ys to ``keep`` strands: (kept indices, fold chords).
+
+    An odd surplus ends the lowest point, on the bottom side; then the
+    adjacent pair with the smallest gap closes a fold until ``keep`` remain.
+    """
+    rest = list(range(len(ys)))
+    if (len(rest) - keep) % 2:
+        del rest[0]
+    chords = []
+    while len(rest) > keep:
+        i = min(range(len(rest) - 1), key=lambda i: ys[rest[i + 1]] - ys[rest[i]])
+        chords.append((rest[i], rest[i + 1]))
+        del rest[i : i + 2]
+    return rest, chords
+
+
+def _level_polylines(slices: _Slices, lines: list[Fraction], t: Fraction, ok: bool):
+    """The level t as polylines of (x, y) floats, joined line to line.
+
+    Between two lines with as many points, the points join in order; where
+    the count changes, ``_close_folds`` closes (or opens) folds on the line
+    with more points.  An ok level stops at its first empty line, past which
+    its x-projection, an interval from x0, does not reach.  Paths come first,
+    each from its end with the least (line, height) index.
+    """
+    columns = []
+    for xq in lines:
+        columns.append(slices.level(xq, t))
+        if ok and not columns[-1]:
+            break
+    adj: dict[tuple[int, int], list] = {
+        (k, i): [] for k, ys in enumerate(columns) for i in range(len(ys))
+    }
+
+    def join(u, v):
+        adj[u].append(v)
+        adj[v].append(u)
+
+    for k in range(len(columns) - 1):
+        more, fewer = (k, k + 1) if len(columns[k]) >= len(columns[k + 1]) else (k + 1, k)
+        rest, chords = _close_folds(columns[more], len(columns[fewer]))
+        for i, j in chords:
+            join((more, i), (more, j))
+        for i, j in enumerate(rest):
+            join((fewer, i), (more, j))
+
+    polylines = []
+    for u in sorted(adj, key=lambda u: (len(adj[u]) != 1, u)):
+        chain = [u]
+        while adj[chain[-1]]:
+            v = adj[chain[-1]].pop()
+            adj[v].remove(chain[-1])
+            chain.append(v)
+        pts = [(float(lines[k]), columns[k][i]) for k, i in chain]
+        # a fold touching a line is one point
+        pts = [q for q, prev in zip(pts, [None] + pts) if q != prev]
+        if len(pts) > 1:
+            polylines.append(pts)
+    return polylines
 
 
 def render_tongue_svg(
     region: TongueRegion,
     levels: LevelSetReport | None = None,
-    grid: GridSpec | None = None,
+    x_max: float | None = None,
 ) -> str:
-    """Region plot: boundary branch, borders, pocket box, and level curves.
+    """Region plot: top border, borders, pocket box, and level curves.
 
-    The top border is traced to ``grid.x_max`` (``boundary_trace``).  The
-    level curves come from a ``grid.nx`` x ``grid.ny`` raster (400 x 400
-    by default); a level the raster cannot resolve is left out, with an
-    SVG comment saying so.  The x axis switches to a log scale when the
-    truncation is more than two decades past x0 (the geometry worth seeing
-    is squeezed against both ends otherwise).
+    Everything is read off ``SLICE_LINES`` rational lines from x0 to x_max
+    (``_Slices``); an x_max of None takes ``_horizon``'s.  The top border
+    ends at the first line where p(x, .) has no positive root.  Each
+    positive level that has components or is not ok is one ``<g data-t>``
+    group of polylines.  The x axis switches to a log scale when x_max is
+    more than two decades past x0 (the geometry worth seeing is squeezed
+    against both ends otherwise).
     """
-    grid = grid or GridSpec(nx=400, ny=400)
-    trace = boundary_trace(region, grid.x_max)
-    x0 = float(region.x0)
-    x_max = trace.samples[-1][0]
+    x0 = region.x0
+    slices = _Slices(region)
+    # records carry t as a float: draw the exact scheduled level behind it
+    exact = {float(t): t for t in default_schedule(region.profile.t0)}
+    records = sorted(levels.records, key=lambda r: r.t) if levels is not None else []
+    drawn = [(rec, exact.get(rec.t, Fraction(rec.t))) for rec in records if rec.t > 0]
+    if x_max is None:
+        right = _horizon(slices, x0, drawn)
+    elif x0 < x_max < math.inf:
+        right = Fraction(x_max)
+    else:
+        raise ValueError(f"x_max must be finite and exceed x0 = {x0}")
+    log_x = right / x0 > 100
+    lines = _lines(x0, right, log_x)
+    border = []
+    for xq in lines:
+        top = slices.top(xq)
+        if top is None:
+            break
+        border.append((float(xq), float(top[1].midpoint)))
+    lines = lines[: len(border)]
+
+    x_lo, x_hi = float(x0), float(right)
     y_top = region.profile.f_x0
     width, height = 640, 420
     m = 46
-    log_x = x_max / max(x0, 1e-300) > 100
 
     def sx(x: float) -> float:
         if log_x:
-            u = (math.log(x) - math.log(x0)) / (math.log(x_max) - math.log(x0))
+            u = (math.log(x) - math.log(x_lo)) / (math.log(x_hi) - math.log(x_lo))
         else:
-            u = (x - x0) / (x_max - x0)
+            u = (x - x_lo) / (x_hi - x_lo)
         return m + u * (width - 2 * m)
 
     def sy(y: float) -> float:
@@ -232,251 +292,41 @@ def render_tongue_svg(
     ]
 
     # level curves under everything else
-    if levels is not None and levels.records:
-        raster = LevelRaster(region.poly, region, trace, grid)
-        for rec in sorted(levels.records, key=lambda r: r.t):
-            try:
-                polylines = [pts for pts, _ in raster.components(rec.t)]
-            except ResolutionTooCoarse as exc:
-                parts.append(f"<!-- level t={rec.t!r} not drawn: {exc} -->")
-                continue
-            if rec.classification == EMPTY and not polylines:
-                continue
-            color = "#d03030" if not rec.ok else _LEVEL_COLORS.get(
-                rec.classification, "#808080"
-            )
-            for pts in polylines:
-                if len(pts) < 2:
-                    continue
-                coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
-                parts.append(
-                    f'<polyline points="{coords}" fill="none" '
-                    f'stroke="{color}" stroke-width="1"/>'
-                )
-        if levels.pocket_bbox:
-            bx0, bx1, by0, by1 = levels.pocket_bbox
-            parts.append(
-                f'<rect x="{_fmt(sx(bx0))}" y="{_fmt(sy(by1))}" '
-                f'width="{_fmt(sx(bx1) - sx(bx0))}" height="{_fmt(sy(by0) - sy(by1))}" '
-                f'fill="none" stroke="#e08020" stroke-width="1.2" stroke-dasharray="5 3"/>'
-            )
+    for rec, t in drawn:
+        if rec.ok and not rec.component_count:
+            continue
+        color = "#d03030" if not rec.ok else _LEVEL_COLORS.get(rec.classification, "#808080")
+        parts.append(f'<g data-t="{rec.t!r}" fill="none" stroke="{color}" stroke-width="1">')
+        for pts in _level_polylines(slices, lines, t, rec.ok):
+            coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+            parts.append(f'<polyline points="{coords}"/>')
+        parts.append("</g>")
+    if levels is not None and levels.pocket_bbox:
+        bx0, bx1, by0, by1 = levels.pocket_bbox
+        parts.append(
+            f'<rect x="{_fmt(sx(bx0))}" y="{_fmt(sy(by1))}" '
+            f'width="{_fmt(sx(bx1) - sx(bx0))}" height="{_fmt(sy(by0) - sy(by1))}" '
+            f'fill="none" stroke="#e08020" stroke-width="1.2" stroke-dasharray="5 3"/>'
+        )
 
-    # boundary branch
-    coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in trace.samples)
+    # top border
+    coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in border)
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#2e8b57" stroke-width="2"/>'
     )
     # half-line border and the segment side
     parts.append(
-        f'<line x1="{_fmt(sx(x0))}" y1="{_fmt(sy(0.0))}" x2="{_fmt(sx(x_max))}" '
+        f'<line x1="{_fmt(sx(x_lo))}" y1="{_fmt(sy(0.0))}" x2="{_fmt(sx(x_hi))}" '
         f'y2="{_fmt(sy(0.0))}" stroke="#222" stroke-width="2.5"/>'
     )
     parts.append(
-        f'<line x1="{_fmt(sx(x0))}" y1="{_fmt(sy(0.0))}" x2="{_fmt(sx(x0))}" '
+        f'<line x1="{_fmt(sx(x_lo))}" y1="{_fmt(sy(0.0))}" x2="{_fmt(sx(x_lo))}" '
         f'y2="{_fmt(sy(y_top))}" stroke="#222" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<text x="{_fmt(sx(x0) + 4)}" y="{_fmt(sy(y_top) + 14)}" font-size="12" '
-        f'font-family="monospace" fill="#222">x0={_fmt(x0)}'
+        f'<text x="{_fmt(sx(x_lo) + 4)}" y="{_fmt(sy(y_top) + 14)}" font-size="12" '
+        f'font-family="monospace" fill="#222">x0={_fmt(x_lo)}'
         f'{" (log x)" if log_x else ""}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Level curves for drawing (marching squares)
-# ---------------------------------------------------------------------------
-
-# Points closer to the traced branch than this are boundary at grid
-# resolution: the interpolant is only trusted to ~1e-4 relative between
-# trace samples, while the barrier keeps every scheduled arc at least
-# t0/20 away, which is ~1/160 of the strip height near the segment side
-# and a few grid rows everywhere else.
-BOUNDARY_COLLAR = 1e-3
-
-
-class ResolutionTooCoarse(RuntimeError):
-    """A saddle cell whose centre lies on the level: its pairing is undecided."""
-
-
-# corner bits: 1 = bottom-left, 2 = bottom-right, 4 = top-right, 8 = top-left
-# edges: 0 = bottom, 1 = right, 2 = top, 3 = left
-_CASE_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
-    1: ((3, 0),),
-    2: ((0, 1),),
-    3: ((3, 1),),
-    4: ((1, 2),),
-    6: ((0, 2),),
-    7: ((3, 2),),
-    8: ((3, 2),),
-    9: ((0, 2),),
-    11: ((1, 2),),
-    12: ((3, 1),),
-    13: ((0, 1),),
-    14: ((3, 0),),
-}
-
-
-class LevelRaster:
-    """Scalar field p on the raster over [x0, x_max] x [0, f(x0)].
-
-    x_max is where the traced border ``trace`` ends; the raster is
-    ``grid.nx`` x ``grid.ny``.  Drawing only: the level sets are decided
-    exactly in ``tongue``.
-    Extraction runs over the full rectangle; clipping to the region
-    happens afterwards, per connected component.  A positive level never
-    meets the boundary branch (p vanishes there), so whole components can
-    be kept or dropped; the drop test carries a collar absorbing the
-    interpolation error of the traced branch itself.
-    """
-
-    def __init__(self, p, region: TongueRegion, trace: BranchTrace, grid: GridSpec):
-        self.x0 = float(region.x0)
-        self.x_max = trace.samples[-1][0]
-        self.f = boundary_interpolator(trace)
-        self.xs = np.linspace(self.x0, self.x_max, grid.nx)
-        self.ys = np.linspace(0.0, region.profile.f_x0, grid.ny)
-        self.dx = self.xs[1] - self.xs[0]
-        self.dy = self.ys[1] - self.ys[0]
-        self.values = evaluate_on_grid(p, self.xs, self.ys)
-        self.p = p
-
-    def components(self, t: float):
-        """(polyline, closed) for each piece of the level p = t in the strip."""
-        comps = _walk_components(*_extract_level(self, t))
-        return [(pts, closed) for _, pts, closed in _components_in_region(comps, self.f, self.dy)]
-
-
-def _edge_key(i: int, j: int, edge: int):
-    if edge == 0:
-        return ("h", i, j)
-    if edge == 2:
-        return ("h", i, j + 1)
-    if edge == 3:
-        return ("v", i, j)
-    return ("v", i + 1, j)
-
-
-def _extract_level(field: LevelRaster, t: float):
-    """Marching squares at one level; returns (segments, crossing points).
-
-    Cells with a diagonal sign pattern get one refinement: the sign of the
-    field at the cell center decides the pairing.  A center that evaluates
-    to exactly zero leaves the topology undecidable at this resolution.
-    """
-    F = field.values - t
-    pos = F > 0
-    A = pos[:-1, :-1]
-    B = pos[1:, :-1]
-    C = pos[1:, 1:]
-    D = pos[:-1, 1:]
-    case = (
-        A.astype(np.int8)
-        + 2 * B.astype(np.int8)
-        + 4 * C.astype(np.int8)
-        + 8 * D.astype(np.int8)
-    )
-    interesting = (case > 0) & (case < 15)
-    xs, ys = field.xs, field.ys
-    points: dict[tuple, tuple[float, float]] = {}
-    segments: list[tuple[tuple, tuple]] = []
-
-    def crossing(i0, j0, i1, j1):
-        v0, v1 = F[i0, j0], F[i1, j1]
-        frac = v0 / (v0 - v1)
-        return (
-            xs[i0] + frac * (xs[i1] - xs[i0]),
-            ys[j0] + frac * (ys[j1] - ys[j0]),
-        )
-
-    def edge_point(i, j, edge):
-        key = _edge_key(i, j, edge)
-        if key not in points:
-            if edge == 0:
-                points[key] = crossing(i, j, i + 1, j)
-            elif edge == 1:
-                points[key] = crossing(i + 1, j, i + 1, j + 1)
-            elif edge == 2:
-                points[key] = crossing(i, j + 1, i + 1, j + 1)
-            else:
-                points[key] = crossing(i, j, i, j + 1)
-        return key
-
-    for i, j in np.argwhere(interesting):
-        c = int(case[i, j])
-        if c in (5, 10):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            center = field.p.evaluate_approx(float(cx), float(cy)) - t
-            if center == 0.0:
-                raise ResolutionTooCoarse(
-                    f"saddle cell at ({cx}, {cy}) undecidable at this resolution"
-                )
-            if c == 5:
-                pairs = ((0, 1), (2, 3)) if center > 0 else ((3, 0), (1, 2))
-            else:
-                pairs = ((3, 0), (1, 2)) if center > 0 else ((0, 1), (2, 3))
-        else:
-            pairs = _CASE_SEGMENTS[c]
-        for e1, e2 in pairs:
-            segments.append(
-                (edge_point(int(i), int(j), e1), edge_point(int(i), int(j), e2))
-            )
-    return segments, points
-
-
-def _walk_components(segments, points):
-    """Stitch crossing segments into polylines keyed by shared grid edges."""
-    adj: dict[tuple, list[tuple]] = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    visited: set[tuple] = set()
-    components = []
-    # open chains first: start at degree-1 keys for stable endpoints
-    for start in sorted(k for k, nbrs in adj.items() if len(nbrs) == 1):
-        if start in visited:
-            continue
-        components.append((_walk_from(start, adj, visited), False))
-    for key in sorted(adj):
-        if key in visited:
-            continue
-        components.append((_walk_from(key, adj, visited), True))
-    return [(chain, [points[k] for k in chain], closed) for chain, closed in components]
-
-
-def _walk_from(start, adj, visited):
-    chain = [start]
-    visited.add(start)
-    cur, prev = start, None
-    while True:
-        nxt = None
-        for cand in adj[cur]:
-            if cand != prev and (
-                cand not in visited or (cand == chain[0] and len(chain) > 2)
-            ):
-                nxt = cand
-                break
-        if nxt is None or nxt == chain[0]:
-            break
-        chain.append(nxt)
-        visited.add(nxt)
-        prev, cur = cur, nxt
-    return chain
-
-
-def _components_in_region(comps, f, dy):
-    """Keep components inside the strip: above y=0 and below the branch."""
-    kept = []
-    for chain, pts, closed in comps:
-        qx = np.array([q[0] for q in pts])
-        qy = np.array([q[1] for q in pts])
-        if float(qy.max()) <= 0.0:
-            continue  # degenerate contact with the half-line border
-        fq = np.asarray(f(qx))
-        collar = np.maximum(BOUNDARY_COLLAR * fq, 2.0 * dy)
-        if float(np.max(qy - (fq - collar))) >= 0.0:
-            continue  # hugs or crosses the boundary branch
-        kept.append((chain, pts, closed))
-    return kept

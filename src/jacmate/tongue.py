@@ -15,7 +15,8 @@ Exact: the transform (a confirmed asymptote, no trace), x0 (the least
 power of two at which the hypotheses below hold), f(x0) (an isolated root
 of p(x0, .)), the barrier and the restriction h(y) = p(x0, y), and every
 level-set count.  Numeric: only floats reporting exact values (f(x0), a,
-b, the pocket), and the traced branch that ``render`` draws.
+b, the pocket).  ``render`` draws the region from exact vertical slices
+too, the roots of p(x_k, .) on rational lines, plotted as floats.
 
 The level sets follow from regular-level Morse theory (Milnor, *Morse
 Theory*) with the projection resultants of Collins' cylindrical
@@ -128,12 +129,12 @@ class LevelSetUndecided(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The window and raster with which ``render`` draws a region.
+    """A drawing window and raster size that nothing reads any more.
 
-    ``x_max`` of None asks for an automatic horizon: wide enough that the
-    smallest scheduled level no longer reaches it, never below 50.  ``nx``
-    and ``ny`` are the raster size.  Drawing only: the certificate is
-    decided exactly, with no trace and no raster.
+    ``render`` draws from exact slices and takes its right edge directly;
+    no raster is left for ``nx`` and ``ny`` to size.  The class stays
+    because ``tongue_certificate`` accepts it and the acceptance gate's
+    criterion 5 builds one and reads ``nx``.
     """
 
     nx: int = 1000
@@ -721,8 +722,7 @@ def tongue_certificate(
     expected; the counts are exact (module docstring).  A hypothesis that
     fails or a count left undecided reports Inconclusive, naming the fact;
     a region that cannot be assembled at x0, or violated expectations,
-    report Failed.  ``grid`` sizes only the drawing of ``render`` and no
-    longer affects the certificate.
+    report Failed.  ``grid`` is read by nothing (see ``GridSpec``).
     """
     cert = corollary_certificate(p, allow_swap=True)
     if not cert.satisfied:

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacmate
-from jacmate import cli, render
-from jacmate.branches import BranchLost
+from jacmate import cli
 from jacmate.certificate import CERTIFICATE_SCHEMA
 from jacmate.cli import run_command
 
@@ -211,17 +210,35 @@ COLD_START = (
         (("certify", "y + x^2*y^2", "--tongue"), 0, False),
         (("falsify", "x", "--q", "y"), 1, True),
         (("certify", "y + x^2*y^2", "--falsify", "2"), 0, True),
+        (("render", "y + x^2*y^2", "--what", "tongue"), 0, False),
+        (("render", "y + x^2*y^2", "--what", "polygon"), 0, False),
+        (("tongue", "y + x^2*y^2", "--svg", os.devnull), 0, False),
     ],
-    ids=["analyze", "branch", "tongue", "certify_tongue", "falsify", "certify_falsify"],
+    ids=[
+        "analyze", "branch", "tongue", "certify_tongue", "falsify", "certify_falsify",
+        "render_tongue", "render_polygon", "tongue_svg",
+    ],
 )
 def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded):
-    # numpy serves only the falsifier's grids and the drawings: a fresh
-    # interpreter answers the exact commands without paying for its import,
-    # and loads it on demand for the float search, with the usual output
+    # numpy serves only the falsifier's grids: a fresh interpreter answers
+    # the exact commands and draws without paying for its import, and loads
+    # it on demand for the float search, with the usual output
     proc = _fresh_interpreter(COLD_START, *argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr == f"numpy loaded: {numpy_loaded}\n"
     assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_certify_path_never_imports_the_drawing():
+    # the levels are decided exactly: a fresh interpreter certifies the
+    # tongue, and runs the falsifier, without loading jacmate.render
+    proc = _fresh_interpreter(
+        "import sys; from jacmate.cli import run_command; "
+        "code = run_command(['certify', 'y + x^2*y^2', '--tongue', '--falsify', '2']); "
+        "assert 'jacmate.render' not in sys.modules, 'render imported'; sys.exit(code)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["tongue"]["status"] == "Verified"
 
 
 def test_cli_import_loads_every_traced_layer():
@@ -397,29 +414,11 @@ def test_render_tongue_to_file(tmp_path, capsys):
     xml.dom.minidom.parse(str(out_svg))
 
 
-def test_render_tongue_leaves_out_an_undecidable_level(monkeypatch, capsys):
-    # a saddle cell centred on the level makes the drawing raster give up on
-    # that level; the figure is still drawn, without a traceback
-    def coarse(raster, t):
-        raise render.ResolutionTooCoarse(f"saddle cell undecidable at t={t!r}")
-
-    monkeypatch.setattr(render, "_extract_level", coarse)
-    code, out, err = run(capsys, "render", "y + x^2*y^2", "--what", "tongue", "--x-max", "50")
-    assert code == 0
-    assert err == ""
-    xml.dom.minidom.parseString(out)
-    assert out.count("not drawn: saddle cell undecidable") == 30
-
-
-def test_render_tongue_whose_trace_fails_exits_1(monkeypatch, capsys):
-    # only the drawing traces the branch; a lost trace is no traceback
-    def lost(*args):
-        raise BranchLost("no sign change near the predictor at x=2.0")
-
-    monkeypatch.setattr(render, "lowest_positive_branch", lost)
-    code, out, err = run(capsys, "render", "y + x^2*y^2", "--what", "tongue")
-    assert (code, out) == (1, "")
-    assert err == "not available: no sign change near the predictor at x=2.0\n"
+@pytest.mark.parametrize("x_max", ["1", "0.5", "inf", "nan"])
+def test_render_tongue_needs_a_finite_right_edge_past_x0(capsys, x_max):
+    code, out, err = run(capsys, "render", "y + x^2*y^2", "--what", "tongue", "--x-max", x_max)
+    assert (code, out) == (2, "")
+    assert err == "error: x_max must be finite and exceed x0 = 1\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -525,6 +524,7 @@ def test_fuzzed_commands_exit_0_1_or_2(p_degree, q, t):
         ["certify", "--falsify", "1", "--", p],
         ["falsify", f"--q={q}", "--", p],
         ["certify", "--tongue", "--", t],
+        ["render", "--what", "tongue", "--", t],
     ]
     if degree <= TONGUE_FUZZ_DEGREE:
         argvs.append(["certify", "--tongue", "--", p])

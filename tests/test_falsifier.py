@@ -431,7 +431,6 @@ def test_zero_polynomial_gives_a_zero_grid():
 @PROPERTY
 @given(small_polys, st.integers(-64, 64), dyadic_axis)
 def test_one_row_grid_matches_the_one_column_transpose(p, k, ys):
-    # render._slice_max reads one row; the swapped polynomial gives it as a column
     x = np.array([k / 8.0])
     row = evaluate_on_grid(p, x, ys)
     column = evaluate_on_grid(apply_transform(p, SWAP), ys, x)

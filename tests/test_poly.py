@@ -259,6 +259,19 @@ def test_compiled_overflow_falls_back_to_the_exact_sign():
         assert p.evaluate_approx(x, 1.0) == math.copysign(math.inf, x)
 
 
+@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
+def test_non_finite_coordinate_after_an_overflow_is_nan(compiled):
+    # x^2 overflows at x = 1e200; the exact fallback has no value at an
+    # infinite or NaN coordinate, so the result is NaN, not an exception
+    p = parse_polynomial("x^2*y^2")
+    if compiled:
+        hot(p)
+    assert math.isnan(p.evaluate_approx(1e200, math.inf))
+    assert math.isnan(p.evaluate_approx(1e200, math.nan))
+    # at a finite point the overflow still takes the exact value
+    assert p.evaluate_approx(1e200, 1e-200) == float((Fraction(1e200) * Fraction(1e-200)) ** 2)
+
+
 def test_falsifier_hits_compile_nothing(compiled_plans, p1, p3):
     # the descent to the tangential zero of Jac(p1, y) = y^2
     assert isinstance(find_jacobian_zero(p1, Y), ZeroWitness)

@@ -1,13 +1,13 @@
-import json
+import dataclasses
 import math
 import random
+import xml.dom.minidom
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from jacmate.poly import IDENTITY, NEGATE_Y, SWAP, compose_transforms, parse_polynomial
-from jacmate.render import LevelRaster, boundary_interpolator, boundary_trace
+from jacmate.render import render_tongue_svg
 from jacmate.tongue import (
     CONTAINED_IN_B,
     EMPTY,
@@ -27,7 +27,6 @@ from jacmate.tongue import (
 )
 from jacmate import branches, render, tongue
 from jacmate import univariate as uni
-from jacmate.cli import run_command
 
 
 SQ2 = 2**0.5
@@ -94,20 +93,16 @@ def test_barrier_is_exactly_verified(region3):
     assert uni.count_roots(hp, prof.b_interval[1], Fraction(1)) == 0
 
 
-def test_boundary_trace_matches_closed_form(region3):
-    # the flipped curve is y = 1/x^2 exactly; the drawing traces it itself
-    trace = boundary_trace(region3, 50.0)
-    assert trace.samples[-1][0] == 50.0
-    for x, y in trace.samples:
-        assert abs(y - 1.0 / (x * x)) <= 1e-8 / (x * x)
-
-
-def test_boundary_interpolator_power_law(region3):
-    f = boundary_interpolator(boundary_trace(region3, 50.0))
-    xs = np.geomspace(1.0, 200.0, 64)  # extends past the trace on purpose
-    want = 1.0 / xs**2
-    got = np.asarray(f(xs))
-    assert np.all(np.abs(got - want) <= 1e-6 * want)
+def test_drawn_top_border_brackets_the_closed_form(region3):
+    # the flipped curve is y = 1/x^2 exactly: on every line of the drawing
+    # its isolating interval holds 1/x^2 and is no wider than the width
+    slices = render._Slices(region3)
+    assert slices.width == Fraction(1, 2**16)
+    lines = render._lines(Fraction(1), Fraction(50), False)
+    assert len(lines) == render.SLICE_LINES and (lines[0], lines[-1]) == (1, 50)
+    for x in lines:
+        _, top = slices.top(x)
+        assert top.lo <= 1 / x**2 <= top.hi and top.hi - top.lo <= slices.width
 
 
 def test_critical_point_sweep_clean_p3(region3):
@@ -235,22 +230,6 @@ def test_level_sets_p3(p3, region3):
     assert all(r.t > float(region3.profile.t0) for r in by_class.get(CONTAINED_IN_B, []))
 
 
-def test_certify_path_extracts_no_raster_level(monkeypatch, capsys):
-    # the levels are decided exactly: the drawing raster is never consulted
-    calls = []
-    extract = render._extract_level
-
-    def counted(raster, t):
-        calls.append(t)
-        return extract(raster, t)
-
-    monkeypatch.setattr(render, "_extract_level", counted)
-    code = run_command(["certify", "y + x^2*y^2", "--tongue", "--falsify", "2"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["tongue"]["status"] == VERIFIED
-    assert calls == []
-
-
 def test_level_endpoints_match_exact_root_count(region3):
     # the record's segment ends are the roots of h - t below f(x0) = 1
     prof = region3.profile
@@ -311,18 +290,52 @@ def test_default_schedule_shape():
 
 
 def test_extract_polylines_stay_inside(region3):
-    t0 = region3.profile.t0
-    trace = boundary_trace(region3, 50.0)
-    raster = LevelRaster(region3.poly, region3, trace, GridSpec(400, 400))
-    f = boundary_interpolator(trace)
-    for t in (t0 * Fraction(k, 4) for k in (1, 2, 3)):
-        comps = raster.components(float(t))
-        assert comps
-        for comp, _ in comps:
-            for x, y in comp:
-                assert 1.0 - 1e-9 <= x <= 50.0 + 1e-9
-                assert -1e-9 <= y
-                assert y <= float(f(x)) + 1e-6
+    # under f(x) = 1/x^2, one arc per level, every point on the level to
+    # the isolation width (|p_y| <= 1 there), from the segment side back to it
+    slices = render._Slices(region3)
+    lines = render._lines(Fraction(1), Fraction(50), False)
+    for k in (1, 2, 3):
+        t = region3.profile.t0 * Fraction(k, 4)
+        (pts,) = render._level_polylines(slices, lines, t, True)
+        assert pts[0][0] == pts[-1][0] == 1.0 and pts[0][1] < pts[-1][1]
+        for x, y in pts:
+            assert 1.0 <= x <= 50.0 and 0.0 < y < 1.0 / (x * x)
+            assert abs(region3.poly.evaluate_approx(x, y) - float(t)) <= float(slices.width)
+    # t = 1/16 reaches out to x = 2 exactly, where p(2, .) - t = -(2y - 1/4)^2
+    # has a double root: the fold's tip is one point of the one arc
+    lines = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+    (pts,) = render._level_polylines(slices, lines, Fraction(1, 16), True)
+    assert len(pts) == 5 and pts[2][0] == 2.0 and abs(pts[2][1] - 0.125) <= float(slices.width)
+
+
+class FixedColumns:
+    """Stands in for render._Slices: the heights of the level on each line."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def level(self, xq, t):
+        return self.columns[xq]
+
+
+def test_folds_join_at_the_smallest_gaps():
+    # four points go down to two through their nearest pair, nested folds
+    # close inside out, and an odd surplus ends the lowest point
+    assert render._close_folds([0.1, 0.5, 0.55, 0.9], 2) == ([0, 3], [(1, 2)])
+    assert render._close_folds([0.1, 0.5, 0.55, 0.9], 0) == ([], [(1, 2), (0, 3)])
+    assert render._close_folds([0.1, 0.5, 0.55], 0) == ([], [(1, 2)])
+    # a double root, listed twice, is one fold point
+    touch = FixedColumns([0.3, 0.7], [0.5, 0.5], [])
+    assert render._level_polylines(touch, [0, 1, 2], None, True) == [
+        [(0.0, 0.3), (1.0, 0.5), (0.0, 0.7)]
+    ]
+    # a fold opening and closing on the same pair is a closed loop; the arc
+    # comes first, from its lower end, and closes at its first empty line
+    island = FixedColumns([0.2, 0.8], [0.2, 0.4, 0.5, 0.8], [0.2, 0.8], [], [0.5])
+    assert render._level_polylines(island, [0, 1, 2, 3, 4], None, True) == [
+        [(0.0, 0.2), (1.0, 0.2), (2.0, 0.2), (2.0, 0.8), (1.0, 0.8), (0.0, 0.8)],
+        [(1.0, 0.4), (1.0, 0.5), (1.0, 0.4)],
+    ]
 
 
 def test_tongue_certificate_p3(p3):
@@ -362,21 +375,30 @@ def test_tongue_certificate_rejects_uncertified():
 
 
 def test_auto_horizon_picks_flat_tail(region3):
-    trace = boundary_trace(region3)  # no x_max given
-    x_end = trace.samples[-1][0]
-    assert x_end >= 50.0
-    # beyond the horizon the strip is thinner than a twentieth of the barrier
-    f = boundary_interpolator(trace)
-    assert float(f(x_end)) < float(region3.profile.t0)
+    # the level t of y - x^2*y^2 reaches x < 1/(2 sqrt(t)): sqrt(40) for the
+    # lowest level t0/20 = 1/160, so 64 is the least power of two past both
+    # it and 50, where the strip is far thinner than the barrier; with no
+    # level report the horizon is max(50, 4 x0)
+    t = region3.profile.t0 / 20
+    (rec,) = check_level_sets(region3, [t]).records
+    slices = render._Slices(region3)
+    x_end = render._horizon(slices, region3.x0, [(rec, t)])
+    assert x_end == 64 and 1 / x_end**2 < region3.profile.t0
+    assert render._horizon(slices, region3.x0, []) == 50
 
 
 def test_auto_horizon_never_ends_before_x0():
-    # the critical point (100000, 1/2) puts x0 at 2^17, and the scheduled
-    # levels still reach x = 2^19, where the horizon's 1e5 cap stops it:
-    # the drawing then ends at 4 x0, not before x0
-    region = build_tongue(parse_polynomial("y - y^2 - 1/10000000000*(x - 100000)^2*y^2"))
+    # the critical point (100000, 1/2) puts x0 at 2^17; the drawing's right
+    # edge is past it, with or without the level report: the lowest level
+    # still meets the line x = 2^19 and misses 2^20
+    p = parse_polynomial("y - y^2 - 1/10000000000*(x - 100000)^2*y^2")
+    cert = tongue_certificate(p)
+    region = cert.region
     assert region.x0 == 2**17
-    assert boundary_trace(region).samples[-1][0] == 2.0**19
+    assert render._horizon(render._Slices(region), region.x0, []) == 2**19
+    drawn = [(level_at(cert, t), t) for t in default_schedule(region.profile.t0) if t > 0]
+    assert render._horizon(render._Slices(region), region.x0, drawn) == 2**20
+    xml.dom.minidom.parseString(render_tongue_svg(region, cert.level_report))
 
 
 def test_build_tongue_doubles_past_planted_critical_point():
@@ -429,12 +451,11 @@ def test_image_values_trapped_below_quarter(swap_case):
     # must stay inside (0, 1/4]
     region = build_tongue(swap_case)
     assert str(region.poly) == "-x*y^2 + y"
-    f = boundary_interpolator(boundary_trace(region, 60.0))
     rng = random.Random(4242)
     top = 0.0
     for _ in range(200000):
         x = math.exp(rng.uniform(0.0, math.log(60.0)))
-        y = rng.uniform(0.0, float(f(x)))
+        y = rng.uniform(0.0, 1.0 / x)  # under the top border f(x) = 1/x
         if y == 0.0:
             continue
         v = region.poly.evaluate_approx(x, y)
@@ -511,24 +532,60 @@ def test_no_fixture_needs_a_trace(monkeypatch):
         assert tongue_certificate(parse_polynomial(text)).status == VERIFIED, text
 
 
-def test_raster_agrees_with_exact_counts(fixture_certs):
-    # the drawing raster at 1000^2 finds the one arc and its two segment ends
+def drawn_levels(svg):
+    """Level t -> its polylines, as lists of (x, y) pixel coordinates."""
+    groups = xml.dom.minidom.parseString(svg).getElementsByTagName("g")
+    return {
+        float(g.getAttribute("data-t")): [
+            [tuple(map(float, q.split(","))) for q in line.getAttribute("points").split()]
+            for line in g.getElementsByTagName("polyline")
+        ]
+        for g in groups
+    }
+
+
+def test_drawing_agrees_with_exact_counts(fixture_certs):
+    # every scheduled level with an arc is drawn, none left out: as many
+    # polylines as the record has components, each from the segment side
+    # back to it, its ends at the two exact segment ends; the figure puts
+    # x0 at 46 px and y in [0, f(x0)] on [374, 46] px, rounded to 0.01 px
     for text, cert in fixture_certs.items():
         assert cert.status == VERIFIED, text
-        region = cert.region
-        x0 = float(region.x0)
-        trace = boundary_trace(region)
+        region, report = cert.region, cert.level_report
         assert lowest_positive_transform(region) == IDENTITY, text
-        raster = LevelRaster(region.poly, region, trace, GridSpec())
-        for k in range(1, 21):
-            t = float(region.profile.t0 * Fraction(k, 20))
+        svg = render_tongue_svg(region, report)
+        assert svg == render_tongue_svg(region, report), text
+        drawn = drawn_levels(svg)
+        assert sorted(drawn) == sorted(r.t for r in report.records if r.component_count), text
+        prof = region.profile
+        for t in default_schedule(prof.t0):
             rec = level_at(cert, t)
-            assert (rec.component_count, rec.boundary_endpoint_count) == (1, 2), (text, k)
-            comps = raster.components(t)
-            assert len(comps) == 1, (text, k)
-            pts, closed = comps[0]
-            assert not closed
-            assert all(abs(x - x0) <= 1e-9 for x, _ in (pts[0], pts[-1])), (text, k)
+            if not rec.component_count:
+                continue
+            polylines = drawn[rec.t]
+            assert len(polylines) == rec.component_count, (text, rec.t)
+            g = list(prof.h_coeffs)
+            g[0] -= t
+            ends = [uni.float_root(g, iv) for iv in uni.isolate_roots(g, 0, Fraction(prof.f_x0))]
+            assert len(ends) == rec.boundary_endpoint_count == 2 * rec.component_count
+            got = sorted((q for pts in polylines for q in (pts[0], pts[-1])), key=lambda q: -q[1])
+            for (x, y), want in zip(got, ends):
+                assert x == 46.0, (text, rec.t)
+                assert abs(y - (374 - 328 * want / prof.f_x0)) <= 0.01, (text, rec.t)
+
+
+def test_a_line_without_a_positive_root_ends_the_border(p3, region3):
+    # 2y - x*y - y^3 has the positive root sqrt(2 - x) only left of x = 2:
+    # the border and the levels stop at the first line past it, no error
+    region = dataclasses.replace(region3, poly=parse_polynomial("2*y - x*y - y^3"))
+    report = tongue_certificate(p3).level_report
+    svg = render_tongue_svg(region, report, 50.0)
+    lines = xml.dom.minidom.parseString(svg).getElementsByTagName("polyline")
+    border = [tuple(map(float, q.split(","))) for q in lines[-1].getAttribute("points").split()]
+    levels = [pts for polylines in drawn_levels(svg).values() for pts in polylines]
+    assert border[0][0] == 46.0 and levels
+    # x = 2 on the linear scale from x0 = 1 to 50, 548 px wide
+    assert all(x < 46 + 548 / 49 for pts in [border, *levels] for x, _ in pts)
 
 
 def test_tangency_entering_the_strip_is_undecided():
