@@ -24,10 +24,22 @@ s = sign Jac(0, 0), where |Jac(0, 0)| > C, F = s*Jac - C and n = deg_y F.
   it has as many as at x = 0, none.
 Either way F keeps the sign it has at (0, 0), and F > 0 on R^2.  The proof
 is tried only when its predicted work is within a fixed budget.
+
+The boxes never change, so each box's axis and the powers axis**j that its
+grids take are built once per process, on the first search that reaches
+the box, and shared by every later search.  This pays only in a process
+that runs more than one search: :func:`random_trials` (``certify
+--falsify N``), or a caller that issues many searches in one process.  A
+single ``jacmate falsify`` runs one search, whose grids take each power
+once whether or not it is stored.  With d the largest degree in either
+variable of a Jacobian searched, each box holds at most d + 1 powers of
+2 KB: 11 x (d + 1) x 2 KB in all, about 11.5 MB at the parse caps, where
+d <= 2 * 256 - 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -245,9 +257,9 @@ def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
     boxes = 0
     for k in range(MAX_DOUBLINGS + 1):
         boxes += 1
-        w = INITIAL_HALF_WIDTH * 2**k
-        xs = ys = np.linspace(-w, w, GRID_PER_AXIS)
-        vals = evaluate_on_grid(J, xs, ys)
+        xs, powers = _box(k)
+        ys = xs
+        vals = evaluate_on_grid(J, xs, ys, powers)
         # |Jac| overwrites the grid once its sign bits are kept: one 256²
         # float array per box, not two
         neg = np.signbit(vals)
@@ -303,6 +315,19 @@ def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
     # the float argmin picks the point; its |Jac| is read exactly, so grid
     # rounding (even a cancellation to 0.0 where Jac >= 1) cannot reach it
     return MinRecord(best_point, _exact_abs(J, *best_point), boxes)
+
+
+@functools.cache
+def _box(k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Box k's axis, np.linspace(-w, w, GRID_PER_AXIS) at w = 4 * 2^k, and its
+    memo j -> axis**j for :func:`evaluate_on_grid`: built read-only on first
+    use and shared by every later search (module docstring)."""
+    import numpy as np
+
+    w = INITIAL_HALF_WIDTH * 2**k
+    axis = np.linspace(-w, w, GRID_PER_AXIS)
+    axis.flags.writeable = False
+    return axis, {}
 
 
 def _sign_changes(neg: np.ndarray, signed: np.ndarray | None, axis: int):

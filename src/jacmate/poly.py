@@ -789,7 +789,10 @@ def subtract_constant(p: BivariatePolynomial, t: Fraction | int) -> BivariatePol
 
 
 def evaluate_on_grid(
-    p: BivariatePolynomial, xs: np.ndarray, ys: np.ndarray
+    p: BivariatePolynomial,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    powers: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Float values of p on the outer grid xs × ys, shape (len(xs), len(ys)).
 
@@ -798,20 +801,34 @@ def evaluate_on_grid(
     absent degree must stay out: where xs^i overflows to inf, a zero row
     P_i would turn inf * 0 into NaN across the whole grid.  When xs is ys,
     one axis for both, each power is taken once for V and P alike.
+
+    ``powers`` is a memo j -> ys**j that belongs to the ys axis; the caller
+    keeps it across calls, and each missing power is added read-only.  A
+    memoized power is the same ``ys**j`` array a fresh call takes, so the
+    grid is bit-identical with or without it.  It holds at most d + 1
+    arrays for a p of degree d in either variable, 2 KB each on a 256-node
+    axis.  The falsifier keeps one memo per box: 11 x (d + 1) x 2 KB, about
+    11.5 MB at the parse caps, where a Jacobian has d <= 511.
     """
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if powers is None:
+        powers = {}
+
+    def power(j: int) -> np.ndarray:  # powers cost most: each ys^j once
+        if j not in powers:
+            fresh = ys**j
+            fresh.flags.writeable = False  # the memo may outlive the call
+            powers[j] = fresh
+        return powers[j]
+
     rows: dict[int, np.ndarray] = {}
-    y_powers: dict[int, np.ndarray] = {}  # powers cost most: each ys^j once
     with np.errstate(over="ignore", invalid="ignore"):
         for (i, j), n in sorted(p._num.items()):
-            if j not in y_powers:
-                y_powers[j] = ys**j
-            rows[i] = rows.get(i, 0.0) + n / p._den * y_powers[j]
+            rows[i] = rows.get(i, 0.0) + n / p._den * power(j)
         if not rows:
             return np.zeros((len(xs), len(ys)))
-        x_powers = y_powers if xs is ys else {}
-        V = np.stack([x_powers[i] if i in x_powers else xs**i for i in rows], axis=1)
+        V = np.stack([power(i) if xs is ys else xs**i for i in rows], axis=1)
         return V @ np.stack(list(rows.values()))

@@ -363,10 +363,10 @@ def float_root(f: Coeffs, iv: RootInterval) -> float:
     df = derivative(f)
     for _ in range(3):
         d = ueval_float(df, x)
-        if d == 0 or not _finite(d):
+        if d == 0 or not math.isfinite(d):
             break
         step = ueval_float(f, x) / d
-        if not _finite(step):
+        if not math.isfinite(step):
             break
         x -= step
     lo, hi = float(iv.lo), float(iv.hi)
@@ -426,7 +426,3 @@ def interpolate(values: list[Fraction]) -> Coeffs:
     for k in reversed(range(len(coef))):
         out = [a - k * b for a, b in zip([coef[k]] + out, out + [0])]
     return normalize(out)
-
-
-def _finite(v: float) -> bool:
-    return v == v and v not in (float("inf"), float("-inf"))

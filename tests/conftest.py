@@ -70,3 +70,22 @@ def certified_family(p1, p2a, p2b, p3, p4a, p4b):
         (p4a, ((0, 1), (2, 2))),
         (p4b, ((0, 1), (2, 2))),
     ]
+
+
+@pytest.fixture(scope="session")
+def pinchuk():
+    """Pinchuk's pair P, Q with Jac(P, Q) > 0 everywhere, and its t, h, f."""
+    # t = xy - 1, h = t(xt + 1), f = (xt + 1)^2 (t^2 + y); P = f + h and
+    # Q = -t^2 - 6th(h + 1) - u with
+    # u = 170fh + 91h^2 + 195fh^2 + 69h^3 + 75fh^3 + (75/4)h^4
+    x, y, one = (parse_polynomial(s) for s in ("x", "y", "1"))
+    t = x * y - 1
+    h = t * (x * t + 1)
+    f = (x * t + 1) ** 2 * (t**2 + y)
+    u = (
+        170 * f * h + 91 * h**2 + 195 * f * h**2 + 69 * h**3 + 75 * f * h**3
+        + parse_polynomial("75/4") * h**4
+    )
+    p = f + h
+    q = -(t**2) - 6 * t * h * (h + one) - u
+    return p, q, t, h, f

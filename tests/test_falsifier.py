@@ -1,5 +1,8 @@
 import itertools
+import pathlib
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from jacmate import falsifier as fz
 from jacmate import univariate as uni
+from jacmate.cli import run_command
 from jacmate.poly import (
     SWAP,
     BivariatePolynomial,
@@ -289,8 +293,8 @@ def test_non_finite_boxes_are_reached():
 
 def _with_non_finite_nodes(grid):
     # NaN on the node nearest the least |Jac| and on a row, +inf next to -inf
-    def patched(J, xs, ys):
-        vals = grid(J, xs, ys)
+    def patched(J, xs, ys, powers=None):
+        vals = grid(J, xs, ys, powers)
         i, j = divmod(int(np.argmin(np.abs(vals))), len(ys))
         vals[i, j] = np.nan
         vals[0, :3] = np.nan
@@ -314,8 +318,8 @@ def test_nan_and_inf_nodes_match_the_reference_scan(monkeypatch, p_text):
 
 def _with_negative_zeros(grid):
     # exact zeros become -0.0, and so do two nodes where Jac is not zero
-    def patched(J, xs, ys):
-        vals = grid(J, xs, ys)
+    def patched(J, xs, ys, powers=None):
+        vals = grid(J, xs, ys, powers)
         vals = np.where(vals == 0.0, -0.0, vals)
         vals[3, 5] = -0.0
         vals[129, 7] = -0.0
@@ -400,13 +404,106 @@ def test_one_axis_for_both_gives_the_same_bits(p, axis):
 def test_falsifier_passes_one_axis_for_both(monkeypatch):
     same = []
 
-    def recorded(J, xs, ys):
+    def recorded(J, xs, ys, powers=None):
         same.append(xs is ys)
-        return evaluate_on_grid(J, xs, ys)
+        return evaluate_on_grid(J, xs, ys, powers)
 
     monkeypatch.setattr(fz, "evaluate_on_grid", recorded)
     find_jacobian_zero(parse_polynomial("x"), parse_polynomial("y + y^3 + x^2*y"))
     assert same and all(same)
+
+
+# -- the box tables, built once per process -------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty box tables for one test; later searches build them again."""
+    fz._box.cache_clear()
+
+
+def built_boxes():
+    """The box tables built so far, by k, read without building any."""
+    assert fz._box.cache_info().currsize == fz.MAX_DOUBLINGS + 1
+    return {k: fz._box(k) for k in range(fz.MAX_DOUBLINGS + 1)}
+
+
+def fresh_axis(k):
+    w = fz.INITIAL_HALF_WIDTH * 2**k
+    return np.linspace(-w, w, fz.GRID_PER_AXIS)
+
+
+def test_box_tables_equal_fresh_axes_and_powers(cold_tables):
+    # every power from 0 to 40 of both variables, on every box
+    J = parse_polynomial("2 + " + " + ".join(f"x^{j} + y^{j}" for j in range(1, 41)))
+    for k in range(fz.MAX_DOUBLINGS + 1):
+        axis, powers = fz._box(k)
+        fresh = fresh_axis(k)
+        assert axis.tobytes() == fresh.tobytes()
+        cold = evaluate_on_grid(J, fresh, fresh)
+        filled = evaluate_on_grid(J, axis, axis, powers)
+        assert sorted(powers) == list(range(41))
+        for j, power in powers.items():
+            assert power.tobytes() == (fresh**j).tobytes(), (k, j)
+        # the grid is the same bits whether the memo is filled or read
+        assert filled.tobytes() == cold.tobytes()
+        assert evaluate_on_grid(J, axis, axis, powers).tobytes() == cold.tobytes()
+    assert fz._box.cache_info().currsize == fz.MAX_DOUBLINGS + 1
+
+
+def test_box_tables_are_read_only(cold_tables):
+    # Jac = 1 + 3y^2 + x^2: a miss, so the search fills every box
+    find_jacobian_zero(X, parse_polynomial("y + y^3 + x^2*y"))
+    for axis, powers in built_boxes().values():
+        assert powers
+        for cached in (axis, *powers.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+
+
+def test_threads_building_the_tables_at_once_agree(cold_tables):
+    # searches racing to build each box and power keep the single-thread
+    # answer, and every box keeps its own axis
+    pair = (X, parse_polynomial("y + y^3 + x^2*y"))
+    want = find_jacobian_zero(*pair)
+    fz._box.cache_clear()
+    got = []
+    workers = [threading.Thread(target=lambda: got.append(find_jacobian_zero(*pair))) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [want] * len(workers)
+    for k, (axis, powers) in built_boxes().items():
+        assert axis.tobytes() == fresh_axis(k).tobytes()
+        assert all(power.tobytes() == (fresh_axis(k) ** j).tobytes() for j, power in powers.items())
+
+
+def assert_miss_golden(capsys):
+    assert run_command(["falsify", "x", "--q", "y + y^3 + x^2*y"]) == 1
+    want = (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+def test_search_order_does_not_change_an_answer(cold_tables, capsys, pinchuk):
+    # Pinchuk's pair fills powers up to 18 on all 11 boxes, and the miss
+    # golden then reads them warm; in the reverse order Pinchuk's search
+    # finds the golden's powers there, and gives its cold answer again
+    p, q = pinchuk[:2]
+    cold = find_jacobian_zero(p, q)
+    assert [max(powers) for _, powers in built_boxes().values()] == [18] * (fz.MAX_DOUBLINGS + 1)
+    assert_miss_golden(capsys)
+    fz._box.cache_clear()
+    assert_miss_golden(capsys)
+    assert find_jacobian_zero(p, q) == cold
 
 
 def test_absent_x_degrees_leave_no_nan():

@@ -13,8 +13,6 @@ acceptance bound 1e-6 past x ~ 13,038, outside the largest box (|x| <= 4096).
 
 from fractions import Fraction
 
-import pytest
-
 from jacmate import falsifier as fz
 from jacmate import univariate as uni
 from jacmate.falsifier import MinRecord, find_jacobian_zero
@@ -26,24 +24,6 @@ from jacmate.poly import (
     parse_polynomial,
 )
 from jacmate.polygon import corollary_certificate
-
-
-@pytest.fixture(scope="module")
-def pinchuk():
-    # t = xy - 1, h = t(xt + 1), f = (xt + 1)^2 (t^2 + y); P = f + h and
-    # Q = -t^2 - 6th(h + 1) - u with
-    # u = 170fh + 91h^2 + 195fh^2 + 69h^3 + 75fh^3 + (75/4)h^4
-    x, y, one = (parse_polynomial(s) for s in ("x", "y", "1"))
-    t = x * y - 1
-    h = t * (x * t + 1)
-    f = (x * t + 1) ** 2 * (t**2 + y)
-    u = (
-        170 * f * h + 91 * h**2 + 195 * f * h**2 + 69 * h**3 + 75 * f * h**3
-        + parse_polynomial("75/4") * h**4
-    )
-    p = f + h
-    q = -(t**2) - 6 * t * h * (h + one) - u
-    return p, q, t, h, f
 
 
 def test_pinchuk_jacobian_is_a_sum_of_squares(pinchuk):
