@@ -64,6 +64,9 @@ PROBE_XS = (1e2, 1e4, 1e6)
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 80
 
+# Consecutive trace abscissae grow by this factor.
+GROWTH_FACTOR = 1.05
+
 CONFIRMED = "Confirmed"
 INCONCLUSIVE = "Inconclusive"
 
@@ -117,15 +120,12 @@ class BranchAsymptote:
 class TraceConfig:
     x_start: float = 10.0
     x_end: float = 1000.0
-    growth_factor: float = 1.05
 
     def __post_init__(self):
         if not (self.x_start >= 1.0):
             raise ValueError("x_start must be at least 1")
         if self.x_end < self.x_start:
             raise ValueError("x_end must not precede x_start")
-        if not (self.growth_factor > 1.0):
-            raise ValueError("growth_factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ def trace_branch(
     dp_dy = p.partial_derivative("y")
     xs = [cfg.x_start]
     while xs[-1] < cfg.x_end:
-        xs.append(min(xs[-1] * cfg.growth_factor, cfg.x_end))
+        xs.append(min(xs[-1] * GROWTH_FACTOR, cfg.x_end))
     # the raw asymptotic predictor is only reliable far out, so lock onto
     # the branch at the largest abscissa and walk back by continuation
     solved: list[tuple[float, float]] = []

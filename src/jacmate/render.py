@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import univariate as uni
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
@@ -23,7 +22,7 @@ from .tongue import (
     SEGMENT_ARC,
     LevelSetReport,
     TongueRegion,
-    _shifted_by,
+    _Slices,
     default_schedule,
 )
 
@@ -111,40 +110,13 @@ _LEVEL_COLORS = {
 SLICE_LINES = 128
 
 
-class _Slices:
-    """The region's p on rational vertical lines, roots isolated to ``width``.
+def _slices(region: TongueRegion) -> _Slices:
+    """The region's slices, each root drawn at its interval's midpoint.
 
-    On the line x = xq the top border f(xq) is the first positive root of
-    p(xq, .), and the level t meets the line at the roots of p(xq, .) - t in
-    (0, f(xq)).  Each is drawn at the float of its interval's midpoint; the
-    width is at most f(x0) / 2^16, far below a pixel.
+    The width is 2^(e - 17), e the binary exponent of f(x0): at most
+    f(x0) / 2^16, far below a pixel.
     """
-
-    def __init__(self, region: TongueRegion):
-        self.p = region.poly
-        self.width = Fraction(2) ** (math.frexp(region.profile.f_x0)[1] - 17)
-        self._tops: dict[Fraction, tuple | None] = {}
-
-    def top(self, xq: Fraction):
-        """p(xq, .) and the interval of f(xq), or None: no positive root."""
-        if xq not in self._tops:
-            hq = self.p.restricted_to_x(xq)
-            roots = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq), self.width)
-            self._tops[xq] = (hq, roots[0]) if roots else None
-        return self._tops[xq]
-
-    def level(self, xq: Fraction, t: Fraction) -> list[float]:
-        """Heights of the level t on the line, bottom up.
-
-        As in ``tongue``, the roots are taken up to the end of f(xq)'s
-        interval, where p(xq, .) < 0 < t.  A root of even multiplicity is a
-        fold touching the line, listed twice: once per strand meeting there.
-        """
-        hq, top = self.top(xq)
-        ys: list[float] = []
-        for iv in uni.isolate_roots(_shifted_by(hq, t), Fraction(0), top.hi, self.width):
-            ys += [float(iv.midpoint)] * (2 - iv.multiplicity % 2)
-        return ys
+    return _Slices(region.poly, Fraction(2) ** (math.frexp(region.profile.f_x0)[1] - 17))
 
 
 def _lines(x0: Fraction, x_max: Fraction, log_x: bool) -> list[Fraction]:
@@ -241,15 +213,15 @@ def render_tongue_svg(
     """Region plot: top border, borders, pocket box, and level curves.
 
     Everything is read off ``SLICE_LINES`` rational lines from x0 to x_max
-    (``_Slices``); an x_max of None takes ``_horizon``'s.  The top border
-    ends at the first line where p(x, .) has no positive root.  Each
+    (``tongue._Slices``); an x_max of None takes ``_horizon``'s.  The top
+    border ends at the first line where p(x, .) has no positive root.  Each
     positive level that has components or is not ok is one ``<g data-t>``
     group of polylines.  The x axis switches to a log scale when x_max is
     more than two decades past x0 (the geometry worth seeing is squeezed
     against both ends otherwise).
     """
     x0 = region.x0
-    slices = _Slices(region)
+    slices = _slices(region)
     # records carry t as a float: draw the exact scheduled level behind it
     exact = {float(t): t for t in default_schedule(region.profile.t0)}
     records = sorted(levels.records, key=lambda r: r.t) if levels is not None else []

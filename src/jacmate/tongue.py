@@ -24,36 +24,38 @@ decomposition (1975).  Resultants are taken at formal degrees, so they
 also vanish where both leading coefficients do.
 
 1. Hypotheses at x0, decided exactly.  x0 is the least power of two at
-   which (H1), (H2) and the part of (H3) on c hold; one past the real roots
-   of R, D and c always does, unless R or D is 0.  That, and any other
-   failing hypothesis, reports Inconclusive:
+   which (H1) and (H2) hold; one past the real roots of R and D always
+   does, unless R or D is 0.  That, and any other failing hypothesis,
+   reports Inconclusive:
    (H1) R = Res_y(p_x, p_y) is not 0 and has no real root on [x0, oo).  A
         critical point over x makes R(x) = 0, so there is none at x >= x0.
    (H2) D = Res_y(p, p_y) has no real root on [x0, oo).  So for x >= x0 the
         y-leading coefficient of p is nonzero and p(x, .) has simple roots:
         its real roots are continuous in x and never meet or escape.
-   (H3) c(x) = p(x, 0) is 0 or has no root on (x0, oo), and p(x0 + 1, .)
-        has as many positive roots as p(x0, .).  Then no root of p(x, .)
-        crosses y = 0 past x0, nor leaves it upwards at x0: f is continuous
-        on [x0, oo), and V is a topological half-strip, simply connected.
+   (H3) p(x, 0) = 0, and no root of p(x, .) reaches y = 0 past x0: f is
+        continuous on [x0, oo), and V is a topological half-strip, simply
+        connected.  This follows from the criterion.  The certified edge
+        runs from (0, 1) to (a, b) with b > 1, and a term (i, j) with j <= 1
+        other than (0, 1) would lie outside it, since (b - 1) i - a j > -a
+        for it.  So p = y g with g(x, 0) = a01 != 0: y = 0 is a simple root
+        of p(x, .) at every x, which by (H2) no other root meets.
    p has no zero in V, so its sign there is its sign at one point of S.
 2. No closed loops.  A level loop in V bounds a disc in V, on which p has
    an interior extremum, a critical point, against (H1).
 3. Ends.  For t > 0 the level L_t = {p = t} in V is regular with no loop,
    so each component is an arc whose two ends tend to a point of the
-   border or to infinity.  p = 0 on the top and at both corners, so:
+   border or to infinity.  p = 0 on the top, on the bottom and at both
+   corners, so:
    - segment ends: (x0, y) with h(y) = t, 0 < y < f(x0).  A simple root is
      one end (p_y != 0: the level crosses S as a graph over x).  At a
      double root y_m, if h - t and p_x(x0, y_m) have the same sign beside
      y_m, then p - t = (h - t) + (p - p(x0, .)) keeps that sign for x > x0
      near the point: no end.  Any other multiple root is undecided.
-   - bottom ends: (x, 0) with x > x0 a simple root of c - t, one end each
-     (p_x != 0 there); a multiple root is undecided.
-   - ends at infinity: past every real root of E_t = Res_y(p - t, p_y) and
-     of c - t, the roots of p(x, .) - t in (0, f(x)) stay simple and never
-     reach y = 0 or the top, so there L_t is that many graphs, one end
-     each, and V is bounded before it.  One rational line x = X past those
-     roots counts them.
+   - ends at infinity: past every real root of E_t = Res_y(p - t, p_y), the
+     roots of p(x, .) - t in (0, f(x)) stay simple and never reach y = 0 or
+     the top, so there L_t is that many graphs, one end each, and V is
+     bounded before it.  One rational line x = X past those roots counts
+     them.
    The level has ends / 2 components.
 4. The pocket.  If L_t0 is one arc with its ends at a and b, it splits V
    into B, next to the chord (a, b) where h > t0, and the rest U, where
@@ -83,7 +85,6 @@ __all__ = [
     "NotSingleSignedOnInterval",
     "NoInteriorCriticalPoint",
     "LevelSetUndecided",
-    "GridSpec",
     "RestrictionProfile",
     "TongueRegion",
     "LevelRecord",
@@ -128,25 +129,6 @@ class LevelSetUndecided(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """A drawing window and raster size that nothing reads any more.
-
-    ``render`` draws from exact slices and takes its right edge directly;
-    no raster is left for ``nx`` and ``ny`` to size.  The class stays
-    because ``tongue_certificate`` accepts it and the acceptance gate's
-    criterion 5 builds one and reads ``nx``.
-    """
-
-    nx: int = 1000
-    ny: int = 1000
-    x_max: float | None = None
-
-    def __post_init__(self):
-        if self.nx < 16 or self.ny < 16:
-            raise ValueError("grids need at least 16 nodes per axis")
-
-
-@dataclass(frozen=True)
 class RestrictionProfile:
     """Exact shape of h(y) = p(x0, y) on the segment side of the region.
 
@@ -182,7 +164,8 @@ class LevelRecord:
     """Exact shape of one level in V: its ends, and components = ends / 2.
 
     ``boundary_endpoint_count`` counts the ends on the segment side;
-    ``closed_loop_detected`` is False by (H1).
+    ``closed_loop_detected`` is False by (H1), and ``bottom_endpoint_count``
+    is 0 by the criterion, (H3); both are kept for the certificate schema.
     """
 
     t: float
@@ -309,12 +292,12 @@ def build_tongue(p: BivariatePolynomial, x0: Fraction | int = 1) -> TongueRegion
     """Assemble the region below the lowest positive branch, at an exact x0.
 
     The transform is ``positive_asymptote``'s, decided without a trace.  x0
-    is the least x0 * 2^k at which (H1), (H2) and the bottom part of (H3)
-    hold (module docstring): R = Res_y(p_x, p_y) and D = Res_y(p, p_y) have
-    no real root on [x0, oo), and p(x, 0) is 0 or has no root past x0.  The
-    region's top at x0, f(x0), is the smallest positive root of p(x0, .),
-    isolated exactly, and p is flipped to be positive at a point below it.
-    R and D ride along on the region.
+    is the least x0 * 2^k at which (H1) and (H2) hold (module docstring):
+    R = Res_y(p_x, p_y) and D = Res_y(p, p_y) have no real root on
+    [x0, oo).  This is the one place that decides them.  The region's top
+    at x0, f(x0), is the smallest positive root of p(x0, .), isolated
+    exactly, and p is flipped to be positive at a point below it.  R and D
+    ride along on the region.
 
     Raises LevelSetUndecided when R or D vanishes identically; ValueError,
     through ``positive_asymptote``, when p fails the edge criterion; and
@@ -328,10 +311,7 @@ def build_tongue(p: BivariatePolynomial, x0: Fraction | int = 1) -> TongueRegion
     x0 = check_no_critical_points(r, Fraction(x0))
     if not d:
         raise LevelSetUndecided("D = Res_y(p, p_y) vanishes identically: a shared factor")
-    x0 = _first_power_past(d, x0, closed=True)
-    bottom = _bottom(p_t)
-    if bottom:
-        x0 = _first_power_past(bottom, x0, closed=False)
+    x0 = _first_power_past(d, x0)
 
     h = p_t.restricted_to_x(x0)
     roots = _positive_roots(h)
@@ -369,12 +349,7 @@ def check_no_critical_points(r: list[Fraction], x0: Fraction) -> Fraction:
     """
     if not r:
         raise LevelSetUndecided("R = Res_y(p_x, p_y) vanishes identically: a shared factor")
-    return _first_power_past(r, x0, closed=True)
-
-
-def _bottom(p: BivariatePolynomial) -> list[Fraction]:
-    """c(x) = p(x, 0)."""
-    return uni.normalize([p.coefficient((i, 0)) for i in range(p.degree_x() + 1)])
+    return _first_power_past(r, x0)
 
 
 def _point_below(iv: uni.RootInterval) -> Fraction:
@@ -382,14 +357,14 @@ def _point_below(iv: uni.RootInterval) -> Fraction:
     return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(iv.lo))))
 
 
-def _root_free_from(c, lo: Fraction, closed: bool = True) -> bool:
-    """c has no real root on (lo, oo), nor at lo itself when ``closed``."""
-    return not (closed and uni.ueval(c, lo) == 0) and not uni.count_roots(c, lo, uni.root_bound(c))
+def _root_free_from(c, lo: Fraction) -> bool:
+    """c has no real root on [lo, oo)."""
+    return uni.ueval(c, lo) != 0 and not uni.count_roots(c, lo, uni.root_bound(c))
 
 
-def _first_power_past(c, x0: Fraction, closed: bool) -> Fraction:
+def _first_power_past(c, x0: Fraction) -> Fraction:
     """The least x0 * 2^k from which c is root-free; past its root bound it is."""
-    while not _root_free_from(c, x0, closed):
+    while not _root_free_from(c, x0):
         x0 *= 2
     return x0
 
@@ -449,49 +424,76 @@ def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
     return _sign(uni.ueval(q, lo))
 
 
+class _Slices:
+    """p on rational vertical lines x = xq, its roots isolated to ``width``.
+
+    On such a line the top border f(xq) is the first positive root of
+    p(xq, .), and the level t > 0 meets the line at the roots of
+    p(xq, .) - t in (0, f(xq)).  Past f(xq), up to the end of its isolating
+    interval, p(xq, .) < 0 < t: the level's roots are taken up to that end.
+    """
+
+    def __init__(self, p: BivariatePolynomial, width: Fraction):
+        self.p, self.width = p, width
+        self._tops: dict[Fraction, tuple | None] = {}
+
+    def top(self, xq: Fraction):
+        """p(xq, .) and the interval of f(xq), or None: no positive root."""
+        if xq not in self._tops:
+            hq = self.p.restricted_to_x(xq)
+            roots = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq), self.width)
+            self._tops[xq] = (hq, roots[0]) if roots else None
+        return self._tops[xq]
+
+    def count(self, xq: Fraction, t: Fraction) -> int:
+        """Number of points of the level t on the line."""
+        hq, top = self.top(xq)
+        return uni.count_roots(_shifted_by(hq, t), Fraction(0), top.hi)
+
+    def level(self, xq: Fraction, t: Fraction) -> list[float]:
+        """Heights of the level t on the line, bottom up, at interval midpoints.
+
+        A root of even multiplicity is a fold touching the line, listed
+        twice: once per strand meeting there.
+        """
+        hq, top = self.top(xq)
+        ys: list[float] = []
+        for iv in uni.isolate_roots(_shifted_by(hq, t), Fraction(0), top.hi, self.width):
+            ys += [float(iv.midpoint)] * (2 - iv.multiplicity % 2)
+        return ys
+
+
 class _ExactStrip:
-    """p on V, once the hypotheses at x0 hold; the constructor decides them.
+    """p on V at the x0 of ``build_tongue``, which decided (H1) and (H2) there.
 
     ``r`` and ``d`` are R = Res_y(p_x, p_y) and D = Res_y(p, p_y), taken
-    once by the caller.  Raises LevelSetUndecided naming the first fact that
-    fails.  Keeps h = p(x0, .) and ``top``, the isolating interval of
-    f(x0); ``facts`` states what was proven.
+    once by the caller; p is positive on the segment side.  ``facts`` states
+    the hypotheses.  The strip checks only the premise of (H3): the terms of
+    p with j <= 1 are exactly a01*y.  Otherwise it raises LevelSetUndecided
+    naming that fact.  Keeps h = p(x0, .) and ``top``, the isolating
+    interval of f(x0).
     """
 
     def __init__(self, p: BivariatePolynomial, x0: Fraction, r: list[Fraction], d: list[Fraction]):
+        if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
+            raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
         self.p, self.x0 = p, x0
         self.px, self.py = p.partial_derivative("x"), p.partial_derivative("y")
-        self.bottom = _bottom(p)
-        facts = []
-        for name, res, meaning in (
-            ("R = Res_y(p_x, p_y)", r, "no critical point and no closed level loop"),
-            ("D = Res_y(p, p_y)", d, "the roots of p(x, .) stay simple and finite"),
-        ):
-            if not res:
-                raise LevelSetUndecided(f"{name} vanishes identically: a shared factor")
-            if not _root_free_from(res, x0):
-                raise LevelSetUndecided(f"{name} has a real root on [x0, oo), x0 = {x0}")
-            facts.append(
-                f"{name}, degree {uni.degree(res)}, has no real root on [x0, oo): {meaning}"
-            )
-        if self.bottom and not _root_free_from(self.bottom, x0, closed=False):
-            raise LevelSetUndecided("p(x, 0) has a real root past x0")
-        self.h = p.restricted_to_x(x0)
-        roots = _positive_roots(self.h)
-        later = p.restricted_to_x(x0 + 1)
-        if not roots or len(roots) != uni.count_roots(later, Fraction(0), uni.root_bound(later)):
-            raise LevelSetUndecided("a root of p(x, .) leaves y = 0 upwards at x0")
-        facts.append(
-            ("p(x, 0) = 0" if not self.bottom else "p(x, 0) has no real root past x0")
-            + ", and p(x0 + 1, .) has as many positive roots as p(x0, .): f is continuous"
+        self.slices = _Slices(p, uni.DEFAULT_WIDTH)
+        self.h, self.top = self.slices.top(x0)
+        ym = _point_below(self.top)
+        # build_tongue decided (H1) and (H2) at x0 and flipped p to be
+        # positive there; (H3) follows from the premise above
+        self.facts = (
+            f"R = Res_y(p_x, p_y), degree {uni.degree(r)}, has no real root on [x0, oo): "
+            "no critical point and no closed level loop",
+            f"D = Res_y(p, p_y), degree {uni.degree(d)}, has no real root on [x0, oo): "
+            "the roots of p(x, .) stay simple and finite",
+            "p(x, 0) = 0, and p(x0 + 1, .) has as many positive roots as p(x0, .): "
+            "f is continuous",
+            f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}",
         )
-        ym = _point_below(roots[0])
-        if uni.ueval(self.h, ym) <= 0:
-            raise LevelSetUndecided("p is not positive on the segment side")
-        facts.append(f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}")
-        self.facts = tuple(facts)
         self._swapped = apply_transform(p, SWAP)
-        self._tops = {x0: (self.h, roots[0].hi)}  # line x -> p(x, .), end of f(x)'s interval
         self._far: dict[Fraction, tuple] = {}  # level -> _far_roots(level)
         # E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T: keep
         # its x-coefficients as polynomials in T, from that many + 1 levels,
@@ -504,28 +506,16 @@ class _ExactStrip:
             uni.interpolate([e[i] if i < len(e) else 0 for e in levels]) for i in range(width)
         ]
 
-    def _level_on_line(self, xq: Fraction, t: Fraction) -> int:
-        """Number of roots of p(xq, .) - t in (0, f(xq)), for xq >= x0, t > 0.
-
-        Past f(xq), up to the end of its isolating interval, p(xq, .) < 0 < t:
-        the count may run to that end.
-        """
-        if xq not in self._tops:
-            hq = self.p.restricted_to_x(xq)
-            self._tops[xq] = hq, _positive_roots(hq)[0].hi
-        hq, top = self._tops[xq]
-        return uni.count_roots(_shifted_by(hq, t), Fraction(0), top)
-
-    def ends(self, t: Fraction) -> tuple[int, int, int]:
-        """(segment, bottom, infinity) ends of the level t > 0."""
-        ends = self._segment_ends(t), self._bottom_ends(t), self._far_roots(t)[1]
+    def ends(self, t: Fraction) -> tuple[int, int]:
+        """(segment, infinity) ends of the level t > 0."""
+        ends = self._segment_ends(t), self._far_roots(t)[1]
         if sum(ends) % 2:
             raise LevelSetUndecided(f"the level t = {t} has an odd number of ends, {ends}")
         return ends
 
     def _segment_ends(self, t: Fraction) -> int:
         g = _shifted_by(self.h, t)
-        top = self._tops[self.x0][1]  # as in _level_on_line
+        top = self.top.hi  # as in _Slices.count
         ends = 0
         for factor, mult in uni.squarefree_decomposition(g):
             if mult == 1:
@@ -545,15 +535,6 @@ class _ExactStrip:
                 )
         return ends
 
-    def _bottom_ends(self, t: Fraction) -> int:
-        if not self.bottom:
-            return 0
-        g = _shifted_by(self.bottom, t)
-        roots = uni.isolate_roots(g, self.x0, uni.root_bound(g))
-        if any(iv.multiplicity > 1 for iv in roots):
-            raise LevelSetUndecided(f"p(x, 0) - t has a multiple root past x0 for t = {t}")
-        return len(roots)
-
     def _far_roots(self, t: Fraction):
         """E_t = Res_y(p - t, p_y), the level on a line X past its roots, and X."""
         if t in self._far:
@@ -561,10 +542,9 @@ class _ExactStrip:
         e = uni.normalize([uni.ueval(c, t) for c in self._e_in_t])
         if not e:
             raise LevelSetUndecided(f"Res_y(p - t, p_y) vanishes identically for t = {t}")
-        # a power of two past every real root of E_t and of p(x, 0) - t
-        bound = max(uni.root_bound(c) for c in (e, _shifted_by(self.bottom, t)))
-        far = max(Fraction(2 ** math.ceil(bound).bit_length()), 2 * self.x0)
-        self._far[t] = e, self._level_on_line(far, t), far
+        # a power of two past every real root of E_t
+        far = max(Fraction(2 ** math.ceil(uni.root_bound(e)).bit_length()), 2 * self.x0)
+        self._far[t] = e, self.slices.count(far, t), far
         return self._far[t]
 
     def pocket(self, t0: Fraction, profile: RestrictionProfile):
@@ -573,7 +553,7 @@ class _ExactStrip:
         x_hi = _reach(
             e,
             uni.isolate_roots(e, self.x0, far, ISOLATION_WIDTH),
-            lambda xq: self._level_on_line(xq, t0) > 0,
+            lambda xq: self.slices.count(xq, t0) > 0,
         )
         # heights where the arc's points on a horizontal line can change:
         # horizontal tangencies, and crossings of the segment side
@@ -638,7 +618,7 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     strip = _ExactStrip(region.poly, region.x0, *region.resultants)
     t0 = profile.t0
     barrier = strip.ends(t0)
-    pinned = barrier == (2, 0, 0)
+    pinned = barrier == (2, 0)
     pocket = strip.pocket(t0, profile) if pinned else None
     failures: list[str] = []
     if not pinned:
@@ -646,7 +626,7 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
 
     records = []
     for t in sorted(map(Fraction, t_values)):
-        ends = barrier if t == t0 else strip.ends(t) if t > 0 else (0, 0, 0)
+        ends = barrier if t == t0 else strip.ends(t) if t > 0 else (0, 0)
         rec = _level_record(float(t), t <= 0, t <= t0, ends, pinned)
         records.append(rec)
         if not rec.ok:
@@ -666,13 +646,9 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
 
 
 def _level_record(t: float, nonpositive: bool, below: bool, ends, pinned: bool) -> LevelRecord:
-    segment, bottom, far = ends
-    count = (segment + bottom + far) // 2
-    anomalies = []
-    if bottom:
-        anomalies.append(f"{bottom} end(s) on the bottom side")
-    if far:
-        anomalies.append(f"{far} end(s) at infinity")
+    segment, far = ends
+    count = (segment + far) // 2
+    anomalies = [f"{far} end(s) at infinity"] if far else []
     if nonpositive:
         classification, ok = EMPTY, True  # p > 0 on V
     elif below:
@@ -693,7 +669,6 @@ def _level_record(t: float, nonpositive: bool, below: bool, ends, pinned: bool) 
         closed_loop_detected=False,
         ok=ok,
         anomalies=tuple(anomalies),
-        bottom_endpoint_count=bottom,
         ends_at_infinity=far,
     )
 
@@ -712,9 +687,7 @@ def default_schedule(t0: Fraction) -> list[Fraction]:
     return nonpos + pos + above
 
 
-def tongue_certificate(
-    p: BivariatePolynomial, grid: GridSpec | None = None
-) -> TongueCertificate:
+def tongue_certificate(p: BivariatePolynomial) -> TongueCertificate:
     """Run the full region pipeline and aggregate the checks.
 
     ``build_tongue`` places the region at its exact x0; the levels follow
@@ -722,7 +695,7 @@ def tongue_certificate(
     expected; the counts are exact (module docstring).  A hypothesis that
     fails or a count left undecided reports Inconclusive, naming the fact;
     a region that cannot be assembled at x0, or violated expectations,
-    report Failed.  ``grid`` is read by nothing (see ``GridSpec``).
+    report Failed.
     """
     cert = corollary_certificate(p, allow_swap=True)
     if not cert.satisfied:

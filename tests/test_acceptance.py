@@ -35,7 +35,6 @@ from jacmate.tongue import (
     EMPTY,
     SEGMENT_ARC,
     VERIFIED,
-    GridSpec,
     tongue_certificate,
 )
 
@@ -138,10 +137,7 @@ def _check_level_structure(report, t0):
 
 def test_acceptance_tongue_verification(capsys):
     with criterion(capsys, 5, "tongue verification", 30.0):
-        grid = GridSpec(x_max=50.0)
-        assert grid.nx == 1000 and grid.ny == 1000
-
-        cert = tongue_certificate(parse_polynomial("y + x^2*y^2"), grid=grid)
+        cert = tongue_certificate(parse_polynomial("y + x^2*y^2"))
         assert cert.status == VERIFIED
         region = cert.region
         assert region.x0 == 1
@@ -151,7 +147,7 @@ def test_acceptance_tongue_verification(capsys):
         assert abs(profile.b - (1 + math.sqrt(2) / 2) / 2) <= 1e-9
         _check_level_structure(cert.level_report, profile.t0)
 
-        other = tongue_certificate(parse_polynomial("y + x*y^2 + y^4"), grid=grid)
+        other = tongue_certificate(parse_polynomial("y + x*y^2 + y^4"))
         assert other.status == VERIFIED
         _check_level_structure(other.level_report, other.region.profile.t0)
 

@@ -33,8 +33,6 @@ def test_trace_config_validation():
         TraceConfig(x_start=0.5)
     with pytest.raises(ValueError):
         TraceConfig(x_start=100.0, x_end=10.0)
-    with pytest.raises(ValueError):
-        TraceConfig(growth_factor=1.0)
 
 
 def test_branch_candidates_p3(p3):

@@ -1,12 +1,22 @@
 import dataclasses
 import math
+import pathlib
 import random
 import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
 
-from jacmate.poly import IDENTITY, NEGATE_Y, SWAP, compose_transforms, parse_polynomial
+from jacmate.poly import (
+    IDENTITY,
+    NEGATE_Y,
+    SWAP,
+    BivariatePolynomial,
+    apply_transform,
+    compose_transforms,
+    parse_polynomial,
+)
+from jacmate.polygon import corollary_certificate
 from jacmate.render import render_tongue_svg
 from jacmate.tongue import (
     CONTAINED_IN_B,
@@ -15,7 +25,6 @@ from jacmate.tongue import (
     INCONCLUSIVE,
     SEGMENT_ARC,
     VERIFIED,
-    GridSpec,
     LevelSetUndecided,
     NotSingleSignedOnInterval,
     build_tongue,
@@ -35,13 +44,6 @@ SQ2 = 2**0.5
 @pytest.fixture(scope="module")
 def region3(p3):
     return build_tongue(p3)
-
-
-def test_gridspec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(nx=8)
-    with pytest.raises(ValueError):
-        GridSpec(ny=0)
 
 
 def test_region_shape_p3(region3):
@@ -96,7 +98,7 @@ def test_barrier_is_exactly_verified(region3):
 def test_drawn_top_border_brackets_the_closed_form(region3):
     # the flipped curve is y = 1/x^2 exactly: on every line of the drawing
     # its isolating interval holds 1/x^2 and is no wider than the width
-    slices = render._Slices(region3)
+    slices = render._slices(region3)
     assert slices.width == Fraction(1, 2**16)
     lines = render._lines(Fraction(1), Fraction(50), False)
     assert len(lines) == render.SLICE_LINES and (lines[0], lines[-1]) == (1, 50)
@@ -180,7 +182,7 @@ def test_shared_factor_partials_are_inconclusive_at_once(monkeypatch):
 
 def test_roots_past_counts_the_open_ray():
     # roots 1, sqrt(5), 7/3 and 4: bisection counts three past 1, Descartes'
-    # rule settles one past 3 and none past 4; only the closed ray holds 4
+    # rule settles one past 3 and none past 4; the closed ray holds 4
     def roots_past(c, lo):
         return uni.count_roots(c, lo, uni.root_bound(c))
 
@@ -189,14 +191,12 @@ def test_roots_past_counts_the_open_ray():
     assert roots_past(res, Fraction(3)) == 1
     assert roots_past(res, Fraction(4)) == 0
     assert not tongue._root_free_from(res, Fraction(4))
-    assert tongue._root_free_from(res, Fraction(4), closed=False)
-    assert tongue._first_power_past(res, Fraction(1), closed=True) == 8
-    assert tongue._first_power_past(res, Fraction(1), closed=False) == 4
+    assert tongue._first_power_past(res, Fraction(1)) == 8
     # (y - 3)^2 + 1 has two sign changes past 1 and past 2 but no real root:
     # bisection decides, and x0 = 1 stands
     res = parse_polynomial("y^2 - 6*y + 10").restricted_to_x(0)
     assert roots_past(res, Fraction(1)) == 0
-    assert tongue._first_power_past(res, Fraction(1), closed=True) == 1
+    assert tongue._first_power_past(res, Fraction(1)) == 1
 
 
 def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
@@ -292,7 +292,7 @@ def test_default_schedule_shape():
 def test_extract_polylines_stay_inside(region3):
     # under f(x) = 1/x^2, one arc per level, every point on the level to
     # the isolation width (|p_y| <= 1 there), from the segment side back to it
-    slices = render._Slices(region3)
+    slices = render._slices(region3)
     lines = render._lines(Fraction(1), Fraction(50), False)
     for k in (1, 2, 3):
         t = region3.profile.t0 * Fraction(k, 4)
@@ -309,7 +309,7 @@ def test_extract_polylines_stay_inside(region3):
 
 
 class FixedColumns:
-    """Stands in for render._Slices: the heights of the level on each line."""
+    """Stands in for tongue._Slices: the heights of the level on each line."""
 
     def __init__(self, *columns):
         self.columns = columns
@@ -339,7 +339,7 @@ def test_folds_join_at_the_smallest_gaps():
 
 
 def test_tongue_certificate_p3(p3):
-    cert = tongue_certificate(p3, grid=GridSpec(x_max=50.0))
+    cert = tongue_certificate(p3)
     assert cert.status == VERIFIED
     assert not cert.reasons
     assert cert.region is not None
@@ -347,12 +347,12 @@ def test_tongue_certificate_p3(p3):
 
 
 def test_tongue_certificate_p1(p1):
-    cert = tongue_certificate(p1, grid=GridSpec(x_max=50.0))
+    cert = tongue_certificate(p1)
     assert cert.status == VERIFIED
 
 
 def test_tongue_certificate_swap_case(swap_case):
-    cert = tongue_certificate(swap_case, grid=GridSpec(x_max=50.0))
+    cert = tongue_certificate(swap_case)
     assert cert.status == VERIFIED
     assert cert.region.transform == compose_transforms(SWAP, NEGATE_Y)
     assert cert.region.flipped
@@ -381,7 +381,7 @@ def test_auto_horizon_picks_flat_tail(region3):
     # level report the horizon is max(50, 4 x0)
     t = region3.profile.t0 / 20
     (rec,) = check_level_sets(region3, [t]).records
-    slices = render._Slices(region3)
+    slices = render._slices(region3)
     x_end = render._horizon(slices, region3.x0, [(rec, t)])
     assert x_end == 64 and 1 / x_end**2 < region3.profile.t0
     assert render._horizon(slices, region3.x0, []) == 50
@@ -395,9 +395,9 @@ def test_auto_horizon_never_ends_before_x0():
     cert = tongue_certificate(p)
     region = cert.region
     assert region.x0 == 2**17
-    assert render._horizon(render._Slices(region), region.x0, []) == 2**19
+    assert render._horizon(render._slices(region), region.x0, []) == 2**19
     drawn = [(level_at(cert, t), t) for t in default_schedule(region.profile.t0) if t > 0]
-    assert render._horizon(render._Slices(region), region.x0, drawn) == 2**20
+    assert render._horizon(render._slices(region), region.x0, drawn) == 2**20
     xml.dom.minidom.parseString(render_tongue_svg(region, cert.level_report))
 
 
@@ -505,7 +505,7 @@ def test_double_root_at_the_barrier_peak_gives_no_end(p3, region3):
     shifted = uni.derivative(list(region3.profile.h_coeffs))
     assert uni.ueval(shifted, Fraction(1, 2)) == 0
     strip = tongue._ExactStrip(region3.poly, region3.x0, *region3.resultants)
-    assert strip.ends(t) == (0, 0, 0)
+    assert strip.ends(t) == (0, 0)
     (rec,) = check_level_sets(region3, [t]).records
     assert (rec.classification, rec.component_count, rec.boundary_endpoint_count) == (EMPTY, 0, 0)
     assert rec.ok
@@ -530,6 +530,54 @@ def test_no_fixture_needs_a_trace(monkeypatch):
     monkeypatch.setattr(branches, "trace_branch", untraceable)
     for text in FIXTURES:
         assert tongue_certificate(parse_polynomial(text)).status == VERIFIED, text
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+GOLDEN_SVG = {
+    "y + x*y^2 + y^4": "tongue_family_y_xy2_y4.svg",
+    "y + x*y^3": "tongue_family_y_xy3.svg",
+    "y + y^2 + x*y^3": "tongue_family_y_y2_xy3.svg",
+    "y + x^2*y^2": "tongue_family_y_x2y2.svg",
+    "y + y^3 + x^2*y^2": "tongue_family_y_y3_x2y2.svg",
+    "y + y^2 + y^3 + x^2*y^2": "tongue_family_y_y2_y3_x2y2.svg",
+    "x + x^2*y": "tongue_swap.svg",
+    "y - (x^2 - 4*x + 6)*y^2": "tongue_planted.svg",
+}
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_drawing_matches_golden(fixture_certs, text):
+    # the figure that `tongue <f> --svg` writes, byte for byte
+    cert = fixture_certs[text]
+    svg = render_tongue_svg(cert.region, cert.level_report) + "\n"
+    assert svg == (GOLDEN / GOLDEN_SVG[text]).read_text(encoding="utf-8")
+
+
+def test_certified_draws_have_only_a01_y_below_j_2():
+    # the premise of (H3) on seeded class members: in the coordinates of
+    # positive_asymptote no term has j = 0 and the only j = 1 term is (0, 1)
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(2000):
+        terms = {}
+        if rng.random() < 0.85:
+            terms[(0, 1)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(rng.randint(1, 5)):
+            terms[(rng.randint(0, 4), rng.randint(0, 5))] = rng.choice((-3, -2, -1, 1, 2, 3))
+        p = BivariatePolynomial(terms)
+        if not corollary_certificate(p, allow_swap=True).satisfied:
+            continue
+        try:
+            transform, _ = branches.positive_asymptote(p)
+        except branches.NoConfirmedBranch:
+            continue
+        q = apply_transform(p, transform)
+        assert {ij for ij in q.support() if ij[1] <= 1} == {(0, 1)}, str(p)
+        checked += 1
+        if checked == 200:
+            break
+    assert checked == 200
 
 
 def drawn_levels(svg):
@@ -596,18 +644,19 @@ def test_tangency_entering_the_strip_is_undecided():
     with pytest.raises(LevelSetUndecided, match="multiplicity 2"):
         strip.ends(Fraction(5, 16))
     # p grows with x on the strip, so lower levels run out to infinity
-    assert strip.ends(Fraction(1, 4)) == (2, 0, 2)
-
-
-def test_bottom_and_infinity_ends_are_counted():
-    # p(x, 0) = x - 1 meets every level t > 0 once past x0 = 1, and far out
-    # p(x, .) runs from x - 1 > t down to 0, crossing t once
-    strip = exact_strip(parse_polynomial("x - 1 + y - x^2*y^2"), Fraction(1))
-    assert strip.ends(Fraction(1, 16)) == (2, 1, 1)
-    assert strip.ends(Fraction(1, 2)) == (0, 1, 1)
-    rec = tongue._level_record(1 / 16, False, True, (2, 1, 1), True)
+    assert strip.ends(Fraction(1, 4)) == (2, 2)
+    rec = tongue._level_record(1 / 4, False, True, (2, 2), True)
     assert rec.component_count == 2 and not rec.ok
-    assert rec.anomalies == ("1 end(s) on the bottom side", "1 end(s) at infinity")
+    assert rec.anomalies == ("2 end(s) at infinity",)
+
+
+def test_strip_refuses_terms_the_criterion_rules_out():
+    # p(x, 0) = x - 1 is no edge's bottom: a certified p is y times a
+    # polynomial that is a01 != 0 at y = 0, so the strip names that fact
+    with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
+        exact_strip(parse_polynomial("x - 1 + y - x^2*y^2"), Fraction(1))
+    with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
+        exact_strip(parse_polynomial("y + x*y - x^2*y^2"), Fraction(1))
 
 
 def test_reach_stops_at_the_first_gap_the_arc_misses():
@@ -618,13 +667,6 @@ def test_reach_stops_at_the_first_gap_the_arc_misses():
     assert tongue._reach(c, roots, lambda q: q < 2) == 2.0
     assert tongue._reach(c, roots[::-1], lambda q: q < 2) == 3.0
     assert tongue._reach(c, roots, lambda q: True) == 3.0
-
-
-def test_failed_hypothesis_names_the_fact():
-    # the planted critical point (2, 1/4) puts a root of R past x0 = 1
-    p = parse_polynomial("y - (x^2 - 4*x + 6)*y^2")
-    with pytest.raises(LevelSetUndecided, match=r"R = Res_y\(p_x, p_y\) has a real root"):
-        exact_strip(p, Fraction(1))
 
 
 def test_sign_at_root_on_an_interval_that_starts_on_a_root():
