@@ -1,15 +1,16 @@
-"""Branches at infinity: candidate asymptotes and numeric continuation.
+"""Branches at infinity: candidate asymptotes and their traces.
 
 A right outer edge with normal (k, l) contributes zero branches of the
 shape y ~ c * x^theta with theta = l/k, where c is a nonzero real root of
-the edge's face polynomial.  Root isolation is exact; each candidate is
-then probed by exact sign evaluation of p along the two curves bounding
-the isolating interval, far out on the x axis.  Odd-multiplicity roots
-force a sign change of the face and always yield a branch; even ones are
-confirmed only when the probes straddle.
+the edge's face polynomial.  Root isolation is exact.  Odd-multiplicity
+roots force a sign change of the face and always yield a branch; an even
+one is probed by exact sign evaluation of p along the two curves bounding
+its isolating interval, far out on the x axis, and confirmed only when
+every probe straddles.
 
-Confirmed asymptotes can be traced: a predictor-corrector walk along x
-producing samples of the actual zero branch with a certified residual.
+Confirmed asymptotes can be traced: a walk along x whose every sample is
+a real root of the exact slice p(x, .), isolated by the integer Descartes
+kernel of :mod:`jacmate.univariate` to a stated relative width.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .polygon import (
 __all__ = [
     "NotRightOuterEdge",
     "NonFiniteEvaluation",
-    "NoConvergence",
     "BranchLost",
     "NoConfirmedBranch",
     "SignProbe",
@@ -59,10 +59,8 @@ __all__ = [
 
 PROBE_XS = (1e2, 1e4, 1e6)
 
-# A traced sample is accepted when |p(x, y)| <= NEWTON_TOL times the largest
-# evaluated term; the safeguarded Newton solve gives up after MAX_NEWTON_ITERS.
-NEWTON_TOL = 1e-10
-MAX_NEWTON_ITERS = 80
+# Each traced sample is isolated to this relative width.
+SAMPLE_WIDTH = Fraction(1, 2**40)
 
 # Consecutive trace abscissae grow by this factor.
 GROWTH_FACTOR = 1.05
@@ -77,12 +75,6 @@ class NotRightOuterEdge(ValueError):
 
 class NonFiniteEvaluation(ValueError):
     pass
-
-
-class NoConvergence(RuntimeError):
-    def __init__(self, message: str, last_sample: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.last_sample = last_sample
 
 
 class BranchLost(RuntimeError):
@@ -187,12 +179,11 @@ def branch_candidates(
     for iv in uni.isolate_roots(reduced, width=uni.DEFAULT_WIDTH):
         lo, hi = iv.lo, iv.hi
         c_star = uni.float_root(reduced, iv)
-        probes = tuple(
-            sign_probe(p, edge.slope, lo, hi, xp) for xp in PROBE_XS
-        )
         if iv.multiplicity % 2 == 1:
-            existence = CONFIRMED  # the face changes sign across the root
+            # the face changes sign across the root: no probe decides anything
+            probes, existence = (), CONFIRMED
         else:
+            probes = tuple(sign_probe(p, edge.slope, lo, hi, xp) for xp in PROBE_XS)
             existence = CONFIRMED if all(pr.straddles for pr in probes) else INCONCLUSIVE
         out.append(
             BranchAsymptote(
@@ -208,112 +199,79 @@ def branch_candidates(
     return out
 
 
-def _term_scale(p: BivariatePolynomial, x: float, y: float) -> float:
-    scale = 0.0
-    for (i, j), c in p.terms.items():
-        try:
-            v = abs(float(c)) * abs(x) ** i * abs(y) ** j
-        except OverflowError:
-            return math.inf
-        if v > scale:
-            scale = v
-    return max(scale, 1e-300)
+def _relative_width(iv: uni.RootInterval) -> float:
+    """Bound on |y / root - 1| for every y in the interval; 0 for an exact root."""
+    if iv.lo == iv.hi:
+        return 0.0
+    if iv.lo * iv.hi <= 0:
+        return math.inf
+    return float((iv.hi - iv.lo) / min(abs(iv.lo), abs(iv.hi)))
 
 
-def _bracket(p, x: float, y_pred: float) -> tuple[float, float] | None:
-    """Expanding search around the predictor for a sign change of p(x, .)."""
-    g0 = p.evaluate_approx(x, y_pred)
-    if g0 == 0.0:
-        return (y_pred, y_pred)
-    s0 = math.copysign(1.0, g0)
-    base = abs(y_pred) if y_pred != 0 else 1.0
-    w = 1e-9
-    while w <= 0.9:
-        for cand in (y_pred - w * base, y_pred + w * base):
-            g = p.evaluate_approx(x, cand)
-            if not math.isfinite(g):
-                continue
-            if g == 0.0:
-                return (cand, cand)
-            if math.copysign(1.0, g) != s0:
-                return (min(y_pred, cand), max(y_pred, cand))
-        w *= 2
-    return None
+def _sample_at(
+    p: BivariatePolynomial, x: float, y_pred: float
+) -> tuple[float, float] | None:
+    """The root of p(x, .) nearest the predictor, and its relative width.
 
-
-def _solve_at(p, dp_dy, x: float, y_pred: float) -> float | None:
-    """Safeguarded Newton/bisection solve of p(x, y) = 0 near the predictor."""
-    bracket = _bracket(p, x, y_pred)
-    if bracket is None:
+    The real roots of the exact slice p(x, .) in the window y_pred * (0.1,
+    1.9) are isolated to relative width 2^-40: the window's end nearer 0
+    fixes the absolute width.  At y_pred = 0 the window is (-0.9, 0.9) at
+    absolute width 2^-40.  None when the window holds no root, or x is
+    infinite and there is no slice.
+    """
+    if math.isinf(x):
         return None
-    lo, hi = bracket
-    if lo == hi:
-        return lo
-    flo = p.evaluate_approx(x, lo)
-    y = 0.5 * (lo + hi)
-    for _ in range(MAX_NEWTON_ITERS):
-        g = p.evaluate_approx(x, y)
-        if abs(g) <= NEWTON_TOL * _term_scale(p, x, y):
-            return y
-        if math.copysign(1.0, g) == math.copysign(1.0, flo):
-            lo = y
-        else:
-            hi = y
-        d = dp_dy.evaluate_approx(x, y)
-        step = g / d if d != 0 and math.isfinite(d) else math.inf
-        cand = y - step
-        if not (lo < cand < hi) or not math.isfinite(cand):
-            cand = 0.5 * (lo + hi)  # damped fallback: bisection
-        y = cand
-        if hi - lo <= abs(y) * 1e-17:
-            break
-    g = p.evaluate_approx(x, y)
-    if abs(g) <= NEWTON_TOL * _term_scale(p, x, y):
-        return y
-    raise NoConvergence(
-        f"residual stayed above tolerance at x={x!r}", last_sample=(x, y)
-    )
+    h = p.restricted_to_x(Fraction(x))
+    target = Fraction(y_pred)
+    if target:
+        lo, hi = sorted((target / 10, target * 19 / 10))
+        width = abs(target) / 10 * SAMPLE_WIDTH
+    else:
+        lo, hi, width = Fraction(-9, 10), Fraction(9, 10), SAMPLE_WIDTH
+    roots = uni.isolate_roots(h, lo, hi, width)
+    if not roots:
+        return None
+    iv = min(roots, key=lambda r: abs(r.midpoint - target))
+    return uni.float_root(h, iv), _relative_width(iv)
 
 
 def trace_branch(
     p: BivariatePolynomial, asymptote: BranchAsymptote, cfg: TraceConfig
 ) -> BranchTrace:
-    """Follow the zero branch with asymptote c* x^theta from x_start to x_end.
+    """Follow the zero branch with asymptote c* x^theta from x_end back to x_start.
 
-    Each accepted sample satisfies |p(x, y)| <= NEWTON_TOL * scale where
-    scale is the largest magnitude among the evaluated terms, so the
-    residual criterion is relative to the size of the cancellation.
+    The raw asymptotic predictor is only reliable far out, so the walk locks
+    onto the branch at x_end and steps back by continuation: the predictor
+    at the next abscissa is y * (x_next / x)^theta.  Each sample is the
+    isolated real root of the exact slice p(x, .) nearest the predictor
+    (``_sample_at``); ``residual_bound`` is the largest relative width of
+    those isolating intervals, at most 2^-40 unless a predictor is 0.
     """
     if asymptote.existence != CONFIRMED:
         raise ValueError("only confirmed asymptotes can be traced")
     theta = float(asymptote.theta)
-    dp_dy = p.partial_derivative("y")
     xs = [cfg.x_start]
     while xs[-1] < cfg.x_end:
         xs.append(min(xs[-1] * GROWTH_FACTOR, cfg.x_end))
-    # the raw asymptotic predictor is only reliable far out, so lock onto
-    # the branch at the largest abscissa and walk back by continuation
     solved: list[tuple[float, float]] = []
+    residual = 0.0
     y_pred = asymptote.c_star * xs[-1] ** theta
     for i in range(len(xs) - 1, -1, -1):
         x = xs[i]
-        try:
-            y = _solve_at(p, dp_dy, x, y_pred)
-        except NoConvergence as exc:
-            raise NoConvergence(str(exc), solved[-1] if solved else None) from exc
-        if y is None:
+        sample = _sample_at(p, x, y_pred)
+        if sample is None:
             raise BranchLost(
-                f"no sign change near the predictor at x={x!r}",
+                f"no root of p(x, .) near the predictor at x={x!r}",
                 solved[-1] if solved else None,
             )
+        y, width = sample
+        residual = max(residual, width)
         solved.append((x, y))
         if i:
             y_pred = y * (xs[i - 1] / x) ** theta
     samples = tuple(reversed(solved))
-    residual = 0.0
     ratio_lo, ratio_hi = math.inf, -math.inf
     for x, y in samples:
-        residual = max(residual, abs(p.evaluate_approx(x, y)))
         ratio = y / x**theta
         ratio_lo, ratio_hi = min(ratio_lo, ratio), max(ratio_hi, ratio)
     return BranchTrace(

@@ -21,7 +21,6 @@ from .branches import (
     BranchLost,
     CONFIRMED,
     NoConfirmedBranch,
-    NoConvergence,
     TraceConfig,
     branch_candidates,
     trace_branch,
@@ -141,7 +140,7 @@ def _cmd_branch(args) -> int:
     cfg = TraceConfig(x_start=args.x_start, x_end=args.x_end)
     try:
         trace = trace_branch(p, chosen, cfg)
-    except (BranchLost, NoConvergence) as exc:
+    except BranchLost as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 1
     print(trace_to_csv(trace, p), end="")
@@ -289,7 +288,7 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (NoConfirmedBranch, BranchLost, NoConvergence) as exc:
+    except (NoConfirmedBranch, BranchLost) as exc:
         print(f"not available: {exc}", file=sys.stderr)
         return 1
     except (ValueError, DegenerateSampler) as exc:

@@ -146,12 +146,11 @@ def _horizon(slices: _Slices, x0: Fraction, drawn) -> Fraction:
 def _close_folds(ys: list[float], keep: int):
     """Reduce the points ys to ``keep`` strands: (kept indices, fold chords).
 
-    An odd surplus ends the lowest point, on the bottom side; then the
-    adjacent pair with the smallest gap closes a fold until ``keep`` remain.
+    The adjacent pair with the smallest gap closes a fold until ``keep``
+    remain.  Both counts are even, double roots listed twice: p - t has the
+    sign of -t at y = 0 and above the top.
     """
     rest = list(range(len(ys)))
-    if (len(rest) - keep) % 2:
-        del rest[0]
     chords = []
     while len(rest) > keep:
         i = min(range(len(rest) - 1), key=lambda i: ys[rest[i + 1]] - ys[rest[i]])

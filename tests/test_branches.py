@@ -13,6 +13,8 @@ from jacmate.polygon import (
 from jacmate import branches
 from jacmate.branches import (
     CONFIRMED,
+    INCONCLUSIVE,
+    SAMPLE_WIDTH,
     NotRightOuterEdge,
     TraceConfig,
     branch_candidates,
@@ -44,7 +46,7 @@ def test_branch_candidates_p3(p3):
     assert asym.c_interval[0] <= -1 <= asym.c_interval[1]
     assert asym.root_multiplicity == 1
     assert asym.existence == CONFIRMED
-    assert len(asym.probes) == 3
+    assert asym.probes == ()  # an odd root is confirmed by the face alone
 
 
 def test_branch_candidates_reject_foreign_edge(p1, p3):
@@ -61,33 +63,54 @@ def test_branch_candidates_reject_non_right_edge(four_edge_case):
         branch_candidates(four_edge_case, top_left[0])
 
 
-def test_sign_probes_on_exact_rational_root(p3):
-    # the face root is exactly -1, so the isolating interval collapses and
-    # both probes land on the curve itself; oddness of the multiplicity
-    # carries the existence argument instead
-    asym = branch_candidates(p3, witness_edge(p3))[0]
-    for probe, x_expected in zip(asym.probes, (1e2, 1e4, 1e6)):
+def first_edge_candidates(text):
+    p = parse_polynomial(text)
+    return branch_candidates(p, right_outer_edges(newton_polygon(p))[0])
+
+
+def test_sign_probes_on_exact_rational_root():
+    # the face (c - 1)^2 (c + 1) has the exact root 1, so the isolating
+    # interval collapses and both probes land on the curve y = 1/x itself,
+    # where p vanishes: no probe straddles and the double root stays
+    # inconclusive; the simple root -1 needs no probe
+    simple, double = first_edge_candidates("(x*y - 1)^2*(x*y + 1)")
+    assert (simple.c_interval, simple.probes) == ((-1, -1), ())
+    assert simple.existence == CONFIRMED
+    assert double.c_interval == (1, 1)
+    assert double.root_multiplicity == 2
+    for probe, x_expected in zip(double.probes, (1e2, 1e4, 1e6), strict=True):
         assert probe.x_probe == x_expected
-        assert probe.c_minus == probe.c_plus == -1.0
+        assert probe.c_minus == probe.c_plus == 1.0
         assert probe.sign_minus == probe.sign_plus == 0
         assert not probe.straddles
-    assert asym.root_multiplicity == 1
-    assert asym.existence == CONFIRMED
+    assert double.existence == INCONCLUSIVE
 
 
 def test_sign_probes_straddle_irrational_root():
-    p = parse_polynomial("y - 2*x*y^3")
-    (edge,) = right_outer_edges(newton_polygon(p))
-    cands = branch_candidates(p, edge)
-    stars = sorted(a.c_star for a in cands)
-    root = (0.5) ** 0.5
-    assert stars == pytest.approx([-root, root], abs=1e-10)
+    # (x*y^2 - 2)^2 - y^4 has the face (c^2 - 2)^2: double roots at -+sqrt 2,
+    # each strictly inside its interval, and p < 0 on both bounding curves
+    cands = first_edge_candidates("(x*y^2 - 2)^2 - y^4")
+    assert [a.c_star for a in cands] == pytest.approx([-(2**0.5), 2**0.5], abs=1e-10)
     for a in cands:
+        assert a.root_multiplicity == 2
         assert a.c_interval[0] < a.c_star < a.c_interval[1]
+        assert len(a.probes) == 3
         for probe in a.probes:
-            assert probe.straddles
-            assert probe.sign_minus * probe.sign_plus == -1
-        assert a.existence == CONFIRMED
+            assert probe.c_minus < a.c_star < probe.c_plus
+            assert probe.sign_minus == probe.sign_plus == -1
+            assert not probe.straddles
+        assert a.existence == INCONCLUSIVE
+
+
+def test_even_root_confirmed_when_every_probe_straddles():
+    # the double face root c* = 1 of the edge of slope 0 carries a branch:
+    # p changes sign across y = 1 at all three probe abscissae
+    (asym,) = first_edge_candidates("2*x^2*y^2 - 4*x^2*y + 2*x^2 + 2*y^5 - y^2 - 2*y + 1")
+    assert asym.theta == 0
+    assert asym.root_multiplicity == 2
+    assert len(asym.probes) == 3
+    assert all(pr.sign_minus * pr.sign_plus == -1 for pr in asym.probes)
+    assert asym.existence == CONFIRMED
 
 
 def test_trace_p3_against_closed_form(p3):
@@ -189,3 +212,56 @@ def test_ratio_bounds_bracket_unity(p3):
     _, trace = lowest_positive_branch(p3)
     lo, hi = trace.ratio_bounds
     assert lo <= 1.0 <= hi or (abs(lo - 1.0) < 0.2 and abs(hi - 1.0) < 0.2)
+
+
+def first_confirmed(p):
+    # the asymptote the branch command traces by default
+    edge = right_outer_edges(newton_polygon(p))[0]
+    return next(a for a in branch_candidates(p, edge) if a.existence == CONFIRMED)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y + x*y^2 + y^4", "y + x^2*y^2", "x + x^2*y", "(1 + x*y)^2*(2 + x*y)"],
+)
+def test_every_sample_is_an_isolated_root(text):
+    # each y is an exact root of p(x, .) or p changes sign within a relative
+    # 2^-39 of it: the sample lies in an interval of relative width 2^-40
+    p = parse_polynomial(text)
+    trace = trace_branch(p, first_confirmed(p), TraceConfig())
+    assert len(trace.samples) == 96
+    for x, y in trace.samples:
+        fx, fy = Fraction(x), Fraction(y)
+        if p.evaluate(fx, fy) == 0:
+            continue
+        below = p.evaluate(fx, fy * (1 - 2 * SAMPLE_WIDTH))
+        above = p.evaluate(fx, fy * (1 + 2 * SAMPLE_WIDTH))
+        assert below * above < 0, (x, y)
+    assert trace.residual_bound <= 2**-40
+
+
+def test_trace_far_out_stays_on_the_closed_form(p3):
+    trace = trace_branch(p3, first_confirmed(p3), TraceConfig(x_start=1e6, x_end=1e7))
+    assert len(trace.samples) == 49
+    for x, y in trace.samples:
+        assert y == pytest.approx(-1.0 / (x * x), rel=1e-12)
+
+
+def test_trace_takes_the_lift_nearest_the_predictor():
+    # the slope-0 edge has the double face root 1 with two lifts, y = 1 and
+    # y = 1 - 3/x^2 + ...; the walk stays on y = 1, an exact root of p(x, .)
+    p = parse_polynomial("2*x^2*y^2 - 4*x^2*y + 2*x^2 + 2*y^5 - y^2 - 2*y + 1")
+    trace = trace_branch(p, first_confirmed(p), TraceConfig(x_end=20.0))
+    assert len(trace.samples) == 16
+    for _, y in trace.samples:
+        assert y == pytest.approx(1.0, rel=1e-12)
+
+
+def test_trace_beside_a_double_root():
+    # p(x, .) has the simple root -2/x and the double root -1/x; the walk
+    # isolates the simple one alone, landing on the float of -1/5 at x = 10
+    p = parse_polynomial("(1 + x*y)^2*(2 + x*y)")
+    trace = trace_branch(p, first_confirmed(p), TraceConfig())
+    assert trace.samples[0] == (10.0, -0.2)
+    for x, y in trace.samples:
+        assert y == pytest.approx(-2.0 / x, rel=1e-12)

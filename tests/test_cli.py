@@ -316,6 +316,18 @@ def test_branch_edge_selection(capsys):
     assert y1 == pytest.approx(0.1, rel=1e-6)
 
 
+def test_branch_lost_where_no_window_holds_a_root(capsys):
+    # the branch y ~ -1/sqrt(x) of x - 1 + y - x^2*y^2 meets y = 0 at x = 1,
+    # where the window y_pred * (0.1, 1.9) holds no root: the trace ends
+    # there; at x = inf there is no slice to isolate
+    code, out, err = run(capsys, "branch", "x - 1 + y - x^2*y^2", "--x-start", "1")
+    assert (code, out) == (1, "")
+    assert "trace failed: no root of p(x, .) near the predictor at x=1.0" in err
+    code, out, err = run(capsys, "branch", "y + x^2*y^2", "--x-end", "inf")
+    assert (code, out) == (1, "")
+    assert "trace failed: no root of p(x, .) near the predictor at x=inf" in err
+
+
 def test_branch_edge_out_of_range(capsys):
     code, _, err = run(capsys, "branch", "y + x^2*y^2", "--edge", "5")
     assert code == 2

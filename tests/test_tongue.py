@@ -319,11 +319,10 @@ class FixedColumns:
 
 
 def test_folds_join_at_the_smallest_gaps():
-    # four points go down to two through their nearest pair, nested folds
-    # close inside out, and an odd surplus ends the lowest point
+    # four points go down to two through their nearest pair, and nested
+    # folds close inside out
     assert render._close_folds([0.1, 0.5, 0.55, 0.9], 2) == ([0, 3], [(1, 2)])
     assert render._close_folds([0.1, 0.5, 0.55, 0.9], 0) == ([], [(1, 2), (0, 3)])
-    assert render._close_folds([0.1, 0.5, 0.55], 0) == ([], [(1, 2)])
     # a double root, listed twice, is one fold point
     touch = FixedColumns([0.3, 0.7], [0.5, 0.5], [])
     assert render._level_polylines(touch, [0, 1, 2], None, True) == [
