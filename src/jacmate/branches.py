@@ -31,18 +31,16 @@ from .poly import (
     compose_transforms,
 )
 from .polygon import (
+    CriterionCertificate,
     OuterEdge,
     corollary_certificate,
     face_polynomial,
-    newton_polygon,
-    right_outer_edges,
 )
 
 __all__ = [
     "NotRightOuterEdge",
     "NonFiniteEvaluation",
     "BranchLost",
-    "NoConfirmedBranch",
     "SignProbe",
     "BranchAsymptote",
     "TraceConfig",
@@ -81,10 +79,6 @@ class BranchLost(RuntimeError):
     def __init__(self, message: str, last_sample: tuple[float, float] | None = None):
         super().__init__(message)
         self.last_sample = last_sample
-
-
-class NoConfirmedBranch(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -285,27 +279,30 @@ def trace_branch(
 _SIGN_ORDER = (IDENTITY, NEGATE_Y, NEGATE_X, NEGATE_XY)
 
 
-def positive_asymptote(p: BivariatePolynomial) -> tuple[Transform, BranchAsymptote]:
+def positive_asymptote(
+    p: BivariatePolynomial, criterion: CriterionCertificate
+) -> tuple[Transform, BranchAsymptote]:
     """The smallest-slope branch that an axis sign change puts in the first quadrant.
 
-    Requires a satisfied certificate.  Axis sign changes are tried in a
-    fixed order (identity, negate y, negate x, both) until the witness
-    edge carries a confirmed asymptote with positive leading coefficient.
-    Decided exactly, with no trace; the returned transform is the full map
-    from the input polynomial to the branch's coordinates.
+    ``criterion`` is p's edge criterion, decided once by the caller; it must
+    be satisfied.  Axis sign changes are tried in a fixed order (identity,
+    negate y, negate x, both) until the witness edge carries a confirmed
+    asymptote with positive leading coefficient; one always does, since
+    gcd(a, b - 1) = 1 (the ``tongue`` module docstring, (H3)).  Decided
+    exactly, with no trace; the returned transform is the full map from the
+    input polynomial to the branch's coordinates.
     """
-    cert = corollary_certificate(p, allow_swap=True)
-    if not cert.satisfied:
+    if not criterion.satisfied:
         raise ValueError("polynomial does not satisfy the edge criterion")
-    q = apply_transform(p, cert.transform_used)
+    q = apply_transform(p, criterion.transform_used)
     for sign_t in _SIGN_ORDER:
-        qs = apply_transform(q, sign_t)
-        witness = right_outer_edges(newton_polygon(qs))[0]  # the certificate edge
-        for asym in branch_candidates(qs, witness):
+        # sign changes keep the support, and with it the witness edge
+        for asym in branch_candidates(apply_transform(q, sign_t), criterion.witness_edge):
             if asym.existence == CONFIRMED and asym.c_star > 0:
-                return compose_transforms(cert.transform_used, sign_t), asym
-    raise NoConfirmedBranch(
-        "no axis sign change exposes a confirmed positive branch"
+                return compose_transforms(criterion.transform_used, sign_t), asym
+    raise AssertionError(
+        "no axis sign change gives the witness face a positive root, which "
+        "gcd(a, b - 1) = 1 rules out: all four fail only if a is even and b is odd"
     )
 
 
@@ -313,7 +310,7 @@ def lowest_positive_branch(
     p: BivariatePolynomial, cfg: TraceConfig | None = None
 ) -> tuple[Transform, BranchTrace]:
     """Trace the branch of ``positive_asymptote`` in its first-quadrant coordinates."""
-    transform, asym = positive_asymptote(p)
+    transform, asym = positive_asymptote(p, corollary_certificate(p))
     return transform, trace_branch(apply_transform(p, transform), asym, cfg or TraceConfig())
 
 

@@ -20,7 +20,6 @@ import sys
 from .branches import (
     BranchLost,
     CONFIRMED,
-    NoConfirmedBranch,
     TraceConfig,
     branch_candidates,
     trace_branch,
@@ -92,7 +91,7 @@ def _cmd_certify(args) -> int:
 
     tongue = None
     if args.tongue and criterion.satisfied:
-        tongue = tongue_certificate(p)
+        tongue = tongue_certificate(p, criterion)
 
     trials = None
     if args.falsify:
@@ -143,13 +142,16 @@ def _cmd_branch(args) -> int:
     except BranchLost as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 1
+    except OverflowError:
+        print("trace failed: the trace left the float range", file=sys.stderr)
+        return 1
     print(trace_to_csv(trace, p), end="")
     return 0
 
 
 def _cmd_tongue(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    tc = tongue_certificate(p)
+    tc = tongue_certificate(p, corollary_certificate(p))
     _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
     if args.svg and tc.region is not None:
         from .render import render_tongue_svg
@@ -193,7 +195,7 @@ def _cmd_render(args) -> int:
         shown = apply_transform(p, cert.transform_used)
         svg = render_polygon_svg(newton_polygon(shown), cert)
     else:
-        tc = tongue_certificate(p)
+        tc = tongue_certificate(p, corollary_certificate(p))
         if tc.region is None:
             print(f"no tongue region: {'; '.join(tc.reasons)}", file=sys.stderr)
             return 1
@@ -288,9 +290,6 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (NoConfirmedBranch, BranchLost) as exc:
-        print(f"not available: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, DegenerateSampler) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,10 @@ plan in a loop.  On the ``COMPILE_AFTER``-th the plan becomes a straight-line
 Python function, which drops the loop's interpreter overhead and about
 halves the time per call on Pinchuk's 78-term Jacobian.  Compiling costs
 about 100 loop calls, so it pays back only some 200 calls later.  The
-falsifier's descent on a miss calls its three polynomials thousands of times
-and a branch trace its curve as often, while no polynomial of a falsifier hit
-reaches the threshold (at most 47 calls each on the benchmark's documents).
+falsifier's descent on a miss calls its three polynomials thousands of times,
+while no polynomial of a falsifier hit reaches the threshold (at most 47 calls
+each on the benchmark's documents); ``branch`` calls its curve once per sample,
+for the residual column.
 
 The eight axis symmetries (swap the variables, negate either axis) are
 represented by :class:`Transform` values.  Applying a transform never changes
@@ -782,10 +783,6 @@ def apply_transform(p: BivariatePolynomial, t: Transform) -> BivariatePolynomial
             n = -n
         out[(i, j)] = n
     return _poly(out, p._den)
-
-
-def subtract_constant(p: BivariatePolynomial, t: Fraction | int) -> BivariatePolynomial:
-    return p - Fraction(t)
 
 
 def evaluate_on_grid(

@@ -40,6 +40,15 @@ also vanish where both leading coefficients do.
         for it.  So p = y g with g(x, 0) = a01 != 0: y = 0 is a simple root
         of p(x, .) at every x, which by (H2) no other root meets.
    p has no zero in V, so its sign there is its sign at one point of S.
+   The criterion also proves that the region exists:
+   - some axis sign change gives the face a01 + a_ab c^(b - 1) a simple
+     positive root c, a branch y ~ c x^theta: negating y multiplies
+     -a01 / a_ab by (-1)^(b + 1) and negating x by (-1)^a, so all four
+     fail only if a is even and b is odd, when gcd(a, b - 1) >= 2;
+   - by (H2) and (H3) that branch stays a finite positive root of p(x, .)
+     back to x0: p(x0, .) has a smallest positive root f(x0);
+   - h = p(x0, .) has no root in (0, f(x0)), so once p is flipped to be
+     positive at one point below f(x0), h > 0 on all of (0, f(x0)).
 2. No closed loops.  A level loop in V bounds a disc in V, on which p has
    an interior extremum, a critical point, against (H1).
 3. Ends.  For t > 0 the level L_t = {p = t} in V is regular with no loop,
@@ -77,9 +86,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate as uni
-from .branches import NoConfirmedBranch, positive_asymptote
+from .branches import positive_asymptote
 from .poly import SWAP, BivariatePolynomial, Transform, apply_transform
-from .polygon import corollary_certificate
+from .polygon import CriterionCertificate
 
 __all__ = [
     "NotSingleSignedOnInterval",
@@ -132,13 +141,15 @@ class LevelSetUndecided(RuntimeError):
 class RestrictionProfile:
     """Exact shape of h(y) = p(x0, y) on the segment side of the region.
 
-    t0 is a rational barrier strictly below every interior critical value
-    of h; a and b are the two points where h crosses t0, bracketed exactly
-    and reported as floats.
+    f_x0 is the float of f(x0), the smallest positive root of h, which
+    ``f_x0_interval`` isolates.  t0 is a rational barrier strictly below
+    every interior critical value of h; a and b are the two points where h
+    crosses t0, bracketed exactly and reported as floats.
     """
 
     x0: Fraction
     f_x0: float
+    f_x0_interval: tuple[Fraction, Fraction]
     t0: Fraction
     a: float
     b: float
@@ -202,53 +213,46 @@ class TongueCertificate:
 
 
 def restriction_profile(
-    p: BivariatePolynomial, x0: Fraction | int, f_x0: float
+    h: list[Fraction], x0: Fraction, top: uni.RootInterval
 ) -> RestrictionProfile:
-    """Analyze h(y) = p(x0, y) on (0, f_x0) and place the barrier t0.
+    """Analyze h(y) = p(x0, y) on (0, f(x0)) and place the barrier t0.
 
-    f_x0 is the float of f(x0), the smallest positive root of h.  Requires
-    h to vanish at 0 and stay positive below f_x0.  The barrier is half
-    the smallest interior critical value vmin, rounded to a rational of
-    denominator at most max(10^9, 4 / vmin), within vmin / 8, and then
-    re-verified exactly: h - t0 must have exactly two simple roots a < b, h
-    must exceed t0 between them, and h' must be root-free outside [a, b].
+    ``top`` isolates f(x0), the smallest positive root of h, and h > 0
+    below it: ``build_tongue`` flipped p so.  f_x0 is the float of that
+    root.  The barrier is half the smallest interior critical value vmin,
+    rounded to a rational of denominator at most max(10^9, 4 / vmin),
+    within vmin / 8, and then re-verified exactly: h - t0 must have exactly
+    two simple roots a < b, h must exceed t0 between them, and h' must be
+    root-free outside [a, b].
     """
-    x0 = Fraction(x0)
-    h = p.restricted_to_x(x0)
-    if not h or h[0] != 0:
-        raise NotSingleSignedOnInterval("restriction does not vanish at y = 0")
+    f_x0 = uni.float_root(h, top)
     ub = Fraction(f_x0) * (1 - Fraction(1, 10**9))
-    if ub <= 0:
-        raise NotSingleSignedOnInterval("empty restriction interval")
-    if uni.count_roots(h, Fraction(0), ub) != 0 or uni.ueval(h, ub / 2) <= 0:
-        raise NotSingleSignedOnInterval("restriction changes sign inside the interval")
-
     dh = uni.derivative(h)
     crits = uni.isolate_roots(dh, Fraction(0), ub)
     if not crits:
         raise NoInteriorCriticalPoint("restriction has no interior critical point")
     crit_floats = tuple(uni.float_root(dh, iv) for iv in crits)
+    # positive: h > 0 on (0, f(x0))
     vmin = min(uni.ueval(h, iv.midpoint) for iv in crits)
-    if vmin <= 0:
-        raise NotSingleSignedOnInterval("a critical value is not positive")
 
     t0 = (vmin / 2).limit_denominator(max(10**9, math.ceil(4 / vmin)))
     for _ in range(8):
-        if t0 > 0 and _barrier_is_valid(h, dh, t0, ub):
+        crossings = _barrier_crossings(h, dh, t0, ub)
+        if crossings:
             break
         t0 = t0 * Fraction(63, 64)
     else:
         raise NotSingleSignedOnInterval("could not place a rational barrier")
 
-    shifted = _shifted(h, t0)
-    roots = uni.isolate_roots(shifted, Fraction(0), ub)
-    a_iv, b_iv = roots[0], roots[1]
+    shifted = _shifted_by(h, t0)
+    a_iv, b_iv = crossings
     a = uni.float_root(shifted, a_iv)
     b = uni.float_root(shifted, b_iv)
     assert 0 < a < b < f_x0
     return RestrictionProfile(
         x0=x0,
         f_x0=f_x0,
+        f_x0_interval=(top.lo, top.hi),
         t0=t0,
         a=a,
         b=b,
@@ -259,28 +263,26 @@ def restriction_profile(
     )
 
 
-def _shifted(h: list[Fraction], t0: Fraction) -> list[Fraction]:
-    out = list(h)
-    out[0] -= t0
-    return out
+def _shifted_by(c: list[Fraction], t: Fraction) -> list[Fraction]:
+    """c - t, normalized."""
+    return uni.normalize([c[0] - t, *c[1:]]) if c else [-t]
 
 
-def _barrier_is_valid(
+def _barrier_crossings(
     h: list[Fraction], dh: list[Fraction], t0: Fraction, ub: Fraction
-) -> bool:
-    roots = uni.isolate_roots(_shifted(h, t0), Fraction(0), ub)
+) -> list[uni.RootInterval] | None:
+    """The isolated crossings a < b of h = t0 in (0, ub) if t0 is a valid barrier, else None."""
+    roots = uni.isolate_roots(_shifted_by(h, t0), Fraction(0), ub)
     if len(roots) != 2 or any(r.multiplicity != 1 for r in roots):
-        return False
+        return None
     a_hi, b_lo = roots[0].hi, roots[1].lo
-    if a_hi >= b_lo:
-        return False
-    if uni.ueval(h, (a_hi + b_lo) / 2) <= t0:
-        return False
-    if uni.count_roots(dh, Fraction(0), a_hi) != 0:
-        return False
-    if uni.count_roots(dh, b_lo, ub) != 0:
-        return False
-    return True
+    valid = (
+        a_hi < b_lo
+        and uni.ueval(h, (a_hi + b_lo) / 2) > t0
+        and not uni.count_roots(dh, Fraction(0), a_hi)
+        and not uni.count_roots(dh, b_lo, ub)
+    )
+    return roots if valid else None
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +290,28 @@ def _barrier_is_valid(
 # ---------------------------------------------------------------------------
 
 
-def build_tongue(p: BivariatePolynomial, x0: Fraction | int = 1) -> TongueRegion:
+def build_tongue(
+    p: BivariatePolynomial, criterion: CriterionCertificate, x0: Fraction | int = 1
+) -> TongueRegion:
     """Assemble the region below the lowest positive branch, at an exact x0.
 
-    The transform is ``positive_asymptote``'s, decided without a trace.  x0
+    ``criterion`` is p's edge criterion, decided once by the caller.  The
+    transform is ``positive_asymptote``'s, decided without a trace.  x0
     is the least x0 * 2^k at which (H1) and (H2) hold (module docstring):
     R = Res_y(p_x, p_y) and D = Res_y(p, p_y) have no real root on
     [x0, oo).  This is the one place that decides them.  The region's top
-    at x0, f(x0), is the smallest positive root of p(x0, .), isolated
-    exactly, and p is flipped to be positive at a point below it.  R and D
-    ride along on the region.
+    at x0, f(x0), is the smallest positive root of h = p(x0, .), which the
+    criterion proves exists, isolated exactly; p is flipped to be positive
+    at a point below it, and then h > 0 on (0, f(x0)).  The isolating
+    interval and h go to ``restriction_profile``; R and D ride along on
+    the region.
 
     Raises LevelSetUndecided when R or D vanishes identically; ValueError,
-    through ``positive_asymptote``, when p fails the edge criterion; and
-    NoConfirmedBranch, NotSingleSignedOnInterval or NoInteriorCriticalPoint
-    when the region cannot be assembled at x0.
+    through ``positive_asymptote``, when the criterion is not satisfied;
+    and NotSingleSignedOnInterval or NoInteriorCriticalPoint when the
+    region cannot be assembled at x0.
     """
-    transform, _ = positive_asymptote(p)
+    transform, _ = positive_asymptote(p, criterion)
     p_t = apply_transform(p, transform)
     px, py = p_t.partial_derivative("x"), p_t.partial_derivative("y")
     r, d = uni.resultant_y(px, py), uni.resultant_y(p_t, py)
@@ -314,18 +321,20 @@ def build_tongue(p: BivariatePolynomial, x0: Fraction | int = 1) -> TongueRegion
     x0 = _first_power_past(d, x0)
 
     h = p_t.restricted_to_x(x0)
-    roots = _positive_roots(h)
-    if not roots or roots[0].lo <= 0:
+    # f(x0) exists: see (H3) in the module docstring
+    top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
+    if top.lo <= 0:
         raise NotSingleSignedOnInterval(f"p(x0, .) has no positive root above 1e-12, x0 = {x0}")
-    flipped = uni.ueval(h, _point_below(roots[0])) < 0
+    flipped = uni.ueval(h, _point_below(top.lo)) < 0
     if flipped:
         # Res_y(-f, -g) = (-1)^(m + n) Res_y(f, g) at formal y-degrees m, n;
         # for D they are m and m - 1
         p_t = -p_t
+        h = [-c for c in h]
         r = [(-1) ** (px.degree_y() + py.degree_y()) * c for c in r]
         d = [-c for c in d]
     try:
-        profile = restriction_profile(p_t, x0, uni.float_root(h, roots[0]))
+        profile = restriction_profile(h, x0, top)
     except (NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
         raise type(exc)(f"x0 = {x0}: {exc}") from exc
     return TongueRegion(
@@ -352,9 +361,9 @@ def check_no_critical_points(r: list[Fraction], x0: Fraction) -> Fraction:
     return _first_power_past(r, x0)
 
 
-def _point_below(iv: uni.RootInterval) -> Fraction:
-    """A power of two at most 1 in (0, iv.lo / 2]: below the root iv isolates."""
-    return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(iv.lo))))
+def _point_below(lo: Fraction) -> Fraction:
+    """A power of two at most 1 in (0, lo / 2]: below a root isolated from lo up."""
+    return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(lo))))
 
 
 def _root_free_from(c, lo: Fraction) -> bool:
@@ -378,20 +387,12 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _shifted_by(c: list[Fraction], t: Fraction) -> list[Fraction]:
-    return uni.normalize(_shifted(c, t)) if c else [-t]
-
-
 def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             out[i + j] += u * v
     return out
-
-
-def _positive_roots(c: list[Fraction]) -> list[uni.RootInterval]:
-    return uni.isolate_roots(c, Fraction(0), uni.root_bound(c))
 
 
 def _shrink(g, lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
@@ -466,22 +467,24 @@ class _Slices:
 class _ExactStrip:
     """p on V at the x0 of ``build_tongue``, which decided (H1) and (H2) there.
 
-    ``r`` and ``d`` are R = Res_y(p_x, p_y) and D = Res_y(p, p_y), taken
-    once by the caller; p is positive on the segment side.  ``facts`` states
-    the hypotheses.  The strip checks only the premise of (H3): the terms of
-    p with j <= 1 are exactly a01*y.  Otherwise it raises LevelSetUndecided
-    naming that fact.  Keeps h = p(x0, .) and ``top``, the isolating
-    interval of f(x0).
+    ``profile`` is the region's restriction profile: the strip reads x0,
+    h = p(x0, .) and the isolating interval of f(x0) from it.  ``r`` and
+    ``d`` are R = Res_y(p_x, p_y) and D = Res_y(p, p_y), taken once by the
+    caller; p is positive on the segment side.  ``facts`` states the
+    hypotheses.  The strip checks only the premise of (H3): the terms of p
+    with j <= 1 are exactly a01*y.  Otherwise it raises LevelSetUndecided
+    naming that fact.
     """
 
-    def __init__(self, p: BivariatePolynomial, x0: Fraction, r: list[Fraction], d: list[Fraction]):
+    def __init__(self, p: BivariatePolynomial, profile: RestrictionProfile, r, d):
         if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
             raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
-        self.p, self.x0 = p, x0
+        self.p, self.x0 = p, profile.x0
         self.px, self.py = p.partial_derivative("x"), p.partial_derivative("y")
         self.slices = _Slices(p, uni.DEFAULT_WIDTH)
-        self.h, self.top = self.slices.top(x0)
-        ym = _point_below(self.top)
+        self.h = list(profile.h_coeffs)
+        f_lo, self.f_hi = profile.f_x0_interval
+        ym = _point_below(f_lo)
         # build_tongue decided (H1) and (H2) at x0 and flipped p to be
         # positive there; (H3) follows from the premise above
         self.facts = (
@@ -489,8 +492,8 @@ class _ExactStrip:
             "no critical point and no closed level loop",
             f"D = Res_y(p, p_y), degree {uni.degree(d)}, has no real root on [x0, oo): "
             "the roots of p(x, .) stay simple and finite",
-            "p(x, 0) = 0, and p(x0 + 1, .) has as many positive roots as p(x0, .): "
-            "f is continuous",
+            "the terms of p with j <= 1 are exactly a01*y: y = 0 is a simple root of "
+            "every p(x, .), and by (H2) f is continuous",
             f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}",
         )
         self._swapped = apply_transform(p, SWAP)
@@ -515,7 +518,7 @@ class _ExactStrip:
 
     def _segment_ends(self, t: Fraction) -> int:
         g = _shifted_by(self.h, t)
-        top = self.top.hi  # as in _Slices.count
+        top = self.f_hi  # as in _Slices.count
         ends = 0
         for factor, mult in uni.squarefree_decomposition(g):
             if mult == 1:
@@ -615,7 +618,7 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     fails or a count stays undecided.
     """
     profile = region.profile
-    strip = _ExactStrip(region.poly, region.x0, *region.resultants)
+    strip = _ExactStrip(region.poly, profile, *region.resultants)
     t0 = profile.t0
     barrier = strip.ends(t0)
     pinned = barrier == (2, 0)
@@ -687,24 +690,24 @@ def default_schedule(t0: Fraction) -> list[Fraction]:
     return nonpos + pos + above
 
 
-def tongue_certificate(p: BivariatePolynomial) -> TongueCertificate:
+def tongue_certificate(p: BivariatePolynomial, criterion: CriterionCertificate) -> TongueCertificate:
     """Run the full region pipeline and aggregate the checks.
 
-    ``build_tongue`` places the region at its exact x0; the levels follow
-    ``default_schedule``.  Verified means every level count came out as
-    expected; the counts are exact (module docstring).  A hypothesis that
-    fails or a count left undecided reports Inconclusive, naming the fact;
-    a region that cannot be assembled at x0, or violated expectations,
-    report Failed.
+    ``criterion`` is p's edge criterion, decided once by the caller and
+    handed down to ``build_tongue``, which places the region at its exact
+    x0; the levels follow ``default_schedule``.  Verified means every level
+    count came out as expected; the counts are exact (module docstring).
+    A hypothesis that fails or a count left undecided reports Inconclusive,
+    naming the fact; an unsatisfied criterion, a region that cannot be
+    assembled at x0, or violated expectations report Failed.
     """
-    cert = corollary_certificate(p, allow_swap=True)
-    if not cert.satisfied:
+    if not criterion.satisfied:
         return TongueCertificate(FAILED, ("criterion not satisfied",), None, None)
     try:
-        region = build_tongue(p)
+        region = build_tongue(p, criterion)
     except LevelSetUndecided as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), None, None)
-    except (NoConfirmedBranch, NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
+    except (NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
         return TongueCertificate(FAILED, (str(exc),), None, None)
 
     levels = default_schedule(region.profile.t0)

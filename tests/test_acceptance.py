@@ -21,7 +21,6 @@ from jacmate.poly import (
     apply_transform,
     jacobian,
     parse_polynomial,
-    subtract_constant,
 )
 from jacmate.polygon import (
     corollary_certificate,
@@ -137,7 +136,8 @@ def _check_level_structure(report, t0):
 
 def test_acceptance_tongue_verification(capsys):
     with criterion(capsys, 5, "tongue verification", 30.0):
-        cert = tongue_certificate(parse_polynomial("y + x^2*y^2"))
+        p = parse_polynomial("y + x^2*y^2")
+        cert = tongue_certificate(p, corollary_certificate(p))
         assert cert.status == VERIFIED
         region = cert.region
         assert region.x0 == 1
@@ -147,7 +147,8 @@ def test_acceptance_tongue_verification(capsys):
         assert abs(profile.b - (1 + math.sqrt(2) / 2) / 2) <= 1e-9
         _check_level_structure(cert.level_report, profile.t0)
 
-        other = tongue_certificate(parse_polynomial("y + x*y^2 + y^4"))
+        p = parse_polynomial("y + x*y^2 + y^4")
+        other = tongue_certificate(p, corollary_certificate(p))
         assert other.status == VERIFIED
         _check_level_structure(other.level_report, other.region.profile.t0)
 
@@ -288,7 +289,7 @@ def test_acceptance_exact_property_suites(capsys):
                 while num == 0:
                     num = rng.randint(-9, 9)
                 t = Fraction(num, rng.randint(1, 9))
-                shifted = subtract_constant(star, t)
+                shifted = star - t
                 slopes = [e.slope for e in right_outer_edges(newton_polygon(shifted))]
                 assert slopes
                 assert min(slopes) > cert.theta

@@ -181,13 +181,15 @@ def test_positive_asymptote_needs_no_trace(monkeypatch, p3, swap_case):
         raise AssertionError("traced")
 
     monkeypatch.setattr(branches, "trace_branch", untraceable)
-    transform, asym = positive_asymptote(p3)
+    transform, asym = positive_asymptote(p3, corollary_certificate(p3))
     assert transform == NEGATE_Y
     assert (asym.theta, asym.existence) == (Fraction(-2), CONFIRMED)
     assert asym.c_interval[0] <= 1 <= asym.c_interval[1]
-    assert positive_asymptote(swap_case)[0] == compose_transforms(SWAP, NEGATE_Y)
+    swapped = positive_asymptote(swap_case, corollary_certificate(swap_case))
+    assert swapped[0] == compose_transforms(SWAP, NEGATE_Y)
+    circle = parse_polynomial("x^2 + y^2")
     with pytest.raises(ValueError):
-        positive_asymptote(parse_polynomial("x^2 + y^2"))
+        positive_asymptote(circle, corollary_certificate(circle))
 
 
 def test_lowest_positive_branch_requires_certificate():

@@ -61,7 +61,7 @@ def test_summary_wording(p3, swap_case):
 
 
 def test_full_document_with_tongue_and_trials(p3):
-    tc = tongue_certificate(p3)
+    tc = tongue_certificate(p3, corollary_certificate(p3))
     trials = random_trials(p3, 4)
     doc = certify(p3, tongue=tc, trials=trials)
     assert doc.conclusion == NO_REAL_JACOBIAN_MATE
@@ -78,7 +78,7 @@ def test_full_document_with_tongue_and_trials(p3):
 
 
 def test_failed_tongue_downgrades_conclusion(p3):
-    tc = tongue_certificate(p3)
+    tc = tongue_certificate(p3, corollary_certificate(p3))
     failed = type(tc)(
         status="Failed",
         reasons=("synthetic",),
@@ -123,7 +123,7 @@ def test_key_order_and_determinism(p3):
 
 
 def test_json_has_no_nan(p1):
-    tc = tongue_certificate(p1)
+    tc = tongue_certificate(p1, corollary_certificate(p1))
     doc = certify(p1, tongue=tc, trials=random_trials(p1, 2))
     text = emit_certificate_json(doc)
     assert "NaN" not in text and "Infinity" not in text

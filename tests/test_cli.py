@@ -328,6 +328,15 @@ def test_branch_lost_where_no_window_holds_a_root(capsys):
     assert "trace failed: no root of p(x, .) near the predictor at x=inf" in err
 
 
+@pytest.mark.parametrize("poly", ["y + x^2*y^2", "y^2 - x^3"])
+def test_branch_past_the_float_range_fails_without_a_traceback(capsys, poly):
+    # at x = 1e300 the slice coefficients of y + x^2*y^2 and the predictor
+    # c* x_end^(3/2) of y^2 - x^3 are past the largest float
+    code, out, err = run(capsys, "branch", poly, "--x-end", "1e300")
+    assert (code, out) == (1, "")
+    assert err == "trace failed: the trace left the float range\n"
+
+
 def test_branch_edge_out_of_range(capsys):
     code, _, err = run(capsys, "branch", "y + x^2*y^2", "--edge", "5")
     assert code == 2
@@ -338,6 +347,32 @@ def test_branch_without_right_edges(capsys):
     code, _, err = run(capsys, "branch", "x + 1")
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "y + x^2*y^2", "--tongue"],
+        ["tongue", "y + x^2*y^2"],
+        ["render", "y + x^2*y^2", "--what", "tongue"],
+    ],
+)
+def test_criterion_is_decided_once_per_tongue_document(monkeypatch, capsys, argv):
+    # the command decides the criterion and hands it to the region and its
+    # branch, which do not decide it again
+    decide = jacmate.polygon.corollary_certificate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jacmate") and getattr(module, "corollary_certificate", None) is decide:
+            monkeypatch.setattr(module, "corollary_certificate", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_tongue_verified(tmp_path, capsys):
@@ -537,6 +572,7 @@ def test_fuzzed_commands_exit_0_1_or_2(p_degree, q, t):
         ["falsify", f"--q={q}", "--", p],
         ["certify", "--tongue", "--", t],
         ["render", "--what", "tongue", "--", t],
+        ["branch", "--", p],
     ]
     if degree <= TONGUE_FUZZ_DEGREE:
         argvs.append(["certify", "--tongue", "--", p])

@@ -26,7 +26,6 @@ from jacmate.tongue import (
     SEGMENT_ARC,
     VERIFIED,
     LevelSetUndecided,
-    NotSingleSignedOnInterval,
     build_tongue,
     check_level_sets,
     check_no_critical_points,
@@ -41,9 +40,18 @@ from jacmate import univariate as uni
 SQ2 = 2**0.5
 
 
+def certify_tongue(p):
+    # the criterion is decided once and handed down, as the CLI does
+    return tongue_certificate(p, corollary_certificate(p))
+
+
+def region_of(p, x0=1):
+    return build_tongue(p, corollary_certificate(p), x0)
+
+
 @pytest.fixture(scope="module")
 def region3(p3):
-    return build_tongue(p3)
+    return region_of(p3)
 
 
 def test_region_shape_p3(region3):
@@ -59,6 +67,7 @@ def test_profile_closed_form_p3(region3):
     prof = region3.profile
     assert prof.t0 == Fraction(1, 8)
     assert prof.f_x0 == pytest.approx(1.0, abs=1e-9)
+    assert prof.f_x0_interval[0] <= 1 <= prof.f_x0_interval[1]
     assert list(prof.h_coeffs) == [Fraction(0), Fraction(1), Fraction(-1)]
     assert prof.critical_points_of_h == pytest.approx((0.5,), abs=1e-12)
     assert prof.a == pytest.approx((1 - SQ2 / 2) / 2, abs=1e-9)
@@ -68,20 +77,13 @@ def test_profile_closed_form_p3(region3):
 
 def test_profile_at_shifted_start(p3):
     # same curve entered at x0 = 2: h(y) = y - 4y^2 peaks at 1/16
-    region = build_tongue(p3, x0=2)
+    region = region_of(p3, x0=2)
     prof = region.profile
     assert prof.x0 == 2
     assert prof.t0 == Fraction(1, 32)
     assert list(prof.h_coeffs) == [Fraction(0), Fraction(1), Fraction(-4)]
     assert prof.a == pytest.approx((1 - SQ2 / 2) / 8, abs=1e-9)
     assert prof.b == pytest.approx((1 + SQ2 / 2) / 8, abs=1e-9)
-
-
-def test_profile_rejects_sign_change():
-    # restriction -y + y^2 is negative on (0, 1)
-    p = parse_polynomial("-y + x^2*y^2")
-    with pytest.raises(NotSingleSignedOnInterval):
-        restriction_profile(p, 1, 1.0)
 
 
 def test_barrier_is_exactly_verified(region3):
@@ -174,7 +176,7 @@ def test_shared_factor_partials_are_inconclusive_at_once(monkeypatch):
     # identically zero; the exact level argument needs R != 0, and no x0 is
     # tried
     monkeypatch.setattr(tongue, "restriction_profile", None)
-    cert = tongue_certificate(parse_polynomial("y + x*y^2 + (y + x*y^2)^2"))
+    cert = certify_tongue(parse_polynomial("y + x*y^2 + (y + x*y^2)^2"))
     assert cert.status == INCONCLUSIVE
     assert cert.region is None and cert.level_report is None
     assert cert.reasons == ("R = Res_y(p_x, p_y) vanishes identically: a shared factor",)
@@ -202,7 +204,7 @@ def test_roots_past_counts_the_open_ray():
 def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
     # x0 = 262144, h = y - (2^34 + 2)*y^2 peaks at ~1.5e-11: a denominator
     # bound of 10^9 alone rounds the barrier to 0
-    cert = tongue_certificate(parse_polynomial("y - ((x - 131072)^2 + 2)*y^2"))
+    cert = certify_tongue(parse_polynomial("y - ((x - 131072)^2 + 2)*y^2"))
     assert cert.status == VERIFIED
     prof = cert.region.profile
     assert prof.x0 == 262144
@@ -338,7 +340,7 @@ def test_folds_join_at_the_smallest_gaps():
 
 
 def test_tongue_certificate_p3(p3):
-    cert = tongue_certificate(p3)
+    cert = certify_tongue(p3)
     assert cert.status == VERIFIED
     assert not cert.reasons
     assert cert.region is not None
@@ -346,12 +348,12 @@ def test_tongue_certificate_p3(p3):
 
 
 def test_tongue_certificate_p1(p1):
-    cert = tongue_certificate(p1)
+    cert = certify_tongue(p1)
     assert cert.status == VERIFIED
 
 
 def test_tongue_certificate_swap_case(swap_case):
-    cert = tongue_certificate(swap_case)
+    cert = certify_tongue(swap_case)
     assert cert.status == VERIFIED
     assert cert.region.transform == compose_transforms(SWAP, NEGATE_Y)
     assert cert.region.flipped
@@ -361,13 +363,13 @@ def test_tongue_certificate_swap_case(swap_case):
 def test_strip_top_below_the_isolation_width_fails_with_the_reason():
     # f(1) = 2^-200: the isolating interval of f(x0) starts at 0, so no exact
     # point below it is known, and the region cannot be assembled
-    cert = tongue_certificate(parse_polynomial(f"y + {2**200}*x^2*y^2"))
+    cert = certify_tongue(parse_polynomial(f"y + {2**200}*x^2*y^2"))
     assert cert.status == FAILED and cert.region is None
     assert cert.reasons == ("p(x0, .) has no positive root above 1e-12, x0 = 1",)
 
 
 def test_tongue_certificate_rejects_uncertified():
-    cert = tongue_certificate(parse_polynomial("x^2 + y^2"))
+    cert = certify_tongue(parse_polynomial("x^2 + y^2"))
     assert cert.status == FAILED
     assert cert.region is None
     assert any("criterion" in r for r in cert.reasons)
@@ -391,7 +393,7 @@ def test_auto_horizon_never_ends_before_x0():
     # edge is past it, with or without the level report: the lowest level
     # still meets the line x = 2^19 and misses 2^20
     p = parse_polynomial("y - y^2 - 1/10000000000*(x - 100000)^2*y^2")
-    cert = tongue_certificate(p)
+    cert = certify_tongue(p)
     region = cert.region
     assert region.x0 == 2**17
     assert render._horizon(render._slices(region), region.x0, []) == 2**19
@@ -404,10 +406,10 @@ def test_build_tongue_doubles_past_planted_critical_point():
     # gradient vanishes at (2, 1/4), a root of R: the exact x0 is the first
     # power of two past it, and the region verifies there
     p = parse_polynomial("y - (x^2 - 4*x + 6)*y^2")
-    region = build_tongue(p)
+    region = region_of(p)
     assert region.x0 == 4
     assert region.profile.f_x0 == 1 / 6  # the root 1/6 of y - 6*y^2, to the float
-    cert = tongue_certificate(p)
+    cert = certify_tongue(p)
     assert cert.status == VERIFIED
     assert cert.region.x0 == 4
 
@@ -419,7 +421,7 @@ def test_build_tongue_doubles_past_planted_critical_point():
 def test_exact_x0_verifies_where_the_sampled_start_did_not(text, x0):
     # both have a root of R in [1, x0) that is no critical point in the
     # strip; a start accepted there leaves (H1) false, the exact x0 does not
-    cert = tongue_certificate(parse_polynomial(text))
+    cert = certify_tongue(parse_polynomial(text))
     assert cert.status == VERIFIED, cert.reasons
     assert cert.region.x0 == x0
 
@@ -436,7 +438,7 @@ def test_tongue_certificate_takes_each_resultant_once(monkeypatch, text):
         return resultant(f, g)
 
     monkeypatch.setattr(uni, "resultant_y", counted)
-    cert = tongue_certificate(parse_polynomial(text))
+    cert = certify_tongue(parse_polynomial(text))
     assert cert.status == VERIFIED
     p = cert.region.poly
     px, py = p.partial_derivative("x"), p.partial_derivative("y")
@@ -448,7 +450,7 @@ def test_image_values_trapped_below_quarter(swap_case):
     # transformed tongue of x*(1 + x*y): p* = y - x*y^2, whose restriction
     # peaks at 1/4; with no interior critical points every region value
     # must stay inside (0, 1/4]
-    region = build_tongue(swap_case)
+    region = region_of(swap_case)
     assert str(region.poly) == "-x*y^2 + y"
     rng = random.Random(4242)
     top = 0.0
@@ -477,18 +479,21 @@ FIXTURES = (
 
 @pytest.fixture(scope="module")
 def fixture_certs():
-    return {text: tongue_certificate(parse_polynomial(text)) for text in FIXTURES}
+    return {text: certify_tongue(parse_polynomial(text)) for text in FIXTURES}
 
 
 def lowest_positive_transform(region):
     # the region's poly is in first-quadrant coordinates already
-    return branches.positive_asymptote(region.poly)[0]
+    return branches.positive_asymptote(region.poly, corollary_certificate(region.poly))[0]
 
 
 def exact_strip(p, x0):
+    # the strip reads h = p(x0, .) and f(x0) from the profile at x0
+    h = p.restricted_to_x(x0)
+    top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
     py = p.partial_derivative("y")
     r = uni.resultant_y(p.partial_derivative("x"), py)
-    return tongue._ExactStrip(p, x0, r, uni.resultant_y(p, py))
+    return tongue._ExactStrip(p, restriction_profile(h, x0, top), r, uni.resultant_y(p, py))
 
 
 def level_at(cert, t):
@@ -503,7 +508,7 @@ def test_double_root_at_the_barrier_peak_gives_no_end(p3, region3):
     t = 2 * region3.profile.t0
     shifted = uni.derivative(list(region3.profile.h_coeffs))
     assert uni.ueval(shifted, Fraction(1, 2)) == 0
-    strip = tongue._ExactStrip(region3.poly, region3.x0, *region3.resultants)
+    strip = tongue._ExactStrip(region3.poly, region3.profile, *region3.resultants)
     assert strip.ends(t) == (0, 0)
     (rec,) = check_level_sets(region3, [t]).records
     assert (rec.classification, rec.component_count, rec.boundary_endpoint_count) == (EMPTY, 0, 0)
@@ -528,7 +533,7 @@ def test_no_fixture_needs_a_trace(monkeypatch):
 
     monkeypatch.setattr(branches, "trace_branch", untraceable)
     for text in FIXTURES:
-        assert tongue_certificate(parse_polynomial(text)).status == VERIFIED, text
+        assert certify_tongue(parse_polynomial(text)).status == VERIFIED, text
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -554,8 +559,9 @@ def test_drawing_matches_golden(fixture_certs, text):
 
 
 def test_certified_draws_have_only_a01_y_below_j_2():
-    # the premise of (H3) on seeded class members: in the coordinates of
-    # positive_asymptote no term has j = 0 and the only j = 1 term is (0, 1)
+    # on seeded class members, positive_asymptote always finds its branch
+    # (the gcd argument in its docstring), and in its coordinates no term
+    # has j = 0 and the only j = 1 term is (0, 1): the premise of (H3)
     rng = random.Random(2024)
     checked = 0
     for _ in range(2000):
@@ -565,12 +571,10 @@ def test_certified_draws_have_only_a01_y_below_j_2():
         for _ in range(rng.randint(1, 5)):
             terms[(rng.randint(0, 4), rng.randint(0, 5))] = rng.choice((-3, -2, -1, 1, 2, 3))
         p = BivariatePolynomial(terms)
-        if not corollary_certificate(p, allow_swap=True).satisfied:
+        cert = corollary_certificate(p, allow_swap=True)
+        if not cert.satisfied:
             continue
-        try:
-            transform, _ = branches.positive_asymptote(p)
-        except branches.NoConfirmedBranch:
-            continue
+        transform, _ = branches.positive_asymptote(p, cert)
         q = apply_transform(p, transform)
         assert {ij for ij in q.support() if ij[1] <= 1} == {(0, 1)}, str(p)
         checked += 1
@@ -625,7 +629,7 @@ def test_a_line_without_a_positive_root_ends_the_border(p3, region3):
     # 2y - x*y - y^3 has the positive root sqrt(2 - x) only left of x = 2:
     # the border and the levels stop at the first line past it, no error
     region = dataclasses.replace(region3, poly=parse_polynomial("2*y - x*y - y^3"))
-    report = tongue_certificate(p3).level_report
+    report = certify_tongue(p3).level_report
     svg = render_tongue_svg(region, report, 50.0)
     lines = xml.dom.minidom.parseString(svg).getElementsByTagName("polyline")
     border = [tuple(map(float, q.split(","))) for q in lines[-1].getAttribute("points").split()]

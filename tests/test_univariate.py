@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacmate.poly import BivariatePolynomial, parse_polynomial
+from jacmate.polygon import corollary_certificate
 from jacmate.tongue import build_tongue
 from jacmate.univariate import (
     DEFAULT_WIDTH,
@@ -439,7 +440,8 @@ def test_high_degree_barrier_resultant_is_isolated_exactly():
     # E_t0 = Res_y(p - t0, p_y) at the barrier of this tongue has degree 70,
     # ~300-bit coefficients and one simple root past x0, which the pocket
     # isolates
-    region = build_tongue(parse_polynomial("y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6"))
+    p = parse_polynomial("y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6")
+    region = build_tongue(p, corollary_certificate(p))
     p, t0, x0 = region.poly, region.profile.t0, region.x0
     e = resultant_y(p - t0, p.partial_derivative("y"))
     assert degree(e) == 70
