@@ -20,22 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate as uni
-from .poly import (
-    IDENTITY,
-    NEGATE_X,
-    NEGATE_XY,
-    NEGATE_Y,
-    BivariatePolynomial,
-    Transform,
-    apply_transform,
-    compose_transforms,
-)
-from .polygon import (
-    CriterionCertificate,
-    OuterEdge,
-    corollary_certificate,
-    face_polynomial,
-)
+from .poly import BivariatePolynomial, Transform, apply_transform
+from .polygon import OuterEdge, corollary_certificate, face_polynomial
+from .tongue import region_orientation
 
 __all__ = [
     "NotRightOuterEdge",
@@ -49,7 +36,6 @@ __all__ = [
     "sign_probe",
     "branch_candidates",
     "trace_branch",
-    "positive_asymptote",
     "lowest_positive_branch",
     "fitted_exponent",
     "trace_to_csv",
@@ -110,8 +96,8 @@ class TraceConfig:
     def __post_init__(self):
         if not (self.x_start >= 1.0):
             raise ValueError("x_start must be at least 1")
-        if self.x_end < self.x_start:
-            raise ValueError("x_end must not precede x_start")
+        if not self.x_end >= self.x_start:
+            raise ValueError("x_end must be at least x_start")
 
 
 @dataclass(frozen=True)
@@ -276,42 +262,19 @@ def trace_branch(
     )
 
 
-_SIGN_ORDER = (IDENTITY, NEGATE_Y, NEGATE_X, NEGATE_XY)
-
-
-def positive_asymptote(
-    p: BivariatePolynomial, criterion: CriterionCertificate
-) -> tuple[Transform, BranchAsymptote]:
-    """The smallest-slope branch that an axis sign change puts in the first quadrant.
-
-    ``criterion`` is p's edge criterion, decided once by the caller; it must
-    be satisfied.  Axis sign changes are tried in a fixed order (identity,
-    negate y, negate x, both) until the witness edge carries a confirmed
-    asymptote with positive leading coefficient; one always does, since
-    gcd(a, b - 1) = 1 (the ``tongue`` module docstring, (H3)).  Decided
-    exactly, with no trace; the returned transform is the full map from the
-    input polynomial to the branch's coordinates.
-    """
-    if not criterion.satisfied:
-        raise ValueError("polynomial does not satisfy the edge criterion")
-    q = apply_transform(p, criterion.transform_used)
-    for sign_t in _SIGN_ORDER:
-        # sign changes keep the support, and with it the witness edge
-        for asym in branch_candidates(apply_transform(q, sign_t), criterion.witness_edge):
-            if asym.existence == CONFIRMED and asym.c_star > 0:
-                return compose_transforms(criterion.transform_used, sign_t), asym
-    raise AssertionError(
-        "no axis sign change gives the witness face a positive root, which "
-        "gcd(a, b - 1) = 1 rules out: all four fail only if a is even and b is odd"
-    )
-
-
 def lowest_positive_branch(
     p: BivariatePolynomial, cfg: TraceConfig | None = None
 ) -> tuple[Transform, BranchTrace]:
-    """Trace the branch of ``positive_asymptote`` in its first-quadrant coordinates."""
-    transform, asym = positive_asymptote(p, corollary_certificate(p))
-    return transform, trace_branch(apply_transform(p, transform), asym, cfg or TraceConfig())
+    """Trace the positive branch of the witness edge in ``region_orientation``'s coordinates.
+
+    There the witness face has exactly one positive root, a simple one; it
+    is the asymptote traced.
+    """
+    criterion = corollary_certificate(p)
+    transform, _ = region_orientation(p, criterion)
+    q = apply_transform(p, transform)
+    (asym,) = [a for a in branch_candidates(q, criterion.witness_edge) if a.c_star > 0]
+    return transform, trace_branch(q, asym, cfg or TraceConfig())
 
 
 def fitted_exponent(trace: BranchTrace) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .falsifier import TrialReport
+from .falsifier import MinRecord, TrialReport, ZeroWitness
 from .poly import BivariatePolynomial, Transform
 from .polygon import CriterionCertificate, OuterEdge
 from .tongue import FAILED, TongueCertificate
@@ -25,8 +25,11 @@ __all__ = [
     "CERTIFICATE_SCHEMA",
     "CertificateDocument",
     "build_certificate",
+    "edge_to_dict",
     "criterion_to_dict",
     "tongue_to_dict",
+    "witness_to_dict",
+    "min_record_to_dict",
     "trials_to_list",
     "document_to_dict",
     "emit_certificate_json",
@@ -118,7 +121,7 @@ def _transform_dict(t: Transform) -> dict:
     return {"swap_xy": t.swap_xy, "negate_x": t.negate_x, "negate_y": t.negate_y}
 
 
-def _edge_dict(edge: OuterEdge) -> dict:
+def edge_to_dict(edge: OuterEdge) -> dict:
     return {
         "from": list(edge.start),
         "to": list(edge.end),
@@ -132,7 +135,7 @@ def criterion_to_dict(cert: CriterionCertificate) -> dict:
     return {
         "satisfied": cert.satisfied,
         "transform": _transform_dict(cert.transform_used),
-        "witness_edge": None if cert.witness_edge is None else _edge_dict(cert.witness_edge),
+        "witness_edge": None if cert.witness_edge is None else edge_to_dict(cert.witness_edge),
         "endpoints": None if cert.endpoints is None else [list(e) for e in cert.endpoints],
         "primitive_check": cert.primitive_check,
         "theta": None if cert.theta is None else str(cert.theta),
@@ -179,6 +182,23 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
     return out
 
 
+def witness_to_dict(w: ZeroWitness) -> dict:
+    return {
+        "point": list(w.point),
+        "jac_value": w.jac_value,
+        "jac_exact": w.jac_exact,
+        "method": w.method,
+    }
+
+
+def min_record_to_dict(m: MinRecord) -> dict:
+    return {
+        "best_point": list(m.best_point),
+        "best_abs_jac": m.best_abs_jac,
+        "boxes_searched": m.boxes_searched,
+    }
+
+
 def trials_to_list(report: TrialReport) -> list:
     out = []
     for tr in report.outcomes:
@@ -189,18 +209,9 @@ def trials_to_list(report: TrialReport) -> list:
             "outcome": "witness" if tr.found else "min_record",
         }
         if tr.witness is not None:
-            entry["witness"] = {
-                "point": list(tr.witness.point),
-                "jac_value": tr.witness.jac_value,
-                "jac_exact": tr.witness.jac_exact,
-                "method": tr.witness.method,
-            }
+            entry["witness"] = witness_to_dict(tr.witness)
         if tr.min_record is not None:
-            entry["min_record"] = {
-                "best_point": list(tr.min_record.best_point),
-                "best_abs_jac": tr.min_record.best_abs_jac,
-                "boxes_searched": tr.min_record.boxes_searched,
-            }
+            entry["min_record"] = min_record_to_dict(tr.min_record)
         out.append(entry)
     return out
 

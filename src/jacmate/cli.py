@@ -27,10 +27,12 @@ from .branches import (
 )
 from .certificate import (
     NO_REAL_JACOBIAN_MATE,
-    _edge_dict,
     build_certificate,
+    edge_to_dict,
     emit_certificate_json,
+    min_record_to_dict,
     tongue_to_dict,
+    witness_to_dict,
 )
 from .falsifier import (
     DegenerateSampler,
@@ -77,8 +79,8 @@ def _cmd_analyze(args) -> int:
         "input": str(p),
         "support": [list(pt) for pt in sorted(p.support())],
         "vertices": [list(v) for v in polygon.vertices],
-        "outer_edges": [_edge_dict(e) for e in edges],
-        "right_outer_edges": [_edge_dict(e) for e in edges if e.is_right],
+        "outer_edges": [edge_to_dict(e) for e in edges],
+        "right_outer_edges": [edge_to_dict(e) for e in edges if e.is_right],
     }
     _emit(args, json.dumps(doc, indent=2))
     return 0
@@ -167,23 +169,11 @@ def _cmd_falsify(args) -> int:
     q = parse_polynomial(args.q)
     result = find_jacobian_zero(p, q)
     if isinstance(result, ZeroWitness):
-        doc = {
-            "outcome": "witness",
-            "point": list(result.point),
-            "jac_value": result.jac_value,
-            "jac_exact": result.jac_exact,
-            "method": result.method,
-        }
-        _emit(args, json.dumps(doc, indent=2))
-        return 0
-    doc = {
-        "outcome": "min_record",
-        "best_point": list(result.best_point),
-        "best_abs_jac": result.best_abs_jac,
-        "boxes_searched": result.boxes_searched,
-    }
+        doc, code = {"outcome": "witness", **witness_to_dict(result)}, 0
+    else:
+        doc, code = {"outcome": "min_record", **min_record_to_dict(result)}, 1
     _emit(args, json.dumps(doc, indent=2))
-    return 1
+    return code
 
 
 def _cmd_render(args) -> int:

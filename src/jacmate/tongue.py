@@ -11,12 +11,13 @@ behaves like a tongue: p has no critical point in it, every positive level
 at or below a barrier t0 cuts it in a single arc pinned to S, and every
 level above t0 stays inside the bounded pocket B that the t0 arc cuts off.
 
-Exact: the transform (a confirmed asymptote, no trace), x0 (the least
-power of two at which the hypotheses below hold), f(x0) (an isolated root
-of p(x0, .)), the barrier and the restriction h(y) = p(x0, y), and every
-level-set count.  Numeric: only floats reporting exact values (f(x0), a,
-b, the pocket).  ``render`` draws the region from exact vertical slices
-too, the roots of p(x_k, .) on rational lines, plotted as floats.
+Exact: the transform and the flip (the signs of the witness edge's two
+coefficients, no trace), x0 (the least power of two at which the
+hypotheses below hold), f(x0) (an isolated root of p(x0, .)), the
+barrier and the restriction h(y) = p(x0, y), and every level-set count.
+Numeric: only floats reporting exact values (f(x0), a, b, the pocket).
+``render`` draws the region from exact vertical slices too, the roots of
+p(x_k, .) on rational lines, plotted as floats.
 
 The level sets follow from regular-level Morse theory (Milnor, *Morse
 Theory*) with the projection resultants of Collins' cylindrical
@@ -42,13 +43,14 @@ also vanish where both leading coefficients do.
    p has no zero in V, so its sign there is its sign at one point of S.
    The criterion also proves that the region exists:
    - some axis sign change gives the face a01 + a_ab c^(b - 1) a simple
-     positive root c, a branch y ~ c x^theta: negating y multiplies
+     positive root c, a branch y ~ c x^theta, exactly when it makes
+     a01 a_ab < 0: negating y multiplies
      -a01 / a_ab by (-1)^(b + 1) and negating x by (-1)^a, so all four
      fail only if a is even and b is odd, when gcd(a, b - 1) >= 2;
    - by (H2) and (H3) that branch stays a finite positive root of p(x, .)
      back to x0: p(x0, .) has a smallest positive root f(x0);
-   - h = p(x0, .) has no root in (0, f(x0)), so once p is flipped to be
-     positive at one point below f(x0), h > 0 on all of (0, f(x0)).
+   - h = p(x0, .) = a01 y + O(y^2) has no root in (0, f(x0)), so once p
+     is flipped to make a01 > 0, h > 0 on all of (0, f(x0)).
 2. No closed loops.  A level loop in V bounds a disc in V, on which p has
    an interior extremum, a critical point, against (H1).
 3. Ends.  For t > 0 the level L_t = {p = t} in V is regular with no loop,
@@ -86,8 +88,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import univariate as uni
-from .branches import positive_asymptote
-from .poly import SWAP, BivariatePolynomial, Transform, apply_transform
+from .poly import (
+    IDENTITY,
+    NEGATE_X,
+    NEGATE_XY,
+    NEGATE_Y,
+    SWAP,
+    BivariatePolynomial,
+    Transform,
+    apply_transform,
+    compose_transforms,
+)
 from .polygon import CriterionCertificate
 
 __all__ = [
@@ -106,6 +117,7 @@ __all__ = [
     "INCONCLUSIVE",
     "FAILED",
     "restriction_profile",
+    "region_orientation",
     "build_tongue",
     "check_no_critical_points",
     "check_level_sets",
@@ -290,31 +302,69 @@ def _barrier_crossings(
 # ---------------------------------------------------------------------------
 
 
+_SIGN_ORDER = (IDENTITY, NEGATE_Y, NEGATE_X, NEGATE_XY)
+
+
+def region_orientation(
+    p: BivariatePolynomial, criterion: CriterionCertificate
+) -> tuple[Transform, bool]:
+    """The axis sign change that puts the region in the first quadrant, and the flip.
+
+    ``criterion`` is p's edge criterion, decided once by the caller; it
+    must be satisfied.  Its witness edge runs from (0, 1) to (a, b), and
+    its face a01 + a_ab c^(b - 1) has a simple positive root exactly when
+    a01 a_ab < 0.  Axis sign changes are tried in a fixed order (identity,
+    negate y, negate x, both) until one makes it so; one always does,
+    since gcd(a, b - 1) = 1 (module docstring, (H3)).  p = a01 y + O(y^2)
+    there, so p is flipped, negated, when a01 < 0: then p > 0 just above
+    y = 0.  The returned transform is the full map from p to the region's
+    coordinates.
+    """
+    if not criterion.satisfied:
+        raise ValueError("polynomial does not satisfy the edge criterion")
+    q = apply_transform(p, criterion.transform_used)
+    a, b = criterion.endpoints[1]
+    a01, a_ab = q.coefficient((0, 1)), q.coefficient((a, b))
+    for sign_t in _SIGN_ORDER:
+        # negating x multiplies the term (i, j) by (-1)^i, negating y by (-1)^j
+        s01 = -a01 if sign_t.negate_y else a01
+        s_ab = (-1) ** (a * sign_t.negate_x + b * sign_t.negate_y) * a_ab
+        if s01 * s_ab < 0:
+            return compose_transforms(criterion.transform_used, sign_t), s01 < 0
+    raise AssertionError(
+        "no axis sign change gives the witness face a positive root, which "
+        "gcd(a, b - 1) = 1 rules out: all four fail only if a is even and b is odd"
+    )
+
+
 def build_tongue(
     p: BivariatePolynomial, criterion: CriterionCertificate, x0: Fraction | int = 1
 ) -> TongueRegion:
     """Assemble the region below the lowest positive branch, at an exact x0.
 
     ``criterion`` is p's edge criterion, decided once by the caller.  The
-    transform is ``positive_asymptote``'s, decided without a trace.  x0
-    is the least x0 * 2^k at which (H1) and (H2) hold (module docstring):
+    transform and the flip are ``region_orientation``'s, read off the
+    witness edge's two coefficients, and p is moved by them before
+    anything else: it is positive just above y = 0.  x0 is the least
+    x0 * 2^k at which (H1) and (H2) hold (module docstring):
     R = Res_y(p_x, p_y) and D = Res_y(p, p_y) have no real root on
     [x0, oo).  This is the one place that decides them.  The region's top
     at x0, f(x0), is the smallest positive root of h = p(x0, .), which the
-    criterion proves exists, isolated exactly; p is flipped to be positive
-    at a point below it, and then h > 0 on (0, f(x0)).  The isolating
-    interval and h go to ``restriction_profile``; R and D ride along on
-    the region.
+    criterion proves exists, isolated exactly; h > 0 on (0, f(x0)).  The
+    isolating interval and h go to ``restriction_profile``; R and D ride
+    along on the region.
 
     Raises LevelSetUndecided when R or D vanishes identically; ValueError,
-    through ``positive_asymptote``, when the criterion is not satisfied;
+    through ``region_orientation``, when the criterion is not satisfied;
     and NotSingleSignedOnInterval or NoInteriorCriticalPoint when the
     region cannot be assembled at x0.
     """
-    transform, _ = positive_asymptote(p, criterion)
+    transform, flipped = region_orientation(p, criterion)
     p_t = apply_transform(p, transform)
-    px, py = p_t.partial_derivative("x"), p_t.partial_derivative("y")
-    r, d = uni.resultant_y(px, py), uni.resultant_y(p_t, py)
+    if flipped:
+        p_t = -p_t
+    py = p_t.partial_derivative("y")
+    r, d = uni.resultant_y(p_t.partial_derivative("x"), py), uni.resultant_y(p_t, py)
     x0 = check_no_critical_points(r, Fraction(x0))
     if not d:
         raise LevelSetUndecided("D = Res_y(p, p_y) vanishes identically: a shared factor")
@@ -325,14 +375,6 @@ def build_tongue(
     top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
     if top.lo <= 0:
         raise NotSingleSignedOnInterval(f"p(x0, .) has no positive root above 1e-12, x0 = {x0}")
-    flipped = uni.ueval(h, _point_below(top.lo)) < 0
-    if flipped:
-        # Res_y(-f, -g) = (-1)^(m + n) Res_y(f, g) at formal y-degrees m, n;
-        # for D they are m and m - 1
-        p_t = -p_t
-        h = [-c for c in h]
-        r = [(-1) ** (px.degree_y() + py.degree_y()) * c for c in r]
-        d = [-c for c in d]
     try:
         profile = restriction_profile(h, x0, top)
     except (NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
@@ -383,10 +425,6 @@ def _first_power_past(c, x0: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
 def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
@@ -395,34 +433,24 @@ def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _shrink(g, lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
-    """Bisect (lo, hi) around its one root of the squarefree g while wide(lo, hi).
+def _narrowed(g, iv: uni.RootInterval, wide) -> uni.RootInterval:
+    """``iv``, re-isolated at half its width while wide(lo, hi).
 
-    Returns (r, r) if a midpoint hits the root r exactly.  lo may itself be
-    a root of g (``isolate_roots`` can start an interval on one); the sign
-    of g on (lo, r) is then that of g'(lo).
+    Each step isolates the one root of g in the open (lo, hi), so an end of
+    ``iv`` that is itself a root of g is never taken for it.
     """
-    s_lo = _sign(uni.ueval(g, lo)) or _sign(uni.ueval(uni.derivative(g), lo))
-    while lo != hi and wide(lo, hi):
-        mid = (lo + hi) / 2
-        s = _sign(uni.ueval(g, mid))
-        if s == 0:
-            lo = hi = mid
-        elif s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    while iv.lo != iv.hi and wide(iv.lo, iv.hi):
+        (iv,) = uni.isolate_roots(g, iv.lo, iv.hi, (iv.hi - iv.lo) / 2)
+    return iv
 
 
 def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
     """Sign of q at the one root of the squarefree g that ``iv`` isolates."""
     if uni.count_roots(uni.subresultant_gcd(q, g), iv.lo, iv.hi):
         return 0
-    lo, _ = _shrink(
-        g, iv.lo, iv.hi, lambda lo, hi: uni.count_roots(q, lo, hi) or not uni.ueval(q, lo)
-    )
-    return _sign(uni.ueval(q, lo))
+    iv = _narrowed(g, iv, lambda lo, hi: uni.count_roots(q, lo, hi) or not uni.ueval(q, lo))
+    v = uni.ueval(q, iv.lo)
+    return (v > 0) - (v < 0)
 
 
 class _Slices:
@@ -580,10 +608,9 @@ class _ExactStrip:
         for iv in uni.isolate_roots(g, self.x0, uni.root_bound(g)):
             # no root of p(., yq) between the point and the probe: no root of
             # p(x, .) crosses y = yq there, so both are in V or both are not
-            lo, hi = _shrink(g, iv.lo, iv.hi, lambda lo, hi: (
+            probe = _narrowed(g, iv, lambda lo, hi: (
                 uni.count_roots(k, lo, hi) or not uni.ueval(k, lo) or not uni.ueval(k, hi)
-            ))
-            probe = (lo + hi) / 2
+            )).midpoint
             if not uni.count_roots(self.p.restricted_to_x(probe), Fraction(0), yq):
                 return True
         return False

@@ -10,7 +10,6 @@ from jacmate.polygon import (
     outer_edges,
     right_outer_edges,
 )
-from jacmate import branches
 from jacmate.branches import (
     CONFIRMED,
     INCONCLUSIVE,
@@ -20,7 +19,6 @@ from jacmate.branches import (
     branch_candidates,
     fitted_exponent,
     lowest_positive_branch,
-    positive_asymptote,
     trace_branch,
     trace_to_csv,
 )
@@ -35,6 +33,8 @@ def test_trace_config_validation():
         TraceConfig(x_start=0.5)
     with pytest.raises(ValueError):
         TraceConfig(x_start=100.0, x_end=10.0)
+    with pytest.raises(ValueError):
+        TraceConfig(x_end=float("nan"))
 
 
 def test_branch_candidates_p3(p3):
@@ -172,24 +172,6 @@ def test_lowest_positive_branch_swap_case(swap_case):
     for x, y in trace.samples:
         assert y > 0
         assert abs(y - 1.0 / x) <= 1e-6 / x
-
-
-def test_positive_asymptote_needs_no_trace(monkeypatch, p3, swap_case):
-    # the transform and asymptote are decided exactly: y + x^2*y^2 has its
-    # branch y = -1/x^2, moved up by negating y; x + x^2*y has x = -1/y
-    def untraceable(*args):
-        raise AssertionError("traced")
-
-    monkeypatch.setattr(branches, "trace_branch", untraceable)
-    transform, asym = positive_asymptote(p3, corollary_certificate(p3))
-    assert transform == NEGATE_Y
-    assert (asym.theta, asym.existence) == (Fraction(-2), CONFIRMED)
-    assert asym.c_interval[0] <= 1 <= asym.c_interval[1]
-    swapped = positive_asymptote(swap_case, corollary_certificate(swap_case))
-    assert swapped[0] == compose_transforms(SWAP, NEGATE_Y)
-    circle = parse_polynomial("x^2 + y^2")
-    with pytest.raises(ValueError):
-        positive_asymptote(circle, corollary_certificate(circle))
 
 
 def test_lowest_positive_branch_requires_certificate():

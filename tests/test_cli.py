@@ -337,6 +337,13 @@ def test_branch_past_the_float_range_fails_without_a_traceback(capsys, poly):
     assert err == "trace failed: the trace left the float range\n"
 
 
+@pytest.mark.parametrize("flag", ["--x-start", "--x-end"])
+def test_branch_with_a_nan_end_is_an_input_error(capsys, flag):
+    code, out, err = run(capsys, "branch", "y + x^2*y^2", flag, "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_branch_edge_out_of_range(capsys):
     code, _, err = run(capsys, "branch", "y + x^2*y^2", "--edge", "5")
     assert code == 2
@@ -373,6 +380,25 @@ def test_criterion_is_decided_once_per_tongue_document(monkeypatch, capsys, argv
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "y + x^2*y^2", "--tongue"],
+        ["tongue", "y + x^2*y^2"],
+        ["render", "y + x^2*y^2", "--what", "tongue"],
+    ],
+)
+def test_tongue_documents_take_no_branch_candidates(monkeypatch, capsys, argv):
+    # the region's orientation comes from the witness edge's two
+    # coefficients, not from the face's isolated roots
+    def unwanted(*args):
+        raise AssertionError("branch_candidates called")
+
+    monkeypatch.setattr("jacmate.branches.branch_candidates", unwanted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
 
 
 def test_tongue_verified(tmp_path, capsys):

@@ -482,9 +482,9 @@ def fixture_certs():
     return {text: certify_tongue(parse_polynomial(text)) for text in FIXTURES}
 
 
-def lowest_positive_transform(region):
-    # the region's poly is in first-quadrant coordinates already
-    return branches.positive_asymptote(region.poly, corollary_certificate(region.poly))[0]
+def orientation_of(region):
+    # the region's poly is in first-quadrant coordinates already, and flipped
+    return tongue.region_orientation(region.poly, corollary_certificate(region.poly))
 
 
 def exact_strip(p, x0):
@@ -558,10 +558,38 @@ def test_drawing_matches_golden(fixture_certs, text):
     assert svg == (GOLDEN / GOLDEN_SVG[text]).read_text(encoding="utf-8")
 
 
+def test_region_orientation_needs_no_branch(p3, swap_case):
+    # the transform and the flip are read off the witness edge's two
+    # coefficients: y + x^2*y^2 has its branch y = -1/x^2, moved up by
+    # negating y, which makes a01 = -1; x + x^2*y has x = -1/y
+    assert tongue.region_orientation(p3, corollary_certificate(p3)) == (NEGATE_Y, True)
+    swapped = tongue.region_orientation(swap_case, corollary_certificate(swap_case))
+    assert swapped == (compose_transforms(SWAP, NEGATE_Y), True)
+    circle = parse_polynomial("x^2 + y^2")
+    with pytest.raises(ValueError):
+        tongue.region_orientation(circle, corollary_certificate(circle))
+
+
+def below_top_is_negative(q):
+    # the sign test on h = q(x0, .) below f(x0) at build_tongue's x0, or
+    # None where R or D vanishes and build_tongue stops before any x0
+    py = q.partial_derivative("y")
+    r = uni.resultant_y(q.partial_derivative("x"), py)
+    d = uni.resultant_y(q, py)
+    if not r or not d:
+        return None
+    x0 = tongue._first_power_past(d, check_no_critical_points(r, Fraction(1)))
+    h = q.restricted_to_x(x0)
+    top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
+    return uni.ueval(h, tongue._point_below(top.lo)) < 0
+
+
 def test_certified_draws_have_only_a01_y_below_j_2():
-    # on seeded class members, positive_asymptote always finds its branch
-    # (the gcd argument in its docstring), and in its coordinates no term
-    # has j = 0 and the only j = 1 term is (0, 1): the premise of (H3)
+    # on seeded class members, region_orientation always finds its sign
+    # change (the gcd argument in the module docstring): the first in its
+    # order whose witness face has a confirmed positive root.  In its
+    # coordinates no term has j = 0, the only j = 1 term is (0, 1), the
+    # premise of (H3), and the flip is the sign of p below f(x0)
     rng = random.Random(2024)
     checked = 0
     for _ in range(2000):
@@ -574,9 +602,19 @@ def test_certified_draws_have_only_a01_y_below_j_2():
         cert = corollary_certificate(p, allow_swap=True)
         if not cert.satisfied:
             continue
-        transform, _ = branches.positive_asymptote(p, cert)
+        transform, flipped = tongue.region_orientation(p, cert)
+        for sign_t in tongue._SIGN_ORDER:
+            moved = compose_transforms(cert.transform_used, sign_t)
+            found = any(
+                a.existence == branches.CONFIRMED and a.c_star > 0
+                for a in branches.branch_candidates(apply_transform(p, moved), cert.witness_edge)
+            )
+            assert found == (moved == transform), str(p)
+            if found:
+                break
         q = apply_transform(p, transform)
         assert {ij for ij in q.support() if ij[1] <= 1} == {(0, 1)}, str(p)
+        assert below_top_is_negative(q) in (flipped, None), str(p)
         checked += 1
         if checked == 200:
             break
@@ -603,7 +641,7 @@ def test_drawing_agrees_with_exact_counts(fixture_certs):
     for text, cert in fixture_certs.items():
         assert cert.status == VERIFIED, text
         region, report = cert.region, cert.level_report
-        assert lowest_positive_transform(region) == IDENTITY, text
+        assert orientation_of(region) == (IDENTITY, False), text
         svg = render_tongue_svg(region, report)
         assert svg == render_tongue_svg(region, report), text
         drawn = drawn_levels(svg)
