@@ -162,7 +162,6 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
         out["levels"] = {
             "passed": lv.passed,
             "failures": list(lv.failures),
-            "pocket_bbox": None if lv.pocket_bbox is None else list(lv.pocket_bbox),
             "records": [
                 {
                     "t": rec.t,

@@ -209,7 +209,7 @@ def render_tongue_svg(
     levels: LevelSetReport | None = None,
     x_max: float | None = None,
 ) -> str:
-    """Region plot: top border, borders, pocket box, and level curves.
+    """Region plot: top border, borders, and level curves.
 
     Everything is read off ``SLICE_LINES`` rational lines from x0 to x_max
     (``tongue._Slices``); an x_max of None takes ``_horizon``'s.  The top
@@ -272,13 +272,6 @@ def render_tongue_svg(
             coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
             parts.append(f'<polyline points="{coords}"/>')
         parts.append("</g>")
-    if levels is not None and levels.pocket_bbox:
-        bx0, bx1, by0, by1 = levels.pocket_bbox
-        parts.append(
-            f'<rect x="{_fmt(sx(bx0))}" y="{_fmt(sy(by1))}" '
-            f'width="{_fmt(sx(bx1) - sx(bx0))}" height="{_fmt(sy(by0) - sy(by1))}" '
-            f'fill="none" stroke="#e08020" stroke-width="1.2" stroke-dasharray="5 3"/>'
-        )
 
     # top border
     coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in border)

@@ -15,7 +15,7 @@ Exact: the transform and the flip (the signs of the witness edge's two
 coefficients, no trace), x0 (the least power of two at which the
 hypotheses below hold), f(x0) (an isolated root of p(x0, .)), the
 barrier and the restriction h(y) = p(x0, y), and every level-set count.
-Numeric: only floats reporting exact values (f(x0), a, b, the pocket).
+Numeric: only floats reporting exact values (f(x0), a, b).
 ``render`` draws the region from exact vertical slices too, the roots of
 p(x_k, .) on rational lines, plotted as floats.
 
@@ -71,14 +71,11 @@ also vanish where both leading coefficients do.
 4. The pocket.  If L_t0 is one arc with its ends at a and b, it splits V
    into B, next to the chord (a, b) where h > t0, and the rest U, where
    h < t0 near S; p - t0 has no zero on either, so p > t0 exactly on B and
-   every level above t0 lies in B.  The arc's largest x is a vertical
-   tangency (a root of E_t0) and its y extent beyond [a, b] a horizontal
-   one (a root of Res_x(p - t0, p_x)); which tangency bounds it is decided
-   by counting the arc's points on one rational line between consecutive
-   roots.
+   every level above t0 lies in B.  B is bounded: the arc has both ends on
+   S and none at infinity, so it is compact, and B is the region it
+   encloses with the chord.
 
-The counts hold for every t, not only the scheduled levels.  The pocket
-bounds are reported as floats of exactly isolated roots.
+The counts hold for every t, not only the scheduled levels.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ from .poly import (
     NEGATE_X,
     NEGATE_XY,
     NEGATE_Y,
-    SWAP,
     BivariatePolynomial,
     Transform,
     apply_transform,
@@ -132,9 +128,6 @@ CONTAINED_IN_B = "ContainedInB"
 VERIFIED = "Verified"
 INCONCLUSIVE = "Inconclusive"
 FAILED = "Failed"
-
-# Width of the isolating intervals behind the reported pocket floats.
-ISOLATION_WIDTH = Fraction(1, 10**14)
 
 
 class NotSingleSignedOnInterval(ValueError):
@@ -207,7 +200,6 @@ class LevelSetReport:
     records: tuple[LevelRecord, ...]
     passed: bool
     failures: tuple[str, ...]
-    pocket_bbox: tuple[float, float, float, float] | None
     exact_facts: tuple[str, ...] = ()
 
 
@@ -425,14 +417,6 @@ def _first_power_past(c, x0: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return out
-
-
 def _narrowed(g, iv: uni.RootInterval, wide) -> uni.RootInterval:
     """``iv``, re-isolated at half its width while wide(lo, hi).
 
@@ -507,7 +491,7 @@ class _ExactStrip:
     def __init__(self, p: BivariatePolynomial, profile: RestrictionProfile, r, d):
         if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
             raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
-        self.p, self.x0 = p, profile.x0
+        self.x0 = profile.x0
         self.px, self.py = p.partial_derivative("x"), p.partial_derivative("y")
         self.slices = _Slices(p, uni.DEFAULT_WIDTH)
         self.h = list(profile.h_coeffs)
@@ -524,8 +508,6 @@ class _ExactStrip:
             "every p(x, .), and by (H2) f is continuous",
             f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}",
         )
-        self._swapped = apply_transform(p, SWAP)
-        self._far: dict[Fraction, tuple] = {}  # level -> _far_roots(level)
         # E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T: keep
         # its x-coefficients as polynomials in T, from that many + 1 levels,
         # the first of them D
@@ -539,7 +521,7 @@ class _ExactStrip:
 
     def ends(self, t: Fraction) -> tuple[int, int]:
         """(segment, infinity) ends of the level t > 0."""
-        ends = self._segment_ends(t), self._far_roots(t)[1]
+        ends = self._segment_ends(t), self._far_roots(t)
         if sum(ends) % 2:
             raise LevelSetUndecided(f"the level t = {t} has an odd number of ends, {ends}")
         return ends
@@ -566,73 +548,14 @@ class _ExactStrip:
                 )
         return ends
 
-    def _far_roots(self, t: Fraction):
-        """E_t = Res_y(p - t, p_y), the level on a line X past its roots, and X."""
-        if t in self._far:
-            return self._far[t]
+    def _far_roots(self, t: Fraction) -> int:
+        """Ends at infinity: the level's points on a line past every real root of E_t."""
         e = uni.normalize([uni.ueval(c, t) for c in self._e_in_t])
         if not e:
             raise LevelSetUndecided(f"Res_y(p - t, p_y) vanishes identically for t = {t}")
-        # a power of two past every real root of E_t
+        # a power of two past every real root of E_t = Res_y(p - t, p_y)
         far = max(Fraction(2 ** math.ceil(uni.root_bound(e)).bit_length()), 2 * self.x0)
-        self._far[t] = e, self.slices.count(far, t), far
-        return self._far[t]
-
-    def pocket(self, t0: Fraction, profile: RestrictionProfile):
-        """Bounding box of the t0 arc and its chord [a, b] on the segment."""
-        e, _, far = self._far_roots(t0)
-        x_hi = _reach(
-            e,
-            uni.isolate_roots(e, self.x0, far, ISOLATION_WIDTH),
-            lambda xq: self.slices.count(xq, t0) > 0,
-        )
-        # heights where the arc's points on a horizontal line can change:
-        # horizontal tangencies, and crossings of the segment side
-        g = uni.resultant_y(apply_transform(self.p - t0, SWAP), apply_transform(self.px, SWAP))
-        if not g:
-            raise LevelSetUndecided("Res_x(p - t0, p_x) vanishes identically")
-        heights = _umul(g, _shifted_by(self.h, t0))
-        ys = uni.isolate_roots(heights, Fraction(0), uni.root_bound(heights), ISOLATION_WIDTH)
-        mids = [float(iv.midpoint) for iv in ys]
-        ia = min(range(len(ys)), key=lambda k: abs(mids[k] - profile.a))
-        ib = min(range(len(ys)), key=lambda k: abs(mids[k] - profile.b))
-        meets = lambda yq: self._meets_arc(yq, t0)  # noqa: E731
-        y_lo = _reach(heights, ys[ia::-1], meets)
-        y_hi = _reach(heights, ys[ib:], meets)
-        return (float(self.x0), x_hi, y_lo, y_hi)
-
-    def _meets_arc(self, yq: Fraction, t0: Fraction) -> bool:
-        """Whether the level t0 has a point in V on the line y = yq."""
-        k = self._swapped.restricted_to_x(yq)  # p(., yq)
-        g = _shifted_by(k, t0)
-        for iv in uni.isolate_roots(g, self.x0, uni.root_bound(g)):
-            # no root of p(., yq) between the point and the probe: no root of
-            # p(x, .) crosses y = yq there, so both are in V or both are not
-            probe = _narrowed(g, iv, lambda lo, hi: (
-                uni.count_roots(k, lo, hi) or not uni.ueval(k, lo) or not uni.ueval(k, hi)
-            )).midpoint
-            if not uni.count_roots(self.p.restricted_to_x(probe), Fraction(0), yq):
-                return True
-        return False
-
-
-def _reach(c, breaks: list[uni.RootInterval], meets) -> float:
-    """Where the barrier arc's extent ends along a run of isolated roots of c.
-
-    The arc is known to reach the first root.  Between consecutive roots
-    the number of its points on a line is constant, so one rational probe
-    line per gap decides whether it reaches the next root; the gap past the
-    last root is never reached, since the arc is bounded.
-    """
-    if not breaks:
-        raise LevelSetUndecided("no tangency bounds the barrier arc")
-    for prev, nxt in zip(breaks, breaks[1:]):
-        left, right = sorted((prev, nxt), key=lambda iv: iv.lo)
-        if left.hi >= right.lo:
-            raise LevelSetUndecided("two tangencies of the barrier arc are not separated")
-        if not meets((left.hi + right.lo) / 2):
-            return uni.float_root(c, prev)
-    return uni.float_root(c, breaks[-1])
+        return self.slices.count(far, t)
 
 
 def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
@@ -649,7 +572,6 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     t0 = profile.t0
     barrier = strip.ends(t0)
     pinned = barrier == (2, 0)
-    pocket = strip.pocket(t0, profile) if pinned else None
     failures: list[str] = []
     if not pinned:
         failures.append("barrier level is not a single arc pinned to the segment")
@@ -670,7 +592,6 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
         records=tuple(records),
         passed=not failures,
         failures=tuple(failures),
-        pocket_bbox=pocket,
         exact_facts=strip.facts,
     )
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacmate.certificate import tongue_to_dict
 from jacmate.poly import (
     IDENTITY,
     NEGATE_Y,
@@ -243,20 +244,6 @@ def test_level_endpoints_match_exact_root_count(region3):
         report = check_level_sets(region3, [t])
         (rec,) = report.records
         assert rec.boundary_endpoint_count == exact == 2
-
-
-def test_pocket_bbox_brackets_crossings(region3):
-    # the t0 = 1/8 arc of y - x^2*y^2 has its vertical tangency where
-    # 1 - 2x^2*y = 0, at x = sqrt(2); p_x = -2xy^2 has no zero in V, so no
-    # horizontal tangency widens [a, b]
-    report = check_level_sets(region3, default_schedule(region3.profile.t0))
-    assert report.pocket_bbox is not None
-    x_lo, x_hi, y_lo, y_hi = report.pocket_bbox
-    prof = region3.profile
-    assert x_lo == 1.0
-    assert abs(x_hi - SQ2) <= 1e-13
-    assert abs(y_lo - prof.a) <= 1e-13
-    assert abs(y_hi - prof.b) <= 1e-13
 
 
 def test_levels_above_barrier_fit_in_pocket(region3):
@@ -527,6 +514,40 @@ def test_near_tangent_levels_at_twice_the_barrier(fixture_certs, text):
     assert rec.ok
 
 
+@pytest.mark.parametrize("text", FIXTURES)
+def test_level_sets_take_no_elimination_in_x(monkeypatch, text):
+    # the certificate eliminates y only: R, D and the deg_y(p_y) levels
+    # E(x, T) is interpolated from; the pinned t0 arc bounds the pocket, so
+    # no Res_x locates its extent
+    p = parse_polynomial(text)
+    criterion = corollary_certificate(p)
+    eliminate = uni.resultant_y
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(uni, "resultant_y", counted)
+    cert = tongue_certificate(p, criterion)
+    assert cert.status == VERIFIED
+    assert len(calls) == 2 + cert.region.poly.partial_derivative("y").degree_y()
+
+
+@pytest.mark.parametrize("text", FIXTURES)
+def test_reports_carry_no_pocket_box(fixture_certs, text):
+    cert = fixture_certs[text]
+    assert "pocket_bbox" not in tongue_to_dict(cert)["levels"]
+    assert "stroke-dasharray" not in render_tongue_svg(cert.region, cert.level_report)
+
+
+def test_degree_nine_tongue_is_verified():
+    # from the slow tail of a seeded class census: R and D have degrees 79
+    # and 87, and x0 = 8
+    p = parse_polynomial("x^7*y^4 - 2*x^6*y^8 + 7*x^6*y^7 - 4*x^5*y^2 + 3*x^3*y^3 - y^9 - y")
+    assert certify_tongue(p).status == VERIFIED
+
+
 def test_no_fixture_needs_a_trace(monkeypatch):
     def untraceable(*args):
         raise AssertionError("the certificate traced a branch")
@@ -698,16 +719,6 @@ def test_strip_refuses_terms_the_criterion_rules_out():
         exact_strip(parse_polynomial("x - 1 + y - x^2*y^2"), Fraction(1))
     with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
         exact_strip(parse_polynomial("y + x*y - x^2*y^2"), Fraction(1))
-
-
-def test_reach_stops_at_the_first_gap_the_arc_misses():
-    # roots 1, 2, 3 and probes near 1.5 and 2.5; the arc meets the lines
-    # below 2 only, so going up it ends at 2, going down from 3 at 3 itself
-    c = parse_polynomial("(y - 1)*(y - 2)*(y - 3)").restricted_to_x(0)
-    roots = uni.isolate_roots(c)
-    assert tongue._reach(c, roots, lambda q: q < 2) == 2.0
-    assert tongue._reach(c, roots[::-1], lambda q: q < 2) == 3.0
-    assert tongue._reach(c, roots, lambda q: True) == 3.0
 
 
 def test_sign_at_root_on_an_interval_that_starts_on_a_root():

@@ -438,8 +438,8 @@ def test_no_interval_straddles_zero_when_zero_is_no_root(case):
 @needs_sympy
 def test_high_degree_barrier_resultant_is_isolated_exactly():
     # E_t0 = Res_y(p - t0, p_y) at the barrier of this tongue has degree 70,
-    # ~300-bit coefficients and one simple root past x0, which the pocket
-    # isolates
+    # ~300-bit coefficients and one simple root past x0: a kernel test of
+    # high-degree isolation against sympy
     p = parse_polynomial("y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6")
     region = build_tongue(p, corollary_certificate(p))
     p, t0, x0 = region.poly, region.profile.t0, region.x0
