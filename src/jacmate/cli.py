@@ -198,6 +198,14 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """A nonnegative integer option value; argparse names the type in its error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use, not at import.
@@ -223,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_poly(sp)
     sp.add_argument("--no-swap", action="store_true", help="do not try swapping x and y")
     sp.add_argument("--tongue", action="store_true", help="add the tongue region checks")
-    sp.add_argument("--falsify", type=int, default=0, metavar="N",
+    sp.add_argument("--falsify", type=count, default=0, metavar="N",
                     help="run N random candidate-mate trials")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", help="also write the certificate to this path")

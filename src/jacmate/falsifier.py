@@ -385,8 +385,10 @@ def random_trials(p: BivariatePolynomial, n: int, seed: int = 0) -> TrialReport:
 
     Candidates always carry a y-dependent term (a pure-x mate of a pure-x
     polynomial is degenerate).  Reproducible: trial k samples its mate with
-    seed + 1000003*k.
+    seed + 1000003*k.  Raises ValueError for n < 0.
     """
+    if n < 0:
+        raise ValueError(f"the trial count must be at least 0, got {n}")
     outcomes = []
     hits = 0
     for k in range(n):

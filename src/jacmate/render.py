@@ -3,8 +3,8 @@
 Pure string assembly, deterministic byte-for-byte for fixed inputs.  The
 tongue figure reads the region on ``SLICE_LINES`` rational vertical lines:
 its top border and its level curves are roots of p(x_k, .) isolated
-exactly, the slices the certificate counts (Collins' cylindrical
-decomposition, as in ``tongue``), and drawn as floats.
+exactly (Collins' cylindrical decomposition, as in ``tongue``), and drawn
+as floats.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import univariate as uni
+from .poly import BivariatePolynomial
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
@@ -22,7 +24,7 @@ from .tongue import (
     SEGMENT_ARC,
     LevelSetReport,
     TongueRegion,
-    _Slices,
+    _shifted_by,
     default_schedule,
 )
 
@@ -108,6 +110,40 @@ _LEVEL_COLORS = {
 
 # Vertical lines the tongue figure reads, about 4 px apart across its plot.
 SLICE_LINES = 128
+
+
+class _Slices:
+    """p on rational vertical lines x = xq, its roots isolated to ``width``.
+
+    On such a line the top border f(xq) is the first positive root of
+    p(xq, .), and the level t > 0 meets the line at the roots of
+    p(xq, .) - t in (0, f(xq)).  Past f(xq), up to the end of its isolating
+    interval, p(xq, .) < 0 < t: the level's roots are taken up to that end.
+    """
+
+    def __init__(self, p: BivariatePolynomial, width: Fraction):
+        self.p, self.width = p, width
+        self._tops: dict[Fraction, tuple | None] = {}
+
+    def top(self, xq: Fraction):
+        """p(xq, .) and the interval of f(xq), or None: no positive root."""
+        if xq not in self._tops:
+            hq = self.p.restricted_to_x(xq)
+            roots = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq), self.width)
+            self._tops[xq] = (hq, roots[0]) if roots else None
+        return self._tops[xq]
+
+    def level(self, xq: Fraction, t: Fraction) -> list[float]:
+        """Heights of the level t on the line, bottom up, at interval midpoints.
+
+        A root of even multiplicity is a fold touching the line, listed
+        twice: once per strand meeting there.
+        """
+        hq, top = self.top(xq)
+        ys: list[float] = []
+        for iv in uni.isolate_roots(_shifted_by(hq, t), Fraction(0), top.hi, self.width):
+            ys += [float(iv.midpoint)] * (2 - iv.multiplicity % 2)
+        return ys
 
 
 def _slices(region: TongueRegion) -> _Slices:
@@ -212,7 +248,7 @@ def render_tongue_svg(
     """Region plot: top border, borders, and level curves.
 
     Everything is read off ``SLICE_LINES`` rational lines from x0 to x_max
-    (``tongue._Slices``); an x_max of None takes ``_horizon``'s.  The top
+    (``_Slices``); an x_max of None takes ``_horizon``'s.  The top
     border ends at the first line where p(x, .) has no positive root.  Each
     positive level that has components or is not ok is one ``<g data-t>``
     group of polylines.  The x axis switches to a log scale when x_max is

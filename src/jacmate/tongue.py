@@ -62,11 +62,17 @@ also vanish where both leading coefficients do.
      double root y_m, if h - t and p_x(x0, y_m) have the same sign beside
      y_m, then p - t = (h - t) + (p - p(x0, .)) keeps that sign for x > x0
      near the point: no end.  Any other multiple root is undecided.
-   - ends at infinity: past every real root of E_t = Res_y(p - t, p_y), the
-     roots of p(x, .) - t in (0, f(x)) stay simple and never reach y = 0 or
-     the top, so there L_t is that many graphs, one end each, and V is
-     bounded before it.  One rational line x = X past those roots counts
-     them.
+   - no end at infinity, by the criterion: p = O(x^theta) on V, and
+     theta < 0.  The witness edge (0, 1)-(a, b) has slope
+     theta = -a / (b - 1), negative since a >= 1 (at a = 0, p is free of x
+     and R = 0).  Its face F(c) = a01 + a_ab c^(b - 1) is a01 > 0 at 0 and
+     has the sign of a_ab < 0 past its largest positive root c*.  Every
+     term of p has i + theta j <= theta, with equality on the edge, so
+     x^-theta p(x, c x^theta) tends to c F(c) < 0 for c > c*: p(x, .) has
+     a root below c x^theta, and f(x) <= (c* + 1) x^theta for large x.
+     There 0 < y < (c* + 1) x^theta on V, so each term's
+     |a_ij| x^i y^j <= |a_ij| (c* + 1)^j x^theta for x >= 1: p = O(x^theta)
+     tends to 0 on V.  A level t > 0 stays in a bounded part of V.
    The level has ends / 2 components.
 4. The pocket.  If L_t0 is one arc with its ends at a and b, it splits V
    into B, next to the chord (a, b) where h > t0, and the rest U, where
@@ -158,7 +164,6 @@ class RestrictionProfile:
     t0: Fraction
     a: float
     b: float
-    critical_points_of_h: tuple[float, ...]
     h_coeffs: tuple[Fraction, ...]
     a_interval: tuple[Fraction, Fraction]
     b_interval: tuple[Fraction, Fraction]
@@ -179,9 +184,11 @@ class TongueRegion:
 class LevelRecord:
     """Exact shape of one level in V: its ends, and components = ends / 2.
 
-    ``boundary_endpoint_count`` counts the ends on the segment side;
-    ``closed_loop_detected`` is False by (H1), and ``bottom_endpoint_count``
-    is 0 by the criterion, (H3); both are kept for the certificate schema.
+    ``boundary_endpoint_count`` counts the ends, all on the segment side.
+    ``closed_loop_detected`` is False by (H1); ``bottom_endpoint_count`` is
+    0 by the criterion, (H3), and ``ends_at_infinity`` is 0 by the
+    criterion too, step 3's p = O(x^theta).  The three are kept for the
+    certificate schema.
     """
 
     t: float
@@ -235,7 +242,6 @@ def restriction_profile(
     crits = uni.isolate_roots(dh, Fraction(0), ub)
     if not crits:
         raise NoInteriorCriticalPoint("restriction has no interior critical point")
-    crit_floats = tuple(uni.float_root(dh, iv) for iv in crits)
     # positive: h > 0 on (0, f(x0))
     vmin = min(uni.ueval(h, iv.midpoint) for iv in crits)
 
@@ -260,7 +266,6 @@ def restriction_profile(
         t0=t0,
         a=a,
         b=b,
-        critical_points_of_h=crit_floats,
         h_coeffs=tuple(h),
         a_interval=(a_iv.lo, a_iv.hi),
         b_interval=(b_iv.lo, b_iv.hi),
@@ -437,45 +442,6 @@ def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
     return (v > 0) - (v < 0)
 
 
-class _Slices:
-    """p on rational vertical lines x = xq, its roots isolated to ``width``.
-
-    On such a line the top border f(xq) is the first positive root of
-    p(xq, .), and the level t > 0 meets the line at the roots of
-    p(xq, .) - t in (0, f(xq)).  Past f(xq), up to the end of its isolating
-    interval, p(xq, .) < 0 < t: the level's roots are taken up to that end.
-    """
-
-    def __init__(self, p: BivariatePolynomial, width: Fraction):
-        self.p, self.width = p, width
-        self._tops: dict[Fraction, tuple | None] = {}
-
-    def top(self, xq: Fraction):
-        """p(xq, .) and the interval of f(xq), or None: no positive root."""
-        if xq not in self._tops:
-            hq = self.p.restricted_to_x(xq)
-            roots = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq), self.width)
-            self._tops[xq] = (hq, roots[0]) if roots else None
-        return self._tops[xq]
-
-    def count(self, xq: Fraction, t: Fraction) -> int:
-        """Number of points of the level t on the line."""
-        hq, top = self.top(xq)
-        return uni.count_roots(_shifted_by(hq, t), Fraction(0), top.hi)
-
-    def level(self, xq: Fraction, t: Fraction) -> list[float]:
-        """Heights of the level t on the line, bottom up, at interval midpoints.
-
-        A root of even multiplicity is a fold touching the line, listed
-        twice: once per strand meeting there.
-        """
-        hq, top = self.top(xq)
-        ys: list[float] = []
-        for iv in uni.isolate_roots(_shifted_by(hq, t), Fraction(0), top.hi, self.width):
-            ys += [float(iv.midpoint)] * (2 - iv.multiplicity % 2)
-        return ys
-
-
 class _ExactStrip:
     """p on V at the x0 of ``build_tongue``, which decided (H1) and (H2) there.
 
@@ -483,17 +449,26 @@ class _ExactStrip:
     h = p(x0, .) and the isolating interval of f(x0) from it.  ``r`` and
     ``d`` are R = Res_y(p_x, p_y) and D = Res_y(p, p_y), taken once by the
     caller; p is positive on the segment side.  ``facts`` states the
-    hypotheses.  The strip checks only the premise of (H3): the terms of p
-    with j <= 1 are exactly a01*y.  Otherwise it raises LevelSetUndecided
-    naming that fact.
+    hypotheses.  The strip checks only the premises that the criterion
+    proves, on the support: the terms of p with j <= 1 are exactly a01*y,
+    for (H3); and the term (a, b) with j >= 2 that maximises
+    (i / (j - 1), j), the witness edge's far end, has a >= 1 and
+    a01*a_ab < 0, for step 3's p = O(x^theta).  Otherwise it raises
+    LevelSetUndecided naming the fact that fails.
     """
 
     def __init__(self, p: BivariatePolynomial, profile: RestrictionProfile, r, d):
         if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
             raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
+        far_end = ((Fraction(i, j - 1), j, i) for i, j in p.support() if j >= 2)
+        _, b, a = max(far_end, default=(0, 0, 0))
+        if a < 1 or p.coefficient((0, 1)) * p.coefficient((a, b)) >= 0:
+            raise LevelSetUndecided(
+                "the term (a, b) of p with j >= 2 that maximises (i / (j - 1), j) "
+                "does not have a >= 1 and a01*a_ab < 0"
+            )
         self.x0 = profile.x0
-        self.px, self.py = p.partial_derivative("x"), p.partial_derivative("y")
-        self.slices = _Slices(p, uni.DEFAULT_WIDTH)
+        self.px = p.partial_derivative("x")
         self.h = list(profile.h_coeffs)
         f_lo, self.f_hi = profile.f_x0_interval
         ym = _point_below(f_lo)
@@ -508,33 +483,16 @@ class _ExactStrip:
             "every p(x, .), and by (H2) f is continuous",
             f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}",
         )
-        # E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T: keep
-        # its x-coefficients as polynomials in T, from that many + 1 levels,
-        # the first of them D
-        levels = [d] + [
-            uni.resultant_y(p - k, self.py) for k in range(1, self.py.degree_y() + 1)
-        ]
-        width = max(map(len, levels))
-        self._e_in_t = [
-            uni.interpolate([e[i] if i < len(e) else 0 for e in levels]) for i in range(width)
-        ]
 
-    def ends(self, t: Fraction) -> tuple[int, int]:
-        """(segment, infinity) ends of the level t > 0."""
-        ends = self._segment_ends(t), self._far_roots(t)
-        if sum(ends) % 2:
-            raise LevelSetUndecided(f"the level t = {t} has an odd number of ends, {ends}")
-        return ends
-
-    def _segment_ends(self, t: Fraction) -> int:
+    def ends(self, t: Fraction) -> int:
+        """Ends of the level t > 0, all on the segment side: none is at infinity (step 3)."""
         g = _shifted_by(self.h, t)
-        top = self.f_hi  # as in _Slices.count
         ends = 0
         for factor, mult in uni.squarefree_decomposition(g):
             if mult == 1:
-                ends += uni.count_roots(factor, Fraction(0), top)
+                ends += uni.count_roots(factor, Fraction(0), self.f_hi)
                 continue
-            for iv in uni.isolate_roots(factor, Fraction(0), top):
+            for iv in uni.isolate_roots(factor, Fraction(0), self.f_hi):
                 # a double root where h - t and p_x(x0, .) have one sign
                 # beside it is tangent from outside V: no end
                 side = mult == 2 and _sign_at_root(
@@ -546,39 +504,34 @@ class _ExactStrip:
                     f"h - t has a root of multiplicity {mult} near y = "
                     f"{float(iv.midpoint)!r} for t = {t} that does not stay outside V"
                 )
+        if ends % 2:
+            raise LevelSetUndecided(f"the level t = {t} has an odd number of ends, {ends}")
         return ends
-
-    def _far_roots(self, t: Fraction) -> int:
-        """Ends at infinity: the level's points on a line past every real root of E_t."""
-        e = uni.normalize([uni.ueval(c, t) for c in self._e_in_t])
-        if not e:
-            raise LevelSetUndecided(f"Res_y(p - t, p_y) vanishes identically for t = {t}")
-        # a power of two past every real root of E_t = Res_y(p - t, p_y)
-        far = max(Fraction(2 ** math.ceil(uni.root_bound(e)).bit_length()), 2 * self.x0)
-        return self.slices.count(far, t)
 
 
 def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
-    """Classify each level p = t in V from its exact end counts.
+    """Classify each level p = t in V from its exact end count on the segment side.
 
-    p is ``region.poly``.  Expected shape, checked per level: nothing for
-    t <= 0; one arc whose two ends lie on the segment side for
-    0 < t <= t0; nothing or an arc in the pocket for t > t0.  Raises
-    LevelSetUndecided when a hypothesis of the argument (module docstring)
+    p is ``region.poly``.  No level t > 0 has an end at infinity: the
+    criterion bounds p by O(x^theta) on V (module docstring, step 3), so
+    the ends on the segment side are all its ends.  Expected shape,
+    checked per level: nothing for t <= 0; one arc whose two ends lie on
+    the segment side for 0 < t <= t0; nothing or an arc in the pocket for
+    t > t0.  Raises LevelSetUndecided when a hypothesis of the argument
     fails or a count stays undecided.
     """
     profile = region.profile
     strip = _ExactStrip(region.poly, profile, *region.resultants)
     t0 = profile.t0
     barrier = strip.ends(t0)
-    pinned = barrier == (2, 0)
+    pinned = barrier == 2
     failures: list[str] = []
     if not pinned:
         failures.append("barrier level is not a single arc pinned to the segment")
 
     records = []
     for t in sorted(map(Fraction, t_values)):
-        ends = barrier if t == t0 else strip.ends(t) if t > 0 else (0, 0)
+        ends = barrier if t == t0 else strip.ends(t) if t > 0 else 0
         rec = _level_record(float(t), t <= 0, t <= t0, ends, pinned)
         records.append(rec)
         if not rec.ok:
@@ -596,31 +549,29 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     )
 
 
-def _level_record(t: float, nonpositive: bool, below: bool, ends, pinned: bool) -> LevelRecord:
-    segment, far = ends
-    count = (segment + far) // 2
-    anomalies = [f"{far} end(s) at infinity"] if far else []
+def _level_record(t: float, nonpositive: bool, below: bool, ends: int, pinned: bool) -> LevelRecord:
+    count = ends // 2
+    anomalies = ()
     if nonpositive:
         classification, ok = EMPTY, True  # p > 0 on V
     elif below:
         classification = SEGMENT_ARC if count else EMPTY
-        ok = count == 1 and segment == 2
+        ok = count == 1
         if not count:
-            anomalies.append("expected one arc strictly below the barrier")
+            anomalies = ("expected one arc strictly below the barrier",)
     else:
         classification = CONTAINED_IN_B if count else EMPTY
-        ok = not count or (pinned and not anomalies)
-        if not ok and not anomalies:
-            anomalies.append("no pocket: the barrier level is not a pinned arc")
+        ok = not count or pinned
+        if not ok:
+            anomalies = ("no pocket: the barrier level is not a pinned arc",)
     return LevelRecord(
         t=t,
         classification=classification,
         component_count=count,
-        boundary_endpoint_count=segment,
+        boundary_endpoint_count=ends,
         closed_loop_detected=False,
         ok=ok,
-        anomalies=tuple(anomalies),
-        ends_at_infinity=far,
+        anomalies=anomalies,
     )
 
 

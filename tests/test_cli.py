@@ -85,10 +85,15 @@ def test_certify_no_swap_trials_warn(capsys):
         ("y + x^2*y^2", "family_y_x2y2_tongue_falsify3_seed7.json"),
         ("y + y^3 + x^2*y^2", "family_y_y3_x2y2_tongue_falsify3_seed7.json"),
         ("y + y^2 + y^3 + x^2*y^2", "family_y_y2_y3_x2y2_tongue_falsify3_seed7.json"),
+        (
+            "y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6",
+            "high_degree_tongue_falsify3_seed7.json",
+        ),
     ],
     ids=[
         "swap", "planted",
         "y_xy2_y4", "y_xy3", "y_y2_xy3", "y_x2y2", "y_y3_x2y2", "y_y2_y3_x2y2",
+        "high_degree",
     ],
 )
 def test_certify_matches_golden(capsys, poly, golden):
@@ -133,6 +138,18 @@ def test_output_does_not_depend_on_the_blas_thread_count(threads, argv, code, go
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_negative_trial_count_is_a_usage_error(capsys):
+    # -2 trials is no trial count: argparse refuses it before any work
+    code, out, err = run(capsys, "certify", "y + x^2*y^2", "--falsify", "-2")
+    assert code == 2
+    assert out == ""
+    assert "argument --falsify: must be at least 0, got -2" in err
+    # 0 trials is no falsifier section, as if the option were left out
+    assert run(capsys, "certify", "y + x^2*y^2", "--falsify", "0") == run(
+        capsys, "certify", "y + x^2*y^2"
+    )
 
 
 def test_certify_degenerate_sampler_is_an_input_error(capsys):

@@ -118,6 +118,12 @@ def test_determinism_across_runs(p3):
     assert r1.witness_rate == r2.witness_rate
 
 
+def test_negative_trial_count_is_refused(p3):
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        random_trials(p3, -1)
+    assert random_trials(p3, 0).outcomes == ()
+
+
 def test_seed_changes_the_mates(p3):
     base = random_trials(p3, 6)
     moved = random_trials(p3, 6, seed=7)

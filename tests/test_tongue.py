@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pathlib
 import random
@@ -70,7 +71,6 @@ def test_profile_closed_form_p3(region3):
     assert prof.f_x0 == pytest.approx(1.0, abs=1e-9)
     assert prof.f_x0_interval[0] <= 1 <= prof.f_x0_interval[1]
     assert list(prof.h_coeffs) == [Fraction(0), Fraction(1), Fraction(-1)]
-    assert prof.critical_points_of_h == pytest.approx((0.5,), abs=1e-12)
     assert prof.a == pytest.approx((1 - SQ2 / 2) / 2, abs=1e-9)
     assert prof.b == pytest.approx((1 + SQ2 / 2) / 2, abs=1e-9)
     assert prof.a_interval[0] <= Fraction(prof.a).limit_denominator(10**12) <= prof.b_interval[1]
@@ -298,7 +298,7 @@ def test_extract_polylines_stay_inside(region3):
 
 
 class FixedColumns:
-    """Stands in for tongue._Slices: the heights of the level on each line."""
+    """Stands in for render._Slices: the heights of the level on each line."""
 
     def __init__(self, *columns):
         self.columns = columns
@@ -496,7 +496,7 @@ def test_double_root_at_the_barrier_peak_gives_no_end(p3, region3):
     shifted = uni.derivative(list(region3.profile.h_coeffs))
     assert uni.ueval(shifted, Fraction(1, 2)) == 0
     strip = tongue._ExactStrip(region3.poly, region3.profile, *region3.resultants)
-    assert strip.ends(t) == (0, 0)
+    assert strip.ends(t) == 0
     (rec,) = check_level_sets(region3, [t]).records
     assert (rec.classification, rec.component_count, rec.boundary_endpoint_count) == (EMPTY, 0, 0)
     assert rec.ok
@@ -516,9 +516,9 @@ def test_near_tangent_levels_at_twice_the_barrier(fixture_certs, text):
 
 @pytest.mark.parametrize("text", FIXTURES)
 def test_level_sets_take_no_elimination_in_x(monkeypatch, text):
-    # the certificate eliminates y only: R, D and the deg_y(p_y) levels
-    # E(x, T) is interpolated from; the pinned t0 arc bounds the pocket, so
-    # no Res_x locates its extent
+    # the certificate eliminates y only, in R and D: the criterion rules out
+    # ends at infinity, so no E(x, T) = Res_y(p - T, p_y) counts them, and
+    # the pinned t0 arc bounds the pocket, so no Res_x locates its extent
     p = parse_polynomial(text)
     criterion = corollary_certificate(p)
     eliminate = uni.resultant_y
@@ -531,7 +531,7 @@ def test_level_sets_take_no_elimination_in_x(monkeypatch, text):
     monkeypatch.setattr(uni, "resultant_y", counted)
     cert = tongue_certificate(p, criterion)
     assert cert.status == VERIFIED
-    assert len(calls) == 2 + cert.region.poly.partial_derivative("y").degree_y()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -605,15 +605,10 @@ def below_top_is_negative(q):
     return uni.ueval(h, tongue._point_below(top.lo)) < 0
 
 
-def test_certified_draws_have_only_a01_y_below_j_2():
-    # on seeded class members, region_orientation always finds its sign
-    # change (the gcd argument in the module docstring): the first in its
-    # order whose witness face has a confirmed positive root.  In its
-    # coordinates no term has j = 0, the only j = 1 term is (0, 1), the
-    # premise of (H3), and the flip is the sign of p below f(x0)
-    rng = random.Random(2024)
-    checked = 0
-    for _ in range(2000):
+def class_draws(seed, attempts=2000):
+    """Seeded draws of up to 6 terms, i <= 4 and j <= 5, that meet the criterion, with it."""
+    rng = random.Random(seed)
+    for _ in range(attempts):
         terms = {}
         if rng.random() < 0.85:
             terms[(0, 1)] = rng.choice((-3, -2, -1, 1, 2, 3))
@@ -621,8 +616,19 @@ def test_certified_draws_have_only_a01_y_below_j_2():
             terms[(rng.randint(0, 4), rng.randint(0, 5))] = rng.choice((-3, -2, -1, 1, 2, 3))
         p = BivariatePolynomial(terms)
         cert = corollary_certificate(p, allow_swap=True)
-        if not cert.satisfied:
-            continue
+        if cert.satisfied:
+            yield p, cert
+
+
+def test_certified_draws_have_only_a01_y_below_j_2():
+    # on seeded class members, region_orientation always finds its sign
+    # change (the gcd argument in the module docstring): the first in its
+    # order whose witness face has a confirmed positive root.  In its
+    # coordinates no term has j = 0, the only j = 1 term is (0, 1), the
+    # premise of (H3), and the flip is the sign of p below f(x0)
+    draws = list(itertools.islice(class_draws(2024), 200))
+    assert len(draws) == 200
+    for p, cert in draws:
         transform, flipped = tongue.region_orientation(p, cert)
         for sign_t in tongue._SIGN_ORDER:
             moved = compose_transforms(cert.transform_used, sign_t)
@@ -636,10 +642,47 @@ def test_certified_draws_have_only_a01_y_below_j_2():
         q = apply_transform(p, transform)
         assert {ij for ij in q.support() if ij[1] <= 1} == {(0, 1)}, str(p)
         assert below_top_is_negative(q) in (flipped, None), str(p)
-        checked += 1
-        if checked == 200:
-            break
-    assert checked == 200
+
+
+def far_line_count(region):
+    """The level's ends at infinity, counted as the certificate once did: a reference.
+
+    E(x, T) = Res_y(p - T, p_y) has degree <= deg_y(p_y) in T, so its
+    x-coefficients are interpolated from that many + 1 levels.  Past every
+    real root of E_t, the roots of p(x, .) - t in (0, f(x)) stay simple and
+    never reach y = 0 or the top: one rational line past them counts the
+    level's ends at infinity.
+    """
+    p = region.poly
+    py = p.partial_derivative("y")
+    levels = [uni.resultant_y(p - k, py) for k in range(py.degree_y() + 1)]
+    e_in_t = [
+        uni.interpolate([e[i] if i < len(e) else 0 for e in levels])
+        for i in range(max(map(len, levels)))
+    ]
+
+    def count(t):
+        e = uni.normalize([uni.ueval(c, t) for c in e_in_t])
+        assert e, f"Res_y(p - t, p_y) vanishes identically for t = {t}"
+        far = max(Fraction(2 ** math.ceil(uni.root_bound(e)).bit_length()), 2 * region.x0)
+        hq = p.restricted_to_x(far)
+        top = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq))[0]
+        return uni.count_roots(tongue._shifted_by(hq, t), Fraction(0), top.hi)
+
+    return count
+
+
+def test_no_scheduled_level_reaches_infinity(fixture_certs):
+    # the criterion bounds p by O(x^theta) on V, theta < 0 (module
+    # docstring, step 3): the deleted far-line count reads 0 at every
+    # scheduled t > 0, on the fixtures and on seeded class members
+    members = [tongue_certificate(p, cert) for p, cert in itertools.islice(class_draws(7), 40)]
+    for cert in [*fixture_certs.values(), *members]:
+        assert cert.status == VERIFIED
+        count = far_line_count(cert.region)
+        for t in default_schedule(cert.region.profile.t0):
+            if t > 0:
+                assert count(t) == 0, (str(cert.region.poly), t)
 
 
 def drawn_levels(svg):
@@ -699,17 +742,18 @@ def test_a_line_without_a_positive_root_ends_the_border(p3, region3):
 
 
 def test_tangency_entering_the_strip_is_undecided():
-    # p = u + x*u^2 with u = y(1 - y): h peaks at 5/16 at y = 1/2, where
-    # p_x = u^2 > 0, so that level bulges into V from one segment point
-    p = parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y))")
+    # u + x*u^2 with u = y(1 - y) is in no region's coordinates: its far
+    # edge term x*y^2 has a01*a_ab = 1 > 0, so its face 1 + c has no
+    # positive root and p grows with x along V; the strip refuses it
+    with pytest.raises(LevelSetUndecided, match=r"does not have a >= 1 and a01\*a_ab < 0"):
+        exact_strip(parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y))"), Fraction(1))
+    # here h = p(1, .) peaks at 5/16 at y = 1/2, where p_x = 1/16 > 0, so
+    # that level bulges into V from one segment point
+    p = parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y)) - x^2*y^3*(2*y - 1)^2")
     strip = exact_strip(p, Fraction(1))
     with pytest.raises(LevelSetUndecided, match="multiplicity 2"):
         strip.ends(Fraction(5, 16))
-    # p grows with x on the strip, so lower levels run out to infinity
-    assert strip.ends(Fraction(1, 4)) == (2, 2)
-    rec = tongue._level_record(1 / 4, False, True, (2, 2), True)
-    assert rec.component_count == 2 and not rec.ok
-    assert rec.anomalies == ("2 end(s) at infinity",)
+    assert strip.ends(Fraction(1, 4)) == 2
 
 
 def test_strip_refuses_terms_the_criterion_rules_out():
