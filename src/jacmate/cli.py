@@ -35,6 +35,7 @@ from .certificate import (
     witness_to_dict,
 )
 from .falsifier import (
+    MAX_TRIALS,
     DegenerateSampler,
     ZeroWitness,
     find_jacobian_zero,
@@ -199,10 +200,12 @@ def _cmd_render(args) -> int:
 
 
 def count(text: str) -> int:
-    """A nonnegative integer option value; argparse names the type in its error."""
+    """A trial count from 0 to MAX_TRIALS; argparse names the type in its error."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    if n > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"exceeds the cap of {MAX_TRIALS} trials, got {n}")
     return n
 
 
@@ -232,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-swap", action="store_true", help="do not try swapping x and y")
     sp.add_argument("--tongue", action="store_true", help="add the tongue region checks")
     sp.add_argument("--falsify", type=count, default=0, metavar="N",
-                    help="run N random candidate-mate trials")
+                    help=f"run N random candidate-mate trials, at most {MAX_TRIALS}")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", help="also write the certificate to this path")
     sp.add_argument("--svg", help="write the polygon figure to this path")

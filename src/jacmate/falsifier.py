@@ -60,6 +60,7 @@ __all__ = [
     "DegenerateSampler",
     "find_jacobian_zero",
     "random_trials",
+    "MAX_TRIALS",
     "EXACT_GRID_HIT",
     "SIGN_CHANGE_BISECTION",
     "LOCAL_MINIMIZATION",
@@ -88,6 +89,10 @@ PROOF_MAX_DEGREE = 48
 # Sampled candidate mates: total degree at most 3, integer coefficients in [-3, 3].
 MATE_DEGREE = 3
 MATE_COEFF_BOUND = 3
+
+# The most trials random_trials runs: a trial that hits takes 0.4-1 ms on
+# the fixtures (2-core VM, Python 3.11), and every outcome is kept.
+MAX_TRIALS = 1000
 
 
 class DegenerateSampler(RuntimeError):
@@ -200,26 +205,21 @@ def _stays_above_bound(J: BivariatePolynomial) -> bool:
     F = (J if at_origin > 0 else -J) - _ABOVE_BOUND
     n, deg_x = F.degree_y(), F.degree_x()
     if n == 0:
-        return deg_x <= PROOF_MAX_DEGREE and not _has_real_root(_row(F, 0))
+        return deg_x <= PROOF_MAX_DEGREE and not uni.count_roots(_row(F, 0))
     Fy = F.partial_derivative("y")
     nodes = (n - 1) * deg_x + n * Fy.degree_x() + 1  # those of uni.resultant_y
     if nodes * (2 * n - 1) ** 3 > PROOF_WORK:
         return False
     # a root of lc_y(F) is one of Res_y(F, F_y) too, found here more cheaply
-    if _has_real_root(_row(F, n)) or _has_real_root(F.restricted_to_x(0)):
+    if uni.count_roots(_row(F, n)) or uni.count_roots(F.restricted_to_x(0)):
         return False
     r = uni.resultant_y(F, Fy)
-    return bool(r) and not _has_real_root(r)
+    return bool(r) and not uni.count_roots(r)
 
 
 def _row(F: BivariatePolynomial, j: int) -> list[Fraction]:
     """The coefficient of y^j in F, a polynomial in x."""
     return [F.coefficient((i, j)) for i in range(F.degree_x() + 1)]
-
-
-def _has_real_root(c: list[Fraction]) -> bool:
-    bound = uni.root_bound(c)
-    return uni.count_roots(c, -bound, bound) > 0
 
 
 def find_jacobian_zero(
@@ -385,10 +385,12 @@ def random_trials(p: BivariatePolynomial, n: int, seed: int = 0) -> TrialReport:
 
     Candidates always carry a y-dependent term (a pure-x mate of a pure-x
     polynomial is degenerate).  Reproducible: trial k samples its mate with
-    seed + 1000003*k.  Raises ValueError for n < 0.
+    seed + 1000003*k.  Raises ValueError for n < 0 or n > MAX_TRIALS.
     """
     if n < 0:
         raise ValueError(f"the trial count must be at least 0, got {n}")
+    if n > MAX_TRIALS:
+        raise ValueError(f"the trial count exceeds the cap of {MAX_TRIALS}, got {n}")
     outcomes = []
     hits = 0
     for k in range(n):

@@ -21,6 +21,7 @@ from .polygon import (
     outer_edges,
 )
 from .tongue import (
+    CONTAINED_IN_B,
     SEGMENT_ARC,
     LevelSetReport,
     TongueRegion,
@@ -105,7 +106,7 @@ def render_polygon_svg(
 
 _LEVEL_COLORS = {
     SEGMENT_ARC: "#4682b4",
-    "ContainedInB": "#e08020",
+    CONTAINED_IN_B: "#e08020",
 }
 
 # Vertical lines the tongue figure reads, about 4 px apart across its plot.
@@ -129,7 +130,7 @@ class _Slices:
         """p(xq, .) and the interval of f(xq), or None: no positive root."""
         if xq not in self._tops:
             hq = self.p.restricted_to_x(xq)
-            roots = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq), self.width)
+            roots = uni.isolate_roots(hq, Fraction(0), width=self.width)
             self._tops[xq] = (hq, roots[0]) if roots else None
         return self._tops[xq]
 
@@ -166,11 +167,11 @@ def _lines(x0: Fraction, x_max: Fraction, log_x: bool) -> list[Fraction]:
 def _horizon(slices: _Slices, x0: Fraction, drawn) -> Fraction:
     """The default right edge of the figure, never below 50.
 
-    If the smallest positive scheduled level is ok, the least x0 * 2^k,
-    k >= 1, whose line it misses: its arcs end on the segment side, so its
-    x-projection is an interval from x0.  Otherwise max(50, 4 x0).
+    The least x0 * 2^k, k >= 1, whose line the smallest positive drawn
+    level misses: its arcs end on the segment side, so its x-projection is
+    an interval from x0.  With no level drawn, max(50, 4 x0).
     """
-    if not drawn or not drawn[0][0].ok:
+    if not drawn:
         return max(Fraction(50), 4 * x0)
     t = drawn[0][1]
     x = 2 * x0
@@ -195,19 +196,20 @@ def _close_folds(ys: list[float], keep: int):
     return rest, chords
 
 
-def _level_polylines(slices: _Slices, lines: list[Fraction], t: Fraction, ok: bool):
+def _level_polylines(slices: _Slices, lines: list[Fraction], t: Fraction):
     """The level t as polylines of (x, y) floats, joined line to line.
 
     Between two lines with as many points, the points join in order; where
     the count changes, ``_close_folds`` closes (or opens) folds on the line
-    with more points.  An ok level stops at its first empty line, past which
-    its x-projection, an interval from x0, does not reach.  Paths come first,
-    each from its end with the least (line, height) index.
+    with more points.  The level stops at its first empty line: its arcs
+    end on the segment side, so its x-projection, an interval from x0,
+    does not reach past it.  Paths come first, each from its end with the
+    least (line, height) index.
     """
     columns = []
     for xq in lines:
         columns.append(slices.level(xq, t))
-        if ok and not columns[-1]:
+        if not columns[-1]:
             break
     adj: dict[tuple[int, int], list] = {
         (k, i): [] for k, ys in enumerate(columns) for i in range(len(ys))
@@ -250,8 +252,8 @@ def render_tongue_svg(
     Everything is read off ``SLICE_LINES`` rational lines from x0 to x_max
     (``_Slices``); an x_max of None takes ``_horizon``'s.  The top
     border ends at the first line where p(x, .) has no positive root.  Each
-    positive level that has components or is not ok is one ``<g data-t>``
-    group of polylines.  The x axis switches to a log scale when x_max is
+    positive level that has components is one ``<g data-t>`` group of
+    polylines.  The x axis switches to a log scale when x_max is
     more than two decades past x0 (the geometry worth seeing is squeezed
     against both ends otherwise).
     """
@@ -300,11 +302,11 @@ def render_tongue_svg(
 
     # level curves under everything else
     for rec, t in drawn:
-        if rec.ok and not rec.component_count:
+        if not rec.component_count:
             continue
-        color = "#d03030" if not rec.ok else _LEVEL_COLORS.get(rec.classification, "#808080")
+        color = _LEVEL_COLORS[rec.classification]
         parts.append(f'<g data-t="{rec.t!r}" fill="none" stroke="{color}" stroke-width="1">')
-        for pts in _level_polylines(slices, lines, t, rec.ok):
+        for pts in _level_polylines(slices, lines, t):
             coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
             parts.append(f'<polyline points="{coords}"/>')
         parts.append("</g>")

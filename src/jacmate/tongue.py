@@ -14,7 +14,8 @@ level above t0 stays inside the bounded pocket B that the t0 arc cuts off.
 Exact: the transform and the flip (the signs of the witness edge's two
 coefficients, no trace), x0 (the least power of two at which the
 hypotheses below hold), f(x0) (an isolated root of p(x0, .)), the
-barrier and the restriction h(y) = p(x0, y), and every level-set count.
+barrier and the restriction h(y) = p(x0, y), which decide every level in
+(0, t0], and the end count of every level above t0.
 Numeric: only floats reporting exact values (f(x0), a, b).
 ``render`` draws the region from exact vertical slices too, the roots of
 p(x_k, .) on rational lines, plotted as floats.
@@ -74,14 +75,26 @@ also vanish where both leading coefficients do.
      |a_ij| x^i y^j <= |a_ij| (c* + 1)^j x^theta for x >= 1: p = O(x^theta)
      tends to 0 on V.  A level t > 0 stays in a bounded part of V.
    The level has ends / 2 components.
-4. The pocket.  If L_t0 is one arc with its ends at a and b, it splits V
+4. The barrier decides every level in (0, t0].  ``restriction_profile``
+   isolates the two simple roots a < b of h - t0 in (a_lo, a_hi) and
+   (b_lo, b_hi), and checks exactly that h' has no root on (0, a_hi),
+   that h > t0 on [a_hi, b_lo] (at its midpoint, and h - t0 has no other
+   root), and that h' has no root on (b_lo, top.hi), where
+   (top.lo, top.hi) isolates f(x0).  So h rises strictly from h(0) = 0 to
+   t0 on (0, a], exceeds t0 on (a, b), and falls strictly from t0 at b
+   through h(f(x0)) = 0 on to top.hi.  For each 0 < t <= t0, h = t then
+   has exactly two roots in (0, top.hi), one in (0, a] and one in
+   [b, f(x0)), both simple since h' != 0 there: by step 3, L_t is one arc
+   with both ends on S.  No such level is counted.
+5. The pocket.  L_t0 is one arc with its ends at a and b.  It splits V
    into B, next to the chord (a, b) where h > t0, and the rest U, where
    h < t0 near S; p - t0 has no zero on either, so p > t0 exactly on B and
    every level above t0 lies in B.  B is bounded: the arc has both ends on
    S and none at infinity, so it is compact, and B is the region it
    encloses with the chord.
 
-The counts hold for every t, not only the scheduled levels.
+Step 4 holds for every t in (0, t0]; a level above t0 is counted exactly,
+at the scheduled t.
 """
 
 from __future__ import annotations
@@ -187,16 +200,19 @@ class LevelRecord:
     ``boundary_endpoint_count`` counts the ends, all on the segment side.
     ``closed_loop_detected`` is False by (H1); ``bottom_endpoint_count`` is
     0 by the criterion, (H3), and ``ends_at_infinity`` is 0 by the
-    criterion too, step 3's p = O(x^theta).  The three are kept for the
-    certificate schema.
+    criterion too, step 3's p = O(x^theta).  ``ok`` is True and
+    ``anomalies`` empty: a level t <= 0 is empty, one in (0, t0] is one
+    arc by the barrier check (step 4), and one above t0 lies in the pocket
+    whatever its count (step 5).  All five are kept for the certificate
+    schema.
     """
 
     t: float
     classification: str
     component_count: int
     boundary_endpoint_count: int
-    closed_loop_detected: bool
-    ok: bool
+    closed_loop_detected: bool = False
+    ok: bool = True
     anomalies: tuple[str, ...] = ()
     bottom_endpoint_count: int = 0
     ends_at_infinity: int = 0
@@ -205,8 +221,9 @@ class LevelRecord:
 @dataclass(frozen=True)
 class LevelSetReport:
     records: tuple[LevelRecord, ...]
-    passed: bool
-    failures: tuple[str, ...]
+    # no record can fail (``LevelRecord``): kept for the certificate schema
+    passed: bool = True
+    failures: tuple[str, ...] = ()
     exact_facts: tuple[str, ...] = ()
 
 
@@ -230,11 +247,11 @@ def restriction_profile(
 
     ``top`` isolates f(x0), the smallest positive root of h, and h > 0
     below it: ``build_tongue`` flipped p so.  f_x0 is the float of that
-    root.  The barrier is half the smallest interior critical value vmin,
-    rounded to a rational of denominator at most max(10^9, 4 / vmin),
-    within vmin / 8, and then re-verified exactly: h - t0 must have exactly
-    two simple roots a < b, h must exceed t0 between them, and h' must be
-    root-free outside [a, b].
+    root.  The barrier is half the smallest critical value vmin of h on
+    (0, ub), ub = f_x0 (1 - 10^-9), rounded to a rational of denominator at
+    most max(10^9, 4 / vmin), within vmin / 8.  It is then verified once,
+    exactly (``_barrier_crossings``), which decides every level in (0, t0]
+    (module docstring, step 4); NotSingleSignedOnInterval when it fails.
     """
     f_x0 = uni.float_root(h, top)
     ub = Fraction(f_x0) * (1 - Fraction(1, 10**9))
@@ -246,12 +263,8 @@ def restriction_profile(
     vmin = min(uni.ueval(h, iv.midpoint) for iv in crits)
 
     t0 = (vmin / 2).limit_denominator(max(10**9, math.ceil(4 / vmin)))
-    for _ in range(8):
-        crossings = _barrier_crossings(h, dh, t0, ub)
-        if crossings:
-            break
-        t0 = t0 * Fraction(63, 64)
-    else:
+    crossings = _barrier_crossings(h, dh, t0, ub, top.hi)
+    if crossings is None:
         raise NotSingleSignedOnInterval("could not place a rational barrier")
 
     shifted = _shifted_by(h, t0)
@@ -278,9 +291,13 @@ def _shifted_by(c: list[Fraction], t: Fraction) -> list[Fraction]:
 
 
 def _barrier_crossings(
-    h: list[Fraction], dh: list[Fraction], t0: Fraction, ub: Fraction
+    h: list[Fraction], dh: list[Fraction], t0: Fraction, ub: Fraction, top_hi: Fraction
 ) -> list[uni.RootInterval] | None:
-    """The isolated crossings a < b of h = t0 in (0, ub) if t0 is a valid barrier, else None."""
+    """The isolated crossings a < b of h = t0 in (0, ub) if t0 is a valid barrier, else None.
+
+    Valid: the facts of step 4 in the module docstring, up to top_hi, the
+    upper end of the isolating interval of f(x0).
+    """
     roots = uni.isolate_roots(_shifted_by(h, t0), Fraction(0), ub)
     if len(roots) != 2 or any(r.multiplicity != 1 for r in roots):
         return None
@@ -289,7 +306,7 @@ def _barrier_crossings(
         a_hi < b_lo
         and uni.ueval(h, (a_hi + b_lo) / 2) > t0
         and not uni.count_roots(dh, Fraction(0), a_hi)
-        and not uni.count_roots(dh, b_lo, ub)
+        and not uni.count_roots(dh, b_lo, top_hi)
     )
     return roots if valid else None
 
@@ -369,7 +386,7 @@ def build_tongue(
 
     h = p_t.restricted_to_x(x0)
     # f(x0) exists: see (H3) in the module docstring
-    top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
+    top = uni.isolate_roots(h, Fraction(0))[0]
     if top.lo <= 0:
         raise NotSingleSignedOnInterval(f"p(x0, .) has no positive root above 1e-12, x0 = {x0}")
     try:
@@ -407,7 +424,7 @@ def _point_below(lo: Fraction) -> Fraction:
 
 def _root_free_from(c, lo: Fraction) -> bool:
     """c has no real root on [lo, oo)."""
-    return uni.ueval(c, lo) != 0 and not uni.count_roots(c, lo, uni.root_bound(c))
+    return uni.ueval(c, lo) != 0 and not uni.count_roots(c, lo)
 
 
 def _first_power_past(c, x0: Fraction) -> Fraction:
@@ -510,69 +527,25 @@ class _ExactStrip:
 
 
 def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
-    """Classify each level p = t in V from its exact end count on the segment side.
+    """Classify each level p = t in V by its exact ends, all on the segment side.
 
     p is ``region.poly``.  No level t > 0 has an end at infinity: the
-    criterion bounds p by O(x^theta) on V (module docstring, step 3), so
-    the ends on the segment side are all its ends.  Expected shape,
-    checked per level: nothing for t <= 0; one arc whose two ends lie on
-    the segment side for 0 < t <= t0; nothing or an arc in the pocket for
-    t > t0.  Raises LevelSetUndecided when a hypothesis of the argument
-    fails or a count stays undecided.
+    criterion bounds p by O(x^theta) on V (module docstring, step 3).  A
+    level t <= 0 is empty, since p > 0 on V.  One with 0 < t <= t0 is one
+    arc with both ends on the segment side, for every such t, by the
+    barrier check of ``restriction_profile`` (step 4): it takes no count.
+    Only a level above t0 is counted, by ``_ExactStrip.ends``: nothing, or
+    arcs in the pocket (step 5).  Raises LevelSetUndecided when a
+    hypothesis of the argument fails or a count above t0 stays undecided.
     """
-    profile = region.profile
-    strip = _ExactStrip(region.poly, profile, *region.resultants)
-    t0 = profile.t0
-    barrier = strip.ends(t0)
-    pinned = barrier == 2
-    failures: list[str] = []
-    if not pinned:
-        failures.append("barrier level is not a single arc pinned to the segment")
-
+    t0 = region.profile.t0
+    strip = _ExactStrip(region.poly, region.profile, *region.resultants)
     records = []
     for t in sorted(map(Fraction, t_values)):
-        ends = barrier if t == t0 else strip.ends(t) if t > 0 else 0
-        rec = _level_record(float(t), t <= 0, t <= t0, ends, pinned)
-        records.append(rec)
-        if not rec.ok:
-            failures.append(
-                f"level t={rec.t!r}: {rec.classification} "
-                f"(components={rec.component_count}, "
-                f"endpoints={rec.boundary_endpoint_count}, "
-                f"anomalies={list(rec.anomalies)})"
-            )
-    return LevelSetReport(
-        records=tuple(records),
-        passed=not failures,
-        failures=tuple(failures),
-        exact_facts=strip.facts,
-    )
-
-
-def _level_record(t: float, nonpositive: bool, below: bool, ends: int, pinned: bool) -> LevelRecord:
-    count = ends // 2
-    anomalies = ()
-    if nonpositive:
-        classification, ok = EMPTY, True  # p > 0 on V
-    elif below:
-        classification = SEGMENT_ARC if count else EMPTY
-        ok = count == 1
-        if not count:
-            anomalies = ("expected one arc strictly below the barrier",)
-    else:
-        classification = CONTAINED_IN_B if count else EMPTY
-        ok = not count or pinned
-        if not ok:
-            anomalies = ("no pocket: the barrier level is not a pinned arc",)
-    return LevelRecord(
-        t=t,
-        classification=classification,
-        component_count=count,
-        boundary_endpoint_count=ends,
-        closed_loop_detected=False,
-        ok=ok,
-        anomalies=anomalies,
-    )
+        ends = 0 if t <= 0 else 2 if t <= t0 else strip.ends(t)
+        shape = (SEGMENT_ARC if t <= t0 else CONTAINED_IN_B) if ends else EMPTY
+        records.append(LevelRecord(float(t), shape, ends // 2, ends))
+    return LevelSetReport(records=tuple(records), exact_facts=strip.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +567,12 @@ def tongue_certificate(p: BivariatePolynomial, criterion: CriterionCertificate) 
 
     ``criterion`` is p's edge criterion, decided once by the caller and
     handed down to ``build_tongue``, which places the region at its exact
-    x0; the levels follow ``default_schedule``.  Verified means every level
-    count came out as expected; the counts are exact (module docstring).
-    A hypothesis that fails or a count left undecided reports Inconclusive,
-    naming the fact; an unsatisfied criterion, a region that cannot be
-    assembled at x0, or violated expectations report Failed.
+    x0; the levels follow ``default_schedule``.  Verified means the level
+    argument holds: the barrier decides every level in (0, t0], and each
+    scheduled level above t0 is counted exactly (module docstring).  A
+    hypothesis that fails or a count left undecided reports Inconclusive,
+    naming the fact; an unsatisfied criterion or a region that cannot be
+    assembled at x0 reports Failed.
     """
     if not criterion.satisfied:
         return TongueCertificate(FAILED, ("criterion not satisfied",), None, None)
@@ -614,6 +588,4 @@ def tongue_certificate(p: BivariatePolynomial, criterion: CriterionCertificate) 
         level_report = check_level_sets(region, levels)
     except LevelSetUndecided as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), region, None)
-
-    status = VERIFIED if level_report.passed else FAILED
-    return TongueCertificate(status, tuple(level_report.failures[:5]), region, level_report)
+    return TongueCertificate(VERIFIED, (), region, level_report)

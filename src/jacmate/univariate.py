@@ -228,12 +228,15 @@ def _descartes_bound(c: list[int], lo: Fraction, hi: Fraction) -> int:
     return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
-def count_roots(f: Coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the open interval (lo, hi)."""
-    c = _integer_multiple(normalize(f))
-    lo, hi = Fraction(lo), Fraction(hi)
-    if len(c) < 2 or lo >= hi:
+def count_roots(f: Coeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Number of distinct real roots in the open (lo, hi); an end left None is -/+ root_bound(f)."""
+    f = normalize(f)
+    if degree(f) < 1:
         return 0
+    lo, hi = _search_interval(f, lo, hi)
+    if lo >= hi:
+        return 0
+    c = _integer_multiple(f)
     changes = _descartes_bound(c, lo, hi)
     if changes < 2:
         return changes  # exact with or without multiple roots
@@ -247,6 +250,12 @@ def root_bound(f: Coeffs) -> Fraction:
         return Fraction(1)
     # exact for int coefficients too, where / would give a float
     return 1 + Fraction(max(abs(a) for a in f[:-1]), abs(f[-1]))
+
+
+def _search_interval(f: Coeffs, lo, hi) -> tuple[Fraction, Fraction]:
+    """(lo, hi) as Fractions, an end left None at -/+ ``root_bound(f)``."""
+    bound = root_bound(f) if lo is None or hi is None else 0
+    return Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
 
 
 def isolate_roots(
@@ -267,9 +276,7 @@ def isolate_roots(
     f = normalize(f)
     if degree(f) < 1:
         return []
-    bound = root_bound(f)
-    lo = Fraction(lo) if lo is not None else -bound
-    hi = Fraction(hi) if hi is not None else bound
+    lo, hi = _search_interval(f, lo, hi)
     if lo >= hi:
         return []
     width = Fraction(width)

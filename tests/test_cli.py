@@ -152,6 +152,28 @@ def test_negative_trial_count_is_a_usage_error(capsys):
     )
 
 
+def test_trial_count_over_the_cap_is_a_usage_error(capsys):
+    # one trial past the cap: argparse refuses the count, naming the cap,
+    # before any work
+    code, out, err = run(capsys, "certify", "y + x^2*y^2", "--falsify", "1001")
+    assert code == 2
+    assert out == ""
+    assert "argument --falsify: exceeds the cap of 1000 trials, got 1001" in err
+    # 10^8 trials would run for about a day; refused at once
+    src = str(pathlib.Path(jacmate.__file__).parents[1])
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacmate.cli", "certify", "y + x^2*y^2", "--falsify", "100000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert time.perf_counter() - started < 2.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds the cap of 1000 trials, got 100000000" in proc.stderr
+
+
 def test_certify_degenerate_sampler_is_an_input_error(capsys):
     # every candidate mate of a constant has an identically zero Jacobian
     code, out, err = run(capsys, "certify", "1", "--falsify", "3")

@@ -24,6 +24,7 @@ from jacmate.poly import (
 from jacmate.falsifier import (
     EXACT_GRID_HIT,
     LOCAL_MINIMIZATION,
+    MAX_TRIALS,
     DegenerateSampler,
     MinRecord,
     ZeroWitness,
@@ -122,6 +123,11 @@ def test_negative_trial_count_is_refused(p3):
     with pytest.raises(ValueError, match="at least 0, got -1"):
         random_trials(p3, -1)
     assert random_trials(p3, 0).outcomes == ()
+
+
+def test_trial_count_over_the_cap_is_refused(p3):
+    with pytest.raises(ValueError, match=f"cap of {MAX_TRIALS}, got {MAX_TRIALS + 1}"):
+        random_trials(p3, MAX_TRIALS + 1)
 
 
 def test_seed_changes_the_mates(p3):

@@ -28,6 +28,7 @@ from jacmate.tongue import (
     SEGMENT_ARC,
     VERIFIED,
     LevelSetUndecided,
+    NotSingleSignedOnInterval,
     build_tongue,
     check_level_sets,
     check_no_critical_points,
@@ -202,6 +203,27 @@ def test_roots_past_counts_the_open_ray():
     assert tongue._first_power_past(res, Fraction(1)) == 1
 
 
+def test_critical_points_past_the_float_cut_refuse_the_barrier():
+    # h = y(1 - y)((y - c)^2 + eps), c = 1 - 10^-10, eps = 10^-21, has a
+    # local min and max at 0.99999999991 and 0.99999999996: past the float
+    # cut f_x0 (1 - 10^-9) up to which the critical values are read, below
+    # f(x0) = 1.  A level between their values, near 1.4e-31 and far below
+    # the barrier 0.0527 that the peak near 1/4 gives, has four ends; the
+    # barrier check reads h' up to the top of f(x0)'s interval and refuses
+    h = parse_polynomial(
+        "y*(1 - y)*((y - 9999999999/10000000000)^2 + 1/1000000000000000000000)"
+    ).restricted_to_x(1)
+    top = uni.isolate_roots(h, Fraction(0))[0]
+    low, high = uni.isolate_roots(uni.derivative(h), Fraction(0), top.hi)[1:]
+    cut = Fraction(uni.float_root(h, top)) * (1 - Fraction(1, 10**9))
+    assert cut < low.lo and high.hi < 1
+    t = (uni.ueval(h, low.midpoint) + uni.ueval(h, high.midpoint)) / 2
+    assert 0 < t < Fraction(1, 10**30)
+    assert uni.count_roots(tongue._shifted_by(h, t), Fraction(0), top.hi) == 4
+    with pytest.raises(NotSingleSignedOnInterval, match="could not place a rational barrier"):
+        restriction_profile(h, Fraction(1), top)
+
+
 def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
     # x0 = 262144, h = y - (2^34 + 2)*y^2 peaks at ~1.5e-11: a denominator
     # bound of 10^9 alone rounds the barrier to 0
@@ -285,7 +307,7 @@ def test_extract_polylines_stay_inside(region3):
     lines = render._lines(Fraction(1), Fraction(50), False)
     for k in (1, 2, 3):
         t = region3.profile.t0 * Fraction(k, 4)
-        (pts,) = render._level_polylines(slices, lines, t, True)
+        (pts,) = render._level_polylines(slices, lines, t)
         assert pts[0][0] == pts[-1][0] == 1.0 and pts[0][1] < pts[-1][1]
         for x, y in pts:
             assert 1.0 <= x <= 50.0 and 0.0 < y < 1.0 / (x * x)
@@ -293,7 +315,7 @@ def test_extract_polylines_stay_inside(region3):
     # t = 1/16 reaches out to x = 2 exactly, where p(2, .) - t = -(2y - 1/4)^2
     # has a double root: the fold's tip is one point of the one arc
     lines = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
-    (pts,) = render._level_polylines(slices, lines, Fraction(1, 16), True)
+    (pts,) = render._level_polylines(slices, lines, Fraction(1, 16))
     assert len(pts) == 5 and pts[2][0] == 2.0 and abs(pts[2][1] - 0.125) <= float(slices.width)
 
 
@@ -314,13 +336,13 @@ def test_folds_join_at_the_smallest_gaps():
     assert render._close_folds([0.1, 0.5, 0.55, 0.9], 0) == ([], [(1, 2), (0, 3)])
     # a double root, listed twice, is one fold point
     touch = FixedColumns([0.3, 0.7], [0.5, 0.5], [])
-    assert render._level_polylines(touch, [0, 1, 2], None, True) == [
+    assert render._level_polylines(touch, [0, 1, 2], None) == [
         [(0.0, 0.3), (1.0, 0.5), (0.0, 0.7)]
     ]
     # a fold opening and closing on the same pair is a closed loop; the arc
     # comes first, from its lower end, and closes at its first empty line
     island = FixedColumns([0.2, 0.8], [0.2, 0.4, 0.5, 0.8], [0.2, 0.8], [], [0.5])
-    assert render._level_polylines(island, [0, 1, 2, 3, 4], None, True) == [
+    assert render._level_polylines(island, [0, 1, 2, 3, 4], None) == [
         [(0.0, 0.2), (1.0, 0.2), (2.0, 0.2), (2.0, 0.8), (1.0, 0.8), (0.0, 0.8)],
         [(1.0, 0.4), (1.0, 0.5), (1.0, 0.4)],
     ]
@@ -535,6 +557,24 @@ def test_level_sets_take_no_elimination_in_x(monkeypatch, text):
 
 
 @pytest.mark.parametrize("text", FIXTURES)
+def test_only_levels_above_the_barrier_are_counted(monkeypatch, text):
+    # of the 30 scheduled levels, the 5 at or below 0 are empty and the 20
+    # in (0, t0] follow from the barrier check (module docstring, step 4):
+    # only the 5 above t0 take an end count
+    ends = tongue._ExactStrip.ends
+    calls = []
+
+    def counted(strip, t):
+        calls.append(t)
+        return ends(strip, t)
+
+    monkeypatch.setattr(tongue._ExactStrip, "ends", counted)
+    cert = certify_tongue(parse_polynomial(text))
+    assert cert.status == VERIFIED
+    assert len(calls) == 5 and all(t > cert.region.profile.t0 for t in calls)
+
+
+@pytest.mark.parametrize("text", FIXTURES)
 def test_reports_carry_no_pocket_box(fixture_certs, text):
     cert = fixture_certs[text]
     assert "pocket_bbox" not in tongue_to_dict(cert)["levels"]
@@ -672,17 +712,40 @@ def far_line_count(region):
     return count
 
 
-def test_no_scheduled_level_reaches_infinity(fixture_certs):
+@pytest.fixture(scope="module")
+def member_certs():
+    """Certificates of 40 seeded class members."""
+    return [tongue_certificate(p, cert) for p, cert in itertools.islice(class_draws(7), 40)]
+
+
+def test_no_scheduled_level_reaches_infinity(fixture_certs, member_certs):
     # the criterion bounds p by O(x^theta) on V, theta < 0 (module
     # docstring, step 3): the deleted far-line count reads 0 at every
     # scheduled t > 0, on the fixtures and on seeded class members
-    members = [tongue_certificate(p, cert) for p, cert in itertools.islice(class_draws(7), 40)]
-    for cert in [*fixture_certs.values(), *members]:
+    for cert in [*fixture_certs.values(), *member_certs]:
         assert cert.status == VERIFIED
         count = far_line_count(cert.region)
         for t in default_schedule(cert.region.profile.t0):
             if t > 0:
                 assert count(t) == 0, (str(cert.region.poly), t)
+
+
+def test_every_level_up_to_the_barrier_has_two_simple_ends(fixture_certs, member_certs):
+    # the barrier check decides every t in (0, t0] with no count (module
+    # docstring, step 4); the deleted count, kept as a reference, reads two
+    # simple roots of h - t in (0, top.hi) at each such scheduled t and at
+    # 20 seeded random rationals in (0, t0], on the fixtures and members
+    rng = random.Random(23)
+    for cert in [*fixture_certs.values(), *member_certs]:
+        assert cert.status == VERIFIED
+        prof = cert.region.profile
+        h, top_hi = list(prof.h_coeffs), prof.f_x0_interval[1]
+        drawn = [prof.t0 * Fraction(rng.randint(1, 10**6), 10**6) for _ in range(20)]
+        for t in [*(t for t in default_schedule(prof.t0) if 0 < t <= prof.t0), *drawn]:
+            g = tongue._shifted_by(h, t)
+            assert uni.count_roots(g, Fraction(0), top_hi) == 2, (str(cert.region.poly), t)
+            roots = uni.isolate_roots(g, Fraction(0), top_hi)
+            assert [iv.multiplicity for iv in roots] == [1, 1], (str(cert.region.poly), t)
 
 
 def drawn_levels(svg):
