@@ -114,7 +114,10 @@ def _cmd_certify(args) -> int:
 
 def _cmd_branch(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    edges = right_outer_edges(newton_polygon(p))
+    try:
+        edges = right_outer_edges(newton_polygon(p))
+    except PointPolygon:
+        edges = []
     if not edges:
         print("error: no right outer edges", file=sys.stderr)
         return 1

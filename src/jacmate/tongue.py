@@ -60,9 +60,11 @@ also vanish where both leading coefficients do.
    corners, so:
    - segment ends: (x0, y) with h(y) = t, 0 < y < f(x0).  A simple root is
      one end (p_y != 0: the level crosses S as a graph over x).  At a
-     double root y_m, if h - t and p_x(x0, y_m) have the same sign beside
-     y_m, then p - t = (h - t) + (p - p(x0, .)) keeps that sign for x > x0
-     near the point: no end.  Any other multiple root is undecided.
+     double root y_m, h - t has the sign of h''(y_m) != 0 beside y_m, and
+     p_x(x0, y_m) != 0 by (H1), since p_y(x0, y_m) = h'(y_m) = 0 and
+     R(x0) != 0.  If the two signs agree, p - t = (h - t) + (p - p(x0, .))
+     keeps that sign for x > x0 near the point: no end.  Any other
+     multiple root is undecided.
    - no end at infinity, by the criterion: p = O(x^theta) on V, and
      theta < 0.  The witness edge (0, 1)-(a, b) has slope
      theta = -a / (b - 1), negative since a >= 1 (at a = 0, p is free of x
@@ -74,7 +76,11 @@ also vanish where both leading coefficients do.
      There 0 < y < (c* + 1) x^theta on V, so each term's
      |a_ij| x^i y^j <= |a_ij| (c* + 1)^j x^theta for x >= 1: p = O(x^theta)
      tends to 0 on V.  A level t > 0 stays in a bounded part of V.
-   The level has ends / 2 components.
+   The level has ends / 2 components, and their count is even: h - t is
+   -t < 0 at y = 0 and at top.hi, the upper end of the isolating interval
+   of f(x0), since f(x0) is a simple root of h by (H2) and h <= 0 from it
+   to top.hi.  Simple roots flip the sign of h - t, double roots keep it,
+   and a higher one is undecided.
 4. The barrier decides every level in (0, t0].  ``restriction_profile``
    isolates the two simple roots a < b of h - t0 in (a_lo, a_hi) and
    (b_lo, b_hi), and checks exactly that h' has no root on (0, a_hi),
@@ -118,7 +124,6 @@ from .polygon import CriterionCertificate
 
 __all__ = [
     "NotSingleSignedOnInterval",
-    "NoInteriorCriticalPoint",
     "LevelSetUndecided",
     "RestrictionProfile",
     "TongueRegion",
@@ -150,11 +155,7 @@ FAILED = "Failed"
 
 
 class NotSingleSignedOnInterval(ValueError):
-    pass
-
-
-class NoInteriorCriticalPoint(ValueError):
-    pass
+    """The region cannot be assembled at x0; the reason names x0."""
 
 
 class LevelSetUndecided(RuntimeError):
@@ -251,21 +252,23 @@ def restriction_profile(
     (0, ub), ub = f_x0 (1 - 10^-9), rounded to a rational of denominator at
     most max(10^9, 4 / vmin), within vmin / 8.  It is then verified once,
     exactly (``_barrier_crossings``), which decides every level in (0, t0]
-    (module docstring, step 4); NotSingleSignedOnInterval when it fails.
+    (module docstring, step 4).  Raises NotSingleSignedOnInterval, its
+    reason prefixed with x0, when h has no critical point below ub or the
+    barrier fails.
     """
     f_x0 = uni.float_root(h, top)
     ub = Fraction(f_x0) * (1 - Fraction(1, 10**9))
     dh = uni.derivative(h)
     crits = uni.isolate_roots(dh, Fraction(0), ub)
     if not crits:
-        raise NoInteriorCriticalPoint("restriction has no interior critical point")
+        raise NotSingleSignedOnInterval(f"x0 = {x0}: restriction has no interior critical point")
     # positive: h > 0 on (0, f(x0))
     vmin = min(uni.ueval(h, iv.midpoint) for iv in crits)
 
     t0 = (vmin / 2).limit_denominator(max(10**9, math.ceil(4 / vmin)))
     crossings = _barrier_crossings(h, dh, t0, ub, top.hi)
     if crossings is None:
-        raise NotSingleSignedOnInterval("could not place a rational barrier")
+        raise NotSingleSignedOnInterval(f"x0 = {x0}: could not place a rational barrier")
 
     shifted = _shifted_by(h, t0)
     a_iv, b_iv = crossings
@@ -370,8 +373,8 @@ def build_tongue(
 
     Raises LevelSetUndecided when R or D vanishes identically; ValueError,
     through ``region_orientation``, when the criterion is not satisfied;
-    and NotSingleSignedOnInterval or NoInteriorCriticalPoint when the
-    region cannot be assembled at x0.
+    and NotSingleSignedOnInterval, itself or through
+    ``restriction_profile``, when the region cannot be assembled at x0.
     """
     transform, flipped = region_orientation(p, criterion)
     p_t = apply_transform(p, transform)
@@ -389,16 +392,12 @@ def build_tongue(
     top = uni.isolate_roots(h, Fraction(0))[0]
     if top.lo <= 0:
         raise NotSingleSignedOnInterval(f"p(x0, .) has no positive root above 1e-12, x0 = {x0}")
-    try:
-        profile = restriction_profile(h, x0, top)
-    except (NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
-        raise type(exc)(f"x0 = {x0}: {exc}") from exc
     return TongueRegion(
         transform=transform,
         flipped=flipped,
         poly=p_t,
         x0=x0,
-        profile=profile,
+        profile=restriction_profile(h, x0, top),
         resultants=(r, d),
     )
 
@@ -451,7 +450,11 @@ def _narrowed(g, iv: uni.RootInterval, wide) -> uni.RootInterval:
 
 
 def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
-    """Sign of q at the one root of the squarefree g that ``iv`` isolates."""
+    """Sign of q at the one root of the squarefree g that ``iv`` isolates.
+
+    0 when q vanishes there: the gcd check decides it, since narrowing
+    until q has no root inside would never stop.
+    """
     if uni.count_roots(uni.subresultant_gcd(q, g), iv.lo, iv.hi):
         return 0
     iv = _narrowed(g, iv, lambda lo, hi: uni.count_roots(q, lo, hi) or not uni.ueval(q, lo))
@@ -459,93 +462,81 @@ def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
     return (v > 0) - (v < 0)
 
 
-class _ExactStrip:
-    """p on V at the x0 of ``build_tongue``, which decided (H1) and (H2) there.
+def _ends_above_barrier(h, h2, px, f_hi: Fraction, t: Fraction) -> int:
+    """Ends of the level t > t0, all on the segment side: none is at infinity (step 3).
 
-    ``profile`` is the region's restriction profile: the strip reads x0,
-    h = p(x0, .) and the isolating interval of f(x0) from it.  ``r`` and
-    ``d`` are R = Res_y(p_x, p_y) and D = Res_y(p, p_y), taken once by the
-    caller; p is positive on the segment side.  ``facts`` states the
-    hypotheses.  The strip checks only the premises that the criterion
-    proves, on the support: the terms of p with j <= 1 are exactly a01*y,
-    for (H3); and the term (a, b) with j >= 2 that maximises
-    (i / (j - 1), j), the witness edge's far end, has a >= 1 and
-    a01*a_ab < 0, for step 3's p = O(x^theta).  Otherwise it raises
-    LevelSetUndecided naming the fact that fails.
+    h = p(x0, .), h2 its second derivative h'' and px = p_x(x0, .), taken
+    once per certificate by ``check_level_sets``; f_hi is the upper end of
+    the isolating interval of f(x0).  The count is even (step 3).
     """
-
-    def __init__(self, p: BivariatePolynomial, profile: RestrictionProfile, r, d):
-        if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
-            raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
-        far_end = ((Fraction(i, j - 1), j, i) for i, j in p.support() if j >= 2)
-        _, b, a = max(far_end, default=(0, 0, 0))
-        if a < 1 or p.coefficient((0, 1)) * p.coefficient((a, b)) >= 0:
-            raise LevelSetUndecided(
-                "the term (a, b) of p with j >= 2 that maximises (i / (j - 1), j) "
-                "does not have a >= 1 and a01*a_ab < 0"
-            )
-        self.x0 = profile.x0
-        self.px = p.partial_derivative("x")
-        self.h = list(profile.h_coeffs)
-        f_lo, self.f_hi = profile.f_x0_interval
-        ym = _point_below(f_lo)
-        # build_tongue decided (H1) and (H2) at x0 and flipped p to be
-        # positive there; (H3) follows from the premise above
-        self.facts = (
-            f"R = Res_y(p_x, p_y), degree {uni.degree(r)}, has no real root on [x0, oo): "
-            "no critical point and no closed level loop",
-            f"D = Res_y(p, p_y), degree {uni.degree(d)}, has no real root on [x0, oo): "
-            "the roots of p(x, .) stay simple and finite",
-            "the terms of p with j <= 1 are exactly a01*y: y = 0 is a simple root of "
-            "every p(x, .), and by (H2) f is continuous",
-            f"p > 0 on V: p(x0, {ym}) = {uni.ueval(self.h, ym)}",
-        )
-
-    def ends(self, t: Fraction) -> int:
-        """Ends of the level t > 0, all on the segment side: none is at infinity (step 3)."""
-        g = _shifted_by(self.h, t)
-        ends = 0
-        for factor, mult in uni.squarefree_decomposition(g):
-            if mult == 1:
-                ends += uni.count_roots(factor, Fraction(0), self.f_hi)
+    ends = 0
+    for factor, mult in uni.squarefree_decomposition(_shifted_by(h, t)):
+        if mult == 1:
+            ends += uni.count_roots(factor, Fraction(0), f_hi)
+            continue
+        for iv in uni.isolate_roots(factor, Fraction(0), f_hi):
+            # beside a double root h - t has the sign of h'' there; where
+            # p_x(x0, .) has that sign too the level is tangent from outside V
+            if mult == 2 and _sign_at_root(h2, factor, iv) == _sign_at_root(px, factor, iv):
                 continue
-            for iv in uni.isolate_roots(factor, Fraction(0), self.f_hi):
-                # a double root where h - t and p_x(x0, .) have one sign
-                # beside it is tangent from outside V: no end
-                side = mult == 2 and _sign_at_root(
-                    uni.exact_quotient(uni.exact_quotient(g, factor), factor), factor, iv
-                )
-                if side and side == _sign_at_root(self.px.restricted_to_x(self.x0), factor, iv):
-                    continue
-                raise LevelSetUndecided(
-                    f"h - t has a root of multiplicity {mult} near y = "
-                    f"{float(iv.midpoint)!r} for t = {t} that does not stay outside V"
-                )
-        if ends % 2:
-            raise LevelSetUndecided(f"the level t = {t} has an odd number of ends, {ends}")
-        return ends
+            raise LevelSetUndecided(
+                f"h - t has a root of multiplicity {mult} near y = "
+                f"{float(iv.midpoint)!r} for t = {t} that does not stay outside V"
+            )
+    return ends
 
 
 def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     """Classify each level p = t in V by its exact ends, all on the segment side.
 
-    p is ``region.poly``.  No level t > 0 has an end at infinity: the
-    criterion bounds p by O(x^theta) on V (module docstring, step 3).  A
-    level t <= 0 is empty, since p > 0 on V.  One with 0 < t <= t0 is one
-    arc with both ends on the segment side, for every such t, by the
-    barrier check of ``restriction_profile`` (step 4): it takes no count.
-    Only a level above t0 is counted, by ``_ExactStrip.ends``: nothing, or
-    arcs in the pocket (step 5).  Raises LevelSetUndecided when a
-    hypothesis of the argument fails or a count above t0 stays undecided.
+    p is ``region.poly``, at the x0 of ``build_tongue``, which decided (H1)
+    and (H2) there and flipped p to be positive on the segment side.  Only
+    the premises that the criterion proves are checked here, on the
+    support: the terms of p with j <= 1 are exactly a01*y, for (H3); and
+    the term (a, b) with j >= 2 that maximises (i / (j - 1), j), the
+    witness edge's far end, has a >= 1 and a01*a_ab < 0, for step 3's
+    p = O(x^theta): no level t > 0 has an end at infinity.  The report's
+    ``exact_facts`` state the hypotheses.  A level t <= 0 is empty, since
+    p > 0 on V.  One with 0 < t <= t0 is one arc with both ends on the
+    segment side, for every such t, by the barrier check of
+    ``restriction_profile`` (step 4): it takes no count.  Only a level
+    above t0 is counted, by ``_ends_above_barrier``, from h'' and
+    p_x(x0, .) taken once here: nothing, or arcs in the pocket (step 5).
+    Raises LevelSetUndecided when a premise fails or a count above t0
+    stays undecided.
     """
-    t0 = region.profile.t0
-    strip = _ExactStrip(region.poly, region.profile, *region.resultants)
+    p, prof = region.poly, region.profile
+    if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
+        raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
+    far_end = ((Fraction(i, j - 1), j, i) for i, j in p.support() if j >= 2)
+    _, b, a = max(far_end, default=(0, 0, 0))
+    if a < 1 or p.coefficient((0, 1)) * p.coefficient((a, b)) >= 0:
+        raise LevelSetUndecided(
+            "the term (a, b) of p with j >= 2 that maximises (i / (j - 1), j) "
+            "does not have a >= 1 and a01*a_ab < 0"
+        )
+    r, d = region.resultants
+    h = list(prof.h_coeffs)
+    f_lo, f_hi = prof.f_x0_interval
+    ym = _point_below(f_lo)
+    # (H3) follows from the premise above
+    facts = (
+        f"R = Res_y(p_x, p_y), degree {uni.degree(r)}, has no real root on [x0, oo): "
+        "no critical point and no closed level loop",
+        f"D = Res_y(p, p_y), degree {uni.degree(d)}, has no real root on [x0, oo): "
+        "the roots of p(x, .) stay simple and finite",
+        "the terms of p with j <= 1 are exactly a01*y: y = 0 is a simple root of "
+        "every p(x, .), and by (H2) f is continuous",
+        f"p > 0 on V: p(x0, {ym}) = {uni.ueval(h, ym)}",
+    )
+    h2 = uni.derivative(uni.derivative(h))
+    px = p.partial_derivative("x").restricted_to_x(prof.x0)
     records = []
     for t in sorted(map(Fraction, t_values)):
-        ends = 0 if t <= 0 else 2 if t <= t0 else strip.ends(t)
-        shape = (SEGMENT_ARC if t <= t0 else CONTAINED_IN_B) if ends else EMPTY
+        ends = 0 if t <= 0 else 2 if t <= prof.t0 else _ends_above_barrier(h, h2, px, f_hi, t)
+        shape = (SEGMENT_ARC if t <= prof.t0 else CONTAINED_IN_B) if ends else EMPTY
         records.append(LevelRecord(float(t), shape, ends // 2, ends))
-    return LevelSetReport(records=tuple(records), exact_facts=strip.facts)
+    return LevelSetReport(records=tuple(records), exact_facts=facts)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +560,11 @@ def tongue_certificate(p: BivariatePolynomial, criterion: CriterionCertificate) 
     handed down to ``build_tongue``, which places the region at its exact
     x0; the levels follow ``default_schedule``.  Verified means the level
     argument holds: the barrier decides every level in (0, t0], and each
-    scheduled level above t0 is counted exactly (module docstring).  A
-    hypothesis that fails or a count left undecided reports Inconclusive,
-    naming the fact; an unsatisfied criterion or a region that cannot be
-    assembled at x0 reports Failed.
+    scheduled level above t0 is counted exactly, its double roots read off
+    h'' (module docstring, step 3).  A hypothesis that fails or a count
+    left undecided reports Inconclusive, naming the fact; an unsatisfied
+    criterion or a region that cannot be assembled at x0, the one
+    NotSingleSignedOnInterval, reports Failed with its reason.
     """
     if not criterion.satisfied:
         return TongueCertificate(FAILED, ("criterion not satisfied",), None, None)
@@ -580,7 +572,7 @@ def tongue_certificate(p: BivariatePolynomial, criterion: CriterionCertificate) 
         region = build_tongue(p, criterion)
     except LevelSetUndecided as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), None, None)
-    except (NotSingleSignedOnInterval, NoInteriorCriticalPoint) as exc:
+    except NotSingleSignedOnInterval as exc:
         return TongueCertificate(FAILED, (str(exc),), None, None)
 
     levels = default_schedule(region.profile.t0)

@@ -28,7 +28,6 @@ __all__ = [
     "ueval_float",
     "derivative",
     "subresultant_gcd",
-    "exact_quotient",
     "squarefree_decomposition",
     "count_roots",
     "root_bound",
@@ -147,11 +146,6 @@ def subresultant_gcd(a: Coeffs, b: Coeffs) -> list[int]:
         g = a[-1]
         h = g**delta // h ** (delta - 1) if delta else h
     return [1]  # a nonzero constant remainder
-
-
-def exact_quotient(a: Coeffs, b: list[int]) -> list[int]:
-    """A positive multiple of a / b, for a primitive integer b that divides a."""
-    return _divide(_integer_multiple(normalize(a)), b)
 
 
 def squarefree_decomposition(f: Coeffs) -> list[tuple[list[int], int]]:

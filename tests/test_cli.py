@@ -395,6 +395,14 @@ def test_branch_without_right_edges(capsys):
     assert err
 
 
+@pytest.mark.parametrize("poly", ["y", "5", "x*y"])
+def test_branch_on_one_term_has_no_right_edges(capsys, poly):
+    # a one-term polygon is a single point, with no edge at all: the same
+    # answer as any other input without a right outer edge
+    code, out, err = run(capsys, "branch", poly)
+    assert (code, out, err) == (1, "", "error: no right outer edges\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

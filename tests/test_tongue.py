@@ -496,13 +496,24 @@ def orientation_of(region):
     return tongue.region_orientation(region.poly, corollary_certificate(region.poly))
 
 
-def exact_strip(p, x0):
-    # the strip reads h = p(x0, .) and f(x0) from the profile at x0
+def strip_region(p, x0):
+    # p as it stands, with its profile at x0, and none of build_tongue's
+    # orientation or x0 search: the level check reads h = p(x0, .), f(x0),
+    # R and D from it
     h = p.restricted_to_x(x0)
     top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
     py = p.partial_derivative("y")
     r = uni.resultant_y(p.partial_derivative("x"), py)
-    return tongue._ExactStrip(p, restriction_profile(h, x0, top), r, uni.resultant_y(p, py))
+    profile = restriction_profile(h, x0, top)
+    return tongue.TongueRegion(IDENTITY, False, p, x0, profile, (r, uni.resultant_y(p, py)))
+
+
+def ends_above_barrier(region, t):
+    # the count that check_level_sets takes at a level t > t0
+    h = list(region.profile.h_coeffs)
+    h2 = uni.derivative(uni.derivative(h))
+    px = region.poly.partial_derivative("x").restricted_to_x(region.x0)
+    return tongue._ends_above_barrier(h, h2, px, region.profile.f_x0_interval[1], t)
 
 
 def level_at(cert, t):
@@ -517,8 +528,7 @@ def test_double_root_at_the_barrier_peak_gives_no_end(p3, region3):
     t = 2 * region3.profile.t0
     shifted = uni.derivative(list(region3.profile.h_coeffs))
     assert uni.ueval(shifted, Fraction(1, 2)) == 0
-    strip = tongue._ExactStrip(region3.poly, region3.profile, *region3.resultants)
-    assert strip.ends(t) == 0
+    assert ends_above_barrier(region3, t) == 0
     (rec,) = check_level_sets(region3, [t]).records
     assert (rec.classification, rec.component_count, rec.boundary_endpoint_count) == (EMPTY, 0, 0)
     assert rec.ok
@@ -561,14 +571,14 @@ def test_only_levels_above_the_barrier_are_counted(monkeypatch, text):
     # of the 30 scheduled levels, the 5 at or below 0 are empty and the 20
     # in (0, t0] follow from the barrier check (module docstring, step 4):
     # only the 5 above t0 take an end count
-    ends = tongue._ExactStrip.ends
+    ends = tongue._ends_above_barrier
     calls = []
 
-    def counted(strip, t):
-        calls.append(t)
-        return ends(strip, t)
+    def counted(*args):
+        calls.append(args[-1])
+        return ends(*args)
 
-    monkeypatch.setattr(tongue._ExactStrip, "ends", counted)
+    monkeypatch.setattr(tongue, "_ends_above_barrier", counted)
     cert = certify_tongue(parse_polynomial(text))
     assert cert.status == VERIFIED
     assert len(calls) == 5 and all(t > cert.region.profile.t0 for t in calls)
@@ -748,6 +758,54 @@ def test_every_level_up_to_the_barrier_has_two_simple_ends(fixture_certs, member
             assert [iv.multiplicity for iv in roots] == [1, 1], (str(cert.region.poly), t)
 
 
+def quotient(a, b):
+    """a / b over the rationals, for a b that divides a: a reference division."""
+    a, q = [Fraction(v) for v in a], []
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        q.append(c)
+        shift = len(a) - len(b)
+        for i, v in enumerate(b):
+            a[shift + i] -= c * v
+        a.pop()
+    assert not any(a), "b does not divide a"
+    return q[::-1]
+
+
+def test_double_roots_above_the_barrier_read_off_h2(fixture_certs, member_certs):
+    # the certificate decides a double root y_m of h - t by the sign of
+    # h''(y_m) (module docstring, step 3); the rule it replaced divided
+    # h - t by the root's factor twice and read the quotient's sign.  Both
+    # agree at every scheduled t > t0 on the fixtures and the members, and
+    # p_x(x0, y_m) != 0 there, by (H1); every count above t0 is even
+    double_roots = 0
+    for cert in [*fixture_certs.values(), *member_certs]:
+        assert cert.status == VERIFIED
+        region, prof = cert.region, cert.region.profile
+        h, top_hi = list(prof.h_coeffs), prof.f_x0_interval[1]
+        h2 = uni.derivative(uni.derivative(h))
+        px = region.poly.partial_derivative("x").restricted_to_x(region.x0)
+        for t in default_schedule(prof.t0):
+            if t <= prof.t0:
+                continue
+            assert level_at(cert, t).boundary_endpoint_count % 2 == 0, (str(region.poly), t)
+            g = tongue._shifted_by(h, t)
+            for factor, mult in uni.squarefree_decomposition(g):
+                if mult != 2:
+                    continue
+                rest = quotient(quotient(g, factor), factor)
+                for iv in uni.isolate_roots(factor, Fraction(0), top_hi):
+                    double_roots += 1
+                    want = tongue._sign_at_root(rest, factor, iv)
+                    assert want != 0 and tongue._sign_at_root(h2, factor, iv) == want
+                    assert tongue._sign_at_root(px, factor, iv) != 0, (str(region.poly), t)
+    assert double_roots >= 1
+    # y + x^2*y^2 peaks at 2*t0 on the segment: h = y - y^2, t0 = 1/8
+    region = fixture_certs["y + x^2*y^2"].region
+    g = tongue._shifted_by(list(region.profile.h_coeffs), 2 * region.profile.t0)
+    assert [mult for _, mult in uni.squarefree_decomposition(g)] == [2]
+
+
 def drawn_levels(svg):
     """Level t -> its polylines, as lists of (x, y) pixel coordinates."""
     groups = xml.dom.minidom.parseString(svg).getElementsByTagName("g")
@@ -808,24 +866,34 @@ def test_tangency_entering_the_strip_is_undecided():
     # u + x*u^2 with u = y(1 - y) is in no region's coordinates: its far
     # edge term x*y^2 has a01*a_ab = 1 > 0, so its face 1 + c has no
     # positive root and p grows with x along V; the strip refuses it
+    region = strip_region(parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y))"), Fraction(1))
     with pytest.raises(LevelSetUndecided, match=r"does not have a >= 1 and a01\*a_ab < 0"):
-        exact_strip(parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y))"), Fraction(1))
+        check_level_sets(region, [])
     # here h = p(1, .) peaks at 5/16 at y = 1/2, where p_x = 1/16 > 0, so
     # that level bulges into V from one segment point
     p = parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y)) - x^2*y^3*(2*y - 1)^2")
-    strip = exact_strip(p, Fraction(1))
+    region = strip_region(p, Fraction(1))
     with pytest.raises(LevelSetUndecided, match="multiplicity 2"):
-        strip.ends(Fraction(5, 16))
-    assert strip.ends(Fraction(1, 4)) == 2
+        ends_above_barrier(region, Fraction(5, 16))
+    assert ends_above_barrier(region, Fraction(1, 4)) == 2
 
 
 def test_strip_refuses_terms_the_criterion_rules_out():
     # p(x, 0) = x - 1 is no edge's bottom: a certified p is y times a
     # polynomial that is a01 != 0 at y = 0, so the strip names that fact
-    with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
-        exact_strip(parse_polynomial("x - 1 + y - x^2*y^2"), Fraction(1))
-    with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
-        exact_strip(parse_polynomial("y + x*y - x^2*y^2"), Fraction(1))
+    for text in ["x - 1 + y - x^2*y^2", "y + x*y - x^2*y^2"]:
+        region = strip_region(parse_polynomial(text), Fraction(1))
+        with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
+            check_level_sets(region, [])
+
+
+def test_sign_at_root_is_zero_where_q_shares_the_root():
+    # q = y^2 - 2 and g = y^3 - 2y share sqrt(2), the one root of g in
+    # (0, 2): q changes sign inside every interval around it, so narrowing
+    # until q has no root inside would never end; the gcd check answers 0
+    q = [Fraction(-2), Fraction(0), Fraction(1)]
+    g = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
+    assert tongue._sign_at_root(q, g, uni.RootInterval(Fraction(0), Fraction(2), 1)) == 0
 
 
 def test_sign_at_root_on_an_interval_that_starts_on_a_root():

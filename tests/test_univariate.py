@@ -16,7 +16,6 @@ from jacmate.univariate import (
     count_roots,
     degree,
     derivative,
-    exact_quotient,
     float_root,
     interpolate,
     isolate_roots,
@@ -88,21 +87,6 @@ def test_derivative():
     f = [Fraction(5), Fraction(0), Fraction(3)]  # 3y^2 + 5
     assert derivative(f) == [Fraction(0), Fraction(6)]
     assert derivative([Fraction(7)]) == []
-
-
-def test_exact_quotient_inverts_a_product():
-    rng = random.Random(2001)
-    for _ in range(100):
-        q = normalize([Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 7))])
-        g = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
-        g = normalize(g)
-        if not q or not g:
-            continue
-        got = exact_quotient(times(q, g), g)
-        # a positive multiple of q with integer coefficients
-        assert all(isinstance(v, int) for v in got)
-        ratio = Fraction(got[-1]) / q[-1]
-        assert ratio > 0 and [Fraction(v) for v in got] == [ratio * v for v in q]
 
 
 def test_subresultant_gcd_recovers_common_factor():
