@@ -187,6 +187,7 @@ def witness_to_dict(w: ZeroWitness) -> dict:
         "jac_value": w.jac_value,
         "jac_exact": w.jac_exact,
         "method": w.method,
+        "bracket": None if w.bracket is None else [str(v) for v in w.bracket],
     }
 
 
@@ -360,6 +361,18 @@ CERTIFICATE_SCHEMA = {
                                     "ExactGridHit",
                                     "SignChangeBisection",
                                     "LocalMinimization",
+                                ]
+                            },
+                            # y on the line x = point[0], exact rationals
+                            "bracket": {
+                                "oneOf": [
+                                    {"type": "null"},
+                                    {
+                                        "type": "array",
+                                        "items": {"type": "string"},
+                                        "minItems": 2,
+                                        "maxItems": 2,
+                                    },
                                 ]
                             },
                         },

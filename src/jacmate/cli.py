@@ -4,10 +4,10 @@ Exit codes: 0 for a certified conclusion or plain success, 1 when the tool
 ran but could not certify (not covered, inconclusive, no witness), 2 for
 usage or input errors.
 
-numpy loads only for the falsifier's search, on its first call
-(``falsify``, ``certify --falsify``).  Every other command, the drawings
-included, never loads it; only the drawing paths import
-:mod:`jacmate.render`.
+numpy loads only for the falsifier's float search, on its first call
+(``falsify``, ``certify --falsify``), which runs only where no exact slice
+decides.  Every other command, the drawings included, never loads it; only
+the drawing paths import :mod:`jacmate.render`.
 """
 
 from __future__ import annotations

@@ -2,12 +2,26 @@
 
 A certified p admits no polynomial q making the Jacobian determinant
 everywhere positive, so for any concrete q a zero of Jac(p, q) should be
-out there.  The search scans expanding boxes with an exact Jacobian
-polynomial evaluated on float grids, bisects along sign changes, and
-falls back to damped descent on the squared Jacobian for tangential zeros
-(such as Jac = y^2, which never changes sign).  Misses are reported as
-honest minimum records, never silently dropped: the point is the float
-grid's flattest node, and its |Jac| is evaluated there exactly.
+out there.  The search runs in this order:
+
+1. J = 0 identically: a zero at the origin.
+2. Exact slices, before numpy is imported or any grid is built.  On each
+   line x = x0 for x0 = 0, 1, -1, 2, -2, in turn, the integer numerators
+   of J(x0, y) have the signs of J there.  Their signs are taken exactly at
+   y = 0, +/-1, +/-2, +/-4, ... (:func:`univariate.probe_bracket`); a probe
+   where J is 0 is an exact rational root, and the first neighbouring
+   pair, outward from 0, with opposite signs is halved on dyadic rationals
+   to the float spacing.  Its ends keep opposite exact signs, so by the
+   intermediate value theorem J has a zero on {x0} x [lo, hi]: the witness
+   carries that bracket as its proof.
+3. Only if no slice decides, the float search: it scans expanding boxes
+   with the exact Jacobian polynomial evaluated on float grids, bisects
+   along sign changes, and falls back to damped descent on the squared
+   Jacobian for tangential zeros that no slice decides (J = 3(y - 1/3)^2
+   changes sign nowhere, and no probe lands on its root).  Misses are
+   reported as honest minimum records, never silently dropped: the point
+   is the float grid's flattest node, and its |Jac| is evaluated there
+   exactly.
 
 Every witness is revalidated by exact rational evaluation at the reported
 point before it is accepted.  That rejects every point where the exact
@@ -24,6 +38,15 @@ s = sign Jac(0, 0), where |Jac(0, 0)| > C, F = s*Jac - C and n = deg_y F.
   it has as many as at x = 0, none.
 Either way F keeps the sign it has at (0, 0), and F > 0 on R^2.  The proof
 is tried only when its predicted work is within a fixed budget.
+
+The slices' work is bounded: probes stop at 2^64, past which no root is
+sought, and a bracket ending at 0 is halved to 2^-117 at most, so a slice
+takes at most 2 * 65 + 1 probes and 64 + 53 halvings, each one Horner pass
+in integers.  At the parse caps J(x0, .) has degree <= 511; on such a row
+with 4,000-bit coefficients a sign takes ~2 ms at a probe and ~5 ms in a
+halving (2-core VM, Python 3.11), so the five slices take ~5 s at most.
+A search that some slice decides never loads numpy: it is imported by the
+float search, on its first call.
 
 The boxes never change, so each box's axis and the powers axis**j that its
 grids take are built once per process, on the first search that reaches
@@ -77,6 +100,11 @@ MAX_DOUBLINGS = 10
 GRID_PER_AXIS = 256
 ZERO_TOL = 1e-6
 
+# The exact slices tried before any grid, in this order, and the reach of
+# their probes: roots with 2^-64 <= |y| < 2^64 (module docstring).
+SLICE_XS = (0, 1, -1, 2, -2)
+SLICE_EXPONENT = 64
+
 # The miss proof: C, the least float above the acceptance bound 10 * ZERO_TOL,
 # as an exact rational, and the most work the proof may predict before it is
 # tried: nodes of Res_y(F, F_y) times its Sylvester size cubed, or the degree
@@ -105,6 +133,9 @@ class ZeroWitness:
     jac_value: float
     method: str
     jac_exact: float = 0.0  # |Jac| from exact rational evaluation at point
+    # a slice witness's proof: Jac(point[0], y) has a root with lo <= y <= hi,
+    # exact rationals; None for the grid's and the descent's witnesses
+    bracket: tuple[Fraction, Fraction] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,7 +165,7 @@ def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
     return abs(float(J.evaluate(x, y)))
 
 
-def _accept(J, x: float, y: float, approx: float, method: str):
+def _accept(J, x: float, y: float, approx: float, method: str, bracket=None):
     """Candidate point -> witness, or None if exact revalidation disagrees.
 
     ``approx`` is ``J.evaluate_approx(x, y)``, passed in by the caller, which
@@ -145,7 +176,7 @@ def _accept(J, x: float, y: float, approx: float, method: str):
     exact = _exact_abs(J, x, y)
     if exact > 10 * ZERO_TOL:
         return None
-    return ZeroWitness(point=(x, y), jac_value=approx, method=method, jac_exact=exact)
+    return ZeroWitness((x, y), approx, method, exact, bracket)
 
 
 def _bisect_segment(J, x0, y0, x1, y1):
@@ -227,28 +258,58 @@ def find_jacobian_zero(
 ) -> ZeroWitness | MinRecord:
     """Locate a point where Jac(p, q) vanishes, or report the best minimum.
 
-    Expanding boxes [-w, w]^2 with w doubling; within each box, exact grid
-    hits first, then sign-change bisection (rows before columns, row-major
-    order), then descent.  Deterministic: the result depends on p and q only.
+    First the exact slices x = 0, 1, -1, 2, -2: a slice witness carries a
+    bracket that proves a zero.  Only if no slice decides, the float
+    search: expanding boxes [-w, w]^2 with w doubling; within each box,
+    exact grid hits first, then sign-change bisection (rows before columns,
+    row-major order), then descent.  Deterministic: the result depends on p
+    and q only.
     """
     return _search(jacobian(p, q))
 
 
 def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
-    """:func:`find_jacobian_zero` given the Jacobian ``J`` of the pair.
+    """:func:`find_jacobian_zero` given the Jacobian ``J`` of the pair."""
+    if J.is_zero:
+        return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
+    return _slice_witness(J) or _grid_search(J)
+
+
+def _slice_witness(J: BivariatePolynomial) -> ZeroWitness | None:
+    """A zero of J proved on one of the lines x = SLICE_XS, or None.
+
+    On each line in turn, :func:`univariate.probe_bracket` decides a root
+    of J(x0, .) from exact signs; its point must then pass :func:`_accept`
+    like any other, at the float nearest the bracket's midpoint.  An exact
+    rational root is an ``EXACT_GRID_HIT``, a bracket a
+    ``SIGN_CHANGE_BISECTION``.
+    """
+    for x0 in SLICE_XS:
+        bracket = uni.probe_bracket(J.integer_row(x0), SLICE_EXPONENT)
+        if bracket is None:
+            continue
+        lo, hi = bracket
+        x, y = float(x0), float((lo + hi) / 2)
+        method = EXACT_GRID_HIT if lo == hi else SIGN_CHANGE_BISECTION
+        hit = _accept(J, x, y, J.evaluate_approx(x, y), method, bracket)
+        if hit:
+            return hit
+    return None
+
+
+def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
+    """The float search over the boxes, for a nonzero J.
 
     Where a box first reaches the descent, :func:`_stays_above_bound` tries
     once to prove s*J - C > 0 on R^2 (module docstring), so that no point
     passes :func:`_accept`.  If it holds, no later bisection or descent can
     return a witness, and they are skipped: the remaining boxes are scanned
     only for the miss record, which is therefore the one the full search
-    would report.  numpy is imported here, on the first search, so that the
-    exact commands never load it.
+    would report.  numpy is imported here, on the first search that no
+    slice decides, so that the exact commands never load it.
     """
     import numpy as np
 
-    if J.is_zero:
-        return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
     proven = None  # _stays_above_bound(J), tried where the first descent starts
     partials = None  # (J_x, J_y), built when the proof fails
 

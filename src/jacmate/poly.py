@@ -342,15 +342,23 @@ class BivariatePolynomial:
     def restricted_to_x(self, x0: Fraction | int) -> list[Fraction]:
         """Coefficients of p(x0, y) as a univariate polynomial in y, ascending."""
         a, b = _ratio(x0)
-        X = self.degree_x()
-        xp = _scaled_powers(a, b, X, {i for i, _ in self._num})
+        den = self._den * b ** self.degree_x()
+        return [Fraction(s, den) for s in self._row(a, b)]
+
+    def integer_row(self, x0: int) -> list[int]:
+        """p(x0, y) times the positive common denominator, ascending in y:
+        integer coefficients with the signs of p on the line x = x0."""
+        return self._row(x0, 1)
+
+    def _row(self, a: int, b: int) -> list[int]:
+        """b^deg_x * den * p(a/b, y) as integer coefficients in y, ascending."""
+        xp = _scaled_powers(a, b, self.degree_x(), {i for i, _ in self._num})
         out = [0] * (self.degree_y() + 1)
         for (i, j), n in self._num.items():
             out[j] += n * xp[i]
         while out and out[-1] == 0:
             out.pop()
-        den = self._den * b**X
-        return [Fraction(s, den) for s in out]
+        return out
 
     # -- calculus -----------------------------------------------------------
 

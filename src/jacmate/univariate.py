@@ -31,6 +31,8 @@ __all__ = [
     "squarefree_decomposition",
     "count_roots",
     "root_bound",
+    "root_exponent",
+    "probe_bracket",
     "isolate_roots",
     "float_root",
     "resultant",
@@ -176,9 +178,16 @@ def _sign_at(c: list[int], n: int, d: int) -> int:
     """Sign of the integer polynomial c at n/d for d > 0.
 
     Evaluates the homogenized sum of c_k * n^k * d^(D-k), which is
-    d^D * c(n/d), by Horner in plain integers: no gcd per operation.
+    d^D * c(n/d), by Horner in plain integers: no gcd per operation.  A
+    power of 2 for d, as at every dyadic point, scales by shifts.
     """
     acc = 0
+    if d & (d - 1) == 0:
+        e, shift = d.bit_length() - 1, 0
+        for a in reversed(c):
+            acc = acc * n + (a << shift)
+            shift += e
+        return (acc > 0) - (acc < 0)
     dk = 1
     for a in reversed(c):
         acc = acc * n + a * dk
@@ -223,14 +232,21 @@ def _descartes_bound(c: list[int], lo: Fraction, hi: Fraction) -> int:
 
 
 def count_roots(f: Coeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots in the open (lo, hi); an end left None is -/+ root_bound(f)."""
+    """Number of distinct real roots in the open (lo, hi); an end left None is unbounded.
+
+    The count does not depend on where the search starts, so an open end is
+    taken at -/+ 2^root_exponent(f), which can be far tighter than
+    ``root_bound``: 8 against 4,501 on the degree-18 Res_y(F, F_y) of the
+    miss proof for 1 + (x^2 + y^3 - 1)^2 + (xy - 2)^2.
+    """
     f = normalize(f)
     if degree(f) < 1:
         return 0
-    lo, hi = _search_interval(f, lo, hi)
+    c = _integer_multiple(f)
+    bound = 2 ** root_exponent(c)
+    lo, hi = Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
     if lo >= hi:
         return 0
-    c = _integer_multiple(f)
     changes = _descartes_bound(c, lo, hi)
     if changes < 2:
         return changes  # exact with or without multiple roots
@@ -244,6 +260,19 @@ def root_bound(f: Coeffs) -> Fraction:
         return Fraction(1)
     # exact for int coefficients too, where / would give a float
     return 1 + Fraction(max(abs(a) for a in f[:-1]), abs(f[-1]))
+
+
+def root_exponent(c: list[int]) -> int:
+    """K >= 1 with every complex root of the nonconstant integer c of modulus < 2^K.
+
+    Fujiwara's bound 2 * max_k |c_(n-k) / c_n|^(1/k) rounded up by bit
+    lengths: |c_(n-k) / c_n| < 2^(L(c_(n-k)) - L(c_n) + 1) <= 2^(k * m_k),
+    with L the bit length and m_k that exponent over k, rounded up.
+    """
+    lead = abs(c[-1]).bit_length()
+    ks = range(len(c) - 1, 0, -1)
+    m = max((-((lead - 1 - abs(a).bit_length()) // k) for k, a in zip(ks, c) if a), default=0)
+    return max(m, 0) + 1
 
 
 def _search_interval(f: Coeffs, lo, hi) -> tuple[Fraction, Fraction]:
@@ -332,19 +361,27 @@ def _refine_squarefree(
 ) -> tuple[Fraction, Fraction]:
     """Bisect (lo, hi), holding one root of the squarefree g, to ``width``.
 
-    The root is simple, so g has opposite signs at the two endpoints.  They
-    are integer numerators a, b over a shared denominator that doubles with
-    each halving, so every midpoint is exact and the returned Fractions are
-    the ones plain Fraction bisection would give.
+    The root is simple, so g has opposite signs at the two endpoints.
+    """
+    wn, wd = width.numerator, width.denominator
+    # hi - lo > width  <=>  (b - a) * wd > wn * den
+    return _bisect(g, lo, hi, lambda a, b, den: (b - a) * wd > wn * den)
+
+
+def _bisect(g: list[int], lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
+    """Halve (lo, hi), where g has opposite signs at the two ends, while
+    ``wide(a, b, den)``; (r, r) if a midpoint r is a root.
+
+    The ends are integer numerators a, b over a shared denominator that
+    doubles with each halving, so every midpoint is exact and the returned
+    Fractions are the ones plain Fraction bisection would give.
     """
     den = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)
     slo = _sign_at(g, a, den)
     assert slo != 0 and _sign_at(g, b, den) == -slo
-    # hi - lo > width  <=>  (b - a) * wd > wn * den
-    wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * den:
+    while wide(a, b, den):
         m = a + b
         a, b, den = 2 * a, 2 * b, 2 * den
         sm = _sign_at(g, m, den)
@@ -356,6 +393,53 @@ def _refine_squarefree(
         else:
             b = m
     return (Fraction(a, den), Fraction(b, den))
+
+
+def probe_bracket(c: list[int], top: int) -> tuple[Fraction, Fraction] | None:
+    """A real root r of the integer c with |r| <= 2^top, proved by exact
+    signs, or None.
+
+    The probes are y = 0, 1, -1, 2, -2, 4, -4, ... out to +/-2^k, where k
+    is the least of ``top`` and K = ``root_exponent(c)``, past every root.
+    The first probe where c is 0 gives (r, r).  The first pair of
+    neighbouring probes, outward from 0, where c changes sign is bisected
+    on dyadic rationals until it is no wider than the float spacing at its
+    end nearer 0, or than 2^-(top + 53); a midpoint that is a root gives
+    (r, r).  Its ends keep opposite signs, so it holds a root by the
+    intermediate value theorem.  A doubling pair starts within a factor of
+    2 of its root and takes 52 halvings; a pair ending at 0 at most
+    top + 53.  None means no probe decides: c is a nonzero constant, has
+    no real root of modulus up to 2^top, or changes sign there only
+    between two probes, an even number of times.  The zero polynomial
+    gives (0, 0).
+    """
+    if len(c) < 2:
+        return None if c else (Fraction(0), Fraction(0))
+    s0 = _sign_at(c, 0, 1)
+    if not s0:
+        return (Fraction(0), Fraction(0))
+
+    def wide(a: int, b: int, den: int) -> bool:
+        # b - a is a power of 2, and a, b have one sign or one is 0: wider
+        # than 2^-(top + 53) and than 2^-52 times the leading power of 2 of
+        # the end nearer 0, or that end is 0
+        near, width = (a if a >= 0 else -b), b - a
+        finest = (width << (top + 53)) <= den
+        return not finest and (not near or width.bit_length() + 52 > near.bit_length())
+
+    inner = {1: (0, s0), -1: (0, s0)}  # each side's last probe and its sign
+    for k in range(min(root_exponent(c), top) + 1):
+        for side in (1, -1):
+            y = side << k
+            s = _sign_at(c, y, 1)
+            if not s:
+                return (Fraction(y), Fraction(y))
+            last, s_last = inner[side]
+            if s != s_last:
+                lo, hi = sorted((last, y))
+                return _bisect(c, Fraction(lo), Fraction(hi), wide)
+            inner[side] = (y, s)
+    return None
 
 
 def float_root(f: Coeffs, iv: RootInterval) -> float:

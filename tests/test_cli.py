@@ -248,20 +248,23 @@ COLD_START = (
         (("tongue", "y + x^2*y^2"), 0, False),
         (("certify", "y + x^2*y^2", "--tongue"), 0, False),
         (("falsify", "x", "--q", "y"), 1, True),
-        (("certify", "y + x^2*y^2", "--falsify", "2"), 0, True),
+        (("falsify", "y + x*y^2 + y^4", "--q", "x"), 0, False),
+        (("certify", "y + x^2*y^2", "--falsify", "2"), 0, False),
         (("render", "y + x^2*y^2", "--what", "tongue"), 0, False),
         (("render", "y + x^2*y^2", "--what", "polygon"), 0, False),
         (("tongue", "y + x^2*y^2", "--svg", os.devnull), 0, False),
     ],
     ids=[
-        "analyze", "branch", "tongue", "certify_tongue", "falsify", "certify_falsify",
+        "analyze", "branch", "tongue", "certify_tongue", "falsify", "falsify_slice_hit",
+        "certify_falsify",
         "render_tongue", "render_polygon", "tongue_svg",
     ],
 )
 def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded):
     # numpy serves only the falsifier's grids: a fresh interpreter answers
     # the exact commands and draws without paying for its import, and loads
-    # it on demand for the float search, with the usual output
+    # it on demand for the float search, with the usual output; searches
+    # that an exact slice decides never reach the grids
     proc = _fresh_interpreter(COLD_START, *argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr == f"numpy loaded: {numpy_loaded}\n"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import random
 import sys
@@ -59,12 +60,24 @@ def test_witness_distance_to_true_zero_set(p1):
 
 
 def test_tangential_witness_hugs_axis(p1):
-    # Jac(p1, y) = y^2: nonnegative, vanishes only on y = 0
+    # Jac(p1, y) = y^2: nonnegative, vanishes only on y = 0, where the first
+    # slice's first probe is an exact root
     w = find_jacobian_zero(p1, Y)
     assert isinstance(w, ZeroWitness)
+    assert w.method == EXACT_GRID_HIT
+    assert w.point == (0.0, 0.0)
+    assert w.bracket == (0, 0)
+    assert w.jac_exact == 0.0
+
+
+def test_descent_is_reached_where_no_slice_decides():
+    # Jac(x, (y - 1/3)^3) = 3*(y - 1/3)^2: on every line a double root at
+    # y = 1/3, which no probe hits and across which no sign changes
+    w = find_jacobian_zero(X, parse_polynomial("(y - 1/3)^3"))
+    assert isinstance(w, ZeroWitness)
     assert w.method == LOCAL_MINIMIZATION
-    assert abs(w.point[1]) <= 1e-3
-    assert w.jac_exact <= 1e-5
+    assert w.bracket is None
+    assert abs(w.point[1] - 1 / 3) <= 1e-3
 
 
 def test_soundness_identity_pair_reports_minimum():
@@ -100,8 +113,9 @@ def test_exact_grid_hit_method():
 
 
 def test_bisection_recovers_off_grid_zero():
-    # Jac(x^2, y) = 2x vanishes between nodes; bisection must land on it
-    w = find_jacobian_zero(parse_polynomial("x^2"), Y)
+    # Jac(x^2, y) = 2x vanishes between nodes; the grid's bisection must land
+    # on it (the search proper decides it first, on the line x = 0)
+    w = fz._grid_search(jacobian(parse_polynomial("x^2"), Y))
     assert isinstance(w, ZeroWitness)
     assert abs(w.point[0]) <= 1e-9
     assert w.jac_exact <= 1e-5
@@ -252,7 +266,9 @@ small_polys = st.dictionaries(
 
 def assert_same_search(monkeypatch, p, q):
     """Same answer, and the same bisection segments and descent starts in the
-    same order, so a scan that only wastes or skips work shows too."""
+    same order, so a scan that only wastes or skips work shows too.  The
+    search runs with no slice deciding: the grid scan it falls back to."""
+    monkeypatch.setattr(fz, "_slice_witness", lambda J: None)
     logs = []
     for name in ("_bisect_segment", "_descend"):
         step = getattr(fz, name)
@@ -379,6 +395,66 @@ def test_sign_changes_match_the_sign_products(values, axis):
     if signed.all():
         # the search passes no mask when every node is finite and nonzero
         assert list(fz._sign_changes(np.signbit(vals), None, axis)) == want
+
+
+# -- the exact slices -------------------------------------------------------------
+
+
+@PROPERTY
+@given(small_polys, small_polys)
+def test_every_slice_bracket_proves_a_zero(p, q):
+    J = jacobian(p, q)
+    w = fz._slice_witness(J)
+    if w is None:
+        return
+    x, (lo, hi) = w.point[0], w.bracket
+    assert x in fz.SLICE_XS and w.jac_exact <= 10 * fz.ZERO_TOL
+    if lo == hi:
+        assert w.method == EXACT_GRID_HIT and J.evaluate(x, lo) == 0
+    else:
+        assert w.method == fz.SIGN_CHANGE_BISECTION
+        assert lo < hi and J.evaluate(x, lo) * J.evaluate(x, hi) < 0
+
+
+def test_a_slice_hit_is_found_before_any_grid(monkeypatch):
+    # Jac(p1, x) = -(1 + 2xy + 4y^3): on x = 0 it changes sign at the cube
+    # root of -1/4, between the probes -1 and 0
+    monkeypatch.setattr(fz, "_grid_search", None)
+    w = find_jacobian_zero(parse_polynomial("y + x*y^2 + y^4"), X)
+    assert w.method == fz.SIGN_CHANGE_BISECTION and w.point[0] == 0.0
+    lo, hi = w.bracket
+    assert -1 < lo and hi < 0 and lo**3 < Fraction(-1, 4) < hi**3
+
+
+# Jac(x, q) = 256*D*y^255 + 255*C*y^254 + 1 with D of 88 bits and C of 151:
+# on every line one negative root, just past 2^63, so each slice probes out
+# to its reach and halves a bracket there, and _accept refuses the point
+NEAR_CAP_Q = f"{2**87 + 1}*y^256 + {2**150 + 3**90}*y^255 + y"
+
+
+def test_slice_step_runs_to_its_reach_near_the_parse_caps(monkeypatch):
+    halved = []
+    bisect = uni._bisect
+
+    def recorded(*args):
+        halved.append(bisect(*args))
+        return halved[-1]
+
+    monkeypatch.setattr(uni, "_bisect", recorded)
+    J = jacobian(X, parse_polynomial(NEAR_CAP_Q))
+    assert J.degree_y() == 255
+    assert fz._slice_witness(J) is None
+    assert len(halved) == len(fz.SLICE_XS)
+    reach = 2**fz.SLICE_EXPONENT
+    for lo, hi in halved:
+        assert -reach < lo < hi < -reach // 2 and J.evaluate(0, lo) * J.evaluate(0, hi) < 0
+
+
+def test_slice_witness_json_carries_the_bracket(capsys):
+    assert run_command(["falsify", "y + x*y^2 + y^4", "--q", "x"]) == 0
+    witness = json.loads(capsys.readouterr().out)
+    lo, hi = map(Fraction, witness["bracket"])
+    assert witness["point"][0] == 0.0 and lo < hi
 
 
 # -- the grid kernel against exact evaluation ----------------------------------

@@ -11,6 +11,7 @@ from 0: on the curve xy = 1 it is 170/x^2, which falls below the float
 acceptance bound 1e-6 past x ~ 13,038, outside the largest box (|x| <= 4096).
 """
 
+import itertools
 from fractions import Fraction
 
 from jacmate import falsifier as fz
@@ -69,6 +70,22 @@ def test_pinchuk_valley_passes_the_acceptance_bound_past_the_boxes(pinchuk):
     assert at == Fraction(17, 19_600_000) < fz.ZERO_TOL
     # where floats see only cancellation, orders of magnitude above it
     assert abs(J.evaluate_approx(14000.0, 1 / 14000)) > 1e6
+
+
+def test_no_slice_decides_a_jacobian_that_stays_positive(pinchuk):
+    # Jac > 0 on R^2 for Pinchuk's pair and for every det-1 move of
+    # (x, y + y^3 + x^2*y), so an exact slice can find no sign change and
+    # no root: the 20 linear parts with entries in {-1, 0, 1}, each with
+    # every translation in [-3, 3]^2
+    assert fz._slice_witness(jacobian(*pinchuk[:2])) is None
+    x, y = parse_polynomial("x"), parse_polynomial("y")
+    linear = [m for m in itertools.product((-1, 0, 1), repeat=4) if m[0] * m[3] - m[1] * m[2] == 1]
+    assert len(linear) == 20
+    for a, b, c, d in linear:
+        for e, g in itertools.product(range(-3, 4), repeat=2):
+            u, v = a * x + b * y + e, c * x + d * y + g
+            J = jacobian(u, v + v**3 + u * u * v)
+            assert fz._slice_witness(J) is None, (a, b, c, d, e, g)
 
 
 def test_pinchuk_jacobian_is_refused_before_any_determinant(pinchuk, monkeypatch):

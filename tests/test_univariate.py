@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,9 +21,11 @@ from jacmate.univariate import (
     interpolate,
     isolate_roots,
     normalize,
+    probe_bracket,
     resultant,
     resultant_y,
     root_bound,
+    root_exponent,
     squarefree_decomposition,
     subresultant_gcd,
     ueval,
@@ -408,6 +411,77 @@ def test_squarefree_decomposition_matches_sympy(case):
     _, parts = as_sympy(f).clear_denoms(convert=True)[1].sqf_list()
     want = [([int(c) for c in reversed(g.all_coeffs())], m) for g, m in parts]
     assert squarefree_decomposition(f) == sorted(want, key=lambda part: part[1])
+
+
+# integer polynomials of degree 1-9 whose coefficients span 1 to ~200 bits
+int_polys = st.lists(
+    st.integers(-(2**200), 2**200) | st.integers(-9, 9), min_size=2, max_size=10
+).filter(lambda c: c[-1] != 0)
+
+
+@PROPERTY
+@given(int_polys | polys_with_roots().map(lambda case: _integer_multiple(case[0])))
+def test_root_exponent_is_strictly_above_every_root(c):
+    assume(degree(c) >= 1)
+    top = 2 ** root_exponent(c)
+    # every real root: Cauchy's interval holds as many as (-top, top), and
+    # neither end is one
+    assert ueval(c, top) != 0 and ueval(c, -top) != 0
+    assert count_roots(c, -top, top) == len(isolate_roots(c))
+    # every complex root too, by Fujiwara's bound itself: 2 * max |c_(n-k)/c_n|^(1/k)
+    n = degree(c)
+    assert all(abs(Fraction(a, c[-1])) < Fraction(top, 2) ** k for k, a in zip(range(n, 0, -1), c))
+
+
+@PROPERTY
+@given(windows(), st.booleans(), st.booleans())
+def test_open_ends_count_as_the_cauchy_bound_does(case, open_lo, open_hi):
+    # count_roots takes an open end at the power-of-2 bound, isolate_roots
+    # at Cauchy's: the count is the same
+    f, lo, hi = case
+    bound = root_bound(f)
+    lo, cauchy_lo = (None, -bound) if open_lo else (lo, lo)
+    hi, cauchy_hi = (None, bound) if open_hi else (hi, hi)
+    assert count_roots(f, lo, hi) == count_roots(f, cauchy_lo, cauchy_hi)
+
+
+@PROPERTY
+@given(int_polys | polys_with_roots().map(lambda case: _integer_multiple(case[0])))
+def test_probe_bracket_proves_a_root_to_float_spacing(c):
+    bracket = probe_bracket(normalize(c), 300)
+    if bracket is None:
+        # an odd degree changes sign past its roots, and the last probes are past them
+        assert degree(normalize(c)) % 2 == 0
+        return
+    lo, hi = bracket
+    if lo == hi:
+        assert ueval(c, lo) == 0
+        return
+    assert sign(ueval(c, lo)) * sign(ueval(c, hi)) == -1
+    # no float lies strictly between the ends
+    assert lo < hi and math.nextafter(float(lo), math.inf) >= float(hi)
+
+
+def test_probe_bracket_on_the_edge_cases():
+    assert probe_bracket([], 300) == (0, 0)  # the zero polynomial: every y is a root
+    assert probe_bracket([5], 300) is None
+    assert probe_bracket([0, 0, 1], 300) == (0, 0)  # y^2: the first probe
+    assert probe_bracket([-4, 0, 1], 300) == (2, 2)  # y^2 - 4: a doubling probe
+    assert probe_bracket([1, -6, 9], 300) is None  # (3y - 1)^2: no sign change, no probe root
+    # y - 2^100 - 1 is found between 2^100 and 2^101, just above 2^100
+    lo, hi = probe_bracket([-(2**100) - 1, 1], 300)
+    assert lo <= 2**100 + 1 <= hi and hi - lo == 2 ** (100 - 52)
+    # 2^40 y - 1: its root is a midpoint of the halving of (0, 1), exactly
+    assert probe_bracket([-1, 2**40], 300) == (Fraction(1, 2**40),) * 2
+    # 3 * 2^40 y - 1: (0, 1) halves until its lower end leaves 0, then to
+    # the float spacing there, 2^-94
+    lo, hi = probe_bracket([-1, 3 * 2**40], 300)
+    assert 0 < lo < Fraction(1, 3 * 2**40) < hi and hi - lo == Fraction(1, 2**94)
+    # the reach: a root past 2^64 is not probed for, and one below 2^-64 is
+    # halved to 2^-117, not to the float spacing there
+    assert probe_bracket([-(2**70) - 1, 1], 64) is None
+    lo, hi = probe_bracket([-1, 3 * 2**80], 64)
+    assert 0 < lo < Fraction(1, 3 * 2**80) < hi and hi - lo == Fraction(1, 2**117)
 
 
 @PROPERTY
