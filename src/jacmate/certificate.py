@@ -3,8 +3,8 @@
 A document couples the exact combinatorial certificate with the optional
 tongue region checks and falsifier trials.  The headline conclusion is
 only NO_REAL_JACOBIAN_MATE when the edge criterion holds and no enabled
-check contradicts it; that coupling is enforced at construction,
-so an inconsistent document cannot exist.
+check contradicts it; the document computes it from those parts, so it
+cannot disagree with them.
 """
 
 from __future__ import annotations
@@ -57,22 +57,14 @@ def _expected_conclusion(
 
 @dataclass(frozen=True)
 class CertificateDocument:
-    tool_version: str
     input: str  # canonical polynomial text
     criterion: CriterionCertificate
     tongue: TongueCertificate | None
     falsifier_trials: TrialReport | None
-    conclusion: str
 
-    def __post_init__(self):
-        if self.conclusion not in CONCLUSIONS:
-            raise ValueError(f"unknown conclusion {self.conclusion!r}")
-        expected = _expected_conclusion(self.criterion, self.tongue)
-        if self.conclusion != expected:
-            raise ValueError(
-                f"conclusion {self.conclusion} inconsistent with certificate "
-                f"content (expected {expected})"
-            )
+    @property
+    def conclusion(self) -> str:
+        return _expected_conclusion(self.criterion, self.tongue)
 
     @property
     def summary(self) -> str:
@@ -102,14 +94,7 @@ def build_certificate(
     trials: TrialReport | None = None,
 ) -> CertificateDocument:
     """Document for p around its already decided edge criterion."""
-    return CertificateDocument(
-        tool_version=TOOL_VERSION,
-        input=str(p),
-        criterion=criterion,
-        tongue=tongue,
-        falsifier_trials=trials,
-        conclusion=_expected_conclusion(criterion, tongue),
-    )
+    return CertificateDocument(str(p), criterion, tongue, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +193,17 @@ def trials_to_list(report: TrialReport) -> list:
             "q": tr.q_text,
             "outcome": "witness" if tr.found else "min_record",
         }
-        if tr.witness is not None:
-            entry["witness"] = witness_to_dict(tr.witness)
-        if tr.min_record is not None:
-            entry["min_record"] = min_record_to_dict(tr.min_record)
+        if tr.found:
+            entry["witness"] = witness_to_dict(tr.result)
+        else:
+            entry["min_record"] = min_record_to_dict(tr.result)
         out.append(entry)
     return out
 
 
 def document_to_dict(doc: CertificateDocument) -> dict:
     out = {
-        "tool_version": doc.tool_version,
+        "tool_version": TOOL_VERSION,
         "input": doc.input,
         "conclusion": doc.conclusion,
         "summary": doc.summary,

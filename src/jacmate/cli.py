@@ -159,12 +159,6 @@ def _cmd_tongue(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
     tc = tongue_certificate(p, corollary_certificate(p))
     _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
-    if args.svg and tc.region is not None:
-        from .render import render_tongue_svg
-
-        svg = render_tongue_svg(tc.region, tc.level_report, args.x_max)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg + "\n")
     return 0 if tc.status == VERIFIED else 1
 
 
@@ -256,11 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tongue", help="build and check the tongue region")
     add_poly(sp)
-    sp.add_argument("--x-max", type=float, default=None,
-                    help="right edge of the --svg drawing (default: automatic); "
-                         "the report does not depend on it")
     sp.add_argument("--json", help="also write the report to this path")
-    sp.add_argument("--svg", help="write the region figure to this path")
     sp.set_defaults(func=_cmd_tongue)
 
     sp = sub.add_parser("falsify", help="search for a Jacobian zero against a given q")

@@ -26,10 +26,10 @@ out there.  The search runs in this order:
 Every witness is revalidated by exact rational evaluation at the reported
 point before it is accepted.  That rejects every point where the exact
 |Jac| exceeds C, the least float above the bound 10 * ZERO_TOL: float
-rounding is monotone, so such a value rounds to a float >= C.  Where the
-search would first descend, it therefore tries once to prove |Jac| > C on
+rounding is monotone, so such a value rounds to a float >= C.  Before its
+first box, the float search therefore tries once to prove |Jac| > C on
 all of R^2; if that holds, no point can be accepted, and the search only
-finishes its grids for the miss record.  The proof is exact.  Let
+scans its grids for the miss record.  The proof is exact.  Let
 s = sign Jac(0, 0), where |Jac(0, 0)| > C, F = s*Jac - C and n = deg_y F.
 - n = 0: F is a polynomial in x alone with no real root.
 - n >= 1: lc_y(F), Res_y(F, F_y) and F(0, .) have no real root.  Then for
@@ -150,15 +150,29 @@ class TrialOutcome:
     index: int
     seed: int
     q_text: str
-    found: bool
-    witness: ZeroWitness | None
-    min_record: MinRecord | None
+    result: ZeroWitness | MinRecord
+
+    @property
+    def found(self) -> bool:
+        return isinstance(self.result, ZeroWitness)
+
+    @property
+    def witness(self) -> ZeroWitness | None:
+        return self.result if self.found else None
+
+    @property
+    def min_record(self) -> MinRecord | None:
+        return None if self.found else self.result
 
 
 @dataclass(frozen=True)
 class TrialReport:
     outcomes: tuple[TrialOutcome, ...]
-    witness_rate: float
+
+    @property
+    def witness_rate(self) -> float:
+        n = len(self.outcomes)
+        return sum(o.found for o in self.outcomes) / n if n else 0.0
 
 
 def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
@@ -300,24 +314,23 @@ def _slice_witness(J: BivariatePolynomial) -> ZeroWitness | None:
 def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
     """The float search over the boxes, for a nonzero J.
 
-    Where a box first reaches the descent, :func:`_stays_above_bound` tries
-    once to prove s*J - C > 0 on R^2 (module docstring), so that no point
-    passes :func:`_accept`.  If it holds, no later bisection or descent can
-    return a witness, and they are skipped: the remaining boxes are scanned
-    only for the miss record, which is therefore the one the full search
-    would report.  numpy is imported here, on the first search that no
-    slice decides, so that the exact commands never load it.
+    Before box 0, :func:`_stays_above_bound` tries once to prove
+    s*J - C > 0 on R^2 (module docstring), so that no point passes
+    :func:`_accept`.  If it holds, no grid hit, bisection or descent can
+    return a witness, and they are skipped: the boxes are scanned only for
+    the miss record, which is therefore the one the full search would
+    report.  A miss searches all MAX_DOUBLINGS + 1 boxes.  numpy is
+    imported here, on the first search that no slice decides, so that the
+    exact commands never load it.
     """
     import numpy as np
 
-    proven = None  # _stays_above_bound(J), tried where the first descent starts
-    partials = None  # (J_x, J_y), built when the proof fails
+    proven = _stays_above_bound(J)
+    partials = None if proven else (J.partial_derivative("x"), J.partial_derivative("y"))
 
     best_abs = np.inf
     best_point = (0.0, 0.0)
-    boxes = 0
     for k in range(MAX_DOUBLINGS + 1):
-        boxes += 1
         xs, powers = _box(k)
         ys = xs
         vals = evaluate_on_grid(J, xs, ys, powers)
@@ -364,18 +377,13 @@ def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
                 return hit
 
         if np.isfinite(least):
-            if proven is None:
-                proven = _stays_above_bound(J)
-                if proven:
-                    continue
-                partials = (J.partial_derivative("x"), J.partial_derivative("y"))
             hit = _descend(J, *partials, *flattest)
             if hit:
                 return hit
 
     # the float argmin picks the point; its |Jac| is read exactly, so grid
     # rounding (even a cancellation to 0.0 where Jac >= 1) cannot reach it
-    return MinRecord(best_point, _exact_abs(J, *best_point), boxes)
+    return MinRecord(best_point, _exact_abs(J, *best_point), MAX_DOUBLINGS + 1)
 
 
 @functools.cache
@@ -453,23 +461,8 @@ def random_trials(p: BivariatePolynomial, n: int, seed: int = 0) -> TrialReport:
     if n > MAX_TRIALS:
         raise ValueError(f"the trial count exceeds the cap of {MAX_TRIALS}, got {n}")
     outcomes = []
-    hits = 0
     for k in range(n):
         trial_seed = seed + 1000003 * k
         q, J = _sample_mate(p, random.Random(trial_seed))
-        result = _search(J)
-        found = isinstance(result, ZeroWitness)
-        hits += found
-        outcomes.append(
-            TrialOutcome(
-                index=k,
-                seed=trial_seed,
-                q_text=str(q),
-                found=found,
-                witness=result if found else None,
-                min_record=None if found else result,
-            )
-        )
-    rate = hits / n if n else 0.0
-    return TrialReport(outcomes=tuple(outcomes), witness_rate=rate)
-
+        outcomes.append(TrialOutcome(k, trial_seed, str(q), _search(J)))
+    return TrialReport(tuple(outcomes))

@@ -63,8 +63,13 @@ also vanish where both leading coefficients do.
      double root y_m, h - t has the sign of h''(y_m) != 0 beside y_m, and
      p_x(x0, y_m) != 0 by (H1), since p_y(x0, y_m) = h'(y_m) = 0 and
      R(x0) != 0.  If the two signs agree, p - t = (h - t) + (p - p(x0, .))
-     keeps that sign for x > x0 near the point: no end.  Any other
-     multiple root is undecided.
+     keeps that sign for x > x0 near the point: no end.  If they differ,
+     {p = t} near (x0, y_m) is x = x0 + phi(y) with phi(y_m) = phi'(y_m) = 0
+     and phi''(y_m) = -h''(y_m) / p_x(x0, y_m) > 0: two strands enter V
+     from one point of S, two ends.  They cannot close up into one arc:
+     with the point, it would bound a disc in the closure of V with
+     p = t on its border, and so an extremum of p inside, a critical point
+     in V, against (H1).  A root of multiplicity 3 or more is undecided.
    - no end at infinity, by the criterion: p = O(x^theta) on V, and
      theta < 0.  The witness edge (0, 1)-(a, b) has slope
      theta = -a / (b - 1), negative since a >= 1 (at a = 0, p is free of x
@@ -199,33 +204,35 @@ class LevelRecord:
     """Exact shape of one level in V: its ends, and components = ends / 2.
 
     ``boundary_endpoint_count`` counts the ends, all on the segment side.
-    ``closed_loop_detected`` is False by (H1); ``bottom_endpoint_count`` is
-    0 by the criterion, (H3), and ``ends_at_infinity`` is 0 by the
-    criterion too, step 3's p = O(x^theta).  ``ok`` is True and
-    ``anomalies`` empty: a level t <= 0 is empty, one in (0, t0] is one
-    arc by the barrier check (step 4), and one above t0 lies in the pocket
-    whatever its count (step 5).  All five are kept for the certificate
-    schema.
+    The five class constants hold for every level, and are kept for the
+    certificate schema.  ``closed_loop_detected`` is False by (H1);
+    ``bottom_endpoint_count`` is 0 by the criterion, (H3), and
+    ``ends_at_infinity`` is 0 by the criterion too, step 3's
+    p = O(x^theta).  ``ok`` is True and ``anomalies`` empty: a level t <= 0
+    is empty, one in (0, t0] is one arc by the barrier check (step 4), and
+    one above t0 lies in the pocket whatever its count (step 5).
     """
 
     t: float
     classification: str
     component_count: int
     boundary_endpoint_count: int
-    closed_loop_detected: bool = False
-    ok: bool = True
-    anomalies: tuple[str, ...] = ()
-    bottom_endpoint_count: int = 0
-    ends_at_infinity: int = 0
+
+    closed_loop_detected = False
+    ok = True
+    anomalies = ()
+    bottom_endpoint_count = 0
+    ends_at_infinity = 0
 
 
 @dataclass(frozen=True)
 class LevelSetReport:
     records: tuple[LevelRecord, ...]
-    # no record can fail (``LevelRecord``): kept for the certificate schema
-    passed: bool = True
-    failures: tuple[str, ...] = ()
     exact_facts: tuple[str, ...] = ()
+
+    # no record can fail (``LevelRecord``): kept for the certificate schema
+    passed = True
+    failures = ()
 
 
 @dataclass(frozen=True)
@@ -438,27 +445,27 @@ def _first_power_past(c, x0: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _narrowed(g, iv: uni.RootInterval, wide) -> uni.RootInterval:
-    """``iv``, re-isolated at half its width while wide(lo, hi).
-
-    Each step isolates the one root of g in the open (lo, hi), so an end of
-    ``iv`` that is itself a root of g is never taken for it.
-    """
-    while iv.lo != iv.hi and wide(iv.lo, iv.hi):
-        (iv,) = uni.isolate_roots(g, iv.lo, iv.hi, (iv.hi - iv.lo) / 2)
-    return iv
-
-
 def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
     """Sign of q at the one root of the squarefree g that ``iv`` isolates.
 
-    0 when q vanishes there: the gcd check decides it, since narrowing
-    until q has no root inside would never stop.
+    0 when q vanishes there: the gcd check decides it, since halving until
+    q has no root inside would never stop.  Otherwise ``iv`` is halved
+    while q has a root in it or at its lower end.  An end of ``iv`` may be
+    another root of g, so g is divided by it first: the isolated root is
+    simple, and g then has opposite signs at the two ends.
     """
     if uni.count_roots(uni.subresultant_gcd(q, g), iv.lo, iv.hi):
         return 0
-    iv = _narrowed(g, iv, lambda lo, hi: uni.count_roots(q, lo, hi) or not uni.ueval(q, lo))
-    v = uni.ueval(q, iv.lo)
+    lo, hi = iv.lo, iv.hi
+    if lo != hi:
+        c = uni._deflate_root(uni._deflate_root(uni._integer_multiple(g), lo), hi)
+
+        def wide(a: int, b: int, den: int) -> bool:
+            end = Fraction(a, den)
+            return uni.count_roots(q, end, Fraction(b, den)) or not uni.ueval(q, end)
+
+        lo, _ = uni._bisect(c, lo, hi, wide)
+    v = uni.ueval(q, lo)
     return (v > 0) - (v < 0)
 
 
@@ -475,14 +482,16 @@ def _ends_above_barrier(h, h2, px, f_hi: Fraction, t: Fraction) -> int:
             ends += uni.count_roots(factor, Fraction(0), f_hi)
             continue
         for iv in uni.isolate_roots(factor, Fraction(0), f_hi):
-            # beside a double root h - t has the sign of h'' there; where
-            # p_x(x0, .) has that sign too the level is tangent from outside V
-            if mult == 2 and _sign_at_root(h2, factor, iv) == _sign_at_root(px, factor, iv):
-                continue
-            raise LevelSetUndecided(
-                f"h - t has a root of multiplicity {mult} near y = "
-                f"{float(iv.midpoint)!r} for t = {t} that does not stay outside V"
-            )
+            if mult != 2:
+                raise LevelSetUndecided(
+                    f"h - t has a root of multiplicity {mult} near y = "
+                    f"{float(iv.midpoint)!r} for t = {t}"
+                )
+            # beside a double root h - t has the sign of h'' there: where
+            # p_x(x0, .) has that sign too the level is tangent from outside
+            # V, and where it has the other sign two strands enter V
+            if _sign_at_root(h2, factor, iv) != _sign_at_root(px, factor, iv):
+                ends += 2
     return ends
 
 

@@ -91,26 +91,14 @@ def test_failed_tongue_downgrades_conclusion(p3):
     assert "did not pass" in data["summary"]
 
 
-def test_inconsistent_document_cannot_exist(p3):
-    crit = certify(p3).criterion
-    with pytest.raises(ValueError):
-        CertificateDocument(
-            tool_version="0.1.0",
-            input=str(p3),
-            criterion=crit,
-            tongue=None,
-            falsifier_trials=None,
-            conclusion=NOT_COVERED,
-        )
-    with pytest.raises(ValueError):
-        CertificateDocument(
-            tool_version="0.1.0",
-            input=str(p3),
-            criterion=crit,
-            tongue=None,
-            falsifier_trials=None,
-            conclusion="MAYBE",
-        )
+def test_conclusion_follows_from_the_parts(p3):
+    # the conclusion is read off the criterion and the tongue, never stored:
+    # a document cannot be built that disagrees with its parts
+    crit = corollary_certificate(p3)
+    doc = CertificateDocument(str(p3), crit, None, None)
+    assert doc.conclusion == NO_REAL_JACOBIAN_MATE
+    with pytest.raises(TypeError):
+        CertificateDocument(str(p3), crit, None, None, NOT_COVERED)
 
 
 def test_key_order_and_determinism(p3):

@@ -204,9 +204,10 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def reference_find_jacobian_zero(p, q):
     """The box scan as it was before the fused sign scan: every mask is
     built on every box.  The grid is read through ``fz.evaluate_on_grid`` so
-    that a test can substitute it for both searches.  Like the search, it
-    tries the miss proof where it would first descend, and once that holds
-    it skips every later bisection and descent."""
+    that a test can substitute it for both searches.  It tries the miss
+    proof where it would first descend, and once that holds it skips every
+    later bisection and descent; the search tries it before box 0, which
+    skips only work that cannot return a witness."""
     J = jacobian(p, q)
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)

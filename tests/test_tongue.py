@@ -623,7 +623,7 @@ GOLDEN_SVG = {
 
 @pytest.mark.parametrize("text", FIXTURES)
 def test_drawing_matches_golden(fixture_certs, text):
-    # the figure that `tongue <f> --svg` writes, byte for byte
+    # the figure that `render <f> --what tongue --out F` writes, byte for byte
     cert = fixture_certs[text]
     svg = render_tongue_svg(cert.region, cert.level_report) + "\n"
     assert svg == (GOLDEN / GOLDEN_SVG[text]).read_text(encoding="utf-8")
@@ -862,20 +862,30 @@ def test_a_line_without_a_positive_root_ends_the_border(p3, region3):
     assert all(x < 46 + 548 / 49 for pts in [border, *levels] for x, _ in pts)
 
 
-def test_tangency_entering_the_strip_is_undecided():
+def test_tangency_entering_the_strip_counts_two_ends():
     # u + x*u^2 with u = y(1 - y) is in no region's coordinates: its far
     # edge term x*y^2 has a01*a_ab = 1 > 0, so its face 1 + c has no
     # positive root and p grows with x along V; the strip refuses it
     region = strip_region(parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y))"), Fraction(1))
     with pytest.raises(LevelSetUndecided, match=r"does not have a >= 1 and a01\*a_ab < 0"):
         check_level_sets(region, [])
-    # here h = p(1, .) peaks at 5/16 at y = 1/2, where p_x = 1/16 > 0, so
-    # that level bulges into V from one segment point
+    # here h = p(1, .) peaks at 5/16 at y = 1/2, where h'' = -4 < 0 and
+    # p_x = 1/16 > 0: that level is x = 1 + 32 (y - 1/2)^2 + ..., two
+    # strands into V from one segment point, and so two ends
     p = parse_polynomial("y*(1 - y)*(1 + x*y*(1 - y)) - x^2*y^3*(2*y - 1)^2")
     region = strip_region(p, Fraction(1))
-    with pytest.raises(LevelSetUndecided, match="multiplicity 2"):
-        ends_above_barrier(region, Fraction(5, 16))
+    assert ends_above_barrier(region, Fraction(5, 16)) == 2
     assert ends_above_barrier(region, Fraction(1, 4)) == 2
+
+
+def test_a_root_of_multiplicity_above_two_is_undecided():
+    # h = p(1, .) = 1/8 - 2 (y - 1/2)^4: h - 1/8 has a fourth-order root at
+    # y = 1/2, whose ends the sign of h'' cannot tell
+    p = parse_polynomial("y - 3*y^2 + 4*y^3 - 2*y^4 + (x - 1)*y^2")
+    region = strip_region(p, Fraction(1))
+    with pytest.raises(LevelSetUndecided, match="multiplicity 4"):
+        ends_above_barrier(region, Fraction(1, 8))
+    assert ends_above_barrier(region, Fraction(1, 10)) == 2
 
 
 def test_strip_refuses_terms_the_criterion_rules_out():
