@@ -5,8 +5,8 @@ shape y ~ c * x^theta with theta = l/k, where c is a nonzero real root of
 the edge's face polynomial.  Root isolation is exact.  Odd-multiplicity
 roots force a sign change of the face and always yield a branch; an even
 one is probed by exact sign evaluation of p along the two curves bounding
-its isolating interval, far out on the x axis, and confirmed only when
-every probe straddles.
+its isolating interval, or beside an exactly isolated root, far out on the
+x axis, and confirmed only when every probe straddles.
 
 Confirmed asymptotes can be traced: a walk along x whose every sample is
 a real root of the exact slice p(x, .), isolated by the integer Descartes
@@ -74,18 +74,30 @@ class SignProbe:
     c_plus: float
     sign_minus: int
     sign_plus: int
-    straddles: bool
+
+    @property
+    def straddles(self) -> bool:
+        return self.sign_minus * self.sign_plus == -1
 
 
 @dataclass(frozen=True)
 class BranchAsymptote:
+    """A face root c*, confirmed as a branch y ~ c* x^theta when every probe
+    straddles: an odd root, across which the face changes sign, has none."""
+
     edge: OuterEdge
-    theta: Fraction
     c_interval: tuple[Fraction, Fraction]
     c_star: float
     root_multiplicity: int
-    existence: str  # Confirmed | Inconclusive
     probes: tuple[SignProbe, ...]
+
+    @property
+    def theta(self) -> Fraction:
+        return self.edge.slope
+
+    @property
+    def existence(self) -> str:
+        return CONFIRMED if all(pr.straddles for pr in self.probes) else INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -105,7 +117,13 @@ class BranchTrace:
     samples: tuple[tuple[float, float], ...]
     theta: Fraction
     residual_bound: float
-    ratio_bounds: tuple[float, float]
+
+    @property
+    def ratio_bounds(self) -> tuple[float, float]:
+        """The least and greatest y / x^theta over the samples."""
+        theta = float(self.theta)
+        ratios = [y / x**theta for x, y in self.samples]
+        return min(ratios), max(ratios)
 
 
 def sign_probe(
@@ -137,7 +155,6 @@ def sign_probe(
         c_plus=float(c_plus),
         sign_minus=signs[0],
         sign_plus=signs[1],
-        straddles=signs[0] * signs[1] == -1,
     )
 
 
@@ -157,26 +174,30 @@ def branch_candidates(
     out: list[BranchAsymptote] = []
     # 0 is no root here and isolation splits (-B, B) there first: no interval straddles it
     for iv in uni.isolate_roots(reduced, width=uni.DEFAULT_WIDTH):
-        lo, hi = iv.lo, iv.hi
-        c_star = uni.float_root(reduced, iv)
         if iv.multiplicity % 2 == 1:
-            # the face changes sign across the root: no probe decides anything
-            probes, existence = (), CONFIRMED
+            probes = ()  # the face changes sign across the root: no probe decides anything
         else:
-            probes = tuple(sign_probe(p, edge.slope, lo, hi, xp) for xp in PROBE_XS)
-            existence = CONFIRMED if all(pr.straddles for pr in probes) else INCONCLUSIVE
+            c_lo, c_hi = (iv.lo, iv.hi) if iv.lo != iv.hi else _curves_beside(reduced, iv.lo)
+            probes = tuple(sign_probe(p, edge.slope, c_lo, c_hi, xp) for xp in PROBE_XS)
         out.append(
             BranchAsymptote(
                 edge=edge,
-                theta=edge.slope,
-                c_interval=(lo, hi),
-                c_star=c_star,
+                c_interval=(iv.lo, iv.hi),
+                c_star=uni.float_root(reduced, iv),
                 root_multiplicity=iv.multiplicity,
-                existence=existence,
                 probes=probes,
             )
         )
     return out
+
+
+def _curves_beside(f: list[Fraction], c: Fraction) -> tuple[Fraction, Fraction]:
+    """c -+ w around an exact root c of f, which is f's only root on [c - w, c + w],
+    and w at most half the isolating width: probes on c itself may read p = 0."""
+    w = uni.DEFAULT_WIDTH / 2
+    while uni.count_roots(f, c - w, c + w) != 1 or not uni.ueval(f, c - w) * uni.ueval(f, c + w):
+        w /= 2
+    return c - w, c + w
 
 
 def _relative_width(iv: uni.RootInterval) -> float:
@@ -249,16 +270,10 @@ def trace_branch(
         solved.append((x, y))
         if i:
             y_pred = y * (xs[i - 1] / x) ** theta
-    samples = tuple(reversed(solved))
-    ratio_lo, ratio_hi = math.inf, -math.inf
-    for x, y in samples:
-        ratio = y / x**theta
-        ratio_lo, ratio_hi = min(ratio_lo, ratio), max(ratio_hi, ratio)
     return BranchTrace(
-        samples=samples,
+        samples=tuple(reversed(solved)),
         theta=asymptote.theta,
         residual_bound=residual,
-        ratio_bounds=(ratio_lo, ratio_hi),
     )
 
 

@@ -43,7 +43,6 @@ from .falsifier import (
 )
 from .poly import ParseError, apply_transform, parse_polynomial
 from .polygon import (
-    PointPolygon,
     corollary_certificate,
     newton_polygon,
     outer_edges,
@@ -72,10 +71,7 @@ def _emit(args, text: str) -> None:
 def _cmd_analyze(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
     polygon = newton_polygon(p)
-    try:
-        edges = outer_edges(polygon)
-    except PointPolygon:
-        edges = []
+    edges = outer_edges(polygon)
     doc = {
         "input": str(p),
         "support": [list(pt) for pt in sorted(p.support())],
@@ -114,10 +110,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_branch(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    try:
-        edges = right_outer_edges(newton_polygon(p))
-    except PointPolygon:
-        edges = []
+    edges = right_outer_edges(newton_polygon(p))
     if not edges:
         print("error: no right outer edges", file=sys.stderr)
         return 1

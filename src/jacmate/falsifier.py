@@ -142,7 +142,8 @@ class ZeroWitness:
 class MinRecord:
     best_point: tuple[float, float]
     best_abs_jac: float
-    boxes_searched: int
+
+    boxes_searched = MAX_DOUBLINGS + 1  # a miss searches every box
 
 
 @dataclass(frozen=True)
@@ -383,7 +384,7 @@ def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
 
     # the float argmin picks the point; its |Jac| is read exactly, so grid
     # rounding (even a cancellation to 0.0 where Jac >= 1) cannot reach it
-    return MinRecord(best_point, _exact_abs(J, *best_point), MAX_DOUBLINGS + 1)
+    return MinRecord(best_point, _exact_abs(J, *best_point))
 
 
 @functools.cache

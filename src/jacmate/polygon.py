@@ -33,7 +33,6 @@ from .poly import (
 __all__ = [
     "ZeroPolynomial",
     "EmptySupport",
-    "PointPolygon",
     "NotAnEdgeOfThisPolynomial",
     "NewtonPolygon",
     "OuterEdge",
@@ -57,10 +56,6 @@ class EmptySupport(ValueError):
     pass
 
 
-class PointPolygon(ValueError):
-    """A single-vertex polygon has no edges."""
-
-
 class NotAnEdgeOfThisPolynomial(ValueError):
     pass
 
@@ -69,14 +64,21 @@ class NotAnEdgeOfThisPolynomial(ValueError):
 class OuterEdge:
     """A polygon side with an escape-facing primitive outward normal.
 
-    ``slope`` is v2/v1 and is only defined for right outer edges (v1 > 0).
+    The normal (v1, v2) fixes the rest: the edge is right when v1 > 0, and
+    only then has a ``slope``, v2/v1.
     """
 
     start: LatticePoint
     end: LatticePoint
     normal: tuple[int, int]
-    is_right: bool
-    slope: Fraction | None
+
+    @property
+    def is_right(self) -> bool:
+        return self.normal[0] > 0
+
+    @property
+    def slope(self) -> Fraction | None:
+        return Fraction(self.normal[1], self.normal[0]) if self.is_right else None
 
     def endpoints(self) -> frozenset[LatticePoint]:
         return frozenset((self.start, self.end))
@@ -92,12 +94,28 @@ class NewtonPolygon:
 
 @dataclass(frozen=True)
 class CriterionCertificate:
-    satisfied: bool
+    """The edge criterion's witness edge from (0, 1), or None; the rest is read off it."""
+
     transform_used: Transform
     witness_edge: OuterEdge | None
-    endpoints: tuple[LatticePoint, LatticePoint] | None
-    primitive_check: int | None
-    theta: Fraction | None
+
+    @property
+    def satisfied(self) -> bool:
+        return self.witness_edge is not None
+
+    @property
+    def endpoints(self) -> tuple[LatticePoint, LatticePoint] | None:
+        e = self.witness_edge
+        return None if e is None else ((0, 1), e.end if e.start == (0, 1) else e.start)
+
+    @property
+    def primitive_check(self) -> int | None:
+        ends = self.endpoints
+        return None if ends is None else gcd(ends[1][0], ends[1][1] - 1)
+
+    @property
+    def theta(self) -> Fraction | None:
+        return None if self.witness_edge is None else self.witness_edge.slope
 
 
 def support(p: BivariatePolynomial) -> frozenset[LatticePoint]:
@@ -148,32 +166,26 @@ def _primitive(v: tuple[int, int]) -> tuple[int, int]:
     return (v[0] // g, v[1] // g)
 
 
-def _edge(a: LatticePoint, b: LatticePoint, normal: tuple[int, int]) -> OuterEdge:
-    right = normal[0] > 0
-    slope = Fraction(normal[1], normal[0]) if right else None
-    return OuterEdge(a, b, normal, right, slope)
-
-
 def outer_edges(polygon: NewtonPolygon) -> list[OuterEdge]:
     """Sides whose primitive outward normal has v1 > 0 or v2 > 0.
 
-    A segment-degenerate polygon contributes a single edge; its recorded
-    normal is the qualifying one, preferring v1 > 0 when both directions
-    of the perpendicular qualify.
+    A one-point polygon has none.  A segment-degenerate polygon contributes
+    a single edge; its recorded normal is the qualifying one, preferring
+    v1 > 0 when both directions of the perpendicular qualify.
     """
     verts = polygon.vertices
     if len(verts) == 1:
-        raise PointPolygon("a one-point polygon has no edges")
+        return []
     if len(verts) == 2:
         a, b = verts
         d = (b[0] - a[0], b[1] - a[1])
         n = _primitive((d[1], -d[0]))
         for cand in (n, (-n[0], -n[1])):
             if cand[0] > 0:
-                return [_edge(a, b, cand)]
+                return [OuterEdge(a, b, cand)]
         for cand in (n, (-n[0], -n[1])):
             if cand[1] > 0:
-                return [_edge(a, b, cand)]
+                return [OuterEdge(a, b, cand)]
         return []
     out = []
     for k, a in enumerate(verts):
@@ -181,7 +193,7 @@ def outer_edges(polygon: NewtonPolygon) -> list[OuterEdge]:
         d = (b[0] - a[0], b[1] - a[1])
         n = _primitive((d[1], -d[0]))  # outward for a CCW cycle
         if n[0] > 0 or n[1] > 0:
-            out.append(_edge(a, b, n))
+            out.append(OuterEdge(a, b, n))
     return out
 
 
@@ -211,31 +223,12 @@ def corollary_certificate(
     """
     transforms = (IDENTITY, SWAP) if allow_swap else (IDENTITY,)
     for t in transforms:
-        q = apply_transform(p, t)
-        polygon = newton_polygon(q)
-        if len(polygon.vertices) < 2:
-            continue
-        for edge in right_outer_edges(polygon):
+        for edge in right_outer_edges(newton_polygon(apply_transform(p, t))):
             ends = edge.endpoints()
-            if (0, 1) not in ends:
-                continue
-            others = [e for e in ends if e != (0, 1)]
-            if not others:
-                continue
-            a, b = others[0]
-            if b <= 1:
-                continue
-            if lattice_point_count(edge) != 2:
-                continue
-            return CriterionCertificate(
-                satisfied=True,
-                transform_used=t,
-                witness_edge=edge,
-                endpoints=((0, 1), (a, b)),
-                primitive_check=gcd(a, b - 1),
-                theta=edge.slope,
-            )
-    return CriterionCertificate(False, IDENTITY, None, None, None, None)
+            # with (0, 1) an end, the other end (a, b) has b > 1 when some end does
+            if (0, 1) in ends and max(j for _, j in ends) > 1 and lattice_point_count(edge) == 2:
+                return CriterionCertificate(t, edge)
+    return CriterionCertificate(IDENTITY, None)
 
 
 def face_polynomial(p: BivariatePolynomial, edge: OuterEdge) -> dict[int, Fraction]:

@@ -17,7 +17,6 @@ from .poly import BivariatePolynomial
 from .polygon import (
     CriterionCertificate,
     NewtonPolygon,
-    PointPolygon,
     outer_edges,
 )
 from .tongue import (
@@ -72,12 +71,8 @@ def render_polygon_svg(
             f'<polyline points="{coords}" fill="none" stroke="#999" stroke-width="1.5"/>'
         )
 
-    try:
-        edges = outer_edges(polygon)
-    except PointPolygon:
-        edges = []
     witness = cert.witness_edge if cert is not None and cert.witness_edge else None
-    for edge in edges:
+    for edge in outer_edges(polygon):
         if not edge.is_right:
             continue
         (x1, y1), (x2, y2) = px(*edge.start), px(*edge.end)

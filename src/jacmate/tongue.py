@@ -169,7 +169,7 @@ class LevelSetUndecided(RuntimeError):
 
 @dataclass(frozen=True)
 class RestrictionProfile:
-    """Exact shape of h(y) = p(x0, y) on the segment side of the region.
+    """Exact shape of h(y) = p(x0, y), at the region's x0, on its segment side.
 
     f_x0 is the float of f(x0), the smallest positive root of h, which
     ``f_x0_interval`` isolates.  t0 is a rational barrier strictly below
@@ -177,7 +177,6 @@ class RestrictionProfile:
     crosses t0, bracketed exactly and reported as floats.
     """
 
-    x0: Fraction
     f_x0: float
     f_x0_interval: tuple[Fraction, Fraction]
     t0: Fraction
@@ -215,7 +214,6 @@ class LevelRecord:
 
     t: float
     classification: str
-    component_count: int
     boundary_endpoint_count: int
 
     closed_loop_detected = False
@@ -223,6 +221,10 @@ class LevelRecord:
     anomalies = ()
     bottom_endpoint_count = 0
     ends_at_infinity = 0
+
+    @property
+    def component_count(self) -> int:
+        return self.boundary_endpoint_count // 2
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,6 @@ def restriction_profile(
     b = uni.float_root(shifted, b_iv)
     assert 0 < a < b < f_x0
     return RestrictionProfile(
-        x0=x0,
         f_x0=f_x0,
         f_x0_interval=(top.lo, top.hi),
         t0=t0,
@@ -539,12 +540,12 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
         f"p > 0 on V: p(x0, {ym}) = {uni.ueval(h, ym)}",
     )
     h2 = uni.derivative(uni.derivative(h))
-    px = p.partial_derivative("x").restricted_to_x(prof.x0)
+    px = p.partial_derivative("x").restricted_to_x(region.x0)
     records = []
     for t in sorted(map(Fraction, t_values)):
         ends = 0 if t <= 0 else 2 if t <= prof.t0 else _ends_above_barrier(h, h2, px, f_hi, t)
         shape = (SEGMENT_ARC if t <= prof.t0 else CONTAINED_IN_B) if ends else EMPTY
-        records.append(LevelRecord(float(t), shape, ends // 2, ends))
+        records.append(LevelRecord(float(t), shape, ends))
     return LevelSetReport(records=tuple(records), exact_facts=facts)
 
 

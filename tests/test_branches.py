@@ -70,9 +70,9 @@ def first_edge_candidates(text):
 
 def test_sign_probes_on_exact_rational_root():
     # the face (c - 1)^2 (c + 1) has the exact root 1, so the isolating
-    # interval collapses and both probes land on the curve y = 1/x itself,
-    # where p vanishes: no probe straddles and the double root stays
-    # inconclusive; the simple root -1 needs no probe
+    # interval collapses, and the probes run beside the curve y = 1/x, on
+    # 1/x -+ w/x: p = (c - 1)^2 (c + 1) > 0 on both, no probe straddles and
+    # the double root stays inconclusive; the simple root -1 needs no probe
     simple, double = first_edge_candidates("(x*y - 1)^2*(x*y + 1)")
     assert (simple.c_interval, simple.probes) == ((-1, -1), ())
     assert simple.existence == CONFIRMED
@@ -80,10 +80,27 @@ def test_sign_probes_on_exact_rational_root():
     assert double.root_multiplicity == 2
     for probe, x_expected in zip(double.probes, (1e2, 1e4, 1e6), strict=True):
         assert probe.x_probe == x_expected
-        assert probe.c_minus == probe.c_plus == 1.0
-        assert probe.sign_minus == probe.sign_plus == 0
+        assert 1.0 - 1e-12 <= probe.c_minus < 1.0 < probe.c_plus <= 1.0 + 1e-12
+        assert probe.sign_minus == probe.sign_plus == 1
         assert not probe.straddles
     assert double.existence == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("root", ["3", "1"], ids=["c_3_2", "c_1_2"])
+def test_exactly_isolated_even_root_is_probed_beside_it(root):
+    # the slope-0 face (2c - r)^2 isolates r/2 exactly (lo == hi); on
+    # y = r/2 itself p is 0, but p = (2y - r) (x^2 (2y - r) + y^4 + 1)
+    # changes sign across it at every probe abscissa: a branch
+    (asym,) = first_edge_candidates(f"(2*y - {root})*(x^2*(2*y - {root}) + y^4 + 1)")
+    c = Fraction(int(root), 2)
+    assert asym.theta == 0
+    assert asym.c_interval == (c, c)
+    assert asym.root_multiplicity == 2
+    assert len(asym.probes) == 3
+    for probe in asym.probes:
+        assert probe.c_minus < c < probe.c_plus
+        assert (probe.sign_minus, probe.sign_plus) == (-1, 1)
+    assert asym.existence == CONFIRMED
 
 
 def test_sign_probes_straddle_irrational_root():

@@ -113,6 +113,27 @@ def test_falsify_miss_matches_golden(capsys):
     assert out == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        # right and non-right outer edges, a non-right slope written as None
+        (
+            ("analyze", "x + x^2 + x^3*y + y^2 + x^3*y^2 + x*y^3"),
+            0,
+            "analyze_four_edge.json",
+        ),
+        (("branch", "y + x^2*y^2", "--x-end", "100"), 0, "branch_y_x2y2_xend100.csv"),
+        # no witness edge: every criterion field read off it is null
+        (("certify", "y + x^2*y^2 + 5"), 1, "certify_not_covered_y_x2y2_5.json"),
+    ],
+    ids=["analyze", "branch", "not_covered"],
+)
+def test_output_matches_golden(capsys, argv, code, golden):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
     "argv, code, golden",
@@ -351,6 +372,16 @@ def test_branch_csv(capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 10.0
     assert float(first[1]) == pytest.approx(-0.01, rel=1e-6)
+
+
+def test_branch_on_an_exactly_isolated_even_root(capsys):
+    # the face (2c - 3)^2 isolates 3/2 exactly; the probes beside it confirm
+    # the branch y = 3/2, and the trace follows it
+    code, out, err = run(capsys, "branch", "(2*y - 3)*(x^2*(2*y - 3) + y^4 + 1)")
+    assert (code, err) == (0, "")
+    lines = out.strip().splitlines()
+    assert lines[0] == "x,y,residual"
+    assert float(lines[1].split(",")[1]) == pytest.approx(1.5, abs=0.05)
 
 
 def test_branch_edge_selection(capsys):

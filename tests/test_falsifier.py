@@ -216,10 +216,8 @@ def reference_find_jacobian_zero(p, q):
     proven = None
     best_abs = np.inf
     best_point = (0.0, 0.0)
-    boxes = 0
     w = fz.INITIAL_HALF_WIDTH
     for _ in range(fz.MAX_DOUBLINGS + 1):
-        boxes += 1
         xs = np.linspace(-w, w, fz.GRID_PER_AXIS)
         ys = np.linspace(-w, w, fz.GRID_PER_AXIS)
         vals = fz.evaluate_on_grid(J, xs, ys)
@@ -257,7 +255,7 @@ def reference_find_jacobian_zero(p, q):
                 if hit:
                     return hit
         w *= 2
-    return MinRecord(best_point, fz._exact_abs(J, *best_point), boxes)
+    return MinRecord(best_point, fz._exact_abs(J, *best_point))
 
 
 small_polys = st.dictionaries(

@@ -1,0 +1,59 @@
+"""Records store only their independent facts: a derived one cannot be passed in."""
+
+import dataclasses
+
+import pytest
+
+from jacmate.branches import branch_candidates, lowest_positive_branch
+from jacmate.falsifier import find_jacobian_zero
+from jacmate.poly import parse_polynomial
+from jacmate.polygon import corollary_certificate, newton_polygon, right_outer_edges
+from jacmate.tongue import tongue_certificate
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each of the eight records, keyed by class name."""
+    p = parse_polynomial("y + x^2*y^2")
+    criterion = corollary_certificate(p)
+    tongue = tongue_certificate(p, criterion)
+    # an even face root, so the asymptote carries sign probes
+    q = parse_polynomial("2*x^2*y^2 - 4*x^2*y + 2*x^2 + 2*y^5 - y^2 - 2*y + 1")
+    (asym,) = branch_candidates(q, right_outer_edges(newton_polygon(q))[0])
+    return {
+        "CriterionCertificate": criterion,
+        "OuterEdge": criterion.witness_edge,
+        "BranchAsymptote": asym,
+        "SignProbe": asym.probes[0],
+        "BranchTrace": lowest_positive_branch(p)[1],
+        "LevelRecord": tongue.level_report.records[-1],
+        "RestrictionProfile": tongue.region.profile,
+        "MinRecord": find_jacobian_zero(parse_polynomial("x"), parse_polynomial("y + y^3 + x^2*y")),
+        "x0": tongue.region.x0,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("CriterionCertificate", "satisfied"),
+        ("CriterionCertificate", "endpoints"),
+        ("CriterionCertificate", "primitive_check"),
+        ("CriterionCertificate", "theta"),
+        ("OuterEdge", "is_right"),
+        ("OuterEdge", "slope"),
+        ("BranchAsymptote", "theta"),
+        ("BranchAsymptote", "existence"),
+        ("SignProbe", "straddles"),
+        ("BranchTrace", "ratio_bounds"),
+        ("LevelRecord", "component_count"),
+        ("RestrictionProfile", "x0"),
+        ("MinRecord", "boxes_searched"),
+    ],
+)
+def test_a_derived_fact_cannot_be_passed_in(records, name, field):
+    record = records[name]
+    # the profile's x0 is the region's; every other fact is still read off the record
+    value = records["x0"] if field == "x0" else getattr(record, field)
+    with pytest.raises(TypeError):
+        dataclasses.replace(record, **{field: value})

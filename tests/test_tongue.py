@@ -81,7 +81,7 @@ def test_profile_at_shifted_start(p3):
     # same curve entered at x0 = 2: h(y) = y - 4y^2 peaks at 1/16
     region = region_of(p3, x0=2)
     prof = region.profile
-    assert prof.x0 == 2
+    assert region.x0 == 2
     assert prof.t0 == Fraction(1, 32)
     assert list(prof.h_coeffs) == [Fraction(0), Fraction(1), Fraction(-4)]
     assert prof.a == pytest.approx((1 - SQ2 / 2) / 8, abs=1e-9)
@@ -230,7 +230,7 @@ def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
     cert = certify_tongue(parse_polynomial("y - ((x - 131072)^2 + 2)*y^2"))
     assert cert.status == VERIFIED
     prof = cert.region.profile
-    assert prof.x0 == 262144
+    assert cert.region.x0 == 262144
     assert 0 < prof.t0 < Fraction(1, 10**9)
     peak = Fraction(1, 4 * (2**34 + 2))
     assert abs(prof.t0 - peak / 2) <= peak / 8
