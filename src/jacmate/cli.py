@@ -129,6 +129,12 @@ def _cmd_branch(args) -> int:
             )
             return 2
         chosen = candidates[args.root]
+        if chosen.existence != CONFIRMED:
+            print(
+                f"root {args.root} is no confirmed real branch: {chosen.existence}",
+                file=sys.stderr,
+            )
+            return 1
     else:
         confirmed = [c for c in candidates if c.existence == CONFIRMED]
         if not confirmed:

@@ -21,26 +21,53 @@ Numeric: only floats reporting exact values (f(x0), a, b).
 p(x_k, .) on rational lines, plotted as floats.
 
 The level sets follow from regular-level Morse theory (Milnor, *Morse
-Theory*) with the projection resultants of Collins' cylindrical
-decomposition (1975).  Resultants are taken at formal degrees, so they
-also vanish where both leading coefficients do.
+Theory*).  The hypotheses come from the witness edge alone: its weights
+bound p and its partials along the branch (Walker, *Algebraic Curves*,
+ch. IV), so the certificate eliminates no variable.
 
-1. Hypotheses at x0, decided exactly.  x0 is the least power of two at
-   which (H1) and (H2) hold; one past the real roots of R and D always
-   does, unless R or D is 0.  That, and any other failing hypothesis,
-   reports Inconclusive:
-   (H1) R = Res_y(p_x, p_y) is not 0 and has no real root on [x0, oo).  A
-        critical point over x makes R(x) = 0, so there is none at x >= x0.
-   (H2) D = Res_y(p, p_y) has no real root on [x0, oo).  So for x >= x0 the
-        y-leading coefficient of p is nonzero and p(x, .) has simple roots:
-        its real roots are continuous in x and never meet or escape.
+1. Hypotheses past x0, decided exactly from the witness edge.  In the
+   region's coordinates the edge runs from (0, 1) to (a, b), b >= 2 and
+   gcd(a, b - 1) = 1, with a01 > 0 > a_ab.  Put e = b - 1,
+   theta = -a / e, w = x^(-1/e) and y = u x^theta.  A term c x^i y^j of p
+   is then c u^j w^(n + a), n = a (j - 1) - i e, so
+       g = p / y          = F(u)      + sum c u^(j - 1) w^n,
+       p_y                = (uF)'(u)  + sum c j u^(j - 1) w^n,
+       x^(1 - theta) p_x  = a a_ab u^b + sum c i u^j w^n,
+   with F(u) = a01 + a_ab u^e and the sums over the terms off the edge.
+   Every term lies on or below the edge, which is primitive, so n >= 1 off
+   it; this premise is checked exactly, with a >= 1 and the signs.  For
+   x >= 2^k, w^n <= 2^-floor(k n / e), so on 0 <= u <= C the three sums
+   are at most
+       G(k) = sum |c| C^(j - 1) 2^-floor(k n / e),
+       Y(k) = sum |c| j C^(j - 1) 2^-floor(k n / e),
+       X(k) = sum |c| i C^j 2^-floor(k n / e).
+   F and (uF)' fall on u >= 0 from a01, through 0 at c* and at
+   c* b^(-1/e) < c*.  With q = a01 / |a_ab|, the rationals s < m < C are
+   dyadic e-th roots just below q / (2b), q (b + 1) / (2b) and 2q, so
+   s < c* b^(-1/e) < m < c* < C, and x0 = 2^k is the least with
+       G(k) < min(F(m), -F(C)),   Y(k) < min((uF)'(s), -(uF)'(m)),
+       X(k) < a |a_ab| s^b.
+   Then for every x >= x0: on 0 <= u <= s, p_y >= (uF)'(s) - Y > 0; on
+   s <= u <= m, g >= F(m) - G > 0 and x^(1 - theta) p_x <=
+   -a |a_ab| s^b + X < 0; on m <= u <= C, p_y <= (uF)'(m) + Y < 0; and
+   g <= F(C) + G < 0 at u = C.
+   (H2) So p(x, .), 0 at y = 0, rises on (0, s x^theta], stays positive up
+   to m x^theta and falls strictly to a negative value at C x^theta: it
+   has exactly one root in (0, C x^theta), simple and above m x^theta.
+   That root is f(x), and by the implicit function theorem, with its
+   uniqueness, f is continuous on [x0, oo).
+   (H1) The closure of V lies in 0 <= u <= C over [x0, oo) by (H2), and at
+   each of its points p_y or p_x is nonzero: p has no critical point there.
+   Since n >= 1, each sum at k is at most its value at 0 times
+   2^-floor(k / e), so k <= e t, t the least integer with 2^t past each
+   sum at 0 over its margin.  An edge with a = 0 leaves p free of x and
+   theta = 0: nothing decays, and that reports Inconclusive.
    (H3) p(x, 0) = 0, and no root of p(x, .) reaches y = 0 past x0: f is
         continuous on [x0, oo), and V is a topological half-strip, simply
-        connected.  This follows from the criterion.  The certified edge
-        runs from (0, 1) to (a, b) with b > 1, and a term (i, j) with j <= 1
-        other than (0, 1) would lie outside it, since (b - 1) i - a j > -a
-        for it.  So p = y g with g(x, 0) = a01 != 0: y = 0 is a simple root
-        of p(x, .) at every x, which by (H2) no other root meets.
+        connected.  This follows from the criterion.  A term (i, j) with
+        j <= 1 other than (0, 1) has n = a (j - 1) - i e < 0, so
+        p = y g with g(x, 0) = a01 != 0: y = 0 is a simple root of p(x, .)
+        at every x, and f(x) > m x^theta stays away from it by (H2).
    p has no zero in V, so its sign there is its sign at one point of S.
    The criterion also proves that the region exists:
    - some axis sign change gives the face a01 + a_ab c^(b - 1) a simple
@@ -48,8 +75,9 @@ also vanish where both leading coefficients do.
      a01 a_ab < 0: negating y multiplies
      -a01 / a_ab by (-1)^(b + 1) and negating x by (-1)^a, so all four
      fail only if a is even and b is odd, when gcd(a, b - 1) >= 2;
-   - by (H2) and (H3) that branch stays a finite positive root of p(x, .)
-     back to x0: p(x0, .) has a smallest positive root f(x0);
+   - by (H2) that branch is f, a finite positive root of p(x, .) at every
+     x >= x0: p(x0, .) has a smallest positive root f(x0), in
+     (m x0^theta, C x0^theta);
    - h = p(x0, .) = a01 y + O(y^2) has no root in (0, f(x0)), so once p
      is flipped to make a01 > 0, h > 0 on all of (0, f(x0)).
 2. No closed loops.  A level loop in V bounds a disc in V, on which p has
@@ -62,7 +90,8 @@ also vanish where both leading coefficients do.
      one end (p_y != 0: the level crosses S as a graph over x).  At a
      double root y_m, h - t has the sign of h''(y_m) != 0 beside y_m, and
      p_x(x0, y_m) != 0 by (H1), since p_y(x0, y_m) = h'(y_m) = 0 and
-     R(x0) != 0.  If the two signs agree, p - t = (h - t) + (p - p(x0, .))
+     (x0, y_m) lies in the closure of V.  If the two signs agree,
+     p - t = (h - t) + (p - p(x0, .))
      keeps that sign for x > x0 near the point: no end.  If they differ,
      {p = t} near (x0, y_m) is x = x0 + phi(y) with phi(y_m) = phi'(y_m) = 0
      and phi''(y_m) = -h''(y_m) / p_x(x0, y_m) > 0: two strands enter V
@@ -71,16 +100,11 @@ also vanish where both leading coefficients do.
      p = t on its border, and so an extremum of p inside, a critical point
      in V, against (H1).  A root of multiplicity 3 or more is undecided.
    - no end at infinity, by the criterion: p = O(x^theta) on V, and
-     theta < 0.  The witness edge (0, 1)-(a, b) has slope
-     theta = -a / (b - 1), negative since a >= 1 (at a = 0, p is free of x
-     and R = 0).  Its face F(c) = a01 + a_ab c^(b - 1) is a01 > 0 at 0 and
-     has the sign of a_ab < 0 past its largest positive root c*.  Every
-     term of p has i + theta j <= theta, with equality on the edge, so
-     x^-theta p(x, c x^theta) tends to c F(c) < 0 for c > c*: p(x, .) has
-     a root below c x^theta, and f(x) <= (c* + 1) x^theta for large x.
-     There 0 < y < (c* + 1) x^theta on V, so each term's
-     |a_ij| x^i y^j <= |a_ij| (c* + 1)^j x^theta for x >= 1: p = O(x^theta)
-     tends to 0 on V.  A level t > 0 stays in a bounded part of V.
+     theta = -a / (b - 1) < 0 since a >= 1.  By (H2), 0 < y < C x^theta
+     on V, and every term of p has i + theta j <= theta, with equality on
+     the edge, so |a_ij| x^i y^j <= |a_ij| C^j x^theta for x >= 1:
+     p = O(x^theta) tends to 0 on V.  A level t > 0 stays in a bounded
+     part of V.
    The level has ends / 2 components, and their count is even: h - t is
    -t < 0 at y = 0 and at top.hi, the upper end of the isolating interval
    of f(x0), since f(x0) is a simple root of h by (H2) and h <= 0 from it
@@ -110,6 +134,7 @@ at the scheduled t.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,8 +219,6 @@ class TongueRegion:
     poly: BivariatePolynomial  # normalized: positive on the strip
     x0: Fraction
     profile: RestrictionProfile
-    # R = Res_y(p_x, p_y) and D = Res_y(p, p_y) of poly, in x
-    resultants: tuple[list[Fraction], list[Fraction]]
 
 
 @dataclass(frozen=True)
@@ -255,11 +278,13 @@ def restriction_profile(
 ) -> RestrictionProfile:
     """Analyze h(y) = p(x0, y) on (0, f(x0)) and place the barrier t0.
 
-    ``top`` isolates f(x0), the smallest positive root of h, and h > 0
-    below it: ``build_tongue`` flipped p so.  f_x0 is the float of that
-    root.  The barrier is half the smallest critical value vmin of h on
-    (0, ub), ub = f_x0 (1 - 10^-9), rounded to a rational of denominator at
-    most max(10^9, 4 / vmin), within vmin / 8.  It is then verified once,
+    ``top`` isolates f(x0), the smallest positive root of h, with
+    top.lo > 0, and h > 0 below it: ``build_tongue`` flipped p so.  f_x0 is
+    the float of that root.  Roots of h' and of h - t0 are isolated to
+    10^-12 of top.lo, relative to f(x0) however small it is.  The barrier is
+    half the smallest critical value vmin of h on (0, ub),
+    ub = f_x0 (1 - 10^-9), rounded to a rational of denominator at most
+    max(10^9, 4 / vmin), within vmin / 8.  It is then verified once,
     exactly (``_barrier_crossings``), which decides every level in (0, t0]
     (module docstring, step 4).  Raises NotSingleSignedOnInterval, its
     reason prefixed with x0, when h has no critical point below ub or the
@@ -268,14 +293,15 @@ def restriction_profile(
     f_x0 = uni.float_root(h, top)
     ub = Fraction(f_x0) * (1 - Fraction(1, 10**9))
     dh = uni.derivative(h)
-    crits = uni.isolate_roots(dh, Fraction(0), ub)
+    width = top.lo * uni.DEFAULT_WIDTH
+    crits = uni.isolate_roots(dh, Fraction(0), ub, width)
     if not crits:
         raise NotSingleSignedOnInterval(f"x0 = {x0}: restriction has no interior critical point")
     # positive: h > 0 on (0, f(x0))
     vmin = min(uni.ueval(h, iv.midpoint) for iv in crits)
 
     t0 = (vmin / 2).limit_denominator(max(10**9, math.ceil(4 / vmin)))
-    crossings = _barrier_crossings(h, dh, t0, ub, top.hi)
+    crossings = _barrier_crossings(h, dh, t0, ub, top.hi, width)
     if crossings is None:
         raise NotSingleSignedOnInterval(f"x0 = {x0}: could not place a rational barrier")
 
@@ -302,14 +328,20 @@ def _shifted_by(c: list[Fraction], t: Fraction) -> list[Fraction]:
 
 
 def _barrier_crossings(
-    h: list[Fraction], dh: list[Fraction], t0: Fraction, ub: Fraction, top_hi: Fraction
+    h: list[Fraction],
+    dh: list[Fraction],
+    t0: Fraction,
+    ub: Fraction,
+    top_hi: Fraction,
+    width: Fraction,
 ) -> list[uni.RootInterval] | None:
-    """The isolated crossings a < b of h = t0 in (0, ub) if t0 is a valid barrier, else None.
+    """The crossings a < b of h = t0 in (0, ub), isolated to ``width``,
+    if t0 is a valid barrier, else None.
 
     Valid: the facts of step 4 in the module docstring, up to top_hi, the
     upper end of the isolating interval of f(x0).
     """
-    roots = uni.isolate_roots(_shifted_by(h, t0), Fraction(0), ub)
+    roots = uni.isolate_roots(_shifted_by(h, t0), Fraction(0), ub, width)
     if len(roots) != 2 or any(r.multiplicity != 1 for r in roots):
         return None
     a_hi, b_lo = roots[0].hi, roots[1].lo
@@ -362,83 +394,147 @@ def region_orientation(
     )
 
 
-def build_tongue(
-    p: BivariatePolynomial, criterion: CriterionCertificate, x0: Fraction | int = 1
-) -> TongueRegion:
+def build_tongue(p: BivariatePolynomial, criterion: CriterionCertificate) -> TongueRegion:
     """Assemble the region below the lowest positive branch, at an exact x0.
 
     ``criterion`` is p's edge criterion, decided once by the caller.  The
     transform and the flip are ``region_orientation``'s, read off the
     witness edge's two coefficients, and p is moved by them before
-    anything else: it is positive just above y = 0.  x0 is the least
-    x0 * 2^k at which (H1) and (H2) hold (module docstring):
-    R = Res_y(p_x, p_y) and D = Res_y(p, p_y) have no real root on
-    [x0, oo).  This is the one place that decides them.  The region's top
-    at x0, f(x0), is the smallest positive root of h = p(x0, .), which the
-    criterion proves exists, isolated exactly; h > 0 on (0, f(x0)).  The
-    isolating interval and h go to ``restriction_profile``; R and D ride
-    along on the region.
+    anything else: it is positive just above y = 0.  x0 is
+    ``check_no_critical_points``'s, the least power of two from which the
+    witness edge proves (H1) and (H2) (module docstring, step 1); this is
+    the one place that decides them.  The region's top at x0, f(x0), is
+    the smallest positive root of h = p(x0, .), the one root of h in the
+    bracket that the edge gives, isolated exactly to 10^-12 of the
+    bracket's lower end; h > 0 on (0, f(x0)).  The isolating interval and
+    h go to ``restriction_profile``.
 
-    Raises LevelSetUndecided when R or D vanishes identically; ValueError,
-    through ``region_orientation``, when the criterion is not satisfied;
-    and NotSingleSignedOnInterval, itself or through
-    ``restriction_profile``, when the region cannot be assembled at x0.
+    Raises LevelSetUndecided, through ``check_no_critical_points``, when
+    the edge bounds nothing, and itself when x0 or f(x0) leaves the range
+    of the report's floats, past 2^(+/-512); ValueError, through
+    ``region_orientation``, when the criterion is not satisfied; and
+    NotSingleSignedOnInterval, through ``restriction_profile``, when the
+    barrier cannot be placed at x0.
     """
     transform, flipped = region_orientation(p, criterion)
     p_t = apply_transform(p, transform)
     if flipped:
         p_t = -p_t
-    py = p_t.partial_derivative("y")
-    r, d = uni.resultant_y(p_t.partial_derivative("x"), py), uni.resultant_y(p_t, py)
-    x0 = check_no_critical_points(r, Fraction(x0))
-    if not d:
-        raise LevelSetUndecided("D = Res_y(p, p_y) vanishes identically: a shared factor")
-    x0 = _first_power_past(d, x0)
-
+    x0, lo, hi = check_no_critical_points(p_t, criterion.endpoints[1])
+    if x0 > 2**512 or lo < Fraction(1, 2**512):
+        raise LevelSetUndecided(
+            f"x0 = 2^{x0.numerator.bit_length() - 1}: x0 or f(x0) is past 2^(+/-512), "
+            "outside the range of the report's floats"
+        )
     h = p_t.restricted_to_x(x0)
-    # f(x0) exists: see (H3) in the module docstring
-    top = uni.isolate_roots(h, Fraction(0))[0]
-    if top.lo <= 0:
-        raise NotSingleSignedOnInterval(f"p(x0, .) has no positive root above 1e-12, x0 = {x0}")
+    # f(x0) is the smallest root of h in (lo, hi), by (H2)
+    top = uni.isolate_roots(h, lo, hi, lo * uni.DEFAULT_WIDTH)[0]
     return TongueRegion(
         transform=transform,
         flipped=flipped,
         poly=p_t,
         x0=x0,
         profile=restriction_profile(h, x0, top),
-        resultants=(r, d),
     )
 
 
-def check_no_critical_points(r: list[Fraction], x0: Fraction) -> Fraction:
-    """(H1), decided exactly: the least x0 * 2^k past every real root of R.
+def _edge_terms(p: BivariatePolynomial, end: tuple[int, int]):
+    """a01, a_ab and the terms (c, i, j, n) of p off its witness edge (0, 1)-(a, b).
 
-    ``r`` is R = Res_y(p_x, p_y), taken at formal degrees.  Every critical
-    point of p lies over a real root of R, so p has none at x >= the
-    returned abscissa.  R = 0 means the partials share a factor, a curve of
-    critical points, which the level argument does not cover: that raises
-    LevelSetUndecided naming it.
+    n = a (j - 1) - i (b - 1) is a term's gap below the edge.  Raises
+    LevelSetUndecided when a = 0, when not a01 > 0 > a_ab, or when a term
+    has n < 1 (module docstring, step 1).
     """
-    if not r:
-        raise LevelSetUndecided("R = Res_y(p_x, p_y) vanishes identically: a shared factor")
-    return _first_power_past(r, x0)
+    a, b = end
+    if a < 1:
+        raise LevelSetUndecided(
+            f"the witness edge (0, 1)-({a}, {b}) has a = 0: p is free of x, "
+            "so no bound decays along V"
+        )
+    a01, a_ab = p.coefficient((0, 1)), p.coefficient(end)
+    if not a01 > 0 > a_ab:
+        raise LevelSetUndecided(
+            f"the witness edge (0, 1)-({a}, {b}) does not have a >= 1 and "
+            "a01*a_ab < 0 with a01 > 0"
+        )
+    off = []
+    for (i, j), c in p.terms.items():
+        if (i, j) in ((0, 1), end):
+            continue
+        n = a * (j - 1) - i * (b - 1)
+        if n < 1:
+            raise LevelSetUndecided(
+                f"the term x^{i}*y^{j} of p is not below the witness edge "
+                f"(0, 1)-({a}, {b}): a(j - 1) - i(b - 1) = {n} < 1"
+            )
+        off.append((c, i, j, n))
+    return a01, a_ab, off
+
+
+def _dyadic_root(v: Fraction, e: int) -> Fraction:
+    """A dyadic u with (1 - 2^-12) v^(1/e) < u <= v^(1/e), for v > 0."""
+    shift = 13 - (v.numerator.bit_length() - v.denominator.bit_length() - 1) // e
+    scale = Fraction(2) ** shift
+    n = math.floor(v * scale**e)
+    # floor(n^(1/e)) by Newton's method from above
+    r = 1 << -(-n.bit_length() // e)
+    while (s := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+        r = s
+    return r / scale
+
+
+def check_no_critical_points(
+    p: BivariatePolynomial, end: tuple[int, int]
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(H1) and (H2), decided exactly from the witness edge: x0, lo and hi.
+
+    ``p`` is in the region's coordinates, and ``end`` is the far end (a, b)
+    of its witness edge from (0, 1).  x0 = 2^k is the least power of two
+    at which the edge parts F(u), (uF)'(u) and a a_ab u^b outweigh the
+    bounds G(k), Y(k) and X(k) on every other term (module docstring,
+    step 1).  From x0 on, f(x) is the one root of p(x, .) in
+    (0, C x^theta), simple and above m x^theta, and p has no critical point
+    on the closure of V.  Since n >= 1, each bound at k = (b - 1) t is at
+    most its value at k = 0 over 2^t, so k <= (b - 1) t for t the least
+    integer with 2^t past each bound at 0 over its margin.  The bounds fall
+    with k: the first multiple of b - 1 at which they hold is found by
+    stepping t, and k is bisected for below it.  lo = m 2^-ceil(k a / (b - 1))
+    and hi = C 2^-floor(k a / (b - 1)) bracket f(x0).  Raises
+    LevelSetUndecided when the edge has a = 0, when not a01 > 0 > a_ab, or
+    when a term of p is not below the edge.
+    """
+    a, b = end
+    a01, a_ab, off = _edge_terms(p, end)
+    e = b - 1
+    q = a01 / -a_ab
+    s, m, cap = (_dyadic_root(q * r, e) for r in (Fraction(1, 2 * b), Fraction(b + 1, 2 * b), 2))
+    margins = (
+        min(a01 + a_ab * m**e, -a01 - a_ab * cap**e),
+        min(a01 + b * a_ab * s**e, -a01 - b * a_ab * m**e),
+        -a * a_ab * s**b,
+    )
+    weights = [
+        (n, (abs(c) * cap ** (j - 1), abs(c) * j * cap ** (j - 1), abs(c) * i * cap**j))
+        for c, i, j, n in off
+    ]
+
+    def holds(k: int) -> bool:
+        # G(k), Y(k) and X(k) at x0 = 2^k, each below its margin
+        return all(
+            sum(w[r] / 2 ** (k * n // e) for n, w in weights) < margins[r] for r in range(3)
+        )
+
+    t = 0
+    while not holds(e * t):
+        t += 1
+    # the bounds fall with k, so the least k that holds is bisected for
+    k = bisect.bisect_left(range(e * t + 1), True, key=holds)
+    return Fraction(2**k), m / 2 ** -(-k * a // e), cap / 2 ** (k * a // e)
 
 
 def _point_below(lo: Fraction) -> Fraction:
     """A power of two at most 1 in (0, lo / 2]: below a root isolated from lo up."""
     return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(lo))))
-
-
-def _root_free_from(c, lo: Fraction) -> bool:
-    """c has no real root on [lo, oo)."""
-    return uni.ueval(c, lo) != 0 and not uni.count_roots(c, lo)
-
-
-def _first_power_past(c, x0: Fraction) -> Fraction:
-    """The least x0 * 2^k from which c is root-free; past its root bound it is."""
-    while not _root_free_from(c, x0):
-        x0 *= 2
-    return x0
 
 
 # ---------------------------------------------------------------------------
@@ -500,43 +596,37 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     """Classify each level p = t in V by its exact ends, all on the segment side.
 
     p is ``region.poly``, at the x0 of ``build_tongue``, which decided (H1)
-    and (H2) there and flipped p to be positive on the segment side.  Only
-    the premises that the criterion proves are checked here, on the
-    support: the terms of p with j <= 1 are exactly a01*y, for (H3); and
-    the term (a, b) with j >= 2 that maximises (i / (j - 1), j), the
-    witness edge's far end, has a >= 1 and a01*a_ab < 0, for step 3's
-    p = O(x^theta): no level t > 0 has an end at infinity.  The report's
-    ``exact_facts`` state the hypotheses.  A level t <= 0 is empty, since
-    p > 0 on V.  One with 0 < t <= t0 is one arc with both ends on the
-    segment side, for every such t, by the barrier check of
-    ``restriction_profile`` (step 4): it takes no count.  Only a level
-    above t0 is counted, by ``_ends_above_barrier``, from h'' and
-    p_x(x0, .) taken once here: nothing, or arcs in the pocket (step 5).
-    Raises LevelSetUndecided when a premise fails or a count above t0
-    stays undecided.
+    and (H2) from the witness edge and flipped p to be positive on the
+    segment side.  Only the premises that the criterion proves are checked
+    here, on the support: the term (a, b) with j >= 2 that maximises
+    (i / (j - 1), j), the witness edge's far end, has a >= 1 and
+    a01 > 0 > a_ab, and every other term has n = a(j - 1) - i(b - 1) >= 1.
+    So the terms with j <= 1 are exactly a01*y, for (H3), and p = O(x^theta)
+    on V, for step 3: no level t > 0 has an end at infinity.  The report's
+    ``exact_facts`` state the hypotheses, the edge bound with its k first.
+    A level t <= 0 is empty, since p > 0 on V.  One with 0 < t <= t0 is one
+    arc with both ends on the segment side, for every such t, by the
+    barrier check of ``restriction_profile`` (step 4): it takes no count.
+    Only a level above t0 is counted, by ``_ends_above_barrier``, from h''
+    and p_x(x0, .) taken once here: nothing, or arcs in the pocket
+    (step 5).  Raises LevelSetUndecided when a premise fails or a count
+    above t0 stays undecided.
     """
     p, prof = region.poly, region.profile
-    if {ij for ij in p.support() if ij[1] <= 1} != {(0, 1)}:
-        raise LevelSetUndecided("the terms of p with j <= 1 are not exactly a01*y")
     far_end = ((Fraction(i, j - 1), j, i) for i, j in p.support() if j >= 2)
     _, b, a = max(far_end, default=(0, 0, 0))
-    if a < 1 or p.coefficient((0, 1)) * p.coefficient((a, b)) >= 0:
-        raise LevelSetUndecided(
-            "the term (a, b) of p with j >= 2 that maximises (i / (j - 1), j) "
-            "does not have a >= 1 and a01*a_ab < 0"
-        )
-    r, d = region.resultants
+    _edge_terms(p, (a, b))
     h = list(prof.h_coeffs)
     f_lo, f_hi = prof.f_x0_interval
     ym = _point_below(f_lo)
-    # (H3) follows from the premise above
+    k = region.x0.numerator.bit_length() - 1
     facts = (
-        f"R = Res_y(p_x, p_y), degree {uni.degree(r)}, has no real root on [x0, oo): "
-        "no critical point and no closed level loop",
-        f"D = Res_y(p, p_y), degree {uni.degree(d)}, has no real root on [x0, oo): "
-        "the roots of p(x, .) stay simple and finite",
-        "the terms of p with j <= 1 are exactly a01*y: y = 0 is a simple root of "
-        "every p(x, .), and by (H2) f is continuous",
+        f"the witness edge (0, 1)-({a}, {b}) outweighs every other term of p/y, p_y and "
+        f"x^(1 - theta)*p_x on 0 < y < C*x^theta for x >= x0 = 2^{k}: f is the one "
+        "root of p(x, .) there, and simple, and p has no critical point on the "
+        "closure of V",
+        "every other term of p is below the edge, so the terms with j <= 1 are exactly "
+        "a01*y: y = 0 is a simple root of every p(x, .), and f stays above it",
         f"p > 0 on V: p(x0, {ym}) = {uni.ueval(h, ym)}",
     )
     h2 = uni.derivative(uni.derivative(h))

@@ -8,7 +8,8 @@ a subresultant gcd (Brown & Traub, J. ACM 1971), roots are counted by
 Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC 1976),
 and isolating intervals have rational endpoints.  Floats appear only in the
 final refinement step.  :func:`resultant_y` eliminates y from two bivariate
-polynomials through these: one integer determinant per node, interpolated.
+polynomials through these, one integer determinant per node, interpolated,
+for the falsifier's miss proof: the certify path eliminates nothing.
 """
 
 from __future__ import annotations
@@ -487,9 +488,10 @@ def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:
 def resultant_y(f, g) -> Coeffs:
     """Res_y(f, g) of two bivariate polynomials at formal degrees, in x.
 
-    One determinant at each x = 0, 1, ..., deg_y g * deg_x f + deg_y f *
-    deg_x g, one node more than its degree can be, then interpolated; []
-    when f or g is 0 or they share a factor.
+    The falsifier's miss proof is its one user.  One determinant at each
+    x = 0, 1, ..., deg_y g * deg_x f + deg_y f * deg_x g, one node more than
+    its degree can be, then interpolated; [] when f or g is 0 or they share
+    a factor.
     """
     if f.is_zero or g.is_zero:
         return []

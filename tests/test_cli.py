@@ -429,6 +429,15 @@ def test_branch_edge_out_of_range(capsys):
     assert err
 
 
+def test_branch_root_that_is_not_confirmed_exits_1(capsys):
+    # root 1 of (x*y - 1)^2*(x*y + 1) is the real branch xy = 1, but p >= 0
+    # on both sides of it, so no sign probe confirms it: the tool ran and
+    # could not trace, as without --root, and the input was valid
+    code, out, err = run(capsys, "branch", "(x*y - 1)^2*(x*y + 1)", "--root", "1")
+    assert (code, out) == (1, "")
+    assert err == "root 1 is no confirmed real branch: Inconclusive\n"
+
+
 def test_branch_without_right_edges(capsys):
     code, _, err = run(capsys, "branch", "x + 1")
     assert code == 1
@@ -501,14 +510,17 @@ def test_tongue_verified(tmp_path, capsys):
 
 @pytest.mark.parametrize("poly", ["y^2 - 2*y", "2*x + 3*x^2"])
 def test_shared_factor_tongue_is_inconclusive_not_an_error(capsys, poly):
-    # p_x = 0 or p_y = 0 identically, so R = Res_y(p_x, p_y) = 0: the edge
-    # criterion holds, and the tongue names the shared factor at once
+    # p_x = 0 or p_y = 0 identically: the edge criterion holds on a witness
+    # edge (0, 1)-(0, 2), p is free of x there, and the tongue names a = 0
+    # at once
     started = time.perf_counter()
     code, out, err = run(capsys, "certify", poly, "--tongue")
     assert (code, err) == (0, "")
     tongue = json.loads(out)["tongue"]
     assert tongue["status"] == "Inconclusive"
-    assert tongue["reasons"] == ["R = Res_y(p_x, p_y) vanishes identically: a shared factor"]
+    assert tongue["reasons"] == [
+        "the witness edge (0, 1)-(0, 2) has a = 0: p is free of x, so no bound decays along V"
+    ]
     code, out, err = run(capsys, "tongue", poly)
     assert (code, err) == (1, "")
     assert json.loads(out)["status"] == "Inconclusive"
@@ -633,13 +645,12 @@ def test_commands_in_a_row_share_no_options(tmp_path, capsys):
 #
 # Each generated text comes with a bound on its degree; texts of degree at
 # most FUZZ_DEGREE keep one falsifier miss, 11 boxes with descents, short.
-# The tongue's resultants grow faster with the degree, so ``--tongue`` runs
-# on texts of degree at most TONGUE_FUZZ_DEGREE only.  Few grammar texts pass
-# the edge criterion, so the tongue also gets sums y + c*x^i*y^j of up to
-# four terms, about one in six of which reaches the region check.
+# The tongue eliminates nothing, so ``--tongue`` runs on every text too.
+# Few grammar texts pass the edge criterion, so the tongue also gets sums
+# y + c*x^i*y^j of up to four terms, of the same degree bound, about one in
+# six of which reaches the region check.
 
 FUZZ_DEGREE = 6
-TONGUE_FUZZ_DEGREE = 4
 
 
 def _joined(parts):
@@ -665,20 +676,18 @@ _exprs = st.recursive(
     ),
     max_leaves=8,
 )
-poly_texts_with_degree = st.tuples(
+poly_texts = st.tuples(
     st.sampled_from(["", "-", "+"]), _exprs.filter(lambda e: e[1] <= FUZZ_DEGREE)
-).map(lambda t: (t[0] + t[1][0], t[1][1]))
-poly_texts = poly_texts_with_degree.map(lambda t: t[0])
+).map(lambda t: t[0] + t[1][0])
 _monomials = st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 4), st.integers(0, 4))
 tongue_texts = st.lists(
-    _monomials.filter(lambda t: t[1] + t[2] <= TONGUE_FUZZ_DEGREE), min_size=1, max_size=4
+    _monomials.filter(lambda t: t[1] + t[2] <= FUZZ_DEGREE), min_size=1, max_size=4
 ).map(lambda ts: "y" + "".join(f" {'+-'[c < 0]} {abs(c)}*x^{i}*y^{j}" for c, i, j in ts))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(poly_texts_with_degree, poly_texts, tongue_texts)
-def test_fuzzed_commands_exit_0_1_or_2(p_degree, q, t):
-    p, degree = p_degree
+@given(poly_texts, poly_texts, tongue_texts)
+def test_fuzzed_commands_exit_0_1_or_2(p, q, t):
     argvs = [
         ["analyze", "--", p],
         ["certify", "--falsify", "1", "--", p],
@@ -686,9 +695,8 @@ def test_fuzzed_commands_exit_0_1_or_2(p_degree, q, t):
         ["certify", "--tongue", "--", t],
         ["render", "--what", "tongue", "--", t],
         ["branch", "--", p],
+        ["certify", "--tongue", "--", p],
     ]
-    if degree <= TONGUE_FUZZ_DEGREE:
-        argvs.append(["certify", "--tongue", "--", p])
     for argv in argvs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import time
 import xml.dom.minidom
 from fractions import Fraction
 
@@ -48,8 +49,8 @@ def certify_tongue(p):
     return tongue_certificate(p, corollary_certificate(p))
 
 
-def region_of(p, x0=1):
-    return build_tongue(p, corollary_certificate(p), x0)
+def region_of(p):
+    return build_tongue(p, corollary_certificate(p))
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +78,11 @@ def test_profile_closed_form_p3(region3):
     assert prof.a_interval[0] <= Fraction(prof.a).limit_denominator(10**12) <= prof.b_interval[1]
 
 
-def test_profile_at_shifted_start(p3):
+def test_profile_at_shifted_start(region3):
     # same curve entered at x0 = 2: h(y) = y - 4y^2 peaks at 1/16
-    region = region_of(p3, x0=2)
-    prof = region.profile
-    assert region.x0 == 2
+    h = region3.poly.restricted_to_x(2)
+    prof = restriction_profile(h, Fraction(2), uni.isolate_roots(h, Fraction(0))[0])
+    assert prof.f_x0 == 0.25
     assert prof.t0 == Fraction(1, 32)
     assert list(prof.h_coeffs) == [Fraction(0), Fraction(1), Fraction(-4)]
     assert prof.a == pytest.approx((1 - SQ2 / 2) / 8, abs=1e-9)
@@ -112,76 +113,77 @@ def test_drawn_top_border_brackets_the_closed_form(region3):
 
 
 def test_critical_point_sweep_clean_p3(region3):
-    # the exact decision: R = Res_y(p_x, p_y) of -x^2*y^2 + y is a multiple
-    # of x, root-free on [1, oo), so x0 = 1 stands
-    r, _ = region3.resultants
-    assert check_no_critical_points(r, Fraction(1)) == 1
-    assert not tongue._root_free_from(r, Fraction(0))
+    # -x^2*y^2 + y has no term off its witness edge (0, 1)-(2, 2): the edge
+    # parts alone decide (H1) and (H2), at x0 = 1, and bracket f(1) = 1
+    x0, lo, hi = check_no_critical_points(region3.poly, (2, 2))
+    assert x0 == 1 and 0 < lo < 1 < hi
 
 
-def critical_abscissa_powers(text, start=Fraction(1)):
-    """x0 from the exact (H1) decision, and the powers of two it rejected."""
-    p = parse_polynomial(text)
-    r = uni.resultant_y(p.partial_derivative("x"), p.partial_derivative("y"))
-    x0 = check_no_critical_points(r, start)
-    rejected = []
-    x = start
-    while x < x0:
-        assert not tongue._root_free_from(r, x)
-        rejected.append(x)
-        x *= 2
-    assert tongue._root_free_from(r, x0)
-    return x0, rejected
+def edge_x0(p, crit_x):
+    """x0 from the witness edge of p, already in region coordinates.
+
+    The critical abscissa crit_x lies before it, and (lo, hi) brackets
+    f(x0), the smallest positive root of p(x0, .), exactly.
+    """
+    x0, lo, hi = check_no_critical_points(p, corollary_certificate(p).endpoints[1])
+    assert x0 > crit_x
+    h = p.restricted_to_x(x0)
+    top = uni.isolate_roots(h, Fraction(0))[0]
+    assert lo < top.lo and top.hi < hi and uni.ueval(h, lo) > 0
+    assert certify_tongue(p).status == VERIFIED
+    return x0
 
 
 def test_critical_point_sweep_finds_planted_line():
     # dp/dy = 1 - 3y^2 vanishes along y = 1/sqrt(3) and dp/dx is identically
-    # 0: a curve of critical points, R = 0, which the decision names
-    p = parse_polynomial("y - y^3")
-    r = uni.resultant_y(p.partial_derivative("x"), p.partial_derivative("y"))
-    assert r == []
-    with pytest.raises(LevelSetUndecided, match="vanishes identically: a shared factor"):
-        check_no_critical_points(r, Fraction(1))
+    # 0: a curve of critical points.  The witness edge (0, 1)-(0, 3) has
+    # a = 0, so nothing decays, and the decision names it
+    with pytest.raises(LevelSetUndecided, match="has a = 0: p is free of x"):
+        check_no_critical_points(parse_polynomial("y - y^3"), (0, 3))
 
 
 def test_critical_point_sweep_finds_isolated_point():
     # p = y - y^2 - (x - 2)^2 * y^2 has dp/dx = -2(x-2)y^2 and
-    # dp/dy = 1 - 2y - 2(x-2)^2 y: one critical point, (2, 1/2); R's root 2
-    # rules out 1 and 2 itself, and 9/4 is already past it
-    assert critical_abscissa_powers("y - y^2 - (x - 2)^2*y^2") == (4, [1, 2])
-    assert critical_abscissa_powers("y - y^2 - (x - 2)^2*y^2", Fraction(9, 4)) == (Fraction(9, 4), [])
+    # dp/dy = 1 - 2y - 2(x-2)^2 y: one critical point, (2, 1/2), below
+    # f(2) = 1 and so in the strip over x = 2; x0 lies past it
+    assert edge_x0(parse_polynomial("y - y^2 - (x - 2)^2*y^2"), 2) == 256
+
+
+DOUBLE_ROOT_SLICE = "4*y - 10*y^2 + 32/3*y^3 - 4*y^4 - ({})^2*y^2"
 
 
 def test_critical_point_on_double_root_slice():
-    # p_y(2, y) = 12(y - 1)^2: a double root of p_y over the rational root 2 of R
-    assert critical_abscissa_powers("-x^2*y^2 + x^2*y^3 + 3*x^2*y - x^3*y^2") == (4, [1, 2])
+    # p(2, .) = h with h' = 4(1 - y)(2y - 1)^2, and p_x = 0 on x = 2:
+    # critical points at (2, 1/2), a double root of p_y(2, .), and (2, 1),
+    # both in the strip over x = 2, since h has no root in (0, 1]
+    p = parse_polynomial(DOUBLE_ROOT_SLICE.format("x - 2"))
+    py = p.partial_derivative("y").restricted_to_x(2)
+    assert sorted(m for _, m in uni.squarefree_decomposition(py)) == [1, 2]
+    h = p.restricted_to_x(2)
+    assert uni.count_roots(h, Fraction(0), Fraction(1)) == 0 and uni.ueval(h, 1) == Fraction(2, 3)
+    assert edge_x0(p, 2) == 256
 
 
 def test_critical_point_on_double_root_at_irrational_x():
-    # the same point moved to x = sqrt(5) = 2.2360...: 9/4 is past it, 35/16 not
-    text = "-(x^2 - 3)^2*y^2 + (x^2 - 3)^2*y^3 + 3*(x^2 - 3)^2*y - (x^2 - 3)^3*y^2"
-    assert critical_abscissa_powers(text) == (4, [1, 2])
-    assert critical_abscissa_powers(text, Fraction(9, 4)) == (Fraction(9, 4), [])
-    assert critical_abscissa_powers(text, Fraction(35, 16)) == (Fraction(35, 8), [Fraction(35, 16)])
+    # the same points moved to x = sqrt(5) = 2.2360...
+    assert edge_x0(parse_polynomial(DOUBLE_ROOT_SLICE.format("x^2 - 5")), 5**0.5) == 32
 
 
 def test_critical_point_at_irrational_x():
-    # p_x and p_y vanish together at (1 + sqrt(2), 1/2), x = 2.4142...
-    text = "y - y^2 - (x^2 - 2*x - 1)^2*y^2"
-    assert critical_abscissa_powers(text) == (4, [1, 2])
-    assert critical_abscissa_powers(text, Fraction(9, 4)) == (Fraction(9, 2), [Fraction(9, 4)])
-    assert critical_abscissa_powers(text, Fraction(5, 2)) == (Fraction(5, 2), [])
+    # p_x and p_y vanish together at (1 + sqrt(2), 1/2), x = 2.4142...,
+    # below f = 1 there
+    assert edge_x0(parse_polynomial("y - y^2 - (x^2 - 2*x - 1)^2*y^2"), 1 + 2**0.5) == 256
 
 
-def test_shared_factor_partials_are_inconclusive_at_once(monkeypatch):
-    # p = u + u^2 with u = y + x*y^2: both partials carry 1 + 2u, so R is
-    # identically zero; the exact level argument needs R != 0, and no x0 is
-    # tried
-    monkeypatch.setattr(tongue, "restriction_profile", None)
+def test_shared_factor_partials_verify(monkeypatch):
+    # p = u + u^2 with u = y + x*y^2: both partials carry 1 + 2u, so
+    # Res_y(p_x, p_y) is identically zero, and the critical set is the curve
+    # u = -1/2.  p > 0 on V keeps u away from it: the witness edge decides
+    # (H1) with no elimination, and the region verifies
+    monkeypatch.setattr(uni, "resultant_y", None)
     cert = certify_tongue(parse_polynomial("y + x*y^2 + (y + x*y^2)^2"))
-    assert cert.status == INCONCLUSIVE
-    assert cert.region is None and cert.level_report is None
-    assert cert.reasons == ("R = Res_y(p_x, p_y) vanishes identically: a shared factor",)
+    assert cert.status == VERIFIED, cert.reasons
+    assert cert.region.x0 == 2**10
 
 
 def test_roots_past_counts_the_open_ray():
@@ -194,13 +196,11 @@ def test_roots_past_counts_the_open_ray():
     assert roots_past(res, Fraction(1)) == 3
     assert roots_past(res, Fraction(3)) == 1
     assert roots_past(res, Fraction(4)) == 0
-    assert not tongue._root_free_from(res, Fraction(4))
-    assert tongue._first_power_past(res, Fraction(1)) == 8
+    assert uni.ueval(res, Fraction(4)) == 0
     # (y - 3)^2 + 1 has two sign changes past 1 and past 2 but no real root:
-    # bisection decides, and x0 = 1 stands
+    # bisection decides
     res = parse_polynomial("y^2 - 6*y + 10").restricted_to_x(0)
     assert roots_past(res, Fraction(1)) == 0
-    assert tongue._first_power_past(res, Fraction(1)) == 1
 
 
 def test_critical_points_past_the_float_cut_refuse_the_barrier():
@@ -225,14 +225,14 @@ def test_critical_points_past_the_float_cut_refuse_the_barrier():
 
 
 def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
-    # x0 = 262144, h = y - (2^34 + 2)*y^2 peaks at ~1.5e-11: a denominator
-    # bound of 10^9 alone rounds the barrier to 0
+    # x0 = 2^24, h = y - ((2^24 - 2^17)^2 + 2)*y^2 peaks at ~9e-16: a
+    # denominator bound of 10^9 alone rounds the barrier to 0
     cert = certify_tongue(parse_polynomial("y - ((x - 131072)^2 + 2)*y^2"))
     assert cert.status == VERIFIED
     prof = cert.region.profile
-    assert cert.region.x0 == 262144
+    assert cert.region.x0 == 2**24
     assert 0 < prof.t0 < Fraction(1, 10**9)
-    peak = Fraction(1, 4 * (2**34 + 2))
+    peak = Fraction(1, 4 * ((2**24 - 2**17) ** 2 + 2))
     assert abs(prof.t0 - peak / 2) <= peak / 8
 
 
@@ -369,12 +369,16 @@ def test_tongue_certificate_swap_case(swap_case):
     assert cert.region.profile.t0 == Fraction(1, 8)
 
 
-def test_strip_top_below_the_isolation_width_fails_with_the_reason():
-    # f(1) = 2^-200: the isolating interval of f(x0) starts at 0, so no exact
-    # point below it is known, and the region cannot be assembled
+def test_strip_top_far_below_1e_minus_12_is_isolated_relative_to_it():
+    # f(1) = 2^-200: the edge brackets it from below, so its isolating
+    # interval, 10^-12 of that bound wide, starts above 0, and so do the
+    # barrier's crossings; h = y - 2^200*y^2 peaks at 2^-202
     cert = certify_tongue(parse_polynomial(f"y + {2**200}*x^2*y^2"))
-    assert cert.status == FAILED and cert.region is None
-    assert cert.reasons == ("p(x0, .) has no positive root above 1e-12, x0 = 1",)
+    assert cert.status == VERIFIED and cert.region.x0 == 1
+    prof = cert.region.profile
+    assert 0 < prof.f_x0_interval[0] <= Fraction(1, 2**200) <= prof.f_x0_interval[1]
+    assert prof.f_x0 == 2.0**-200 and abs(prof.t0 - Fraction(1, 2**203)) <= Fraction(1, 2**205)
+    assert 0 < prof.a_interval[0] and prof.b_interval[1] < Fraction(1, 2**200)
 
 
 def test_tongue_certificate_rejects_uncertified():
@@ -398,47 +402,60 @@ def test_auto_horizon_picks_flat_tail(region3):
 
 
 def test_auto_horizon_never_ends_before_x0():
-    # the critical point (100000, 1/2) puts x0 at 2^17; the drawing's right
-    # edge is past it, with or without the level report: the lowest level
-    # still meets the line x = 2^19 and misses 2^20
+    # the edge's small coefficient -10^-10 puts x0 at 2^23, past the
+    # critical point (100000, 1/2); the drawing's right edge is past it,
+    # with or without the level report: the lowest level still meets the
+    # line x = 2^25 and misses 2^26
     p = parse_polynomial("y - y^2 - 1/10000000000*(x - 100000)^2*y^2")
     cert = certify_tongue(p)
     region = cert.region
-    assert region.x0 == 2**17
-    assert render._horizon(render._slices(region), region.x0, []) == 2**19
+    assert region.x0 == 2**23
+    assert render._horizon(render._slices(region), region.x0, []) == 2**25
     drawn = [(level_at(cert, t), t) for t in default_schedule(region.profile.t0) if t > 0]
-    assert render._horizon(render._slices(region), region.x0, drawn) == 2**20
+    assert render._horizon(render._slices(region), region.x0, drawn) == 2**26
     xml.dom.minidom.parseString(render_tongue_svg(region, cert.level_report))
 
 
 def test_build_tongue_doubles_past_planted_critical_point():
-    # gradient vanishes at (2, 1/4), a root of R: the exact x0 is the first
-    # power of two past it, and the region verifies there
+    # gradient vanishes at (2, 1/4), below f(2) = 1/2: the witness edge
+    # (0, 1)-(2, 2) bounds the terms 4x*y^2 and -6*y^2 only from x0 = 2^8,
+    # past it, and the region verifies there
     p = parse_polynomial("y - (x^2 - 4*x + 6)*y^2")
     region = region_of(p)
-    assert region.x0 == 4
-    assert region.profile.f_x0 == 1 / 6  # the root 1/6 of y - 6*y^2, to the float
+    assert region.x0 == 256
+    # the root 1/64518 of y - (256^2 - 4*256 + 6)*y^2, to the float
+    assert region.profile.f_x0 == 1 / 64518
     cert = certify_tongue(p)
     assert cert.status == VERIFIED
-    assert cert.region.x0 == 4
+    assert cert.region.x0 == 256
 
 
 @pytest.mark.parametrize(
     "text, x0",
     [("2*x^3*y - x^2*y - 2*x", 8), ("y - x^2*y^2 - x^2*y^3", 2)],
 )
-def test_exact_x0_verifies_where_the_sampled_start_did_not(text, x0):
-    # both have a root of R in [1, x0) that is no critical point in the
-    # strip; a start accepted there leaves (H1) false, the exact x0 does not
+def test_exact_x0_verifies_where_the_sampled_start_did_not(monkeypatch, text, x0):
+    # x0 is the least power of two at which the witness edge outweighs the
+    # other terms, past the sampled start x0, where that bound does not hold
+    # yet; the region verifies there, and the decision runs once
+    decide = tongue.check_no_critical_points
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(tongue, "check_no_critical_points", counted)
     cert = certify_tongue(parse_polynomial(text))
     assert cert.status == VERIFIED, cert.reasons
-    assert cert.region.x0 == x0
+    assert cert.region.x0 > x0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("text", ["y + x^2*y^2", "y - (x^2 - 4*x + 6)*y^2"])
 def test_tongue_certificate_takes_each_resultant_once(monkeypatch, text):
-    # R = Res_y(p_x, p_y) and D = Res_y(p, p_y) are taken once, for the
-    # x0 decision, and handed to the level argument; y + x^2*y^2 is flipped
+    # the whole pipeline, flip of y + x^2*y^2 included, takes neither
+    # R = Res_y(p_x, p_y) nor D = Res_y(p, p_y) more than once: the witness
+    # edge decides x0 and the level argument with no elimination at all
     calls = []
     resultant = uni.resultant_y
 
@@ -452,7 +469,8 @@ def test_tongue_certificate_takes_each_resultant_once(monkeypatch, text):
     p = cert.region.poly
     px, py = p.partial_derivative("x"), p.partial_derivative("y")
     for f, g in ((px, py), (p, py)):
-        assert sum(call in ((f, g), (-f, -g)) for call in calls) == 1
+        assert sum(call in ((f, g), (-f, -g)) for call in calls) == 0
+    assert not calls
 
 
 def test_image_values_trapped_below_quarter(swap_case):
@@ -498,14 +516,11 @@ def orientation_of(region):
 
 def strip_region(p, x0):
     # p as it stands, with its profile at x0, and none of build_tongue's
-    # orientation or x0 search: the level check reads h = p(x0, .), f(x0),
-    # R and D from it
+    # orientation or x0 decision: the level check reads h = p(x0, .) and
+    # f(x0) from it
     h = p.restricted_to_x(x0)
     top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
-    py = p.partial_derivative("y")
-    r = uni.resultant_y(p.partial_derivative("x"), py)
-    profile = restriction_profile(h, x0, top)
-    return tongue.TongueRegion(IDENTITY, False, p, x0, profile, (r, uni.resultant_y(p, py)))
+    return tongue.TongueRegion(IDENTITY, False, p, x0, restriction_profile(h, x0, top))
 
 
 def ends_above_barrier(region, t):
@@ -536,21 +551,31 @@ def test_double_root_at_the_barrier_peak_gives_no_end(p3, region3):
 
 @pytest.mark.parametrize("text", ["y + x*y^2 + y^4", "y + x*y^3", "y + y^2 + y^3 + x^2*y^2"])
 def test_near_tangent_levels_at_twice_the_barrier(fixture_certs, text):
-    # t0 is a rational just below half the peak of h, so h - 2*t0 has two
-    # simple roots a hair apart: a small arc inside the pocket
+    # h has one critical point in (0, f(x0)), its peak, and t0 is a rational
+    # a hair from half of it: just below, h - 2*t0 has two simple roots a
+    # hair apart, a small arc inside the pocket (y + x*y^3, at x0 = 1); just
+    # above, none (the other two, at x0 = 8 and 4)
     cert = fixture_certs[text]
-    rec = level_at(cert, 2 * cert.region.profile.t0)
-    assert rec.classification == CONTAINED_IN_B
-    assert rec.component_count == 1
-    assert rec.boundary_endpoint_count == 2
+    prof = cert.region.profile
+    h, t = list(prof.h_coeffs), 2 * prof.t0
+    (peak,) = uni.isolate_roots(uni.derivative(h), Fraction(0), prof.f_x0_interval[1])
+    assert abs(uni.ueval(h, peak.midpoint) - t) < t / 10**6
+    arc = tongue._sign_at_root(tongue._shifted_by(h, t), uni.derivative(h), peak) > 0
+    assert arc == (text == "y + x*y^3")
+    rec = level_at(cert, t)
+    assert rec.classification == (CONTAINED_IN_B if arc else EMPTY)
+    assert rec.component_count == arc
+    assert rec.boundary_endpoint_count == 2 * arc
     assert rec.ok
 
 
 @pytest.mark.parametrize("text", FIXTURES)
 def test_level_sets_take_no_elimination_in_x(monkeypatch, text):
-    # the certificate eliminates y only, in R and D: the criterion rules out
-    # ends at infinity, so no E(x, T) = Res_y(p - T, p_y) counts them, and
-    # the pinned t0 arc bounds the pocket, so no Res_x locates its extent
+    # the certificate eliminates nothing: the witness edge decides (H1) and
+    # (H2) with no R = Res_y(p_x, p_y) or D = Res_y(p, p_y), the criterion
+    # rules out ends at infinity, so no E(x, T) = Res_y(p - T, p_y) counts
+    # them, and the pinned t0 arc bounds the pocket, so no Res_x locates its
+    # extent
     p = parse_polynomial(text)
     criterion = corollary_certificate(p)
     eliminate = uni.resultant_y
@@ -563,7 +588,7 @@ def test_level_sets_take_no_elimination_in_x(monkeypatch, text):
     monkeypatch.setattr(uni, "resultant_y", counted)
     cert = tongue_certificate(p, criterion)
     assert cert.status == VERIFIED
-    assert len(calls) == 2
+    assert not calls
 
 
 @pytest.mark.parametrize("text", FIXTURES)
@@ -592,10 +617,29 @@ def test_reports_carry_no_pocket_box(fixture_certs, text):
 
 
 def test_degree_nine_tongue_is_verified():
-    # from the slow tail of a seeded class census: R and D have degrees 79
-    # and 87, and x0 = 8
+    # from the slow tail of a seeded class census; the witness edge sets
+    # x0 = 2
     p = parse_polynomial("x^7*y^4 - 2*x^6*y^8 + 7*x^6*y^7 - 4*x^5*y^2 + 3*x^3*y^3 - y^9 - y")
-    assert certify_tongue(p).status == VERIFIED
+    cert = certify_tongue(p)
+    assert cert.status == VERIFIED and cert.region.x0 == 2
+
+
+def test_degree_24_member_is_verified():
+    # a degree-24 class member: the witness edge (0, 1)-(9, 15) outweighs
+    # the other terms from x0 = 2^23
+    p = parse_polynomial("y + x^9*y^15 + x^5*y^11 - 3*x^8*y^14 + x^3*y^13 + 2*x*y^7")
+    cert = certify_tongue(p)
+    assert cert.status == VERIFIED and cert.region.x0 == 2**23
+
+
+def test_x0_past_the_float_range_is_inconclusive():
+    # the term 2^250*y^2 sits one step below the edge (0, 1)-(1, 8), and
+    # decays like x^(-1/7): it takes x0 = 2^1771, past the report's floats
+    cert = certify_tongue(parse_polynomial("y - x*y^8 + 2^250*y^2"))
+    assert cert.status == INCONCLUSIVE and cert.region is None
+    assert cert.reasons == (
+        "x0 = 2^1771: x0 or f(x0) is past 2^(+/-512), outside the range of the report's floats",
+    )
 
 
 def test_no_fixture_needs_a_trace(monkeypatch):
@@ -641,29 +685,41 @@ def test_region_orientation_needs_no_branch(p3, swap_case):
         tongue.region_orientation(circle, corollary_certificate(circle))
 
 
-def below_top_is_negative(q):
+def below_top_is_negative(q, end):
     # the sign test on h = q(x0, .) below f(x0) at build_tongue's x0, or
-    # None where R or D vanishes and build_tongue stops before any x0
-    py = q.partial_derivative("y")
-    r = uni.resultant_y(q.partial_derivative("x"), py)
-    d = uni.resultant_y(q, py)
-    if not r or not d:
+    # None where the witness edge has a = 0 and build_tongue stops before
+    # any x0; the edge bound reads the flipped q, where a01 > 0
+    try:
+        x0, lo, hi = check_no_critical_points(q if q.coefficient((0, 1)) > 0 else -q, end)
+    except LevelSetUndecided:
         return None
-    x0 = tongue._first_power_past(d, check_no_critical_points(r, Fraction(1)))
     h = q.restricted_to_x(x0)
-    top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
+    top = uni.isolate_roots(h, lo, hi)[0]
     return uni.ueval(h, tongue._point_below(top.lo)) < 0
 
 
-def class_draws(seed, attempts=2000):
-    """Seeded draws of up to 6 terms, i <= 4 and j <= 5, that meet the criterion, with it."""
+def class_draws(seed, attempts=2000, edge=None, extra=(1, 5), i_max=4, j_max=5, coeff=3):
+    """Seeded draws that meet the criterion, with it.
+
+    Each draw has ``extra`` terms, a range, with i <= i_max, j <= j_max and
+    coefficients +-1...coeff.  With ``edge = (a_max, b_max)`` it starts from
+    a witness edge (0, 1)-(a, b), 1 <= a <= a_max, 2 <= b <= b_max and
+    gcd(a, b - 1) = 1; without it, from a01*y in 85% of draws.
+    """
     rng = random.Random(seed)
+    coeffs = [c for c in range(-coeff, coeff + 1) if c]
+    a_max, b_max = edge or (0, 1)
+    ends = [
+        (a, b) for a in range(1, a_max + 1) for b in range(2, b_max + 1) if math.gcd(a, b - 1) == 1
+    ]
     for _ in range(attempts):
         terms = {}
-        if rng.random() < 0.85:
-            terms[(0, 1)] = rng.choice((-3, -2, -1, 1, 2, 3))
-        for _ in range(rng.randint(1, 5)):
-            terms[(rng.randint(0, 4), rng.randint(0, 5))] = rng.choice((-3, -2, -1, 1, 2, 3))
+        if ends:
+            terms[(0, 1)], terms[rng.choice(ends)] = rng.choice(coeffs), rng.choice(coeffs)
+        elif rng.random() < 0.85:
+            terms[(0, 1)] = rng.choice(coeffs)
+        for _ in range(rng.randint(*extra)):
+            terms[(rng.randint(0, i_max), rng.randint(0, j_max))] = rng.choice(coeffs)
         p = BivariatePolynomial(terms)
         cert = corollary_certificate(p, allow_swap=True)
         if cert.satisfied:
@@ -691,7 +747,26 @@ def test_certified_draws_have_only_a01_y_below_j_2():
                 break
         q = apply_transform(p, transform)
         assert {ij for ij in q.support() if ij[1] <= 1} == {(0, 1)}, str(p)
-        assert below_top_is_negative(q) in (flipped, None), str(p)
+        assert below_top_is_negative(q, cert.endpoints[1]) in (flipped, None), str(p)
+
+
+def test_class_census_verifies_without_elimination(monkeypatch):
+    # 60 seeded class members: an edge with a <= 7 and b <= 8, 2-8 more
+    # terms with i <= 7 and j <= 9, coefficients up to 9, of degree 7 to 16.
+    # Every one verifies, and neither they nor the 40 members of
+    # member_certs eliminate
+    calls = []
+    monkeypatch.setattr(uni, "resultant_y", lambda *args: calls.append(args))
+    census = class_draws(2, edge=(7, 8), extra=(2, 8), i_max=7, j_max=9, coeff=9)
+    started = time.perf_counter()
+    certs = [tongue_certificate(p, cert) for p, cert in itertools.islice(census, 60)]
+    assert time.perf_counter() - started < 10.0
+    members = [tongue_certificate(p, cert) for p, cert in itertools.islice(class_draws(7), 40)]
+    assert len(certs) == 60 and len(members) == 40 and not calls
+    for cert in [*certs, *members]:
+        assert cert.status == VERIFIED, cert.reasons
+    degrees = sorted(max(i + j for i, j in c.region.poly.support()) for c in certs)
+    assert degrees[0] == 7 and degrees[30] == 13 and degrees[-1] == 16
 
 
 def far_line_count(region):
@@ -890,10 +965,11 @@ def test_a_root_of_multiplicity_above_two_is_undecided():
 
 def test_strip_refuses_terms_the_criterion_rules_out():
     # p(x, 0) = x - 1 is no edge's bottom: a certified p is y times a
-    # polynomial that is a01 != 0 at y = 0, so the strip names that fact
+    # polynomial that is a01 != 0 at y = 0, and every term other than the
+    # edge's lies below it, so the strip names the first term that does not
     for text in ["x - 1 + y - x^2*y^2", "y + x*y - x^2*y^2"]:
         region = strip_region(parse_polynomial(text), Fraction(1))
-        with pytest.raises(LevelSetUndecided, match=r"j <= 1 are not exactly a01\*y"):
+        with pytest.raises(LevelSetUndecided, match=r"x\^\d\*y\^[01] of p is not below the witness"):
             check_level_sets(region, [])
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacmate.poly import BivariatePolynomial, parse_polynomial
+from jacmate.poly import BivariatePolynomial, apply_transform, parse_polynomial
 from jacmate.polygon import corollary_certificate
-from jacmate.tongue import build_tongue
+from jacmate.tongue import region_orientation, restriction_profile
 from jacmate.univariate import (
     DEFAULT_WIDTH,
     RootInterval,
@@ -495,12 +495,15 @@ def test_no_interval_straddles_zero_when_zero_is_no_root(case):
 
 @needs_sympy
 def test_high_degree_barrier_resultant_is_isolated_exactly():
-    # E_t0 = Res_y(p - t0, p_y) at the barrier of this tongue has degree 70,
-    # ~300-bit coefficients and one simple root past x0: a kernel test of
-    # high-degree isolation against sympy
+    # E_t0 = Res_y(p - t0, p_y) at the barrier of this tongue's profile at
+    # x0 = 1 has degree 70, ~300-bit coefficients and one simple root past
+    # x0: a kernel test of high-degree isolation against sympy
     p = parse_polynomial("y + x^7*y^9 + y^10 + x^3*y^5 + x^2*y^7 + x*y^6")
-    region = build_tongue(p, corollary_certificate(p))
-    p, t0, x0 = region.poly, region.profile.t0, region.x0
+    transform, flipped = region_orientation(p, corollary_certificate(p))
+    p = apply_transform(p, transform) * (-1 if flipped else 1)
+    x0 = Fraction(1)
+    h = p.restricted_to_x(x0)
+    t0 = restriction_profile(h, x0, isolate_roots(h, Fraction(0))[0]).t0
     e = resultant_y(p - t0, p.partial_derivative("y"))
     assert degree(e) == 70
     assert [(degree(g), m) for g, m in squarefree_decomposition(e)] == [(70, 1)]
