@@ -200,15 +200,6 @@ def _curves_beside(f: list[Fraction], c: Fraction) -> tuple[Fraction, Fraction]:
     return c - w, c + w
 
 
-def _relative_width(iv: uni.RootInterval) -> float:
-    """Bound on |y / root - 1| for every y in the interval; 0 for an exact root."""
-    if iv.lo == iv.hi:
-        return 0.0
-    if iv.lo * iv.hi <= 0:
-        return math.inf
-    return float((iv.hi - iv.lo) / min(abs(iv.lo), abs(iv.hi)))
-
-
 def _sample_at(
     p: BivariatePolynomial, x: float, y_pred: float
 ) -> tuple[float, float] | None:
@@ -216,24 +207,22 @@ def _sample_at(
 
     The real roots of the exact slice p(x, .) in the window y_pred * (0.1,
     1.9) are isolated to relative width 2^-40: the window's end nearer 0
-    fixes the absolute width.  At y_pred = 0 the window is (-0.9, 0.9) at
-    absolute width 2^-40.  None when the window holds no root, or x is
-    infinite and there is no slice.
+    fixes the absolute width.  None when the window holds no root, or x is
+    infinite and there is no slice.  OverflowError at y_pred = 0, which
+    c* x^theta and samples never are: the trace left the float range.
     """
     if math.isinf(x):
         return None
-    h = p.restricted_to_x(Fraction(x))
     target = Fraction(y_pred)
-    if target:
-        lo, hi = sorted((target / 10, target * 19 / 10))
-        width = abs(target) / 10 * SAMPLE_WIDTH
-    else:
-        lo, hi, width = Fraction(-9, 10), Fraction(9, 10), SAMPLE_WIDTH
-    roots = uni.isolate_roots(h, lo, hi, width)
+    if not target:
+        raise OverflowError("the predictor underflowed to 0")
+    h = p.restricted_to_x(Fraction(x))
+    lo, hi = sorted((target / 10, target * 19 / 10))
+    roots = uni.isolate_roots(h, lo, hi, abs(target) / 10 * SAMPLE_WIDTH)
     if not roots:
         return None
     iv = min(roots, key=lambda r: abs(r.midpoint - target))
-    return uni.float_root(h, iv), _relative_width(iv)
+    return uni.float_root(h, iv), float((iv.hi - iv.lo) / min(abs(iv.lo), abs(iv.hi)))
 
 
 def trace_branch(
@@ -246,7 +235,7 @@ def trace_branch(
     at the next abscissa is y * (x_next / x)^theta.  Each sample is the
     isolated real root of the exact slice p(x, .) nearest the predictor
     (``_sample_at``); ``residual_bound`` is the largest relative width of
-    those isolating intervals, at most 2^-40 unless a predictor is 0.
+    those isolating intervals, at most 2^-40.
     """
     if asymptote.existence != CONFIRMED:
         raise ValueError("only confirmed asymptotes can be traced")

@@ -16,7 +16,7 @@ coefficients, no trace), x0 (the least power of two at which the
 hypotheses below hold), f(x0) (an isolated root of p(x0, .)), the
 barrier and the restriction h(y) = p(x0, y), which decide every level in
 (0, t0], and the end count of every level above t0.
-Numeric: only floats reporting exact values (f(x0), a, b).
+Numeric: f(x0), a and b, reported as nearest doubles; no float is read.
 ``render`` draws the region from exact vertical slices too, the roots of
 p(x_k, .) on rational lines, plotted as floats.
 
@@ -136,7 +136,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import univariate as uni
@@ -196,20 +198,31 @@ class LevelSetUndecided(RuntimeError):
 class RestrictionProfile:
     """Exact shape of h(y) = p(x0, y), at the region's x0, on its segment side.
 
-    f_x0 is the float of f(x0), the smallest positive root of h, which
-    ``f_x0_interval`` isolates.  t0 is a rational barrier strictly below
-    every interior critical value of h; a and b are the two points where h
-    crosses t0, bracketed exactly and reported as floats.
+    ``f_x0_interval`` isolates f(x0), the smallest positive root of h.  t0
+    is a rational barrier strictly below every interior critical value of
+    h, crossed at a < b, which ``a_interval`` and ``b_interval`` isolate.
+    The floats f_x0, a and b are the nearest doubles to these roots.
     """
 
-    f_x0: float
     f_x0_interval: tuple[Fraction, Fraction]
     t0: Fraction
-    a: float
-    b: float
     h_coeffs: tuple[Fraction, ...]
     a_interval: tuple[Fraction, Fraction]
     b_interval: tuple[Fraction, Fraction]
+
+    @cached_property
+    def f_x0(self) -> float:
+        return uni.float_root(self.h_coeffs, uni.RootInterval(*self.f_x0_interval, 1))
+
+    @cached_property
+    def a(self) -> float:
+        shifted = _shifted_by(self.h_coeffs, self.t0)
+        return uni.float_root(shifted, uni.RootInterval(*self.a_interval, 1))
+
+    @cached_property
+    def b(self) -> float:
+        shifted = _shifted_by(self.h_coeffs, self.t0)
+        return uni.float_root(shifted, uni.RootInterval(*self.b_interval, 1))
 
 
 @dataclass(frozen=True)
@@ -279,47 +292,40 @@ def restriction_profile(
     """Analyze h(y) = p(x0, y) on (0, f(x0)) and place the barrier t0.
 
     ``top`` isolates f(x0), the smallest positive root of h, with
-    top.lo > 0, and h > 0 below it: ``build_tongue`` flipped p so.  f_x0 is
-    the float of that root.  Roots of h' and of h - t0 are isolated to
-    10^-12 of top.lo, relative to f(x0) however small it is.  The barrier is
-    half the smallest critical value vmin of h on (0, ub),
-    ub = f_x0 (1 - 10^-9), rounded to a rational of denominator at most
-    max(10^9, 4 / vmin), within vmin / 8.  It is then verified once,
-    exactly (``_barrier_crossings``), which decides every level in (0, t0]
-    (module docstring, step 4).  Raises NotSingleSignedOnInterval, its
-    reason prefixed with x0, when h has no critical point below ub or the
-    barrier fails.
+    top.lo > 0, and h > 0 below it: ``build_tongue`` flipped p so.  Roots
+    of h' and of h - t0 are isolated on (0, top.hi), to 10^-12 of top.lo,
+    relative to f(x0) however small it is.  The barrier is half the
+    smallest critical value vmin of h there, rounded to a rational of
+    denominator at most max(10^9, 4 / vmin), within vmin / 8, and verified
+    once, exactly (``_barrier_crossings``), which decides every level in
+    (0, t0] (module docstring, step 4).  No float is read; f_x0, a and b
+    are rounded once, at the end.  Raises NotSingleSignedOnInterval, its
+    reason prefixed with x0, when h has no critical point below top.hi or
+    the barrier fails, and OverflowError when f_x0, a or b would be 0.
     """
-    f_x0 = uni.float_root(h, top)
-    ub = Fraction(f_x0) * (1 - Fraction(1, 10**9))
     dh = uni.derivative(h)
     width = top.lo * uni.DEFAULT_WIDTH
-    crits = uni.isolate_roots(dh, Fraction(0), ub, width)
+    crits = uni.isolate_roots(dh, Fraction(0), top.hi, width)
     if not crits:
         raise NotSingleSignedOnInterval(f"x0 = {x0}: restriction has no interior critical point")
-    # positive: h > 0 on (0, f(x0))
+    # positive: h > 0 on (0, f(x0)), and a root of h' past it fails step 4
     vmin = min(uni.ueval(h, iv.midpoint) for iv in crits)
 
     t0 = (vmin / 2).limit_denominator(max(10**9, math.ceil(4 / vmin)))
-    crossings = _barrier_crossings(h, dh, t0, ub, top.hi, width)
+    crossings = _barrier_crossings(h, dh, t0, top.hi, width)
     if crossings is None:
         raise NotSingleSignedOnInterval(f"x0 = {x0}: could not place a rational barrier")
 
-    shifted = _shifted_by(h, t0)
     a_iv, b_iv = crossings
-    a = uni.float_root(shifted, a_iv)
-    b = uni.float_root(shifted, b_iv)
-    assert 0 < a < b < f_x0
-    return RestrictionProfile(
-        f_x0=f_x0,
+    profile = RestrictionProfile(
         f_x0_interval=(top.lo, top.hi),
         t0=t0,
-        a=a,
-        b=b,
         h_coeffs=tuple(h),
         a_interval=(a_iv.lo, a_iv.hi),
         b_interval=(b_iv.lo, b_iv.hi),
     )
+    profile.f_x0, profile.a, profile.b  # rounded once, here
+    return profile
 
 
 def _shifted_by(c: list[Fraction], t: Fraction) -> list[Fraction]:
@@ -331,17 +337,16 @@ def _barrier_crossings(
     h: list[Fraction],
     dh: list[Fraction],
     t0: Fraction,
-    ub: Fraction,
     top_hi: Fraction,
     width: Fraction,
 ) -> list[uni.RootInterval] | None:
-    """The crossings a < b of h = t0 in (0, ub), isolated to ``width``,
+    """The crossings a < b of h = t0 in (0, top_hi), isolated to ``width``,
     if t0 is a valid barrier, else None.
 
-    Valid: the facts of step 4 in the module docstring, up to top_hi, the
-    upper end of the isolating interval of f(x0).
+    Valid: the facts of step 4 in the module docstring, top_hi the upper
+    end of the isolating interval of f(x0).
     """
-    roots = uni.isolate_roots(_shifted_by(h, t0), Fraction(0), ub, width)
+    roots = uni.isolate_roots(_shifted_by(h, t0), Fraction(0), top_hi, width)
     if len(roots) != 2 or any(r.multiplicity != 1 for r in roots):
         return None
     a_hi, b_lo = roots[0].hi, roots[1].lo
@@ -413,8 +418,9 @@ def build_tongue(p: BivariatePolynomial, criterion: CriterionCertificate) -> Ton
     the edge bounds nothing, and itself when x0 or f(x0) leaves the range
     of the report's floats, past 2^(+/-512); ValueError, through
     ``region_orientation``, when the criterion is not satisfied; and
-    NotSingleSignedOnInterval, through ``restriction_profile``, when the
-    barrier cannot be placed at x0.
+    NotSingleSignedOnInterval or OverflowError, through
+    ``restriction_profile``, when the barrier cannot be placed at x0 or a
+    report float rounds to 0.
     """
     transform, flipped = region_orientation(p, criterion)
     p_t = apply_transform(p, transform)
@@ -534,7 +540,8 @@ def check_no_critical_points(
 
 def _point_below(lo: Fraction) -> Fraction:
     """A power of two at most 1 in (0, lo / 2]: below a root isolated from lo up."""
-    return Fraction(1, 2 ** max(0, 1 - math.floor(math.log2(lo))))
+    e = lo.numerator.bit_length() - lo.denominator.bit_length()
+    return Fraction(2) ** min(0, e - 1 - (lo < Fraction(2) ** e))  # 2^(floor(log2 lo) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +616,8 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     barrier check of ``restriction_profile`` (step 4): it takes no count.
     Only a level above t0 is counted, by ``_ends_above_barrier``, from h''
     and p_x(x0, .) taken once here: nothing, or arcs in the pocket
-    (step 5).  Raises LevelSetUndecided when a premise fails or a count
-    above t0 stays undecided.
+    (step 5).  Raises LevelSetUndecided when a premise fails, a count
+    above t0 stays undecided or a fact has too many digits for ``str``.
     """
     p, prof = region.poly, region.profile
     far_end = ((Fraction(i, j - 1), j, i) for i, j in p.support() if j >= 2)
@@ -620,6 +627,11 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     f_lo, f_hi = prof.f_x0_interval
     ym = _point_below(f_lo)
     k = region.x0.numerator.bit_length() - 1
+    try:
+        positive = f"p > 0 on V: p(x0, {ym}) = {uni.ueval(h, ym)}"
+    except ValueError:  # an int past sys.get_int_max_str_digits(), which is read, never set
+        limit = sys.get_int_max_str_digits()
+        raise LevelSetUndecided(f"p(x0, {ym}) has over {limit} digits, the str() limit") from None
     facts = (
         f"the witness edge (0, 1)-({a}, {b}) outweighs every other term of p/y, p_y and "
         f"x^(1 - theta)*p_x on 0 < y < C*x^theta for x >= x0 = 2^{k}: f is the one "
@@ -627,7 +639,7 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
         "closure of V",
         "every other term of p is below the edge, so the terms with j <= 1 are exactly "
         "a01*y: y = 0 is a simple root of every p(x, .), and f stays above it",
-        f"p > 0 on V: p(x0, {ym}) = {uni.ueval(h, ym)}",
+        positive,
     )
     h2 = uni.derivative(uni.derivative(h))
     px = p.partial_derivative("x").restricted_to_x(region.x0)
@@ -661,16 +673,16 @@ def tongue_certificate(p: BivariatePolynomial, criterion: CriterionCertificate) 
     x0; the levels follow ``default_schedule``.  Verified means the level
     argument holds: the barrier decides every level in (0, t0], and each
     scheduled level above t0 is counted exactly, its double roots read off
-    h'' (module docstring, step 3).  A hypothesis that fails or a count
-    left undecided reports Inconclusive, naming the fact; an unsatisfied
-    criterion or a region that cannot be assembled at x0, the one
-    NotSingleSignedOnInterval, reports Failed with its reason.
+    h'' (module docstring, step 3).  A hypothesis that fails, a count left
+    undecided or a float past range reports Inconclusive, naming it; an
+    unsatisfied criterion or a region that cannot be assembled at x0, the
+    one NotSingleSignedOnInterval, reports Failed with its reason.
     """
     if not criterion.satisfied:
         return TongueCertificate(FAILED, ("criterion not satisfied",), None, None)
     try:
         region = build_tongue(p, criterion)
-    except LevelSetUndecided as exc:
+    except (LevelSetUndecided, OverflowError) as exc:
         return TongueCertificate(INCONCLUSIVE, (str(exc),), None, None)
     except NotSingleSignedOnInterval as exc:
         return TongueCertificate(FAILED, (str(exc),), None, None)

@@ -6,10 +6,11 @@ here is exact and runs on integer multiples, which have the same roots and
 signs: multiplicities come from Yun's square-free decomposition over Z with
 a subresultant gcd (Brown & Traub, J. ACM 1971), roots are counted by
 Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC 1976),
-and isolating intervals have rational endpoints.  Floats appear only in the
-final refinement step.  :func:`resultant_y` eliminates y from two bivariate
-polynomials through these, one integer determinant per node, interpolated,
-for the falsifier's miss proof: the certify path eliminates nothing.
+and isolating intervals have rational endpoints; a float is only ever an
+isolated root's nearest double.  :func:`resultant_y` eliminates y from two
+bivariate polynomials through these, one integer determinant per node,
+interpolated, for the falsifier's miss proof: the certify path eliminates
+nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "normalize",
     "degree",
     "ueval",
-    "ueval_float",
     "derivative",
     "subresultant_gcd",
     "squarefree_decomposition",
@@ -78,13 +78,6 @@ def ueval(c: Coeffs, x: Fraction | int) -> Fraction:
     acc = Fraction(0)
     for a in reversed(c):
         acc = acc * x + a
-    return acc
-
-
-def ueval_float(c: Coeffs, x: float) -> float:
-    acc = 0.0
-    for a in reversed(c):
-        acc = acc * x + float(a)
     return acc
 
 
@@ -196,13 +189,9 @@ def _sign_at(c: list[int], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _is_root(c: list[int], x: Fraction) -> bool:
-    return _sign_at(c, x.numerator, x.denominator) == 0
-
-
 def _deflate_root(g: list[int], r: Fraction) -> list[int]:
     # divide out (den * x - num) as often as r = num / den is a root
-    while g and _is_root(g, r):
+    while g and not _sign_at(g, r.numerator, r.denominator):
         g = _divide(g, [-r.numerator, r.denominator])
     return g
 
@@ -276,12 +265,6 @@ def root_exponent(c: list[int]) -> int:
     return max(m, 0) + 1
 
 
-def _search_interval(f: Coeffs, lo, hi) -> tuple[Fraction, Fraction]:
-    """(lo, hi) as Fractions, an end left None at -/+ ``root_bound(f)``."""
-    bound = root_bound(f) if lo is None or hi is None else 0
-    return Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
-
-
 def isolate_roots(
     f: Coeffs,
     lo: Fraction | None = None,
@@ -300,10 +283,12 @@ def isolate_roots(
     f = normalize(f)
     if degree(f) < 1:
         return []
-    lo, hi = _search_interval(f, lo, hi)
+    bound = root_bound(f) if lo is None or hi is None else 0  # an open end: Cauchy's bound
+    lo, hi = Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
     if lo >= hi:
         return []
     width = Fraction(width)
+    wn, wd = width.numerator, width.denominator  # b - a > width: (b - a) * wd > wn * den
     c = _integer_multiple(f)
     # Descartes' rule is exact for 0 and 1 sign changes, multiple roots or
     # not: only two or more need the square-free factors
@@ -313,8 +298,9 @@ def isolate_roots(
         # roots at the requested ends lie outside the open interval: divide
         # them out, and no end of a part is a root (splits avoid roots)
         g = _deflate_root(_deflate_root(factor, lo), hi)
-        for a, b in _one_root_intervals(g, lo, hi):
-            found.append(RootInterval(*_refine_squarefree(g, a, b, width), mult))
+        for a, b in _one_root_intervals(g, lo, hi):  # g changes sign on each
+            ab = _bisect(g, a, b, lambda u, v, d: (v - u) * wd > wn * d)
+            found.append(RootInterval(*ab, mult))
     found.sort(key=lambda r: (r.lo, r.hi))
     return found
 
@@ -323,7 +309,7 @@ def _nonroot_point(g: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     mid = (lo + hi) / 2
     step = (hi - lo) / 64
     probe = mid
-    while _is_root(g, probe):
+    while not _sign_at(g, probe.numerator, probe.denominator):
         probe += step
         if probe >= hi:
             probe = lo + step / 7  # last resort, still deterministic
@@ -355,18 +341,6 @@ def _one_root_intervals(
         k = next(k for k, (u, v) in enumerate(zip(paths[i - 1], paths[i])) if u != v)
         own[i - 1], own[i] = max(own[i - 1], k), k
     return [path[k] for path, k in zip(paths, own)]
-
-
-def _refine_squarefree(
-    g: list[int], lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Bisect (lo, hi), holding one root of the squarefree g, to ``width``.
-
-    The root is simple, so g has opposite signs at the two endpoints.
-    """
-    wn, wd = width.numerator, width.denominator
-    # hi - lo > width  <=>  (b - a) * wd > wn * den
-    return _bisect(g, lo, hi, lambda a, b, den: (b - a) * wd > wn * den)
 
 
 def _bisect(g: list[int], lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:
@@ -443,21 +417,44 @@ def probe_bracket(c: list[int], top: int) -> tuple[Fraction, Fraction] | None:
     return None
 
 
+def _half_spacing(n: int, d: int) -> int:
+    """t with 2^t dividing every double of modulus >= max(n / d, 2^-1022) and
+    every midpoint of two neighbours, half their spacing there; n = 0: -1075."""
+    e = n.bit_length() - d.bit_length()
+    e -= (n << -e < d) if e < 0 else (n < d << e)  # for n > 0, 2^e <= n / d < 2^(e + 1)
+    return max(e, -1022) - 53 if n else -1075
+
+
 def float_root(f: Coeffs, iv: RootInterval) -> float:
-    """Float approximation of the isolated root, Newton-polished."""
-    x = float(iv.midpoint)
-    df = derivative(f)
-    for _ in range(3):
-        d = ueval_float(df, x)
-        if d == 0 or not math.isfinite(d):
-            break
-        step = ueval_float(f, x) / d
-        if not math.isfinite(step):
-            break
-        x -= step
-    lo, hi = float(iv.lo), float(iv.hi)
-    if iv.lo != iv.hi and not (lo <= x <= hi):
-        x = float(iv.midpoint)
+    """The double nearest the root that ``iv`` isolates, ties to even.
+
+    Decided by exact signs of f's integer multiple, roots at the ends of
+    ``iv`` divided out, or of its square-free part if f keeps its sign
+    there (an even multiplicity).  ``iv`` is halved until it holds at most
+    one multiple m of 2^``_half_spacing``; the sign at m leaves the root at
+    m, which ``float`` rounds exactly, or where every point rounds alike.
+    OverflowError when a nonzero root rounds to 0 or +/-inf.
+    """
+    lo, hi = iv.lo, iv.hi
+    if lo != hi:
+        c = _integer_multiple(normalize(f))
+        c = _divide(c, subresultant_gcd(c, derivative(c))) if iv.multiplicity % 2 == 0 else c
+        g = _deflate_root(_deflate_root(c, lo), hi)
+
+        def wide(a: int, b: int, d: int) -> bool:
+            t = _half_spacing(a if a > 0 else max(-b, 0), d)  # from the end nearer 0
+            return ((b - a) << -t > d) if t < 0 else (b - a > d << t)
+
+        lo, hi = _bisect(g, lo, hi, wide)
+        near = max(lo, -hi, 0)
+        h = Fraction(2) ** _half_spacing(near.numerator, near.denominator)
+        m = (math.floor(lo / h) + 1) * h  # the least multiple of h past lo
+        if m < hi:
+            s = _sign_at(g, m.numerator, m.denominator) * _sign_at(g, lo.numerator, lo.denominator)
+            lo, hi = (m, hi) if s > 0 else (lo, m) if s < 0 else (m, m)
+    root = (lo + hi) / 2
+    if not (x := float(root)) and root:  # float() raises past the largest double
+        raise OverflowError("a nonzero root rounds to 0.0, past the float range")
     return x
 
 

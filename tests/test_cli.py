@@ -508,6 +508,22 @@ def test_tongue_verified(tmp_path, capsys):
     assert json.loads(out) == data
 
 
+def test_a_fact_past_the_int_string_limit_is_inconclusive(capsys):
+    # at x0 = 2 the fact "p > 0 on V" states h(2^-256) for h of degree 256:
+    # its denominator has more digits than Python converts to a string,
+    # so the levels are Inconclusive, naming that limit, and the process's
+    # limit is left as it was
+    poly = "y - x^255*y^2 + 2^250*y^2 + 2^250*x^254*y^256"
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "tongue", poly)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["status"] == "Inconclusive" and doc["region"]["x0"] == "2"
+    (reason,) = doc["reasons"]
+    assert reason.endswith(f"has over {limit} digits, the str() limit")
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("poly", ["y^2 - 2*y", "2*x + 3*x^2"])
 def test_shared_factor_tongue_is_inconclusive_not_an_error(capsys, poly):
     # p_x = 0 or p_y = 0 identically: the edge criterion holds on a witness

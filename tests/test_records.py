@@ -48,6 +48,9 @@ def records():
         ("BranchTrace", "ratio_bounds"),
         ("LevelRecord", "component_count"),
         ("RestrictionProfile", "x0"),
+        ("RestrictionProfile", "f_x0"),
+        ("RestrictionProfile", "a"),
+        ("RestrictionProfile", "b"),
         ("MinRecord", "boxes_searched"),
     ],
 )

@@ -203,25 +203,38 @@ def test_roots_past_counts_the_open_ray():
     assert roots_past(res, Fraction(1)) == 0
 
 
-def test_critical_points_past_the_float_cut_refuse_the_barrier():
+def test_critical_points_just_below_f_x0_place_the_barrier_below_their_dip():
     # h = y(1 - y)((y - c)^2 + eps), c = 1 - 10^-10, eps = 10^-21, has a
-    # local min and max at 0.99999999991 and 0.99999999996: past the float
-    # cut f_x0 (1 - 10^-9) up to which the critical values are read, below
-    # f(x0) = 1.  A level between their values, near 1.4e-31 and far below
-    # the barrier 0.0527 that the peak near 1/4 gives, has four ends; the
-    # barrier check reads h' up to the top of f(x0)'s interval and refuses
+    # local min and max at 0.99999999991 and 0.99999999996, within 10^-9 of
+    # f(x0) = 1, and a peak near 1/4.  The critical points are read on
+    # (0, top.hi), so the barrier goes below the dip's value, near 1.4e-31,
+    # and every level up to it cuts h twice
     h = parse_polynomial(
         "y*(1 - y)*((y - 9999999999/10000000000)^2 + 1/1000000000000000000000)"
     ).restricted_to_x(1)
     top = uni.isolate_roots(h, Fraction(0))[0]
     low, high = uni.isolate_roots(uni.derivative(h), Fraction(0), top.hi)[1:]
-    cut = Fraction(uni.float_root(h, top)) * (1 - Fraction(1, 10**9))
-    assert cut < low.lo and high.hi < 1
-    t = (uni.ueval(h, low.midpoint) + uni.ueval(h, high.midpoint)) / 2
-    assert 0 < t < Fraction(1, 10**30)
-    assert uni.count_roots(tongue._shifted_by(h, t), Fraction(0), top.hi) == 4
+    assert 1 - Fraction(1, 10**9) < low.lo and high.hi < 1
+    dip = uni.ueval(h, low.midpoint)
+    assert 0 < dip < Fraction(1, 10**30)
+    prof = restriction_profile(h, Fraction(1), top)
+    assert dip / 4 < prof.t0 < dip and prof.t0 == pytest.approx(4.87e-32, rel=1e-2)
+    rng = random.Random(11)
+    for t in [prof.t0] + [prof.t0 * Fraction(rng.randint(1, 999), 1000) for _ in range(8)]:
+        assert uni.count_roots(tongue._shifted_by(h, t), Fraction(0), top.hi) == 2, t
+
+
+def test_a_critical_point_past_f_x0_refuses_the_barrier():
+    # h = y(1 - y)(3 - y) has f(x0) = 1 and a local min in (1, 3).  Where
+    # top = (1/2, 5/2) isolates f(x0), that min lies below top.hi: its
+    # critical value is negative, and so is the barrier, which step 4
+    # refuses.  With top = (1/2, 5/4) the barrier is placed
+    h = [Fraction(0), Fraction(3), Fraction(-4), Fraction(1)]
+    top = uni.RootInterval(Fraction(1, 2), Fraction(5, 2), 1)
     with pytest.raises(NotSingleSignedOnInterval, match="could not place a rational barrier"):
         restriction_profile(h, Fraction(1), top)
+    top = uni.RootInterval(Fraction(1, 2), Fraction(5, 4), 1)
+    assert restriction_profile(h, Fraction(1), top).t0 > 0
 
 
 def test_barrier_is_placed_below_a_peak_under_1e_minus_9():
@@ -640,6 +653,24 @@ def test_x0_past_the_float_range_is_inconclusive():
     assert cert.reasons == (
         "x0 = 2^1771: x0 or f(x0) is past 2^(+/-512), outside the range of the report's floats",
     )
+
+
+def test_a_barrier_crossing_past_the_float_range_is_inconclusive(monkeypatch):
+    # h = y(1 - y)((2y - 1)^32 + 2^-1200) dips to about 2^-1202 near
+    # y = 1/2, so the barrier goes below that, and its crossing a, near
+    # t0 / h'(0), has 0.0 as its nearest double: the profile refuses to
+    # round it, and the certificate names the float range
+    q = [Fraction(math.comb(32, i) * 2**i * (-1) ** (32 - i)) for i in range(33)]
+    q[0] += Fraction(1, 2**1200)
+    h = [Fraction(0)] + [u - v for u, v in zip(q + [0], [0] + q)]
+    top = uni.isolate_roots(h, Fraction(0))[0]
+    with pytest.raises(OverflowError, match="past the float range"):
+        restriction_profile(h, Fraction(1), top)
+    monkeypatch.setattr(tongue, "build_tongue", lambda *args: restriction_profile(h, 1, top))
+    p = parse_polynomial("y + x^2*y^2")
+    cert = tongue_certificate(p, corollary_certificate(p))
+    assert cert.status == INCONCLUSIVE and cert.region is None
+    assert cert.reasons == ("a nonzero root rounds to 0.0, past the float range",)
 
 
 def test_no_fixture_needs_a_trace(monkeypatch):

@@ -219,11 +219,45 @@ def test_isolate_roots_finds_a_root_next_to_an_end_root():
     assert ivs[0].lo <= Fraction(4202501, 4202502) <= ivs[0].hi
 
 
-def test_float_root_polish():
+def test_float_root_of_a_cube_root():
     f = [Fraction(-3), Fraction(0), Fraction(0), Fraction(1)]  # y^3 - 3
     (iv,) = isolate_roots(f)
     r = float_root(f, iv)
     assert abs(r - 3 ** (1 / 3)) < 1e-13
+
+
+def test_float_root_rounds_a_root_halfway_between_doubles_to_even():
+    # 1 + 2^-53 lies halfway between the doubles 1 and 1 + 2^-52, and no
+    # halving of (1/2, 7/5) lands on it: the sign there decides, and the
+    # tie goes to the even 1.0, as float(Fraction) rounds it
+    iv = RootInterval(Fraction(1, 2), Fraction(7, 5), 1)
+    assert float_root([-(2**53 + 1), 2**53], iv) == 1.0
+    # 1 + 3 * 2^-53 ties up, to 1 + 2^-51; the mirror image ties to -1.0
+    assert float_root([-(2**53 + 3), 2**53], iv) == 1 + 2**-51
+    mirror = RootInterval(Fraction(-7, 5), Fraction(-1, 2), 1)
+    assert float_root([2**53 + 1, 2**53], mirror) == -1.0
+    # a double root halfway, where f keeps its sign, ties the same way
+    f = times([-(2**53 + 1), 2**53], [-(2**53 + 1), 2**53])
+    assert float_root(f, RootInterval(Fraction(1, 2), Fraction(7, 5), 2)) == 1.0
+
+
+def test_float_root_past_the_double_range_overflows():
+    # 2^-1076 and 2^-1075 have 0.0 as their nearest double, the latter by a
+    # tie; 2^-1075 + 2^-1100 rounds up to the least subnormal 2^-1074
+    for f in ([-1, 2**1076], [-1, 2**1075]):
+        with pytest.raises(OverflowError):
+            float_root(f, RootInterval(Fraction(0), Fraction(1), 1))
+        with pytest.raises(OverflowError):
+            float_root(f, RootInterval(Fraction(-1), Fraction(1), 1))
+        with pytest.raises(OverflowError):
+            float_root(f, isolate_roots(f)[0])
+    f = [-(2**25 + 1), 2**1100]
+    assert float_root(f, RootInterval(Fraction(0), Fraction(1), 1)) == 2.0**-1074
+    # and a root past the largest double rounds to infinity
+    with pytest.raises(OverflowError):
+        float_root([-(2**1100), 1], RootInterval(Fraction(0), Fraction(2**1101), 1))
+    # 0 itself is a root, not an underflow
+    assert float_root([0, 1, 1], RootInterval(Fraction(-1, 3), Fraction(1, 2), 1)) == 0.0
 
 
 def test_isolated_intervals_are_disjoint_random():
@@ -460,6 +494,25 @@ def test_probe_bracket_proves_a_root_to_float_spacing(c):
     assert sign(ueval(c, lo)) * sign(ueval(c, hi)) == -1
     # no float lies strictly between the ends
     assert lo < hi and math.nextafter(float(lo), math.inf) >= float(hi)
+
+
+@PROPERTY
+@given(int_polys | polys_with_roots().map(lambda case: _integer_multiple(case[0])))
+def test_float_root_is_the_nearest_double(c):
+    # r is the double nearest the root when the root lies between the
+    # midpoints from r to its two neighbours: the square-free part of c
+    # changes sign between them, or vanishes at one
+    c = normalize(c)
+    assume(degree(c) >= 1)
+    simple = [1]
+    for factor, _ in squarefree_decomposition(c):
+        simple = times(simple, factor)
+    for iv in isolate_roots(c):
+        r = float_root(c, iv)
+        below, above = (
+            (Fraction(r) + Fraction(math.nextafter(r, d))) / 2 for d in (-math.inf, math.inf)
+        )
+        assert sign(ueval(simple, below)) * sign(ueval(simple, above)) <= 0, (iv, r)
 
 
 def test_probe_bracket_on_the_edge_cases():
