@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .falsifier import MinRecord, TrialReport, ZeroWitness
+from .falsifier import MinRecord, NoRealZero, TrialReport, ZeroWitness
 from .poly import BivariatePolynomial, Transform
 from .polygon import CriterionCertificate, OuterEdge
 from .tongue import FAILED, TongueCertificate
@@ -28,8 +28,7 @@ __all__ = [
     "edge_to_dict",
     "criterion_to_dict",
     "tongue_to_dict",
-    "witness_to_dict",
-    "min_record_to_dict",
+    "search_result_to_dict",
     "trials_to_list",
     "document_to_dict",
     "emit_certificate_json",
@@ -166,38 +165,37 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
     return out
 
 
-def witness_to_dict(w: ZeroWitness) -> dict:
-    return {
-        "point": list(w.point),
-        "jac_value": w.jac_value,
-        "jac_exact": w.jac_exact,
-        "method": w.method,
-        "bracket": None if w.bracket is None else [str(v) for v in w.bracket],
-    }
-
-
-def min_record_to_dict(m: MinRecord) -> dict:
-    return {
-        "best_point": list(m.best_point),
-        "best_abs_jac": m.best_abs_jac,
-        "boxes_searched": m.boxes_searched,
+def search_result_to_dict(r: ZeroWitness | MinRecord | NoRealZero) -> tuple[str, dict]:
+    """A search's answer as its outcome name and the body under that name."""
+    if isinstance(r, ZeroWitness):
+        return "witness", {
+            "point": list(r.point),
+            "jac_value": r.jac_value,
+            "jac_exact": r.jac_exact,
+            "method": r.method,
+            "bracket": None if r.bracket is None else [str(v) for v in r.bracket],
+        }
+    if isinstance(r, NoRealZero):
+        return "no_real_zero", {
+            "sign": r.sign,
+            "bound": str(r.bound),
+            "root_free": list(r.root_free),
+            "boxes_searched": r.boxes_searched,
+        }
+    return "min_record", {
+        "best_point": list(r.best_point),
+        "best_abs_jac": r.best_abs_jac,
+        "boxes_searched": r.boxes_searched,
     }
 
 
 def trials_to_list(report: TrialReport) -> list:
     out = []
     for tr in report.outcomes:
-        entry: dict = {
-            "index": tr.index,
-            "seed": tr.seed,
-            "q": tr.q_text,
-            "outcome": "witness" if tr.found else "min_record",
-        }
-        if tr.found:
-            entry["witness"] = witness_to_dict(tr.result)
-        else:
-            entry["min_record"] = min_record_to_dict(tr.result)
-        out.append(entry)
+        outcome, body = search_result_to_dict(tr.result)
+        out.append(
+            {"index": tr.index, "seed": tr.seed, "q": tr.q_text, "outcome": outcome, outcome: body}
+        )
     return out
 
 
@@ -328,7 +326,7 @@ CERTIFICATE_SCHEMA = {
                     "index": {"type": "integer"},
                     "seed": {"type": "integer"},
                     "q": {"type": "string"},
-                    "outcome": {"enum": ["witness", "min_record"]},
+                    "outcome": {"enum": ["witness", "min_record", "no_real_zero"]},
                     "witness": {
                         "type": "object",
                         "required": ["point", "jac_value", "method"],
@@ -365,6 +363,17 @@ CERTIFICATE_SCHEMA = {
                     "min_record": {
                         "type": "object",
                         "required": ["best_point", "best_abs_jac", "boxes_searched"],
+                    },
+                    # s * Jac - C > 0 on R^2, C the exact rational bound
+                    "no_real_zero": {
+                        "type": "object",
+                        "required": ["sign", "bound", "root_free", "boxes_searched"],
+                        "properties": {
+                            "sign": {"enum": [1, -1]},
+                            "bound": {"type": "string"},
+                            "root_free": {"type": "array", "items": {"type": "string"}},
+                            "boxes_searched": {"const": 0},
+                        },
                     },
                 },
             },

@@ -6,8 +6,9 @@ usage or input errors.
 
 numpy loads only for the falsifier's float search, on its first call
 (``falsify``, ``certify --falsify``), which runs only where no exact slice
-decides.  Every other command, the drawings included, never loads it; only
-the drawing paths import :mod:`jacmate.render`.
+decides and the miss proof is refused: a hit on a slice and a proved miss
+never load it.  Every other command, the drawings included, never loads
+it; only the drawing paths import :mod:`jacmate.render`.
 """
 
 from __future__ import annotations
@@ -30,17 +31,10 @@ from .certificate import (
     build_certificate,
     edge_to_dict,
     emit_certificate_json,
-    min_record_to_dict,
+    search_result_to_dict,
     tongue_to_dict,
-    witness_to_dict,
 )
-from .falsifier import (
-    MAX_TRIALS,
-    DegenerateSampler,
-    ZeroWitness,
-    find_jacobian_zero,
-    random_trials,
-)
+from .falsifier import MAX_TRIALS, DegenerateSampler, find_jacobian_zero, random_trials
 from .poly import ParseError, apply_transform, parse_polynomial
 from .polygon import (
     corollary_certificate,
@@ -164,13 +158,9 @@ def _cmd_tongue(args) -> int:
 def _cmd_falsify(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
     q = parse_polynomial(args.q)
-    result = find_jacobian_zero(p, q)
-    if isinstance(result, ZeroWitness):
-        doc, code = {"outcome": "witness", **witness_to_dict(result)}, 0
-    else:
-        doc, code = {"outcome": "min_record", **min_record_to_dict(result)}, 1
-    _emit(args, json.dumps(doc, indent=2))
-    return code
+    outcome, body = search_result_to_dict(find_jacobian_zero(p, q))
+    _emit(args, json.dumps({"outcome": outcome, **body}, indent=2))
+    return 0 if outcome == "witness" else 1
 
 
 def _cmd_render(args) -> int:

@@ -14,30 +14,33 @@ out there.  The search runs in this order:
    to the float spacing.  Its ends keep opposite exact signs, so by the
    intermediate value theorem J has a zero on {x0} x [lo, hi]: the witness
    carries that bracket as its proof.
-3. Only if no slice decides, the float search: it scans expanding boxes
-   with the exact Jacobian polynomial evaluated on float grids, bisects
-   along sign changes, and falls back to damped descent on the squared
-   Jacobian for tangential zeros that no slice decides (J = 3(y - 1/3)^2
-   changes sign nowhere, and no probe lands on its root).  Misses are
-   reported as honest minimum records, never silently dropped: the point
-   is the float grid's flattest node, and its |Jac| is evaluated there
-   exactly.
+3. Only if no slice decides, the miss proof, before numpy is imported or
+   any grid is built.  Every witness is revalidated by exact rational
+   evaluation at its point before it is accepted, which rejects every
+   point where the exact |Jac| exceeds C, the least float above the bound
+   10 * ZERO_TOL: float rounding is monotone, so such a value rounds to a
+   float >= C.  If |Jac| > C is proved on all of R^2, no point can be
+   accepted, and the search returns the proof, a :class:`NoRealZero`.
+   The proof is exact.  Let s = sign Jac(0, 0), where |Jac(0, 0)| > C,
+   F = s*Jac - C and n = deg_y F.
+   - n = 0: F is a polynomial in x alone with no real root.
+   - n >= 1: lc_y(F), Res_y(F, F_y) and F(0, .) have no real root.  Then
+     for every real x the slice F(x, .) keeps its degree n and simple
+     roots, so its real roots move continuously and can never appear, meet
+     or escape: it has as many as at x = 0, none.
+   Either way F keeps the sign it has at (0, 0), and F > 0 on R^2.  The
+   proof is tried only when its predicted work is within a fixed budget.
+4. Only if the proof is refused, the float search: it scans expanding
+   boxes with the exact Jacobian polynomial evaluated on float grids,
+   bisects along sign changes, and falls back to damped descent on the
+   squared Jacobian for tangential zeros that no slice decides
+   (J = 3(y - 1/3)^2 changes sign nowhere, and no probe lands on its
+   root).  Its misses are reported as honest minimum records, never
+   silently dropped: the point is the float grid's flattest node, and its
+   |Jac| is evaluated there exactly.
 
-Every witness is revalidated by exact rational evaluation at the reported
-point before it is accepted.  That rejects every point where the exact
-|Jac| exceeds C, the least float above the bound 10 * ZERO_TOL: float
-rounding is monotone, so such a value rounds to a float >= C.  Before its
-first box, the float search therefore tries once to prove |Jac| > C on
-all of R^2; if that holds, no point can be accepted, and the search only
-scans its grids for the miss record.  The proof is exact.  Let
-s = sign Jac(0, 0), where |Jac(0, 0)| > C, F = s*Jac - C and n = deg_y F.
-- n = 0: F is a polynomial in x alone with no real root.
-- n >= 1: lc_y(F), Res_y(F, F_y) and F(0, .) have no real root.  Then for
-  every real x the slice F(x, .) keeps its degree n and simple roots, so
-  its real roots move continuously and can never appear, meet or escape:
-  it has as many as at x = 0, none.
-Either way F keeps the sign it has at (0, 0), and F > 0 on R^2.  The proof
-is tried only when its predicted work is within a fixed budget.
+A proof rules out every witness, so trying the slices first changes no
+answer, and a search that a slice decides never pays for the proof.
 
 The slices' work is bounded: probes stop at 2^64, past which no root is
 sought, and a bracket ending at 0 is halved to 2^-117 at most, so a slice
@@ -45,8 +48,8 @@ takes at most 2 * 65 + 1 probes and 64 + 53 halvings, each one Horner pass
 in integers.  At the parse caps J(x0, .) has degree <= 511; on such a row
 with 4,000-bit coefficients a sign takes ~2 ms at a probe and ~5 ms in a
 halving (2-core VM, Python 3.11), so the five slices take ~5 s at most.
-A search that some slice decides never loads numpy: it is imported by the
-float search, on its first call.
+A search that a slice or the proof decides never loads numpy: it is
+imported by the float search, on its first call.
 
 The boxes never change, so each box's axis and the powers axis**j that its
 grids take are built once per process, on the first search that reaches
@@ -78,6 +81,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ZeroWitness",
     "MinRecord",
+    "NoRealZero",
     "TrialOutcome",
     "TrialReport",
     "DegenerateSampler",
@@ -113,6 +117,8 @@ SLICE_EXPONENT = 64
 _ABOVE_BOUND = Fraction(math.nextafter(10 * ZERO_TOL, math.inf))
 PROOF_WORK = 100_000
 PROOF_MAX_DEGREE = 48
+# the polynomials that a proof with deg_y F >= 1 shows to have no real root
+NO_ROOT_ON_ANY_SLICE = ("lc_y(F)", "F(0, y)", "Res_y(F, F_y)")
 
 # Sampled candidate mates: total degree at most 3, integer coefficients in [-3, 3].
 MATE_DEGREE = 3
@@ -143,7 +149,20 @@ class MinRecord:
     best_point: tuple[float, float]
     best_abs_jac: float
 
-    boxes_searched = MAX_DOUBLINGS + 1  # a miss searches every box
+    boxes_searched = MAX_DOUBLINGS + 1  # a grid miss searches every box
+
+
+@dataclass(frozen=True)
+class NoRealZero:
+    """The miss proof (module docstring): sign * Jac - bound > 0 on R^2."""
+
+    sign: int  # s = sign Jac(0, 0), 1 or -1
+    # the polynomials shown to have no real root: ("F",) when deg_y F = 0,
+    # else NO_ROOT_ON_ANY_SLICE
+    root_free: tuple[str, ...]
+
+    bound = _ABOVE_BOUND  # C, exact
+    boxes_searched = 0  # a proved miss builds no grid
 
 
 @dataclass(frozen=True)
@@ -151,7 +170,7 @@ class TrialOutcome:
     index: int
     seed: int
     q_text: str
-    result: ZeroWitness | MinRecord
+    result: ZeroWitness | MinRecord | NoRealZero
 
     @property
     def found(self) -> bool:
@@ -163,7 +182,7 @@ class TrialOutcome:
 
     @property
     def min_record(self) -> MinRecord | None:
-        return None if self.found else self.result
+        return self.result if isinstance(self.result, MinRecord) else None
 
 
 @dataclass(frozen=True)
@@ -237,30 +256,35 @@ def _descend(J, Jx, Jy, x: float, y: float):
     return None
 
 
-def _stays_above_bound(J: BivariatePolynomial) -> bool:
-    """True only if |J| > C at every real point (the module docstring's proof).
+def _stays_above_bound(J: BivariatePolynomial) -> NoRealZero | None:
+    """The proof that |J| > C at every real point (module docstring), or None.
 
-    False means unproved.  It is refused unproved, before any determinant,
+    None means unproved.  It is refused unproved, before any determinant,
     when the predicted work exceeds PROOF_WORK: the nodes of Res_y(F, F_y)
     times the cube of its Sylvester size, or for n = 0 a degree over
     PROOF_MAX_DEGREE.
     """
     at_origin = J.evaluate(0, 0)
     if abs(at_origin) <= _ABOVE_BOUND:
-        return False
-    F = (J if at_origin > 0 else -J) - _ABOVE_BOUND
+        return None
+    sign = 1 if at_origin > 0 else -1
+    F = (J if sign > 0 else -J) - _ABOVE_BOUND
     n, deg_x = F.degree_y(), F.degree_x()
     if n == 0:
-        return deg_x <= PROOF_MAX_DEGREE and not uni.count_roots(_row(F, 0))
+        if deg_x > PROOF_MAX_DEGREE or uni.count_roots(_row(F, 0)):
+            return None
+        return NoRealZero(sign, ("F",))
     Fy = F.partial_derivative("y")
     nodes = (n - 1) * deg_x + n * Fy.degree_x() + 1  # those of uni.resultant_y
     if nodes * (2 * n - 1) ** 3 > PROOF_WORK:
-        return False
+        return None
     # a root of lc_y(F) is one of Res_y(F, F_y) too, found here more cheaply
     if uni.count_roots(_row(F, n)) or uni.count_roots(F.restricted_to_x(0)):
-        return False
+        return None
     r = uni.resultant_y(F, Fy)
-    return bool(r) and not uni.count_roots(r)
+    if not r or uni.count_roots(r):
+        return None
+    return NoRealZero(sign, NO_ROOT_ON_ANY_SLICE)
 
 
 def _row(F: BivariatePolynomial, j: int) -> list[Fraction]:
@@ -270,24 +294,26 @@ def _row(F: BivariatePolynomial, j: int) -> list[Fraction]:
 
 def find_jacobian_zero(
     p: BivariatePolynomial, q: BivariatePolynomial
-) -> ZeroWitness | MinRecord:
-    """Locate a point where Jac(p, q) vanishes, or report the best minimum.
+) -> ZeroWitness | MinRecord | NoRealZero:
+    """Locate a point where Jac(p, q) vanishes, prove there is none, or
+    report the best minimum.
 
     First the exact slices x = 0, 1, -1, 2, -2: a slice witness carries a
-    bracket that proves a zero.  Only if no slice decides, the float
-    search: expanding boxes [-w, w]^2 with w doubling; within each box,
-    exact grid hits first, then sign-change bisection (rows before columns,
-    row-major order), then descent.  Deterministic: the result depends on p
-    and q only.
+    bracket that proves a zero.  Then the miss proof: a
+    :class:`NoRealZero` proves that no point passes the exact
+    revalidation.  Only if both fail, the float search: expanding boxes
+    [-w, w]^2 with w doubling; within each box, exact grid hits first, then
+    sign-change bisection (rows before columns, row-major order), then
+    descent.  Deterministic: the result depends on p and q only.
     """
     return _search(jacobian(p, q))
 
 
-def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
+def _search(J: BivariatePolynomial) -> ZeroWitness | MinRecord | NoRealZero:
     """:func:`find_jacobian_zero` given the Jacobian ``J`` of the pair."""
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
-    return _slice_witness(J) or _grid_search(J)
+    return _slice_witness(J) or _stays_above_bound(J) or _grid_search(J)
 
 
 def _slice_witness(J: BivariatePolynomial) -> ZeroWitness | None:
@@ -313,21 +339,17 @@ def _slice_witness(J: BivariatePolynomial) -> ZeroWitness | None:
 
 
 def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
-    """The float search over the boxes, for a nonzero J.
+    """The float search over the boxes, for a nonzero J that no slice
+    decides and :func:`_stays_above_bound` does not prove free of zeros.
 
-    Before box 0, :func:`_stays_above_bound` tries once to prove
-    s*J - C > 0 on R^2 (module docstring), so that no point passes
-    :func:`_accept`.  If it holds, no grid hit, bisection or descent can
-    return a witness, and they are skipped: the boxes are scanned only for
-    the miss record, which is therefore the one the full search would
-    report.  A miss searches all MAX_DOUBLINGS + 1 boxes.  numpy is
-    imported here, on the first search that no slice decides, so that the
-    exact commands never load it.
+    Every box it builds can still return a witness.  A miss searches all
+    MAX_DOUBLINGS + 1 boxes.  numpy is imported here, on the first search
+    that reaches the grids, so that the exact commands and the searches
+    decided exactly never load it.
     """
     import numpy as np
 
-    proven = _stays_above_bound(J)
-    partials = None if proven else (J.partial_derivative("x"), J.partial_derivative("y"))
+    Jx, Jy = J.partial_derivative("x"), J.partial_derivative("y")
 
     best_abs = np.inf
     best_point = (0.0, 0.0)
@@ -351,8 +373,6 @@ def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
         if least < best_abs:
             best_abs = float(least)
             best_point = flattest
-        if proven:
-            continue
 
         if least == 0.0:  # some finite node is an exact float zero
             for i, j in np.argwhere(absvals == 0.0):
@@ -378,7 +398,7 @@ def _grid_search(J: BivariatePolynomial) -> ZeroWitness | MinRecord:
                 return hit
 
         if np.isfinite(least):
-            hit = _descend(J, *partials, *flattest)
+            hit = _descend(J, Jx, Jy, *flattest)
             if hit:
                 return hit
 

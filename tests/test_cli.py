@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import time
 import xml.dom.minidom
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -106,8 +108,8 @@ def test_certify_matches_golden(capsys, poly, golden):
 
 
 def test_falsify_miss_matches_golden(capsys):
-    # a miss over all 11 boxes: its min_record pins the grid's argmin and
-    # the exact |Jac| there
+    # Jac = 1 + 3y^2 + x^2: a proved miss pins the sign, the exact bound and
+    # the polynomials shown root-free, and searches no box
     code, out, _ = run(capsys, "falsify", "x", "--q", "y + y^3 + x^2*y")
     assert code == 1
     assert out == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
@@ -125,8 +127,11 @@ def test_falsify_miss_matches_golden(capsys):
         (("branch", "y + x^2*y^2", "--x-end", "100"), 0, "branch_y_x2y2_xend100.csv"),
         # no witness edge: every criterion field read off it is null
         (("certify", "y + x^2*y^2 + 5"), 1, "certify_not_covered_y_x2y2_5.json"),
+        # Jac = x^200 + 1, over the proof's degree cap: a miss over all 11
+        # boxes, which pins the grid's argmin and the exact |Jac| there
+        (("falsify", "1/201*x^201 + x", "--q", "y"), 1, "falsify_grid_miss_x201_q_y.json"),
     ],
-    ids=["analyze", "branch", "not_covered"],
+    ids=["analyze", "branch", "not_covered", "falsify_grid_miss"],
 )
 def test_output_matches_golden(capsys, argv, code, golden):
     got, out, _ = run(capsys, *argv)
@@ -150,7 +155,7 @@ def test_output_matches_golden(capsys, argv, code, golden):
             0,
             "swap_tongue_falsify3_seed42.json",
         ),
-        (("falsify", "x", "--q", "y + y^3 + x^2*y"), 1, "falsify_miss_x_q_y_y3_x2y.json"),
+        (("falsify", "1/201*x^201 + x", "--q", "y"), 1, "falsify_grid_miss_x201_q_y.json"),
     ],
     ids=["swap", "swap_grid_trial", "falsify_miss"],
 )
@@ -275,14 +280,16 @@ COLD_START = (
         (("branch", "y + x^2*y^2"), 0, False),
         (("tongue", "y + x^2*y^2"), 0, False),
         (("certify", "y + x^2*y^2", "--tongue"), 0, False),
-        (("falsify", "x", "--q", "y"), 1, True),
+        (("falsify", "x", "--q", "y"), 1, False),
+        (("falsify", "1/201*x^201 + x", "--q", "y"), 1, True),
         (("falsify", "y + x*y^2 + y^4", "--q", "x"), 0, False),
         (("certify", "y + x^2*y^2", "--falsify", "2"), 0, False),
         (("render", "y + x^2*y^2", "--what", "tongue"), 0, False),
         (("render", "y + x^2*y^2", "--what", "polygon"), 0, False),
     ],
     ids=[
-        "analyze", "branch", "tongue", "certify_tongue", "falsify", "falsify_slice_hit",
+        "analyze", "branch", "tongue", "certify_tongue", "falsify", "falsify_grid_miss",
+        "falsify_slice_hit",
         "certify_falsify",
         "render_tongue", "render_polygon",
     ],
@@ -291,7 +298,7 @@ def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded):
     # numpy serves only the falsifier's grids: a fresh interpreter answers
     # the exact commands and draws without paying for its import, and loads
     # it on demand for the float search, with the usual output; searches
-    # that an exact slice decides never reach the grids
+    # that an exact slice or the miss proof decides never reach the grids
     proc = _fresh_interpreter(COLD_START, *argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr == f"numpy loaded: {numpy_loaded}\n"
@@ -561,9 +568,25 @@ def test_falsify_miss_exit_one(capsys):
     code, out, _ = run(capsys, "falsify", "x", "--q", "y")
     assert code == 1
     data = json.loads(out)
-    assert data["outcome"] == "min_record"
-    assert data["best_abs_jac"] == 1.0
-    assert data["boxes_searched"] == 11
+    assert data["outcome"] == "no_real_zero"
+    assert (data["sign"], data["root_free"]) == (1, ["F"])
+    # C, the float above the acceptance bound 10 * 1e-6, written exactly
+    assert Fraction(data["bound"]) == Fraction(math.nextafter(10 * 1e-6, math.inf))
+    assert data["boxes_searched"] == 0
+
+
+def test_certify_trial_with_a_proved_miss_matches_the_schema(capsys):
+    # p = x is not certified; trial 2's mate has q_y = 2x^2 - 2xy + x + 9y^2 + 1
+    # > 0, so the miss proof holds and the trial carries it, not a record
+    code, out, _ = run(capsys, "certify", "x", "--falsify", "3", "--seed", "7")
+    assert code == 1
+    data = json.loads(out)
+    jsonschema.validate(data, CERTIFICATE_SCHEMA)
+    trials = data["falsifier_trials"]
+    assert [t["outcome"] for t in trials] == ["witness", "witness", "no_real_zero"]
+    assert "min_record" not in trials[2]
+    assert trials[2]["no_real_zero"]["boxes_searched"] == 0
+    assert data["falsifier_summary"]["witness_rate"] == 2 / 3
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from jacmate.falsifier import (
     MAX_TRIALS,
     DegenerateSampler,
     MinRecord,
+    NoRealZero,
     ZeroWitness,
     find_jacobian_zero,
     random_trials,
@@ -35,6 +36,15 @@ from jacmate.falsifier import (
 
 X = BivariatePolynomial.variable("x")
 Y = BivariatePolynomial.variable("y")
+
+# Jac = x^200 + 1 >= 1, but over PROOF_MAX_DEGREE: the proof is refused, so
+# the search scans all 11 boxes for its miss record
+GRID_MISS = (parse_polynomial("1/201*x^201 + x"), Y)
+
+
+def refused(J):
+    """A stand-in for ``_stays_above_bound`` that proves nothing."""
+    return None
 
 
 def test_witness_on_transversal_zero_curve(p1):
@@ -80,7 +90,12 @@ def test_descent_is_reached_where_no_slice_decides():
     assert abs(w.point[1] - 1 / 3) <= 1e-3
 
 
-def test_soundness_identity_pair_reports_minimum():
+def test_soundness_identity_pair_reports_minimum(monkeypatch):
+    # Jac = 1: proved free of zeros at once; with the proof refused, the
+    # grid search reports its minimum, exact, over every box
+    rec = find_jacobian_zero(X, Y)
+    assert rec == NoRealZero(1, ("F",)) and rec.boxes_searched == 0
+    monkeypatch.setattr(fz, "_stays_above_bound", refused)
     rec = find_jacobian_zero(X, Y)
     assert isinstance(rec, MinRecord)
     assert rec.best_abs_jac == 1.0
@@ -91,8 +106,16 @@ def test_soundness_no_false_witness_strictly_positive():
     # Jac(x + y^3, y) = 1 + ... check: d(x+y^3)/dx=1, /dy=3y^2; q=y:
     # Jac = 1*1 - 3y^2*0 = 1, never zero
     rec = find_jacobian_zero(parse_polynomial("x + y^3"), Y)
-    assert isinstance(rec, MinRecord)
-    assert rec.best_abs_jac == 1.0
+    assert rec == NoRealZero(1, ("F",))
+    assert rec.bound == fz._ABOVE_BOUND > 10 * fz.ZERO_TOL
+
+
+def test_a_proved_miss_builds_no_grid(monkeypatch):
+    # Jac = -(1 + 3y^2 + x^2) <= -1: the proof holds with s = -1, and the
+    # grid search is never entered
+    monkeypatch.setattr(fz, "_grid_search", None)
+    rec = find_jacobian_zero(X, parse_polynomial("-y - y^3 - x^2*y"))
+    assert rec == NoRealZero(-1, fz.NO_ROOT_ON_ANY_SLICE)
 
 
 def test_zero_jacobian_shortcut(p1):
@@ -204,16 +227,12 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def reference_find_jacobian_zero(p, q):
     """The box scan as it was before the fused sign scan: every mask is
     built on every box.  The grid is read through ``fz.evaluate_on_grid`` so
-    that a test can substitute it for both searches.  It tries the miss
-    proof where it would first descend, and once that holds it skips every
-    later bisection and descent; the search tries it before box 0, which
-    skips only work that cannot return a witness."""
+    that a test can substitute it for both searches."""
     J = jacobian(p, q)
     if J.is_zero:
         return ZeroWitness((0.0, 0.0), 0.0, EXACT_GRID_HIT, 0.0)
     Jx = J.partial_derivative("x")
     Jy = J.partial_derivative("y")
-    proven = None
     best_abs = np.inf
     best_point = (0.0, 0.0)
     w = fz.INITIAL_HALF_WIDTH
@@ -228,9 +247,6 @@ def reference_find_jacobian_zero(p, q):
         if absvals[i_min, j_min] < best_abs:
             best_abs = float(absvals[i_min, j_min])
             best_point = flattest
-        if proven:
-            w *= 2
-            continue
         for i, j in np.argwhere(finite & (vals == 0.0)):
             x, y = float(xs[i]), float(ys[j])
             if J.evaluate(Fraction(x), Fraction(y)) == 0:
@@ -248,12 +264,9 @@ def reference_find_jacobian_zero(p, q):
             if hit:
                 return hit
         if np.isfinite(absvals[i_min, j_min]):
-            if proven is None:
-                proven = fz._stays_above_bound(J)
-            if not proven:
-                hit = fz._descend(J, Jx, Jy, *flattest)
-                if hit:
-                    return hit
+            hit = fz._descend(J, Jx, Jy, *flattest)
+            if hit:
+                return hit
         w *= 2
     return MinRecord(best_point, fz._exact_abs(J, *best_point))
 
@@ -266,8 +279,10 @@ small_polys = st.dictionaries(
 def assert_same_search(monkeypatch, p, q):
     """Same answer, and the same bisection segments and descent starts in the
     same order, so a scan that only wastes or skips work shows too.  The
-    search runs with no slice deciding: the grid scan it falls back to."""
+    search runs with no slice deciding and no proof holding: the grid scan
+    it falls back to."""
     monkeypatch.setattr(fz, "_slice_witness", lambda J: None)
+    monkeypatch.setattr(fz, "_stays_above_bound", refused)
     logs = []
     for name in ("_bisect_segment", "_descend"):
         step = getattr(fz, name)
@@ -299,8 +314,8 @@ BUILT_GRID_CASES = [
     ("1/201*x^201 + x", "y"),
     # Jac = y^2: tangential zero, reached by the descent
     ("y + x*y^2 + y^4", "y"),
-    # Jac = (x^3 - y^3)^2 + 1: the miss proof holds in the first box; the
-    # wide boxes cancel to sign changes whose bisections it skips
+    # Jac = (x^3 - y^3)^2 + 1: the miss proof holds, but refused, the wide
+    # boxes cancel to sign changes that are bisected in vain
     ("1/7*x^7 - 1/2*x^4*y^3 + x*y^6 + x", "y"),
 ]
 
@@ -496,7 +511,7 @@ def test_falsifier_passes_one_axis_for_both(monkeypatch):
         return evaluate_on_grid(J, xs, ys, powers)
 
     monkeypatch.setattr(fz, "evaluate_on_grid", recorded)
-    find_jacobian_zero(parse_polynomial("x"), parse_polynomial("y + y^3 + x^2*y"))
+    find_jacobian_zero(*GRID_MISS)
     assert same and all(same)
 
 
@@ -541,8 +556,8 @@ def test_box_tables_equal_fresh_axes_and_powers(cold_tables):
 
 
 def test_box_tables_are_read_only(cold_tables):
-    # Jac = 1 + 3y^2 + x^2: a miss, so the search fills every box
-    find_jacobian_zero(X, parse_polynomial("y + y^3 + x^2*y"))
+    # a grid miss, so the search fills every box
+    find_jacobian_zero(*GRID_MISS)
     for axis, powers in built_boxes().values():
         assert powers
         for cached in (axis, *powers.values()):
@@ -553,11 +568,10 @@ def test_box_tables_are_read_only(cold_tables):
 def test_threads_building_the_tables_at_once_agree(cold_tables):
     # searches racing to build each box and power keep the single-thread
     # answer, and every box keeps its own axis
-    pair = (X, parse_polynomial("y + y^3 + x^2*y"))
-    want = find_jacobian_zero(*pair)
+    want = find_jacobian_zero(*GRID_MISS)
     fz._box.cache_clear()
     got = []
-    workers = [threading.Thread(target=lambda: got.append(find_jacobian_zero(*pair))) for _ in range(6)]
+    workers = [threading.Thread(target=lambda: got.append(find_jacobian_zero(*GRID_MISS))) for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -569,21 +583,23 @@ def test_threads_building_the_tables_at_once_agree(cold_tables):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert got == [want] * len(workers)
-    for k, (axis, powers) in built_boxes().items():
-        assert axis.tobytes() == fresh_axis(k).tobytes()
-        assert all(power.tobytes() == (fresh_axis(k) ** j).tobytes() for j, power in powers.items())
+    # x^200 overflows on the wide boxes, in the tables and afresh alike
+    with np.errstate(over="ignore"):
+        for k, (axis, powers) in built_boxes().items():
+            assert axis.tobytes() == fresh_axis(k).tobytes()
+            assert all(power.tobytes() == (fresh_axis(k) ** j).tobytes() for j, power in powers.items())
 
 
 def assert_miss_golden(capsys):
-    assert run_command(["falsify", "x", "--q", "y + y^3 + x^2*y"]) == 1
-    want = (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
+    assert run_command(["falsify", "1/201*x^201 + x", "--q", "y"]) == 1
+    want = (GOLDEN / "falsify_grid_miss_x201_q_y.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
 
 
 def test_search_order_does_not_change_an_answer(cold_tables, capsys, pinchuk):
-    # Pinchuk's pair fills powers up to 18 on all 11 boxes, and the miss
-    # golden then reads them warm; in the reverse order Pinchuk's search
-    # finds the golden's powers there, and gives its cold answer again
+    # Pinchuk's pair fills powers up to 18 on all 11 boxes, and the grid
+    # miss golden then reads them warm; in the reverse order Pinchuk's
+    # search finds the golden's powers there, and gives its cold answer again
     p, q = pinchuk[:2]
     cold = find_jacobian_zero(p, q)
     assert [max(powers) for _, powers in built_boxes().values()] == [18] * (fz.MAX_DOUBLINGS + 1)
@@ -687,7 +703,8 @@ def test_proof_refuses_every_mate_of_a_certified_polynomial(text):
 
 @pytest.mark.parametrize("linear", LINEAR_PARTS)
 def test_proof_holds_on_every_affine_move(linear):
-    assert fz._stays_above_bound(jacobian(*affine_pair(*linear)))
+    proof = fz._stays_above_bound(jacobian(*affine_pair(*linear)))
+    assert proof == NoRealZero(1, fz.NO_ROOT_ON_ANY_SLICE)
 
 
 @pytest.mark.parametrize(
@@ -722,13 +739,19 @@ def test_proof_takes_its_determinants_only_within_the_budget(monkeypatch):
 
 
 def test_answers_do_not_depend_on_the_proof(monkeypatch):
-    # the proof only skips work: without it the search returns the same
-    # record on every affine move, and the same answer on the built grids,
-    # where it skips 824 bisections of (x^3 - y^3)^2 + 1
+    # the proof only ends a search early: refused, the grid search finds no
+    # witness where it held, every box scanned (824 bisections of
+    # (x^3 - y^3)^2 + 1 among them), and every other answer stays the same
     assert len(LINEAR_PARTS) == 20
     pairs = [affine_pair(*m) for m in LINEAR_PARTS]
     pairs += [tuple(map(parse_polynomial, case)) for case in BUILT_GRID_CASES]
-    proved = [find_jacobian_zero(p, q) for p, q in pairs]
-    assert all(isinstance(r, MinRecord) for r in proved[: len(LINEAR_PARTS)])
-    monkeypatch.setattr(fz, "_stays_above_bound", lambda J: False)
-    assert [find_jacobian_zero(p, q) for p, q in pairs] == proved
+    answers = [find_jacobian_zero(p, q) for p, q in pairs]
+    proved = [isinstance(r, NoRealZero) for r in answers]
+    assert proved == [True] * len(LINEAR_PARTS) + [False, False, False, True]
+    monkeypatch.setattr(fz, "_stays_above_bound", refused)
+    for (p, q), answer, held in zip(pairs, answers, proved):
+        again = find_jacobian_zero(p, q)
+        if held:
+            assert isinstance(again, MinRecord) and again.boxes_searched == 11
+        else:
+            assert again == answer

@@ -13,7 +13,7 @@ from jacmate.tongue import tongue_certificate
 
 @pytest.fixture(scope="module")
 def records():
-    """One instance of each of the eight records, keyed by class name."""
+    """One instance of each of the nine records, keyed by class name."""
     p = parse_polynomial("y + x^2*y^2")
     criterion = corollary_certificate(p)
     tongue = tongue_certificate(p, criterion)
@@ -28,7 +28,9 @@ def records():
         "BranchTrace": lowest_positive_branch(p)[1],
         "LevelRecord": tongue.level_report.records[-1],
         "RestrictionProfile": tongue.region.profile,
-        "MinRecord": find_jacobian_zero(parse_polynomial("x"), parse_polynomial("y + y^3 + x^2*y")),
+        # Jac = x^200 + 1, which the miss proof refuses, and 1 + 3y^2 + x^2
+        "MinRecord": find_jacobian_zero(parse_polynomial("1/201*x^201 + x"), parse_polynomial("y")),
+        "NoRealZero": find_jacobian_zero(parse_polynomial("x"), parse_polynomial("y + y^3 + x^2*y")),
         "x0": tongue.region.x0,
     }
 
@@ -52,6 +54,8 @@ def records():
         ("RestrictionProfile", "a"),
         ("RestrictionProfile", "b"),
         ("MinRecord", "boxes_searched"),
+        ("NoRealZero", "bound"),
+        ("NoRealZero", "boxes_searched"),
     ],
 )
 def test_a_derived_fact_cannot_be_passed_in(records, name, field):
