@@ -183,7 +183,7 @@ def branch_candidates(
             BranchAsymptote(
                 edge=edge,
                 c_interval=(iv.lo, iv.hi),
-                c_star=uni.float_root(reduced, iv),
+                c_star=float(iv),
                 root_multiplicity=iv.multiplicity,
                 probes=probes,
             )
@@ -222,7 +222,7 @@ def _sample_at(
     if not roots:
         return None
     iv = min(roots, key=lambda r: abs(r.midpoint - target))
-    return uni.float_root(h, iv), float((iv.hi - iv.lo) / min(abs(iv.lo), abs(iv.hi)))
+    return float(iv), float((iv.hi - iv.lo) / min(abs(iv.lo), abs(iv.hi)))
 
 
 def trace_branch(

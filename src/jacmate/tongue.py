@@ -198,31 +198,29 @@ class LevelSetUndecided(RuntimeError):
 class RestrictionProfile:
     """Exact shape of h(y) = p(x0, y), at the region's x0, on its segment side.
 
-    ``f_x0_interval`` isolates f(x0), the smallest positive root of h.  t0
-    is a rational barrier strictly below every interior critical value of
-    h, crossed at a < b, which ``a_interval`` and ``b_interval`` isolate.
-    The floats f_x0, a and b are the nearest doubles to these roots.
+    ``f_x0_root`` is f(x0), the smallest positive root of h.  t0 is a
+    rational barrier strictly below every interior critical value of h,
+    crossed at a < b, the roots ``a_root`` and ``b_root`` of h - t0.  The
+    floats f_x0, a and b are the nearest doubles to these roots.
     """
 
-    f_x0_interval: tuple[Fraction, Fraction]
+    f_x0_root: uni.RealRoot
     t0: Fraction
     h_coeffs: tuple[Fraction, ...]
-    a_interval: tuple[Fraction, Fraction]
-    b_interval: tuple[Fraction, Fraction]
+    a_root: uni.RealRoot
+    b_root: uni.RealRoot
 
     @cached_property
     def f_x0(self) -> float:
-        return uni.float_root(self.h_coeffs, uni.RootInterval(*self.f_x0_interval, 1))
+        return float(self.f_x0_root)
 
     @cached_property
     def a(self) -> float:
-        shifted = _shifted_by(self.h_coeffs, self.t0)
-        return uni.float_root(shifted, uni.RootInterval(*self.a_interval, 1))
+        return float(self.a_root)
 
     @cached_property
     def b(self) -> float:
-        shifted = _shifted_by(self.h_coeffs, self.t0)
-        return uni.float_root(shifted, uni.RootInterval(*self.b_interval, 1))
+        return float(self.b_root)
 
 
 @dataclass(frozen=True)
@@ -287,11 +285,11 @@ class TongueCertificate:
 
 
 def restriction_profile(
-    h: list[Fraction], x0: Fraction, top: uni.RootInterval
+    h: list[Fraction], x0: Fraction, top: uni.RealRoot
 ) -> RestrictionProfile:
     """Analyze h(y) = p(x0, y) on (0, f(x0)) and place the barrier t0.
 
-    ``top`` isolates f(x0), the smallest positive root of h, with
+    ``top`` is f(x0), the smallest positive root of h, with
     top.lo > 0, and h > 0 below it: ``build_tongue`` flipped p so.  Roots
     of h' and of h - t0 are isolated on (0, top.hi), to 10^-12 of top.lo,
     relative to f(x0) however small it is.  The barrier is half the
@@ -316,14 +314,8 @@ def restriction_profile(
     if crossings is None:
         raise NotSingleSignedOnInterval(f"x0 = {x0}: could not place a rational barrier")
 
-    a_iv, b_iv = crossings
-    profile = RestrictionProfile(
-        f_x0_interval=(top.lo, top.hi),
-        t0=t0,
-        h_coeffs=tuple(h),
-        a_interval=(a_iv.lo, a_iv.hi),
-        b_interval=(b_iv.lo, b_iv.hi),
-    )
+    a, b = crossings
+    profile = RestrictionProfile(f_x0_root=top, t0=t0, h_coeffs=tuple(h), a_root=a, b_root=b)
     profile.f_x0, profile.a, profile.b  # rounded once, here
     return profile
 
@@ -339,7 +331,7 @@ def _barrier_crossings(
     t0: Fraction,
     top_hi: Fraction,
     width: Fraction,
-) -> list[uni.RootInterval] | None:
+) -> list[uni.RealRoot] | None:
     """The crossings a < b of h = t0 in (0, top_hi), isolated to ``width``,
     if t0 is a valid barrier, else None.
 
@@ -411,8 +403,8 @@ def build_tongue(p: BivariatePolynomial, criterion: CriterionCertificate) -> Ton
     the one place that decides them.  The region's top at x0, f(x0), is
     the smallest positive root of h = p(x0, .), the one root of h in the
     bracket that the edge gives, isolated exactly to 10^-12 of the
-    bracket's lower end; h > 0 on (0, f(x0)).  The isolating interval and
-    h go to ``restriction_profile``.
+    bracket's lower end; h > 0 on (0, f(x0)).  The root, with its
+    factor, and h go to ``restriction_profile``.
 
     Raises LevelSetUndecided, through ``check_no_critical_points``, when
     the edge bounds nothing, and itself when x0 or f(x0) leaves the range
@@ -549,30 +541,6 @@ def _point_below(lo: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _sign_at_root(q, g, iv: uni.RootInterval) -> int:
-    """Sign of q at the one root of the squarefree g that ``iv`` isolates.
-
-    0 when q vanishes there: the gcd check decides it, since halving until
-    q has no root inside would never stop.  Otherwise ``iv`` is halved
-    while q has a root in it or at its lower end.  An end of ``iv`` may be
-    another root of g, so g is divided by it first: the isolated root is
-    simple, and g then has opposite signs at the two ends.
-    """
-    if uni.count_roots(uni.subresultant_gcd(q, g), iv.lo, iv.hi):
-        return 0
-    lo, hi = iv.lo, iv.hi
-    if lo != hi:
-        c = uni._deflate_root(uni._deflate_root(uni._integer_multiple(g), lo), hi)
-
-        def wide(a: int, b: int, den: int) -> bool:
-            end = Fraction(a, den)
-            return uni.count_roots(q, end, Fraction(b, den)) or not uni.ueval(q, end)
-
-        lo, _ = uni._bisect(c, lo, hi, wide)
-    v = uni.ueval(q, lo)
-    return (v > 0) - (v < 0)
-
-
 def _ends_above_barrier(h, h2, px, f_hi: Fraction, t: Fraction) -> int:
     """Ends of the level t > t0, all on the segment side: none is at infinity (step 3).
 
@@ -585,16 +553,16 @@ def _ends_above_barrier(h, h2, px, f_hi: Fraction, t: Fraction) -> int:
         if mult == 1:
             ends += uni.count_roots(factor, Fraction(0), f_hi)
             continue
-        for iv in uni.isolate_roots(factor, Fraction(0), f_hi):
+        for root in uni.isolate_roots(factor, Fraction(0), f_hi):
             if mult != 2:
                 raise LevelSetUndecided(
                     f"h - t has a root of multiplicity {mult} near y = "
-                    f"{float(iv.midpoint)!r} for t = {t}"
+                    f"{float(root.midpoint)!r} for t = {t}"
                 )
             # beside a double root h - t has the sign of h'' there: where
             # p_x(x0, .) has that sign too the level is tangent from outside
             # V, and where it has the other sign two strands enter V
-            if _sign_at_root(h2, factor, iv) != _sign_at_root(px, factor, iv):
+            if root.sign(h2) != root.sign(px):
                 ends += 2
     return ends
 
@@ -624,8 +592,8 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     _, b, a = max(far_end, default=(0, 0, 0))
     _edge_terms(p, (a, b))
     h = list(prof.h_coeffs)
-    f_lo, f_hi = prof.f_x0_interval
-    ym = _point_below(f_lo)
+    top = prof.f_x0_root
+    ym = _point_below(top.lo)
     k = region.x0.numerator.bit_length() - 1
     try:
         positive = f"p > 0 on V: p(x0, {ym}) = {uni.ueval(h, ym)}"
@@ -645,7 +613,7 @@ def check_level_sets(region: TongueRegion, t_values) -> LevelSetReport:
     px = p.partial_derivative("x").restricted_to_x(region.x0)
     records = []
     for t in sorted(map(Fraction, t_values)):
-        ends = 0 if t <= 0 else 2 if t <= prof.t0 else _ends_above_barrier(h, h2, px, f_hi, t)
+        ends = 0 if t <= 0 else 2 if t <= prof.t0 else _ends_above_barrier(h, h2, px, top.hi, t)
         shape = (SEGMENT_ARC if t <= prof.t0 else CONTAINED_IN_B) if ends else EMPTY
         records.append(LevelRecord(float(t), shape, ends))
     return LevelSetReport(records=tuple(records), exact_facts=facts)

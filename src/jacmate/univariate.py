@@ -23,7 +23,7 @@ from itertools import zip_longest
 Coeffs = list[Fraction]
 
 __all__ = [
-    "RootInterval",
+    "RealRoot",
     "normalize",
     "degree",
     "ueval",
@@ -35,7 +35,6 @@ __all__ = [
     "root_exponent",
     "probe_bracket",
     "isolate_roots",
-    "float_root",
     "resultant",
     "resultant_y",
     "interpolate",
@@ -45,14 +44,18 @@ DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
 @dataclass(frozen=True)
-class RootInterval:
-    """One real root: lo <= root <= hi, with its multiplicity.
+class RealRoot:
+    """One real root of a polynomial f, with its multiplicity in f.
 
-    lo == hi marks an exact rational root; otherwise the open interval
-    contains exactly one root, and an endpoint is no root of the same
-    square-free factor unless it is an end of the interval searched.
+    ``g`` is the integer factor of f whose simple root it is: f's
+    square-free factor of that multiplicity, or f's integer multiple when
+    f has no other root in the window searched, with any root at that
+    window's ends divided out.  Either lo == hi is the root, or g has
+    opposite nonzero signs at lo and hi and exactly one root between them
+    (Collins & Loos: a defining polynomial and an isolating interval).
     """
 
+    g: tuple[int, ...]
     lo: Fraction
     hi: Fraction
     multiplicity: int
@@ -60,6 +63,55 @@ class RootInterval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
+
+    def __float__(self) -> float:
+        """The double nearest the root, ties to even.
+
+        Decided by exact signs of g: (lo, hi) is halved until it holds at
+        most one multiple m of 2^``_half_spacing``; the sign at m leaves
+        the root at m, which ``float`` rounds exactly, or where every point
+        rounds alike.  OverflowError when a nonzero root rounds to 0 or
+        +/-inf.
+        """
+        g, lo, hi = self.g, self.lo, self.hi
+        if lo != hi:
+
+            def wide(a: int, b: int, d: int) -> bool:
+                t = _half_spacing(a if a > 0 else max(-b, 0), d)  # from the end nearer 0
+                return ((b - a) << -t > d) if t < 0 else (b - a > d << t)
+
+            lo, hi = _bisect(g, lo, hi, wide)
+            near = max(lo, -hi, 0)
+            h = Fraction(2) ** _half_spacing(near.numerator, near.denominator)
+            m = (math.floor(lo / h) + 1) * h  # the least multiple of h past lo
+            if m < hi:
+                s = _sign_at(g, m.numerator, m.denominator)
+                s *= _sign_at(g, lo.numerator, lo.denominator)
+                lo, hi = (m, hi) if s > 0 else (lo, m) if s < 0 else (m, m)
+        root = (lo + hi) / 2
+        if not (x := float(root)) and root:  # float() raises past the largest double
+            raise OverflowError("a nonzero root rounds to 0.0, past the float range")
+        return x
+
+    def sign(self, q: Coeffs) -> int:
+        """Sign of q at the root.
+
+        0 when q vanishes there: the gcd check decides it, since halving
+        until q has no root inside would never stop.  Otherwise (lo, hi) is
+        halved while q has a root in it or at its lower end.
+        """
+        lo, hi = self.lo, self.hi
+        if count_roots(subresultant_gcd(q, self.g), lo, hi):
+            return 0
+        if lo != hi:
+
+            def wide(a: int, b: int, den: int) -> bool:
+                end = Fraction(a, den)
+                return count_roots(q, end, Fraction(b, den)) or not ueval(q, end)
+
+            lo, _ = _bisect(self.g, lo, hi, wide)
+        v = ueval(q, lo)
+        return (v > 0) - (v < 0)
 
 
 def normalize(c: Coeffs) -> Coeffs:
@@ -270,15 +322,17 @@ def isolate_roots(
     lo: Fraction | None = None,
     hi: Fraction | None = None,
     width: Fraction = DEFAULT_WIDTH,
-) -> list[RootInterval]:
-    """Disjoint isolating intervals for the distinct real roots of f in (lo, hi).
+) -> list[RealRoot]:
+    """The distinct real roots of f in the open (lo, hi), sorted by position.
 
-    Intervals are refined to at most ``width`` and sorted by position.
-    Multiplicities are exact (from the square-free decomposition of f).
-    No end of an interval is a root of the square-free factor whose root
-    the interval isolates, except ``lo`` or ``hi`` itself: a root there is
-    outside (lo, hi) and not reported, but the interval next to it may
-    start or end on it.
+    Each root carries its factor of f (``RealRoot``) and its exact
+    multiplicity, from the square-free decomposition of f, and its interval
+    is refined to at most ``width``.  A root is isolated among its own
+    factor's roots only: intervals of different factors may overlap, and
+    two roots closer than ``width`` may share one, as the simple and the
+    triple root of (y^2 - 2)^3 (10^30 y^2 - 2*10^30 - 1) do.  A root at
+    ``lo`` or ``hi`` is outside (lo, hi) and not reported, but the interval
+    next to it may start or end on it.
     """
     f = normalize(f)
     if degree(f) < 1:
@@ -293,14 +347,14 @@ def isolate_roots(
     # Descartes' rule is exact for 0 and 1 sign changes, multiple roots or
     # not: only two or more need the square-free factors
     changes = _descartes_bound(c, lo, hi)
-    found: list[RootInterval] = []
+    found: list[RealRoot] = []
     for factor, mult in [(c, 1)] * changes if changes < 2 else squarefree_decomposition(f):
         # roots at the requested ends lie outside the open interval: divide
         # them out, and no end of a part is a root (splits avoid roots)
         g = _deflate_root(_deflate_root(factor, lo), hi)
         for a, b in _one_root_intervals(g, lo, hi):  # g changes sign on each
             ab = _bisect(g, a, b, lambda u, v, d: (v - u) * wd > wn * d)
-            found.append(RootInterval(*ab, mult))
+            found.append(RealRoot(tuple(g), *ab, mult))
     found.sort(key=lambda r: (r.lo, r.hi))
     return found
 
@@ -423,39 +477,6 @@ def _half_spacing(n: int, d: int) -> int:
     e = n.bit_length() - d.bit_length()
     e -= (n << -e < d) if e < 0 else (n < d << e)  # for n > 0, 2^e <= n / d < 2^(e + 1)
     return max(e, -1022) - 53 if n else -1075
-
-
-def float_root(f: Coeffs, iv: RootInterval) -> float:
-    """The double nearest the root that ``iv`` isolates, ties to even.
-
-    Decided by exact signs of f's integer multiple, roots at the ends of
-    ``iv`` divided out, or of its square-free part if f keeps its sign
-    there (an even multiplicity).  ``iv`` is halved until it holds at most
-    one multiple m of 2^``_half_spacing``; the sign at m leaves the root at
-    m, which ``float`` rounds exactly, or where every point rounds alike.
-    OverflowError when a nonzero root rounds to 0 or +/-inf.
-    """
-    lo, hi = iv.lo, iv.hi
-    if lo != hi:
-        c = _integer_multiple(normalize(f))
-        c = _divide(c, subresultant_gcd(c, derivative(c))) if iv.multiplicity % 2 == 0 else c
-        g = _deflate_root(_deflate_root(c, lo), hi)
-
-        def wide(a: int, b: int, d: int) -> bool:
-            t = _half_spacing(a if a > 0 else max(-b, 0), d)  # from the end nearer 0
-            return ((b - a) << -t > d) if t < 0 else (b - a > d << t)
-
-        lo, hi = _bisect(g, lo, hi, wide)
-        near = max(lo, -hi, 0)
-        h = Fraction(2) ** _half_spacing(near.numerator, near.denominator)
-        m = (math.floor(lo / h) + 1) * h  # the least multiple of h past lo
-        if m < hi:
-            s = _sign_at(g, m.numerator, m.denominator) * _sign_at(g, lo.numerator, lo.denominator)
-            lo, hi = (m, hi) if s > 0 else (lo, m) if s < 0 else (m, m)
-    root = (lo + hi) / 2
-    if not (x := float(root)) and root:  # float() raises past the largest double
-        raise OverflowError("a nonzero root rounds to 0.0, past the float range")
-    return x
 
 
 def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:

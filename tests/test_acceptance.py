@@ -163,7 +163,7 @@ def test_acceptance_falsifier_witnesses(capsys):
         wx, wy = w.point
         xq = Fraction(wx)
         g = [1 + 0 * xq, 2 * xq, Fraction(0), Fraction(4)]
-        roots = [uni.float_root(g, iv) for iv in uni.isolate_roots(g)]
+        roots = [float(root) for root in uni.isolate_roots(g)]
         assert min(abs(r - wy) for r in roots) <= 1e-6
 
         # tangential: the Jacobian against y is y^2, zero only on the axis

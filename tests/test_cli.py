@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacmate
@@ -726,6 +726,8 @@ tongue_texts = st.lists(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(poly_texts, poly_texts, tongue_texts)
+# a simple face root within 10^-12 of a triple one: each is rounded from its own factor
+@example("x*(y^2 - 2)^3*(10^30*y^2 - 2*10^30 - 1)", "y", "y + x^2*y^2")
 def test_fuzzed_commands_exit_0_1_or_2(p, q, t):
     argvs = [
         ["analyze", "--", p],

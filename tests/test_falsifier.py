@@ -65,7 +65,7 @@ def test_witness_distance_to_true_zero_set(p1):
     wx, wy = w.point
     xq = Fraction(wx)
     g = [1 + 0 * xq, 2 * xq, Fraction(0), Fraction(4)]  # 4y^3 + 2x y + 1
-    roots = [uni.float_root(g, iv) for iv in uni.isolate_roots(g)]
+    roots = [float(root) for root in uni.isolate_roots(g)]
     assert min(abs(r - wy) for r in roots) <= 1e-6
 
 

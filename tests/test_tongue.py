@@ -71,11 +71,11 @@ def test_profile_closed_form_p3(region3):
     prof = region3.profile
     assert prof.t0 == Fraction(1, 8)
     assert prof.f_x0 == pytest.approx(1.0, abs=1e-9)
-    assert prof.f_x0_interval[0] <= 1 <= prof.f_x0_interval[1]
+    assert prof.f_x0_root.lo <= 1 <= prof.f_x0_root.hi
     assert list(prof.h_coeffs) == [Fraction(0), Fraction(1), Fraction(-1)]
     assert prof.a == pytest.approx((1 - SQ2 / 2) / 2, abs=1e-9)
     assert prof.b == pytest.approx((1 + SQ2 / 2) / 2, abs=1e-9)
-    assert prof.a_interval[0] <= Fraction(prof.a).limit_denominator(10**12) <= prof.b_interval[1]
+    assert prof.a_root.lo <= Fraction(prof.a).limit_denominator(10**12) <= prof.b_root.hi
 
 
 def test_profile_at_shifted_start(region3):
@@ -96,8 +96,8 @@ def test_barrier_is_exactly_verified(region3):
     shifted[0] -= prof.t0
     assert uni.count_roots(shifted, Fraction(0), Fraction(1)) == 2
     hp = uni.derivative(list(prof.h_coeffs))
-    assert uni.count_roots(hp, Fraction(0), prof.a_interval[0]) == 0
-    assert uni.count_roots(hp, prof.b_interval[1], Fraction(1)) == 0
+    assert uni.count_roots(hp, Fraction(0), prof.a_root.lo) == 0
+    assert uni.count_roots(hp, prof.b_root.hi, Fraction(1)) == 0
 
 
 def test_drawn_top_border_brackets_the_closed_form(region3):
@@ -230,10 +230,10 @@ def test_a_critical_point_past_f_x0_refuses_the_barrier():
     # critical value is negative, and so is the barrier, which step 4
     # refuses.  With top = (1/2, 5/4) the barrier is placed
     h = [Fraction(0), Fraction(3), Fraction(-4), Fraction(1)]
-    top = uni.RootInterval(Fraction(1, 2), Fraction(5, 2), 1)
+    top = uni.RealRoot((0, 3, -4, 1), Fraction(1, 2), Fraction(5, 2), 1)
     with pytest.raises(NotSingleSignedOnInterval, match="could not place a rational barrier"):
         restriction_profile(h, Fraction(1), top)
-    top = uni.RootInterval(Fraction(1, 2), Fraction(5, 4), 1)
+    top = uni.RealRoot((0, 3, -4, 1), Fraction(1, 2), Fraction(5, 4), 1)
     assert restriction_profile(h, Fraction(1), top).t0 > 0
 
 
@@ -389,9 +389,9 @@ def test_strip_top_far_below_1e_minus_12_is_isolated_relative_to_it():
     cert = certify_tongue(parse_polynomial(f"y + {2**200}*x^2*y^2"))
     assert cert.status == VERIFIED and cert.region.x0 == 1
     prof = cert.region.profile
-    assert 0 < prof.f_x0_interval[0] <= Fraction(1, 2**200) <= prof.f_x0_interval[1]
+    assert 0 < prof.f_x0_root.lo <= Fraction(1, 2**200) <= prof.f_x0_root.hi
     assert prof.f_x0 == 2.0**-200 and abs(prof.t0 - Fraction(1, 2**203)) <= Fraction(1, 2**205)
-    assert 0 < prof.a_interval[0] and prof.b_interval[1] < Fraction(1, 2**200)
+    assert 0 < prof.a_root.lo and prof.b_root.hi < Fraction(1, 2**200)
 
 
 def test_tongue_certificate_rejects_uncertified():
@@ -541,7 +541,7 @@ def ends_above_barrier(region, t):
     h = list(region.profile.h_coeffs)
     h2 = uni.derivative(uni.derivative(h))
     px = region.poly.partial_derivative("x").restricted_to_x(region.x0)
-    return tongue._ends_above_barrier(h, h2, px, region.profile.f_x0_interval[1], t)
+    return tongue._ends_above_barrier(h, h2, px, region.profile.f_x0_root.hi, t)
 
 
 def level_at(cert, t):
@@ -571,9 +571,9 @@ def test_near_tangent_levels_at_twice_the_barrier(fixture_certs, text):
     cert = fixture_certs[text]
     prof = cert.region.profile
     h, t = list(prof.h_coeffs), 2 * prof.t0
-    (peak,) = uni.isolate_roots(uni.derivative(h), Fraction(0), prof.f_x0_interval[1])
+    (peak,) = uni.isolate_roots(uni.derivative(h), Fraction(0), prof.f_x0_root.hi)
     assert abs(uni.ueval(h, peak.midpoint) - t) < t / 10**6
-    arc = tongue._sign_at_root(tongue._shifted_by(h, t), uni.derivative(h), peak) > 0
+    arc = peak.sign(tongue._shifted_by(h, t)) > 0
     assert arc == (text == "y + x*y^3")
     rec = level_at(cert, t)
     assert rec.classification == (CONTAINED_IN_B if arc else EMPTY)
@@ -855,7 +855,7 @@ def test_every_level_up_to_the_barrier_has_two_simple_ends(fixture_certs, member
     for cert in [*fixture_certs.values(), *member_certs]:
         assert cert.status == VERIFIED
         prof = cert.region.profile
-        h, top_hi = list(prof.h_coeffs), prof.f_x0_interval[1]
+        h, top_hi = list(prof.h_coeffs), prof.f_x0_root.hi
         drawn = [prof.t0 * Fraction(rng.randint(1, 10**6), 10**6) for _ in range(20)]
         for t in [*(t for t in default_schedule(prof.t0) if 0 < t <= prof.t0), *drawn]:
             g = tongue._shifted_by(h, t)
@@ -888,7 +888,7 @@ def test_double_roots_above_the_barrier_read_off_h2(fixture_certs, member_certs)
     for cert in [*fixture_certs.values(), *member_certs]:
         assert cert.status == VERIFIED
         region, prof = cert.region, cert.region.profile
-        h, top_hi = list(prof.h_coeffs), prof.f_x0_interval[1]
+        h, top_hi = list(prof.h_coeffs), prof.f_x0_root.hi
         h2 = uni.derivative(uni.derivative(h))
         px = region.poly.partial_derivative("x").restricted_to_x(region.x0)
         for t in default_schedule(prof.t0):
@@ -900,11 +900,11 @@ def test_double_roots_above_the_barrier_read_off_h2(fixture_certs, member_certs)
                 if mult != 2:
                     continue
                 rest = quotient(quotient(g, factor), factor)
-                for iv in uni.isolate_roots(factor, Fraction(0), top_hi):
+                for root in uni.isolate_roots(factor, Fraction(0), top_hi):
                     double_roots += 1
-                    want = tongue._sign_at_root(rest, factor, iv)
-                    assert want != 0 and tongue._sign_at_root(h2, factor, iv) == want
-                    assert tongue._sign_at_root(px, factor, iv) != 0, (str(region.poly), t)
+                    want = root.sign(rest)
+                    assert want != 0 and root.sign(h2) == want
+                    assert root.sign(px) != 0, (str(region.poly), t)
     assert double_roots >= 1
     # y + x^2*y^2 peaks at 2*t0 on the segment: h = y - y^2, t0 = 1/8
     region = fixture_certs["y + x^2*y^2"].region
@@ -946,7 +946,7 @@ def test_drawing_agrees_with_exact_counts(fixture_certs):
             assert len(polylines) == rec.component_count, (text, rec.t)
             g = list(prof.h_coeffs)
             g[0] -= t
-            ends = [uni.float_root(g, iv) for iv in uni.isolate_roots(g, 0, Fraction(prof.f_x0))]
+            ends = [float(root) for root in uni.isolate_roots(g, 0, Fraction(prof.f_x0))]
             assert len(ends) == rec.boundary_endpoint_count == 2 * rec.component_count
             got = sorted((q for pts in polylines for q in (pts[0], pts[-1])), key=lambda q: -q[1])
             for (x, y), want in zip(got, ends):
@@ -1002,25 +1002,3 @@ def test_strip_refuses_terms_the_criterion_rules_out():
         region = strip_region(parse_polynomial(text), Fraction(1))
         with pytest.raises(LevelSetUndecided, match=r"x\^\d\*y\^[01] of p is not below the witness"):
             check_level_sets(region, [])
-
-
-def test_sign_at_root_is_zero_where_q_shares_the_root():
-    # q = y^2 - 2 and g = y^3 - 2y share sqrt(2), the one root of g in
-    # (0, 2): q changes sign inside every interval around it, so narrowing
-    # until q has no root inside would never end; the gcd check answers 0
-    q = [Fraction(-2), Fraction(0), Fraction(1)]
-    g = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
-    assert tongue._sign_at_root(q, g, uni.RootInterval(Fraction(0), Fraction(2), 1)) == 0
-
-
-def test_sign_at_root_on_an_interval_that_starts_on_a_root():
-    # g = y^3 - 2y has roots 0 and sqrt(2) in [0, 2); isolate_roots from
-    # the end root 0 can return (0, 2) itself, and q = y - 1 is positive at
-    # sqrt(2) though negative at 0
-    g = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
-    q = [Fraction(-1), Fraction(1)]
-    iv = uni.RootInterval(Fraction(0), Fraction(2), 1)
-    assert tongue._sign_at_root(q, g, iv) == 1
-    assert tongue._sign_at_root([Fraction(1), Fraction(-1)], g, iv) == -1
-    (found,) = uni.isolate_roots(g, Fraction(0), Fraction(2), Fraction(2))
-    assert found.lo == 0 and tongue._sign_at_root(q, g, found) == 1

@@ -11,13 +11,12 @@ from jacmate.polygon import corollary_certificate
 from jacmate.tongue import region_orientation, restriction_profile
 from jacmate.univariate import (
     DEFAULT_WIDTH,
-    RootInterval,
+    RealRoot,
     _integer_multiple,
     _sign_at,
     count_roots,
     degree,
     derivative,
-    float_root,
     interpolate,
     isolate_roots,
     normalize,
@@ -221,43 +220,75 @@ def test_isolate_roots_finds_a_root_next_to_an_end_root():
 
 def test_float_root_of_a_cube_root():
     f = [Fraction(-3), Fraction(0), Fraction(0), Fraction(1)]  # y^3 - 3
-    (iv,) = isolate_roots(f)
-    r = float_root(f, iv)
-    assert abs(r - 3 ** (1 / 3)) < 1e-13
+    (root,) = isolate_roots(f)
+    assert abs(float(root) - 3 ** (1 / 3)) < 1e-13
 
 
 def test_float_root_rounds_a_root_halfway_between_doubles_to_even():
     # 1 + 2^-53 lies halfway between the doubles 1 and 1 + 2^-52, and no
     # halving of (1/2, 7/5) lands on it: the sign there decides, and the
     # tie goes to the even 1.0, as float(Fraction) rounds it
-    iv = RootInterval(Fraction(1, 2), Fraction(7, 5), 1)
-    assert float_root([-(2**53 + 1), 2**53], iv) == 1.0
+    lo, hi = Fraction(1, 2), Fraction(7, 5)
+    assert float(RealRoot((-(2**53 + 1), 2**53), lo, hi, 1)) == 1.0
     # 1 + 3 * 2^-53 ties up, to 1 + 2^-51; the mirror image ties to -1.0
-    assert float_root([-(2**53 + 3), 2**53], iv) == 1 + 2**-51
-    mirror = RootInterval(Fraction(-7, 5), Fraction(-1, 2), 1)
-    assert float_root([2**53 + 1, 2**53], mirror) == -1.0
-    # a double root halfway, where f keeps its sign, ties the same way
+    assert float(RealRoot((-(2**53 + 3), 2**53), lo, hi, 1)) == 1 + 2**-51
+    assert float(RealRoot((2**53 + 1, 2**53), -hi, -lo, 1)) == -1.0
+    # a double root halfway, where f keeps its sign, carries its simple
+    # factor and ties the same way
     f = times([-(2**53 + 1), 2**53], [-(2**53 + 1), 2**53])
-    assert float_root(f, RootInterval(Fraction(1, 2), Fraction(7, 5), 2)) == 1.0
+    (root,) = isolate_roots(f, lo, hi)
+    assert root.multiplicity == 2 and root.g == (-(2**53 + 1), 2**53)
+    assert float(root) == 1.0
 
 
 def test_float_root_past_the_double_range_overflows():
     # 2^-1076 and 2^-1075 have 0.0 as their nearest double, the latter by a
     # tie; 2^-1075 + 2^-1100 rounds up to the least subnormal 2^-1074
-    for f in ([-1, 2**1076], [-1, 2**1075]):
+    for f in ((-1, 2**1076), (-1, 2**1075)):
         with pytest.raises(OverflowError):
-            float_root(f, RootInterval(Fraction(0), Fraction(1), 1))
+            float(RealRoot(f, Fraction(0), Fraction(1), 1))
         with pytest.raises(OverflowError):
-            float_root(f, RootInterval(Fraction(-1), Fraction(1), 1))
+            float(RealRoot(f, Fraction(-1), Fraction(1), 1))
         with pytest.raises(OverflowError):
-            float_root(f, isolate_roots(f)[0])
-    f = [-(2**25 + 1), 2**1100]
-    assert float_root(f, RootInterval(Fraction(0), Fraction(1), 1)) == 2.0**-1074
+            float(isolate_roots(list(f))[0])
+    f = (-(2**25 + 1), 2**1100)
+    assert float(RealRoot(f, Fraction(0), Fraction(1), 1)) == 2.0**-1074
     # and a root past the largest double rounds to infinity
     with pytest.raises(OverflowError):
-        float_root([-(2**1100), 1], RootInterval(Fraction(0), Fraction(2**1101), 1))
+        float(RealRoot((-(2**1100), 1), Fraction(0), Fraction(2**1101), 1))
     # 0 itself is a root, not an underflow
-    assert float_root([0, 1, 1], RootInterval(Fraction(-1, 3), Fraction(1, 2), 1)) == 0.0
+    assert float(RealRoot((0, 1, 1), Fraction(-1, 3), Fraction(1, 2), 1)) == 0.0
+
+
+def test_roots_of_two_factors_closer_than_the_width_each_round_alone():
+    # sqrt(2 + 10^-30), simple, lies within 10^-12 of sqrt(2), triple: both
+    # get one interval, and each is rounded from its own factor's signs
+    f = times(times(times([-2, 0, 1], [-2, 0, 1]), [-2, 0, 1]), [-(2 * 10**30 + 1), 0, 10**30])
+    roots = isolate_roots(f)
+    assert sorted(r.multiplicity for r in roots) == [1, 1, 3, 3]
+    assert len({(r.lo, r.hi) for r in roots}) == 2
+    assert [abs(float(r)) for r in roots] == [1.4142135623730951] * 4
+
+
+def test_real_root_sign_is_zero_where_q_shares_the_root():
+    # q = y^2 - 2 shares sqrt(2), the one root of g in (0, 2): q changes
+    # sign inside every interval around it, so narrowing until q has no
+    # root inside would never end; the gcd check answers 0
+    root = RealRoot((-2, 0, 1), Fraction(0), Fraction(2), 1)
+    assert root.sign([Fraction(-2), Fraction(0), Fraction(1)]) == 0
+
+
+def test_real_root_sign_on_an_interval_that_starts_on_a_root():
+    # y^3 - 2y has roots 0 and sqrt(2) in [0, 2); isolating from the end
+    # root 0 can return (0, 2) itself, with 0 divided out of the factor, and
+    # q = y - 1 is positive at sqrt(2) though negative at 0
+    q = [Fraction(-1), Fraction(1)]
+    root = RealRoot((-2, 0, 1), Fraction(0), Fraction(2), 1)
+    assert root.sign(q) == 1
+    assert root.sign([Fraction(1), Fraction(-1)]) == -1
+    (found,) = isolate_roots([0, -2, 0, 1], Fraction(0), Fraction(2), Fraction(2))
+    assert found.lo == 0 and _sign_at(found.g, 0, 1) != 0
+    assert found.sign(q) == 1
 
 
 def test_isolated_intervals_are_disjoint_random():
@@ -386,8 +417,8 @@ def reference_isolate_roots(f, lo, hi, width):
     if lo < hi:
         for g, mult in squarefree_decomposition(f):
             for a, b in reference_isolate_squarefree(g, lo, hi, Fraction(width)):
-                found.append(RootInterval(a, b, mult))
-    return sorted(found, key=lambda r: (r.lo, r.hi))
+                found.append((a, b, mult))
+    return sorted(found, key=lambda r: r[:2])
 
 
 @PROPERTY
@@ -405,7 +436,15 @@ def test_isolate_roots_matches_fraction_bisection(case, lo, hi, width):
     # parts an exact count stops on, where Descartes' rule splits further
     f = normalize(times(f, from_roots(roots[:1])))
     got = isolate_roots(f, lo, hi, width=width)
-    assert got == reference_isolate_roots(f, lo, hi, width)
+    assert [(r.lo, r.hi, r.multiplicity) for r in got] == reference_isolate_roots(f, lo, hi, width)
+    for r in got:  # each carries a factor of f, with one root in [r.lo, r.hi]
+        assert len(subresultant_gcd(f, r.g)) == len(r.g)
+        ends = [_sign_at(r.g, e.numerator, e.denominator) for e in (r.lo, r.hi)]
+        if r.lo == r.hi:
+            assert ends == [0, 0]
+        else:
+            assert ends[0] * ends[1] < 0 and count_roots(r.g, r.lo, r.hi) == 1
+
 
 
 @st.composite
@@ -507,12 +546,12 @@ def test_float_root_is_the_nearest_double(c):
     simple = [1]
     for factor, _ in squarefree_decomposition(c):
         simple = times(simple, factor)
-    for iv in isolate_roots(c):
-        r = float_root(c, iv)
+    for root in isolate_roots(c):
+        r = float(root)
         below, above = (
             (Fraction(r) + Fraction(math.nextafter(r, d))) / 2 for d in (-math.inf, math.inf)
         )
-        assert sign(ueval(simple, below)) * sign(ueval(simple, above)) <= 0, (iv, r)
+        assert sign(ueval(simple, below)) * sign(ueval(simple, above)) <= 0, (root, r)
 
 
 def test_probe_bracket_on_the_edge_cases():
