@@ -296,8 +296,17 @@ def fitted_exponent(trace: BranchTrace) -> float:
 
 
 def trace_to_csv(trace: BranchTrace, p: BivariatePolynomial) -> str:
-    """Rows of x, y and the evaluated residual, ready for plotting."""
+    """Rows of x, y and the residual |p(x, y)|, ready for plotting.
+
+    The residual is exact at the float point, rounded once to a double
+    (infinity past the double range): no float cancellation inflates it.
+    """
     lines = ["x,y,residual"]
     for x, y in trace.samples:
-        lines.append(f"{x!r},{y!r},{abs(p.evaluate_approx(x, y))!r}")
+        exact = abs(p.evaluate(x, y))
+        try:
+            residual = float(exact)
+        except OverflowError:
+            residual = math.inf
+        lines.append(f"{x!r},{y!r},{residual!r}")
     return "\n".join(lines) + "\n"

@@ -18,11 +18,14 @@ values agree bit for bit.  The first ``COMPILE_AFTER - 1`` calls walk the
 plan in a loop.  On the ``COMPILE_AFTER``-th the plan becomes a straight-line
 Python function, which drops the loop's interpreter overhead and about
 halves the time per call on Pinchuk's 78-term Jacobian.  Compiling costs
-about 100 loop calls, so it pays back only some 200 calls later.  The
-falsifier's descent on a miss calls its three polynomials thousands of times,
-while no polynomial of a falsifier hit reaches the threshold (at most 47 calls
-each on the benchmark's documents); ``branch`` calls its curve once per sample,
-for the residual column.
+about 100 loop calls, so it pays back only some 200 calls later.  On
+Pinchuk's miss the falsifier's 11 descents call J 1,680 times and J_x and
+J_y 361 times each, so all three compile, and the query takes a median
+18.5 ms against 21.3 ms with the loop alone (12 alternating rounds of 31
+queries, compiled faster in all 12; 2-core VM, Python 3.11): the compiled
+path still pays there, by about an eighth.  No polynomial of a falsifier
+hit reaches the threshold (at most 47 calls each on the benchmark's
+documents).
 
 The eight axis symmetries (swap the variables, negate either axis) are
 represented by :class:`Transform` values.  Applying a transform never changes

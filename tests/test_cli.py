@@ -115,6 +115,19 @@ def test_falsify_miss_matches_golden(capsys):
     assert out == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
 
 
+def test_falsify_pinchuk_miss_matches_golden(capsys, pinchuk):
+    # Jac(P, Q) > 0 on R^2 and the proof is refused on its budget: a miss
+    # over all 11 boxes, each with a descent that cannot succeed; the texts
+    # are Pinchuk's pair, and Q starts with a minus sign
+    p_text, q_text = (
+        (GOLDEN / f"pinchuk_{v}.txt").read_text(encoding="utf-8").strip() for v in "pq"
+    )
+    assert (p_text, q_text) == tuple(map(str, pinchuk[:2]))
+    code, out, _ = run(capsys, "falsify", f"--q={q_text}", "--", p_text)
+    assert code == 1
+    assert out.encode() == (GOLDEN / "falsify_miss_pinchuk.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, code, golden",
     [
@@ -379,6 +392,28 @@ def test_branch_csv(capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 10.0
     assert float(first[1]) == pytest.approx(-0.01, rel=1e-6)
+
+
+def test_branch_residual_is_exact_at_the_float_point(capsys):
+    # the 10^30-scale terms cancel in floats, which read |p| ~ 3.6e16 on the
+    # first row; the column is the exact |p| there, rounded once
+    text = "x*(y^2 - 2)^3*(10^30*y^2 - 2*10^30 - 1)"
+    code, out, _ = run(capsys, "branch", text)
+    assert code == 0
+    p = jacmate.poly.parse_polynomial(text)
+    rows = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert rows[0] == (10.0, -1.4142135623730951, 5.589842309498123e-32)
+    for x, y, residual in rows:
+        assert residual == float(abs(p.evaluate(x, y)))
+
+
+def test_branch_residual_past_the_double_range_is_inf(capsys):
+    # at x = 1e150, |p| at the float y is about 10^370 exactly: inf, where
+    # the float terms read inf - inf = nan
+    argv = ("branch", "10^70*y - 10^70*x^2", "--x-start", "1e149", "--x-end", "1e150")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "1e+150,9.999999999999999e+299,inf"
 
 
 def test_branch_on_an_exactly_isolated_even_root(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 import sys
@@ -269,6 +270,31 @@ def reference_find_jacobian_zero(p, q):
                 return hit
         w *= 2
     return MinRecord(best_point, fz._exact_abs(J, *best_point))
+
+
+def reference_descend(J, Jx, Jy, x, y):
+    """The descent as it was before it could give up at its pace: every one
+    of its 300 steps is taken while the line search still moves."""
+    g = J.evaluate_approx(x, y)
+    for _ in range(300):
+        if abs(g) <= fz.ZERO_TOL:
+            return fz._accept(J, x, y, g, LOCAL_MINIMIZATION)
+        gx, gy = Jx.evaluate_approx(x, y), Jy.evaluate_approx(x, y)
+        denom = gx * gx + gy * gy
+        if denom == 0.0 or not math.isfinite(denom):
+            return None
+        dx, dy = -g * gx / denom, -g * gy / denom
+        step = 1.0
+        for _ in range(40):
+            xn, yn = x + step * dx, y + step * dy
+            gn = J.evaluate_approx(xn, yn)
+            if abs(gn) < abs(g):
+                x, y, g = xn, yn, gn
+                break
+            step *= 0.5
+        else:
+            return None
+    return None
 
 
 small_polys = st.dictionaries(
@@ -755,3 +781,79 @@ def test_answers_do_not_depend_on_the_proof(monkeypatch):
             assert isinstance(again, MinRecord) and again.boxes_searched == 11
         else:
             assert again == answer
+
+
+# -- the descent's early end against the full descent --------------------------
+
+
+def census_polynomial(rng, exponents):
+    """Coefficients k/d, k in [-9, 9] and d in {3, 5, 7, 11, 13}, on the
+    given exponent pairs, drawn in their order."""
+    return BivariatePolynomial(
+        {e: Fraction(rng.randint(-9, 9), rng.choice((3, 5, 7, 11, 13))) for e in exponents}
+    )
+
+
+def census_linear(rng):
+    return census_polynomial(rng, ((1, 0), (0, 1), (0, 0)))
+
+
+def census_quadratic(rng):
+    return census_polynomial(rng, ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+
+
+# Jacobians with tangential or point zeros, or none at all where the conic of
+# q is empty: r and s linear, q quadratic
+DESCENT_CENSUS = {
+    "r^2": lambda rng: census_linear(rng) ** 2,
+    "q^2": lambda rng: census_quadratic(rng) ** 2,
+    "r^2 + s^2": lambda rng: census_linear(rng) ** 2 + census_linear(rng) ** 2,
+    "r^4": lambda rng: census_linear(rng) ** 4,
+    "q^2 (1 + x^2)": lambda rng: census_quadratic(rng) ** 2 * (1 + X * X),
+}
+
+
+def descent_starts(J):
+    """The flattest finite node of each box, where the grid search starts
+    its descent."""
+    for k in range(fz.MAX_DOUBLINGS + 1):
+        xs, powers = fz._box(k)
+        absvals = np.abs(evaluate_on_grid(J, xs, xs, powers))
+        absvals[~np.isfinite(absvals)] = np.inf
+        i, j = divmod(int(np.argmin(absvals)), len(xs))
+        if np.isfinite(absvals[i, j]):
+            yield float(xs[i]), float(xs[j])
+
+
+def outcome_kind(result):
+    return (type(result), getattr(result, "method", None))
+
+
+def test_descent_ends_early_only_where_the_full_descent_would(monkeypatch):
+    # the descent may give up before its 300 steps, so from every box's start
+    # it returns the full descent's answer or None; and over the census no
+    # search changes its kind of outcome
+    rng = random.Random(20)
+    starts, kinds = 0, set()
+    for make in DESCENT_CENSUS.values():
+        for _ in range(40):
+            J = make(rng)
+            if J.is_zero:
+                continue
+            Jx, Jy = J.partial_derivative("x"), J.partial_derivative("y")
+            for x, y in descent_starts(J):
+                starts += 1
+                got = fz._descend(J, Jx, Jy, x, y)
+                assert got is None or got == reference_descend(J, Jx, Jy, x, y), (str(J), x, y)
+            with monkeypatch.context() as m:
+                # the proof does not depend on the descent: taken once
+                proof = fz._stays_above_bound(J)
+                m.setattr(fz, "_stays_above_bound", lambda _J: proof)
+                got = fz._search(J)
+                m.setattr(fz, "_descend", reference_descend)
+                want = fz._search(J)
+            assert outcome_kind(got) == outcome_kind(want), str(J)
+            kinds.add(outcome_kind(got))
+    assert starts >= 2000
+    # descents hit, and searches miss after a descent in every box
+    assert {(ZeroWitness, LOCAL_MINIMIZATION), (MinRecord, None)} <= kinds

@@ -19,6 +19,7 @@ from jacmate import univariate as uni
 from jacmate.falsifier import MinRecord, find_jacobian_zero
 from jacmate.poly import (
     ALL_TRANSFORMS,
+    BivariatePolynomial,
     _horner_plan,
     apply_transform,
     jacobian,
@@ -44,15 +45,28 @@ def test_pinchuk_p_never_certifies(pinchuk):
         assert not corollary_certificate(shown, allow_swap=False).satisfied, transform
 
 
-def test_pinchuk_pair_has_no_jacobian_zero(pinchuk, compiled_plans):
+def test_pinchuk_pair_has_no_jacobian_zero(pinchuk, compiled_plans, monkeypatch):
     p, q = pinchuk[:2]
+    calls = []
+    evaluate_approx = BivariatePolynomial.evaluate_approx
+
+    def counted(f, x, y):
+        calls.append((x, y))
+        return evaluate_approx(f, x, y)
+
+    monkeypatch.setattr(BivariatePolynomial, "evaluate_approx", counted)
     rec = find_jacobian_zero(p, q)
     assert isinstance(rec, MinRecord)
     # the record's |Jac| is exact at its point, not the float grid's value
     x, y = map(Fraction, rec.best_point)
     J = jacobian(p, q)
     assert rec.best_abs_jac == abs(float(J.evaluate(x, y)))
-    # the descents run J, J_x and J_y hot enough to compile each once
+    # the 11 descents give up once their pace cannot reach ZERO_TOL: 2,402
+    # float evaluations in all, where running every descent to its 300 steps
+    # took 25,906
+    assert len(calls) <= 2_500
+    # they still run J, J_x and J_y past COMPILE_AFTER calls (1,680, 361 and
+    # 361), so each is compiled once
     hot = (J, J.partial_derivative("x"), J.partial_derivative("y"))
     plans = [_horner_plan(f._num, f._den) for f in hot]
     assert sorted(map(plans.index, compiled_plans)) == [0, 1, 2]
