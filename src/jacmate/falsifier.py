@@ -41,8 +41,8 @@ out there.  The search runs in this order:
    go, exceed them.  Until then it takes the steps of a descent that
    spends its budget, so it can only end earlier: any witness it returns
    is that descent's, and that descent's miss stays a miss.  On Pinchuk's
-   pair (Jac > 0) the 11 descents make 2,402 float evaluations, not
-   25,906.  The float search's misses are reported as honest minimum
+   pair (Jac > 0) the 11 descents make 2,402 float evaluations, where
+   spending their budgets takes 25,906.  The float search's misses are reported as honest minimum
    records, never silently dropped: the point is the float grid's
    flattest node, and its |Jac| is evaluated there exactly.
 
