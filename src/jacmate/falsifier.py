@@ -210,15 +210,35 @@ def _exact_abs(J: BivariatePolynomial, x: float, y: float) -> float:
     return abs(float(J.evaluate(x, y)))
 
 
-def _accept(J, x: float, y: float, approx: float, method: str, bracket=None):
+def _row_value(row: list[int], den: int, y: float) -> tuple[int, int]:
+    """row(y) / den as (numerator, positive denominator), not reduced.
+
+    With ``row`` = ``J.integer_row(x0)`` and den = ``J.denominator``, this is
+    J(x0, y) exactly: the homogenized Horner sum of row_j * n^j * d^(D-j)
+    for y = n/d, over den * d^D.
+    """
+    n, d = y.as_integer_ratio()
+    acc, scale = 0, 1
+    for a in reversed(row):
+        acc, scale = acc * n + a * scale, scale * d
+    return acc * d, scale * den
+
+
+def _accept(J, x: float, y: float, approx: float, method: str, bracket=None, row=None):
     """Candidate point -> witness, or None if exact revalidation disagrees.
 
     ``approx`` is ``J.evaluate_approx(x, y)``, passed in by the caller, which
-    has mostly just computed it.
+    has mostly just computed it.  A slice's caller also passes its integer
+    row (see :func:`_row_value`), from which the exact value is read: the
+    same rational as ``J.evaluate(x, y)``, so the same rounded |Jac|.
     """
     if not abs(approx) <= ZERO_TOL:
         return None
-    exact = _exact_abs(J, x, y)
+    if row is None:
+        exact = _exact_abs(J, x, y)
+    else:  # int true division rounds the rational once, as float(Fraction)
+        num, den = _row_value(row, J.denominator, y)
+        exact = abs(num) / den
     if exact > 10 * ZERO_TOL:
         return None
     return ZeroWitness((x, y), approx, method, exact, bracket)
@@ -344,18 +364,20 @@ def _slice_witness(J: BivariatePolynomial) -> ZeroWitness | None:
 
     On each line in turn, :func:`univariate.probe_bracket` decides a root
     of J(x0, .) from exact signs; its point must then pass :func:`_accept`
-    like any other, at the float nearest the bracket's midpoint.  An exact
+    like any other, at the float nearest the bracket's midpoint, with the
+    exact value read off the line's integer row.  An exact
     rational root is an ``EXACT_GRID_HIT``, a bracket a
     ``SIGN_CHANGE_BISECTION``.
     """
     for x0 in SLICE_XS:
-        bracket = uni.probe_bracket(J.integer_row(x0), SLICE_EXPONENT)
+        row = J.integer_row(x0)
+        bracket = uni.probe_bracket(row, SLICE_EXPONENT)
         if bracket is None:
             continue
         lo, hi = bracket
         x, y = float(x0), float((lo + hi) / 2)
         method = EXACT_GRID_HIT if lo == hi else SIGN_CHANGE_BISECTION
-        hit = _accept(J, x, y, J.evaluate_approx(x, y), method, bracket)
+        hit = _accept(J, x, y, J.evaluate_approx(x, y), method, bracket, row)
         if hit:
             return hit
     return None

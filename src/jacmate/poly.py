@@ -37,6 +37,7 @@ without tracking coefficients.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
@@ -93,8 +94,9 @@ class InputTooLarge(ValueError):
 
 # Input budget of the parser, checked on every power and every product of
 # several terms as it is built, and on the whole value, so that no text
-# makes parsing, or exact evaluation later, run unbounded.  The largest inputs in use are x^200 (a float overflow test)
-# and Pinchuk's Q: degrees 15 and 10, 55 terms, 17-bit numerators.
+# makes parsing, or exact evaluation later, run unbounded.
+# The largest inputs in use are x^200 (a float overflow test) and Pinchuk's
+# Q: degrees 15 and 10, 55 terms, 17-bit numerators.
 MAX_DEGREE = 256  # in each variable
 MAX_TERMS = 1024
 MAX_COEFF_BITS = 256  # numerator and denominator each
@@ -268,6 +270,11 @@ class BivariatePolynomial:
     def is_zero(self) -> bool:
         return not self._num
 
+    @property
+    def denominator(self) -> int:
+        """The positive common denominator of the coefficients, in lowest terms."""
+        return self._den
+
     def support(self) -> frozenset[LatticePoint]:
         return frozenset(self._num)
 
@@ -349,8 +356,8 @@ class BivariatePolynomial:
         return [Fraction(s, den) for s in self._row(a, b)]
 
     def integer_row(self, x0: int) -> list[int]:
-        """p(x0, y) times the positive common denominator, ascending in y:
-        integer coefficients with the signs of p on the line x = x0."""
+        """p(x0, y) times ``denominator``, ascending in y: integer
+        coefficients with the signs of p on the line x = x0."""
         return self._row(x0, 1)
 
     def _row(self, a: int, b: int) -> list[int]:
@@ -565,6 +572,8 @@ def _within_budget(value: tuple[Numerators, int]) -> tuple[Numerators, int]:
         raise InputTooLarge(f"degree {degree} in one variable exceeds the cap of {MAX_DEGREE}")
     if len(num) > MAX_TERMS:
         raise InputTooLarge(f"{len(num)} terms exceed the cap of {MAX_TERMS}")
+    if max(den, max(map(abs, num.values()), default=0)).bit_length() <= MAX_COEFF_BITS:
+        return value  # no coefficient's lowest terms can be longer
     for n in num.values():
         # each coefficient n/den in its own lowest terms
         g = math.gcd(n, den)
@@ -595,136 +604,112 @@ def _power(var: str, e: int) -> str:
 # base     := 'x' | 'y' | rational | '(' expr ')'
 # rational := uint ['/' uint]
 #
-# Whitespace is ignored everywhere.  Multiplication is always explicit.
+# A uint is a run of the ASCII digits 0-9.  Whitespace is ignored everywhere:
+# any character for which str.isspace() holds, which is what \s matches.
+# Multiplication is always explicit.
+#
+# One regex call splits the text into tokens, each converted and checked
+# before the descent, so the first fault in the text is the one reported.
+# The descent indexes the plain token list (ints, one-character strings and
+# None at the end); a token's character offset is found only for an error.
+# Values are (numerators, denominator) pairs of the integer kernel.  A
+# product keeps its one-term factors as one monomial c/d * x^a * y^b, a sum
+# gathers its terms in one dict, and each is reduced once, at its end.
 # ---------------------------------------------------------------------------
 
-_OPERATORS = set("+-*/^()")
+_TOKEN = re.compile(r"[0-9]+|\S")
+_SYMBOLS = frozenset("+-*/^()xy")
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append((ch, ch, pos))
-            pos += 1
-        elif ch in ("x", "y"):
-            tokens.append(("var", ch, pos))
-            pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", None, n))
-    return tokens
+class _Fault(Exception):
+    """(error class, message, token index) of a malformed text."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _fail(t: list, i: int, expected: str):
+    tok = t[i]
+    kind = "int" if type(tok) is int else "var" if tok in ("x", "y") else tok
+    found = "end of input" if tok is None else f"{kind!r} token"
+    raise _Fault(ParseError, f"expected {expected}, found {found}", i)
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _monomial(a: int, b: int, c: int, d: int) -> tuple[Numerators, int]:
+    """c/d * x^a * y^b in lowest terms, for d > 0."""
+    g = math.gcd(c, d)
+    return ({(a, b): c // g}, d // g) if c else ({}, 1)
 
-    def fail(self, expected: str):
-        kind, _, where = self.peek()
-        found = "end of input" if kind == "end" else f"{kind!r} token"
-        raise ParseError(f"expected {expected}, found {found}", where)
 
-    # Values are (numerators, denominator) pairs of the integer kernel; the
-    # polynomial is built once, from the whole value.
+def _expr(t: list, i: int) -> tuple[Numerators, int, int]:
+    """The sum from token i, in lowest terms, and the index past it."""
+    acc, den, tok = {}, 1, t[i]
+    while True:  # an optional sign, then terms joined by signs
+        sign = -1 if tok == "-" else 1
+        if tok in ("+", "-"):
+            i += 1
+        num, d, i = _term(t, i)
+        if d != den:
+            m = math.lcm(den, d)
+            acc = {k: n * (m // den) for k, n in acc.items()}
+            sign, den = sign * (m // d), m
+        for k, n in num.items():
+            s = acc.get(k, 0) + sign * n
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        tok = t[i]
+        if tok not in ("+", "-"):
+            return (*_lowest(acc, den), i)
 
-    def parse(self) -> BivariatePolynomial:
-        if self.peek()[0] == "end":
-            raise EmptyInput("empty polynomial text", 0)
-        value = self.expr()
-        if self.peek()[0] != "end":
-            self.fail("'+', '-', '*' or end of input")
-        # sums and one-term products grow only as fast as the text: other
-        # products and all powers are checked as they are built, the total here
-        return _poly(*_within_budget(value))
 
-    def expr(self) -> tuple[Numerators, int]:
-        negate = False
-        if self.peek()[0] in ("+", "-"):
-            negate = self.advance()[0] == "-"
-        num, den = self.term()
-        if negate:
-            num = {k: -n for k, n in num.items()}
-        while self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-            num, den = _add(num, den, *self.term(), sign)
-        return num, den
-
-    def term(self) -> tuple[Numerators, int]:
-        value = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            value = _convolve(*value, *self.factor())
-            if len(value[0]) > 1:  # a product of one-term factors grows like a sum
+def _term(t: list, i: int) -> tuple[Numerators, int, int]:
+    """The product from token i, in lowest terms, and the index past it."""
+    a = b = 0  # the product of the one-term factors: c/d * x^a * y^b
+    c = d = 1
+    value = None  # the whole product, once a factor has several terms
+    while True:
+        tok, factor, m, e = t[i], None, 1, 1
+        i += 1
+        if tok == "(":
+            num, den, i = _expr(t, i)
+            if t[i] != ")":
+                _fail(t, i, "')'")
+            factor, i = (num, den), i + 1
+        elif type(tok) is int and t[i] == "/":
+            m = t[i + 1]
+            if type(m) is not int:
+                _fail(t, i + 1, "integer denominator")
+            if not m:
+                raise _Fault(ParseError, "zero denominator", i + 1)
+            i += 2
+        elif type(tok) is not int and tok not in ("x", "y"):
+            _fail(t, i - 1, "'x', 'y', a number or '('")
+        if t[i] == "^":
+            e = t[i + 1]
+            if e == "-":
+                raise _Fault(NonNaturalExponent, "exponent must be a nonnegative integer", i + 1)
+            if type(e) is not int:
+                _fail(t, i + 1, "integer exponent")
+            if t[i + 2] == "/":
+                raise _Fault(NonNaturalExponent, "fractional exponents are not polynomials", i + 2)
+            i += 2
+            if tok not in ("x", "y"):
+                factor = _bounded_power(factor or _monomial(0, 0, tok, m), e)
+            elif e > MAX_DEGREE:  # all that a variable's power can exceed
+                raise InputTooLarge(f"degree {e} in one variable exceeds the cap of {MAX_DEGREE}")
+        if factor is None:  # x^e, y^e or tok/m
+            fa, fb, fc = (e, 0, 1) if tok == "x" else (0, e, 1) if tok == "y" else (0, 0, tok)
+        elif len(factor[0]) <= 1:  # one term again: fold it into the monomial
+            (fa, fb), fc = next(iter(factor[0].items()), ((0, 0), 0))
+            factor, m = None, factor[1]
+        if factor is None and value is None:
+            a, b, c, d = a + fa, b + fb, c * fc, d * m
+        else:  # a product of several terms is checked after each step
+            value = _convolve(*(value or _monomial(a, b, c, d)), *(factor or _monomial(fa, fb, fc, m)))
+            if len(value[0]) > 1:
                 _within_budget(value)
-        return value
-
-    def factor(self) -> tuple[Numerators, int]:
-        base = self.base()
-        if self.peek()[0] != "^":
-            return base
-        self.advance()
-        kind, val, where = self.peek()
-        if kind == "-":
-            raise NonNaturalExponent("exponent must be a nonnegative integer", where)
-        if kind != "int":
-            self.fail("integer exponent")
-        self.advance()
-        if self.peek()[0] == "/":
-            raise NonNaturalExponent(
-                "fractional exponents are not polynomials", self.peek()[2]
-            )
-        return _bounded_power(base, int(val))
-
-    def base(self) -> tuple[Numerators, int]:
-        kind, val, where = self.peek()
-        if kind == "var":
-            self.advance()
-            return ({(1, 0): 1} if val == "x" else {(0, 1): 1}), 1
-        if kind == "int":
-            self.advance()
-            num, den = int(val), 1
-            if self.peek()[0] == "/":
-                self.advance()
-                dkind, dval, dwhere = self.peek()
-                if dkind != "int":
-                    self.fail("integer denominator")
-                self.advance()
-                if dval == 0:
-                    raise ParseError("zero denominator", dwhere)
-                g = math.gcd(num, int(dval))
-                num, den = num // g, int(dval) // g
-            if not num:
-                return {}, 1
-            return {(0, 0): num}, den
-        if kind == "(":
-            self.advance()
-            inner = self.expr()
-            if self.peek()[0] != ")":
-                self.fail("')'")
-            self.advance()
-            return inner
-        self.fail("'x', 'y', a number or '('")
+        if t[i] != "*":
+            return (*(value or _monomial(a, b, c, d)), i)
+        i += 1
 
 
 def _bounded_power(base: tuple[Numerators, int], n: int) -> tuple[Numerators, int]:
@@ -732,9 +717,7 @@ def _bounded_power(base: tuple[Numerators, int], n: int) -> tuple[Numerators, in
     num, den = base
     degree = _degree(num)
     if degree * n > MAX_DEGREE:
-        raise InputTooLarge(
-            f"degree {degree * n} in one variable exceeds the cap of {MAX_DEGREE}"
-        )
+        raise InputTooLarge(f"degree {degree * n} in one variable exceeds the cap of {MAX_DEGREE}")
     if len(num) <= 1:
         # one term stays one term; n > MAX_DEGREE only for a constant.  In
         # lowest terms its one numerator c is coprime to den.
@@ -749,13 +732,39 @@ def _bounded_power(base: tuple[Numerators, int], n: int) -> tuple[Numerators, in
     return value
 
 
+def _offset(text: str, k: int) -> int:
+    """The character offset of token k of ``text``; past the last, len(text)."""
+    return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[k]
+
+
 def parse_polynomial(text: str) -> BivariatePolynomial:
     """Parse polynomial text with explicit '*', '^' and rational constants.
 
-    Raises InputTooLarge when the value, a power or a product of several
-    terms exceeds ``MAX_DEGREE``, ``MAX_TERMS`` or ``MAX_COEFF_BITS``.
+    Raises ParseError, with the character offset of the first malformed
+    token, and InputTooLarge when a power, a product of several terms (after
+    each multiplication) or the whole value exceeds ``MAX_DEGREE``,
+    ``MAX_TERMS`` or ``MAX_COEFF_BITS``.  Sums and one-term products grow
+    only as fast as the text, so the whole value's check covers them.
     """
-    return _Parser(text).parse()
+    t: list = []
+    for s in _TOKEN.findall(text):
+        if s in _SYMBOLS:
+            t.append(s)
+        elif s[0] in "0123456789":
+            t.append(int(s))
+        else:
+            raise ParseError(f"unexpected character {s!r}", _offset(text, len(t)))
+    if not t:
+        raise EmptyInput("empty polynomial text", 0)
+    t.append(None)
+    try:
+        num, den, i = _expr(t, 0)
+        if t[i] is not None:
+            _fail(t, i, "'+', '-', '*' or end of input")
+    except _Fault as fault:
+        kind, message, k = fault.args
+        raise kind(message, _offset(text, k)) from None
+    return _poly(*_within_budget((num, den)))
 
 
 # ---------------------------------------------------------------------------

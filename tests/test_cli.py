@@ -58,6 +58,23 @@ def test_certify_parse_error_exit_code(capsys):
     assert "offset 3" in err
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "\u0663*y + x"])
+def test_a_non_ascii_digit_is_an_input_error(capsys, text):
+    # only 0-9 are digits: the superscript two and the Arabic-Indic three
+    # are characters no token may hold
+    code, out, err = run(capsys, "analyze", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: unexpected character") and "Traceback" not in err
+
+
+def test_a_long_literal_is_reported_before_a_syntax_error(capsys):
+    # every token is converted before the descent: the literal past the
+    # int-to-string limit is the first error, though "x y" comes before it
+    code, _, err = run(capsys, "analyze", "x y " + "9" * 5000)
+    assert code == 2
+    assert err.startswith("error: Exceeds the limit")
+
+
 def test_certify_rejects_swap_when_disabled(capsys):
     code, out, _ = run(capsys, "certify", "x + x^2*y", "--no-swap")
     assert code == 1
@@ -113,6 +130,14 @@ def test_falsify_miss_matches_golden(capsys):
     code, out, _ = run(capsys, "falsify", "x", "--q", "y + y^3 + x^2*y")
     assert code == 1
     assert out == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_text(encoding="utf-8")
+
+
+def test_falsify_slice_hit_matches_golden(capsys):
+    # Jac = -(1 + 2xy + 4y^3): on x = 0 a sign change between the probes -1
+    # and 0, bisected to a bracket; |Jac| is read off that line's row
+    code, out, _ = run(capsys, "falsify", "y + x*y^2 + y^4", "--q", "x")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "falsify_hit_y_xy2_y4_q_x.json").read_bytes()
 
 
 def test_falsify_pinchuk_miss_matches_golden(capsys, pinchuk):
@@ -763,6 +788,8 @@ tongue_texts = st.lists(
 @given(poly_texts, poly_texts, tongue_texts)
 # a simple face root within 10^-12 of a triple one: each is rounded from its own factor
 @example("x*(y^2 - 2)^3*(10^30*y^2 - 2*10^30 - 1)", "y", "y + x^2*y^2")
+# a non-ASCII digit: str.isdigit() holds, int() refuses it
+@example("x^\u00b2", "y", "y + x^2*y^2")
 def test_fuzzed_commands_exit_0_1_or_2(p, q, t):
     argvs = [
         ["analyze", "--", p],

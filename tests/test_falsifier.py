@@ -456,6 +456,24 @@ def test_every_slice_bracket_proves_a_zero(p, q):
         assert lo < hi and J.evaluate(x, lo) * J.evaluate(x, hi) < 0
 
 
+rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.fractions(max_denominator=60),
+    max_size=6,
+).map(BivariatePolynomial)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rational_polys, st.sampled_from(fz.SLICE_XS), st.floats(allow_nan=False, allow_infinity=False))
+def test_a_slice_row_gives_the_exact_value_at_a_float(J, x0, y):
+    # _accept reads a slice point's |Jac| off the line's integer row
+    num, den = fz._row_value(J.integer_row(x0), J.denominator, y)
+    exact = J.evaluate(x0, y)
+    assert den > 0 and Fraction(num, den) == exact
+    if abs(exact) < 2**1000:  # one rounding of one rational, as float(Fraction)
+        assert abs(num) / den == abs(float(exact))
+
+
 def test_a_slice_hit_is_found_before_any_grid(monkeypatch):
     # Jac(p1, x) = -(1 + 2xy + 4y^3): on x = 0 it changes sign at the cube
     # root of -1/4, between the probes -1 and 0

@@ -495,11 +495,25 @@ def test_horner_plan_floats_are_the_fraction_floats(p):
         ("(1 + x + y)^60", "terms exceed"),
         ("2^1000", "bits"),
         ("(3/2)^200", "bits"),
+        # products of one-term factors, refused only in the whole value
+        ("2^200*2^200", "bits"),
+        ("x^200*y^100*x^57", "degree 257"),
     ],
 )
 def test_parser_refuses_input_over_a_cap(text, what):
     with pytest.raises(InputTooLarge, match=what):
         parse_polynomial(text)
+
+
+def test_a_literal_past_the_int_string_limit_is_reported_before_a_syntax_error():
+    # every token is converted before the descent, so the literal's
+    # ValueError comes first although "x y" is malformed before it
+    with pytest.raises(ValueError, match="integer string conversion") as info:
+        parse_polynomial("x y " + "9" * 5000)
+    assert not isinstance(info.value, ParseError)
+    # a character no token may hold, before the literal, comes first
+    with pytest.raises(ParseError, match="unexpected character '\\$'"):
+        parse_polynomial("x $ " + "9" * 5000)
 
 
 def test_parser_admits_input_at_the_caps():
@@ -728,9 +742,128 @@ def test_parse_matches_reference_built_polynomials():
         ("(3/2)^200", "a coefficient exceeds the cap of 256 bits"),
         ("1/2^300", "a coefficient exceeds the cap of 256 bits"),
         ("(x + 1/3)^170", "a coefficient exceeds the cap of 256 bits"),
+        # a product of several terms is checked after each multiplication,
+        # in the order of its factors, not once its one-term factors are in
+        ("(x + y)*2^200*x^100*2^200*x^200", "a coefficient exceeds the cap of 256 bits"),
+        ("x^200*x^57*(x + y)", "degree 258 in one variable exceeds the cap of 256"),
+        ("(x + y - y)*x^256*x", "degree 258 in one variable exceeds the cap of 256"),
     ],
 )
 def test_parser_cap_messages_are_pinned(text, message):
     with pytest.raises(InputTooLarge) as info:
         parse_polynomial(text)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The parser against the ring operations.  Random expression trees of the
+# grammar are rendered to text, with random whitespace between tokens, and
+# built with BivariatePolynomial's +, -, * and **, which do not parse.
+# ---------------------------------------------------------------------------
+
+SPACES = ["", "", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+
+
+def random_expr(rng, depth):
+    """(text, polynomial) of expr := [sign] term {sign term}."""
+    sign = rng.choice(["", "", "+", "-"])
+    text, value = random_term(rng, depth)
+    text, value = sign + rng.choice(SPACES) + text, -value if sign == "-" else value
+    for _ in range(rng.randrange(3)):
+        op = rng.choice("+-")
+        t, v = random_term(rng, depth)
+        text += f"{rng.choice(SPACES)}{op}{rng.choice(SPACES)}{t}"
+        value = value + v if op == "+" else value - v
+    return text, value
+
+
+def random_term(rng, depth):
+    """(text, polynomial) of term := factor {'*' factor}."""
+    text, value = random_factor(rng, depth)
+    for _ in range(rng.randrange(3)):
+        t, v = random_factor(rng, depth)
+        text, value = f"{text}{rng.choice(SPACES)}*{rng.choice(SPACES)}{t}", value * v
+    return text, value
+
+
+def random_factor(rng, depth):
+    """(text, polynomial) of factor := base ['^' uint], with uint <= 4."""
+    kind = rng.randrange(5 if depth else 4)
+    if kind == 0:
+        text, value = rng.choice([("x", X), ("y", Y)])
+    elif kind == 1:
+        k = rng.randrange(13)
+        text, value = str(k), BivariatePolynomial.constant(k)
+    elif kind == 2:
+        k, d = rng.randrange(13), rng.randrange(1, 13)
+        s = rng.choice(SPACES)
+        text, value = f"{k}{s}/{s}{d}", BivariatePolynomial.constant(Fraction(k, d))
+    elif kind == 3:
+        k = rng.randrange(13)  # a signed constant needs its parentheses
+        text, value = f"(-{k})", BivariatePolynomial.constant(-k)
+    else:
+        inner, value = random_expr(rng, depth - 1)
+        text = f"({rng.choice(SPACES)}{inner}{rng.choice(SPACES)})"
+    if rng.randrange(3) == 0:
+        n = rng.randrange(5)
+        text, value = f"{text}{rng.choice(SPACES)}^{rng.choice(SPACES)}{n}", value**n
+    return text, value
+
+
+def test_parse_matches_the_ring_operations_on_random_trees():
+    rng = random.Random(3301)
+    for _ in range(1000):
+        text, want = random_expr(rng, 3)
+        assert parse_polynomial(text) == want, text
+
+
+# Each malformed text with the error class, message and offset that the
+# parser gives.  The table was taken from the parser before it was
+# rewritten to one regex pass, and pins that the rewrite kept every error.
+PARSE_ERRORS = [
+    ("x +", ParseError, "expected 'x', 'y', a number or '(', found end of input", 3),
+    ("x ** 2", ParseError, "expected 'x', 'y', a number or '(', found '*' token", 3),
+    ("x^-1", NonNaturalExponent, "exponent must be a nonnegative integer", 2),
+    ("x^1/2", NonNaturalExponent, "fractional exponents are not polynomials", 3),
+    ("1/0", ParseError, "zero denominator", 2),
+    ("x $ y", ParseError, "unexpected character '$'", 2),
+    ("(x", ParseError, "expected ')', found end of input", 2),
+    ("x y", ParseError, "expected '+', '-', '*' or end of input, found 'var' token", 2),
+    ("x^y", ParseError, "expected integer exponent, found 'var' token", 2),
+    ("   ", EmptyInput, "empty polynomial text", 0),
+    ("", EmptyInput, "empty polynomial text", 0),
+    ("\u2003", EmptyInput, "empty polynomial text", 0),
+    ("y^(1/2)", ParseError, "expected integer exponent, found '(' token", 2),
+    (")", ParseError, "expected 'x', 'y', a number or '(', found ')' token", 0),
+    ("1/x", ParseError, "expected integer denominator, found 'var' token", 2),
+    ("1/-2", ParseError, "expected integer denominator, found '-' token", 2),
+    ("--x", ParseError, "expected 'x', 'y', a number or '(', found '-' token", 1),
+    ("x + (y))", ParseError, "expected '+', '-', '*' or end of input, found ')' token", 7),
+    ("2 3", ParseError, "expected '+', '-', '*' or end of input, found 'int' token", 2),
+    ("x^2^3", ParseError, "expected '+', '-', '*' or end of input, found '^' token", 3),
+    ("x^1.5", ParseError, "unexpected character '.'", 3),
+    ("X", ParseError, "unexpected character 'X'", 0),
+    ("x\u00a0+\u00a0", ParseError, "expected 'x', 'y', a number or '(', found end of input", 4),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, offset", PARSE_ERRORS)
+def test_parse_errors_are_pinned(text, kind, message, offset):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text)
+    assert type(info.value) is kind
+    assert str(info.value) == f"{message} (at offset {offset})"
+    assert info.value.position == offset
+
+
+@pytest.mark.parametrize(
+    "text, char, offset",
+    [
+        ("x^\u00b2", "\u00b2", 2),  # superscript two: str.isdigit(), but not int()
+        ("\u0663*y + x", "\u0663", 0),  # Arabic-Indic three: int() reads it as 3
+    ],
+)
+def test_only_ascii_digits_are_digits(text, char, offset):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text)
+    assert str(info.value) == f"unexpected character {char!r} (at offset {offset})"
