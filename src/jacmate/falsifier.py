@@ -122,9 +122,10 @@ SLICE_EXPONENT = 64
 
 # The miss proof: C, the least float above the acceptance bound 10 * ZERO_TOL,
 # as an exact rational, and the most work the proof may predict before it is
-# tried: nodes of Res_y(F, F_y) times its Sylvester size cubed, or the degree
-# of an F in x alone.  Within them a proof took at most ~0.1 s on a 2-core
-# VM (Python 3.11); Pinchuk's Jacobian predicts 415 * 23^3, some 11 s.
+# tried: an upper bound on the nodes that uni.resultant_y takes for
+# Res_y(F, F_y), times its Sylvester size cubed, or the degree of an F in x
+# alone.  Within them a proof took at most ~0.1 s on a 2-core VM (Python
+# 3.11); Pinchuk's Jacobian predicts 415 * 23^3, some 11 s.
 _ABOVE_BOUND = Fraction(math.nextafter(10 * ZERO_TOL, math.inf))
 PROOF_WORK = 100_000
 PROOF_MAX_DEGREE = 48
@@ -303,9 +304,12 @@ def _stays_above_bound(J: BivariatePolynomial) -> NoRealZero | None:
     """The proof that |J| > C at every real point (module docstring), or None.
 
     None means unproved.  It is refused unproved, before any determinant,
-    when the predicted work exceeds PROOF_WORK: the nodes of Res_y(F, F_y)
-    times the cube of its Sylvester size, or for n = 0 a degree over
-    PROOF_MAX_DEGREE.
+    when the predicted work exceeds PROOF_WORK: (n - 1) * deg_x F + n *
+    deg_x F_y + 1, the most nodes :func:`univariate.resultant_y` takes for
+    Res_y(F, F_y), times the cube of its Sylvester size, or for n = 0 a
+    degree over PROOF_MAX_DEGREE.  Every polynomial shown root-free is read
+    as integers: lc_y(F) and F(0, .) as rows of F's numerators, and Res_y
+    from the integer rows of F and F_y.
     """
     at_origin = J.evaluate(0, 0)
     if abs(at_origin) <= _ABOVE_BOUND:
@@ -314,25 +318,21 @@ def _stays_above_bound(J: BivariatePolynomial) -> NoRealZero | None:
     F = (J if sign > 0 else -J) - _ABOVE_BOUND
     n, deg_x = F.degree_y(), F.degree_x()
     if n == 0:
-        if deg_x > PROOF_MAX_DEGREE or uni.count_roots(_row(F, 0)):
+        if deg_x > PROOF_MAX_DEGREE or uni.count_roots(F.integer_coefficient_y(0)):
             return None
         return NoRealZero(sign, ("F",))
     Fy = F.partial_derivative("y")
-    nodes = (n - 1) * deg_x + n * Fy.degree_x() + 1  # those of uni.resultant_y
+    # at least the nodes uni.resultant_y takes: it may take fewer
+    nodes = (n - 1) * deg_x + n * Fy.degree_x() + 1
     if nodes * (2 * n - 1) ** 3 > PROOF_WORK:
         return None
     # a root of lc_y(F) is one of Res_y(F, F_y) too, found here more cheaply
-    if uni.count_roots(_row(F, n)) or uni.count_roots(F.restricted_to_x(0)):
+    if uni.count_roots(F.integer_coefficient_y(n)) or uni.count_roots(F.integer_row(0)):
         return None
     r = uni.resultant_y(F, Fy)
     if not r or uni.count_roots(r):
         return None
     return NoRealZero(sign, NO_ROOT_ON_ANY_SLICE)
-
-
-def _row(F: BivariatePolynomial, j: int) -> list[Fraction]:
-    """The coefficient of y^j in F, a polynomial in x."""
-    return [F.coefficient((i, j)) for i in range(F.degree_x() + 1)]
 
 
 def find_jacobian_zero(

@@ -64,6 +64,7 @@ __all__ = [
     "MAX_DEGREE",
     "MAX_TERMS",
     "MAX_COEFF_BITS",
+    "MAX_NESTING",
     "parse_polynomial",
     "jacobian",
     "apply_transform",
@@ -100,6 +101,9 @@ class InputTooLarge(ValueError):
 MAX_DEGREE = 256  # in each variable
 MAX_TERMS = 1024
 MAX_COEFF_BITS = 256  # numerator and denominator each
+# Parentheses open at once; at about 495 levels the parser's descent would
+# pass Python's default recursion limit.
+MAX_NESTING = 200
 
 # The float evaluation of a polynomial on which its Horner plan is compiled
 # to straight-line code; the earlier ones run the loop (see the docstring).
@@ -360,6 +364,14 @@ class BivariatePolynomial:
         coefficients with the signs of p on the line x = x0."""
         return self._row(x0, 1)
 
+    def integer_coefficient_y(self, j: int) -> list[int]:
+        """The coefficient of y^j times ``denominator``, ascending in x:
+        integer coefficients with the roots and signs of the coefficient."""
+        out = [self._num.get((i, j), 0) for i in range(self.degree_x() + 1)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
     def _row(self, a: int, b: int) -> list[int]:
         """b^deg_x * den * p(a/b, y) as integer coefficients in y, ascending."""
         xp = _scaled_powers(a, b, self.degree_x(), {i for i, _ in self._num})
@@ -610,6 +622,8 @@ def _power(var: str, e: int) -> str:
 #
 # One regex call splits the text into tokens, each converted and checked
 # before the descent, so the first fault in the text is the one reported.
+# Then a text with more than MAX_NESTING '(' has its depth checked, so the
+# descent, which recurses twice per level, never passes Python's limit.
 # The descent indexes the plain token list (ints, one-character strings and
 # None at the end); a token's character offset is found only for an error.
 # Values are (numerators, denominator) pairs of the integer kernel.  A
@@ -737,6 +751,24 @@ def _offset(text: str, k: int) -> int:
     return ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[k]
 
 
+def _check_nesting(text: str) -> None:
+    """Refuse parentheses nested past MAX_NESTING, at the first '(' past it.
+
+    Each '(' and ')' is a token of its own, so the depth in characters is
+    the depth the descent would reach.
+    """
+    depth = 0
+    for k, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise InputTooLarge(
+                    f"parentheses nested {depth} deep exceed the cap of {MAX_NESTING} (at offset {k})"
+                )
+        elif ch == ")":
+            depth -= 1
+
+
 def parse_polynomial(text: str) -> BivariatePolynomial:
     """Parse polynomial text with explicit '*', '^' and rational constants.
 
@@ -745,6 +777,9 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
     each multiplication) or the whole value exceeds ``MAX_DEGREE``,
     ``MAX_TERMS`` or ``MAX_COEFF_BITS``.  Sums and one-term products grow
     only as fast as the text, so the whole value's check covers them.
+    Parentheses nested past ``MAX_NESTING`` are refused after the tokens
+    are checked and before the descent, with the offset of the first '('
+    past the cap.
     """
     t: list = []
     for s in _TOKEN.findall(text):
@@ -756,6 +791,8 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
             raise ParseError(f"unexpected character {s!r}", _offset(text, len(t)))
     if not t:
         raise EmptyInput("empty polynomial text", 0)
+    if text.count("(") > MAX_NESTING:  # only then can the nesting pass the cap
+        _check_nesting(text)
     t.append(None)
     try:
         num, den, i = _expr(t, 0)

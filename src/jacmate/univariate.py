@@ -8,9 +8,10 @@ a subresultant gcd (Brown & Traub, J. ACM 1971), roots are counted by
 Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC 1976),
 and isolating intervals have rational endpoints; a float is only ever an
 isolated root's nearest double.  :func:`resultant_y` eliminates y from two
-bivariate polynomials through these, one integer determinant per node,
-interpolated, for the falsifier's miss proof: the certify path eliminates
-nothing.
+bivariate polynomials in Z[x] for the falsifier's miss proof: one integer
+determinant per node of their integer rows, and exact Newton interpolation
+in integers (Collins, J. ACM 1971), divided by the two denominators once at
+the end.  The certify path eliminates nothing.
 """
 
 from __future__ import annotations
@@ -479,8 +480,11 @@ def _half_spacing(n: int, d: int) -> int:
     return max(e, -1022) - 53 if n else -1075
 
 
-def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:
-    """Sylvester determinant of f and g at formal degrees m >= deg f, n >= deg g."""
+def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction | int:
+    """Sylvester determinant of f and g at formal degrees m >= deg f, n >= deg g.
+
+    Exact: an int when f and g have integer coefficients.
+    """
     # integer Bareiss: cf*f and cg*g have cf^n * cg^m times the determinant
     cf, cg = (math.lcm(*(a.denominator for a in c)) for c in (f, g))
     f = [0] * (m + 1 - len(f)) + [int(a * cf) for a in reversed(f)]
@@ -491,7 +495,7 @@ def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:
     for c in range(m + n):
         pivot = next((r for r in range(c, m + n) if rows[r][c]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             sign = -sign
@@ -500,34 +504,61 @@ def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction:
             lead = rows[r][c]
             rows[r] = [(top[c] * a - lead * b) // prev for a, b in zip(rows[r], top)]
         prev = top[c]
-    return Fraction(sign * prev, cf**n * cg**m)
+    scale = cf**n * cg**m
+    return sign * prev if scale == 1 else Fraction(sign * prev, scale)
 
 
 def resultant_y(f, g) -> Coeffs:
     """Res_y(f, g) of two bivariate polynomials at formal degrees, in x.
 
-    The falsifier's miss proof is its one user.  One determinant at each
-    x = 0, 1, ..., deg_y g * deg_x f + deg_y f * deg_x g, one node more than
-    its degree can be, then interpolated; [] when f or g is 0 or they share
-    a factor.
+    The falsifier's miss proof is its one user; [] when f or g is 0 or they
+    share a factor.  With m = deg_y f, n = deg_y g and the common
+    denominators a of f and b of g, R = Res_y(a*f, b*g) = a^n * b^m *
+    Res_y(f, g) lies in Z[x].  Its value at each node x = 0, 1, ..., N is
+    one integer determinant of the rows ``integer_row(k)``, which are
+    a*f(k, .) and b*g(k, .); R is interpolated exactly in integers and
+    divided by a^n * b^m once.
+
+    N, the degree R can reach, is the lesser of n * deg_x f + m * deg_x g
+    and n * d + m * e - m * n, with d and e the total degrees of f and g.
+    Proof of the second: in the Sylvester matrix, f-row i (0 <= i < n)
+    holds in column c the coefficient of y^(m - c + i) in f, whose x-degree
+    is at most d - m + c - i, and g-row i' (0 <= i' < m) the coefficient of
+    y^(n - c + i') in g, of x-degree at most e - n + c - i'.  A nonzero term
+    of the determinant takes one entry from each row and each column, so
+    its degree is at most the sum of these bounds over all rows and
+    columns: n(d - m) + m(e - n) + (0 + 1 + ... + (m + n - 1))
+    - (0 + ... + (n - 1)) - (0 + ... + (m - 1)) = n * d + m * e - m * n.
+    That is d * e - (d - m)(e - n) <= d * e, Bezout's bound, and below the
+    first bound when the top coefficients in y have low degree in x: on the
+    falsifier's quadratic Jacobians, 2 against up to 4.
     """
     if f.is_zero or g.is_zero:
         return []
     m, n = f.degree_y(), g.degree_y()
-    return interpolate([
-        resultant(f.restricted_to_x(k), g.restricted_to_x(k), m, n)
-        for k in range(n * f.degree_x() + m * g.degree_x() + 1)
-    ])
+    d, e = (max(map(sum, h.support())) for h in (f, g))
+    top = min(n * f.degree_x() + m * g.degree_x(), n * d + m * e - m * n)
+    r = interpolate([resultant(f.integer_row(k), g.integer_row(k), m, n) for k in range(top + 1)])
+    scale = f.denominator**n * g.denominator**m
+    return [Fraction(a, scale) for a in r]
 
 
-def interpolate(values: list[Fraction]) -> Coeffs:
-    """The polynomial of degree < len(values) that takes values[k] at k."""
-    # Newton divided differences, then Horner multiplying only by (x - k)
-    coef = [Fraction(v) for v in values]
+def interpolate(values: list[int]) -> list[int]:
+    """The polynomial in Z[x] of degree < len(values) that takes values[k] at k.
+
+    Newton's divided differences over the nodes 0, 1, 2, ... are
+    Delta^L P(k) / L!, which are integers for P in Z[x], and so is each
+    step's quotient: every division is exact.  Values that no polynomial in
+    Z[x] of that degree takes, as 0, 0, 1 of x(x - 1)/2, raise ValueError.
+    """
+    coef = list(values)
     for level in range(1, len(coef)):
         for k in range(len(coef) - 1, level - 1, -1):
-            coef[k] = (coef[k] - coef[k - 1]) / level
-    out: Coeffs = []
+            coef[k], rem = divmod(coef[k] - coef[k - 1], level)
+            if rem:
+                raise ValueError("the values are not those of a polynomial in Z[x]")
+    # Horner in the Newton basis, multiplying only by (x - k)
+    out: list[int] = []
     for k in reversed(range(len(coef))):
         out = [a - k * b for a, b in zip([coef[k]] + out, out + [0])]
     return normalize(out)

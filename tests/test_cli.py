@@ -75,6 +75,26 @@ def test_a_long_literal_is_reported_before_a_syntax_error(capsys):
     assert err.startswith("error: Exceeds the limit")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{deep}"],
+        ["certify", "--tongue", "--falsify", "1", "{deep}"],
+        ["falsify", "{deep}", "--q", "y"],
+        ["falsify", "x", "--q", "{deep}"],
+        ["tongue", "{deep}"],
+        ["branch", "{deep}"],
+        ["render", "{deep}", "--what", "tongue"],
+    ],
+)
+def test_nesting_past_the_cap_is_an_input_error_on_every_path(capsys, argv):
+    # 500 levels once ended in a RecursionError traceback with exit 1
+    deep = "(" * 500 + "y" + ")" * 500
+    code, out, err = run(capsys, *(a.replace("{deep}", deep) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parentheses nested 201 deep") and "Traceback" not in err
+
+
 def test_certify_rejects_swap_when_disabled(capsys):
     code, out, _ = run(capsys, "certify", "x + x^2*y", "--no-swap")
     assert code == 1
@@ -790,6 +810,9 @@ tongue_texts = st.lists(
 @example("x*(y^2 - 2)^3*(10^30*y^2 - 2*10^30 - 1)", "y", "y + x^2*y^2")
 # a non-ASCII digit: str.isdigit() holds, int() refuses it
 @example("x^\u00b2", "y", "y + x^2*y^2")
+# parentheses nested past the cap, in the polynomial and in the mate
+@example("(" * 500 + "x" + ")" * 500, "y", "y + x^2*y^2")
+@example("x", "(" * 500 + "y" + ")" * 500, "y + x^2*y^2")
 def test_fuzzed_commands_exit_0_1_or_2(p, q, t):
     argvs = [
         ["analyze", "--", p],

@@ -782,6 +782,29 @@ def test_proof_takes_its_determinants_only_within_the_budget(monkeypatch):
     assert not fz._stays_above_bound(parse_polynomial("x^200 + 1"))
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (X, parse_polynomial("y + y^3 + x^2*y")),  # Jac = 1 + x^2 + 3y^2
+        affine_pair(1, 1, 0, 1),  # Jac = x^2 + 2xy + 4x + 4y^2 - 2y + 8
+    ],
+)
+def test_affine_proofs_take_three_determinants(monkeypatch, pair):
+    # F has total degree 2 and F_y total degree 1, so Res_y(F, F_y) has
+    # degree at most 1*2 + 2*1 - 2*1 = 2: three nodes, where the x-degree
+    # bound 1*deg_x F + 2*deg_x F_y takes five for the moved pair
+    calls = []
+    resultant = uni.resultant
+
+    def counted(*args):
+        calls.append(args)
+        return resultant(*args)
+
+    monkeypatch.setattr(uni, "resultant", counted)
+    assert fz._stays_above_bound(jacobian(*pair))
+    assert len(calls) == 3
+
+
 def test_answers_do_not_depend_on_the_proof(monkeypatch):
     # the proof only ends a search early: refused, the grid search finds no
     # witness where it held, every box scanned (824 bisections of

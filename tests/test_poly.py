@@ -19,6 +19,7 @@ from jacmate.poly import (
     BivariatePolynomial,
     MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_NESTING,
     MAX_TERMS,
     EmptyInput,
     InputTooLarge,
@@ -498,6 +499,8 @@ def test_horner_plan_floats_are_the_fraction_floats(p):
         # products of one-term factors, refused only in the whole value
         ("2^200*2^200", "bits"),
         ("x^200*y^100*x^57", "degree 257"),
+        # past the recursion limit of the descent, refused before it
+        ("(" * 500 + "x" + ")" * 500, "nested 201 deep"),
     ],
 )
 def test_parser_refuses_input_over_a_cap(text, what):
@@ -514,6 +517,22 @@ def test_a_literal_past_the_int_string_limit_is_reported_before_a_syntax_error()
     # a character no token may hold, before the literal, comes first
     with pytest.raises(ParseError, match="unexpected character '\\$'"):
         parse_polynomial("x $ " + "9" * 5000)
+
+
+def test_nesting_is_capped_at_the_first_parenthesis_past_the_cap():
+    at_cap = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(at_cap) == parse_polynomial("x")
+    # closed groups do not add up: only the parentheses open at once count
+    assert parse_polynomial(f"{at_cap} + {at_cap}*{at_cap}") == parse_polynomial("x + x^2")
+    past = "y + " + "( " * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(InputTooLarge) as info:
+        parse_polynomial(past)
+    offset = len("y + ") + 2 * MAX_NESTING
+    assert past[offset] == "("
+    assert str(info.value) == (
+        f"parentheses nested {MAX_NESTING + 1} deep exceed the cap of {MAX_NESTING}"
+        f" (at offset {offset})"
+    )
 
 
 def test_parser_admits_input_at_the_caps():

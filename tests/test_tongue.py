@@ -800,6 +800,17 @@ def test_class_census_verifies_without_elimination(monkeypatch):
     assert degrees[0] == 7 and degrees[30] == 13 and degrees[-1] == 16
 
 
+def rational_interpolate(values):
+    """The polynomial over Q of degree < len(values) taking values[k] at k.
+
+    With D the lcm of the values' denominators, D * P takes integers at
+    0, ..., L = len(values) - 1, so its Newton coefficients times L! are
+    integers: L! * D * P lies in Z[x], which ``uni.interpolate`` recovers.
+    """
+    scale = math.lcm(*(Fraction(v).denominator for v in values)) * math.factorial(len(values) - 1)
+    return [Fraction(a, scale) for a in uni.interpolate([int(v * scale) for v in values])]
+
+
 def far_line_count(region):
     """The level's ends at infinity, counted as the certificate once did: a reference.
 
@@ -813,7 +824,7 @@ def far_line_count(region):
     py = p.partial_derivative("y")
     levels = [uni.resultant_y(p - k, py) for k in range(py.degree_y() + 1)]
     e_in_t = [
-        uni.interpolate([e[i] if i < len(e) else 0 for e in levels])
+        rational_interpolate([e[i] if i < len(e) else 0 for e in levels])
         for i in range(max(map(len, levels)))
     ]
 

@@ -632,10 +632,60 @@ def test_interpolated_resultant_matches_sylvester_off_the_nodes(f, g, points):
         assert ueval(res, x) == want
 
 
+def fraction_interpolate(values):
+    """Newton interpolation at 0, 1, 2, ... over the rationals: a reference."""
+    coef = [Fraction(v) for v in values]
+    for level in range(1, len(coef)):
+        for k in range(len(coef) - 1, level - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) / level
+    out = []
+    for k in reversed(range(len(coef))):
+        out = [a - k * b for a, b in zip([coef[k]] + out, out + [0])]
+    return normalize(out)
+
+
+# total degree at most 3 with degree 3 in each variable reachable: the
+# bound n*d + m*e - m*n is below n*deg_x f + m*deg_x g whenever m*n > 0
+low_total_degree = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    min_size=2,
+    max_size=6,
+).map(BivariatePolynomial)
+
+
+@PROPERTY
+@given(low_total_degree, low_total_degree)
+def test_resultant_y_needs_no_node_past_the_total_degree_bound(f, g):
+    m, n = f.degree_y(), g.degree_y()
+    d, e = (max(i + j for i, j in h.support()) for h in (f, g))
+    by_x = n * f.degree_x() + m * g.degree_x()
+    by_total = n * d + m * e - m * n
+    assume(by_total < by_x)
+    # the interpolant through the nodes of the x-degree bound
+    want = fraction_interpolate(
+        [resultant(f.restricted_to_x(k), g.restricted_to_x(k), m, n) for k in range(by_x + 1)]
+    )
+    assert resultant_y(f, g) == want
+    assert degree(want) <= by_total
+
+
 def test_interpolate_recovers_a_polynomial():
-    f = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(2)]
-    assert interpolate([ueval(f, k) for k in range(6)]) == f
-    assert interpolate([Fraction(0)] * 3) == []
+    f = [3, -7, 0, 2]
+    assert interpolate([int(ueval(f, k)) for k in range(6)]) == f
+    assert interpolate([0] * 3) == []
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0, 0, 1],  # x(x - 1)/2: integer-valued, not in Z[x]
+        [0, 1, 3, 7],  # 2^x - 1: its Delta^2 = 1 is no multiple of 2!
+    ],
+)
+def test_interpolate_refuses_values_of_no_integer_polynomial(values):
+    with pytest.raises(ValueError, match="Z\\[x\\]"):
+        interpolate(values)
 
 
 RESULTANT_CASES = [
