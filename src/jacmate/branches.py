@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import univariate as uni
 from .poly import BivariatePolynomial, Transform, apply_transform
@@ -26,7 +27,6 @@ from .tongue import region_orientation
 
 __all__ = [
     "NotRightOuterEdge",
-    "NonFiniteEvaluation",
     "BranchLost",
     "SignProbe",
     "BranchAsymptote",
@@ -57,10 +57,6 @@ class NotRightOuterEdge(ValueError):
     pass
 
 
-class NonFiniteEvaluation(ValueError):
-    pass
-
-
 class BranchLost(RuntimeError):
     def __init__(self, message: str, last_sample: tuple[float, float] | None = None):
         super().__init__(message)
@@ -83,13 +79,24 @@ class SignProbe:
 @dataclass(frozen=True)
 class BranchAsymptote:
     """A face root c*, confirmed as a branch y ~ c* x^theta when every probe
-    straddles: an odd root, across which the face changes sign, has none."""
+    straddles: an odd root, across which the face changes sign, has none.
+    c_star is the root's nearest double."""
 
     edge: OuterEdge
-    c_interval: tuple[Fraction, Fraction]
-    c_star: float
-    root_multiplicity: int
+    root: uni.RealRoot
     probes: tuple[SignProbe, ...]
+
+    @property
+    def c_interval(self) -> tuple[Fraction, Fraction]:
+        return (self.root.lo, self.root.hi)
+
+    @cached_property
+    def c_star(self) -> float:
+        return float(self.root)
+
+    @property
+    def root_multiplicity(self) -> int:
+        return self.root.multiplicity
 
     @property
     def theta(self) -> Fraction:
@@ -139,8 +146,6 @@ def sign_probe(
     (theta = l/k in lowest terms) so that both curve points are rational
     and the evaluation stays exact.
     """
-    if not math.isfinite(x_probe) or x_probe <= 0:
-        raise NonFiniteEvaluation(f"probe abscissa {x_probe!r} is unusable")
     theta = Fraction(theta)
     k, l = theta.denominator, theta.numerator
     s = max(2, round(x_probe ** (1.0 / k)))
@@ -172,22 +177,14 @@ def branch_candidates(
     low = next(k for k, c in enumerate(coeffs) if c != 0)
     reduced = coeffs[low:]
     out: list[BranchAsymptote] = []
-    # 0 is no root here and isolation splits (-B, B) there first: no interval straddles it
+    # 0 is no root here and isolation splits (-2^K, 2^K) there first: no interval straddles it
     for iv in uni.isolate_roots(reduced, width=uni.DEFAULT_WIDTH):
         if iv.multiplicity % 2 == 1:
             probes = ()  # the face changes sign across the root: no probe decides anything
         else:
             c_lo, c_hi = (iv.lo, iv.hi) if iv.lo != iv.hi else _curves_beside(reduced, iv.lo)
             probes = tuple(sign_probe(p, edge.slope, c_lo, c_hi, xp) for xp in PROBE_XS)
-        out.append(
-            BranchAsymptote(
-                edge=edge,
-                c_interval=(iv.lo, iv.hi),
-                c_star=float(iv),
-                root_multiplicity=iv.multiplicity,
-                probes=probes,
-            )
-        )
+        out.append(BranchAsymptote(edge=edge, root=iv, probes=probes))
     return out
 
 

@@ -157,7 +157,7 @@ def _cmd_tongue(args) -> int:
 
 def _cmd_falsify(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    q = parse_polynomial(args.q)
+    q = parse_polynomial(_read_input(args.q))
     outcome, body = search_result_to_dict(find_jacobian_zero(p, q))
     _emit(args, json.dumps({"outcome": outcome, **body}, indent=2))
     return 0 if outcome == "witness" else 1

@@ -7,7 +7,10 @@ signs: multiplicities come from Yun's square-free decomposition over Z with
 a subresultant gcd (Brown & Traub, J. ACM 1971), roots are counted by
 Descartes' rule of signs with bisection (Collins & Akritas, SYMSAC 1976),
 and isolating intervals have rational endpoints; a float is only ever an
-isolated root's nearest double.  :func:`resultant_y` eliminates y from two
+isolated root's nearest double.  An open end of a window is taken at
+-/+2^``root_exponent``, past every root.  An isolating interval is a part
+of its window's bisection, so it depends on the window; the root's nearest
+double and multiplicity do not.  :func:`resultant_y` eliminates y from two
 bivariate polynomials in Z[x] for the falsifier's miss proof: one integer
 determinant per node of their integer rows, and exact Newton interpolation
 in integers (Collins, J. ACM 1971), divided by the two denominators once at
@@ -32,7 +35,6 @@ __all__ = [
     "subresultant_gcd",
     "squarefree_decomposition",
     "count_roots",
-    "root_bound",
     "root_exponent",
     "probe_bracket",
     "isolate_roots",
@@ -274,35 +276,36 @@ def _descartes_bound(c: list[int], lo: Fraction, hi: Fraction) -> int:
     return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
+def _window(f: Coeffs, lo: Fraction | None, hi: Fraction | None):
+    """(c, lo, hi, changes): f's integer multiple, the open window with an
+    end left None at -/+2^root_exponent(c), and Descartes' bound on it; None
+    for a constant f or an empty window."""
+    f = normalize(f)
+    if degree(f) < 1:
+        return None
+    c = _integer_multiple(f)
+    if lo is None or hi is None:
+        bound = 2 ** root_exponent(c)
+        lo, hi = (-bound if lo is None else lo), (bound if hi is None else hi)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        return None
+    return c, lo, hi, _descartes_bound(c, lo, hi)
+
+
 def count_roots(f: Coeffs, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots in the open (lo, hi); an end left None is unbounded.
 
-    The count does not depend on where the search starts, so an open end is
-    taken at -/+ 2^root_exponent(f), which can be far tighter than
-    ``root_bound``: 8 against 4,501 on the degree-18 Res_y(F, F_y) of the
-    miss proof for 1 + (x^2 + y^3 - 1)^2 + (xy - 2)^2.
+    Zero or one Descartes sign change on the window is the count; more
+    count the parts of its bisection that hold one root of the square-free
+    part of f.
     """
-    f = normalize(f)
-    if degree(f) < 1:
+    if (window := _window(f, lo, hi)) is None:
         return 0
-    c = _integer_multiple(f)
-    bound = 2 ** root_exponent(c)
-    lo, hi = Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
-    if lo >= hi:
-        return 0
-    changes = _descartes_bound(c, lo, hi)
+    c, lo, hi, changes = window
     if changes < 2:
         return changes  # exact with or without multiple roots
     return len(_one_root_intervals(_divide(c, subresultant_gcd(c, derivative(c))), lo, hi))
-
-
-def root_bound(f: Coeffs) -> Fraction:
-    """Cauchy bound: every real root lies in (-B, B)."""
-    f = normalize(f)
-    if degree(f) < 1:
-        return Fraction(1)
-    # exact for int coefficients too, where / would give a float
-    return 1 + Fraction(max(abs(a) for a in f[:-1]), abs(f[-1]))
 
 
 def root_exponent(c: list[int]) -> int:
@@ -334,22 +337,20 @@ def isolate_roots(
     triple root of (y^2 - 2)^3 (10^30 y^2 - 2*10^30 - 1) do.  A root at
     ``lo`` or ``hi`` is outside (lo, hi) and not reported, but the interval
     next to it may start or end on it.
+
+    The interval is halved from the part of the window's bisection on which
+    Descartes' rule stops, so it depends on the window; the root's
+    ``float`` and multiplicity do not.
     """
-    f = normalize(f)
-    if degree(f) < 1:
+    if (window := _window(f, lo, hi)) is None:
         return []
-    bound = root_bound(f) if lo is None or hi is None else 0  # an open end: Cauchy's bound
-    lo, hi = Fraction(-bound if lo is None else lo), Fraction(bound if hi is None else hi)
-    if lo >= hi:
-        return []
+    c, lo, hi, changes = window
     width = Fraction(width)
     wn, wd = width.numerator, width.denominator  # b - a > width: (b - a) * wd > wn * den
-    c = _integer_multiple(f)
+    found: list[RealRoot] = []
     # Descartes' rule is exact for 0 and 1 sign changes, multiple roots or
     # not: only two or more need the square-free factors
-    changes = _descartes_bound(c, lo, hi)
-    found: list[RealRoot] = []
-    for factor, mult in [(c, 1)] * changes if changes < 2 else squarefree_decomposition(f):
+    for factor, mult in [(c, 1)] * changes if changes < 2 else squarefree_decomposition(c):
         # roots at the requested ends lie outside the open interval: divide
         # them out, and no end of a part is a root (splits avoid roots)
         g = _deflate_root(_deflate_root(factor, lo), hi)
@@ -374,28 +375,21 @@ def _nonroot_point(g: list[int], lo: Fraction, hi: Fraction) -> Fraction:
 def _one_root_intervals(
     g: list[int], lo: Fraction, hi: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """The widest parts of a bisection of (lo, hi) that hold one root of g each.
+    """The parts of a bisection of (lo, hi) with one Descartes sign change, in order.
 
-    Parts with two or more Descartes sign changes are split at
-    ``_nonroot_point``, so each root of g ends a path of parts.  An exact
-    root count stops on the first part of a path that no other path shares;
-    paths in order of position share the most with their neighbours.
+    Parts with two or more sign changes are split at ``_nonroot_point`` and
+    parts with none are dropped, so each part returned holds one root of g.
     """
-    paths, work = [], [[(lo, hi)]]
+    out, work = [], [(lo, hi)]
     while work:
-        path = work.pop()
-        a, b = path[-1]
+        a, b = work.pop()
         changes = _descartes_bound(g, a, b)
         if changes == 1:
-            paths.append(path)
+            out.append((a, b))
         elif changes:
             mid = _nonroot_point(g, a, b)
-            work += [path + [(mid, b)], path + [(a, mid)]]
-    own = [0] * len(paths)
-    for i in range(1, len(paths)):
-        k = next(k for k, (u, v) in enumerate(zip(paths[i - 1], paths[i])) if u != v)
-        own[i - 1], own[i] = max(own[i - 1], k), k
-    return [path[k] for path, k in zip(paths, own)]
+            work += [(mid, b), (a, mid)]
+    return out
 
 
 def _bisect(g: list[int], lo: Fraction, hi: Fraction, wide) -> tuple[Fraction, Fraction]:

@@ -429,6 +429,18 @@ def test_missing_file_input(capsys):
     assert err
 
 
+def test_falsify_reads_both_polynomials_from_files(tmp_path, capsys):
+    # --q takes a text or @path, as the polynomial does
+    p_path, q_path = tmp_path / "p.txt", tmp_path / "q.txt"
+    p_path.write_text("x\n")
+    q_path.write_text("y + y^3 + x^2*y\n")
+    code, out, err = run(capsys, "falsify", "@" + str(p_path), "--q", "@" + str(q_path))
+    assert (code, err) == (1, "")
+    assert out.encode() == (GOLDEN / "falsify_miss_x_q_y_y3_x2y.json").read_bytes()
+    code, _, err = run(capsys, "falsify", "x", "--q", "@/nonexistent/q.txt")
+    assert code == 2 and err.startswith("file error:")
+
+
 def test_branch_csv(capsys):
     code, out, _ = run(capsys, "branch", "y + x^2*y^2", "--x-end", "100")
     assert code == 0

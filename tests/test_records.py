@@ -44,6 +44,9 @@ def records():
         ("CriterionCertificate", "theta"),
         ("OuterEdge", "is_right"),
         ("OuterEdge", "slope"),
+        ("BranchAsymptote", "c_interval"),
+        ("BranchAsymptote", "c_star"),
+        ("BranchAsymptote", "root_multiplicity"),
         ("BranchAsymptote", "theta"),
         ("BranchAsymptote", "existence"),
         ("SignProbe", "straddles"),

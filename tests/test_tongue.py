@@ -53,6 +53,12 @@ def region_of(p):
     return build_tongue(p, corollary_certificate(p))
 
 
+def cauchy_bound(f):
+    # every real root of the nonconstant f lies in (-B, B)
+    f = uni.normalize(f)
+    return 1 + Fraction(max(abs(a) for a in f[:-1]), abs(f[-1]))
+
+
 @pytest.fixture(scope="module")
 def region3(p3):
     return region_of(p3)
@@ -190,7 +196,7 @@ def test_roots_past_counts_the_open_ray():
     # roots 1, sqrt(5), 7/3 and 4: bisection counts three past 1, Descartes'
     # rule settles one past 3 and none past 4; the closed ray holds 4
     def roots_past(c, lo):
-        return uni.count_roots(c, lo, uni.root_bound(c))
+        return uni.count_roots(c, lo, cauchy_bound(c))
 
     res = parse_polynomial("(y - 1)*(3*y - 7)*(y^2 - 5)*(y - 4)").restricted_to_x(0)
     assert roots_past(res, Fraction(1)) == 3
@@ -532,7 +538,7 @@ def strip_region(p, x0):
     # orientation or x0 decision: the level check reads h = p(x0, .) and
     # f(x0) from it
     h = p.restricted_to_x(x0)
-    top = uni.isolate_roots(h, Fraction(0), uni.root_bound(h))[0]
+    top = uni.isolate_roots(h, Fraction(0), cauchy_bound(h))[0]
     return tongue.TongueRegion(IDENTITY, False, p, x0, restriction_profile(h, x0, top))
 
 
@@ -831,9 +837,9 @@ def far_line_count(region):
     def count(t):
         e = uni.normalize([uni.ueval(c, t) for c in e_in_t])
         assert e, f"Res_y(p - t, p_y) vanishes identically for t = {t}"
-        far = max(Fraction(2 ** math.ceil(uni.root_bound(e)).bit_length()), 2 * region.x0)
+        far = max(Fraction(2 ** math.ceil(cauchy_bound(e)).bit_length()), 2 * region.x0)
         hq = p.restricted_to_x(far)
-        top = uni.isolate_roots(hq, Fraction(0), uni.root_bound(hq))[0]
+        top = uni.isolate_roots(hq, Fraction(0), cauchy_bound(hq))[0]
         return uni.count_roots(tongue._shifted_by(hq, t), Fraction(0), top.hi)
 
     return count

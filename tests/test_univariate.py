@@ -23,7 +23,6 @@ from jacmate.univariate import (
     probe_bracket,
     resultant,
     resultant_y,
-    root_bound,
     root_exponent,
     squarefree_decomposition,
     subresultant_gcd,
@@ -41,6 +40,7 @@ needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+reaches = st.fractions(min_value=0, max_value=5, max_denominator=12)
 
 
 def from_roots(roots):
@@ -59,6 +59,12 @@ def times(f, g):
         for j, b in enumerate(g):
             prod[i + j] += a * b
     return prod
+
+
+def cauchy_bound(f):
+    # every real root of f lies in (-B, B); 1 for a constant
+    f = normalize(f)
+    return 1 + Fraction(max((abs(a) for a in f[:-1]), default=0), abs(f[-1]))
 
 
 def test_from_roots_helper():
@@ -156,20 +162,20 @@ def test_count_roots_on_open_intervals():
     assert count_roots([Fraction(10), Fraction(-6), Fraction(1)], Fraction(0), Fraction(5)) == 0
 
 
-def test_root_bound_dominates_roots():
+def test_root_exponent_dominates_rational_roots():
     rng = random.Random(2002)
     for _ in range(60):
         roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
         f = from_roots(roots)
-        bound = root_bound(f)
+        bound = 2 ** root_exponent(_integer_multiple(f))
         assert all(abs(r) < bound for r in roots)
 
 
-def test_root_bound_and_isolation_on_integer_coefficients():
-    # the kernel's own factors are int lists: the bound must stay a Fraction
-    assert root_bound([2, 0, 1]) == Fraction(3)
-    assert type(root_bound([2, 0, 1])) is Fraction
+def test_isolation_on_integer_coefficients():
+    # the kernel's own factors are int lists: open ends at -/+2^2 stay Fractions
+    assert root_exponent([-2, 0, 1]) == 2
     roots = isolate_roots([-2, 0, 1])
+    assert all(type(end) is Fraction and -4 <= end <= 4 for r in roots for end in (r.lo, r.hi))
     assert [iv.multiplicity for iv in roots] == [1, 1]
     assert roots[0].hi < 0 < roots[1].lo
     assert all(iv.lo**2 <= 2 <= iv.hi**2 for iv in roots[1:])
@@ -302,7 +308,7 @@ def test_isolated_intervals_are_disjoint_random():
         for a, b in zip(ivs, ivs[1:]):
             assert a.hi <= b.lo
         total = sum(iv.multiplicity for iv in ivs)
-        bound = root_bound(f)
+        bound = cauchy_bound(f)
         sf = [g for g, m in squarefree_decomposition(f)]
         # distinct real root count agrees with the Sturm count over a bound
         distinct = 0
@@ -382,11 +388,7 @@ def reference_refine(g, lo, hi, width):
 
 
 def reference_isolate_squarefree(g, lo, hi, width):
-    # a root at a requested end is outside the open interval: divide it out
-    g = [Fraction(a) for a in g]
-    for end in (lo, hi):
-        if ueval(g, end) == 0:
-            g, _ = reference_divmod(g, [-end, Fraction(1)])
+    # g has no root at lo or hi
     chain = reference_sturm_chain(g)
     out = []
     work = [(lo, hi)]
@@ -409,16 +411,38 @@ def reference_isolate_squarefree(g, lo, hi, width):
     return sorted(out)
 
 
+def reference_double(g, lo, hi):
+    # halve until both ends round alike; rounding is monotone, so the root
+    # between them rounds alike too
+    flo = ueval(g, lo)
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        fm = ueval(g, mid)
+        if fm == 0:
+            return float(mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return float(lo)
+
+
 def reference_isolate_roots(f, lo, hi, width):
-    bound = root_bound(f)
+    """(nearest double, multiplicity, interval width) of each root, open ends at Cauchy's bound."""
+    bound = cauchy_bound(f)
     lo = -bound if lo is None else lo
     hi = bound if hi is None else hi
     found = []
     if lo < hi:
         for g, mult in squarefree_decomposition(f):
+            # a root at a requested end is outside the open interval: divide it out
+            g = [Fraction(a) for a in g]
+            for end in (lo, hi):
+                if ueval(g, end) == 0:
+                    g, _ = reference_divmod(g, [-end, Fraction(1)])
             for a, b in reference_isolate_squarefree(g, lo, hi, Fraction(width)):
-                found.append((a, b, mult))
-    return sorted(found, key=lambda r: r[:2])
+                found.append((reference_double(g, a, b), mult, b - a))
+    return found
 
 
 @PROPERTY
@@ -432,11 +456,14 @@ def test_isolate_roots_matches_fraction_bisection(case, lo, hi, width):
     f, roots = case
     if degree(f) < 1:
         return
-    # repeated roots exercise the multiplicities; a coarse width keeps the
-    # parts an exact count stops on, where Descartes' rule splits further
+    # repeated roots exercise the multiplicities
     f = normalize(times(f, from_roots(roots[:1])))
     got = isolate_roots(f, lo, hi, width=width)
-    assert [(r.lo, r.hi, r.multiplicity) for r in got] == reference_isolate_roots(f, lo, hi, width)
+    want = reference_isolate_roots(f, lo, hi, width)
+    # the reference's open ends and parts differ, so its intervals do: its
+    # roots do not, and both sides' intervals are at most `width` wide
+    assert sorted((float(r), r.multiplicity) for r in got) == sorted(w[:2] for w in want)
+    assert all(r.hi - r.lo <= width for r in got) and all(w[2] <= width for w in want)
     for r in got:  # each carries a factor of f, with one root in [r.lo, r.hi]
         assert len(subresultant_gcd(f, r.g)) == len(r.g)
         ends = [_sign_at(r.g, e.numerator, e.denominator) for e in (r.lo, r.hi)]
@@ -456,6 +483,21 @@ def windows(draw):
     ends = st.sampled_from(roots) | rationals if roots else rationals
     lo, hi = sorted((draw(ends), draw(ends)))
     return normalize(f), lo, hi
+
+
+@PROPERTY
+@given(windows(), st.none() | reaches, st.none() | reaches)
+def test_a_roots_double_and_multiplicity_do_not_depend_on_its_window(case, below, above):
+    # the sub-window (a, b) of a window reaching `below` under a and `above`
+    # over b, or open there: the parts differ, the roots in (a, b) do not
+    f, a, b = case
+    lo = None if below is None else a - below
+    hi = None if above is None else b + above
+    inside = [r for r in isolate_roots(f, lo, hi) if r.sign([-a, 1]) > 0 > r.sign([-b, 1])]
+    got = isolate_roots(f, a, b)
+    assert sorted((float(r), r.multiplicity) for r in got) == sorted(
+        (float(r), r.multiplicity) for r in inside
+    )
 
 
 def as_sympy(f):
@@ -509,10 +551,10 @@ def test_root_exponent_is_strictly_above_every_root(c):
 @PROPERTY
 @given(windows(), st.booleans(), st.booleans())
 def test_open_ends_count_as_the_cauchy_bound_does(case, open_lo, open_hi):
-    # count_roots takes an open end at the power-of-2 bound, isolate_roots
-    # at Cauchy's: the count is the same
+    # count_roots takes an open end at the power-of-2 bound: the count is
+    # the same at Cauchy's
     f, lo, hi = case
-    bound = root_bound(f)
+    bound = cauchy_bound(f)
     lo, cauchy_lo = (None, -bound) if open_lo else (lo, lo)
     hi, cauchy_hi = (None, bound) if open_hi else (hi, hi)
     assert count_roots(f, lo, hi) == count_roots(f, cauchy_lo, cauchy_hi)
