@@ -37,7 +37,6 @@ __all__ = [
     "branch_candidates",
     "trace_branch",
     "lowest_positive_branch",
-    "fitted_exponent",
     "trace_to_csv",
 ]
 
@@ -124,13 +123,6 @@ class BranchTrace:
     samples: tuple[tuple[float, float], ...]
     theta: Fraction
     residual_bound: float
-
-    @property
-    def ratio_bounds(self) -> tuple[float, float]:
-        """The least and greatest y / x^theta over the samples."""
-        theta = float(self.theta)
-        ratios = [y / x**theta for x, y in self.samples]
-        return min(ratios), max(ratios)
 
 
 def sign_probe(
@@ -276,20 +268,6 @@ def lowest_positive_branch(
     q = apply_transform(p, transform)
     (asym,) = [a for a in branch_candidates(q, criterion.witness_edge) if a.c_star > 0]
     return transform, trace_branch(q, asym, cfg or TraceConfig())
-
-
-def fitted_exponent(trace: BranchTrace) -> float:
-    """Least-squares slope of log|y| against log x over the trace."""
-    xs = [math.log(x) for x, _ in trace.samples]
-    ys = [math.log(abs(y)) for _, y in trace.samples]
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two samples to fit an exponent")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((v - mx) ** 2 for v in xs)
-    sxy = sum((u - mx) * (v - my) for u, v in zip(xs, ys))
-    return sxy / sxx
 
 
 def trace_to_csv(trace: BranchTrace, p: BivariatePolynomial) -> str:

@@ -124,8 +124,10 @@ SLICE_EXPONENT = 64
 # as an exact rational, and the most work the proof may predict before it is
 # tried: an upper bound on the nodes that uni.resultant_y takes for
 # Res_y(F, F_y), times its Sylvester size cubed, or the degree of an F in x
-# alone.  Within them a proof took at most ~0.1 s on a 2-core VM (Python
-# 3.11); Pinchuk's Jacobian predicts 415 * 23^3, some 11 s.
+# alone.  That predictor modelled a determinant per node and is kept as a
+# size cap: the remainder sequence takes Pinchuk's Jacobian, 415 * 23^3, in
+# ~0.5 s on a 2-core VM (Python 3.11), but its Res_y has real roots, so a
+# higher cap would only add a failed proof to its search.
 _ABOVE_BOUND = Fraction(math.nextafter(10 * ZERO_TOL, math.inf))
 PROOF_WORK = 100_000
 PROOF_MAX_DEGREE = 48
@@ -303,13 +305,14 @@ def _descend(J, Jx, Jy, x: float, y: float):
 def _stays_above_bound(J: BivariatePolynomial) -> NoRealZero | None:
     """The proof that |J| > C at every real point (module docstring), or None.
 
-    None means unproved.  It is refused unproved, before any determinant,
-    when the predicted work exceeds PROOF_WORK: (n - 1) * deg_x F + n *
-    deg_x F_y + 1, the most nodes :func:`univariate.resultant_y` takes for
-    Res_y(F, F_y), times the cube of its Sylvester size, or for n = 0 a
-    degree over PROOF_MAX_DEGREE.  Every polynomial shown root-free is read
-    as integers: lc_y(F) and F(0, .) as rows of F's numerators, and Res_y
-    from the integer rows of F and F_y.
+    None means unproved.  It is refused unproved, before any resultant,
+    when the predicted work exceeds PROOF_WORK, a kept size cap: (n - 1) *
+    deg_x F + n * deg_x F_y + 1, the most nodes
+    :func:`univariate.resultant_y` takes for Res_y(F, F_y), times the cube
+    of its Sylvester size, or for n = 0 a degree over PROOF_MAX_DEGREE.
+    Every polynomial shown root-free is read as integers: lc_y(F) and
+    F(0, .) as rows of F's numerators, and Res_y from the integer rows of F
+    and F_y.
     """
     at_origin = J.evaluate(0, 0)
     if abs(at_origin) <= _ABOVE_BOUND:

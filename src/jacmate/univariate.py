@@ -11,10 +11,11 @@ isolated root's nearest double.  An open end of a window is taken at
 -/+2^``root_exponent``, past every root.  An isolating interval is a part
 of its window's bisection, so it depends on the window; the root's nearest
 double and multiplicity do not.  :func:`resultant_y` eliminates y from two
-bivariate polynomials in Z[x] for the falsifier's miss proof: one integer
-determinant per node of their integer rows, and exact Newton interpolation
-in integers (Collins, J. ACM 1971), divided by the two denominators once at
-the end.  The certify path eliminates nothing.
+bivariate polynomials in Z[x] for the falsifier's miss proof: one resultant
+per node of their integer rows, read off the remainder sequence that the
+gcd runs, and exact Newton interpolation in integers (Collins, J. ACM
+1971), divided by the two denominators once at the end.  The certify path
+eliminates nothing.
 """
 
 from __future__ import annotations
@@ -173,30 +174,44 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return normalize(r)
 
 
+def _remainders(a: list[int], b: list[int]) -> tuple[list[int], list[int], int, int]:
+    """The subresultant remainder sequence of a and b, deg a >= deg b >= 0.
+
+    Brown & Traub's sequence in Cohen's form (GTM 138, Alg. 3.3.7): each
+    division is exact over Z and the coefficients grow only linearly with
+    the degree.  Returns (a', r, h, s): a' the last nonconstant member; r
+    the member after it, a nonzero constant, or [] when a' divides the one
+    before; and the scale h and sign s that the resultant needs.
+    """
+    g = h = s = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == len(b) % 2 == 0:  # both degrees odd
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return b, r, h, s
+        den = g * h**delta
+        a, b = b, [v // den for v in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    return a, b, h, s
+
+
 def subresultant_gcd(a: Coeffs, b: Coeffs) -> list[int]:
     """gcd(a, b) as a primitive integer polynomial with positive leading coefficient.
 
-    Runs the subresultant remainder sequence (Brown & Traub): each division
-    is exact over Z and the coefficients grow only linearly with the
-    degree.  The gcd of two zero polynomials is [].
+    The last nonconstant member of the remainder sequence of a and b when
+    the remainder after it is 0; [1] when that remainder is a nonzero
+    constant.  The gcd of two zero polynomials is [].
     """
     a, b = _integer_multiple(normalize(a)), _integer_multiple(normalize(b))
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return _primitive(a) if a else []
-    a, b = _primitive(a), _primitive(b)
-    g = h = 1
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        r = _prem(a, b)
-        if not r:
-            return _primitive(b)
-        den = g * h**delta
-        a, b = b, [v // den for v in r]
-        g = a[-1]
-        h = g**delta // h ** (delta - 1) if delta else h
-    return [1]  # a nonzero constant remainder
+    last, r, _, _ = _remainders(_primitive(a), _primitive(b))
+    return [1] if r else _primitive(last)
 
 
 def squarefree_decomposition(f: Coeffs) -> list[tuple[list[int], int]]:
@@ -474,32 +489,35 @@ def _half_spacing(n: int, d: int) -> int:
     return max(e, -1022) - 53 if n else -1075
 
 
-def resultant(f: Coeffs, g: Coeffs, m: int, n: int) -> Fraction | int:
-    """Sylvester determinant of f and g at formal degrees m >= deg f, n >= deg g.
+def resultant(f: list[int], g: list[int], m: int, n: int) -> int:
+    """Sylvester determinant of the integer f and g at formal degrees m >= deg f, n >= deg g.
 
-    Exact: an int when f and g have integer coefficients.
+    A top coefficient missing from one of them leaves one entry in the
+    first column, (-1)^n lc(g) or lc(f), and the matrix of one formal degree
+    less as its minor; both missing leave a zero column.  The rest is read
+    off the remainder sequence of the two primitive parts (Cohen, GTM 138,
+    Alg. 3.3.7), times their contents.
     """
-    # integer Bareiss: cf*f and cg*g have cf^n * cg^m times the determinant
-    cf, cg = (math.lcm(*(a.denominator for a in c)) for c in (f, g))
-    f = [0] * (m + 1 - len(f)) + [int(a * cf) for a in reversed(f)]
-    g = [0] * (n + 1 - len(g)) + [int(a * cg) for a in reversed(g)]
-    rows = [[0] * k + f + [0] * (n - 1 - k) for k in range(n)]
-    rows += [[0] * k + g + [0] * (m - 1 - k) for k in range(m)]
-    sign, prev = 1, 1
-    for c in range(m + n):
-        pivot = next((r for r in range(c, m + n) if rows[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        top = rows[c]
-        for r in range(c + 1, m + n):
-            lead = rows[r][c]
-            rows[r] = [(top[c] * a - lead * b) // prev for a, b in zip(rows[r], top)]
-        prev = top[c]
-    scale = cf**n * cg**m
-    return sign * prev if scale == 1 else Fraction(sign * prev, scale)
+    f, g, scale = normalize(f), normalize(g), 1
+    while m and n and (len(f) <= m) != (len(g) <= n):
+        if len(f) > m:
+            scale, n = scale * f[-1], n - 1
+        else:
+            scale, m = scale * (-1) ** n * g[-1], m - 1
+    if not m or not n:  # a diagonal matrix, 1 when it is 0 x 0
+        return scale * ((f[0] if f else 0) ** n if not m else (g[0] if g else 0) ** m)
+    if len(f) <= m:  # both tops missing
+        return 0
+    if m < n:
+        f, g, m, n = g, f, n, m
+        scale *= (-1) ** (m * n)
+    pf, pg = _primitive(f), _primitive(g)
+    last, r, h, s = _remainders(pf, pg)
+    if not r:
+        return 0
+    k = len(last) - 1
+    scale *= s * (f[-1] // pf[-1]) ** n * (g[-1] // pg[-1]) ** m
+    return scale * (r[0] ** k // h ** (k - 1))
 
 
 def resultant_y(f, g) -> Coeffs:
@@ -509,7 +527,7 @@ def resultant_y(f, g) -> Coeffs:
     share a factor.  With m = deg_y f, n = deg_y g and the common
     denominators a of f and b of g, R = Res_y(a*f, b*g) = a^n * b^m *
     Res_y(f, g) lies in Z[x].  Its value at each node x = 0, 1, ..., N is
-    one integer determinant of the rows ``integer_row(k)``, which are
+    the :func:`resultant` of the integer rows ``integer_row(k)``, which are
     a*f(k, .) and b*g(k, .); R is interpolated exactly in integers and
     divided by a^n * b^m once.
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from jacmate.branches import (
     NotRightOuterEdge,
     TraceConfig,
     branch_candidates,
-    fitted_exponent,
     lowest_positive_branch,
     trace_branch,
     trace_to_csv,
@@ -26,6 +26,12 @@ from jacmate.branches import (
 
 def witness_edge(p):
     return corollary_certificate(p).witness_edge
+
+
+def log_slope(trace):
+    # the slope of log|y| against log x from the first sample to the last
+    (x0, y0), (x1, y1) = trace.samples[0], trace.samples[-1]
+    return math.log(y1 / y0) / math.log(x1 / x0)
 
 
 def test_trace_config_validation():
@@ -148,13 +154,13 @@ def test_trace_p1_asymptote(p1):
     trace = trace_branch(p1, asym, TraceConfig(x_start=100.0, x_end=10000.0))
     for x, y in trace.samples:
         assert abs(y + 1.0 / x) <= 5.0 / x**3  # next-order term decays as x^-3
-    assert fitted_exponent(trace) == pytest.approx(-1.0, abs=0.02)
+    assert log_slope(trace) == pytest.approx(-1.0, abs=0.02)
 
 
 def test_fitted_exponent_p3(p3):
     asym = branch_candidates(p3, witness_edge(p3))[0]
     trace = trace_branch(p3, asym, TraceConfig(x_start=10.0, x_end=1000.0))
-    assert fitted_exponent(trace) == pytest.approx(-2.0, abs=0.02)
+    assert log_slope(trace) == pytest.approx(-2.0, abs=0.02)
 
 
 def test_two_branches_ordered_by_slope():
@@ -211,7 +217,8 @@ def test_trace_csv_shape(p3):
 def test_ratio_bounds_bracket_unity(p3):
     # sample-to-sample ratio of y against the power law stays near 1
     _, trace = lowest_positive_branch(p3)
-    lo, hi = trace.ratio_bounds
+    ratios = [y / x ** float(trace.theta) for x, y in trace.samples]
+    lo, hi = min(ratios), max(ratios)
     assert lo <= 1.0 <= hi or (abs(lo - 1.0) < 0.2 and abs(hi - 1.0) < 0.2)
 
 

@@ -102,10 +102,23 @@ def test_no_slice_decides_a_jacobian_that_stays_positive(pinchuk):
             assert fz._slice_witness(J) is None, (a, b, c, d, e, g)
 
 
+def test_pinchuk_jacobian_resultant_is_pinned(pinchuk):
+    # Res_y(J, J_y) at 415 nodes of a 23 x 23 Sylvester matrix: ~0.5 s by
+    # the remainder sequence on a 2-core VM, where an integer determinant
+    # per node took 6-8 s
+    J = jacobian(*pinchuk[:2])
+    r = uni.resultant_y(J, J.partial_derivative("y"))
+    assert uni.degree(r) == 208 and not any(r[:192]) and r[192]
+    factors = uni.squarefree_decomposition(r)
+    assert [(uni.degree(g), m) for g, m in factors] == [(16, 1), (1, 192)]
+    assert uni.count_roots(r) == 1  # x = 0, its root of multiplicity 192
+
+
 def test_pinchuk_jacobian_is_refused_before_any_determinant(pinchuk, monkeypatch):
-    # Jac > 0 everywhere, but Res_y(F, F_y) would take 415 determinants of
-    # 23 x 23 (about 11 s): the miss proof refuses it on its budget alone,
-    # before it counts a root or takes a determinant
+    # Jac > 0 everywhere, but Res_y(F, F_y) predicts 415 nodes of 23 x 23,
+    # over PROOF_WORK (about 0.5 s, and 9 real roots, so no proof): the
+    # miss proof refuses it on its budget alone, before it counts a root or
+    # takes a resultant
     calls = []
     for name in ("resultant", "count_roots"):
         step = getattr(uni, name)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from jacmate.branches import branch_candidates, lowest_positive_branch
+from jacmate.branches import branch_candidates
 from jacmate.falsifier import find_jacobian_zero
 from jacmate.poly import parse_polynomial
 from jacmate.polygon import corollary_certificate, newton_polygon, right_outer_edges
@@ -13,7 +13,7 @@ from jacmate.tongue import tongue_certificate
 
 @pytest.fixture(scope="module")
 def records():
-    """One instance of each of the nine records, keyed by class name."""
+    """One instance of each of the eight records, keyed by class name."""
     p = parse_polynomial("y + x^2*y^2")
     criterion = corollary_certificate(p)
     tongue = tongue_certificate(p, criterion)
@@ -25,7 +25,6 @@ def records():
         "OuterEdge": criterion.witness_edge,
         "BranchAsymptote": asym,
         "SignProbe": asym.probes[0],
-        "BranchTrace": lowest_positive_branch(p)[1],
         "LevelRecord": tongue.level_report.records[-1],
         "RestrictionProfile": tongue.region.profile,
         # Jac = x^200 + 1, which the miss proof refuses, and 1 + 3y^2 + x^2
@@ -50,7 +49,6 @@ def records():
         ("BranchAsymptote", "theta"),
         ("BranchAsymptote", "existence"),
         ("SignProbe", "straddles"),
-        ("BranchTrace", "ratio_bounds"),
         ("LevelRecord", "component_count"),
         ("RestrictionProfile", "x0"),
         ("RestrictionProfile", "f_x0"),

@@ -651,6 +651,73 @@ def test_high_degree_barrier_resultant_is_isolated_exactly():
     assert mult == 1 and a <= iv.lo and iv.hi <= b
 
 
+# -- resultant ------------------------------------------------------------------
+
+
+def sylvester(f, g, m, n):
+    """Res_(m,n)(f, g) as sympy's determinant of the explicit Sylvester matrix."""
+    sympy = pytest.importorskip("sympy")
+    f, g = ([sympy.Rational(a.numerator, a.denominator) for a in reversed(c)] for c in (f, g))
+    f, g = [0] * (m + 1 - len(f)) + f, [0] * (n + 1 - len(g)) + g
+    rows = [[0] * k + f + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + g + [0] * (m - 1 - k) for k in range(m)]
+    det = sympy.Matrix(m + n, m + n, [a for row in rows for a in row]).det(method="bird")
+    return Fraction(int(det.p), int(det.q))
+
+
+def resultant_cases(rng, count):
+    # (f, g, m, n) at formal degrees up to 6: a third of the lists have a
+    # random length, so they may be empty, short or end in zeros, and a
+    # quarter of the pairs share a linear factor
+    def coefficients(k):
+        if rng.random() < 1 / 3:
+            return [rng.randint(-9, 9) for _ in range(rng.randint(0, k + 1))]
+        return [rng.randint(-9, 9) for _ in range(k)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+    for _ in range(count):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        f, g = coefficients(m), coefficients(n)
+        if m and n and rng.random() < 0.25:
+            factor = [rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])]
+            f, g = ([int(a) for a in times(c[:k], factor)] if c else c for c, k in ((f, m), (g, n)))
+        yield f, g, m, n
+
+
+def test_resultant_matches_the_sylvester_determinant():
+    seen = dict.fromkeys(["drop", "zero", "diagonal", "shared", "odd swap"], 0)
+    for f, g, m, n in resultant_cases(random.Random(36), 2400):
+        want = sylvester(f, g, m, n)
+        assert resultant(f, g, m, n) == want, (f, g, m, n)
+        d, e = degree(normalize(f)), degree(normalize(g))
+        seen["drop"] += d < m or e < n
+        seen["zero"] += min(d, e) < 0
+        seen["diagonal"] += not m or not n
+        seen["shared"] += d == m > 0 and e == n > 0 and not want
+        seen["odd swap"] += d == m < e == n and m % 2 == n % 2 == 1
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "f, g, m, n, want",
+    [
+        ([], [], 0, 0, 1),  # the empty matrix
+        ([5], [7], 0, 0, 1),
+        ([3], [1, 2, 3], 0, 2, 9),  # f0^n
+        ([2], [], 0, 2, 4),  # f0^n with g = 0 in its rows
+        ([], [2], 3, 0, 8),  # g0^m for any f, the zero polynomial too
+        ([1, 2, 3], [-2], 2, 0, 4),
+        ([1, 1], [1, 1], 1, 1, 0),  # the root -1 shared
+        ([1, 0], [2, 1], 1, 1, -1),  # f's top missing: (-1)^1 * 1 * Res_0,1(1, g)
+        ([1, 0], [2, 0], 1, 1, 0),  # both tops missing: a zero column
+        ([0, 1], [-1, 0, 0, 1], 1, 3, -1),  # y against y^3 - 1: g(0)
+        ([-1, 0, 0, 1], [0, 1], 3, 1, 1),  # swapped, odd x odd: the sign flips
+    ],
+)
+def test_resultant_at_its_edge_cases(f, g, m, n, want):
+    assert resultant(f, g, m, n) == want
+    assert sylvester(f, g, m, n) == want
+
+
 # -- resultant by interpolation -----------------------------------------------
 
 bivariate = st.dictionaries(
@@ -670,8 +737,7 @@ def test_interpolated_resultant_matches_sylvester_off_the_nodes(f, g, points):
     m, n = f.degree_y(), g.degree_y()
     # the interpolation nodes are 0, 1, 2, ...; a non-integer is never one
     for x in [r for r in points if r.denominator > 1] + [Fraction(-1, 2)]:
-        want = resultant(f.restricted_to_x(x), g.restricted_to_x(x), m, n)
-        assert ueval(res, x) == want
+        assert ueval(res, x) == sylvester(f.restricted_to_x(x), g.restricted_to_x(x), m, n)
 
 
 def fraction_interpolate(values):
@@ -706,7 +772,7 @@ def test_resultant_y_needs_no_node_past_the_total_degree_bound(f, g):
     assume(by_total < by_x)
     # the interpolant through the nodes of the x-degree bound
     want = fraction_interpolate(
-        [resultant(f.restricted_to_x(k), g.restricted_to_x(k), m, n) for k in range(by_x + 1)]
+        [sylvester(f.restricted_to_x(k), g.restricted_to_x(k), m, n) for k in range(by_x + 1)]
     )
     assert resultant_y(f, g) == want
     assert degree(want) <= by_total
