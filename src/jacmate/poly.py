@@ -5,12 +5,13 @@ integer numerators n_ij, keyed by exponent pairs ``(i, j)``, over one
 positive integer den, with a_ij = n_ij / den in lowest terms (den = 1 for
 integer coefficients).  The zero polynomial has no numerators.  Sums,
 products, derivatives, the Jacobian, restriction to a vertical line, exact
-evaluation and the parser all work on these integers, scaling each operand
-once and building a ``Fraction`` only for a result that must be one; the
-``terms`` map of ``Fraction`` coefficients is built on first use.  Floating
-point enters only through :meth:`BivariatePolynomial.evaluate_approx` and the
-grid evaluator, and numpy only through the grid evaluator, which imports it on
-first use: the exact commands run without loading it.
+evaluation, printing and the parser all work on these integers, scaling each
+operand once and building a ``Fraction`` only for a result that must be one,
+such as :meth:`BivariatePolynomial.coefficient`; no other copy of the
+coefficients is kept.  Floating point enters only through
+:meth:`BivariatePolynomial.evaluate_approx` and the grid evaluator, and numpy
+only through the grid evaluator, which imports it on first use: the exact
+commands run without loading it.
 
 ``evaluate_approx`` runs a Horner plan, planned once per polynomial, on one
 of two paths with the same float operations in the same order, so their
@@ -28,10 +29,10 @@ hit reaches the threshold (at most 47 calls each on the benchmark's
 documents).
 
 The eight axis symmetries (swap the variables, negate either axis) are
-represented by :class:`Transform` values.  Applying a transform never changes
-which exponent pairs can appear, only where they sit and the coefficient
-signs, so the Newton polygon machinery downstream can reason about supports
-without tracking coefficients.
+:class:`Transform` values, three flags each.  Applying a transform never
+changes which exponent pairs can appear, only where they sit and the
+coefficient signs, so the Newton polygon machinery downstream can reason
+about supports without tracking coefficients.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ __all__ = [
     "SWAP",
     "NEGATE_X",
     "NEGATE_Y",
-    "NEGATE_XY",
-    "ALL_TRANSFORMS",
     "ParseError",
     "EmptyInput",
     "NonNaturalExponent",
@@ -68,7 +67,6 @@ __all__ = [
     "parse_polynomial",
     "jacobian",
     "apply_transform",
-    "compose_transforms",
     "evaluate_on_grid",
 ]
 
@@ -112,66 +110,40 @@ COMPILE_AFTER = 256
 
 @dataclass(frozen=True)
 class Transform:
-    """One of the eight axis symmetries of the plane.
+    """One of the eight axis symmetries of the plane, as three flags.
 
     Exponent-level action on a term ``c * x^i * y^j``: first swap the
     exponents if ``swap_xy``, then multiply the coefficient by ``(-1)^i``
     if ``negate_x`` and by ``(-1)^j`` if ``negate_y`` (exponents taken
-    after the swap).  As a substitution this is ``p(sigma(x, y))`` for the
-    signed permutation ``sigma`` returned by :meth:`matrix`.
+    after the swap).  As a substitution this is ``p(sigma(x, y))`` with
+    ``sigma(x, y) = (ex * x, ey * y)``, or ``(ey * y, ex * x)`` if
+    ``swap_xy``, where ``ex`` is -1 if ``negate_x`` and 1 otherwise, and
+    ``ey`` likewise for ``negate_y``.
     """
 
     swap_xy: bool = False
     negate_x: bool = False
     negate_y: bool = False
 
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        ex = -1 if self.negate_x else 1
-        ey = -1 if self.negate_y else 1
-        if self.swap_xy:
-            return ((0, ey), (ex, 0))
-        return ((ex, 0), (0, ey))
-
 
 IDENTITY = Transform()
 SWAP = Transform(swap_xy=True)
 NEGATE_X = Transform(negate_x=True)
 NEGATE_Y = Transform(negate_y=True)
-NEGATE_XY = Transform(negate_x=True, negate_y=True)
-
-ALL_TRANSFORMS = tuple(
-    Transform(swap_xy=s, negate_x=nx, negate_y=ny)
-    for s in (False, True)
-    for nx in (False, True)
-    for ny in (False, True)
-)
-
-_BY_MATRIX = {t.matrix(): t for t in ALL_TRANSFORMS}
-
-
-def compose_transforms(first: Transform, second: Transform) -> Transform:
-    """The single transform equivalent to applying ``first`` then ``second``."""
-    a, b = first.matrix(), second.matrix()
-    prod = tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(2)) for c in range(2))
-        for r in range(2)
-    )
-    return _BY_MATRIX[prod]
 
 
 class BivariatePolynomial:
     """Immutable sparse polynomial in x and y with rational coefficients.
 
     Stored as integer numerators over one positive common denominator, in
-    lowest terms: ``sum _num[i, j] * x^i * y^j / _den``.  The form is
-    canonical, so equal polynomials store equal numerators and denominators.
-    ``terms`` gives the same coefficients as a map to ``Fraction``.
+    lowest terms: ``sum _num[i, j] * x^i * y^j / _den``.  This is its only
+    form, and it is canonical, so equal polynomials store equal numerators
+    and denominators.  ``support`` and ``coefficient`` read it term by term.
     """
 
-    # ``_terms`` is the Fraction view, built on first use.  ``_plan`` is the
-    # float Horner plan with its call count, built on the first float
-    # evaluation and replaced by its compiled function once hot
-    __slots__ = ("_num", "_den", "_terms", "_plan")
+    # ``_plan`` is the float Horner plan with its call count, built on the
+    # first float evaluation and replaced by its compiled function once hot
+    __slots__ = ("_num", "_den", "_plan")
 
     def __init__(self, terms: Mapping[LatticePoint, Fraction | int] | None = None):
         clean: dict[LatticePoint, Fraction] = {}
@@ -185,20 +157,9 @@ class BivariatePolynomial:
         # the least common denominator leaves no factor common to all numerators
         den = math.lcm(*(c.denominator for c in clean.values()))
         _init(self, {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den)
-        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePolynomial is immutable")
-
-    @property
-    def terms(self) -> dict[LatticePoint, Fraction]:
-        """Map from exponent pairs ``(i, j)`` to the nonzero coefficients."""
-        terms = self._terms
-        if terms is None:
-            den = self._den
-            terms = {k: Fraction(n, den) for k, n in self._num.items()}
-            object.__setattr__(self, "_terms", terms)
-        return terms
 
     # -- construction helpers -------------------------------------------
 
@@ -266,7 +227,7 @@ class BivariatePolynomial:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- queries ----------------------------------------------------------
 
@@ -289,7 +250,7 @@ class BivariatePolynomial:
         return max((j for _, j in self._num), default=0)
 
     def coefficient(self, point: LatticePoint) -> Fraction:
-        return self.terms.get(point, Fraction(0))
+        return Fraction(self._num.get(point, 0), self._den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -396,29 +357,20 @@ class BivariatePolynomial:
     # -- serialization -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._num:
+        """Terms by descending exponent pair, each coefficient in lowest terms."""
+        num, den = self._num, self._den
+        if not num:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
-            mono = "*".join(
-                s
-                for s in (_power("x", i), _power("y", j))
-                if s
-            )
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        for (i, j) in sorted(num, reverse=True):
+            n = num[(i, j)]
+            g = math.gcd(n, den)
+            mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            mono = "*".join(s for s in (_power("x", i), _power("y", j)) if s)
+            body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+            parts.append(f" {'-' if n < 0 else '+'} {body}")
+        text = "".join(parts)  # " + a - b ...": drop the first sign's padding
+        return ("-" if text[1] == "-" else "") + text[3:]
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({str(self)!r})"
@@ -437,7 +389,6 @@ Numerators = dict[LatticePoint, int]
 def _init(p: BivariatePolynomial, num: Numerators, den: int) -> None:
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
-    object.__setattr__(p, "_terms", None)
     object.__setattr__(p, "_plan", None)
 
 

@@ -72,9 +72,11 @@ ch. IV), so the certificate eliminates no variable.
    The criterion also proves that the region exists:
    - some axis sign change gives the face a01 + a_ab c^(b - 1) a simple
      positive root c, a branch y ~ c x^theta, exactly when it makes
-     a01 a_ab < 0: negating y multiplies
-     -a01 / a_ab by (-1)^(b + 1) and negating x by (-1)^a, so all four
-     fail only if a is even and b is odd, when gcd(a, b - 1) >= 2;
+     a01 a_ab < 0: negating y multiplies -a01 / a_ab by (-1)^(b + 1) and
+     negating x by (-1)^a.  So the identity, negating y (b even) or
+     negating x (b odd, hence a odd, since gcd(a, b - 1) = 1) serves, and
+     negating both is never needed: it serves only when a + b is even,
+     where negating y (both even) or x (both odd) already does;
    - by (H2) that branch is f, a finite positive root of p(x, .) at every
      x >= x0: p(x0, .) has a smallest positive root f(x0), in
      (m x0^theta, C x0^theta);
@@ -142,16 +144,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import univariate as uni
-from .poly import (
-    IDENTITY,
-    NEGATE_X,
-    NEGATE_XY,
-    NEGATE_Y,
-    BivariatePolynomial,
-    Transform,
-    apply_transform,
-    compose_transforms,
-)
+from .poly import BivariatePolynomial, Transform, apply_transform
 from .polygon import CriterionCertificate
 
 __all__ = [
@@ -356,9 +349,6 @@ def _barrier_crossings(
 # ---------------------------------------------------------------------------
 
 
-_SIGN_ORDER = (IDENTITY, NEGATE_Y, NEGATE_X, NEGATE_XY)
-
-
 def region_orientation(
     p: BivariatePolynomial, criterion: CriterionCertificate
 ) -> tuple[Transform, bool]:
@@ -367,28 +357,35 @@ def region_orientation(
     ``criterion`` is p's edge criterion, decided once by the caller; it
     must be satisfied.  Its witness edge runs from (0, 1) to (a, b), and
     its face a01 + a_ab c^(b - 1) has a simple positive root exactly when
-    a01 a_ab < 0.  Axis sign changes are tried in a fixed order (identity,
-    negate y, negate x, both) until one makes it so; one always does,
-    since gcd(a, b - 1) = 1 (module docstring, (H3)).  p = a01 y + O(y^2)
-    there, so p is flipped, negated, when a01 < 0: then p > 0 just above
-    y = 0.  The returned transform is the full map from p to the region's
-    coordinates.
+    a01 a_ab < 0.  Negating y multiplies the term (i, j) by (-1)^j, so
+    a01 a_ab by (-1)^(b + 1), and negating x multiplies it by (-1)^a.  So
+    the identity serves when a01 a_ab < 0; otherwise negating y when b is
+    even; otherwise negating x, since b odd makes a odd by
+    gcd(a, b - 1) = 1 (module docstring, (H3)).  Negating both axes
+    multiplies a01 a_ab by (-1)^(a + b + 1), so it would serve only when
+    a + b is even, where negating y (both even) or x (both odd) already
+    does.  p = a01 y + O(y^2) there, so p is flipped, negated,
+    when a01 < 0: then p > 0 just above y = 0.  The returned transform,
+    the criterion's swap followed by the sign change, is the full map from
+    p to the region's coordinates.
     """
     if not criterion.satisfied:
         raise ValueError("polynomial does not satisfy the edge criterion")
     q = apply_transform(p, criterion.transform_used)
     a, b = criterion.endpoints[1]
     a01, a_ab = q.coefficient((0, 1)), q.coefficient((a, b))
-    for sign_t in _SIGN_ORDER:
-        # negating x multiplies the term (i, j) by (-1)^i, negating y by (-1)^j
-        s01 = -a01 if sign_t.negate_y else a01
-        s_ab = (-1) ** (a * sign_t.negate_x + b * sign_t.negate_y) * a_ab
-        if s01 * s_ab < 0:
-            return compose_transforms(criterion.transform_used, sign_t), s01 < 0
-    raise AssertionError(
-        "no axis sign change gives the witness face a positive root, which "
-        "gcd(a, b - 1) = 1 rules out: all four fail only if a is even and b is odd"
-    )
+    if a01 * a_ab < 0:
+        negate_x = negate_y = False
+    elif b % 2 == 0:
+        negate_x, negate_y, a01 = False, True, -a01
+    elif a % 2:
+        negate_x, negate_y = True, False
+    else:
+        raise AssertionError(
+            "no axis sign change gives the witness face a positive root, which "
+            "gcd(a, b - 1) = 1 rules out: it takes a even and b odd"
+        )
+    return Transform(criterion.transform_used.swap_xy, negate_x, negate_y), a01 < 0
 
 
 def build_tongue(p: BivariatePolynomial, criterion: CriterionCertificate) -> TongueRegion:
@@ -456,7 +453,7 @@ def _edge_terms(p: BivariatePolynomial, end: tuple[int, int]):
             "a01*a_ab < 0 with a01 > 0"
         )
     off = []
-    for (i, j), c in p.terms.items():
+    for i, j in sorted(p.support()):
         if (i, j) in ((0, 1), end):
             continue
         n = a * (j - 1) - i * (b - 1)
@@ -465,7 +462,7 @@ def _edge_terms(p: BivariatePolynomial, end: tuple[int, int]):
                 f"the term x^{i}*y^{j} of p is not below the witness edge "
                 f"(0, 1)-({a}, {b}): a(j - 1) - i(b - 1) = {n} < 1"
             )
-        off.append((c, i, j, n))
+        off.append((p.coefficient((i, j)), i, j, n))
     return a01, a_ab, off
 
 

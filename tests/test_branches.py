@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jacmate.poly import NEGATE_Y, SWAP, compose_transforms, parse_polynomial
+from jacmate.poly import NEGATE_Y, Transform, parse_polynomial
 from jacmate.polygon import (
     NotAnEdgeOfThisPolynomial,
     corollary_certificate,
@@ -191,7 +191,7 @@ def test_lowest_positive_branch_p3(p3):
 
 def test_lowest_positive_branch_swap_case(swap_case):
     transform, trace = lowest_positive_branch(swap_case)
-    assert transform == compose_transforms(SWAP, NEGATE_Y)
+    assert transform == Transform(swap_xy=True, negate_y=True)
     for x, y in trace.samples:
         assert y > 0
         assert abs(y - 1.0 / x) <= 1e-6 / x

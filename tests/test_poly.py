@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from jacmate.falsifier import ZeroWitness, find_jacobian_zero, random_trials
 from jacmate.poly import (
-    ALL_TRANSFORMS,
     COMPILE_AFTER,
     IDENTITY,
     NEGATE_X,
@@ -25,8 +25,8 @@ from jacmate.poly import (
     InputTooLarge,
     NonNaturalExponent,
     ParseError,
+    Transform,
     apply_transform,
-    compose_transforms,
     evaluate_on_grid,
     jacobian,
     parse_polynomial,
@@ -36,6 +36,20 @@ from jacmate.poly import (
 
 X = BivariatePolynomial.variable("x")
 Y = BivariatePolynomial.variable("y")
+
+# the eight axis symmetries, every combination of the three flags
+TRANSFORMS = [Transform(*flags) for flags in itertools.product((False, True), repeat=3)]
+
+
+def terms(p):
+    """p's coefficients as a map from exponent pairs to Fractions."""
+    return {k: p.coefficient(k) for k in p.support()}
+
+
+def sigma(t, x, y):
+    """The point substituted by ``t``: apply_transform(p, t) is p(sigma(x, y))."""
+    ex, ey = (-1 if t.negate_x else 1), (-1 if t.negate_y else 1)
+    return (ey * y, ex * x) if t.swap_xy else (ex * x, ey * y)
 
 
 def random_poly(rng, max_degree=4, bound=9):
@@ -116,6 +130,58 @@ def test_str_formatting():
     assert str(parse_polynomial("x - 1")) == "x - 1"
 
 
+def fraction_str(coeffs):
+    """The formatter ``__str__`` replaced, on a map to nonzero Fractions."""
+    if not coeffs:
+        return "0"
+
+    def power(var, e):
+        return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+    parts = []
+    for i, j in sorted(coeffs, reverse=True):
+        c = coeffs[(i, j)]
+        mono = "*".join(s for s in (power("x", i), power("y", j)) if s)
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        parts.append(("-" if c < 0 else "+", body))
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def test_str_and_hash_match_the_fraction_map():
+    # str(p) byte for byte against the Fraction-map formatter, and equal
+    # polynomials hash alike however they are built: from ints, from
+    # Fractions or by the parser
+    rng = random.Random(37)
+    coeffs = [1, -1, 2, -7, 10**20]
+    coeffs += [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(-1, 10**9)]
+    seen = {"negative lead": 0, "+-1": 0, "non-integer": 0, "constant": 0, "zero": 0}
+    for _ in range(600):
+        raw = {}
+        for _ in range(rng.randint(0, 6)):
+            raw[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(rng.choice(coeffs))
+        if rng.random() < 0.1:
+            raw = {(0, 0): Fraction(rng.choice(coeffs))} if rng.random() < 0.8 else {}
+        from_fractions = BivariatePolynomial(raw)
+        ints = {k: c.numerator if c.denominator == 1 else c for k, c in raw.items()}
+        from_ints = BivariatePolynomial(ints)
+        text = str(from_fractions)
+        assert text == fraction_str(raw)
+        parsed = parse_polynomial(text)
+        for q in (from_ints, parsed):
+            assert q == from_fractions and hash(q) == hash(from_fractions) and str(q) == text
+        seen["negative lead"] += bool(raw) and raw[max(raw)] < 0
+        seen["+-1"] += any(abs(c) == 1 and k != (0, 0) for k, c in raw.items())
+        seen["non-integer"] += any(c.denominator != 1 for c in raw.values())
+        seen["constant"] += list(raw) == [(0, 0)]
+        seen["zero"] += not raw
+    assert min(seen.values()) >= 40, seen
+
+
 def test_arithmetic_ring_identities():
     rng = random.Random(1002)
     for _ in range(100):
@@ -152,7 +218,7 @@ def test_evaluate_approx_overflow_is_inf():
 def rowwise_horner(p, x, y):
     """The per-call row loop evaluate_approx replaced, kept as its reference."""
     rows = {}
-    for (i, j), c in p.terms.items():
+    for (i, j), c in terms(p).items():
         rows.setdefault(j, []).append((i, float(c)))
 
     def horner_row(row):
@@ -392,34 +458,40 @@ def test_jacobian_antisymmetry_and_additivity():
 
 
 def test_transform_composition_table():
-    assert compose_transforms(SWAP, SWAP) == IDENTITY
-    assert compose_transforms(NEGATE_X, NEGATE_X) == IDENTITY
-    for t in ALL_TRANSFORMS:
-        assert any(compose_transforms(t, u) == IDENTITY for u in ALL_TRANSFORMS)
-        assert compose_transforms(IDENTITY, t) == t
+    # applying s then t is applying the one u with sigma_u = sigma_s o sigma_t;
+    # the eight images of x + 2y are distinct, so u is found by its image
+    p = X + 2 * Y
+    assert len({apply_transform(p, t) for t in TRANSFORMS}) == 8
+    for s in TRANSFORMS:
+        for t in TRANSFORMS:
+            both = apply_transform(apply_transform(p, s), t)
+            (u,) = [u for u in TRANSFORMS if apply_transform(p, u) == both]
+            assert sigma(u, 3, 5) == sigma(s, *sigma(t, 3, 5))
+    assert apply_transform(apply_transform(p, SWAP), SWAP) == p
+    assert apply_transform(apply_transform(p, NEGATE_X), NEGATE_X) == p
+    assert apply_transform(p, IDENTITY) == p
 
 
 def test_apply_transform_is_substitution():
     rng = random.Random(1006)
     for _ in range(60):
         p = random_poly(rng)
-        t = rng.choice(ALL_TRANSFORMS)
+        t = rng.choice(TRANSFORMS)
         x = Fraction(rng.randint(-9, 9))
         y = Fraction(rng.randint(-9, 9))
-        m = t.matrix()
-        tx = m[0][0] * x + m[0][1] * y
-        ty = m[1][0] * x + m[1][1] * y
-        assert apply_transform(p, t).evaluate(x, y) == p.evaluate(tx, ty)
+        assert apply_transform(p, t).evaluate(x, y) == p.evaluate(*sigma(t, x, y))
 
 
 def test_apply_transform_composes():
     rng = random.Random(1007)
     for _ in range(40):
         p = random_poly(rng)
-        s = rng.choice(ALL_TRANSFORMS)
-        t = rng.choice(ALL_TRANSFORMS)
-        both = compose_transforms(s, t)
-        assert apply_transform(apply_transform(p, s), t) == apply_transform(p, both)
+        s = rng.choice(TRANSFORMS)
+        t = rng.choice(TRANSFORMS)
+        x = Fraction(rng.randint(-9, 9))
+        y = Fraction(rng.randint(-9, 9))
+        both = apply_transform(apply_transform(p, s), t)
+        assert both.evaluate(x, y) == p.evaluate(*sigma(s, *sigma(t, x, y)))
 
 
 def test_sign_changes_preserve_support():
@@ -446,15 +518,6 @@ def test_evaluate_on_grid_matches_pointwise():
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             assert grid[i, j] == pytest.approx(p.evaluate_approx(x, y), rel=1e-12, abs=1e-12)
-
-
-def test_float_paths_leave_the_fraction_view_unbuilt():
-    # evaluate_approx and the grid read the numerators, not ``terms``
-    J = jacobian(parse_polynomial("1/3*x^3*y + 2/7*x*y^2"), parse_polynomial("y^2 - 2/5*x"))
-    assert J._den != 1
-    J.evaluate_approx(0.5, -1.25)
-    evaluate_on_grid(J, np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 3))
-    assert J._terms is None
 
 
 def plan_coefficients(plan):
@@ -484,7 +547,7 @@ def plan_coefficients(plan):
 def test_horner_plan_floats_are_the_fraction_floats(p):
     # n / den of the stored numerators rounds as float(Fraction) does
     got = plan_coefficients(_horner_plan(p._num, p._den))
-    assert got == {k: float(c) for k, c in p.terms.items()}
+    assert got == {k: float(c) for k, c in terms(p).items()}
 
 
 @pytest.mark.parametrize(
@@ -539,11 +602,11 @@ def test_parser_admits_input_at_the_caps():
     assert parse_polynomial(f"x^{MAX_DEGREE}*y^{MAX_DEGREE}").degree_x() == MAX_DEGREE
     assert parse_polynomial(f"{2**MAX_COEFF_BITS - 1}/{2**MAX_COEFF_BITS - 1}*x") == parse_polynomial("x")
     assert parse_polynomial("1^1000000000 + (-1)^1000000001") == parse_polynomial("0")
-    assert len(parse_polynomial("(1 + x + y)^43").terms) == 990 <= MAX_TERMS
+    assert len(parse_polynomial("(1 + x + y)^43").support()) == 990 <= MAX_TERMS
     # the cap is per coefficient: their common denominator may exceed it
     p = parse_polynomial(f"1/{3**150}*x + 1/{5**100}*y")
     assert (3**150 * 5**100).bit_length() > MAX_COEFF_BITS
-    assert p.terms == {(1, 0): Fraction(1, 3**150), (0, 1): Fraction(1, 5**100)}
+    assert terms(p) == {(1, 0): Fraction(1, 3**150), (0, 1): Fraction(1, 5**100)}
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +686,8 @@ def assert_is(got, want_terms):
     """``got`` has exactly the coefficients ``want_terms`` (zeros dropped),
     and equals, and hashes like, the polynomial built from them."""
     want_terms = {k: Fraction(c) for k, c in want_terms.items() if c}
-    assert got.terms == want_terms
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert terms(got) == want_terms
+    assert all(type(c) is Fraction for c in terms(got).values())
     want = BivariatePolynomial(want_terms)
     assert got == want and hash(got) == hash(want)
 
@@ -642,7 +705,7 @@ KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=1
 @KERNEL
 @given(kernel_polys, kernel_polys)
 def test_kernel_ring_operations_match_the_fraction_loops(p, q):
-    a, b = p.terms, q.terms
+    a, b = terms(p), terms(q)
     assert_is(p + q, ref_add(a, b))
     assert_is(p - q, ref_add(a, b, -1))
     assert_is(-p, {k: -c for k, c in a.items()})
@@ -658,22 +721,22 @@ def test_kernel_ring_operations_match_the_fraction_loops(p, q):
 @KERNEL
 @given(kernel_polys, st.integers(0, 4))
 def test_kernel_power_matches_the_fraction_loops(p, n):
-    assert_is(p**n, ref_pow(p.terms, n))
+    assert_is(p**n, ref_pow(terms(p), n))
 
 
 @KERNEL
 @given(kernel_polys, kernel_polys)
 def test_kernel_calculus_matches_the_fraction_loops(p, q):
     for var in ("x", "y"):
-        assert_is(p.partial_derivative(var), ref_partial(p.terms, var))
-    assert_is(jacobian(p, q), ref_jacobian(p.terms, q.terms))
+        assert_is(p.partial_derivative(var), ref_partial(terms(p), var))
+    assert_is(jacobian(p, q), ref_jacobian(terms(p), terms(q)))
 
 
 @KERNEL
 @given(kernel_polys, st.one_of(rationals, dyadics, st.integers(-5, 5)))
 def test_kernel_restriction_matches_the_fraction_loop(p, x0):
     got = p.restricted_to_x(x0)
-    assert got == ref_restrict(p.terms, x0)
+    assert got == ref_restrict(terms(p), x0)
     assert all(type(c) is Fraction for c in got)
 
 
@@ -682,7 +745,7 @@ def test_kernel_restriction_matches_the_fraction_loop(p, x0):
 def test_kernel_evaluate_matches_the_fraction_loop(p, x, y):
     got = p.evaluate(x, y)
     assert type(got) is Fraction
-    assert got == ref_evaluate(p.terms, x, y)
+    assert got == ref_evaluate(terms(p), x, y)
 
 
 def test_kernel_edge_cases():

@@ -15,11 +15,16 @@ from jacmate.poly import (
     NEGATE_Y,
     SWAP,
     BivariatePolynomial,
+    Transform,
     apply_transform,
-    compose_transforms,
     parse_polynomial,
 )
-from jacmate.polygon import corollary_certificate
+from jacmate.polygon import (
+    CriterionCertificate,
+    corollary_certificate,
+    newton_polygon,
+    right_outer_edges,
+)
 from jacmate.render import render_tongue_svg
 from jacmate.tongue import (
     CONTAINED_IN_B,
@@ -383,7 +388,7 @@ def test_tongue_certificate_p1(p1):
 def test_tongue_certificate_swap_case(swap_case):
     cert = certify_tongue(swap_case)
     assert cert.status == VERIFIED
-    assert cert.region.transform == compose_transforms(SWAP, NEGATE_Y)
+    assert cert.region.transform == Transform(swap_xy=True, negate_y=True)
     assert cert.region.flipped
     assert cert.region.profile.t0 == Fraction(1, 8)
 
@@ -716,7 +721,7 @@ def test_region_orientation_needs_no_branch(p3, swap_case):
     # negating y, which makes a01 = -1; x + x^2*y has x = -1/y
     assert tongue.region_orientation(p3, corollary_certificate(p3)) == (NEGATE_Y, True)
     swapped = tongue.region_orientation(swap_case, corollary_certificate(swap_case))
-    assert swapped == (compose_transforms(SWAP, NEGATE_Y), True)
+    assert swapped == (Transform(swap_xy=True, negate_y=True), True)
     circle = parse_polynomial("x^2 + y^2")
     with pytest.raises(ValueError):
         tongue.region_orientation(circle, corollary_certificate(circle))
@@ -764,27 +769,55 @@ def class_draws(seed, attempts=2000, edge=None, extra=(1, 5), i_max=4, j_max=5, 
 
 
 def test_certified_draws_have_only_a01_y_below_j_2():
-    # on seeded class members, region_orientation always finds its sign
-    # change (the gcd argument in the module docstring): the first in its
-    # order whose witness face has a confirmed positive root.  In its
-    # coordinates no term has j = 0, the only j = 1 term is (0, 1), the
-    # premise of (H3), and the flip is the sign of p below f(x0)
+    # on seeded class members, region_orientation's sign change gives the
+    # witness face a confirmed positive root.  In its coordinates no term
+    # has j = 0, the only j = 1 term is (0, 1), the premise of (H3), and the
+    # flip is the sign of p below f(x0)
     draws = list(itertools.islice(class_draws(2024), 200))
     assert len(draws) == 200
     for p, cert in draws:
         transform, flipped = tongue.region_orientation(p, cert)
-        for sign_t in tongue._SIGN_ORDER:
-            moved = compose_transforms(cert.transform_used, sign_t)
-            found = any(
-                a.existence == branches.CONFIRMED and a.c_star > 0
-                for a in branches.branch_candidates(apply_transform(p, moved), cert.witness_edge)
-            )
-            assert found == (moved == transform), str(p)
-            if found:
-                break
         q = apply_transform(p, transform)
+        assert any(
+            a.existence == branches.CONFIRMED and a.c_star > 0
+            for a in branches.branch_candidates(q, cert.witness_edge)
+        ), str(p)
         assert {ij for ij in q.support() if ij[1] <= 1} == {(0, 1)}, str(p)
         assert below_top_is_negative(q, cert.endpoints[1]) in (flipped, None), str(p)
+
+
+def test_orientation_table_is_exhaustive():
+    # every witness edge (0, 1)-(a, b) with a <= 12 and 2 <= b <= 12, with
+    # both signs of each coefficient, in both axis orders: after the
+    # orientation and its flip a01 > 0 > a_ab, and no transform negates
+    # both axes.  The identity, negate y and negate x each occur, with and
+    # without the criterion's swap
+    seen = set()
+    for a in range(13):
+        for b in range(2, 13):
+            if math.gcd(a, b - 1) != 1:
+                continue
+            for s01, s_ab in itertools.product((2, -2), (3, -3)):
+                edge = BivariatePolynomial({(0, 1): s01, (a, b): s_ab})
+                for p in (edge, apply_transform(edge, SWAP)):
+                    cert = corollary_certificate(p)
+                    assert cert.endpoints == ((0, 1), (a, b)), str(p)
+                    transform, flipped = tongue.region_orientation(p, cert)
+                    q = apply_transform(p, transform)
+                    if flipped:
+                        q = -q
+                    assert q.coefficient((0, 1)) > 0 > q.coefficient((a, b)), str(p)
+                    assert not (transform.negate_x and transform.negate_y), str(p)
+                    assert transform.swap_xy == cert.transform_used.swap_xy
+                    seen.add(transform)
+    signs = ((False, False), (False, True), (True, False))
+    assert seen == {Transform(s, nx, ny) for s in (False, True) for nx, ny in signs}
+    # an edge with a even and b odd has gcd(a, b - 1) >= 2, so the criterion
+    # never hands one over; handed one, the orientation refuses it
+    p = parse_polynomial("y + x^2*y^3")
+    (edge,) = [e for e in right_outer_edges(newton_polygon(p)) if (0, 1) in e.endpoints()]
+    with pytest.raises(AssertionError, match="a even and b odd"):
+        tongue.region_orientation(p, CriterionCertificate(IDENTITY, edge))
 
 
 def test_class_census_verifies_without_elimination(monkeypatch):
