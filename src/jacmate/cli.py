@@ -196,8 +196,9 @@ def count(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use, not at import.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and its verbs' parsers by name, built
+    on first use, not at import.
 
     ``parse_args`` fills a fresh namespace from the defaults on every call,
     so no option carries over from one command to the next.
@@ -207,17 +208,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify that a plane polynomial has no real Jacobian mate.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = {}
 
-    def add_poly(sp):
+    def add_verb(name, func, summary):
+        sp = verbs[name] = sub.add_parser(name, help=summary)
         sp.add_argument("poly", help="polynomial text, or @path to a UTF-8 file")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("analyze", help="Newton polygon and outer edges as JSON")
-    add_poly(sp)
+    sp = add_verb("analyze", _cmd_analyze, "Newton polygon and outer edges as JSON")
     sp.add_argument("--json", help="also write the JSON to this path")
-    sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("certify", help="run the edge criterion and emit a certificate")
-    add_poly(sp)
+    sp = add_verb("certify", _cmd_certify, "run the edge criterion and emit a certificate")
     sp.add_argument("--no-swap", action="store_true", help="do not try swapping x and y")
     sp.add_argument("--tongue", action="store_true", help="add the tongue region checks")
     sp.add_argument("--falsify", type=count, default=0, metavar="N",
@@ -225,44 +227,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", help="also write the certificate to this path")
     sp.add_argument("--svg", help="write the polygon figure to this path")
-    sp.set_defaults(func=_cmd_certify)
 
-    sp = sub.add_parser("branch", help="trace a branch at infinity to CSV")
-    add_poly(sp)
+    sp = add_verb("branch", _cmd_branch, "trace a branch at infinity to CSV")
     sp.add_argument("--edge", type=int, default=0, metavar="K",
                     help="index into the right outer edges, sorted by slope")
     sp.add_argument("--x-start", type=float, default=10.0, metavar="A")
     sp.add_argument("--x-end", type=float, default=1000.0, metavar="B")
     sp.add_argument("--root", type=int, default=None, metavar="R",
                     help="pick the R-th leading-coefficient root instead of the first confirmed")
-    sp.set_defaults(func=_cmd_branch)
 
-    sp = sub.add_parser("tongue", help="build and check the tongue region")
-    add_poly(sp)
+    sp = add_verb("tongue", _cmd_tongue, "build and check the tongue region")
     sp.add_argument("--json", help="also write the report to this path")
-    sp.set_defaults(func=_cmd_tongue)
 
-    sp = sub.add_parser("falsify", help="search for a Jacobian zero against a given q")
-    add_poly(sp)
+    sp = add_verb("falsify", _cmd_falsify, "search for a Jacobian zero against a given q")
     sp.add_argument("--q", required=True, help="candidate mate polynomial")
     sp.add_argument("--seed", type=int, default=0,
                     help="ignored: the search is deterministic and the seed does not change it")
     sp.add_argument("--json", help="also write the result to this path")
-    sp.set_defaults(func=_cmd_falsify)
 
-    sp = sub.add_parser("render", help="emit an SVG figure")
-    add_poly(sp)
+    sp = add_verb("render", _cmd_render, "emit an SVG figure")
     sp.add_argument("--what", choices=("polygon", "tongue"), default="polygon")
     sp.add_argument("--x-max", type=float, default=None)
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.set_defaults(func=_cmd_render)
 
-    return parser
+    return parser, verbs
 
 
 def run_command(argv) -> int:
+    parser, verbs = _build_parser()
+    argv = list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        # a verb's own parser reads the rest, which is what the top-level one
+        # would hand it; the top-level one reads -h, no verb or an unknown one
+        verb = verbs.get(argv[0]) if argv else None
+        args = verb.parse_args(argv[1:]) if verb else parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -11,7 +11,9 @@ out there.  The search runs in this order:
    y = 0, +/-1, +/-2, +/-4, ... (:func:`univariate.probe_bracket`); a probe
    where J is 0 is an exact rational root, and the first neighbouring
    pair, outward from 0, with opposite signs is halved on dyadic rationals
-   to the float spacing.  Its ends keep opposite exact signs, so by the
+   to the float spacing.  A pair that holds one root skips the halvings:
+   their end, the root's neighbouring doubles, is read off exact signs
+   near a float guess.  Its ends keep opposite exact signs, so by the
    intermediate value theorem J has a zero on {x0} x [lo, hi]: the witness
    carries that bracket as its proof.
 3. Only if no slice decides, the miss proof, before numpy is imported or
@@ -52,9 +54,13 @@ answer, and a search that a slice decides never pays for the proof.
 The slices' work is bounded: probes stop at 2^64, past which no root is
 sought, and a bracket ending at 0 is halved to 2^-117 at most, so a slice
 takes at most 2 * 65 + 1 probes and 64 + 53 halvings, each one Horner pass
-in integers.  At the parse caps J(x0, .) has degree <= 511; on such a row
-with 4,000-bit coefficients a sign takes ~2 ms at a probe and ~5 ms in a
-halving (2-core VM, Python 3.11), so the five slices take ~5 s at most.
+in integers.  Up to degree 52 it may also take one test for a single root,
+which costs no more than the 52 halvings of a doubling pair, and at most
+1 + ``univariate.NEIGHBOURS`` signs at doubles near a float guess; when
+those decide, no halving runs.  At the parse caps J(x0, .) has degree
+<= 511, where no such test runs; on such a row with 4,000-bit
+coefficients a sign takes ~2 ms at a probe and ~5 ms in a halving (2-core
+VM, Python 3.11), so the five slices take ~5 s at most.
 A search that a slice or the proof decides never loads numpy: it is
 imported by the float search, on its first call.
 

@@ -188,8 +188,16 @@ def test_falsify_pinchuk_miss_matches_golden(capsys, pinchuk):
         # Jac = x^200 + 1, over the proof's degree cap: a miss over all 11
         # boxes, which pins the grid's argmin and the exact |Jac| there
         (("falsify", "1/201*x^201 + x", "--q", "y"), 1, "falsify_grid_miss_x201_q_y.json"),
+        # Jac = y^255 - 3 * 2^62 * y^254 - 1: one sign change, in (2^63, 2^64),
+        # halved past the degree where the pair is tested for one root; the
+        # bracket's float point is no witness, so the grids search too
+        (
+            ("falsify", "x", "--q", "1/256*y^256 - 13835058055282163712/255*y^255 - y"),
+            1,
+            "falsify_miss_deg255_root_past_2e63.json",
+        ),
     ],
-    ids=["analyze", "branch", "not_covered", "falsify_grid_miss"],
+    ids=["analyze", "branch", "not_covered", "falsify_grid_miss", "deg255_pair_past_2e63"],
 )
 def test_output_matches_golden(capsys, argv, code, golden):
     got, out, _ = run(capsys, *argv)
@@ -730,6 +738,21 @@ def test_unknown_subcommand(capsys):
 
 def test_no_arguments(capsys):
     assert run_command([]) == 2
+
+
+def test_an_unrecognized_argument_is_reported_by_its_verb(capsys):
+    # the verb's own parser reads what follows the verb, so it names itself
+    code, out, err = run(capsys, "falsify", "x", "--q", "y", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: jacmate falsify [-h] --q Q")
+    assert err.endswith("jacmate falsify: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["falsify", "-h"], ["falsify", "x", "-h"]])
+def test_help_exits_0(capsys, argv):
+    # the top-level parser and a verb's each print their help to stdout
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: jacmate")
 
 
 def test_one_parser_per_process(capsys):

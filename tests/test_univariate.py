@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from jacmate.poly import BivariatePolynomial, apply_transform, parse_polynomial
 from jacmate.polygon import corollary_certificate
 from jacmate.tongue import region_orientation, restriction_profile
+from jacmate import univariate
 from jacmate.univariate import (
     DEFAULT_WIDTH,
     RealRoot,
+    _bisect,
+    _half_spacing,
     _integer_multiple,
+    _nearest_doubles,
     _sign_at,
     count_roots,
     degree,
@@ -616,6 +620,195 @@ def test_probe_bracket_on_the_edge_cases():
     assert probe_bracket([-(2**70) - 1, 1], 64) is None
     lo, hi = probe_bracket([-1, 3 * 2**80], 64)
     assert 0 < lo < Fraction(1, 3 * 2**80) < hi and hi - lo == Fraction(1, 2**117)
+
+
+def bisected_bracket(c, top):
+    """probe_bracket with every sign-change pair halved by ``_bisect``."""
+    if len(c) < 2:
+        return None if c else (Fraction(0), Fraction(0))
+
+    def wide(a, b, den):
+        near, width = (a if a >= 0 else -b), b - a
+        finest = (width << (top + 53)) <= den
+        return not finest and (not near or width.bit_length() + 52 > near.bit_length())
+
+    probes = [0] + [side << k for k in range(min(root_exponent(c), top) + 1) for side in (1, -1)]
+    signs = {y: sign(ueval(c, y)) for y in probes}
+    for y in probes:
+        if not signs[y]:
+            return (Fraction(y), Fraction(y))
+        inner = y // 2 if abs(y) > 1 else 0
+        if y and signs[y] != signs[inner]:
+            lo, hi = sorted((inner, y))
+            return _bisect(c, Fraction(lo), Fraction(hi), wide)
+    return None
+
+
+def bisected_float(root):
+    """float(root) by halving its interval to the float spacing."""
+    g, lo, hi = root.g, root.lo, root.hi
+    if lo != hi:
+
+        def wide(a, b, d):
+            t = _half_spacing(a if a > 0 else max(-b, 0), d)
+            return ((b - a) << -t > d) if t < 0 else (b - a > d << t)
+
+        lo, hi = _bisect(g, lo, hi, wide)
+        near = max(lo, -hi, 0)
+        h = Fraction(2) ** _half_spacing(near.numerator, near.denominator)
+        m = (math.floor(lo / h) + 1) * h
+        if m < hi:
+            s = _sign_at(g, m.numerator, m.denominator) * _sign_at(g, lo.numerator, lo.denominator)
+            lo, hi = (m, hi) if s > 0 else (lo, m) if s < 0 else (m, m)
+    r = (lo + hi) / 2
+    x = float(r)  # OverflowError past the largest double
+    if not x and r:
+        raise OverflowError("rounds to 0")
+    return x
+
+
+def float_or_overflow(f, *args):
+    try:
+        return repr(f(*args))
+    except OverflowError:
+        return "OverflowError"
+
+
+def root_cases(rng):
+    """Integer polynomials whose roots sit where the float answer is delicate."""
+
+    def linear(r):  # den * y - num
+        r = Fraction(r)
+        return [-r.numerator, r.denominator]
+
+    def binade(e):  # a random non-dyadic point of [2^e, 2^(e + 1))
+        return Fraction(2) ** e * (1 + Fraction(rng.randrange(1, 3**40), 3**40))
+
+    cases = []
+    for e in (0, 1, 5, 40, 63, -1, -20, -64, -65, -66, -200):
+        cases.append(linear(binade(e)))
+        cases.append(linear(-binade(e)))
+        # dyadic roots: a midpoint of the halvings, returned as (r, r)
+        dyadic = Fraction(2) ** e * (1 + Fraction(rng.randrange(1, 2**52), 2**52))
+        cases.append(linear(dyadic))
+        cases.append(_integer_multiple(times(linear(dyadic), [1, 0, 1])))
+        # ties: halfway between two neighbouring doubles
+        cases.append(linear(dyadic + Fraction(2) ** (e - 53)))
+        # an irrational root of a quadratic in that binade
+        r2 = binade(e)
+        cases.append(_integer_multiple([-r2 * r2 - Fraction(1, 7 * 2**60) * r2 * r2, 0, 1]))
+    for e in (-1074, -1075, -1076, -1080, 1023, 1024, 1030):
+        cases.append(linear(Fraction(2) ** e))
+        cases.append(linear(Fraction(2) ** e * Fraction(4, 3)))
+    # subnormal roots, spaced 2^-1074 where the halvings go on finer; the
+    # least denominators keep the coefficients within the float range
+    for k in (3, 5, 7):
+        cases.append(linear(Fraction(1, k * 2**1021)))
+    for e in (-1030, -1070):
+        cases.append(linear(binade(e)))
+    # coefficients past 2^1024
+    cases.append([-(2**1100) * 7, 2**1100 * 5])
+    cases.append([-(2**1100) - 1, 0, 2**1000])
+    # three roots in one doubling pair, and three closer than the float spacing
+    cases.append(_integer_multiple(from_roots([Fraction(10, 9), Fraction(4, 3), Fraction(5, 3)])))
+    near = Fraction(3, 2)
+    cases.append(
+        _integer_multiple(from_roots([near - Fraction(1, 2**60), near, near + Fraction(1, 2**58)]))
+    )
+    cases.append(_integer_multiple(from_roots([Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)])))
+    # random integer polynomials
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        bits = rng.randint(1, 70)
+        cases.append(normalize([rng.randint(-(2**bits), 2**bits) for _ in range(n + 1)]))
+    return [c for c in cases if len(c) >= 2]
+
+
+def test_probe_bracket_and_float_root_match_the_halvings():
+    # the neighbouring doubles found from a float guess are what the
+    # halvings give, at the edges of the float range and of the reach too
+    rng = random.Random(38)
+    for c in root_cases(rng):
+        for top in (64, 1100):
+            assert probe_bracket(c, top) == bisected_bracket(c, top), (c, top)
+        for root in isolate_roots(c):
+            want = float_or_overflow(bisected_float, root)
+            assert float_or_overflow(float, root) == want, (c, root)
+
+
+def test_probe_bracket_returns_a_double_root_and_the_bisections_root_of_three():
+    # 3 * 2^-2 + 2^-52 is a double: (r, r), as its midpoint is
+    r = Fraction(3, 4) + Fraction(1, 2**52)
+    assert probe_bracket([-r.numerator, r.denominator], 64) == (r, r)
+    # three roots in (1, 2): Descartes' rule does not say one, and the
+    # halvings pick the root their midpoints lead to, 91/50, where the
+    # guess from the midpoint 3/2 finds 151/100
+    c = _integer_multiple(from_roots([Fraction(151, 100), Fraction(8, 5), Fraction(91, 50)]))
+    lo, hi = probe_bracket(c, 64)
+    assert lo < Fraction(91, 50) < hi and (lo, hi) == bisected_bracket(c, 64)
+
+
+@pytest.mark.parametrize("top", [64, 1100])
+def test_probe_bracket_takes_the_neighbours_only_where_the_halvings_end_on_them(
+    monkeypatch, top
+):
+    # with the exact neighbouring doubles of each root given, the answer is
+    # still the halvings': below 2^-(top + 1) and among the subnormals they
+    # end on a cell finer or wider than the float spacing
+    def exact_neighbours(g, lo, hi, slo):
+        r = Fraction(-g[0], g[1])
+        x = float(r)
+        if Fraction(x) == r:
+            return (r, r)
+        y = math.nextafter(x, math.inf if Fraction(x) < r else -math.inf)
+        return tuple(sorted((Fraction(x), Fraction(y))))
+
+    halved = []
+
+    def counted(*args):
+        halved.append(args)
+        return _bisect(*args)
+
+    monkeypatch.setattr(univariate, "_nearest_doubles", exact_neighbours)
+    monkeypatch.setattr(univariate, "_bisect", counted)
+    for e in (-60, -64, -65, -66, -70, -1000, -1021, -1022, -1023, -1030, -1060):
+        for r in (Fraction(2) ** e * k for k in (1, Fraction(4, 3), Fraction(3, 5))):
+            c = [-r.numerator, r.denominator]
+            halved.clear()
+            assert probe_bracket(c, top) == bisected_bracket(c, top), (r, top)
+            # the halvings run exactly where r's lower neighbour is below the edge
+            x = float(r)
+            near = Fraction(math.nextafter(x, 0) if Fraction(x) > r else x)
+            assert bool(halved) == (near < Fraction(1, 2 ** min(top + 1, 1022))), (r, top)
+
+
+def test_nearest_doubles_reads_no_sign_outside_its_interval():
+    # g has roots 1 - 2^-60, 1 + 2^-60 and 1 + 2^-57, the last one alone in
+    # (lo, hi), where no double lies: the guess 1.0 is outside, and its sign
+    # would send the walk down, across 1 - 2^-60
+    g = _integer_multiple(
+        from_roots([1 - Fraction(1, 2**60), 1 + Fraction(1, 2**60), 1 + Fraction(1, 2**57)])
+    )
+    lo, hi = 1 + Fraction(1, 2**58), 1 + Fraction(1, 2**56)
+    slo = _sign_at(g, lo.numerator, lo.denominator)
+    assert _nearest_doubles(g, lo, hi, slo) is None
+    assert float(RealRoot(tuple(g), lo, hi, 1)) == 1.0
+
+
+def test_probe_bracket_reads_few_exact_signs_past_its_probes(monkeypatch):
+    # sqrt(2) in (1, 2): the probes 0, 1, -1 and 2, then the guess and its
+    # neighbours, where halving to the float spacing takes 52 signs
+    calls = []
+
+    def counted(c, n, d):
+        calls.append(Fraction(n, d))
+        return _sign_at(c, n, d)
+
+    monkeypatch.setattr(univariate, "_sign_at", counted)
+    lo, hi = probe_bracket([-2, 0, 1], 64)
+    assert lo < hi and math.sqrt(2) in (float(lo), float(hi))
+    assert calls[:4] == [0, 1, -1, 2]
+    assert len(calls) - 4 <= 6
 
 
 @PROPERTY
