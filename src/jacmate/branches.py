@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import tongue  # only lowest_positive_branch reads it: ``branch`` never executes it
 from . import univariate as uni
 from .poly import BivariatePolynomial, Transform, apply_transform
 from .polygon import OuterEdge, corollary_certificate, face_polynomial
-from .tongue import region_orientation
 
 __all__ = [
     "NotRightOuterEdge",
@@ -264,7 +264,7 @@ def lowest_positive_branch(
     is the asymptote traced.
     """
     criterion = corollary_certificate(p)
-    transform, _ = region_orientation(p, criterion)
+    transform, _ = tongue.region_orientation(p, criterion)
     q = apply_transform(p, transform)
     (asym,) = [a for a in branch_candidates(q, criterion.witness_edge) if a.c_star > 0]
     return transform, trace_branch(q, asym, cfg or TraceConfig())

@@ -5,17 +5,25 @@ tongue region checks and falsifier trials.  The headline conclusion is
 only NO_REAL_JACOBIAN_MATE when the edge criterion holds and no enabled
 check contradicts it; the document computes it from those parts, so it
 cannot disagree with them.
+
+It reads ``falsifier`` and ``tongue`` through their modules, and their
+types only for annotations, so a plain ``certify`` executes neither (see
+:mod:`jacmate.cli`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .falsifier import MinRecord, NoRealZero, TrialReport, ZeroWitness
+from . import falsifier, tongue
 from .poly import BivariatePolynomial, Transform
-from .polygon import CriterionCertificate, OuterEdge
-from .tongue import FAILED, TongueCertificate
+from .polygon import CriterionCertificate, edge_to_dict
+
+if TYPE_CHECKING:
+    from .falsifier import MinRecord, NoRealZero, TrialReport, ZeroWitness
+    from .tongue import TongueCertificate
 
 __all__ = [
     "NO_REAL_JACOBIAN_MATE",
@@ -25,7 +33,6 @@ __all__ = [
     "CERTIFICATE_SCHEMA",
     "CertificateDocument",
     "build_certificate",
-    "edge_to_dict",
     "criterion_to_dict",
     "tongue_to_dict",
     "search_result_to_dict",
@@ -44,12 +51,10 @@ CONCLUSIONS = (NO_REAL_JACOBIAN_MATE, INCONCLUSIVE, NOT_COVERED)
 UNCERTIFIED_WARNING = "input is not certified; a mate may exist and misses mean nothing"
 
 
-def _expected_conclusion(
-    criterion: CriterionCertificate, tongue: TongueCertificate | None
-) -> str:
+def _expected_conclusion(criterion: CriterionCertificate, tc: TongueCertificate | None) -> str:
     if not criterion.satisfied:
         return NOT_COVERED
-    if tongue is not None and tongue.status == FAILED:
+    if tc is not None and tc.status == tongue.FAILED:
         return INCONCLUSIVE
     return NO_REAL_JACOBIAN_MATE
 
@@ -105,16 +110,6 @@ def _transform_dict(t: Transform) -> dict:
     return {"swap_xy": t.swap_xy, "negate_x": t.negate_x, "negate_y": t.negate_y}
 
 
-def edge_to_dict(edge: OuterEdge) -> dict:
-    return {
-        "from": list(edge.start),
-        "to": list(edge.end),
-        "normal": list(edge.normal),
-        "slope": str(edge.slope),
-        "is_right": edge.is_right,
-    }
-
-
 def criterion_to_dict(cert: CriterionCertificate) -> dict:
     return {
         "satisfied": cert.satisfied,
@@ -167,7 +162,7 @@ def tongue_to_dict(tc: TongueCertificate) -> dict:
 
 def search_result_to_dict(r: ZeroWitness | MinRecord | NoRealZero) -> tuple[str, dict]:
     """A search's answer as its outcome name and the body under that name."""
-    if isinstance(r, ZeroWitness):
+    if isinstance(r, falsifier.ZeroWitness):
         return "witness", {
             "point": list(r.point),
             "jac_value": r.jac_value,
@@ -175,7 +170,7 @@ def search_result_to_dict(r: ZeroWitness | MinRecord | NoRealZero) -> tuple[str,
             "method": r.method,
             "bracket": None if r.bracket is None else [str(v) for v in r.bracket],
         }
-    if isinstance(r, NoRealZero):
+    if isinstance(r, falsifier.NoRealZero):
         return "no_real_zero", {
             "sign": r.sign,
             "bound": str(r.bound),

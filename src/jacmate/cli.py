@@ -4,6 +4,21 @@ Exit codes: 0 for a certified conclusion or plain success, 1 when the tool
 ran but could not certify (not covered, inconclusive, no witness), 2 for
 usage or input errors.
 
+A verb executes only the layers it uses.  Every verb, and every ``-h``,
+runs ``poly`` and ``polygon``, which this module imports; ``analyze`` needs
+no more.  ``certify`` adds ``certificate``; ``tongue`` and ``--tongue`` add
+``tongue`` and ``univariate``; ``falsify`` adds ``falsifier``,
+``univariate`` and ``certificate``, as ``--falsify`` adds the first two;
+``branch`` adds ``branches`` and ``univariate``; the drawings add ``render``
+and ``tongue``.  ``univariate``, ``tongue``, ``falsifier``, ``branches``
+and ``certificate`` are registered at import, in ``sys.modules`` and on the
+package, with :class:`importlib.util.LazyLoader`, and each one compiles
+and runs on its first attribute access.  So every layer is in
+``sys.modules`` once ``jacmate.cli`` is imported, and the code reaches the
+deferred ones through their module bindings
+(``falsifier.find_jacobian_zero``): a name import such as
+``from .tongue import FAILED`` would execute the module.
+
 numpy loads only for the falsifier's float search, on its first call
 (``falsify``, ``certify --falsify``), which runs only where no exact slice
 decides and the miss proof is refused: a hit on a slice and a proved miss
@@ -15,34 +30,38 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 
-from .branches import (
-    BranchLost,
-    CONFIRMED,
-    TraceConfig,
-    branch_candidates,
-    trace_branch,
-    trace_to_csv,
-)
-from .certificate import (
-    NO_REAL_JACOBIAN_MATE,
-    build_certificate,
-    edge_to_dict,
-    emit_certificate_json,
-    search_result_to_dict,
-    tongue_to_dict,
-)
-from .falsifier import MAX_TRIALS, DegenerateSampler, find_jacobian_zero, random_trials
-from .poly import ParseError, apply_transform, parse_polynomial
+from .poly import MAX_TRIALS, ParseError, apply_transform, parse_polynomial
 from .polygon import (
     corollary_certificate,
+    edge_to_dict,
     newton_polygon,
     outer_edges,
     right_outer_edges,
 )
-from .tongue import VERIFIED, tongue_certificate
+
+
+def _register(name: str):
+    """The module ``jacmate.<name>``, executed on its first attribute access
+    unless it is already imported."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+_register("univariate")  # the other layers reach it as ``uni``
+tongue, falsifier, branches, certificate = map(
+    _register, ("tongue", "falsifier", "branches", "certificate")
+)
 
 __all__ = ["run_command", "main"]
 
@@ -82,16 +101,16 @@ def _cmd_certify(args) -> int:
     allow_swap = not args.no_swap
     criterion = corollary_certificate(p, allow_swap=allow_swap)
 
-    tongue = None
+    tc = None
     if args.tongue and criterion.satisfied:
-        tongue = tongue_certificate(p, criterion)
+        tc = tongue.tongue_certificate(p, criterion)
 
     trials = None
     if args.falsify:
-        trials = random_trials(p, args.falsify, seed=args.seed)
+        trials = falsifier.random_trials(p, args.falsify, seed=args.seed)
 
-    doc = build_certificate(p, criterion, tongue=tongue, trials=trials)
-    _emit(args, emit_certificate_json(doc))
+    doc = certificate.build_certificate(p, criterion, tongue=tc, trials=trials)
+    _emit(args, certificate.emit_certificate_json(doc))
     if args.svg:
         from .render import render_polygon_svg
 
@@ -99,7 +118,7 @@ def _cmd_certify(args) -> int:
         svg = render_polygon_svg(newton_polygon(shown), criterion)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
-    return 0 if doc.conclusion == NO_REAL_JACOBIAN_MATE else 1
+    return 0 if doc.conclusion == certificate.NO_REAL_JACOBIAN_MATE else 1
 
 
 def _cmd_branch(args) -> int:
@@ -114,7 +133,7 @@ def _cmd_branch(args) -> int:
             file=sys.stderr,
         )
         return 2
-    candidates = branch_candidates(p, edges[args.edge])
+    candidates = branches.branch_candidates(p, edges[args.edge])
     if args.root is not None:
         if not 0 <= args.root < len(candidates):
             print(
@@ -123,42 +142,42 @@ def _cmd_branch(args) -> int:
             )
             return 2
         chosen = candidates[args.root]
-        if chosen.existence != CONFIRMED:
+        if chosen.existence != branches.CONFIRMED:
             print(
                 f"root {args.root} is no confirmed real branch: {chosen.existence}",
                 file=sys.stderr,
             )
             return 1
     else:
-        confirmed = [c for c in candidates if c.existence == CONFIRMED]
+        confirmed = [c for c in candidates if c.existence == branches.CONFIRMED]
         if not confirmed:
             print("no confirmed real branch on this edge", file=sys.stderr)
             return 1
         chosen = confirmed[0]
-    cfg = TraceConfig(x_start=args.x_start, x_end=args.x_end)
+    cfg = branches.TraceConfig(x_start=args.x_start, x_end=args.x_end)
     try:
-        trace = trace_branch(p, chosen, cfg)
-    except BranchLost as exc:
+        trace = branches.trace_branch(p, chosen, cfg)
+    except branches.BranchLost as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 1
     except OverflowError:
         print("trace failed: the trace left the float range", file=sys.stderr)
         return 1
-    print(trace_to_csv(trace, p), end="")
+    print(branches.trace_to_csv(trace, p), end="")
     return 0
 
 
 def _cmd_tongue(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
-    tc = tongue_certificate(p, corollary_certificate(p))
-    _emit(args, json.dumps(tongue_to_dict(tc), indent=2))
-    return 0 if tc.status == VERIFIED else 1
+    tc = tongue.tongue_certificate(p, corollary_certificate(p))
+    _emit(args, json.dumps(certificate.tongue_to_dict(tc), indent=2))
+    return 0 if tc.status == tongue.VERIFIED else 1
 
 
 def _cmd_falsify(args) -> int:
     p = parse_polynomial(_read_input(args.poly))
     q = parse_polynomial(_read_input(args.q))
-    outcome, body = search_result_to_dict(find_jacobian_zero(p, q))
+    outcome, body = certificate.search_result_to_dict(falsifier.find_jacobian_zero(p, q))
     _emit(args, json.dumps({"outcome": outcome, **body}, indent=2))
     return 0 if outcome == "witness" else 1
 
@@ -172,7 +191,7 @@ def _cmd_render(args) -> int:
         shown = apply_transform(p, cert.transform_used)
         svg = render_polygon_svg(newton_polygon(shown), cert)
     else:
-        tc = tongue_certificate(p, corollary_certificate(p))
+        tc = tongue.tongue_certificate(p, corollary_certificate(p))
         if tc.region is None:
             print(f"no tongue region: {'; '.join(tc.reasons)}", file=sys.stderr)
             return 1
@@ -271,7 +290,7 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, DegenerateSampler) as exc:
+    except (ValueError, falsifier.DegenerateSampler) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,7 +86,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import univariate as uni
-from .poly import BivariatePolynomial, evaluate_on_grid, jacobian
+from .poly import MAX_TRIALS, BivariatePolynomial, evaluate_on_grid, jacobian
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,6 @@ __all__ = [
     "DegenerateSampler",
     "find_jacobian_zero",
     "random_trials",
-    "MAX_TRIALS",
     "EXACT_GRID_HIT",
     "SIGN_CHANGE_BISECTION",
     "LOCAL_MINIMIZATION",
@@ -143,10 +142,6 @@ NO_ROOT_ON_ANY_SLICE = ("lc_y(F)", "F(0, y)", "Res_y(F, F_y)")
 # Sampled candidate mates: total degree at most 3, integer coefficients in [-3, 3].
 MATE_DEGREE = 3
 MATE_COEFF_BOUND = 3
-
-# The most trials random_trials runs: a trial that hits takes 0.4-1 ms on
-# the fixtures (2-core VM, Python 3.11), and every outcome is kept.
-MAX_TRIALS = 1000
 
 
 class DegenerateSampler(RuntimeError):

@@ -64,6 +64,7 @@ __all__ = [
     "MAX_TERMS",
     "MAX_COEFF_BITS",
     "MAX_NESTING",
+    "MAX_TRIALS",
     "parse_polynomial",
     "jacobian",
     "apply_transform",
@@ -102,6 +103,10 @@ MAX_COEFF_BITS = 256  # numerator and denominator each
 # Parentheses open at once; at about 495 levels the parser's descent would
 # pass Python's default recursion limit.
 MAX_NESTING = 200
+
+# The most trials the falsifier's random_trials runs: a trial that hits takes
+# 0.4-1 ms on the fixtures (2-core VM, Python 3.11), and every outcome is kept.
+MAX_TRIALS = 1000
 
 # The float evaluation of a polynomial on which its Horner plan is compiled
 # to straight-line code; the earlier ones run the loop (see the docstring).

@@ -36,6 +36,7 @@ __all__ = [
     "NotAnEdgeOfThisPolynomial",
     "NewtonPolygon",
     "OuterEdge",
+    "edge_to_dict",
     "CriterionCertificate",
     "support",
     "hull",
@@ -82,6 +83,16 @@ class OuterEdge:
 
     def endpoints(self) -> frozenset[LatticePoint]:
         return frozenset((self.start, self.end))
+
+
+def edge_to_dict(edge: OuterEdge) -> dict:
+    return {
+        "from": list(edge.start),
+        "to": list(edge.end),
+        "normal": list(edge.normal),
+        "slope": str(edge.slope),
+        "is_right": edge.is_right,
+    }
 
 
 @dataclass(frozen=True)

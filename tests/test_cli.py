@@ -331,43 +331,57 @@ def _fresh_interpreter(script, *argv):
     )
 
 
-# runs one command, then reports on stderr whether numpy was loaded
+# runs one command, then reports on stderr whether numpy was loaded and
+# which jacmate modules were executed: a layer that is only registered is
+# still a lazy module, not a plain one
 COLD_START = (
-    "import sys; from jacmate.cli import run_command; "
+    "import sys, types; from jacmate.cli import run_command; "
     "code = run_command(sys.argv[1:]); "
-    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr); "
+    "print('executed:', *sorted(n[8:] for n, m in sys.modules.items() "
+    "if n.startswith('jacmate.') and type(m) is types.ModuleType), file=sys.stderr); "
+    "sys.exit(code)"
 )
+
+# every verb, and every -h, executes these; the rows add what each one uses
+BASE = "cli poly polygon"
 
 
 @pytest.mark.parametrize(
-    "argv, code, numpy_loaded",
+    "argv, code, numpy_loaded, executed",
     [
-        (("analyze", "y + x^2*y^2"), 0, False),
-        (("branch", "y + x^2*y^2"), 0, False),
-        (("tongue", "y + x^2*y^2"), 0, False),
-        (("certify", "y + x^2*y^2", "--tongue"), 0, False),
-        (("falsify", "x", "--q", "y"), 1, False),
-        (("falsify", "1/201*x^201 + x", "--q", "y"), 1, True),
-        (("falsify", "y + x*y^2 + y^4", "--q", "x"), 0, False),
-        (("certify", "y + x^2*y^2", "--falsify", "2"), 0, False),
-        (("render", "y + x^2*y^2", "--what", "tongue"), 0, False),
-        (("render", "y + x^2*y^2", "--what", "polygon"), 0, False),
+        (("analyze", "y + x^2*y^2"), 0, False, ""),
+        (("branch", "y + x^2*y^2"), 0, False, "branches univariate"),
+        (("tongue", "y + x^2*y^2"), 0, False, "certificate tongue univariate"),
+        (("certify", "y + x^2*y^2"), 0, False, "certificate"),
+        (("certify", "y + x^2*y^2", "-h"), 0, False, ""),
+        (("certify", "y + x^2*y^2", "--tongue"), 0, False, "certificate tongue univariate"),
+        (("falsify", "x", "--q", "y"), 1, False, "certificate falsifier univariate"),
+        (("falsify", "1/201*x^201 + x", "--q", "y"), 1, True, "certificate falsifier univariate"),
+        (("falsify", "y + x*y^2 + y^4", "--q", "x"), 0, False, "certificate falsifier univariate"),
+        (("certify", "y + x^2*y^2", "--falsify", "2"), 0, False,
+         "certificate falsifier univariate"),
+        (("certify", "y + x^2*y^2", "--tongue", "--falsify", "2"), 0, False,
+         "certificate falsifier tongue univariate"),
+        (("render", "y + x^2*y^2", "--what", "tongue"), 0, False, "render tongue univariate"),
+        (("render", "y + x^2*y^2", "--what", "polygon"), 0, False, "render tongue"),
     ],
     ids=[
-        "analyze", "branch", "tongue", "certify_tongue", "falsify", "falsify_grid_miss",
-        "falsify_slice_hit",
-        "certify_falsify",
+        "analyze", "branch", "tongue", "certify", "certify_help", "certify_tongue", "falsify",
+        "falsify_grid_miss", "falsify_slice_hit", "certify_falsify", "certify_tongue_falsify",
         "render_tongue", "render_polygon",
     ],
 )
-def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded):
+def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded, executed):
     # numpy serves only the falsifier's grids: a fresh interpreter answers
     # the exact commands and draws without paying for its import, and loads
     # it on demand for the float search, with the usual output; searches
-    # that an exact slice or the miss proof decides never reach the grids
+    # that an exact slice or the miss proof decides never reach the grids.
+    # Each command executes only the layers it uses (the cli docstring)
     proc = _fresh_interpreter(COLD_START, *argv)
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr == f"numpy loaded: {numpy_loaded}\n"
+    layers = " ".join(sorted(f"{BASE} {executed}".split()))
+    assert proc.stderr == f"numpy loaded: {numpy_loaded}\nexecuted: {layers}\n"
     assert proc.stdout == run(capsys, *argv)[1]
 
 
@@ -385,14 +399,16 @@ def test_certify_path_never_imports_the_drawing():
 
 def test_cli_import_loads_every_traced_layer():
     # the benchmark's layer trace reads sys.modules["jacmate.<layer>"] for
-    # each layer it names, so importing the CLI must import all of them
+    # each layer it names, so importing the CLI must register all of them;
+    # reading a registered layer's namespace executes it
     perfbench = pathlib.Path(__file__).parents[1] / "perfbench"
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); from layers import LAYERS; "
         "import jacmate.cli; "
         "missing = [n for n in LAYERS if f'jacmate.{n}' not in sys.modules]; "
         "assert len(LAYERS) == 8 and not missing, missing; "
-        "assert 'numpy' not in sys.modules, 'numpy imported'"
+        "assert 'numpy' not in sys.modules, 'numpy imported'; "
+        "assert 'tongue_certificate' in vars(sys.modules['jacmate.tongue'])"
     )
     proc = _fresh_interpreter(script, str(perfbench))
     assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from jacmate import falsifier as fz
 from jacmate import univariate as uni
 from jacmate.cli import run_command
 from jacmate.poly import (
+    MAX_TRIALS,
     SWAP,
     BivariatePolynomial,
     apply_transform,
@@ -26,7 +27,6 @@ from jacmate.poly import (
 from jacmate.falsifier import (
     EXACT_GRID_HIT,
     LOCAL_MINIMIZATION,
-    MAX_TRIALS,
     DegenerateSampler,
     MinRecord,
     NoRealZero,
