@@ -9,8 +9,9 @@ its isolating interval, or beside an exactly isolated root, far out on the
 x axis, and confirmed only when every probe straddles.
 
 Confirmed asymptotes can be traced: a walk along x whose every sample is
-a real root of the exact slice p(x, .), isolated by the integer Descartes
-kernel of :mod:`jacmate.univariate` to a stated relative width.
+the nearest double of a real root of the exact slice p(x, .), isolated by
+the integer Descartes kernel of :mod:`jacmate.univariate` and rounded by
+exact signs.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ __all__ = [
 
 PROBE_XS = (1e2, 1e4, 1e6)
 
-# Each traced sample is isolated to this relative width.
-SAMPLE_WIDTH = Fraction(1, 2**40)
-
 # Consecutive trace abscissae grow by this factor.
 GROWTH_FACTOR = 1.05
 
@@ -57,9 +55,7 @@ class NotRightOuterEdge(ValueError):
 
 
 class BranchLost(RuntimeError):
-    def __init__(self, message: str, last_sample: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.last_sample = last_sample
+    pass
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,6 @@ class TraceConfig:
 class BranchTrace:
     samples: tuple[tuple[float, float], ...]
     theta: Fraction
-    residual_bound: float
 
 
 def sign_probe(
@@ -170,7 +165,7 @@ def branch_candidates(
     reduced = coeffs[low:]
     out: list[BranchAsymptote] = []
     # 0 is no root here and isolation splits (-2^K, 2^K) there first: no interval straddles it
-    for iv in uni.isolate_roots(reduced, width=uni.DEFAULT_WIDTH):
+    for iv in uni.isolate_roots(reduced):
         if iv.multiplicity % 2 == 1:
             probes = ()  # the face changes sign across the root: no probe decides anything
         else:
@@ -189,16 +184,17 @@ def _curves_beside(f: list[Fraction], c: Fraction) -> tuple[Fraction, Fraction]:
     return c - w, c + w
 
 
-def _sample_at(
-    p: BivariatePolynomial, x: float, y_pred: float
-) -> tuple[float, float] | None:
-    """The root of p(x, .) nearest the predictor, and its relative width.
+def _sample_at(p: BivariatePolynomial, x: float, y_pred: float) -> float | None:
+    """The nearest double of the root of p(x, .) nearest the predictor.
 
     The real roots of the exact slice p(x, .) in the window y_pred * (0.1,
-    1.9) are isolated to relative width 2^-40: the window's end nearer 0
-    fixes the absolute width.  None when the window holds no root, or x is
-    infinite and there is no slice.  OverflowError at y_pred = 0, which
-    c* x^theta and samples never are: the trace left the float range.
+    1.9) are isolated, with no width refinement, and each is rounded to its
+    nearest double by exact signs (``float(RealRoot)``), which does not
+    depend on its interval.  The double nearest y_pred, compared exactly,
+    is the sample, the lower one on a tie.  None when the window holds
+    no root, or x is infinite and there is no slice.  OverflowError at
+    y_pred = 0, which c* x^theta and samples never are: the trace left the
+    float range.
     """
     if math.isinf(x):
         return None
@@ -207,11 +203,8 @@ def _sample_at(
         raise OverflowError("the predictor underflowed to 0")
     h = p.restricted_to_x(Fraction(x))
     lo, hi = sorted((target / 10, target * 19 / 10))
-    roots = uni.isolate_roots(h, lo, hi, abs(target) / 10 * SAMPLE_WIDTH)
-    if not roots:
-        return None
-    iv = min(roots, key=lambda r: abs(r.midpoint - target))
-    return float(iv), float((iv.hi - iv.lo) / min(abs(iv.lo), abs(iv.hi)))
+    ys = [float(r) for r in uni.isolate_roots(h, lo, hi, hi - lo)]
+    return min(ys, key=lambda y: (abs(Fraction(y) - target), y), default=None)
 
 
 def trace_branch(
@@ -221,10 +214,9 @@ def trace_branch(
 
     The raw asymptotic predictor is only reliable far out, so the walk locks
     onto the branch at x_end and steps back by continuation: the predictor
-    at the next abscissa is y * (x_next / x)^theta.  Each sample is the
-    isolated real root of the exact slice p(x, .) nearest the predictor
-    (``_sample_at``); ``residual_bound`` is the largest relative width of
-    those isolating intervals, at most 2^-40.
+    at the next abscissa is y * (x_next / x)^theta.  Each sample y is the
+    nearest double of the real root of the exact slice p(x, .) nearest the
+    predictor (``_sample_at``).
     """
     if asymptote.existence != CONFIRMED:
         raise ValueError("only confirmed asymptotes can be traced")
@@ -233,26 +225,16 @@ def trace_branch(
     while xs[-1] < cfg.x_end:
         xs.append(min(xs[-1] * GROWTH_FACTOR, cfg.x_end))
     solved: list[tuple[float, float]] = []
-    residual = 0.0
     y_pred = asymptote.c_star * xs[-1] ** theta
     for i in range(len(xs) - 1, -1, -1):
         x = xs[i]
-        sample = _sample_at(p, x, y_pred)
-        if sample is None:
-            raise BranchLost(
-                f"no root of p(x, .) near the predictor at x={x!r}",
-                solved[-1] if solved else None,
-            )
-        y, width = sample
-        residual = max(residual, width)
+        y = _sample_at(p, x, y_pred)
+        if y is None:
+            raise BranchLost(f"no root of p(x, .) near the predictor at x={x!r}")
         solved.append((x, y))
         if i:
             y_pred = y * (xs[i - 1] / x) ** theta
-    return BranchTrace(
-        samples=tuple(reversed(solved)),
-        theta=asymptote.theta,
-        residual_bound=residual,
-    )
+    return BranchTrace(samples=tuple(reversed(solved)), theta=asymptote.theta)
 
 
 def lowest_positive_branch(

@@ -5,19 +5,20 @@ ran but could not certify (not covered, inconclusive, no witness), 2 for
 usage or input errors.
 
 A verb executes only the layers it uses.  Every verb, and every ``-h``,
-runs ``poly`` and ``polygon``, which this module imports; ``analyze`` needs
-no more.  ``certify`` adds ``certificate``; ``tongue`` and ``--tongue`` add
-``tongue`` and ``univariate``; ``falsify`` adds ``falsifier``,
-``univariate`` and ``certificate``, as ``--falsify`` adds the first two;
-``branch`` adds ``branches`` and ``univariate``; the drawings add ``render``
-and ``tongue``.  ``univariate``, ``tongue``, ``falsifier``, ``branches``
-and ``certificate`` are registered at import, in ``sys.modules`` and on the
-package, with :class:`importlib.util.LazyLoader`, and each one compiles
-and runs on its first attribute access.  So every layer is in
-``sys.modules`` once ``jacmate.cli`` is imported, and the code reaches the
-deferred ones through their module bindings
-(``falsifier.find_jacobian_zero``): a name import such as
-``from .tongue import FAILED`` would execute the module.
+runs ``poly`` and ``polygon``, which this module imports; ``analyze``, and
+an input those two refuse, need no more.  ``certify`` adds
+``certificate``; ``tongue`` and ``--tongue`` add ``tongue`` and
+``univariate``; ``falsify`` adds ``falsifier``, ``univariate`` and
+``certificate``, as ``--falsify`` adds the first two; ``branch`` adds
+``branches`` and ``univariate``; the drawings add ``render``, and only the
+tongue drawing adds ``tongue`` and ``univariate``.  ``univariate``,
+``tongue``, ``falsifier``, ``branches`` and ``certificate`` are registered
+at import, in ``sys.modules`` and on the package, with
+:class:`importlib.util.LazyLoader`, and each one compiles and runs on its
+first attribute access.  So every layer is in ``sys.modules`` once
+``jacmate.cli`` is imported, and the code reaches the deferred ones
+through their module bindings (``falsifier.find_jacobian_zero``): a name
+import such as ``from .tongue import FAILED`` would execute the module.
 
 numpy loads only for the falsifier's float search, on its first call
 (``falsify``, ``certify --falsify``), which runs only where no exact slice
@@ -290,7 +291,7 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, falsifier.DegenerateSampler) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

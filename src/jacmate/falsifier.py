@@ -144,8 +144,9 @@ MATE_DEGREE = 3
 MATE_COEFF_BOUND = 3
 
 
-class DegenerateSampler(RuntimeError):
-    """Every resampled candidate produced an identically zero Jacobian."""
+class DegenerateSampler(ValueError):
+    """Every resampled candidate produced an identically zero Jacobian: an
+    input error, as for a constant p."""
 
 
 @dataclass(frozen=True)

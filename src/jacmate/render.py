@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from . import tongue
 from . import univariate as uni
 from .poly import BivariatePolynomial
 from .polygon import (
@@ -19,14 +21,9 @@ from .polygon import (
     NewtonPolygon,
     outer_edges,
 )
-from .tongue import (
-    CONTAINED_IN_B,
-    SEGMENT_ARC,
-    LevelSetReport,
-    TongueRegion,
-    _shifted_by,
-    default_schedule,
-)
+
+if TYPE_CHECKING:
+    from .tongue import LevelSetReport, TongueRegion
 
 __all__ = ["render_polygon_svg", "render_tongue_svg"]
 
@@ -99,11 +96,6 @@ def render_polygon_svg(
     return "\n".join(parts)
 
 
-_LEVEL_COLORS = {
-    SEGMENT_ARC: "#4682b4",
-    CONTAINED_IN_B: "#e08020",
-}
-
 # Vertical lines the tongue figure reads, about 4 px apart across its plot.
 SLICE_LINES = 128
 
@@ -137,7 +129,7 @@ class _Slices:
         """
         hq, top = self.top(xq)
         ys: list[float] = []
-        for iv in uni.isolate_roots(_shifted_by(hq, t), Fraction(0), top.hi, self.width):
+        for iv in uni.isolate_roots(tongue._shifted_by(hq, t), Fraction(0), top.hi, self.width):
             ys += [float(iv.midpoint)] * (2 - iv.multiplicity % 2)
         return ys
 
@@ -255,7 +247,7 @@ def render_tongue_svg(
     x0 = region.x0
     slices = _slices(region)
     # records carry t as a float: draw the exact scheduled level behind it
-    exact = {float(t): t for t in default_schedule(region.profile.t0)}
+    exact = {float(t): t for t in tongue.default_schedule(region.profile.t0)}
     records = sorted(levels.records, key=lambda r: r.t) if levels is not None else []
     drawn = [(rec, exact.get(rec.t, Fraction(rec.t))) for rec in records if rec.t > 0]
     if x_max is None:
@@ -296,10 +288,11 @@ def render_tongue_svg(
     ]
 
     # level curves under everything else
+    colors = {tongue.SEGMENT_ARC: "#4682b4", tongue.CONTAINED_IN_B: "#e08020"}
     for rec, t in drawn:
         if not rec.component_count:
             continue
-        color = _LEVEL_COLORS[rec.classification]
+        color = colors[rec.classification]
         parts.append(f'<g data-t="{rec.t!r}" fill="none" stroke="{color}" stroke-width="1">')
         for pts in _level_polylines(slices, lines, t):
             coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)

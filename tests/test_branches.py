@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from jacmate.poly import NEGATE_Y, Transform, parse_polynomial
+from jacmate import branches
+from jacmate import univariate as uni
+from jacmate.poly import NEGATE_Y, BivariatePolynomial, Transform, parse_polynomial
 from jacmate.polygon import (
     NotAnEdgeOfThisPolynomial,
     corollary_certificate,
@@ -14,7 +17,7 @@ from jacmate.polygon import (
 from jacmate.branches import (
     CONFIRMED,
     INCONCLUSIVE,
-    SAMPLE_WIDTH,
+    BranchLost,
     NotRightOuterEdge,
     TraceConfig,
     branch_candidates,
@@ -145,7 +148,6 @@ def test_trace_p3_against_closed_form(p3):
     for x, y in trace.samples:
         want = -1.0 / (x * x)
         assert abs(y - want) <= 1e-8 * abs(want)
-    assert trace.residual_bound <= 1e-10
 
 
 def test_trace_p1_asymptote(p1):
@@ -233,8 +235,8 @@ def first_confirmed(p):
     ["y + x*y^2 + y^4", "y + x^2*y^2", "x + x^2*y", "(1 + x*y)^2*(2 + x*y)"],
 )
 def test_every_sample_is_an_isolated_root(text):
-    # each y is an exact root of p(x, .) or p changes sign within a relative
-    # 2^-39 of it: the sample lies in an interval of relative width 2^-40
+    # each y is an exact root of p(x, .), or p changes sign between the
+    # midpoints of y and its two neighbouring doubles: a root there rounds to y
     p = parse_polynomial(text)
     trace = trace_branch(p, first_confirmed(p), TraceConfig())
     assert len(trace.samples) == 96
@@ -242,10 +244,74 @@ def test_every_sample_is_an_isolated_root(text):
         fx, fy = Fraction(x), Fraction(y)
         if p.evaluate(fx, fy) == 0:
             continue
-        below = p.evaluate(fx, fy * (1 - 2 * SAMPLE_WIDTH))
-        above = p.evaluate(fx, fy * (1 + 2 * SAMPLE_WIDTH))
+        below = p.evaluate(fx, (fy + Fraction(math.nextafter(y, -math.inf))) / 2)
+        above = p.evaluate(fx, (fy + Fraction(math.nextafter(y, math.inf))) / 2)
         assert below * above < 0, (x, y)
-    assert trace.residual_bound <= 2**-40
+
+
+def test_a_sample_is_not_refined_past_its_rounding(monkeypatch):
+    # rounding a root reads a few exact signs near a float guess; refining
+    # each sample to a relative 2^-40 first took 5,097 on this trace
+    calls = 0
+    sign_at = uni._sign_at
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sign_at(*args)
+
+    p = parse_polynomial("y + x^2*y^2")
+    asym = first_confirmed(p)
+    monkeypatch.setattr(uni, "_sign_at", counted)
+    trace = trace_branch(p, asym, TraceConfig())
+    assert len(trace.samples) == 96
+    assert calls <= 1500
+
+
+def refined_sample(p, x, y_pred):
+    # the sample rule that refined every root of the window to a relative
+    # 2^-40 and took the one whose interval's midpoint is nearest y_pred
+    if math.isinf(x):
+        return None
+    target = Fraction(y_pred)
+    if not target:
+        raise OverflowError("the predictor underflowed to 0")
+    h = p.restricted_to_x(Fraction(x))
+    lo, hi = sorted((target / 10, target * 19 / 10))
+    roots = uni.isolate_roots(h, lo, hi, abs(target) / 10 / 2**40)
+    if not roots:
+        return None
+    return float(min(roots, key=lambda r: abs(r.midpoint - target)))
+
+
+def traced(p, asym, cfg):
+    try:
+        return trace_branch(p, asym, cfg).samples
+    except (BranchLost, OverflowError) as exc:
+        return type(exc)
+
+
+def test_samples_match_the_refined_rule_on_random_polynomials(monkeypatch):
+    # the nearest double of the root nearest the predictor is the double
+    # the refined interval gave: same samples, or the same failure
+    rng = random.Random(1)
+    cfg = TraceConfig(x_end=100.0)
+    compared = 0
+    for _ in range(40):
+        terms = {(0, 1): 1}
+        for _ in range(rng.randint(1, 5)):
+            terms[rng.randint(0, 6), rng.randint(0, 6)] = rng.choice((-1, 1)) * rng.randint(1, 5)
+        p = BivariatePolynomial(terms)
+        for edge in right_outer_edges(newton_polygon(p)):
+            for asym in branch_candidates(p, edge):
+                if asym.existence != CONFIRMED:
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(branches, "_sample_at", refined_sample)
+                    want = traced(p, asym, cfg)
+                assert traced(p, asym, cfg) == want, p
+                compared += 1
+    assert compared >= 40
 
 
 def test_trace_far_out_stays_on_the_closed_form(p3):

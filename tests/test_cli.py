@@ -183,6 +183,8 @@ def test_falsify_pinchuk_miss_matches_golden(capsys, pinchuk):
             "analyze_four_edge.json",
         ),
         (("branch", "y + x^2*y^2", "--x-end", "100"), 0, "branch_y_x2y2_xend100.csv"),
+        # a degree-30 slice at every sample: each y is its root's nearest double
+        (("branch", "y + x^40*y^30 + x^11*y^17 - 5*y^21"), 0, "branch_y_x40y30_default.csv"),
         # no witness edge: every criterion field read off it is null
         (("certify", "y + x^2*y^2 + 5"), 1, "certify_not_covered_y_x2y2_5.json"),
         # Jac = x^200 + 1, over the proof's degree cap: a miss over all 11
@@ -197,7 +199,10 @@ def test_falsify_pinchuk_miss_matches_golden(capsys, pinchuk):
             "falsify_miss_deg255_root_past_2e63.json",
         ),
     ],
-    ids=["analyze", "branch", "not_covered", "falsify_grid_miss", "deg255_pair_past_2e63"],
+    ids=[
+        "analyze", "branch", "branch_x40y30", "not_covered", "falsify_grid_miss",
+        "deg255_pair_past_2e63",
+    ],
 )
 def test_output_matches_golden(capsys, argv, code, golden):
     got, out, _ = run(capsys, *argv)
@@ -351,10 +356,14 @@ BASE = "cli poly polygon"
     "argv, code, numpy_loaded, executed",
     [
         (("analyze", "y + x^2*y^2"), 0, False, ""),
+        # input errors: the message, exit 2, and no layer past the polygon
+        (("analyze", "0"), 2, False, ""),
+        (("analyze", "x^1000000*y"), 2, False, ""),
         (("branch", "y + x^2*y^2"), 0, False, "branches univariate"),
         (("tongue", "y + x^2*y^2"), 0, False, "certificate tongue univariate"),
         (("certify", "y + x^2*y^2"), 0, False, "certificate"),
         (("certify", "y + x^2*y^2", "-h"), 0, False, ""),
+        (("certify", "y + x^2*y^2", "--svg", os.devnull), 0, False, "certificate render"),
         (("certify", "y + x^2*y^2", "--tongue"), 0, False, "certificate tongue univariate"),
         (("falsify", "x", "--q", "y"), 1, False, "certificate falsifier univariate"),
         (("falsify", "1/201*x^201 + x", "--q", "y"), 1, True, "certificate falsifier univariate"),
@@ -364,12 +373,13 @@ BASE = "cli poly polygon"
         (("certify", "y + x^2*y^2", "--tongue", "--falsify", "2"), 0, False,
          "certificate falsifier tongue univariate"),
         (("render", "y + x^2*y^2", "--what", "tongue"), 0, False, "render tongue univariate"),
-        (("render", "y + x^2*y^2", "--what", "polygon"), 0, False, "render tongue"),
+        (("render", "y + x^2*y^2", "--what", "polygon"), 0, False, "render"),
     ],
     ids=[
-        "analyze", "branch", "tongue", "certify", "certify_help", "certify_tongue", "falsify",
-        "falsify_grid_miss", "falsify_slice_hit", "certify_falsify", "certify_tongue_falsify",
-        "render_tongue", "render_polygon",
+        "analyze", "analyze_zero", "analyze_over_degree_cap", "branch", "tongue", "certify",
+        "certify_help", "certify_svg", "certify_tongue", "falsify", "falsify_grid_miss",
+        "falsify_slice_hit", "certify_falsify", "certify_tongue_falsify", "render_tongue",
+        "render_polygon",
     ],
 )
 def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded, executed):
@@ -381,8 +391,9 @@ def test_only_float_work_imports_numpy(capsys, argv, code, numpy_loaded, execute
     proc = _fresh_interpreter(COLD_START, *argv)
     assert proc.returncode == code, proc.stderr
     layers = " ".join(sorted(f"{BASE} {executed}".split()))
-    assert proc.stderr == f"numpy loaded: {numpy_loaded}\nexecuted: {layers}\n"
-    assert proc.stdout == run(capsys, *argv)[1]
+    _, out, err = run(capsys, *argv)
+    assert proc.stderr == f"{err}numpy loaded: {numpy_loaded}\nexecuted: {layers}\n"
+    assert proc.stdout == out
 
 
 def test_certify_path_never_imports_the_drawing():
